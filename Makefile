@@ -5,15 +5,15 @@
 
 GO ?= go
 
-.PHONY: ci check vet build test race race-shards soak bench bench-base bench-cmp bench-shards bench-opt bench-spec fuzz fuzz-diff corpus
+.PHONY: ci check vet build test bench-test race race-shards soak bench bench-base bench-cmp bench-shards bench-opt bench-spec bench-ledger bench-ab fuzz fuzz-diff corpus
 
 ci: vet build test race
 
 # check is the fast pre-commit gate: vet + build + tests (no full race
 # pass), plus a targeted race pass over the shard-engine invariance
-# tests, the short service soak under -race, and a corpus-differential
-# fuzz smoke.
-check: vet build test race-shards soak fuzz-diff
+# tests, the short service soak under -race, a corpus-differential fuzz
+# smoke, and the benchmark module's own smoke tests.
+check: vet build test bench-test race-shards soak fuzz-diff
 
 # race-shards runs the sharded-engine tests plus the MemSpec speculation
 # tests under the race detector with worker dispatch forced on (the tests
@@ -32,6 +32,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# bench/ is its own module (replace wavescalar => ../), so the root
+# `go test ./...` does not reach it.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # The harness package alone runs ~10 minutes under the race detector (the
 # full experiment suite at race-instrumented speed), so the pass needs more
@@ -176,3 +181,47 @@ bench-shards:
 		paste bench.s1.sorted.txt bench.sN.sorted.txt | column -t; \
 		rm -f bench.s1.sorted.txt bench.sN.sorted.txt; \
 	fi
+
+# bench-ledger runs the repository benchmark (BENCHMARK.json, bench/) end
+# to end: every workload once untraced (the end-to-end metrics) and once
+# traced (the per-layer metrics), appended to $(LEDGER) as run records,
+# then summarised. The .jsonl is scratch output; commit a summary.
+BENCHWORKLOADS ?= sim-kernels sim-memmodes compile-corpus exp-suite serve-mix
+BENCHSEED ?= 1
+LEDGER ?= bench.ledger.jsonl
+
+bench-ledger:
+	rm -f $(LEDGER)
+	for w in $(BENCHWORKLOADS); do \
+		for t in 0 1; do \
+			bash bench/run.sh --workload $$w --seed $(BENCHSEED) --seconds 15 --trace $$t -out $(LEDGER) || exit 1; \
+		done; \
+	done
+	cd bench && $(GO) run ./cmd/compare -manifest $(abspath BENCHMARK.json) -summary $(abspath $(LEDGER))
+
+# bench-ab is the A/B gate for a performance change: export the parent
+# commit, build both benchmark binaries once, and let bench/cmd/compare run
+# them in interleaved pairs (alternating which side goes first — the host
+# drifts, so back-to-back medians would measure the drift). It prints the
+# per-metric verdicts, exits non-zero when an end-to-end metric is worse
+# than its bound, and leaves the run records and the BENCH_<n>.json record
+# rendered from them (scripts/benchjson.py --ab; GOMAXPROCS under "host")
+# in $(ABDIR).
+#   make bench-ab PARENT=HEAD~1 [ABN=10] [ABWORKLOADS=compile-corpus,serve-mix] [ABDESC='what changed']
+PARENT ?= HEAD~1
+ABN ?= 10
+ABWORKLOADS ?=
+ABDIR ?= .bench_build/ab
+ABDESC ?= $(PARENT) (parent) vs the working tree (change)
+
+bench-ab:
+	rm -rf $(ABDIR) && mkdir -p $(ABDIR)/parent
+	git archive $(PARENT) | tar -x -C $(ABDIR)/parent
+	cd $(ABDIR)/parent/bench && $(GO) build -o $(abspath $(ABDIR))/wsbench.parent .
+	cd bench && $(GO) build -o $(abspath $(ABDIR))/wsbench.change . && $(GO) build -o $(abspath $(ABDIR))/compare ./cmd/compare
+	$(ABDIR)/compare -exec -a $(ABDIR)/wsbench.parent -b $(ABDIR)/wsbench.change -n $(ABN) -seed $(BENCHSEED) -dir $(ABDIR) -workloads '$(ABWORKLOADS)'; \
+		status=$$?; \
+		python3 scripts/benchjson.py --ab $(ABDIR)/a.jsonl $(ABDIR)/b.jsonl "$(ABDESC)" \
+			"make bench-ab PARENT=$(PARENT) ABN=$(ABN) BENCHSEED=$(BENCHSEED) ABWORKLOADS=$(ABWORKLOADS) (bench/cmd/compare -exec: prebuilt binaries, interleaved pairs, alternating order)" \
+			> $(ABDIR)/BENCH.json && echo wrote $(ABDIR)/BENCH.json; \
+		exit $$status

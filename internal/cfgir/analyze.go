@@ -1,5 +1,7 @@
 package cfgir
 
+import "math/bits"
+
 // RegSet is a bitset over virtual registers.
 type RegSet []uint64
 
@@ -50,11 +52,8 @@ func (s RegSet) Clone() RegSet { return append(RegSet(nil), s...) }
 func (s RegSet) Members() []Reg {
 	var out []Reg
 	for wi, w := range s {
-		for w != 0 {
-			b := w & -w
-			bit := trailingZeros(w)
-			out = append(out, Reg(wi*64+bit))
-			w ^= b
+		for ; w != 0; w &= w - 1 {
+			out = append(out, Reg(wi*64+bits.TrailingZeros64(w)))
 		}
 	}
 	return out
@@ -64,19 +63,7 @@ func (s RegSet) Members() []Reg {
 func (s RegSet) Count() int {
 	n := 0
 	for _, w := range s {
-		for w != 0 {
-			w &= w - 1
-			n++
-		}
-	}
-	return n
-}
-
-func trailingZeros(w uint64) int {
-	n := 0
-	for w&1 == 0 {
-		w >>= 1
-		n++
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -182,16 +169,19 @@ func (f *Func) LoopHeaders() map[int]bool {
 // standard backward iterative dataflow. The function must be compacted.
 func (f *Func) Liveness() (liveIn, liveOut []RegSet) {
 	n := len(f.Blocks)
-	liveIn = make([]RegSet, n)
-	liveOut = make([]RegSet, n)
-	use := make([]RegSet, n)
-	def := make([]RegSet, n)
+	words := (f.NumRegs + 63) / 64
+	slab := make([]uint64, 4*n*words)
+	sets := func() []RegSet {
+		out := make([]RegSet, n)
+		for i := range out {
+			out[i], slab = slab[:words:words], slab[words:]
+		}
+		return out
+	}
+	liveIn, liveOut = sets(), sets()
+	use, def := sets(), sets()
 	var buf []Reg
 	for i, b := range f.Blocks {
-		liveIn[i] = NewRegSet(f.NumRegs)
-		liveOut[i] = NewRegSet(f.NumRegs)
-		use[i] = NewRegSet(f.NumRegs)
-		def[i] = NewRegSet(f.NumRegs)
 		for j := range b.Instrs {
 			in := &b.Instrs[j]
 			buf = in.Uses(buf[:0])
@@ -220,20 +210,18 @@ func (f *Func) Liveness() (liveIn, liveOut []RegSet) {
 	for changed := true; changed; {
 		changed = false
 		for i := n - 1; i >= 0; i-- {
-			b := f.Blocks[i]
-			for _, s := range b.Succs() {
-				if liveOut[i].UnionWith(liveIn[s]) {
+			in, out := liveIn[i], liveOut[i]
+			for _, s := range f.Blocks[i].Succs() {
+				if out.UnionWith(liveIn[s]) {
 					changed = true
 				}
 			}
-			// in = use ∪ (out − def)
-			newIn := liveOut[i].Clone()
-			for _, r := range def[i].Members() {
-				newIn.Remove(r)
-			}
-			newIn.UnionWith(use[i])
-			if liveIn[i].UnionWith(newIn) {
-				changed = true
+			// in = use ∪ (out − def), a word at a time.
+			for w := range in {
+				if v := in[w] | use[i][w] | out[w]&^def[i][w]; v != in[w] {
+					in[w] = v
+					changed = true
+				}
 			}
 		}
 	}

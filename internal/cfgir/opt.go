@@ -108,6 +108,15 @@ func foldConstants(f *Func, b *Block) bool {
 // localCSE merges repeated pure computations within a block. The value
 // table keys on (op, operands) and is invalidated when an operand register
 // is redefined. Loads are also merged until the next store or call.
+//
+// Every invalidation goes through a reverse index, so the pass is linear
+// in the block: readers lists the expressions that read a register, held
+// is the expression whose value a register holds (one at most: defining a
+// register first invalidates it), copiedTo lists the copies made from it,
+// and loads the load expressions since the last store or call. An index
+// entry may outlive the fact it recorded (the expression was dropped some
+// other way, or the register now holds a different copy), so each is
+// checked against avail or copies before it is acted on.
 func localCSE(b *Block) bool {
 	type key struct {
 		kind InstrKind
@@ -117,9 +126,12 @@ func localCSE(b *Block) bool {
 		imm  int64
 	}
 	changed := false
-	avail := make(map[key]Reg)   // expression -> register holding it
-	users := make(map[Reg][]key) // operand register -> keys to invalidate
-	copies := make(map[Reg]Reg)  // copy propagation map (dst -> src)
+	avail := make(map[key]Reg)     // expression -> register holding it
+	readers := make(map[Reg][]key) // operand register -> expressions reading it
+	held := make(map[Reg]key)      // register -> expression it holds
+	copies := make(map[Reg]Reg)    // copy propagation map (dst -> src)
+	copiedTo := make(map[Reg][]Reg)
+	var loads []key
 
 	resolve := func(r Reg) Reg {
 		for {
@@ -132,24 +144,30 @@ func localCSE(b *Block) bool {
 	}
 	invalidate := func(r Reg) {
 		// Expressions that read r are stale.
-		for _, k := range users[r] {
+		for _, k := range readers[r] {
 			delete(avail, k)
 		}
-		delete(users, r)
+		delete(readers, r)
 		// Expressions whose cached value lives in r are stale too (variable
 		// registers are multiply assigned).
-		for k, v := range avail {
-			if v == r {
+		if k, ok := held[r]; ok {
+			if v, ok := avail[k]; ok && v == r {
 				delete(avail, k)
 			}
+			delete(held, r)
 		}
 		delete(copies, r)
 		// Any copy that resolves through r is stale.
-		for d, s := range copies {
-			if s == r {
+		for _, d := range copiedTo[r] {
+			if s, ok := copies[d]; ok && s == r {
 				delete(copies, d)
 			}
 		}
+		delete(copiedTo, r)
+	}
+	copyFrom := func(dst, src Reg) {
+		copies[dst] = src
+		copiedTo[src] = append(copiedTo[src], dst)
 	}
 
 	for i := range b.Instrs {
@@ -211,11 +229,10 @@ func localCSE(b *Block) bool {
 			cacheable = true
 		case KStore, KCall:
 			// Memory is clobbered: drop all cached loads.
-			for kk := range avail {
-				if kk.kind == KLoad {
-					delete(avail, kk)
-				}
+			for _, kk := range loads {
+				delete(avail, kk)
 			}
+			loads = loads[:0]
 		}
 
 		if in.HasDst() {
@@ -227,25 +244,28 @@ func localCSE(b *Block) bool {
 				// Replace with a copy; later iterations propagate it.
 				dst := in.Dst
 				*in = Instr{Kind: KAlu, Op: isa.OpOr, Dst: dst, A: prev, B: prev}
-				copies[dst] = prev
-				users[prev] = append(users[prev], key{kind: KAlu, op: isa.OpOr, a: prev, b: prev})
+				copyFrom(dst, prev)
 				changed = true
 				continue
 			}
 			avail[k] = in.Dst
+			held[in.Dst] = k
+			if in.Kind == KLoad {
+				loads = append(loads, k)
+			}
 			if k.a != NoReg && in.Kind != KConst {
-				users[k.a] = append(users[k.a], k)
+				readers[k.a] = append(readers[k.a], k)
 			}
 			if k.b != NoReg && (in.Kind == KAlu || in.Kind == KSelect) {
-				users[k.b] = append(users[k.b], k)
+				readers[k.b] = append(readers[k.b], k)
 			}
 			if k.c != NoReg && in.Kind == KSelect {
-				users[k.c] = append(users[k.c], k)
+				readers[k.c] = append(readers[k.c], k)
 			}
 			// `or dst, src, zero` moves feed copy propagation when the
 			// source is stable within the block.
 			if in.Kind == KAlu && in.Op == isa.OpOr && in.A == in.B {
-				copies[in.Dst] = in.A
+				copyFrom(in.Dst, in.A)
 			}
 		}
 	}

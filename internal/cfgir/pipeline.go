@@ -1,0 +1,72 @@
+package cfgir
+
+import (
+	"fmt"
+	"slices"
+
+	"wavescalar/internal/lang"
+)
+
+// OptNone as FromSource's optLevel leaves the IR as built: compacted, not
+// optimized.
+const OptNone = -1
+
+// FromSource is the front half of every compile, and the one home of its
+// sequence: parse and check src, unroll counted loops by `unroll` (0 or 1
+// disables), lower to IR, compact, then Optimize (optLevel >= 0) and
+// OptimizeMemory (optLevel >= 1, whose counters are returned). unrolled
+// reports whether lang.Unroll rewrote any loop; when it did not, the IR is
+// the one unroll factor 1 yields.
+//
+// A caller that feeds more than one backend builds once and hands
+// wavec.Compile, which consumes its input, a Clone.
+func FromSource(src string, unroll, optLevel int) (p *Program, st MemOptStats, unrolled bool, err error) {
+	f, err := lang.ParseAndCheck(src)
+	if err != nil {
+		return nil, st, false, fmt.Errorf("frontend: %w", err)
+	}
+	unrolled = lang.Unroll(f, unroll) > 0
+	if p, err = Build(f); err != nil {
+		return nil, st, false, fmt.Errorf("build: %w", err)
+	}
+	for _, fn := range p.Funcs {
+		fn.Compact()
+	}
+	if optLevel >= 0 {
+		p.Optimize()
+	}
+	if optLevel >= 1 {
+		st = p.OptimizeMemory()
+	}
+	return p, st, unrolled, nil
+}
+
+// Clone returns a deep copy of the program: functions, blocks,
+// instructions and call-argument lists are fresh, so rewriting the copy
+// (CFG normalization, if-conversion, any optimizer pass) leaves p as it
+// was. Globals and FuncIndex are shared; nothing writes them after Build.
+func (p *Program) Clone() *Program {
+	q := &Program{
+		Funcs:     make([]*Func, len(p.Funcs)),
+		FuncIndex: p.FuncIndex,
+		Globals:   p.Globals,
+		MemWords:  p.MemWords,
+	}
+	for i, f := range p.Funcs {
+		g := *f
+		g.Params = slices.Clone(f.Params)
+		blocks := make([]Block, len(f.Blocks))
+		g.Blocks = make([]*Block, len(f.Blocks))
+		for j, b := range f.Blocks {
+			nb := &blocks[j]
+			*nb = *b
+			nb.Instrs = slices.Clone(b.Instrs)
+			for k := range nb.Instrs {
+				nb.Instrs[k].Args = slices.Clone(nb.Instrs[k].Args)
+			}
+			g.Blocks[j] = nb
+		}
+		q.Funcs[i] = &g
+	}
+	return q
+}

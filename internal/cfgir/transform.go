@@ -1,5 +1,10 @@
 package cfgir
 
+import (
+	"maps"
+	"slices"
+)
+
 // SplitCriticalEdges inserts an empty block on every edge whose source has
 // multiple successors and whose target has multiple predecessors. The
 // dataflow backend requires this: wave-ordered memory links every pair of
@@ -120,7 +125,10 @@ func (f *Func) ifConvertOnce(maxArm int) bool {
 		ra := inline(thenArm)
 		rb := inline(elseArm)
 
-		// Merge every register defined by either arm that the join can see.
+		// Merge every register defined by either arm that the join can
+		// observe (liveness at the join, not at u: a register defined in an
+		// arm and first used at the join is not live out of u), in register
+		// order so the same source always compiles to the same binary.
 		merged := make(map[Reg]bool)
 		for r := range ra.lastDef {
 			merged[r] = true
@@ -128,11 +136,8 @@ func (f *Func) ifConvertOnce(maxArm int) bool {
 		for r := range rb.lastDef {
 			merged[r] = true
 		}
-		// A merge is needed exactly for the registers the join block can
-		// observe (liveness at the join, not at u: a register defined in an
-		// arm and first used at the join is not live out of u).
 		needed := liveIn[join]
-		for r := range merged {
+		for _, r := range slices.Sorted(maps.Keys(merged)) {
 			if !needed.Has(r) {
 				continue
 			}

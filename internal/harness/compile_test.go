@@ -1,0 +1,199 @@
+package harness
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"wavescalar/internal/cfgir"
+	"wavescalar/internal/isa"
+	"wavescalar/internal/lang"
+	"wavescalar/internal/linear"
+	"wavescalar/internal/testprogs"
+	"wavescalar/internal/wavec"
+	"wavescalar/internal/workloads"
+)
+
+// compileSourceFourBuilds is CompileSource as it was before the IR was
+// shared: parse → unroll → build → compact → optimize → memopt from
+// scratch for each of the steer, linear, select and rolled binaries,
+// spelled out stage by stage (not through cfgir.FromSource) so that it
+// stays an independent reference.
+func compileSourceFourBuilds(name, src string, opts CompileOptions) (*Compiled, error) {
+	c := &Compiled{Name: name, Src: src, Opt: opts.OptLevel}
+	buildIR := func(unroll int) (*cfgir.Program, cfgir.MemOptStats, error) {
+		var st cfgir.MemOptStats
+		f, err := lang.ParseAndCheck(src)
+		if err != nil {
+			return nil, st, err
+		}
+		if unroll > 1 {
+			lang.Unroll(f, unroll)
+		}
+		p, err := cfgir.Build(f)
+		if err != nil {
+			return nil, st, err
+		}
+		for _, fn := range p.Funcs {
+			fn.Compact()
+		}
+		p.Optimize()
+		if opts.OptLevel >= 1 {
+			st = p.OptimizeMemory()
+		}
+		return p, st, nil
+	}
+	build := func(unroll int, waveOpts wavec.Options) (*isa.Program, cfgir.MemOptStats, error) {
+		p, st, err := buildIR(unroll)
+		if err != nil {
+			return nil, st, err
+		}
+		wp, err := wavec.Compile(p, waveOpts)
+		return wp, st, err
+	}
+
+	var err error
+	if c.Wave, c.MemOpt, err = build(opts.Unroll, wavec.Options{}); err != nil {
+		return nil, err
+	}
+	c.Chains = wavec.MeasureChains(c.Wave)
+	p, _, err := buildIR(opts.Unroll)
+	if err != nil {
+		return nil, err
+	}
+	if c.Linear, err = linear.Compile(p); err != nil {
+		return nil, err
+	}
+	if c.WaveSel, _, err = build(opts.Unroll, wavec.Options{IfConvert: true}); err != nil {
+		return nil, err
+	}
+	if c.WaveNoUn, _, err = build(1, wavec.Options{}); err != nil {
+		return nil, err
+	}
+	em := linear.NewEmulator(c.Linear, 0)
+	if c.Checksum, err = em.Run(); err != nil {
+		return nil, err
+	}
+	c.UsefulInstrs = em.Instrs
+	return c, nil
+}
+
+// compileCorpus names the ten kernels plus n generated programs
+// (workloads.ByName resolves both kinds).
+func compileCorpus(n int) []string {
+	names := workloads.Names()
+	for _, spec := range testprogs.CorpusSpecs(n, 1) {
+		names = append(names, spec.Name())
+	}
+	return names
+}
+
+// TestCompileSourceMatchesFourBuilds: sharing one IR per unroll factor
+// must not change a byte of any binary, at either optimizer tier, with
+// unrolling on or off.
+func TestCompileSourceMatchesFourBuilds(t *testing.T) {
+	progs := compileCorpus(50)
+	if testing.Short() {
+		progs = progs[:15]
+	}
+	reused := 0
+	for _, name := range progs {
+		src := workloads.ByName(name).Src
+		for _, opts := range []CompileOptions{
+			{Unroll: 4, OptLevel: 0},
+			{Unroll: 4, OptLevel: 1},
+			{Unroll: 1, OptLevel: 1},
+		} {
+			id := fmt.Sprintf("%s unroll %d O%d", name, opts.Unroll, opts.OptLevel)
+			got, err := CompileSource(name, src, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			want, err := compileSourceFourBuilds(name, src, opts)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", id, err)
+			}
+			for _, bin := range []struct {
+				name      string
+				got, want *isa.Program
+			}{
+				{"Wave", got.Wave, want.Wave},
+				{"WaveSel", got.WaveSel, want.WaveSel},
+				{"WaveNoUn", got.WaveNoUn, want.WaveNoUn},
+			} {
+				if !bytes.Equal(isa.Encode(bin.got), isa.Encode(bin.want)) {
+					t.Errorf("%s: %s encodes differently from the four-build pipeline", id, bin.name)
+				}
+			}
+			if !reflect.DeepEqual(got.Linear, want.Linear) {
+				t.Errorf("%s: linear program differs from the four-build pipeline", id)
+			}
+			if got.MemOpt != want.MemOpt || got.Chains != want.Chains ||
+				got.Checksum != want.Checksum || got.UsefulInstrs != want.UsefulInstrs {
+				t.Errorf("%s: got MemOpt %+v Chains %+v checksum %d useful %d,\nwant MemOpt %+v Chains %+v checksum %d useful %d", id,
+					got.MemOpt, got.Chains, got.Checksum, got.UsefulInstrs,
+					want.MemOpt, want.Chains, want.Checksum, want.UsefulInstrs)
+			}
+			if got.WaveNoUn == got.Wave {
+				reused++
+			} else if opts.Unroll <= 1 {
+				t.Errorf("%s: a second IR was built with unrolling off", id)
+			}
+		}
+	}
+	if reused == 0 || reused == 3*len(progs) {
+		t.Errorf("rolled binary reused the steer binary in %d of %d compilations; the test needs both cases", reused, 3*len(progs))
+	}
+}
+
+// TestCompileSourceErrorsNameProgramAndStage: whichever stage refuses a
+// program, a sweep over hundreds of them has to be able to say which
+// program it was.
+func TestCompileSourceErrorsNameProgramAndStage(t *testing.T) {
+	for _, tc := range []struct {
+		name, src, prefix string
+	}{
+		{"syntax", "func main() { return 1 }", "syntax: frontend: "},
+		{"undeclared", "func main() { return y; }", "undeclared: frontend: "},
+		// Past the end of memory: the linear emulator traps first.
+		{"trap", "global a[4];\nfunc main() { var i = 2; a[i + 5] = 1; return a[0]; }", "trap: linear emulator: "},
+		// b[-1] is a valid word of a, so the emulator's flat-memory check
+		// passes and only the evaluator, which checks each array's bounds,
+		// traps.
+		{"oob", "global a[4];\nglobal b[4];\nfunc main() { var i = 0; b[i - 1] = 7; return a[3]; }", "oob: evaluator: "},
+	} {
+		_, err := CompileSource(tc.name, tc.src, DefaultCompileOptions())
+		if err == nil {
+			t.Errorf("%s: compiled without error", tc.name)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), tc.prefix) {
+			t.Errorf("%s: error %q does not start with %q", tc.name, err, tc.prefix)
+		}
+	}
+}
+
+var sinkCompiled *Compiled
+
+// BenchmarkCompileSource is the whole compile layer at both optimizer
+// tiers, on the subjects of the cfgir layer benchmarks: the generated
+// "mixed" program with the largest function, and ammp.
+func BenchmarkCompileSource(b *testing.B) {
+	for _, name := range []string{"gen:mixed:3745987421742060995", "ammp"} {
+		src := workloads.ByName(name).Src
+		for opt := 0; opt <= 1; opt++ {
+			b.Run(fmt.Sprintf("%s/O%d", name, opt), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					c, err := CompileSource(name, src, CompileOptions{Unroll: 4, OptLevel: opt})
+					if err != nil {
+						b.Fatal(err)
+					}
+					sinkCompiled = c
+				}
+			})
+		}
+	}
+}

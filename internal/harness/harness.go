@@ -130,80 +130,56 @@ func CompileWorkload(w *workloads.Workload, opts CompileOptions) (*Compiled, err
 // generated corpus program — through the full pipeline, cross-checking
 // the linear emulator's checksum against the AST evaluator exactly as the
 // workload path always has.
+//
+// The optimized IR is built once per distinct unroll factor. All three
+// binaries at opts.Unroll lower the same IR, so they run the same
+// optimized program: linear.Compile only reads it, the φ-select build
+// gets a clone because wavec.Compile consumes its input, and the steer
+// build then consumes the original. The rolled binary needs a second IR
+// only when unrolling rewrote a loop; otherwise it is the steer binary.
 func CompileSource(name, src string, opts CompileOptions) (*Compiled, error) {
 	c := &Compiled{Name: name, Src: src, Opt: opts.OptLevel}
-
-	buildIR := func(unroll int) (*cfgir.Program, cfgir.MemOptStats, error) {
-		f, err := lang.ParseAndCheck(src)
-		if err != nil {
-			return nil, cfgir.MemOptStats{}, fmt.Errorf("%s: frontend: %w", name, err)
-		}
-		if unroll > 1 {
-			lang.Unroll(f, unroll)
-		}
-		p, err := cfgir.Build(f)
-		if err != nil {
-			return nil, cfgir.MemOptStats{}, fmt.Errorf("%s: build: %w", name, err)
-		}
-		for _, fn := range p.Funcs {
-			fn.Compact()
-		}
-		p.Optimize()
-		var st cfgir.MemOptStats
-		if opts.OptLevel >= 1 {
-			st = p.OptimizeMemory()
-		}
-		return p, st, nil
+	stage := func(what string, err error) error {
+		return fmt.Errorf("%s: %s: %w", name, what, err)
 	}
+	opt := max(opts.OptLevel, 0)
 
-	build := func(unroll int, waveOpts wavec.Options) (*isa.Program, cfgir.MemOptStats, error) {
-		p, st, err := buildIR(unroll)
-		if err != nil {
-			return nil, st, err
-		}
-		wp, err := wavec.Compile(p, waveOpts)
-		if err != nil {
-			return nil, st, fmt.Errorf("%s: wavec: %w", name, err)
-		}
-		return wp, st, nil
+	ir, st, unrolled, err := cfgir.FromSource(src, opts.Unroll, opt)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-
-	var err error
-	if c.Wave, c.MemOpt, err = build(opts.Unroll, wavec.Options{}); err != nil {
-		return nil, err
+	c.MemOpt = st
+	if c.Linear, err = linear.Compile(ir); err != nil {
+		return nil, stage("linear", err)
+	}
+	if c.WaveSel, err = wavec.Compile(ir.Clone(), wavec.Options{IfConvert: true}); err != nil {
+		return nil, stage("wavec", err)
+	}
+	if c.Wave, err = wavec.Compile(ir, wavec.Options{}); err != nil {
+		return nil, stage("wavec", err)
 	}
 	c.Chains = wavec.MeasureChains(c.Wave)
-	// The linear program shares the IR pipeline; wavec mutates the IR
-	// (edge splitting) but that does not change semantics or instruction
-	// counts materially, so rebuild cleanly for fairness. The same opt
-	// level applies so both binaries run the same optimized program.
-	{
-		p, _, err := buildIR(opts.Unroll)
+	c.WaveNoUn = c.Wave
+	if unrolled {
+		rolled, _, _, err := cfgir.FromSource(src, 1, opt)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		if c.Linear, err = linear.Compile(p); err != nil {
-			return nil, err
+		if c.WaveNoUn, err = wavec.Compile(rolled, wavec.Options{}); err != nil {
+			return nil, stage("wavec", err)
 		}
-	}
-	if c.WaveSel, _, err = build(opts.Unroll, wavec.Options{IfConvert: true}); err != nil {
-		return nil, err
-	}
-	if c.WaveNoUn, _, err = build(1, wavec.Options{}); err != nil {
-		return nil, err
 	}
 
 	em := linear.NewEmulator(c.Linear, 0)
-	c.Checksum, err = em.Run()
-	if err != nil {
-		return nil, fmt.Errorf("%s: linear emulator: %w", name, err)
+	if c.Checksum, err = em.Run(); err != nil {
+		return nil, stage("linear emulator", err)
 	}
 	c.UsefulInstrs = em.Instrs
 
 	// Cross-check against the AST evaluator.
 	want, err := lang.EvalProgram(src)
 	if err != nil {
-		return nil, err
+		return nil, stage("evaluator", err)
 	}
 	if want != c.Checksum {
 		return nil, fmt.Errorf("%s: linear checksum %d != evaluator %d", name, c.Checksum, want)

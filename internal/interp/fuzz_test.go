@@ -66,22 +66,13 @@ func TestDifferentialFuzz(t *testing.T) {
 			{"opt+select", 1, true, true},
 			{"opt+unroll", 4, true, false},
 		} {
-			f2, err := lang.ParseAndCheck(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v.unroll > 1 {
-				lang.Unroll(f2, v.unroll)
-			}
-			p, err := cfgir.Build(f2)
-			if err != nil {
-				t.Fatalf("seed %d/%s: build: %v", seed, v.name, err)
-			}
-			for _, fn := range p.Funcs {
-				fn.Compact()
-			}
+			lvl := cfgir.OptNone
 			if v.opt {
-				p.Optimize()
+				lvl = 0
+			}
+			p, _, _, err := cfgir.FromSource(src, v.unroll, lvl)
+			if err != nil {
+				t.Fatalf("seed %d/%s: %v", seed, v.name, err)
 			}
 
 			// IR interpreter.
@@ -95,7 +86,7 @@ func TestDifferentialFuzz(t *testing.T) {
 			}
 			checkMem("IR interp "+v.name, ip.Memory())
 
-			// Linear emulator (rebuild: wavec mutates the IR).
+			// Linear emulator, before wavec consumes the IR.
 			lp, err := linear.Compile(p)
 			if err != nil {
 				t.Fatal(err)

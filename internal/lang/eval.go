@@ -16,6 +16,7 @@ type Evaluator struct {
 	funcs  map[string]*FuncDecl
 	mem    []int64
 	fuel   int64
+	vars   []binding // locals of every live activation, innermost last
 
 	// Steps counts executed statements and expressions, a crude work
 	// metric useful for sanity-checking workload sizes.
@@ -62,42 +63,41 @@ const (
 	ctrlReturn
 )
 
-// env is a function activation's variable environment: a stack of scopes.
-type env struct {
-	scopes []map[string]int64
+// binding is one local variable on the evaluator's binding stack.
+type binding struct {
+	name string
+	val  int64
 }
 
-func (e *env) push() { e.scopes = append(e.scopes, make(map[string]int64)) }
-func (e *env) pop()  { e.scopes = e.scopes[:len(e.scopes)-1] }
+// env is a function activation's window on the binding stack: the
+// activation's bindings start at base, and a lookup scans from the top of
+// the stack down to base, so the innermost declaration of a name wins. A
+// scope is a stack mark: a block records the stack height on entry and
+// truncates back to it on exit.
+type env struct{ base int }
 
-func (e *env) declare(name string, v int64) { e.scopes[len(e.scopes)-1][name] = v }
-
-func (e *env) set(name string, v int64) bool {
-	for i := len(e.scopes) - 1; i >= 0; i-- {
-		if _, ok := e.scopes[i][name]; ok {
-			e.scopes[i][name] = v
-			return true
-		}
-	}
-	return false
+func (ev *Evaluator) declare(name string, v int64) {
+	ev.vars = append(ev.vars, binding{name, v})
 }
 
-func (e *env) get(name string) (int64, bool) {
-	for i := len(e.scopes) - 1; i >= 0; i-- {
-		if v, ok := e.scopes[i][name]; ok {
-			return v, true
+// lookup returns the innermost binding of name in the activation, or nil
+// (a global).
+func (ev *Evaluator) lookup(en env, name string) *binding {
+	for i := len(ev.vars) - 1; i >= en.base; i-- {
+		if ev.vars[i].name == name {
+			return &ev.vars[i]
 		}
 	}
-	return 0, false
+	return nil
 }
 
 func (ev *Evaluator) call(fn *FuncDecl, args []int64) (int64, error) {
-	en := &env{}
-	en.push()
+	en := env{base: len(ev.vars)}
 	for i, p := range fn.Params {
-		en.declare(p, args[i])
+		ev.declare(p, args[i])
 	}
 	c, v, err := ev.execBlock(fn.Body, en)
+	ev.vars = ev.vars[:en.base]
 	if err != nil {
 		return 0, err
 	}
@@ -116,19 +116,18 @@ func (ev *Evaluator) step() error {
 	return nil
 }
 
-func (ev *Evaluator) execBlock(b *Block, en *env) (ctrl, int64, error) {
-	en.push()
-	defer en.pop()
+func (ev *Evaluator) execBlock(b *Block, en env) (c ctrl, v int64, err error) {
+	mark := len(ev.vars)
 	for _, s := range b.Stmts {
-		c, v, err := ev.execStmt(s, en)
-		if err != nil || c != ctrlNone {
-			return c, v, err
+		if c, v, err = ev.execStmt(s, en); err != nil || c != ctrlNone {
+			break
 		}
 	}
-	return ctrlNone, 0, nil
+	ev.vars = ev.vars[:mark]
+	return c, v, err
 }
 
-func (ev *Evaluator) execStmt(s Stmt, en *env) (ctrl, int64, error) {
+func (ev *Evaluator) execStmt(s Stmt, en env) (ctrl, int64, error) {
 	if err := ev.step(); err != nil {
 		return ctrlNone, 0, err
 	}
@@ -143,13 +142,15 @@ func (ev *Evaluator) execStmt(s Stmt, en *env) (ctrl, int64, error) {
 				return ctrlNone, 0, err
 			}
 		}
-		en.declare(s.Name, v)
+		ev.declare(s.Name, v)
 	case *AssignStmt:
 		v, err := ev.eval(s.Val, en)
 		if err != nil {
 			return ctrlNone, 0, err
 		}
-		if !en.set(s.Name, v) {
+		if b := ev.lookup(en, s.Name); b != nil {
+			b.val = v
+		} else {
 			ev.mem[ev.layout.Addr[s.Name]] = v // scalar global
 		}
 	case *StoreStmt:
@@ -201,8 +202,8 @@ func (ev *Evaluator) execStmt(s Stmt, en *env) (ctrl, int64, error) {
 			}
 		}
 	case *ForStmt:
-		en.push()
-		defer en.pop()
+		mark := len(ev.vars)
+		defer func() { ev.vars = ev.vars[:mark] }()
 		if s.Init != nil {
 			if c, v, err := ev.execStmt(s.Init, en); err != nil || c != ctrlNone {
 				return c, v, err
@@ -269,7 +270,7 @@ func (ev *Evaluator) address(name string, idx int64, pos Pos) (int64, error) {
 	return base + idx, nil
 }
 
-func (ev *Evaluator) eval(e Expr, en *env) (int64, error) {
+func (ev *Evaluator) eval(e Expr, en env) (int64, error) {
 	if err := ev.step(); err != nil {
 		return 0, err
 	}
@@ -277,8 +278,8 @@ func (ev *Evaluator) eval(e Expr, en *env) (int64, error) {
 	case *IntLit:
 		return e.Val, nil
 	case *Ident:
-		if v, ok := en.get(e.Name); ok {
-			return v, nil
+		if b := ev.lookup(en, e.Name); b != nil {
+			return b.val, nil
 		}
 		return ev.mem[ev.layout.Addr[e.Name]], nil
 	case *IndexExpr:

@@ -22,35 +22,46 @@ package lang
 // calls (calls may write globals); the post clause is `i = i + c` with a
 // positive literal c; the body contains no break/continue, no inner loops
 // (innermost only), no assignment to i, and no shadowing of i.
-func Unroll(f *File, factor int) {
+//
+// Unroll returns the number of loops it rewrote: 0 means f is unchanged,
+// so whatever is compiled from it equals the factor-1 build.
+func Unroll(f *File, factor int) int {
 	if factor < 2 {
-		return
+		return 0
 	}
+	u := unroller{factor: factor}
 	for _, fn := range f.Funcs {
-		unrollBlock(fn.Body, factor)
+		u.block(fn.Body)
 	}
+	return u.rewritten
 }
 
-func unrollBlock(b *Block, factor int) {
+type unroller struct {
+	factor    int
+	rewritten int // loops replaced so far
+}
+
+func (u *unroller) block(b *Block) {
 	for i, s := range b.Stmts {
-		b.Stmts[i] = unrollStmt(s, factor)
+		b.Stmts[i] = u.stmt(s)
 	}
 }
 
-func unrollStmt(s Stmt, factor int) Stmt {
+func (u *unroller) stmt(s Stmt) Stmt {
 	switch s := s.(type) {
 	case *Block:
-		unrollBlock(s, factor)
+		u.block(s)
 	case *IfStmt:
-		unrollBlock(s.Then, factor)
+		u.block(s.Then)
 		if s.Else != nil {
-			s.Else = unrollStmt(s.Else, factor)
+			s.Else = u.stmt(s.Else)
 		}
 	case *WhileStmt:
-		unrollBlock(s.Body, factor)
+		u.block(s.Body)
 	case *ForStmt:
-		unrollBlock(s.Body, factor)
-		if out := tryUnrollFor(s, factor); out != nil {
+		u.block(s.Body)
+		if out := tryUnrollFor(s, u.factor); out != nil {
+			u.rewritten++
 			return out
 		}
 	}

@@ -40,7 +40,13 @@ type Options struct {
 }
 
 // Compile lowers a whole program. The input must be built (and usually
-// optimized); it is mutated in place by CFG normalization passes.
+// optimized).
+//
+// Compile consumes p: if-conversion and critical-edge splitting rewrite
+// its blocks in place, so afterwards p is no longer the program the
+// optimizer produced and must not be compiled again or handed to another
+// backend. A caller that wants more than one binary from one IR passes a
+// p.Clone() to every call but the last.
 func Compile(p *cfgir.Program, opts Options) (*isa.Program, error) {
 	if opts.MaxArm == 0 {
 		opts.MaxArm = 8

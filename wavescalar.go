@@ -26,7 +26,6 @@ import (
 	"wavescalar/internal/fault"
 	"wavescalar/internal/interp"
 	"wavescalar/internal/isa"
-	"wavescalar/internal/lang"
 	"wavescalar/internal/linear"
 	"wavescalar/internal/ooo"
 	"wavescalar/internal/placement"
@@ -84,53 +83,25 @@ func (p *Program) ChainStats() wavec.ChainStats { return wavec.MeasureChains(p.d
 // Compile runs the full pipeline: lex/parse/check, optional unrolling, IR
 // construction and optimization, then both backends.
 func Compile(src string, cfg CompileConfig) (*Program, error) {
-	build := func() (*cfgir.Program, cfgir.MemOptStats, error) {
-		var st cfgir.MemOptStats
-		f, err := lang.ParseAndCheck(src)
-		if err != nil {
-			return nil, st, err
-		}
-		if cfg.Unroll > 1 {
-			lang.Unroll(f, cfg.Unroll)
-		}
-		p, err := cfgir.Build(f)
-		if err != nil {
-			return nil, st, err
-		}
-		for _, fn := range p.Funcs {
-			fn.Compact()
-		}
-		if cfg.Optimize {
-			p.Optimize()
-			if cfg.OptLevel >= 1 {
-				st = p.OptimizeMemory()
-			}
-		}
-		return p, st, nil
-	}
-
-	// The dataflow backend mutates the IR, so build twice.
-	irForLinear, _, err := build()
-	if err != nil {
-		return nil, err
-	}
-	lp, err := linear.Compile(irForLinear)
-	if err != nil {
-		return nil, err
-	}
-	irForWave, memOpt, err := build()
-	if err != nil {
-		return nil, err
-	}
-	wp, err := wavec.Compile(irForWave, wavec.Options{IfConvert: cfg.UseSelect})
-	if err != nil {
-		return nil, err
-	}
-	lvl := 0
+	lvl := cfgir.OptNone
 	if cfg.Optimize {
-		lvl = cfg.OptLevel
+		lvl = max(cfg.OptLevel, 0)
 	}
-	return &Program{Source: src, dataflow: wp, linear: lp, memOpt: memOpt, optLevel: lvl}, nil
+	ir, memOpt, _, err := cfgir.FromSource(src, cfg.Unroll, lvl)
+	if err != nil {
+		return nil, err
+	}
+	lp, err := linear.Compile(ir)
+	if err != nil {
+		return nil, err
+	}
+	// linear.Compile only reads the IR, so the dataflow backend, which
+	// consumes its input, can have the same one.
+	wp, err := wavec.Compile(ir, wavec.Options{IfConvert: cfg.UseSelect})
+	if err != nil {
+		return nil, err
+	}
+	return &Program{Source: src, dataflow: wp, linear: lp, memOpt: memOpt, optLevel: max(lvl, 0)}, nil
 }
 
 // Disassemble renders the WaveScalar dataflow binary as assembly text.
