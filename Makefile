@@ -5,24 +5,16 @@
 
 GO ?= go
 
-.PHONY: ci check vet build test bench-test race race-shards soak bench bench-base bench-cmp bench-shards bench-opt bench-spec bench-ledger bench-ab fuzz fuzz-diff corpus
+.PHONY: ci check vet build test bench-test race soak bench bench-base bench-cmp bench-opt bench-spec bench-ledger bench-ab fuzz fuzz-diff corpus
 
 ci: vet build test race
 
 # check is the fast pre-commit gate: vet + build + tests (no full race
-# pass), plus a targeted race pass over the shard-engine invariance
-# tests, the short service soak under -race, a corpus-differential fuzz
-# smoke, and the benchmark module's own smoke tests.
-check: vet build test bench-test race-shards soak fuzz-diff
-
-# race-shards runs the sharded-engine tests plus the MemSpec speculation
-# tests under the race detector with worker dispatch forced on (the tests
-# pin the dispatch threshold themselves), so the fast gate still
-# exercises cross-goroutine batch execution at shards >= 2 and the
-# coordinator-owned speculation state alongside it. The full `make race`
-# covers the same packages exhaustively.
-race-shards:
-	$(GO) test -race -run 'TestShard|TestSpec' ./internal/wavecache ./internal/harness
+# pass — the simulator engine itself runs on one goroutine; `make race`
+# covers the harness -j fan-out and the service), plus the short service
+# soak under -race, a corpus-differential fuzz smoke, and the benchmark
+# module's own smoke tests.
+check: vet build test bench-test soak fuzz-diff
 
 vet:
 	$(GO) vet ./...
@@ -160,27 +152,6 @@ bench-spec:
 		> BENCH_10.json
 	rm -f bench.spec.test
 	@echo wrote BENCH_10.json
-
-# bench-shards compares the experiment benchmarks with the event engine
-# sequential (shards=1) vs sharded (shards=$(SHARDS)) inside every
-# simulation cell. Tables are bit-identical either way — the comparison is
-# wall-clock only. On a single hardware thread worker dispatch can never
-# pay for itself, so the engine collapses both runs to the sequential
-# loop and the comparison degenerates to noise.
-SHARDS ?= 4
-
-bench-shards:
-	WAVESHARDS=1 $(GO) test -bench='$(BENCHRE)' -benchtime=1x -count=$(COUNT) -benchmem -run=^$$ . | tee bench.shards1.txt
-	WAVESHARDS=$(SHARDS) $(GO) test -bench='$(BENCHRE)' -benchtime=1x -count=$(COUNT) -benchmem -run=^$$ . | tee bench.shardsN.txt
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat bench.shards1.txt bench.shardsN.txt; \
-	else \
-		echo "benchstat not installed; raw comparison:"; \
-		grep '^Benchmark' bench.shards1.txt | sort > bench.s1.sorted.txt; \
-		grep '^Benchmark' bench.shardsN.txt | sort > bench.sN.sorted.txt; \
-		paste bench.s1.sorted.txt bench.sN.sorted.txt | column -t; \
-		rm -f bench.s1.sorted.txt bench.sN.sorted.txt; \
-	fi
 
 # bench-ledger runs the repository benchmark (BENCHMARK.json, bench/) end
 # to end: every workload once untraced (the end-to-end metrics) and once

@@ -51,12 +51,6 @@ func benchSuite(b *testing.B) []*harness.Compiled {
 func benchMachine() harness.MachineOptions {
 	m := harness.DefaultMachineOptions()
 	m.GridW, m.GridH = 2, 2
-	// WAVESHARDS sets the event-engine shard count inside every simulation
-	// cell (`make bench-shards` drives it). Results are bit-identical at
-	// any setting; only wall-clock moves.
-	if n, err := strconv.Atoi(os.Getenv("WAVESHARDS")); err == nil && n > 0 {
-		m.Shards = n
-	}
 	// WAVEMEM sets the memory ordering mode inside every simulation cell
 	// (`make bench-spec` drives it with wave-ordered and spec for the A/B).
 	// Experiments that sweep memory modes themselves (E4, E15) override it

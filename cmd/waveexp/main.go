@@ -53,8 +53,6 @@ func main() {
 	unroll := flag.Int("unroll", 4, "loop unrolling factor")
 	optLevel := flag.Int("O", 1, "optimization level: 0 = base passes only, 1 = compiler memory tier (part of the corpus cell-cache key)")
 	jobs := flag.Int("j", runtime.NumCPU(), "worker goroutines for compilation and simulation cells (1 = sequential)")
-	engineShards := flag.Int("shards", 0,
-		"event-engine shards inside each simulation (0 or 1 = sequential; distinct from -shard, which splits corpus cells); results are bit-identical at every setting")
 	memName := flag.String("mem", "",
 		"memory ordering for cells that do not sweep modes themselves: wave-ordered (default), serialized, ideal, spec")
 	metrics := flag.Bool("metrics", false,
@@ -111,7 +109,7 @@ func main() {
 	}
 
 	if *corpusN > 0 {
-		runCorpus(out, *corpusN, *corpusSeed, *cacheDir, *shard, *resume, *jobs, *engineShards, *optLevel)
+		runCorpus(out, *corpusN, *corpusSeed, *cacheDir, *shard, *resume, *jobs, *optLevel)
 		if err := commit(); err != nil {
 			fatal(err)
 		}
@@ -146,7 +144,6 @@ func main() {
 
 	m := harness.DefaultMachineOptions()
 	m.Workers = *jobs
-	m.Shards = *engineShards
 	if mm, err := wavecache.ParseMemoryMode(*memName); err != nil {
 		fatal(err)
 	} else {
@@ -155,8 +152,8 @@ func main() {
 	if *metrics {
 		m.Metrics = trace.NewAggregate()
 	}
-	if _, err := fmt.Sscanf(*grid, "%dx%d", &m.GridW, &m.GridH); err != nil {
-		fatal(fmt.Errorf("bad -grid %q: %v", *grid, err))
+	if m.GridW, m.GridH, err = wavecache.ParseGrid(*grid); err != nil {
+		fatal(fmt.Errorf("-grid: %v", err))
 	}
 
 	if *exps == "" {
@@ -190,7 +187,7 @@ func main() {
 // the section header and the table — goes to out, so an -out file from a
 // sharded, resumed, or cached run is byte-identical to a single
 // invocation's; run statistics and timing go to stderr.
-func runCorpus(out io.Writer, n int, seed int64, cacheDir, shard string, resume bool, jobs, engineShards, optLevel int) {
+func runCorpus(out io.Writer, n int, seed int64, cacheDir, shard string, resume bool, jobs, optLevel int) {
 	o := harness.CorpusOptions{
 		N:        n,
 		Seed:     seed,
@@ -202,9 +199,6 @@ func runCorpus(out io.Writer, n int, seed int64, cacheDir, shard string, resume 
 	o.Compile.OptLevel = optLevel
 	o.Compile.Workers = jobs
 	o.Machine.Workers = jobs
-	// Engine shards change cell wall-clock, never cell results, so the
-	// content-addressed cell cache is shared across -shards settings.
-	o.Machine.Shards = engineShards
 	if shard != "" {
 		if _, err := fmt.Sscanf(shard, "%d/%d", &o.Shard, &o.Shards); err != nil || o.Shards < 1 || o.Shard < 1 || o.Shard > o.Shards {
 			fatal(fmt.Errorf("bad -shard %q (want k/n with 1 <= k <= n)", shard))

@@ -30,6 +30,7 @@ import (
 	"wavescalar"
 	"wavescalar/internal/cli"
 	"wavescalar/internal/trace"
+	"wavescalar/internal/wavecache"
 )
 
 func main() {
@@ -37,13 +38,10 @@ func main() {
 	pol := flag.String("placement", "dynamic-depth-first-snake",
 		"placement policy: "+strings.Join(wavescalar.PlacementPolicies(), ", "))
 	memFlag := flag.String("mem", "", "memory ordering: wave-ordered (default), serialized, ideal, spec")
-	memmode := flag.String("memmode", "", "alias for -mem (kept for existing scripts)")
 	density := flag.Int("density", 16, "instruction homes packed per PE")
 	queue := flag.Int("queue", 64, "PE matching-table capacity")
 	unroll := flag.Int("unroll", 4, "loop unrolling factor")
 	optLevel := flag.Int("O", 1, "optimization level: 0 = base passes only, 1 = compiler memory tier")
-	shards := flag.Int("shards", 0,
-		"event-engine shards (0 or 1 = sequential); results are bit-identical at every setting")
 	baseline := flag.Bool("baseline", false, "also run the superscalar baseline and report speedup")
 	faults := flag.String("faults", "",
 		"fault injection spec: defect=R,drop=R,delay=R,memloss=R,kill=PE@CYCLE,retries=N,timeout=C,delaycycles=C")
@@ -71,9 +69,9 @@ func main() {
 	}
 	stopProfiles = stop
 	defer stop()
-	var w, h int
-	if _, err := fmt.Sscanf(*grid, "%dx%d", &w, &h); err != nil {
-		fatal(fmt.Errorf("bad -grid %q: %v", *grid, err))
+	w, h, err := wavecache.ParseGrid(*grid)
+	if err != nil {
+		fatal(fmt.Errorf("-grid: %v", err))
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
@@ -90,21 +88,16 @@ func main() {
 			SampleInterval: *sample,
 		})
 	}
-	mem := *memFlag
-	if mem == "" {
-		mem = *memmode
-	}
 	res, err := prog.Simulate(wavescalar.SimConfig{
 		GridW: w, GridH: h,
 		Placement:  *pol,
 		Density:    *density,
 		InputQueue: *queue,
-		MemoryMode: mem,
+		MemoryMode: *memFlag,
 		MaxCycles:  *maxCycles,
 		Faults:     *faults,
 		FaultSeed:  *faultSeed,
 		Tracer:     tr,
-		Shards:     *shards,
 	})
 	if err != nil {
 		fatal(err)

@@ -77,7 +77,7 @@ func goldenConfig(m MachineOptions, sc fault.Config) wavecache.Config {
 	return cfg
 }
 
-func collectGolden(t *testing.T, shards int) []goldenRecord {
+func collectGolden(t *testing.T) []goldenRecord {
 	t.Helper()
 	opts := DefaultCompileOptions()
 	// The golden snapshot predates the memory-optimization tier and pins
@@ -91,7 +91,6 @@ func collectGolden(t *testing.T, shards int) []goldenRecord {
 	}
 	m := DefaultMachineOptions()
 	m.GridW, m.GridH = 2, 2
-	m.Shards = shards
 	var recs []goldenRecord
 	for _, c := range set {
 		for _, sc := range goldenScenarios {
@@ -137,7 +136,7 @@ func TestGoldenWaveCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden suite compiles and simulates the full workload set")
 	}
-	got := collectGolden(t, 0)
+	got := collectGolden(t)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)
@@ -167,42 +166,6 @@ func TestGoldenWaveCache(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("golden mismatch at %s/%s:\n  got  %+v\n  want %+v",
 				want[i].Workload, want[i].Scenario, got[i], want[i])
-		}
-	}
-}
-
-// TestGoldenWaveCacheSharded replays the golden suite on the sharded
-// engine — worker dispatch forced on — against the same committed
-// snapshot the sequential engine is pinned to: the strongest form of the
-// shard bit-identity contract. Fault scenarios pin back to the sequential
-// engine by design, so the sweep covers both the parallel clean cells and
-// the pinning path in one pass.
-func TestGoldenWaveCacheSharded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("golden suite compiles and simulates the full workload set")
-	}
-	if *updateGolden {
-		t.Skip("snapshot is regenerated by TestGoldenWaveCache only")
-	}
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing golden snapshot (run TestGoldenWaveCache -update-golden to create): %v", err)
-	}
-	var want []goldenRecord
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	defer wavecache.SetShardDispatchMin(wavecache.SetShardDispatchMin(1))
-	for _, shards := range []int{2, 4} {
-		got := collectGolden(t, shards)
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: golden record count changed: got %d want %d", shards, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("shards=%d: golden mismatch at %s/%s:\n  got  %+v\n  want %+v",
-					shards, want[i].Workload, want[i].Scenario, got[i], want[i])
-			}
 		}
 	}
 }

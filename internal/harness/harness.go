@@ -68,8 +68,8 @@ type CompileOptions struct {
 	// (constant folding, CSE, dead code), 1 adds the memory tier
 	// (store-to-load forwarding, redundant-load elimination, scalar
 	// replacement, dead-store elimination — see cfgir.OptimizeMemory).
-	// Unlike Shards, the level changes the compiled program, so it is part
-	// of every compiled-program cache key.
+	// The level changes the compiled program, so it is part of every
+	// compiled-program cache key.
 	OptLevel int
 	// Workers bounds the goroutines Suite compiles workloads across
 	// (0 = one per CPU, 1 = sequential).
@@ -242,12 +242,6 @@ type MachineOptions struct {
 	// the default wave-ordered mode; experiments that sweep modes
 	// themselves (E4, E15) override it per cell.
 	MemMode wavecache.MemoryMode
-	// Shards is the per-simulation event-engine shard count handed to
-	// every WaveCache cell (wavecache.Config.Shards): 0 or 1 runs the
-	// sequential engine, higher values partition the clusters into
-	// parallel shards. Results are bit-identical at every setting — the
-	// knob trades scheduling for wall-clock, never output.
-	Shards int
 	// Ctx, when non-nil, cancels a sweep cooperatively: the worker pool
 	// stops claiming cells once Ctx is done, and every WaveCache cell
 	// inherits Ctx.Done() as its wavecache.Config.Cancel channel, so a
@@ -272,7 +266,6 @@ func (m MachineOptions) WaveConfig() wavecache.Config {
 	cfg.Metrics = m.Metrics
 	cfg.MaxCycles = m.MaxCycles
 	cfg.MemMode = m.MemMode
-	cfg.Shards = m.Shards
 	if m.Ctx != nil {
 		cfg.Cancel = m.Ctx.Done()
 	}

@@ -195,10 +195,14 @@ type System struct {
 	lineSz int64
 }
 
+// MaxL1s is the largest L1 count a System supports: the directory tracks a
+// line's sharers in one 64-bit mask.
+const MaxL1s = 64
+
 // NewSystem builds a hierarchy.
 func NewSystem(cfg SystemConfig) (*System, error) {
-	if cfg.NumL1s < 1 || cfg.NumL1s > 64 {
-		return nil, fmt.Errorf("mem: NumL1s %d out of range [1,64]", cfg.NumL1s)
+	if cfg.NumL1s < 1 || cfg.NumL1s > MaxL1s {
+		return nil, fmt.Errorf("mem: NumL1s %d out of range [1,%d]", cfg.NumL1s, MaxL1s)
 	}
 	if err := cfg.L1.Validate(); err != nil {
 		return nil, err

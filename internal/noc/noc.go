@@ -218,47 +218,6 @@ func (n *Network) Send(src, dst Loc, now int64) int64 {
 	return t
 }
 
-// SendLocal is Send restricted to intra-cluster traffic (the caller
-// guarantees src.Cluster == dst.Cluster), charging statistics and tracing
-// to caller-owned sinks instead of the network's own. Intra-cluster buses
-// carry no contention state, so this is a pure function of the config —
-// shard workers use it to send concurrently while producing exactly the
-// timing and counters Send would have produced sequentially, merging st
-// and tr into the network's sinks at the batch barrier.
-func (n *Network) SendLocal(src, dst Loc, now int64, st *Stats, tr *trace.Tracer) int64 {
-	st.Messages++
-	switch {
-	case src.Domain == dst.Domain && src.Pod == dst.Pod:
-		st.PodLocal++
-		tr.NetMsg(now, trace.LevelPod)
-		return now + n.cfg.IntraPod
-	case src.Domain == dst.Domain:
-		st.DomainHops++
-		tr.NetMsg(now, trace.LevelDomain)
-		return now + n.cfg.IntraDomain
-	default:
-		st.ClusterBus++
-		tr.NetMsg(now, trace.LevelCluster)
-		return now + n.cfg.IntraCluster
-	}
-}
-
-// Add accumulates o into s, field by field. All Stats fields are
-// commutative sums, so per-shard statistics merge exactly.
-func (s *Stats) Add(o Stats) {
-	s.Messages += o.Messages
-	s.PodLocal += o.PodLocal
-	s.DomainHops += o.DomainHops
-	s.ClusterBus += o.ClusterBus
-	s.MeshMsgs += o.MeshMsgs
-	s.MeshHops += o.MeshHops
-	s.StallCycles += o.StallCycles
-	s.Drops += o.Drops
-	s.Retries += o.Retries
-	s.Delayed += o.Delayed
-	s.RetryWaitCycles += o.RetryWaitCycles
-}
-
 // SendReliable is Send under the attached fault model: each attempt may be
 // dropped (the sender times out waiting for the acknowledgement and
 // retransmits with exponential backoff) or transiently delayed. Without an

@@ -27,8 +27,8 @@ type SimulateRequest struct {
 	// Unroll is the loop unrolling factor (0 = the pipeline default of 4).
 	Unroll int `json:"unroll,omitempty"`
 	// Opt is the compiler optimization level: nil = the pipeline default
-	// (1, memory tier on), explicit 0 = base passes only. Unlike Shards it
-	// changes the compiled program, so it is part of the result cache key.
+	// (1, memory tier on), explicit 0 = base passes only. It changes the
+	// compiled program, so it is part of the result cache key.
 	Opt *int `json:"opt,omitempty"`
 	// MemMode is "wave-ordered" (default), "serialized", "ideal", or
 	// "spec" (speculative transactional wave-ordered memory).
@@ -42,12 +42,6 @@ type SimulateRequest struct {
 	// drives it deterministically.
 	Faults    string `json:"faults,omitempty"`
 	FaultSeed uint64 `json:"fault_seed,omitempty"`
-	// Shards is the event-engine shard count inside the simulation (0 or
-	// 1 = sequential; clamped server-side to the grid's cluster count).
-	// Results are bit-identical at every setting — the knob trades
-	// scheduling for wall-clock — so it does not partition the
-	// idempotency cache.
-	Shards int `json:"shards,omitempty"`
 	// DeadlineMS bounds the request's wall-clock time (0 = server default;
 	// clamped to the server maximum). On expiry the simulation is
 	// cancelled mid-run and the request fails with code "deadline".

@@ -287,9 +287,6 @@ type simSpec struct {
 	maxCycles    int64
 	faults       string
 	faultSeed    uint64
-	// shards is the engine shard count; results are invariant to it, so
-	// it participates in execution but never in the cache key.
-	shards int
 }
 
 // resolveSource yields (name, source) from a workload-or-inline request
@@ -332,11 +329,9 @@ func (s *Server) normalizeSimulate(req *SimulateRequest) (*simSpec, *ErrorRespon
 	}
 	sp.gridW, sp.gridH = 4, 4
 	if req.Grid != "" {
-		if _, err := fmt.Sscanf(req.Grid, "%dx%d", &sp.gridW, &sp.gridH); err != nil {
-			return nil, invalidErr("bad grid %q (want WxH)", req.Grid)
-		}
-		if sp.gridW < 1 || sp.gridH < 1 || sp.gridW > 32 || sp.gridH > 32 {
-			return nil, invalidErr("grid %q out of range (1x1 .. 32x32)", req.Grid)
+		var err error
+		if sp.gridW, sp.gridH, err = wavecache.ParseGrid(req.Grid); err != nil {
+			return nil, invalidErr("%v", err)
 		}
 	}
 	sp.unroll = req.Unroll
@@ -382,10 +377,6 @@ func (s *Server) normalizeSimulate(req *SimulateRequest) (*simSpec, *ErrorRespon
 		if _, err := fault.ParseSpec(sp.faults); err != nil {
 			return nil, invalidErr("bad faults spec: %v", err)
 		}
-	}
-	sp.shards = req.Shards
-	if sp.shards < 0 || sp.shards > 1024 {
-		return nil, invalidErr("shards %d out of range (0 .. 1024)", req.Shards)
 	}
 	return sp, nil
 }
@@ -496,7 +487,6 @@ func (s *Server) simulate(ctx context.Context, sp *simSpec, wantMetrics bool) (*
 	m.GridW, m.GridH = sp.gridW, sp.gridH
 	m.Policy = sp.policy
 	m.MaxCycles = sp.maxCycles
-	m.Shards = sp.shards
 	m.Ctx = ctx
 	cfg := m.WaveConfig()
 	cfg.MemMode = sp.memMode

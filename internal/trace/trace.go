@@ -500,47 +500,6 @@ func (t *Tracer) Series() ([]Bucket, int64) {
 	return t.buckets, t.cfg.SampleInterval
 }
 
-// Merge folds another tracer's counters and sample series into t. Every
-// field merges commutatively (sums for counters, maxes for high-water
-// marks), so per-shard tracers can fold into the run tracer in any order
-// with a result identical to sequential recording. Both tracers must use
-// the same SampleInterval (shard tracers are built with the same default
-// config as the run's metrics-only tracer); event streams are never
-// merged — runs with an event stream are pinned sequential. Nil-safe on
-// both sides.
-func (t *Tracer) Merge(o *Tracer) {
-	if t == nil || o == nil {
-		return
-	}
-	t.m.Merge(&o.m)
-	if o.lastT > t.lastT {
-		t.lastT = o.lastT
-	}
-	for len(t.buckets) < len(o.buckets) {
-		t.buckets = append(t.buckets, Bucket{})
-	}
-	for i := range o.buckets {
-		b, ob := &t.buckets[i], &o.buckets[i]
-		b.Fires += ob.Fires
-		b.Tokens += ob.Tokens
-		b.Swaps += ob.Swaps
-		b.Overflows += ob.Overflows
-		b.MeshMsgs += ob.MeshMsgs
-		b.LinkStall += ob.LinkStall
-		b.MemSubmits += ob.MemSubmits
-		b.MemIssues += ob.MemIssues
-		b.OrderStall += ob.OrderStall
-		b.Retries += ob.Retries
-		b.Drops += ob.Drops
-		if ob.MaxQueue > b.MaxQueue {
-			b.MaxQueue = ob.MaxQueue
-		}
-		if ob.MaxPending > b.MaxPending {
-			b.MaxPending = ob.MaxPending
-		}
-	}
-}
-
 // bucket returns the sample bucket covering cycle tm, growing the series
 // as simulated time advances.
 func (t *Tracer) bucket(tm int64) *Bucket {

@@ -21,10 +21,8 @@ package wavecache
 // MemOrdered, so results are bit-identical across all four memory modes
 // and the checksum verifies by construction. Speculation moves timing
 // only. Squash decisions derive purely from committed-store sequence
-// numbers — simulated state, never host scheduling — and every structure
-// here is touched only by coordinator-owned events (memory arrivals and
-// the ordering drain), so results are invariant to -shards and -j.
-// DESIGN.md §12 documents the protocol.
+// numbers — simulated state, never host scheduling — so results are
+// invariant to -j. DESIGN.md §12 documents the protocol.
 
 import (
 	"fmt"
@@ -123,16 +121,14 @@ type vsbEntry struct {
 	used bool
 }
 
-// specState is the per-run speculation subsystem. Everything in it is
-// mutated only from coordinator-owned event processing, so the sharded
-// engine needs no changes to keep MemSpec deterministic.
+// specState is the per-run speculation subsystem.
 type specState struct {
 	scope int // waves per epoch (>= 1)
 
-	// arriving is the cookie index of the request the coordinator is
-	// submitting right now: issueMem clears it if the request issues
-	// synchronously, so processEvent knows whether the arrival buffered
-	// (and should speculate). -1 when no submit is in flight.
+	// arriving is the cookie index of the request being submitted right
+	// now: issueMem clears it if the request issues synchronously, so
+	// processEvent knows whether the arrival buffered (and should
+	// speculate). -1 when no submit is in flight.
 	arriving int32
 
 	// Conflict detector: commitSeq numbers committed stores; lastStore

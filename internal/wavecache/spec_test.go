@@ -48,12 +48,11 @@ func main() {
 
 // specRun executes src under the given memory mode, returning the result
 // and a copy of the final memory image.
-func specRun(t *testing.T, src string, mode MemoryMode, shards int) (Result, []int64) {
+func specRun(t *testing.T, src string, mode MemoryMode) (Result, []int64) {
 	t.Helper()
 	wp := compileSource(t, src)
 	cfg := DefaultConfig(2, 2)
 	cfg.MemMode = mode
-	cfg.Shards = shards
 	a := NewArena()
 	res, err := a.Run(wp, mustPol(placement.NewDynamicSnake(cfg.Machine)), cfg)
 	if err != nil {
@@ -78,7 +77,7 @@ func TestSpecDeterministicReplay(t *testing.T) {
 	}
 	wantMem := ev.Memory()
 
-	res, mem := specRun(t, specConflictSrc, MemSpec, 0)
+	res, mem := specRun(t, specConflictSrc, MemSpec)
 	t.Logf("spec stats: %+v", res.Spec)
 	if res.Value != want {
 		t.Fatalf("value %d, want %d", res.Value, want)
@@ -104,7 +103,7 @@ func TestSpecDeterministicReplay(t *testing.T) {
 
 	// Byte-for-byte repeatability: a second run is the same struct, down
 	// to every counter.
-	res2, mem2 := specRun(t, specConflictSrc, MemSpec, 0)
+	res2, mem2 := specRun(t, specConflictSrc, MemSpec)
 	if !reflect.DeepEqual(res, res2) {
 		t.Fatalf("replay run not deterministic:\n%+v\n%+v", res, res2)
 	}
@@ -113,7 +112,7 @@ func TestSpecDeterministicReplay(t *testing.T) {
 	}
 
 	// And the ordered mode agrees on everything architectural.
-	resO, memO := specRun(t, specConflictSrc, MemOrdered, 0)
+	resO, memO := specRun(t, specConflictSrc, MemOrdered)
 	if resO.Value != res.Value || !reflect.DeepEqual(mem, memO) {
 		t.Fatal("spec and wave-ordered disagree on architectural state")
 	}
@@ -128,7 +127,7 @@ func TestSpecStoreForwarding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _ := specRun(t, specForwardSrc, MemSpec, 0)
+	res, _ := specRun(t, specForwardSrc, MemSpec)
 	t.Logf("spec stats: %+v", res.Spec)
 	if res.Value != want {
 		t.Fatalf("value %d, want %d", res.Value, want)
@@ -141,52 +140,20 @@ func TestSpecStoreForwarding(t *testing.T) {
 	}
 }
 
-// TestSpecShardInvariance: MemSpec results, speculation counters, and
-// memory images are byte-identical at every shard count — speculation
-// state is coordinator-owned, so the sharded engine must not perturb it.
-func TestSpecShardInvariance(t *testing.T) {
-	forceDispatch(t)
-	progs := []struct{ name, src string }{
-		{"conflict", specConflictSrc},
-		{"forward", specForwardSrc},
-		{testprogs.Heavy[1].Name, testprogs.Heavy[1].Src}, // sort_64
-	}
-	for _, p := range progs {
-		t.Run(p.name, func(t *testing.T) {
-			base, baseMem := specRun(t, p.src, MemSpec, 1)
-			if base.Spec.Issued == 0 {
-				t.Errorf("workload never speculated; test is vacuous: %+v", base.Spec)
-			}
-			for _, n := range []int{2, 4, 64} { // 64 clamps to the 4 clusters
-				res, mem := specRun(t, p.src, MemSpec, n)
-				if !reflect.DeepEqual(base, res) {
-					t.Fatalf("shards=%d diverged:\n%+v\n%+v", n, base, res)
-				}
-				if !reflect.DeepEqual(baseMem, mem) {
-					t.Fatalf("shards=%d memory image diverged", n)
-				}
-			}
-		})
-	}
-}
-
-// TestSpecShardInvarianceUnderPEKill: a mid-run PE kill under MemSpec
-// (fault injection pins the sequential engine, so this is about the
-// recovery machinery interacting with in-flight speculation) recovers
-// the correct result at every shard setting, bit-identically.
-func TestSpecShardInvarianceUnderPEKill(t *testing.T) {
-	forceDispatch(t)
+// TestSpecRecoversFromPEKill: a mid-run PE kill under MemSpec — the
+// recovery machinery interacting with in-flight speculation — yields the
+// program-order result, and the faulty run repeats bit-for-bit.
+func TestSpecRecoversFromPEKill(t *testing.T) {
 	src := testprogs.Heavy[1].Src
 	want, err := lang.EvalProgram(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fc := fault.Config{Seed: 11, KillPE: 0, KillCycle: 500}
-	run := func(shards int) Result {
+	run := func() Result {
 		wp := compileSource(t, src)
 		cfg := DefaultConfig(2, 2)
 		cfg.MemMode = MemSpec
-		cfg.Shards = shards
 		cfg.Faults = fc
 		cfg.MaxCycles = 20_000_000
 		cfg.Machine.Defective = fault.DefectMap(fc, cfg.Machine.NumPEs())
@@ -196,17 +163,18 @@ func TestSpecShardInvarianceUnderPEKill(t *testing.T) {
 		}
 		return res
 	}
-	base := run(1)
+	base := run()
 	if base.Value != want {
 		t.Fatalf("value %d, want %d", base.Value, want)
 	}
 	if base.Faults.PEKills != 1 {
 		t.Fatalf("no PE killed: %+v", base.Faults)
 	}
-	for _, n := range []int{2, 4, 64} {
-		if res := run(n); !reflect.DeepEqual(base, res) {
-			t.Fatalf("spec run under PE kill diverged at shards=%d:\n%+v\n%+v", n, base, res)
-		}
+	if base.Spec.Issued == 0 {
+		t.Errorf("workload never speculated; test is vacuous: %+v", base.Spec)
+	}
+	if res := run(); !reflect.DeepEqual(base, res) {
+		t.Fatalf("spec run under PE kill not deterministic:\n%+v\n%+v", base, res)
 	}
 }
 
@@ -247,7 +215,7 @@ func TestSpecMatchesEvaluatorOnCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantMem := ev.Memory()
-			res, mem := specRun(t, c.Src, MemSpec, 0)
+			res, mem := specRun(t, c.Src, MemSpec)
 			if res.Value != want {
 				t.Fatalf("value %d, want %d", res.Value, want)
 			}

@@ -35,7 +35,6 @@ package wavecache
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"strings"
 
@@ -182,19 +181,6 @@ type Config struct {
 	// is nil). The aggregate is thread-safe, so concurrent experiment
 	// cells may share one.
 	Metrics *trace.Aggregate
-
-	// Shards partitions the machine's clusters into independent event-queue
-	// shards: each shard owns a contiguous cluster range, its PEs' operand
-	// tables, and an operand slab, and batches of same-timestamp
-	// cluster-local events execute on per-shard workers between
-	// coordinator-run barriers. 0 or 1 selects the sequential engine;
-	// values above the cluster count clamp to it. Results are bit-identical
-	// at every setting — sharding changes scheduling, never ordering (see
-	// DESIGN.md §10) — so the knob is purely a performance lever. Runs with
-	// fault injection or an event-stream Tracer consume pseudo-random and
-	// trace streams in global event order and therefore pin to the
-	// sequential engine regardless of Shards.
-	Shards int
 }
 
 // DefaultConfig returns the published WaveScalar processor parameters on a
@@ -212,6 +198,20 @@ func DefaultConfig(w, h int) Config {
 		Net:             noc.DefaultConfig(w, h),
 		Mem:             mem.DefaultSystemConfig(m.NumClusters()),
 	}
+}
+
+// ParseGrid parses a cluster grid written "WxH" (the CLI -grid flag and the
+// serve API's grid field). It is strict — exactly two positive decimal
+// integers around one 'x', nothing else — and rejects grids with more
+// clusters than the memory hierarchy has L1 slots for.
+func ParseGrid(s string) (w, h int, err error) {
+	if _, err := fmt.Sscanf(s, "%dx%d", &w, &h); err != nil || fmt.Sprintf("%dx%d", w, h) != s || w < 1 || h < 1 {
+		return 0, 0, fmt.Errorf("bad grid %q (want WxH with W, H >= 1)", s)
+	}
+	if w > mem.MaxL1s || h > mem.MaxL1s || w*h > mem.MaxL1s {
+		return 0, 0, fmt.Errorf("grid %q has more than %d clusters", s, mem.MaxL1s)
+	}
+	return w, h, nil
 }
 
 // Result reports a simulation.
@@ -287,16 +287,15 @@ func entLess(a, b heapEnt) bool {
 // of inline (time, seq) keys orders them. Compared to container/heap this
 // drops the per-push interface boxing and per-event allocation, and the
 // wider fan-out halves sift-down depth on the simulator's deep queues.
-// The tiebreak seq comes from the run-wide counter (sim.seq), shared by
-// every shard's queue, so (time, seq) is a strict total order across the
-// whole run; ANY correct heap — and any assignment of events to shard
-// queues — yields the same global pop sequence.
+// The tiebreak seq comes from the run-wide counter (sim.seq), so
+// (time, seq) is a strict total order across the whole run and ANY correct
+// heap yields the same pop sequence.
 type eventQueue struct {
 	slab []event
 	free []int32
 	heap []heapEnt
 
-	// Calendar-wheel mode (sequential engine only, never under MemIdeal):
+	// Calendar-wheel mode (every memory mode but MemIdeal):
 	// near-future events land in a ring of per-cycle FIFO buckets and the
 	// heap holds only the far-future overflow, making push and pop O(1).
 	// Exactness argument: the run-wide seq stamp is monotone in push
@@ -649,26 +648,9 @@ type sim struct {
 	engine *waveorder.Engine
 	clock  func() int64 // stable closure handed to the engine's tracer
 
-	// The sharded event system: one queue per shard, all ordered by the
-	// run-wide (time, seq) key, so the global pop order — and therefore
-	// every result — is independent of how events are distributed across
-	// queues. nsh == 1 is the sequential engine. shardOf is a contiguous
-	// partition of clusters.
-	qs      []eventQueue
-	seq     uint64
-	nsh     int
-	shardOf []int32 // cluster -> shard
-	// backdate marks configurations whose memory path can schedule an
-	// event earlier than the timestamp being processed (MemIdeal replies
-	// are timed from the PE firing, not the issue). The parallel engine
-	// must then guard every batch: a back-dated child preempts the rest
-	// of the batch in sequential pop order (see runPar's truncation).
-	// While such a batch is in flight, batchT holds its timestamp and the
-	// push paths raise preempt on any earlier child — one compare per
-	// push, nothing on the common path.
-	backdate bool
-	preempt  bool
-	batchT   int64
+	// The event queue, ordered by the run-wide (time, seq) key.
+	q   eventQueue
+	seq uint64
 
 	now  int64
 	maxT int64
@@ -684,12 +666,9 @@ type sim struct {
 	locs  []noc.Loc
 
 	// opstore is the per-static-instruction operand-matching table: packed
-	// tag -> packed (shard, slab index) of the partially assembled tuple.
-	opstore []tagtable.Table
-	// opSlabs is the per-shard operand slab; handles carry their shard
-	// (packOp) so an entry outlives a mid-run migration to another shard's
-	// clusters.
-	opSlabs   []tagtable.Slab[operands]
+	// tag -> opSlab index of the partially assembled tuple.
+	opstore   []tagtable.Table
+	opSlab    tagtable.Slab[operands]
 	instrBase []int
 	pes       []peState
 	bufBusy   []bufState // per-cluster store-buffer issue bandwidth
@@ -712,8 +691,7 @@ type sim struct {
 	ckSlab  tagtable.Slab[memCookie]
 	reqFree []*waveorder.Request
 	// ckGen stamps each cookie with a run-unique generation (MemSpec
-	// probe liveness; see memCookie.gen). Memory fires are coordinator-
-	// owned, so the counter needs no synchronization.
+	// probe liveness; see memCookie.gen).
 	ckGen uint32
 
 	// spec is the MemSpec speculation subsystem (spec.go): versioned
@@ -734,19 +712,10 @@ type sim struct {
 	// nil-safe call or guarded so the disabled path costs one branch).
 	tr *trace.Tracer
 
-	// cnt is the run's live execution counters. The sequential engine and
-	// the coordinator update it directly; shard workers count privately
-	// and merge at each batch barrier, so it is current whenever a
-	// diagnostic or cancellation message reads it.
-	cnt shardCounters
+	// res accumulates the run's result; its Fired/Tokens/Swaps/Overflows
+	// are the live execution counters, so they are current whenever a
+	// diagnostic or cancellation message reads them.
 	res Result
-
-	// par is the parallel batch runtime (shard.go); nil until a run with
-	// nsh > 1 needs it. stage, while a dispatched batch is in flight,
-	// redirects the coordinator's event pushes into the staging buffer so
-	// children merge in deterministic (position, production) order.
-	par   *shardRT
-	stage *stageBuf
 }
 
 // Arena is a reusable simulator: it owns the complete mutable memory image
@@ -835,66 +804,13 @@ func (s *sim) reset(p *isa.Program, pol placement.Policy, cfg Config) error {
 	s.prog, s.pol, s.cfg = p, pol, cfg
 	s.memImage = p.FillMemory(s.memImage)
 
-	// Shard count: clamp to the cluster grid; fault injection and
-	// event-stream tracing consume their streams in global event order, so
-	// those runs pin to the sequential engine (results are identical
-	// either way — sharding never alters them).
-	nc := cfg.Machine.NumClusters()
-	nsh := cfg.Shards
-	if nsh > nc {
-		nsh = nc
-	}
-	if nsh < 1 || cfg.Faults.Enabled() || cfg.Tracer != nil {
-		nsh = 1
-	}
-	if shardDispatchMin >= dispatchOff {
-		// Worker dispatch can never trigger (single-hardware-thread host):
-		// the sharded loop would replay the identical global (time, seq)
-		// order with batch bookkeeping as pure overhead, so collapse to
-		// the sequential engine. Shard-count invariance is still enforced
-		// with dispatch forced on (SetShardDispatchMin / forceDispatch).
-		nsh = 1
-	}
-	s.nsh = nsh
-	s.backdate = cfg.MemMode == MemIdeal
-	s.preempt = false
-	s.batchT = math.MinInt64
-	if nsh <= cap(s.qs) {
-		s.qs = s.qs[:nsh]
-	} else {
-		grown := make([]eventQueue, nsh)
-		copy(grown, s.qs[:cap(s.qs)])
-		s.qs = grown
-	}
-	for i := range s.qs {
-		s.qs[i].reset()
-		s.qs[i].setWheel(false)
-	}
-	// The sequential engine drains its single queue through the calendar
-	// wheel: O(1) push/pop with the heap's exact (time, seq) pop order
-	// (see eventQueue). MemIdeal stays on the heap — its oracle replies
-	// are the one push that can land behind the drain cursor.
-	if nsh == 1 && !s.backdate {
-		s.qs[0].setWheel(true)
-	}
-	if nsh <= cap(s.opSlabs) {
-		s.opSlabs = s.opSlabs[:nsh]
-	} else {
-		grown := make([]tagtable.Slab[operands], nsh)
-		copy(grown, s.opSlabs[:cap(s.opSlabs)])
-		s.opSlabs = grown
-	}
-	for i := range s.opSlabs {
-		s.opSlabs[i].Reset()
-	}
-	if nc <= cap(s.shardOf) {
-		s.shardOf = s.shardOf[:nc]
-	} else {
-		s.shardOf = make([]int32, nc)
-	}
-	for c := 0; c < nc; c++ {
-		s.shardOf[c] = int32(c * nsh / nc)
-	}
+	// The queue drains through the calendar wheel: O(1) push/pop with the
+	// heap's exact (time, seq) pop order (see eventQueue). MemIdeal stays
+	// on the heap — its oracle replies are the one push that can land
+	// behind the drain cursor.
+	s.q.reset()
+	s.q.setWheel(cfg.MemMode != MemIdeal)
+	s.opSlab.Reset()
 
 	s.seq = 0
 	s.now, s.maxT = 0, 0
@@ -903,7 +819,6 @@ func (s *sim) reset(p *isa.Program, pol placement.Policy, cfg Config) error {
 	s.fuel = cfg.Fuel
 	s.done, s.result = false, 0
 	s.inj, s.killed, s.memErr = nil, false, nil
-	s.cnt = shardCounters{}
 	s.res = Result{}
 
 	s.ctxTab.Reset()
@@ -982,6 +897,7 @@ func (s *sim) reset(p *isa.Program, pol placement.Policy, cfg Config) error {
 		ps.resident.Reset()
 		ps.lru.reset()
 	}
+	nc := cfg.Machine.NumClusters()
 	if nc <= cap(s.bufBusy) {
 		s.bufBusy = s.bufBusy[:nc]
 		clear(s.bufBusy)
@@ -1021,24 +937,16 @@ func (s *sim) allocReq() *waveorder.Request {
 }
 
 func (s *sim) run() (Result, error) {
-	// Boot: context 0 trigger lands on the entry function's pad 0. The
-	// entry's home is not resolved yet, so the token boards queue 0; queue
-	// membership never affects ordering (the (time, seq) key is global).
+	// Boot: context 0 trigger lands on the entry function's pad 0.
 	mi := s.ctxSlab.Alloc()
 	*s.ctxSlab.At(mi) = ctxInfo{callerFunc: isa.NoFunc, retPad: isa.NoInstr}
 	s.ctxTab.Put(0, int64(mi))
 	entry := s.prog.Entry
-	s.pushToken(0, 0, entry,
+	s.pushToken(0, entry,
 		isa.Dest{Instr: s.prog.Funcs[entry].Params[0], Port: 0},
 		isa.Tag{Ctx: 0, Wave: 0}, 0)
 
-	var err error
-	if s.nsh > 1 {
-		err = s.runPar()
-	} else {
-		err = s.runSeq()
-	}
-	if err != nil {
+	if err := s.loop(); err != nil {
 		return Result{}, err
 	}
 	if !s.done {
@@ -1047,10 +955,6 @@ func (s *sim) run() (Result, error) {
 	}
 
 	s.res.Value = s.result
-	s.res.Fired = s.cnt.fired
-	s.res.Tokens = s.cnt.tokens
-	s.res.Swaps = s.cnt.swaps
-	s.res.Overflows = s.cnt.overflows
 	s.res.Cycles = s.maxT + 1
 	if s.res.Cycles > 0 {
 		s.res.IPC = float64(s.res.Fired) / float64(s.res.Cycles)
@@ -1059,15 +963,6 @@ func (s *sim) run() (Result, error) {
 	s.res.Mem = s.memsys.Stats()
 	s.res.Order = s.engine.Stats()
 	s.res.Spec = s.spec.st
-	if s.nsh > 1 && s.par != nil {
-		// Fold the shard workers' network stats and metrics-only tracers
-		// into the run's; every merge is a commutative sum or max, so the
-		// folded result is invariant to shard count and merge order.
-		for _, w := range s.par.workers {
-			s.res.Net.Add(w.net)
-			s.tr.Merge(w.tr)
-		}
-	}
 	if s.inj != nil {
 		st := s.inj.Stats()
 		s.res.Faults.MemDrops = st.MemDrops
@@ -1085,9 +980,8 @@ func (s *sim) run() (Result, error) {
 	return s.res, nil
 }
 
-// runSeq is the sequential engine: one queue, events processed strictly in
-// (time, seq) order.
-func (s *sim) runSeq() error {
+// loop is the event loop: events processed strictly in (time, seq) order.
+func (s *sim) loop() error {
 	// Cancellation poll state: checking a channel per event would slow the
 	// hot path, so the loop looks at Cancel once every cancelPollInterval
 	// events — a few microseconds of cancellation latency, zero cost when
@@ -1096,7 +990,7 @@ func (s *sim) runSeq() error {
 	cancel := s.cfg.Cancel
 	maxCycles := s.cfg.MaxCycles
 	killAt := s.cfg.Faults.KillCycle
-	q := &s.qs[0]
+	q := &s.q
 	for q.len() > 0 {
 		if cancel != nil {
 			cancelLeft--
@@ -1141,20 +1035,11 @@ func (s *sim) runSeq() error {
 	return nil
 }
 
-// processEvent executes one event on the coordinator with direct pushes:
-// the sequential engine's dispatch, also used by the parallel engine for
-// coordinator-owned events and for batches too small to farm out.
+// processEvent executes one event.
 func (s *sim) processEvent(e *event) error {
 	switch e.kind {
 	case evToken:
-		pe := s.homePE(e.fn, e.dest.Instr)
-		sh := s.shardFor(pe)
-		fireAt, vals, fire, err := s.deliverAt(e, pe, sh, &s.cnt, s.tr)
-		if err != nil || !fire {
-			return err
-		}
-		s.pushFire(sh, fireAt, e.fn, e.dest, e.tag, vals)
-		return nil
+		return s.deliver(e)
 	case evFire:
 		return s.fire(e)
 	case evMemArrive:
@@ -1199,7 +1084,7 @@ func (s *sim) specProbeLive(e *event) bool {
 func (s *sim) cancelErr() error {
 	return &fault.FaultError{Kind: fault.KindCancelled, PE: -1, Cycle: s.now,
 		Detail: fmt.Sprintf("run cancelled by caller (t=%d, %d events queued, %d instructions fired)",
-			s.now, s.qlen(), s.cnt.fired)}
+			s.now, s.q.len(), s.res.Fired)}
 }
 
 func (s *sim) watchdogErr(t int64) error {
@@ -1207,25 +1092,8 @@ func (s *sim) watchdogErr(t int64) error {
 		Detail: fmt.Sprintf("no completion within %d cycles\n%s", s.cfg.MaxCycles, s.diagnose())}
 }
 
-// qlen is the total number of queued events across every shard.
-func (s *sim) qlen() int {
-	n := 0
-	for i := range s.qs {
-		n += s.qs[i].len()
-	}
-	return n
-}
-
-func (s *sim) pushToken(sh int32, t int64, fn isa.FuncID, d isa.Dest, tag isa.Tag, val int64) {
-	if s.backdate && t < s.batchT {
-		s.preempt = true
-	}
-	if st := s.stage; st != nil {
-		st.evs = append(st.evs, stagedEv{pos: st.pos, shard: sh,
-			e: event{time: t, kind: evToken, fn: fn, dest: d, tag: tag, val: val}})
-		return
-	}
-	q := &s.qs[sh]
+func (s *sim) pushToken(t int64, fn isa.FuncID, d isa.Dest, tag isa.Tag, val int64) {
+	q := &s.q
 	i := q.alloc()
 	e := &q.slab[i]
 	e.time, e.kind, e.fn, e.dest, e.tag, e.val = t, evToken, fn, d, tag, val
@@ -1233,16 +1101,8 @@ func (s *sim) pushToken(sh int32, t int64, fn isa.FuncID, d isa.Dest, tag isa.Ta
 	s.seq++
 }
 
-func (s *sim) pushFire(sh int32, t int64, fn isa.FuncID, d isa.Dest, tag isa.Tag, vals [3]int64) {
-	if s.backdate && t < s.batchT {
-		s.preempt = true
-	}
-	if st := s.stage; st != nil {
-		st.evs = append(st.evs, stagedEv{pos: st.pos, shard: sh,
-			e: event{time: t, kind: evFire, fn: fn, dest: d, tag: tag, vals: vals}})
-		return
-	}
-	q := &s.qs[sh]
+func (s *sim) pushFire(t int64, fn isa.FuncID, d isa.Dest, tag isa.Tag, vals [3]int64) {
+	q := &s.q
 	i := q.alloc()
 	e := &q.slab[i]
 	e.time, e.kind, e.fn, e.dest, e.tag, e.vals = t, evFire, fn, d, tag, vals
@@ -1250,16 +1110,8 @@ func (s *sim) pushFire(sh int32, t int64, fn isa.FuncID, d isa.Dest, tag isa.Tag
 	s.seq++
 }
 
-func (s *sim) pushMem(sh int32, t int64, req *waveorder.Request) {
-	if s.backdate && t < s.batchT {
-		s.preempt = true
-	}
-	if st := s.stage; st != nil {
-		st.evs = append(st.evs, stagedEv{pos: st.pos, shard: sh,
-			e: event{time: t, kind: evMemArrive, req: req}})
-		return
-	}
-	q := &s.qs[sh]
+func (s *sim) pushMem(t int64, req *waveorder.Request) {
+	q := &s.q
 	i := q.alloc()
 	e := &q.slab[i]
 	e.time, e.kind, e.req = t, evMemArrive, req
@@ -1268,18 +1120,12 @@ func (s *sim) pushMem(sh int32, t int64, req *waveorder.Request) {
 }
 
 // pushSpecProbe schedules a deferred-speculation probe for a buffered
-// request (MemSpec only, so never in a back-dating configuration). Queue
-// membership never affects ordering, so probes always board queue 0; the
-// packed (generation, cookie) rides the val field.
+// request (MemSpec only); the packed (generation, cookie) rides the val
+// field.
 func (s *sim) pushSpecProbe(t int64, req *waveorder.Request) {
 	ci := int32(req.Cookie)
 	pv := int64(uint64(s.ckSlab.At(ci).gen)<<32 | uint64(uint32(ci)))
-	if st := s.stage; st != nil {
-		st.evs = append(st.evs, stagedEv{pos: st.pos, shard: 0,
-			e: event{time: t, kind: evSpecProbe, val: pv, req: req}})
-		return
-	}
-	q := &s.qs[0]
+	q := &s.q
 	i := q.alloc()
 	e := &q.slab[i]
 	e.time, e.kind, e.val, e.req = t, evSpecProbe, pv, req
@@ -1303,46 +1149,24 @@ func (s *sim) homePE(fn isa.FuncID, id isa.InstrID) int {
 
 func (s *sim) loc(pe int) noc.Loc { return s.locs[pe] }
 
-// shardFor maps a PE to the shard owning its cluster's events. With one
-// shard every cluster maps to shard 0, so the two dependent loads
-// (location, then cluster->shard) are skipped on the sequential engine's
-// hot path.
-func (s *sim) shardFor(pe int) int32 {
-	if s.nsh == 1 {
-		return 0
-	}
-	return s.shardOf[s.locs[pe].Cluster]
-}
-
-// Operand-slab handles pack (shard, index) so an entry can be resolved and
-// released after a mid-run PE death migrates its instruction to a cluster
-// another shard's slab serves. With one shard the handle is just the index.
-func packOp(sh int32, idx int32) int64 { return int64(sh)<<32 | int64(uint32(idx)) }
-func opShard(oi int64) int32           { return int32(oi >> 32) }
-func opIndex(oi int64) int32           { return int32(uint32(oi)) }
-
-// deliverAt lands a token at its (already resolved) destination PE,
-// applying queue-overflow penalties, tag matching, instruction-store
-// residency, and PE firing bandwidth. New operand tuples allocate from
-// shard sh's slab; counters and trace emissions charge to cnt and tr, so
-// a shard worker can run deliveries for its own clusters concurrently
-// with the coordinator — everything touched is either PE-local state or
-// the caller's private sink. A complete tuple returns fire=true with its
-// scheduled cycle; the caller pushes (or stages) the evFire.
-func (s *sim) deliverAt(e *event, pe int, sh int32, cnt *shardCounters, tr *trace.Tracer) (int64, [3]int64, bool, error) {
-	cnt.tokens++
+// deliver lands a token at its destination PE, applying queue-overflow
+// penalties, tag matching, instruction-store residency, and PE firing
+// bandwidth; a complete operand tuple schedules the firing.
+func (s *sim) deliver(e *event) error {
+	s.res.Tokens++
+	pe := s.homePE(e.fn, e.dest.Instr)
 	ps := &s.pes[pe]
 	ps.used = true
 
 	t := e.time
 	if ps.waiting >= s.cfg.InputQueue {
 		// Matching-table overflow spills to memory.
-		cnt.overflows++
+		s.res.Overflows++
 		t += s.cfg.OverflowPenalty
-		tr.Overflow(e.time, pe)
+		s.tr.Overflow(e.time, pe)
 	}
 	ps.waiting++
-	tr.Token(e.time, pe, ps.waiting)
+	s.tr.Token(e.time, pe, ps.waiting)
 
 	gi := s.instrBase[e.fn] + int(e.dest.Instr)
 	in := &s.prog.Funcs[e.fn].Instrs[e.dest.Instr]
@@ -1350,28 +1174,26 @@ func (s *sim) deliverAt(e *event, pe int, sh int32, cnt *shardCounters, tr *trac
 	key := tagKey(e.tag)
 	oi, ok := tbl.Get(key)
 	if !ok {
-		oi = packOp(sh, s.opSlabs[sh].Alloc())
-		ops := s.opSlabs[sh].At(opIndex(oi))
+		oi = int64(s.opSlab.Alloc())
+		ops := s.opSlab.At(int32(oi))
 		ops.have, ops.vals = in.ImmMask, in.ImmVals
 		tbl.Put(key, oi)
 	}
-	// Decode the stored handle rather than assuming sh: a tuple started
-	// before a PE death may live in the old home's shard slab.
-	ops := s.opSlabs[opShard(oi)].At(opIndex(oi))
+	ops := s.opSlab.At(int32(oi))
 	bit := uint8(1) << e.dest.Port
 	if ops.have&bit != 0 {
-		return 0, [3]int64{}, false, fmt.Errorf("wavecache: token collision at %s/i%d port %d tag %v",
+		return fmt.Errorf("wavecache: token collision at %s/i%d port %d tag %v",
 			s.prog.Funcs[e.fn].Name, e.dest.Instr, e.dest.Port, e.tag)
 	}
 	ops.have |= bit
 	ops.vals[e.dest.Port] = e.val
 	need := in.Op.NumInputs()
 	if ops.have != (uint8(1)<<need)-1 {
-		return 0, [3]int64{}, false, nil
+		return nil
 	}
 	vals := ops.vals
 	tbl.Delete(key)
-	s.opSlabs[opShard(oi)].Release(opIndex(oi))
+	s.opSlab.Release(int32(oi))
 	ps.waiting -= need - bits.OnesCount8(in.ImmMask)
 
 	// Residency: fetch the instruction into the PE store if absent.
@@ -1379,9 +1201,9 @@ func (s *sim) deliverAt(e *event, pe int, sh int32, cnt *shardCounters, tr *trac
 	if ni, resident := ps.resident.Get(ref); resident {
 		ps.lru.touch(int32(ni))
 	} else {
-		cnt.swaps++
+		s.res.Swaps++
 		t += s.cfg.SwapPenalty
-		tr.Swap(e.time, pe)
+		s.tr.Swap(e.time, pe)
 		if ps.resident.Len() >= s.cfg.PEStore {
 			// Evict the least recently used instruction: the list tail.
 			ps.resident.Delete(ps.lru.popTail())
@@ -1395,7 +1217,8 @@ func (s *sim) deliverAt(e *event, pe int, sh int32, cnt *shardCounters, tr *trac
 		fireAt = ps.free
 	}
 	ps.free = fireAt + 1
-	return fireAt, vals, true, nil
+	s.pushFire(fireAt, e.fn, e.dest, e.tag, vals)
+	return nil
 }
 
 // send routes an output token through the operand network. Under fault
@@ -1408,7 +1231,7 @@ func (s *sim) send(fromPE int, fn isa.FuncID, dests []isa.Dest, tag isa.Tag, val
 		if err != nil {
 			return err
 		}
-		s.pushToken(s.shardFor(dstPE), arr, fn, d, tag, val)
+		s.pushToken(arr, fn, d, tag, val)
 	}
 	return nil
 }
@@ -1487,7 +1310,7 @@ func (s *sim) killPE() error {
 func (s *sim) diagnose() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "watchdog report: %d events queued, %d instructions fired, t=%d\n",
-		s.qlen(), s.cnt.fired, s.maxT)
+		s.q.len(), s.res.Fired, s.maxT)
 	stuck := 0
 	for i := range s.pes {
 		if s.pes[i].waiting > 0 {
@@ -1561,13 +1384,13 @@ func (s *sim) submitMem(pe int, fn isa.FuncID, id isa.InstrID, in *isa.Instructi
 		Addr: addr, Value: val, ChildCtx: childCtx,
 		Cookie: int64(ci),
 	}
-	s.pushMem(s.shardOf[buf], arr, req)
+	s.pushMem(arr, req)
 	return nil
 }
 
 // fire executes one instruction instance.
 func (s *sim) fire(e *event) error {
-	s.cnt.fired++
+	s.res.Fired++
 	s.fuel--
 	if s.fuel < 0 {
 		return fmt.Errorf("wavecache: execution exceeded instruction budget")
@@ -1634,7 +1457,7 @@ func (s *sim) fire(e *event) error {
 		if err != nil {
 			return err
 		}
-		s.pushToken(s.shardFor(dstPE), arr, callee, isa.Dest{Instr: pad, Port: 0}, isa.Tag{Ctx: ctx, Wave: 0}, vals[1])
+		s.pushToken(arr, callee, isa.Dest{Instr: pad, Port: 0}, isa.Tag{Ctx: ctx, Wave: 0}, vals[1])
 	case in.Op == isa.OpReturn:
 		mv, ok := s.ctxTab.Get(uint64(tag.Ctx))
 		if !ok {
@@ -1658,7 +1481,7 @@ func (s *sim) fire(e *event) error {
 		if err != nil {
 			return err
 		}
-		s.pushToken(s.shardFor(dstPE), arr, meta.callerFunc, isa.Dest{Instr: meta.retPad, Port: 0}, meta.callerTag, vals[0])
+		s.pushToken(arr, meta.callerFunc, isa.Dest{Instr: meta.retPad, Port: 0}, meta.callerTag, vals[0])
 	default:
 		return fmt.Errorf("wavecache: cannot execute opcode %s", in.Op)
 	}
@@ -1675,7 +1498,7 @@ func (s *sim) issueMem(r *waveorder.Request) {
 		// for this request sees it gone (generations start at 1).
 		s.ckSlab.At(ci).gen = 0
 		if ci == s.spec.arriving {
-			// The request the coordinator is submitting right now issued
+			// The request being submitted right now issued
 			// synchronously — it never buffered, so there is nothing to
 			// speculate on (see processEvent's evMemArrive branch).
 			s.spec.arriving = -1
@@ -1725,7 +1548,7 @@ func (s *sim) issueMem(r *waveorder.Request) {
 				}
 				return
 			}
-			s.pushToken(s.shardFor(dstPE), arr, ck.fn, d, ck.tag, v)
+			s.pushToken(arr, ck.fn, d, ck.tag, v)
 		}
 	case isa.MemStore:
 		if s.cfg.MemMode == MemSpec {

@@ -2,6 +2,7 @@ package wavecache
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -243,8 +244,9 @@ func TestFuelExhaustion(t *testing.T) {
 	wp := compileSource(t, `func main() { var i = 0; while i < 100000 { i = i + 1; } return i; }`)
 	cfg := DefaultConfig(1, 1)
 	cfg.Fuel = 500
-	if _, err := Run(wp, mustPol(placement.NewDynamicSnake(cfg.Machine)), cfg); err == nil {
-		t.Fatal("expected fuel exhaustion error")
+	_, err := Run(wp, mustPol(placement.NewDynamicSnake(cfg.Machine)), cfg)
+	if err == nil || !strings.Contains(err.Error(), "exceeded instruction budget") {
+		t.Fatalf("expected fuel exhaustion error, got %v", err)
 	}
 }
 
@@ -333,6 +335,36 @@ func BenchmarkWaveCacheSort(b *testing.B) {
 		pol := mustPol(placement.NewDynamicSnake(cfg.Machine))
 		if _, err := Run(wp, pol, cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+func TestParseGrid(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		w, h int
+		ok   bool
+	}{
+		{"1x1", 1, 1, true},
+		{"4x4", 4, 4, true},
+		{"8x8", 8, 8, true}, // exactly mem.MaxL1s clusters
+		{"64x1", 64, 1, true},
+		{"9x9", 0, 0, false}, // 81 clusters
+		{"65x1", 0, 0, false},
+		{"0x0", 0, 0, false},
+		{"-1x4", 0, 0, false},
+		{"4x", 0, 0, false},
+		{"x4", 0, 0, false},
+		{"4x4junk", 0, 0, false},
+		{" 4x4", 0, 0, false},
+		{"+4x4", 0, 0, false},
+		{"4X4", 0, 0, false},
+		{"", 0, 0, false},
+		{"4294967296x4294967296", 0, 0, false}, // product overflows to 0
+	} {
+		w, h, err := ParseGrid(c.in)
+		if (err == nil) != c.ok || w != c.w || h != c.h {
+			t.Errorf("ParseGrid(%q) = %d, %d, %v; want %d, %d, ok=%v", c.in, w, h, err, c.w, c.h, c.ok)
 		}
 	}
 }

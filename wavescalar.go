@@ -231,12 +231,6 @@ type SimConfig struct {
 	// Tracer leaves the simulation bit-identical to an untraced run; a
 	// Tracer must not be shared across concurrent Simulate calls.
 	Tracer *trace.Tracer
-	// Shards is the event-engine shard count: 0 or 1 runs the sequential
-	// engine, higher values execute cluster-local event batches on
-	// parallel per-cluster-range shards. Results are bit-identical at
-	// every setting; runs with Faults or an event-stream Tracer pin to
-	// the sequential engine.
-	Shards int
 }
 
 // DefaultSimConfig returns the tuned kernel-scale configuration.
@@ -301,7 +295,6 @@ func (p *Program) Simulate(sc SimConfig) (SimResult, error) {
 	}
 	cfg.Fuel = sc.Fuel
 	cfg.MaxCycles = sc.MaxCycles
-	cfg.Shards = sc.Shards
 	if sc.Faults != "" {
 		fc, err := fault.ParseSpec(sc.Faults)
 		if err != nil {
