@@ -1,11 +1,13 @@
 # CI entry points. `make ci` is the full gate: vet, build, the whole
 # test suite, and the race-detector pass over the concurrent packages
 # (the parallel pool, the harness cell fan-out, and the simulators whose
-# Run contracts promise read-only program sharing).
+# Run contracts promise read-only program sharing). `make bench-micro`
+# runs every layer's own microbenchmarks; `make bench-ab` is the A/B gate
+# of the repository benchmark.
 
 GO ?= go
 
-.PHONY: ci check vet build test bench-test race soak bench bench-base bench-cmp bench-opt bench-spec bench-ledger bench-ab fuzz fuzz-diff corpus
+.PHONY: ci check vet build test bench-test race soak bench bench-base bench-cmp bench-opt bench-spec bench-ledger bench-ab bench-micro fuzz fuzz-diff corpus
 
 ci: vet build test race
 
@@ -152,6 +154,16 @@ bench-spec:
 		> BENCH_10.json
 	rm -f bench.spec.test
 	@echo wrote BENCH_10.json
+
+# bench-micro runs the microbenchmarks the layers keep beside their tests
+# (compiler passes against their references, AST evaluator, IR clone, tag
+# table, wave-order buffer, simulator arenas, interpreters, the placement
+# model's move loop against its reference, and the whole CompileSource) —
+# one command for "each stage has its own benchmark". For -count or -benchtime
+# run `go test` on the package directly.
+bench-micro:
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/lang ./internal/cfgir ./internal/wavec ./internal/tagtable ./internal/waveorder ./internal/wavecache ./internal/interp ./internal/ooo ./internal/placemodel
+	$(GO) test -run '^$$' -bench 'BenchmarkCompileSource$$' -benchmem ./internal/harness
 
 # bench-ledger runs the repository benchmark (BENCHMARK.json, bench/) end
 # to end: every workload once untraced (the end-to-end metrics) and once

@@ -428,13 +428,15 @@ func largestFunc(p *Program) (fi, instrs int) {
 }
 
 // benchPass times pass on a fresh copy of the IR at optLevel per iteration
-// (the passes rewrite their input; cloning is outside the timer).
+// (the passes rewrite their input; cloning is outside the timer). It counts
+// to b.N itself: go1.24's b.Loop never finishes at the default -benchtime
+// when the body stops and restarts the timer.
 func benchPass(b *testing.B, optLevel int, pass func(*Program)) {
 	for _, s := range benchSubjects {
 		p := mustFromSource(b, s, 4, optLevel)
 		b.Run(s, func(b *testing.B) {
 			b.ReportAllocs()
-			for b.Loop() {
+			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				c := p.Clone()
 				b.StartTimer()

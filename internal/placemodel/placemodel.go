@@ -70,94 +70,6 @@ func DefaultConfig(m placement.Machine, peCapacity int) Config {
 	}
 }
 
-// pairLatency is Equation 1: the latency between two placed instructions.
-func (c Config) pairLatency(peA, peB int) float64 {
-	a, b := c.Machine.Loc(peA), c.Machine.Loc(peB)
-	switch {
-	case a.Cluster == b.Cluster && a.Domain == b.Domain && a.Pod == b.Pod:
-		return c.PodLatency
-	case a.Cluster == b.Cluster && a.Domain == b.Domain:
-		return c.DomainLatency
-	case a.Cluster == b.Cluster:
-		return c.ClusterLatency
-	default:
-		ax, ay := a.Cluster%c.Machine.GridW, a.Cluster/c.Machine.GridW
-		bx, by := b.Cluster%c.Machine.GridW, b.Cluster/c.Machine.GridW
-		hops := abs(ax-bx) + abs(ay-by)
-		return c.MeshBase + c.MeshPerHop*float64(hops)
-	}
-}
-
-// OperandLatency is Equation 2: total operand traffic weighted by pair
-// latency under the layout.
-func OperandLatency(cfg Config, prof *profile.Profile, l Layout) float64 {
-	total := 0.0
-	for e, n := range prof.Traffic {
-		pa, oka := l[e.From]
-		pb, okb := l[e.To]
-		if !oka || !okb {
-			continue
-		}
-		total += float64(n) * cfg.pairLatency(pa, pb)
-	}
-	return total
-}
-
-// CoherenceMissRatio is Equations 3–4 under the migratory-sharing
-// assumption: a line accessed from C > 1 clusters misses C times (one
-// migration per cluster); a private line misses once (cold). The result is
-// predicted misses / total accesses.
-func CoherenceMissRatio(cfg Config, prof *profile.Profile, l Layout) float64 {
-	clustersOf := make(map[int64]map[int]bool) // line -> clusters touching it
-	accesses := make(map[int64]uint64)
-	for ref, lines := range prof.MemBlocks {
-		pe, ok := l[ref]
-		if !ok {
-			continue
-		}
-		cluster := cfg.Machine.Loc(pe).Cluster
-		for line, n := range lines {
-			m := clustersOf[line]
-			if m == nil {
-				m = make(map[int]bool)
-				clustersOf[line] = m
-			}
-			m[cluster] = true
-			accesses[line] += n
-		}
-	}
-	var misses, total float64
-	for line, cs := range clustersOf {
-		c := float64(len(cs))
-		if c <= 1 {
-			misses++
-		} else {
-			misses += c
-		}
-		total += float64(accesses[line])
-	}
-	if total == 0 {
-		return 0
-	}
-	return misses / total
-}
-
-// PEContention is Equation 5: the number of instructions assigned to each
-// PE beyond its storage capacity, summed over PEs.
-func PEContention(cfg Config, l Layout) float64 {
-	perPE := make(map[int]int)
-	for _, pe := range l {
-		perPE[pe]++
-	}
-	total := 0.0
-	for _, n := range perPE {
-		if n > cfg.PECapacity {
-			total += float64(n - cfg.PECapacity)
-		}
-	}
-	return total
-}
-
 // Weights are the combined model's component weights (Equation 6).
 type Weights struct {
 	Latency    float64
@@ -175,13 +87,12 @@ type Components struct {
 	Contention float64
 }
 
-// Evaluate computes all three component metrics for one layout.
+// Evaluate computes all three component metrics for one layout: operand
+// latency (Equation 2), the migratory-sharing miss ratio (Equations 3–4)
+// and PE contention (Equation 5). Every home in the layout must be a PE of
+// cfg.Machine.
 func Evaluate(cfg Config, prof *profile.Profile, l Layout) Components {
-	return Components{
-		Latency:    OperandLatency(cfg, prof, l),
-		Data:       CoherenceMissRatio(cfg, prof, l),
-		Contention: PEContention(cfg, l),
-	}
+	return newState(cfg, prof, l).components()
 }
 
 // Combine normalizes each component across the candidate layouts to [0, 1]
@@ -223,11 +134,4 @@ func Combine(comps []Components, w Weights) []float64 {
 // −0.90 in-sample, −0.82 held out).
 func Correlation(scores, perf []float64) float64 {
 	return stats.Pearson(scores, perf)
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -70,14 +70,15 @@ func TestComponentBasics(t *testing.T) {
 	for ref := range prof.Fires {
 		packed[ref] = 0
 	}
-	if lat := OperandLatency(cfg, prof, packed); lat != 0 {
-		t.Errorf("single-PE layout has operand latency %v, want 0", lat)
+	pc := Evaluate(cfg, prof, packed)
+	if pc.Latency != 0 {
+		t.Errorf("single-PE layout has operand latency %v, want 0", pc.Latency)
 	}
-	if con := PEContention(cfg, packed); con != float64(len(packed)-8) {
-		t.Errorf("contention = %v, want %v", con, len(packed)-8)
+	if pc.Contention != float64(len(packed)-8) {
+		t.Errorf("contention = %v, want %v", pc.Contention, len(packed)-8)
 	}
-	if miss := CoherenceMissRatio(cfg, prof, packed); miss <= 0 || miss > 1 {
-		t.Errorf("single-cluster miss ratio = %v, want (0,1] (cold misses only)", miss)
+	if pc.Data <= 0 || pc.Data > 1 {
+		t.Errorf("single-cluster miss ratio = %v, want (0,1] (cold misses only)", pc.Data)
 	}
 
 	// A maximally scattered layout: latency strictly positive, lower
@@ -88,15 +89,16 @@ func TestComponentBasics(t *testing.T) {
 		scattered[ref] = i % m.NumPEs()
 		i++
 	}
-	if lat := OperandLatency(cfg, prof, scattered); lat <= 0 {
-		t.Errorf("scattered layout has operand latency %v, want > 0", lat)
+	sc := Evaluate(cfg, prof, scattered)
+	if sc.Latency <= 0 {
+		t.Errorf("scattered layout has operand latency %v, want > 0", sc.Latency)
 	}
-	if PEContention(cfg, scattered) >= PEContention(cfg, packed) {
+	if sc.Contention >= pc.Contention {
 		t.Error("scattering did not reduce contention")
 	}
 	// Scattering across clusters must not reduce the migratory miss
 	// estimate.
-	if CoherenceMissRatio(cfg, prof, scattered) < CoherenceMissRatio(cfg, prof, packed) {
+	if sc.Data < pc.Data {
 		t.Error("scattering reduced the coherence estimate")
 	}
 	_ = wp
@@ -106,6 +108,7 @@ func TestPairLatencyRegimes(t *testing.T) {
 	m := placement.DefaultMachine(2, 2)
 	cfg := DefaultConfig(m, 64)
 	perCluster := m.PEsPerCluster()
+	s := newState(cfg, profile.New(16), nil)
 	cases := []struct {
 		a, b int
 		want float64
@@ -118,7 +121,7 @@ func TestPairLatencyRegimes(t *testing.T) {
 		{0, 3 * perCluster, 9}, // diagonal cluster: 7 + 2 hops
 	}
 	for _, c := range cases {
-		if got := cfg.pairLatency(c.a, c.b); got != c.want {
+		if got := s.pairLatency(c.a, c.b); got != c.want {
 			t.Errorf("pairLatency(%d,%d) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}

@@ -62,7 +62,8 @@ var sinkProgram *isa.Program
 
 // BenchmarkWavecCompile is the lowering layer alone: optimized IR in,
 // validated dataflow binary out (cloning the consumed input is outside the
-// timer).
+// timer; the loop counts to b.N itself because go1.24's b.Loop never
+// finishes at the default -benchtime when the body stops the timer).
 func BenchmarkWavecCompile(b *testing.B) {
 	for _, name := range []string{"gen:mixed:3745987421742060995", "ammp"} {
 		p := mustIR(b, name)
@@ -73,7 +74,7 @@ func BenchmarkWavecCompile(b *testing.B) {
 			}
 			b.Run(name+"/"+mode, func(b *testing.B) {
 				b.ReportAllocs()
-				for b.Loop() {
+				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					c := p.Clone()
 					b.StartTimer()
