@@ -208,3 +208,48 @@ func TestDefaultSystemConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkAccess is the cache hierarchy on its own, 16 L1s of the default
+// configuration: strided walks (three accesses in ten are writes) through a
+// working set that fits one L1 (hits, plus the coherence traffic of 16 L1s
+// sharing it) and one four times an L1 (capacity misses into the L2).
+func BenchmarkAccess(b *testing.B) {
+	cfg := DefaultSystemConfig(16)
+	for _, ws := range []struct {
+		name string
+		span int64
+	}{{"fits-l1", cfg.L1.SizeWords / 2}, {"4x-l1", 4 * cfg.L1.SizeWords}} {
+		b.Run(ws.name, func(b *testing.B) {
+			s, err := NewSystem(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			type acc struct {
+				l1    int
+				addr  int64
+				write bool
+			}
+			var ring [1 << 12]acc
+			addr := int64(0)
+			for i := range ring {
+				if rng.Intn(8) == 0 {
+					addr = rng.Int63n(ws.span)
+				} else {
+					addr = (addr + 1 + rng.Int63n(4)) % ws.span
+				}
+				ring[i] = acc{l1: rng.Intn(16), addr: addr, write: rng.Intn(10) < 3}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var sink int64
+			for i := 0; i < b.N; i++ {
+				a := &ring[i&(len(ring)-1)]
+				sink += s.Access(a.l1, a.addr, a.write).Latency
+			}
+			if sink == 0 {
+				b.Fatal("every latency was 0")
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -103,5 +104,47 @@ func TestNumClusters(t *testing.T) {
 	n, _ := New(DefaultConfig(3, 2))
 	if n.NumClusters() != 6 {
 		t.Errorf("NumClusters = %d", n.NumClusters())
+	}
+}
+
+// BenchmarkSend is the operand network on its own, on the default 4x4
+// machine: the local mix keeps seven messages in ten inside their source
+// cluster (what placement locality produces), the mesh mix sends every
+// message across clusters, so every one walks and charges its links.
+func BenchmarkSend(b *testing.B) {
+	for _, mix := range []struct {
+		name      string
+		localIn10 int
+	}{{"local", 7}, {"mesh", 0}} {
+		b.Run(mix.name, func(b *testing.B) {
+			n, err := New(DefaultConfig(4, 4))
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			type msg struct{ src, dst Loc }
+			var ring [1 << 12]msg
+			loc := func(cluster int) Loc {
+				return Loc{Cluster: cluster, Domain: rng.Intn(4), Pod: rng.Intn(4)}
+			}
+			for i := range ring {
+				c := rng.Intn(16)
+				ring[i].src = loc(c)
+				if rng.Intn(10) >= mix.localIn10 {
+					c = (c + 1 + rng.Intn(15)) % 16
+				}
+				ring[i].dst = loc(c)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var sink int64
+			for i := 0; i < b.N; i++ {
+				m := &ring[i&(len(ring)-1)]
+				sink += n.Send(m.src, m.dst, int64(i))
+			}
+			if sink == 0 {
+				b.Fatal("every latency was 0")
+			}
+		})
 	}
 }

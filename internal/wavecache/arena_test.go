@@ -3,8 +3,10 @@ package wavecache
 import (
 	"testing"
 
+	"wavescalar/internal/fault"
 	"wavescalar/internal/placement"
 	"wavescalar/internal/testprogs"
+	"wavescalar/internal/workloads"
 )
 
 // TestArenaReuseBitIdentical pins the Arena contract: a reused arena — even
@@ -39,6 +41,32 @@ func TestArenaReuseBitIdentical(t *testing.T) {
 						pr.name, sh[0], sh[1], round, got, want)
 				}
 			}
+		}
+	}
+
+	// Kill, then reuse: a mid-run PE death wipes the dead PE's share of the
+	// dense residency slice and the whole home cache; both the faulty run
+	// and the clean run after it must match fresh simulators.
+	wp := compileSource(t, progs[1].src)
+	clean := DefaultConfig(2, 2)
+	killed := clean
+	killed.Faults = fault.Config{Seed: 11, KillPE: 0, KillCycle: 200}
+	killed.MaxCycles = 20_000_000
+	for _, cfg := range []Config{killed, clean, killed, clean} {
+		want, err := Run(wp, mustPol(placement.NewDynamicSnake(cfg.Machine)), cfg)
+		if err != nil {
+			t.Fatalf("kill-then-reuse fresh: %v", err)
+		}
+		got, err := a.Run(wp, mustPol(placement.NewDynamicSnake(cfg.Machine)), cfg)
+		if err != nil {
+			t.Fatalf("kill-then-reuse arena: %v", err)
+		}
+		if got != want {
+			t.Fatalf("kill-then-reuse (kill cycle %d): arena result diverged\n got %+v\nwant %+v",
+				cfg.Faults.KillCycle, got, want)
+		}
+		if cfg.Faults.KillCycle > 0 && (got.Faults.PEKills != 1 || got.Faults.MigratedInstrs == 0) {
+			t.Fatalf("kill-then-reuse: the kill migrated nothing: %+v", got.Faults)
 		}
 	}
 }
@@ -105,5 +133,39 @@ func BenchmarkRunArena(b *testing.B) {
 		if _, err := a.Run(wp, mustPol(placement.NewDynamicSnake(cfg.Machine)), cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRunKernel is the simulator core per memory mode: the mcf kernel
+// on a warm Arena (the experiment harness's steady state), reporting host
+// nanoseconds per delivered token next to ns/op. The policy is built off
+// the clock, so allocs/op is the simulator's own and must stay inside
+// TestArenaSteadyStateAllocs's budget.
+func BenchmarkRunKernel(b *testing.B) {
+	wp := compileSource(b, workloads.ByName("mcf").Src)
+	for _, mode := range []MemoryMode{MemOrdered, MemSerial, MemIdeal, MemSpec} {
+		b.Run(mode.String(), func(b *testing.B) {
+			cfg := DefaultConfig(4, 4)
+			cfg.MemMode = mode
+			a := NewArena()
+			run := func() Result {
+				b.StopTimer()
+				pol := mustPol(placement.NewDynamicSnake(cfg.Machine))
+				b.StartTimer()
+				res, err := a.Run(wp, pol, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return res
+			}
+			run()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var tokens uint64
+			for i := 0; i < b.N; i++ {
+				tokens += run().Tokens
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tokens), "ns/token")
+		})
 	}
 }

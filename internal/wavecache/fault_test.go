@@ -11,15 +11,19 @@ import (
 	"wavescalar/internal/lang"
 	"wavescalar/internal/placement"
 	"wavescalar/internal/testprogs"
+	"wavescalar/internal/workloads"
 )
 
 // faultRun compiles src and simulates it under the given fault config on a
 // 2x2 grid, installing the config's defect map so placement and simulator
-// agree.
-func faultRun(t *testing.T, src string, fc fault.Config) (Result, []int64, error) {
+// agree. tweak, if given, adjusts the machine config first.
+func faultRun(t *testing.T, src string, fc fault.Config, tweak ...func(*Config)) (Result, []int64, error) {
 	t.Helper()
 	wp := compileSource(t, src)
 	cfg := DefaultConfig(2, 2)
+	for _, f := range tweak {
+		f(&cfg)
+	}
 	cfg.Faults = fc
 	cfg.MaxCycles = 20_000_000 // backstop: a faulty run must terminate
 	cfg.Machine.Defective = fault.DefectMap(fc, cfg.Machine.NumPEs())
@@ -287,5 +291,52 @@ func TestKillLastUsablePE(t *testing.T) {
 	}
 	if fe.Kind != fault.KindPlacement {
 		t.Fatalf("kind %v, want placement", fe.Kind)
+	}
+}
+
+// killPin is the slice of a Result TestKillResultPinned freezes.
+type killPin struct {
+	Cycles                            int64
+	Fired, Tokens, Swaps, Overflows   uint64
+	PEsUsed                           int
+	PEKills, MigratedInstrs, MemDrops uint64
+}
+
+// TestKillResultPinned pins the timing of the mid-run PE death, which no
+// golden file executes (E12 sweeps defect and loss rates only, and the
+// tests above check values and counters, not cycles). Each row is the
+// `kill` or `combined` scenario of TestChecksumsSurviveRecoverableFaults
+// on a kernel whose per-PE working set (placement packs 64 instructions a
+// PE) overflows a 16-entry instruction store, so LRU eviction, the kill's
+// residency wipe and the migrants' re-placement all shape the numbers.
+// The literals were recorded from the build before residency moved from a
+// per-PE hash table to the dense per-instruction slice (PR 15); any change
+// to them is a change of simulated behaviour.
+func TestKillResultPinned(t *testing.T) {
+	kill := fault.Config{Seed: 11, KillPE: 0, KillCycle: 200}
+	combined := fault.Config{Seed: 11, DefectRate: 0.1, DropRate: 0.02,
+		DelayRate: 0.02, MemLossRate: 0.02, KillPE: 1, KillCycle: 500}
+	for _, row := range []struct {
+		kernel, scenario string
+		fc               fault.Config
+		want             killPin
+	}{
+		{"adpcm", "kill", kill, killPin{2398304, 259765, 408263, 259765, 0, 4, 1, 16, 0}},
+		{"adpcm", "combined", combined, killPin{2529197, 259765, 408263, 259760, 0, 4, 1, 16, 821}},
+		{"lu", "kill", kill, killPin{772096, 111777, 154448, 84154, 7455, 6, 1, 15, 0}},
+		{"lu", "combined", combined, killPin{785249, 111777, 154448, 89563, 8269, 5, 1, 0, 543}},
+	} {
+		t.Run(row.kernel+"/"+row.scenario, func(t *testing.T) {
+			res, _, err := faultRun(t, workloads.ByName(row.kernel).Src, row.fc,
+				func(cfg *Config) { cfg.PEStore = 16 })
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := killPin{res.Cycles, res.Fired, res.Tokens, res.Swaps, res.Overflows,
+				res.PEsUsed, res.Faults.PEKills, res.Faults.MigratedInstrs, res.Faults.MemDrops}
+			if got != row.want {
+				t.Errorf("pinned kill result moved:\n got %+v\nwant %+v", got, row.want)
+			}
+		})
 	}
 }

@@ -140,7 +140,7 @@ type specState struct {
 	commitSeq uint32
 	lastStore tagtable.Table
 
-	// Conflict predictor: static load (packed fn, instr) -> commitSeq of
+	// Conflict predictor: static load (global instruction index) -> commitSeq of
 	// its last validation failure. Loads that conflicted within
 	// specConfDecay committed stores do not speculate.
 	confTab tagtable.Table
@@ -238,7 +238,7 @@ func (s *sim) specArrival(r *waveorder.Request) {
 	}
 	key := uint64(r.Addr)
 	if r.Kind == isa.MemLoad {
-		if cs, ok := sp.confTab.Get(instrKey(ck.fn, ck.id)); ok && sp.commitSeq-uint32(cs) < specConfDecay {
+		if cs, ok := sp.confTab.Get(uint64(ck.gi)); ok && sp.commitSeq-uint32(cs) < specConfDecay {
 			sp.st.Filtered++
 			return
 		}
@@ -308,7 +308,7 @@ func (s *sim) specCommitLoad(ck *memCookie, r *waveorder.Request) int64 {
 		}
 		if !valid {
 			sp.st.Conflicts++
-			sp.confTab.Put(instrKey(ck.fn, ck.id), int64(sp.commitSeq))
+			sp.confTab.Put(uint64(ck.gi), int64(sp.commitSeq))
 			s.tr.SpecConflict(s.now, int(r.Kind))
 			s.specSquash(ep)
 		}

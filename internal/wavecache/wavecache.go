@@ -20,14 +20,21 @@
 // timestamps, PEs and store buffers serialize at one operation per cycle,
 // and the run's cycle count is the latest timestamp processed.
 //
+// The event loop never reads the isa.Program: reset predecodes it into a
+// dense instruction table (dinstr) indexed by global instruction index, and
+// events, placement homes, residency, and memory cookies all carry that
+// index.
+//
 // Allocation discipline: the inner loop is allocation-free in steady state.
-// Events live in a pooled slab ordered by an index-based 4-ary min-heap
-// (no interface boxing, records recycled on delivery); per-instruction
-// operand matching, PE residency, context metadata, and wave-to-buffer
-// bindings use internal/tagtable's open-addressed tables and slabs; memory
-// requests and their reply-routing cookies recycle through freelists fed by
-// the ordering engine's releaser hook. An Arena reuses all of this state —
-// plus the network, memory hierarchy, and ordering engine — across runs.
+// Events live in a pooled slab (no interface boxing, records recycled on
+// delivery) ordered by a calendar wheel of per-cycle FIFO buckets, with an
+// index-based 4-ary min-heap holding only the events outside the wheel's
+// window; per-instruction operand matching, context metadata, and
+// wave-to-buffer bindings use internal/tagtable's open-addressed tables and
+// slabs; PE residency is one dense slice; memory requests and their
+// reply-routing cookies recycle through freelists fed by the ordering
+// engine's releaser hook. An Arena reuses all of this state — plus the
+// network, memory hierarchy, and ordering engine — across runs.
 // None of the pooling can perturb results: every pool hands out storage in
 // an order that is a pure function of the (totally ordered) event schedule,
 // and recycled records carry no state across uses.
@@ -249,21 +256,22 @@ const (
 	evSpecProbe // MemSpec deferred-speculation probe (spec.go)
 )
 
+// event is one queue record, 56 bytes. Which fields a kind reads:
+//
+//	evToken      gi, port, tag, vals[0] (the token's value)
+//	evFire       gi, tag, vals (the operand tuple)
+//	evMemArrive  req
+//	evSpecProbe  req, vals[0] (the packed (gen, cookie)); the req pointer is
+//	             only dereferenced after the cookie generation check proves
+//	             the request is still buffered in the ordering engine
 type event struct {
 	time int64
 	kind evKind
-
-	// evToken / evFire payload.
-	fn   isa.FuncID
-	dest isa.Dest
+	port uint8 // destination input port
+	gi   int32 // destination instruction, global index
 	tag  isa.Tag
-	val  int64    // evSpecProbe reuses this for the packed (gen, cookie)
-	vals [3]int64 // evFire operands
-
-	// evMemArrive / evSpecProbe payload. A probe's req pointer is only
-	// dereferenced after its cookie generation check proves the request
-	// is still buffered in the ordering engine.
-	req *waveorder.Request
+	vals [3]int64
+	req  *waveorder.Request
 }
 
 // heapEnt is one heap slot: the ordering key (time, seq) is stored inline
@@ -282,36 +290,41 @@ func entLess(a, b heapEnt) bool {
 	return a.seq < b.seq
 }
 
-// eventQueue is a pooled priority queue: events live in a slab addressed by
-// index (recycled through a freelist when delivered), and a 4-ary min-heap
-// of inline (time, seq) keys orders them. Compared to container/heap this
-// drops the per-push interface boxing and per-event allocation, and the
-// wider fan-out halves sift-down depth on the simulator's deep queues.
-// The tiebreak seq comes from the run-wide counter (sim.seq), so
-// (time, seq) is a strict total order across the whole run and ANY correct
-// heap yields the same pop sequence.
+// eventQueue is a pooled priority queue popping in (time, seq) order:
+// events live in a slab addressed by index (recycled through a freelist
+// when delivered). The tiebreak seq comes from the run-wide counter
+// (sim.seq), so (time, seq) is a strict total order across the whole run
+// and ANY correct priority queue yields the same pop sequence.
+//
+// It is a calendar wheel: events within wheelSize cycles of the drain
+// cursor land in a ring of per-cycle FIFO buckets, making push and pop
+// O(1); a 4-ary min-heap of inline (time, seq) keys holds everything else —
+// the far future, and pushes back-dated behind the cursor (MemIdeal's
+// oracle load replies are timed from the cycle the load fired, which the
+// clock may already have passed). Exactness argument: the seq stamp is
+// monotone in push order, so a bucket's FIFO *is* its (time, seq) order.
+// A far-future heap entry was pushed before the window covered its cycle —
+// i.e. before every direct push to that cycle's bucket — so at each cycle
+// the heap's entries drain first, then the bucket. A back-dated entry is
+// earlier than the cursor, hence earlier than every bucketed event and
+// every far-future one, and pop's "heap front <= cursor" test hands
+// it out next, in (time, seq) order among its peers; a push at exactly the
+// cursor's cycle is not back-dated and joins the tail of the bucket being
+// drained. The cursor never moves backwards and never runs ahead of the
+// caller's clock, the running maximum of popped times.
+// TestWheelQueueDifferential checks all of it against container/heap.
 type eventQueue struct {
 	slab []event
 	free []int32
 	heap []heapEnt
 
-	// Calendar-wheel mode (every memory mode but MemIdeal):
-	// near-future events land in a ring of per-cycle FIFO buckets and the
-	// heap holds only the far-future overflow, making push and pop O(1).
-	// Exactness argument: the run-wide seq stamp is monotone in push
-	// order, so a bucket's FIFO *is* its (time, seq) order; and an
-	// overflow event was pushed before the window covered its cycle —
-	// i.e. before every direct push to that cycle's bucket — so draining
-	// the heap first at each cycle, then the bucket, replays the heap
-	// engine's pop sequence byte for byte. MemIdeal is excluded because
-	// its oracle replies are the one push that can be back-dated below
-	// the drain cursor.
-	wheel   bool
 	cur     int64     // drain cursor: the cycle currently being popped
 	n       int       // events resident in buckets
 	bhead   int       // consumed prefix of the current bucket
 	buckets [][]int32 // ring of slab-index FIFOs, slot = cycle & wheelMask
 	bmap    []uint64  // non-empty bitmap over the ring
+
+	backdated uint64 // pushes that landed behind the cursor (tests read it)
 }
 
 // wheelSize is the ring span in cycles: network hops, penalties, and cache
@@ -323,10 +336,17 @@ const (
 	wheelMask = wheelSize - 1
 )
 
+// reset empties the queue for a new run; the ring is allocated once and
+// reused across runs.
 func (q *eventQueue) reset() {
 	q.slab = q.slab[:0]
 	q.free = q.free[:0]
 	q.heap = q.heap[:0]
+	q.backdated = 0
+	if q.buckets == nil {
+		q.buckets = make([][]int32, wheelSize)
+		q.bmap = make([]uint64, wheelSize/64)
+	}
 	if q.n != 0 || q.cur != 0 || q.bhead != 0 {
 		for w, word := range q.bmap {
 			for word != 0 {
@@ -340,23 +360,12 @@ func (q *eventQueue) reset() {
 	}
 }
 
-// setWheel selects the queue implementation for this run; the ring is
-// allocated once and reused across runs.
-func (q *eventQueue) setWheel(on bool) {
-	q.wheel = on
-	if on && q.buckets == nil {
-		q.buckets = make([][]int32, wheelSize)
-		q.bmap = make([]uint64, wheelSize/64)
-	}
-}
-
 func (q *eventQueue) len() int { return len(q.heap) + q.n }
 
 // alloc returns the index of an event record. Recycled records are NOT
-// zeroed: every push site stamps all the fields its event kind reads
-// (evToken never reads vals/req, evFire never reads val/req, evMemArrive
-// reads only req), so stale bytes from a prior tenant are never observed
-// and the hot path skips a per-event memclr.
+// zeroed: every push site stamps all the fields its event kind reads (the
+// table on the event type), so stale bytes from a prior tenant are never
+// observed and the hot path skips a per-event memclr.
 func (q *eventQueue) alloc() int32 {
 	if n := len(q.free); n > 0 {
 		i := q.free[n-1]
@@ -371,21 +380,22 @@ func (q *eventQueue) alloc() int32 {
 func (q *eventQueue) release(i int32) { q.free = append(q.free, i) }
 
 // push enqueues slab index i under the key (t, seq); the caller stamps seq
-// from the run-wide counter. In wheel mode events within the ring window
-// append to their cycle's FIFO; everything else (far future, plus the
-// defensively-handled past) rides the heap.
+// from the run-wide counter. Events within the ring window append to their
+// cycle's FIFO; everything else (far future and back-dated) rides the heap.
 func (q *eventQueue) push(i int32, t int64, seq uint64) {
-	if q.wheel {
-		if d := t - q.cur; d >= 0 && d < wheelSize {
-			s := int(t) & wheelMask
-			b := q.buckets[s]
-			if len(b) == 0 {
-				q.bmap[s>>6] |= 1 << (uint(s) & 63)
-			}
-			q.buckets[s] = append(b, i)
-			q.n++
-			return
+	d := t - q.cur
+	if uint64(d) < wheelSize {
+		s := int(t) & wheelMask
+		b := q.buckets[s]
+		if len(b) == 0 {
+			q.bmap[s>>6] |= 1 << (uint(s) & 63)
 		}
+		q.buckets[s] = append(b, i)
+		q.n++
+		return
+	}
+	if d < 0 {
+		q.backdated++
 	}
 	q.heapPush(i, t, seq)
 }
@@ -410,19 +420,14 @@ func (q *eventQueue) heapPush(i int32, t int64, seq uint64) {
 // pop removes and returns the minimum event's slab index. The caller must
 // ensure the queue is non-empty, copy the event out before the next alloc
 // (growth may move the slab), and release the index when done.
+//
+// It drains in exact (time, seq) order: heap entries at or before the
+// cursor first (back-dated ones are earlier than anything bucketed; ones at
+// the cursor's cycle were pushed before any of the cycle's direct bucket
+// entries, so their seq stamps are strictly smaller), then the bucket FIFO;
+// when the cycle is dry the cursor jumps straight to the next non-empty
+// bucket or the heap's front time, whichever is earlier.
 func (q *eventQueue) pop() int32 {
-	if q.wheel {
-		return q.wheelPop()
-	}
-	return q.heapPop()
-}
-
-// wheelPop drains the wheel in exact (time, seq) order: at each cycle,
-// overflow-heap entries first (they were pushed before any of the cycle's
-// direct bucket entries, so their seq stamps are strictly smaller), then
-// the bucket FIFO; when the cycle is dry the cursor jumps straight to the
-// next non-empty bucket or the heap's front time, whichever is earlier.
-func (q *eventQueue) wheelPop() int32 {
 	for {
 		if len(q.heap) > 0 && q.heap[0].time <= q.cur {
 			return q.heapPop()
@@ -510,17 +515,44 @@ type operands struct {
 	have uint8
 }
 
-// peState is one processing element. The residency set maps packed
-// instruction refs (instrKey) to nodes of an intrusive recency list, so
-// both the hit path (move to front) and the eviction victim (the tail)
-// are O(1); recency order is total, so the victim cannot depend on any
-// iteration order.
+// dinstr is one predecoded instruction: everything the event loop reads
+// per token, in one record indexed by global instruction index
+// (sim.instrBase[fn] + id), so deliver, fire, and send never touch the
+// isa.Program. Destinations are already resolved to global indices.
+type dinstr struct {
+	op      isa.Opcode
+	immMask uint8 // input ports fed by immediates
+	full    uint8 // mask of all input ports: the tuple is complete at have == full
+	tokens  int8  // tokens one firing consumes: inputs not fed by immediates
+	fn      isa.FuncID
+	id      isa.InstrID
+	// target is OpSendArg's callee parameter pad, or OpNewCtx's return
+	// landing pad in the caller (-1 for every other opcode).
+	target     int32
+	imm        int64
+	immVals    [3]int64
+	dests      []ddest // slices of sim.destArena
+	destsFalse []ddest
+	in         *isa.Instruction // the cold remainder: Mem
+}
+
+// ddest is a predecoded isa.Dest.
+type ddest struct {
+	gi   int32
+	port uint8
+}
+
+// peState is one processing element. Its resident instructions are the
+// nodes of an intrusive recency list (sim.resident maps an instruction to
+// its node), so both the hit path (move to front) and the eviction victim
+// (the tail) are O(1); recency order is total, so the victim cannot depend
+// on any iteration order.
 type peState struct {
-	free     int64 // next cycle the ALU can fire
-	resident tagtable.Table
-	lru      peLRU
-	waiting  int // tokens delivered but not yet consumed by a firing
-	used     bool
+	free    int64 // next cycle the ALU can fire
+	lru     peLRU
+	nres    int // resident instructions (the length of lru)
+	waiting int // tokens delivered but not yet consumed by a firing
+	used    bool
 }
 
 // peLRU is the doubly-linked recency list over one PE's resident
@@ -535,7 +567,7 @@ type peLRU struct {
 }
 
 type lruNode struct {
-	key  uint64
+	gi   int32 // the resident instruction
 	prev int32
 	next int32
 }
@@ -563,7 +595,7 @@ func (l *peLRU) touch(i int32) {
 }
 
 // push inserts a new head node and returns its index.
-func (l *peLRU) push(key uint64) int32 {
+func (l *peLRU) push(gi int32) int32 {
 	i := l.free
 	if i >= 0 {
 		l.free = l.nodes[i].next
@@ -571,7 +603,7 @@ func (l *peLRU) push(key uint64) int32 {
 		l.nodes = append(l.nodes, lruNode{})
 		i = int32(len(l.nodes) - 1)
 	}
-	l.nodes[i] = lruNode{key: key, prev: -1, next: l.head}
+	l.nodes[i] = lruNode{gi: gi, prev: -1, next: l.head}
 	if l.head >= 0 {
 		l.nodes[l.head].prev = i
 	} else {
@@ -581,8 +613,8 @@ func (l *peLRU) push(key uint64) int32 {
 	return i
 }
 
-// popTail unlinks the least recently used node and returns its key.
-func (l *peLRU) popTail() uint64 {
+// popTail unlinks the least recently used node and returns its instruction.
+func (l *peLRU) popTail() int32 {
 	i := l.tail
 	n := &l.nodes[i]
 	l.tail = n.prev
@@ -591,22 +623,22 @@ func (l *peLRU) popTail() uint64 {
 	} else {
 		l.head = -1
 	}
-	key := n.key
+	gi := n.gi
 	n.next = l.free
 	l.free = i
-	return key
+	return gi
 }
 
+// ctxInfo is a live context's call linkage: the caller's landing pad
+// (global index, -1 for the boot context) and the tag to return under.
 type ctxInfo struct {
-	callerFunc isa.FuncID
-	callerTag  isa.Tag
-	retPad     isa.InstrID
+	callerTag isa.Tag
+	retPad    int32
 }
 
 // memCookie carries reply routing and timing through the ordering engine.
 type memCookie struct {
-	fn     isa.FuncID
-	id     isa.InstrID
+	gi     int32 // the requesting instruction
 	tag    isa.Tag
 	fireAt int64
 	arrive int64 // cycle the request reached its store buffer
@@ -633,13 +665,8 @@ type memCookie struct {
 // tagKey packs a dynamic tag into a table key.
 func tagKey(t isa.Tag) uint64 { return uint64(t.Ctx)<<32 | uint64(t.Wave) }
 
-// instrKey packs a static instruction reference into a table key.
-func instrKey(fn isa.FuncID, id isa.InstrID) uint64 {
-	return uint64(uint32(fn))<<32 | uint64(uint32(id))
-}
-
 type sim struct {
-	prog *isa.Program
+	prog *isa.Program // read by predecode, boot, and error text only
 	pol  placement.Policy
 	cfg  Config
 
@@ -665,11 +692,20 @@ type sim struct {
 	homes []int32
 	locs  []noc.Loc
 
+	// code is the predecoded program, indexed like homes; destArena backs
+	// its destination lists.
+	code      []dinstr
+	destArena []ddest
+	instrBase []int
+
 	// opstore is the per-static-instruction operand-matching table: packed
 	// tag -> opSlab index of the partially assembled tuple.
-	opstore   []tagtable.Table
-	opSlab    tagtable.Slab[operands]
-	instrBase []int
+	opstore []tagtable.Table
+	opSlab  tagtable.Slab[operands]
+	// resident maps an instruction to its node in its home PE's recency
+	// list, -1 when it is not in the instruction store. One slice serves
+	// every PE because an instruction is only ever resident at its home.
+	resident  []int32
 	pes       []peState
 	bufBusy   []bufState // per-cluster store-buffer issue bandwidth
 	serialEnd int64      // MemSerial: completion of the in-flight operation
@@ -682,7 +718,10 @@ type sim struct {
 
 	// waveBuf records each dynamic wave's store-buffer cluster (bound at
 	// first touch), keyed by packed tag.
-	waveBuf tagtable.Table
+	waveBuf     tagtable.Table
+	lastWaveOK  bool // the previous bufferCluster call's binding
+	lastWaveKey uint64
+	lastWaveBuf int
 
 	// ckSlab pools memCookies; requests carry slab indices, not pointers,
 	// so cookies never box. reqFree pools the Request records themselves,
@@ -804,12 +843,7 @@ func (s *sim) reset(p *isa.Program, pol placement.Policy, cfg Config) error {
 	s.prog, s.pol, s.cfg = p, pol, cfg
 	s.memImage = p.FillMemory(s.memImage)
 
-	// The queue drains through the calendar wheel: O(1) push/pop with the
-	// heap's exact (time, seq) pop order (see eventQueue). MemIdeal stays
-	// on the heap — its oracle replies are the one push that can land
-	// behind the drain cursor.
 	s.q.reset()
-	s.q.setWheel(cfg.MemMode != MemIdeal)
 	s.opSlab.Reset()
 
 	s.seq = 0
@@ -824,6 +858,7 @@ func (s *sim) reset(p *isa.Program, pol placement.Policy, cfg Config) error {
 	s.ctxTab.Reset()
 	s.ctxSlab.Reset()
 	s.waveBuf.Reset()
+	s.lastWaveOK = false
 	s.ckSlab.Reset()
 	s.ckGen = 0
 
@@ -852,58 +887,34 @@ func (s *sim) reset(p *isa.Program, pol placement.Policy, cfg Config) error {
 		s.res.Faults.DefectivePEs = fault.CountDefects(cfg.Machine.Defective)
 	}
 
-	s.instrBase = s.instrBase[:0]
-	total := 0
-	for i := range p.Funcs {
-		s.instrBase = append(s.instrBase, total)
-		total += len(p.Funcs[i].Instrs)
-	}
+	s.predecode(p)
+	total := len(s.code)
 	// Resize-then-reset: the reset loops run after the new lengths are
 	// established, so they also scrub any stale records a reslice-up just
 	// exposed from the capacity region.
-	if total <= cap(s.opstore) {
-		s.opstore = s.opstore[:total]
-	} else {
-		s.opstore = make([]tagtable.Table, total)
-	}
+	s.opstore = resize(s.opstore, total)
 	for i := range s.opstore {
 		s.opstore[i].Reset()
 	}
-	if total <= cap(s.homes) {
-		s.homes = s.homes[:total]
-	} else {
-		s.homes = make([]int32, total)
-	}
+	s.homes = resize(s.homes, total)
+	s.resident = resize(s.resident, total)
 	for i := range s.homes {
 		s.homes[i] = -1
+		s.resident[i] = -1
 	}
 	npe := cfg.Machine.NumPEs()
-	if npe <= cap(s.locs) {
-		s.locs = s.locs[:npe]
-	} else {
-		s.locs = make([]noc.Loc, npe)
-	}
+	s.locs = resize(s.locs, npe)
 	for i := range s.locs {
 		s.locs[i] = cfg.Machine.Loc(i)
 	}
-	if npe <= cap(s.pes) {
-		s.pes = s.pes[:npe]
-	} else {
-		s.pes = make([]peState, npe)
-	}
+	s.pes = resize(s.pes, npe)
 	for i := range s.pes {
 		ps := &s.pes[i]
-		ps.free, ps.waiting, ps.used = 0, 0, false
-		ps.resident.Reset()
+		ps.free, ps.nres, ps.waiting, ps.used = 0, 0, 0, false
 		ps.lru.reset()
 	}
-	nc := cfg.Machine.NumClusters()
-	if nc <= cap(s.bufBusy) {
-		s.bufBusy = s.bufBusy[:nc]
-		clear(s.bufBusy)
-	} else {
-		s.bufBusy = make([]bufState, nc)
-	}
+	s.bufBusy = resize(s.bufBusy, cfg.Machine.NumClusters())
+	clear(s.bufBusy)
 
 	if s.engine == nil {
 		s.engine = waveorder.NewEngine(0, s.issueMem)
@@ -925,6 +936,70 @@ func (s *sim) reset(p *isa.Program, pol placement.Policy, cfg Config) error {
 	return nil
 }
 
+// resize returns s with length n, reusing its backing array when it fits;
+// the caller resets every element.
+func resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// predecode rebuilds instrBase, code and destArena for p. It runs on every
+// reset — a few hundred records — so a caller may change a program between
+// two runs on one Arena.
+func (s *sim) predecode(p *isa.Program) {
+	s.instrBase = s.instrBase[:0]
+	total, ndests := 0, 0
+	for fi := range p.Funcs {
+		s.instrBase = append(s.instrBase, total)
+		total += len(p.Funcs[fi].Instrs)
+		for ii := range p.Funcs[fi].Instrs {
+			in := &p.Funcs[fi].Instrs[ii]
+			ndests += len(in.Dests) + len(in.DestsFalse)
+		}
+	}
+	s.code = resize(s.code, total)
+	// Sized before any list is cut from it: the dinstrs hold slices of it.
+	arena := resize(s.destArena, ndests)[:0]
+	for fi := range p.Funcs {
+		base := s.instrBase[fi]
+		list := func(ds []isa.Dest) []ddest {
+			start := len(arena)
+			for _, d := range ds {
+				arena = append(arena, ddest{gi: int32(base + int(d.Instr)), port: d.Port})
+			}
+			return arena[start:len(arena):len(arena)]
+		}
+		for ii := range p.Funcs[fi].Instrs {
+			in := &p.Funcs[fi].Instrs[ii]
+			need := in.Op.NumInputs()
+			di := dinstr{
+				op: in.Op, immMask: in.ImmMask, full: uint8(1)<<need - 1,
+				tokens: int8(need - bits.OnesCount8(in.ImmMask)),
+				fn:     isa.FuncID(fi), id: isa.InstrID(ii), target: -1,
+				imm: in.Imm, immVals: in.ImmVals,
+				dests: list(in.Dests), destsFalse: list(in.DestsFalse),
+				in: in,
+			}
+			// An out-of-range target is left at -1 and faults when (if) the
+			// instruction fires, as indexing the program did.
+			switch in.Op {
+			case isa.OpSendArg:
+				if t := int(in.Target); t >= 0 && t < len(p.Funcs) {
+					if pad := int(in.TargetPad); pad >= 0 && pad < len(p.Funcs[t].Params) {
+						di.target = int32(s.instrBase[t] + int(p.Funcs[t].Params[pad]))
+					}
+				}
+			case isa.OpNewCtx:
+				di.target = int32(base + int(in.TargetPad))
+			}
+			s.code[base+ii] = di
+		}
+	}
+	s.destArena = arena
+}
+
 // allocReq takes a request record from the pool (or allocates one). The
 // caller overwrites every field.
 func (s *sim) allocReq() *waveorder.Request {
@@ -939,11 +1014,10 @@ func (s *sim) allocReq() *waveorder.Request {
 func (s *sim) run() (Result, error) {
 	// Boot: context 0 trigger lands on the entry function's pad 0.
 	mi := s.ctxSlab.Alloc()
-	*s.ctxSlab.At(mi) = ctxInfo{callerFunc: isa.NoFunc, retPad: isa.NoInstr}
+	*s.ctxSlab.At(mi) = ctxInfo{retPad: -1}
 	s.ctxTab.Put(0, int64(mi))
 	entry := s.prog.Entry
-	s.pushToken(0, entry,
-		isa.Dest{Instr: s.prog.Funcs[entry].Params[0], Port: 0},
+	s.pushToken(0, int32(s.instrBase[entry]+int(s.prog.Funcs[entry].Params[0])), 0,
 		isa.Tag{Ctx: 0, Wave: 0}, 0)
 
 	if err := s.loop(); err != nil {
@@ -1078,7 +1152,8 @@ func (s *sim) processEvent(e *event) error {
 // the one captured at arrival (issueMem zeroes it at issue, and slab
 // reuse re-stamps it with a fresh generation).
 func (s *sim) specProbeLive(e *event) bool {
-	return s.ckSlab.At(int32(uint32(uint64(e.val)))).gen == uint32(uint64(e.val)>>32)
+	pv := uint64(e.vals[0])
+	return s.ckSlab.At(int32(uint32(pv))).gen == uint32(pv>>32)
 }
 
 func (s *sim) cancelErr() error {
@@ -1092,20 +1167,20 @@ func (s *sim) watchdogErr(t int64) error {
 		Detail: fmt.Sprintf("no completion within %d cycles\n%s", s.cfg.MaxCycles, s.diagnose())}
 }
 
-func (s *sim) pushToken(t int64, fn isa.FuncID, d isa.Dest, tag isa.Tag, val int64) {
+func (s *sim) pushToken(t int64, gi int32, port uint8, tag isa.Tag, val int64) {
 	q := &s.q
 	i := q.alloc()
 	e := &q.slab[i]
-	e.time, e.kind, e.fn, e.dest, e.tag, e.val = t, evToken, fn, d, tag, val
+	e.time, e.kind, e.port, e.gi, e.tag, e.vals[0] = t, evToken, port, gi, tag, val
 	q.push(i, t, s.seq)
 	s.seq++
 }
 
-func (s *sim) pushFire(t int64, fn isa.FuncID, d isa.Dest, tag isa.Tag, vals [3]int64) {
+func (s *sim) pushFire(t int64, gi int32, tag isa.Tag, vals [3]int64) {
 	q := &s.q
 	i := q.alloc()
 	e := &q.slab[i]
-	e.time, e.kind, e.fn, e.dest, e.tag, e.vals = t, evFire, fn, d, tag, vals
+	e.time, e.kind, e.gi, e.tag, e.vals = t, evFire, gi, tag, vals
 	q.push(i, t, s.seq)
 	s.seq++
 }
@@ -1120,15 +1195,14 @@ func (s *sim) pushMem(t int64, req *waveorder.Request) {
 }
 
 // pushSpecProbe schedules a deferred-speculation probe for a buffered
-// request (MemSpec only); the packed (generation, cookie) rides the val
-// field.
+// request (MemSpec only); the packed (generation, cookie) rides vals[0].
 func (s *sim) pushSpecProbe(t int64, req *waveorder.Request) {
 	ci := int32(req.Cookie)
 	pv := int64(uint64(s.ckSlab.At(ci).gen)<<32 | uint64(uint32(ci)))
 	q := &s.q
 	i := q.alloc()
 	e := &q.slab[i]
-	e.time, e.kind, e.val, e.req = t, evSpecProbe, pv, req
+	e.time, e.kind, e.vals[0], e.req = t, evSpecProbe, pv, req
 	q.push(i, t, s.seq)
 	s.seq++
 }
@@ -1137,12 +1211,12 @@ func (s *sim) pushSpecProbe(t int64, req *waveorder.Request) {
 // back to the placement policy on first reference. Repeat policy lookups
 // are pure memo reads for every shipped policy, so caching them preserves
 // results exactly while skipping the map probe on the hot path.
-func (s *sim) homePE(fn isa.FuncID, id isa.InstrID) int {
-	gi := s.instrBase[fn] + int(id)
+func (s *sim) homePE(gi int32) int {
 	if pe := s.homes[gi]; pe >= 0 {
 		return int(pe)
 	}
-	pe := s.pol.Assign(profile.InstrRef{Func: fn, Instr: id})
+	di := &s.code[gi]
+	pe := s.pol.Assign(profile.InstrRef{Func: di.fn, Instr: di.id})
 	s.homes[gi] = int32(pe)
 	return pe
 }
@@ -1152,9 +1226,19 @@ func (s *sim) loc(pe int) noc.Loc { return s.locs[pe] }
 // deliver lands a token at its destination PE, applying queue-overflow
 // penalties, tag matching, instruction-store residency, and PE firing
 // bandwidth; a complete operand tuple schedules the firing.
+//
+// Matching-table bypass: an instruction whose other inputs are all
+// immediates completes its tuple on this very token, so the table's
+// Get/Put/Delete round trip — which would create an entry and remove it
+// again before returning — is skipped. Everything observable is kept: the
+// overflow check sees the same waiting count, waiting still rises by one
+// token and falls by the firing's, and a token aimed at an immediate port
+// (or a port the opcode does not have) fails the bypass test and takes the
+// table path, where it collides or parks exactly as before.
 func (s *sim) deliver(e *event) error {
 	s.res.Tokens++
-	pe := s.homePE(e.fn, e.dest.Instr)
+	gi := e.gi
+	pe := s.homePE(gi)
 	ps := &s.pes[pe]
 	ps.used = true
 
@@ -1168,47 +1252,52 @@ func (s *sim) deliver(e *event) error {
 	ps.waiting++
 	s.tr.Token(e.time, pe, ps.waiting)
 
-	gi := s.instrBase[e.fn] + int(e.dest.Instr)
-	in := &s.prog.Funcs[e.fn].Instrs[e.dest.Instr]
-	tbl := &s.opstore[gi]
-	key := tagKey(e.tag)
-	oi, ok := tbl.Get(key)
-	if !ok {
-		oi = int64(s.opSlab.Alloc())
+	di := &s.code[gi]
+	bit := uint8(1) << e.port
+	var vals [3]int64
+	if di.immMask|bit == di.full && di.immMask&bit == 0 {
+		vals = di.immVals
+		vals[e.port] = e.vals[0]
+	} else {
+		tbl := &s.opstore[gi]
+		key := tagKey(e.tag)
+		oi, ok := tbl.Get(key)
+		if !ok {
+			oi = int64(s.opSlab.Alloc())
+			ops := s.opSlab.At(int32(oi))
+			ops.have, ops.vals = di.immMask, di.immVals
+			tbl.Put(key, oi)
+		}
 		ops := s.opSlab.At(int32(oi))
-		ops.have, ops.vals = in.ImmMask, in.ImmVals
-		tbl.Put(key, oi)
+		if ops.have&bit != 0 {
+			return fmt.Errorf("wavecache: token collision at %s/i%d port %d tag %v",
+				s.prog.Funcs[di.fn].Name, di.id, e.port, e.tag)
+		}
+		ops.have |= bit
+		ops.vals[e.port] = e.vals[0]
+		if ops.have != di.full {
+			return nil
+		}
+		vals = ops.vals
+		tbl.Delete(key)
+		s.opSlab.Release(int32(oi))
 	}
-	ops := s.opSlab.At(int32(oi))
-	bit := uint8(1) << e.dest.Port
-	if ops.have&bit != 0 {
-		return fmt.Errorf("wavecache: token collision at %s/i%d port %d tag %v",
-			s.prog.Funcs[e.fn].Name, e.dest.Instr, e.dest.Port, e.tag)
-	}
-	ops.have |= bit
-	ops.vals[e.dest.Port] = e.val
-	need := in.Op.NumInputs()
-	if ops.have != (uint8(1)<<need)-1 {
-		return nil
-	}
-	vals := ops.vals
-	tbl.Delete(key)
-	s.opSlab.Release(int32(oi))
-	ps.waiting -= need - bits.OnesCount8(in.ImmMask)
+	ps.waiting -= int(di.tokens)
 
 	// Residency: fetch the instruction into the PE store if absent.
-	ref := instrKey(e.fn, e.dest.Instr)
-	if ni, resident := ps.resident.Get(ref); resident {
-		ps.lru.touch(int32(ni))
+	if ni := s.resident[gi]; ni >= 0 {
+		ps.lru.touch(ni)
 	} else {
 		s.res.Swaps++
 		t += s.cfg.SwapPenalty
 		s.tr.Swap(e.time, pe)
-		if ps.resident.Len() >= s.cfg.PEStore {
+		if ps.nres >= s.cfg.PEStore {
 			// Evict the least recently used instruction: the list tail.
-			ps.resident.Delete(ps.lru.popTail())
+			s.resident[ps.lru.popTail()] = -1
+			ps.nres--
 		}
-		ps.resident.Put(ref, int64(ps.lru.push(ref)))
+		s.resident[gi] = ps.lru.push(gi)
+		ps.nres++
 	}
 
 	// One firing per PE per cycle.
@@ -1217,21 +1306,20 @@ func (s *sim) deliver(e *event) error {
 		fireAt = ps.free
 	}
 	ps.free = fireAt + 1
-	s.pushFire(fireAt, e.fn, e.dest, e.tag, vals)
+	s.pushFire(fireAt, gi, e.tag, vals)
 	return nil
 }
 
 // send routes an output token through the operand network. Under fault
 // injection each message rides the ack/retransmit protocol; retry
 // exhaustion surfaces as a structured *fault.FaultError.
-func (s *sim) send(fromPE int, fn isa.FuncID, dests []isa.Dest, tag isa.Tag, val int64, t int64) error {
+func (s *sim) send(fromPE int, dests []ddest, tag isa.Tag, val int64, t int64) error {
 	for _, d := range dests {
-		dstPE := s.homePE(fn, d.Instr)
-		arr, err := s.sendOperand(fromPE, dstPE, t)
+		arr, err := s.sendOperand(fromPE, s.homePE(d.gi), t)
 		if err != nil {
 			return err
 		}
-		s.pushToken(arr, fn, d, tag, val)
+		s.pushToken(arr, d.gi, d.port, tag, val)
 	}
 	return nil
 }
@@ -1282,8 +1370,13 @@ func (s *sim) killPE() error {
 	ps := &s.pes[pe]
 	s.res.Faults.PEKills++
 	s.tr.Kill(at, pe)
-	s.res.Faults.MigratedInstrs += uint64(ps.resident.Len())
-	ps.resident.Reset()
+	s.res.Faults.MigratedInstrs += uint64(ps.nres)
+	// Only the dead PE's instructions lose their homes (the Reconfigurable
+	// contract), so only its recency list has residency entries to clear.
+	for ni := ps.lru.head; ni >= 0; ni = ps.lru.nodes[ni].next {
+		s.resident[ps.lru.nodes[ni].gi] = -1
+	}
+	ps.nres = 0
 	ps.lru.reset()
 	ps.waiting = 0
 	ps.free = 0
@@ -1316,7 +1409,7 @@ func (s *sim) diagnose() string {
 		if s.pes[i].waiting > 0 {
 			if stuck < 16 {
 				fmt.Fprintf(&b, "  pe %d: %d waiting tokens, %d resident instructions\n",
-					i, s.pes[i].waiting, s.pes[i].resident.Len())
+					i, s.pes[i].waiting, s.pes[i].nres)
 			}
 			stuck++
 		}
@@ -1349,26 +1442,36 @@ func (s *sim) diagnose() string {
 // cluster of the first PE to send one of the wave's memory messages owns
 // the whole wave, matching the WaveCache's locality-seeking dynamic wave
 // assignment.
+//
+// A wave's memory messages arrive in runs, so the previous call's binding
+// is kept in front of the table. It is always the binding the table holds
+// for that wave — every call ends by storing what it returns, including the
+// one that clears the table and re-inserts its own — so the shortcut cannot
+// change an answer.
 func (s *sim) bufferCluster(tag isa.Tag, requesterPE int) int {
 	key := tagKey(tag)
-	if buf, ok := s.waveBuf.Get(key); ok {
-		return int(buf)
+	if s.lastWaveOK && s.lastWaveKey == key {
+		return s.lastWaveBuf
 	}
-	buf := s.loc(requesterPE).Cluster
-	s.waveBuf.Put(key, int64(buf))
-	if s.waveBuf.Len() > 1<<16 {
-		// In-flight waves are few; a large table means retired entries
-		// linger. Clearing is safe: rebinding only risks a different (still
-		// valid) cluster for stragglers.
-		s.waveBuf.Reset()
-		s.waveBuf.Put(key, int64(buf))
+	buf, ok := s.waveBuf.Get(key)
+	if !ok {
+		buf = int64(s.loc(requesterPE).Cluster)
+		s.waveBuf.Put(key, buf)
+		if s.waveBuf.Len() > 1<<16 {
+			// In-flight waves are few; a large table means retired entries
+			// linger. Clearing is safe: rebinding only risks a different (still
+			// valid) cluster for stragglers.
+			s.waveBuf.Reset()
+			s.waveBuf.Put(key, buf)
+		}
 	}
-	return buf
+	s.lastWaveOK, s.lastWaveKey, s.lastWaveBuf = true, key, int(buf)
+	return int(buf)
 }
 
 // submitMem routes a memory message from a PE to its wave's store buffer:
 // a dedicated short path within the cluster, the mesh across clusters.
-func (s *sim) submitMem(pe int, fn isa.FuncID, id isa.InstrID, in *isa.Instruction, tag isa.Tag, addr, val int64, childCtx uint32, t int64) error {
+func (s *sim) submitMem(pe int, gi int32, in *isa.Instruction, tag isa.Tag, addr, val int64, childCtx uint32, t int64) error {
 	buf := s.bufferCluster(tag, pe)
 	arr, err := s.memHop(s.loc(pe), noc.Loc{Cluster: buf}, t, pe)
 	if err != nil {
@@ -1376,7 +1479,7 @@ func (s *sim) submitMem(pe int, fn isa.FuncID, id isa.InstrID, in *isa.Instructi
 	}
 	ci := s.ckSlab.Alloc()
 	s.ckGen++
-	*s.ckSlab.At(ci) = memCookie{fn: fn, id: id, tag: tag, fireAt: t, arrive: arr, pe: pe, buf: buf, gen: s.ckGen}
+	*s.ckSlab.At(ci) = memCookie{gi: gi, tag: tag, fireAt: t, arrive: arr, pe: pe, buf: buf, gen: s.ckGen}
 	req := s.allocReq()
 	*req = waveorder.Request{
 		Ctx: tag.Ctx, Wave: tag.Wave,
@@ -1395,70 +1498,65 @@ func (s *sim) fire(e *event) error {
 	if s.fuel < 0 {
 		return fmt.Errorf("wavecache: execution exceeded instruction budget")
 	}
-	fn, id, tag, vals := e.fn, e.dest.Instr, e.tag, e.vals
-	in := &s.prog.Funcs[fn].Instrs[id]
-	pe := s.homePE(fn, id)
+	gi, tag, vals := e.gi, e.tag, e.vals
+	di := &s.code[gi]
+	pe := s.homePE(gi)
 	t := e.time
 	if s.tr != nil {
 		l := s.loc(pe)
 		s.tr.Fire(t, pe, l.Cluster, l.Domain)
 	}
 
-	switch {
-	case in.Op == isa.OpNop:
-		return s.send(pe, fn, in.Dests, tag, vals[0], t)
-	case in.Op == isa.OpConst:
-		return s.send(pe, fn, in.Dests, tag, in.Imm, t)
-	case isa.IsALU(in.Op):
-		return s.send(pe, fn, in.Dests, tag, isa.EvalALU(in.Op, vals[0], vals[1]), t)
-	case in.Op == isa.OpSteer:
+	switch di.op {
+	case isa.OpNop:
+		return s.send(pe, di.dests, tag, vals[0], t)
+	case isa.OpConst:
+		return s.send(pe, di.dests, tag, di.imm, t)
+	case isa.OpSteer:
 		if vals[0] != 0 {
-			return s.send(pe, fn, in.Dests, tag, vals[1], t)
+			return s.send(pe, di.dests, tag, vals[1], t)
 		}
-		return s.send(pe, fn, in.DestsFalse, tag, vals[1], t)
-	case in.Op == isa.OpSelect:
+		return s.send(pe, di.destsFalse, tag, vals[1], t)
+	case isa.OpSelect:
 		v := vals[2]
 		if vals[0] != 0 {
 			v = vals[1]
 		}
-		return s.send(pe, fn, in.Dests, tag, v, t)
-	case in.Op == isa.OpWaveAdvance:
-		return s.send(pe, fn, in.Dests, tag.Advance(), vals[0], t)
-	case in.Op == isa.OpLoad:
-		return s.submitMem(pe, fn, id, in, tag, vals[0], 0, 0, t)
-	case in.Op == isa.OpStore:
-		if err := s.submitMem(pe, fn, id, in, tag, vals[0], vals[1], 0, t); err != nil {
+		return s.send(pe, di.dests, tag, v, t)
+	case isa.OpWaveAdvance:
+		return s.send(pe, di.dests, tag.Advance(), vals[0], t)
+	case isa.OpLoad:
+		return s.submitMem(pe, gi, di.in, tag, vals[0], 0, 0, t)
+	case isa.OpStore:
+		if err := s.submitMem(pe, gi, di.in, tag, vals[0], vals[1], 0, t); err != nil {
 			return err
 		}
-		return s.send(pe, fn, in.Dests, tag, vals[1], t)
-	case in.Op == isa.OpMemNop:
-		if err := s.submitMem(pe, fn, id, in, tag, 0, 0, 0, t); err != nil {
+		return s.send(pe, di.dests, tag, vals[1], t)
+	case isa.OpMemNop:
+		if err := s.submitMem(pe, gi, di.in, tag, 0, 0, 0, t); err != nil {
 			return err
 		}
-		return s.send(pe, fn, in.Dests, tag, vals[0], t)
-	case in.Op == isa.OpNewCtx:
+		return s.send(pe, di.dests, tag, vals[0], t)
+	case isa.OpNewCtx:
 		ctx := s.nextCtx
 		s.nextCtx++
 		mi := s.ctxSlab.Alloc()
-		*s.ctxSlab.At(mi) = ctxInfo{callerFunc: fn, callerTag: tag, retPad: isa.InstrID(in.TargetPad)}
+		*s.ctxSlab.At(mi) = ctxInfo{callerTag: tag, retPad: di.target}
 		s.ctxTab.Put(uint64(ctx), int64(mi))
-		if in.Mem.Kind == isa.MemCall {
-			if err := s.submitMem(pe, fn, id, in, tag, 0, 0, ctx, t); err != nil {
+		if di.in.Mem.Kind == isa.MemCall {
+			if err := s.submitMem(pe, gi, di.in, tag, 0, 0, ctx, t); err != nil {
 				return err
 			}
 		}
-		return s.send(pe, fn, in.Dests, tag, int64(ctx), t)
-	case in.Op == isa.OpSendArg:
-		callee := in.Target
-		ctx := uint32(vals[0])
-		pad := s.prog.Funcs[callee].Params[in.TargetPad]
-		dstPE := s.homePE(callee, pad)
-		arr, err := s.sendOperand(pe, dstPE, t)
+		return s.send(pe, di.dests, tag, int64(ctx), t)
+	case isa.OpSendArg:
+		arr, err := s.sendOperand(pe, s.homePE(di.target), t)
 		if err != nil {
 			return err
 		}
-		s.pushToken(arr, callee, isa.Dest{Instr: pad, Port: 0}, isa.Tag{Ctx: ctx, Wave: 0}, vals[1])
-	case in.Op == isa.OpReturn:
+		s.pushToken(arr, di.target, 0, isa.Tag{Ctx: uint32(vals[0]), Wave: 0}, vals[1])
+		return nil
+	case isa.OpReturn:
 		mv, ok := s.ctxTab.Get(uint64(tag.Ctx))
 		if !ok {
 			return fmt.Errorf("wavecache: return in unknown context %d", tag.Ctx)
@@ -1466,26 +1564,27 @@ func (s *sim) fire(e *event) error {
 		meta := *s.ctxSlab.At(int32(mv))
 		s.ctxTab.Delete(uint64(tag.Ctx))
 		s.ctxSlab.Release(int32(mv))
-		if in.Mem.Kind == isa.MemEnd {
-			if err := s.submitMem(pe, fn, id, in, tag, 0, 0, 0, t); err != nil {
+		if di.in.Mem.Kind == isa.MemEnd {
+			if err := s.submitMem(pe, gi, di.in, tag, 0, 0, 0, t); err != nil {
 				return err
 			}
 		}
-		if meta.retPad == isa.NoInstr {
+		if meta.retPad < 0 {
 			s.done = true
 			s.result = vals[0]
 			return nil
 		}
-		dstPE := s.homePE(meta.callerFunc, meta.retPad)
-		arr, err := s.sendOperand(pe, dstPE, t)
+		arr, err := s.sendOperand(pe, s.homePE(meta.retPad), t)
 		if err != nil {
 			return err
 		}
-		s.pushToken(arr, meta.callerFunc, isa.Dest{Instr: meta.retPad, Port: 0}, meta.callerTag, vals[0])
-	default:
-		return fmt.Errorf("wavecache: cannot execute opcode %s", in.Op)
+		s.pushToken(arr, meta.retPad, 0, meta.callerTag, vals[0])
+		return nil
 	}
-	return nil
+	if isa.IsALU(di.op) {
+		return s.send(pe, di.dests, tag, isa.EvalALU(di.op, vals[0], vals[1]), t)
+	}
+	return fmt.Errorf("wavecache: cannot execute opcode %s", di.op)
 }
 
 // issueMem runs when the ordering engine releases a request in program
@@ -1536,9 +1635,8 @@ func (s *sim) issueMem(r *waveorder.Request) {
 		if r.Addr >= 0 && r.Addr < int64(len(s.memImage)) {
 			v = s.memImage[r.Addr]
 		}
-		in := &s.prog.Funcs[ck.fn].Instrs[ck.id]
-		for _, d := range in.Dests {
-			dstPE := s.homePE(ck.fn, d.Instr)
+		for _, d := range s.code[ck.gi].dests {
+			dstPE := s.homePE(d.gi)
 			arr, err := s.memHop(noc.Loc{Cluster: buf}, s.loc(dstPE), done, dstPE)
 			if err != nil {
 				// issueMem is a callback without an error path; park the
@@ -1548,7 +1646,7 @@ func (s *sim) issueMem(r *waveorder.Request) {
 				}
 				return
 			}
-			s.pushToken(arr, ck.fn, d, ck.tag, v)
+			s.pushToken(arr, d.gi, d.port, ck.tag, v)
 		}
 	case isa.MemStore:
 		if s.cfg.MemMode == MemSpec {

@@ -1,127 +1,249 @@
 package wavecache
 
 import (
+	"container/heap"
 	"math/rand"
 	"testing"
+
+	"wavescalar/internal/placement"
+	"wavescalar/internal/workloads"
 )
 
-// TestWheelQueueDifferential drives a calendar-wheel queue and a heap
-// queue with the identical randomized push/pop schedule and requires the
-// identical pop sequence. Pushes follow the engine's contract — times at
-// or after the last popped event's time, seq stamps monotone — but are
-// otherwise adversarial: bursts at the current cycle, deltas straddling
-// the ring window (forcing heap overflow), long dead stretches that make
-// the cursor jump, and occasional duplicate times.
+// refQueue is the reference the wheel is checked against: container/heap
+// over (time, seq), the order the engine defines.
+type refQueue []refEnt
+
+type refEnt struct {
+	time int64
+	seq  uint64
+}
+
+func (h refQueue) Len() int      { return len(h) }
+func (h refQueue) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h refQueue) Less(i, j int) bool {
+	if h[i].time != h[j].time {
+		return h[i].time < h[j].time
+	}
+	return h[i].seq < h[j].seq
+}
+func (h *refQueue) Push(x any) { *h = append(*h, x.(refEnt)) }
+func (h *refQueue) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+// queuePair drives an eventQueue and the reference with one schedule. Each
+// event's seq rides in vals[0] so a pop can be checked against the
+// reference's.
+type queuePair struct {
+	t   *testing.T
+	q   eventQueue
+	ref refQueue
+	seq uint64
+}
+
+func newQueuePair(t *testing.T) *queuePair {
+	p := &queuePair{t: t}
+	p.q.reset()
+	return p
+}
+
+func (p *queuePair) push(tm int64) {
+	i := p.q.alloc()
+	p.q.slab[i] = event{time: tm, vals: [3]int64{int64(p.seq)}}
+	p.q.push(i, tm, p.seq)
+	heap.Push(&p.ref, refEnt{tm, p.seq})
+	p.seq++
+}
+
+// pop pops both queues, requires the same event, and returns it.
+func (p *queuePair) pop() refEnt {
+	p.t.Helper()
+	if p.q.len() != p.ref.Len() {
+		p.t.Fatalf("len mismatch: wheel=%d reference=%d", p.q.len(), p.ref.Len())
+	}
+	i := p.q.pop()
+	got := refEnt{p.q.slab[i].time, uint64(p.q.slab[i].vals[0])}
+	p.q.release(i)
+	if want := heap.Pop(&p.ref).(refEnt); got != want {
+		p.t.Fatalf("wheel popped (t=%d seq=%d), reference popped (t=%d seq=%d)",
+			got.time, got.seq, want.time, want.seq)
+	}
+	return got
+}
+
+// TestWheelQueueDifferential drives the calendar-wheel queue and the
+// reference heap with the identical randomized push/pop schedule and
+// requires the identical pop sequence. Pushes follow the engine's real
+// contract — seq stamps monotone, times anywhere relative to the clock,
+// where the clock (now) is the running maximum of popped times, exactly
+// sim.now — and are adversarial on both sides of it: bursts at the current
+// cycle, deltas straddling the ring window (forcing heap overflow), long
+// dead stretches that make the cursor jump, duplicate times, and the
+// back-dated pushes MemIdeal's oracle replies make: single ones a few
+// cycles behind the cursor, bursts of them, one landing exactly on the
+// cursor, and one more than a whole ring behind it.
 func TestWheelQueueDifferential(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(900 + trial)))
-		var wq, hq eventQueue
-		wq.setWheel(true)
-
-		var seq uint64
+		p := newQueuePair(t)
 		now := int64(0)
-		push := func(tm int64) {
-			for _, q := range []*eventQueue{&wq, &hq} {
-				i := q.alloc()
-				q.slab[i] = event{time: tm, val: int64(seq)}
-				q.push(i, tm, seq)
-			}
-			seq++
-		}
 		pop := func() {
-			wi, hi := wq.pop(), hq.pop()
-			we, he := wq.slab[wi], hq.slab[hi]
-			if we.time != he.time || we.val != he.val {
-				t.Fatalf("trial %d: wheel popped (t=%d seq=%d), heap popped (t=%d seq=%d)",
-					trial, we.time, we.val, he.time, he.val)
+			if e := p.pop(); e.time > now {
+				now = e.time
 			}
-			if we.time < now {
-				t.Fatalf("trial %d: pop went backwards: %d after %d", trial, we.time, now)
+			if p.q.cur > now {
+				t.Fatalf("trial %d: cursor %d ran ahead of the clock %d", trial, p.q.cur, now)
 			}
-			now = we.time
-			wq.release(wi)
-			hq.release(hi)
+		}
+		back := func(d int64) {
+			if tm := now - d; tm >= 0 {
+				p.push(tm)
+			}
 		}
 
-		push(0)
+		p.push(0)
 		for op := 0; op < 8000; op++ {
-			if wq.len() != hq.len() {
-				t.Fatalf("trial %d: len mismatch wheel=%d heap=%d", trial, wq.len(), hq.len())
-			}
-			if wq.len() == 0 || (rng.Intn(3) > 0 && wq.len() < 400) {
-				var d int64
-				switch rng.Intn(10) {
+			if p.q.len() == 0 || (rng.Intn(3) > 0 && p.q.len() < 400) {
+				switch rng.Intn(14) {
 				case 0: // far future: overflows the ring window
-					d = int64(wheelSize + rng.Intn(3*wheelSize))
+					p.push(now + int64(wheelSize+rng.Intn(3*wheelSize)))
 				case 1: // straddle the window edge
-					d = int64(wheelSize - 2 + rng.Intn(5))
+					p.push(now + int64(wheelSize-2+rng.Intn(5)))
 				case 2: // long dead stretch: cursor must jump
-					d = int64(500 + rng.Intn(2000))
+					p.push(now + int64(500+rng.Intn(2000)))
+				case 3: // back-dated behind the cursor
+					back(int64(rng.Intn(64)))
+				case 4: // a burst of back-dated pushes, with same-cycle company
+					for n := 2 + rng.Intn(6); n > 0; n-- {
+						back(int64(rng.Intn(64)))
+						p.push(now)
+					}
+				case 5: // exactly on the cursor: not back-dated, joins its bucket
+					p.push(p.q.cur)
+				case 6: // more than a whole ring behind: must not alias a live bucket
+					back(int64(wheelSize + 1 + rng.Intn(wheelSize)))
 				default: // near future, heavy same-cycle traffic
-					d = int64(rng.Intn(4))
+					p.push(now + int64(rng.Intn(4)))
 				}
-				push(now + d)
 			} else {
 				pop()
 			}
 		}
-		for wq.len() > 0 {
+		if p.q.backdated == 0 {
+			t.Fatalf("trial %d: schedule never pushed behind the cursor", trial)
+		}
+		for p.q.len() > 0 {
 			pop()
 		}
-		if hq.len() != 0 {
-			t.Fatalf("trial %d: heap retains %d events after wheel drained", trial, hq.len())
+		if p.ref.Len() != 0 {
+			t.Fatalf("trial %d: reference retains %d events after wheel drained", trial, p.ref.Len())
 		}
 	}
 }
 
-// TestWheelQueuePastPush pins the defensive path: a push behind the drain
-// cursor (impossible for the gated engine, but the queue must stay exact
-// if a future memory model produces one) boards the overflow heap and
-// still pops in global (time, seq) order, before anything at the cursor.
+// TestWheelQueuePastPush pins the back-dated path on a schedule small
+// enough to read: pushes behind the drain cursor (MemIdeal's oracle
+// replies) board the overflow heap and pop in global (time, seq) order,
+// before anything at the cursor.
 func TestWheelQueuePastPush(t *testing.T) {
-	var wq, hq eventQueue
-	wq.setWheel(true)
-
-	var seq uint64
-	push := func(tm int64) {
-		for _, q := range []*eventQueue{&wq, &hq} {
-			i := q.alloc()
-			q.slab[i] = event{time: tm, val: int64(seq)}
-			q.push(i, tm, seq)
-		}
-		seq++
-	}
-	popBoth := func() (int64, int64) {
-		wi, hi := wq.pop(), hq.pop()
-		we, he := wq.slab[wi], hq.slab[hi]
-		if we.time != he.time || we.val != he.val {
-			t.Fatalf("wheel popped (t=%d seq=%d), heap popped (t=%d seq=%d)",
-				we.time, we.val, he.time, he.val)
-		}
-		wq.release(wi)
-		hq.release(hi)
-		return we.time, we.val
-	}
-
-	push(10)
-	push(10)
-	if tm, _ := popBoth(); tm != 10 {
-		t.Fatalf("expected t=10 first, got %d", tm)
+	p := newQueuePair(t)
+	p.push(10)
+	p.push(10)
+	if e := p.pop(); e.time != 10 {
+		t.Fatalf("expected t=10 first, got %d", e.time)
 	}
 	// Cursor now at 10; back-date below it, plus same-cycle and future
 	// company, and verify the back-dated pair drains first in seq order.
-	push(3)
-	push(10)
-	push(3)
-	push(12)
-	want := []struct{ tm, sq int64 }{{3, 2}, {3, 4}, {10, 1}, {10, 3}, {12, 5}}
-	for _, w := range want {
-		tm, sq := popBoth()
-		if tm != w.tm || sq != w.sq {
-			t.Fatalf("got (t=%d seq=%d), want (t=%d seq=%d)", tm, sq, w.tm, w.sq)
+	p.push(3)
+	p.push(10)
+	p.push(3)
+	p.push(12)
+	if p.q.backdated != 2 {
+		t.Fatalf("backdated = %d, want 2", p.q.backdated)
+	}
+	for _, want := range []refEnt{{3, 2}, {3, 4}, {10, 1}, {10, 3}, {12, 5}} {
+		if got := p.pop(); got != want {
+			t.Fatalf("got (t=%d seq=%d), want (t=%d seq=%d)", got.time, got.seq, want.time, want.seq)
 		}
 	}
-	if wq.len() != 0 {
-		t.Fatalf("queue not drained: %d left", wq.len())
+	if p.q.len() != 0 {
+		t.Fatalf("queue not drained: %d left", p.q.len())
+	}
+}
+
+// TestMemIdealBackdatesBehindCursor keeps the fence above from going
+// vacuous: MemIdeal is the reason the queue must take pushes behind its
+// cursor, so a MemIdeal run of a memory-bound kernel must actually make
+// some — and the other modes, which never back-date, must make none.
+func TestMemIdealBackdatesBehindCursor(t *testing.T) {
+	wp := compileSource(t, workloads.ByName("mcf").Src)
+	for _, mode := range []MemoryMode{MemOrdered, MemSerial, MemIdeal, MemSpec} {
+		cfg := DefaultConfig(2, 2)
+		cfg.MemMode = mode
+		a := NewArena()
+		if _, err := a.Run(wp, mustPol(placement.NewDynamicSnake(cfg.Machine)), cfg); err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		n := a.s.q.backdated
+		t.Logf("%v: %d pushes behind the cursor", mode, n)
+		if (mode == MemIdeal) != (n > 0) {
+			t.Errorf("%v: %d pushes landed behind the cursor", mode, n)
+		}
+	}
+}
+
+// BenchmarkEventQueue is the event-queue layer on its own: a steady state
+// of 256 queued events, each pop followed by one push drawn from the mix
+// the engine produces — mostly a few cycles ahead, now and then beyond the
+// ring window, now and then (MemIdeal) behind the cursor.
+func BenchmarkEventQueue(b *testing.B) {
+	for _, mix := range []struct {
+		name      string
+		far, back int // per 64 pushes
+	}{
+		{"near", 0, 0},
+		{"near+far", 2, 0},
+		{"near+far+backdated", 2, 4},
+	} {
+		b.Run(mix.name, func(b *testing.B) {
+			var q eventQueue
+			q.reset()
+			var seq uint64
+			now := int64(0)
+			push := func(tm int64) {
+				i := q.alloc()
+				q.slab[i].time = tm
+				q.push(i, tm, seq)
+				seq++
+			}
+			for i := 0; i < 256; i++ {
+				push(int64(i % 16))
+			}
+			rng := rand.New(rand.NewSource(1))
+			var deltas [1024]int64
+			for i := range deltas {
+				switch r := rng.Intn(64); {
+				case r < mix.far:
+					deltas[i] = int64(wheelSize + rng.Intn(wheelSize))
+				case r < mix.far+mix.back:
+					deltas[i] = -int64(1 + rng.Intn(32))
+				default:
+					deltas[i] = int64(1 + rng.Intn(8))
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				idx := q.pop()
+				if tm := q.slab[idx].time; tm > now {
+					now = tm
+				}
+				q.release(idx)
+				push(max(now+deltas[i&1023], 0))
+			}
+		})
 	}
 }

@@ -177,16 +177,19 @@ func (c *ctxState) waveAt(n uint32) *waveState {
 }
 
 // setWave installs w as wave n's buffer, growing the window as needed. A
-// wave before the window start (a request for an already-completed wave —
-// pathological but representable) re-extends the window backwards,
-// preserving the old map semantics exactly: such a request buffers
-// forever and surfaces in the deadlock dump.
+// wave before the window start re-extends the window backwards, in place.
+// That is the common case, not a corner: clearWave slides the window past
+// the current wave whenever its buffer momentarily empties, and the wave's
+// next request arrives behind the new start. (A request for an
+// already-completed wave takes the same path; it buffers forever and
+// surfaces in the deadlock dump.)
 func (c *ctxState) setWave(n uint32, w *waveState) {
 	if n < c.waveBase {
 		shift := int(c.waveBase - n)
-		grown := make([]*waveState, shift+len(c.waves))
-		copy(grown[shift:], c.waves)
-		c.waves = grown
+		old := len(c.waves)
+		c.waves = append(c.waves, make([]*waveState, shift)...) // no temporary: the compiler extends in place
+		copy(c.waves[shift:], c.waves[:old])
+		clear(c.waves[:shift])
 		c.waveBase = n
 	}
 	for n-c.waveBase >= uint32(len(c.waves)) {
