@@ -157,13 +157,15 @@ bench-spec:
 
 # bench-micro runs the microbenchmarks the layers keep beside their tests
 # (compiler passes against their references, AST evaluator, IR clone, tag
-# table, wave-order buffer, operand network, cache hierarchy, the
-# simulator's event queue, arenas and one kernel per memory mode,
-# interpreters, the placement model's move loop against its reference, and
-# the whole CompileSource) — one command for "each stage has its own
-# benchmark". For -count or -benchtime run `go test` on the package directly.
+# table, wave-order buffer, operand network, the cache hierarchy's access
+# and its Reset with and without a grid change, the simulator's event
+# queue, arenas and one kernel per memory mode, interpreters, the placement
+# model's move loop against its reference, waved's cold / warm / replay
+# request over loopback, and the whole CompileSource) — one command for
+# "each stage has its own benchmark". For -count, -benchtime or
+# -cpuprofile run `go test` on the package directly.
 bench-micro:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/lang ./internal/cfgir ./internal/wavec ./internal/tagtable ./internal/waveorder ./internal/noc ./internal/mem ./internal/wavecache ./internal/interp ./internal/ooo ./internal/placemodel
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/lang ./internal/cfgir ./internal/wavec ./internal/tagtable ./internal/waveorder ./internal/noc ./internal/mem ./internal/wavecache ./internal/interp ./internal/ooo ./internal/placemodel ./internal/serve
 	$(GO) test -run '^$$' -bench 'BenchmarkCompileSource$$' -benchmem ./internal/harness
 
 # bench-ledger runs the repository benchmark (BENCHMARK.json, bench/) end

@@ -85,14 +85,26 @@ func main() {
 		failures atomic.Int64
 		latMu    sync.Mutex
 		lats     []float64 // ms, successful requests only
+		// The server's own account of each successful simulate request, and
+		// the client-side latency of the same requests to set against it.
+		simLats, queueMS, compileMS, simulateMS, handlerMS, restMS []float64
 	)
 	bump := func(k string) {
 		v, _ := counts.LoadOrStore(k, new(atomic.Int64))
 		v.(*atomic.Int64).Add(1)
 	}
-	recordLat := func(d time.Duration) {
+	recordLat := func(d time.Duration, sim *serve.SimulateResponse) {
+		ms := float64(d.Microseconds()) / 1000
 		latMu.Lock()
-		lats = append(lats, float64(d.Microseconds())/1000)
+		lats = append(lats, ms)
+		if sim != nil {
+			simLats = append(simLats, ms)
+			queueMS = append(queueMS, sim.QueueMS)
+			compileMS = append(compileMS, sim.CompileMS)
+			simulateMS = append(simulateMS, sim.SimulateMS)
+			handlerMS = append(handlerMS, sim.ElapsedMS)
+			restMS = append(restMS, ms-sim.QueueMS-sim.ElapsedMS)
+		}
 		latMu.Unlock()
 	}
 	// classify folds one request's outcome into the counters. A structured
@@ -143,13 +155,12 @@ func main() {
 					classify(apiErr, err, false)
 				case pct < *cancelPct+*slowPct+*sweepPct:
 					start := time.Now()
-					resp, apiErr, err := client.Sweep(context.Background(),
+					_, apiErr, err := client.Sweep(context.Background(),
 						serve.SweepRequest{N: 3, Seed: 11, DeadlineMS: *deadlineMS})
 					classify(apiErr, err, false)
 					if err == nil && apiErr == nil {
 						bump("ok-sweep")
-						recordLat(time.Since(start))
-						_ = resp
+						recordLat(time.Since(start), nil)
 					}
 				default:
 					req := sims[i%len(sims)]
@@ -163,7 +174,7 @@ func main() {
 						} else {
 							bump("ok")
 						}
-						recordLat(time.Since(start))
+						recordLat(time.Since(start), resp)
 					}
 				}
 			}
@@ -186,6 +197,15 @@ func main() {
 		sort.Float64s(lats)
 		t.Note = fmt.Sprintf("client-side latency over %d successes: p50 %.1fms p99 %.1fms max %.1fms",
 			len(lats), lats[len(lats)/2], lats[int(0.99*float64(len(lats)-1))], lats[len(lats)-1])
+	}
+	if len(simLats) > 0 {
+		// The server's stages reconcile with the client's clock request by
+		// request: the queue wait comes before the handler's clock starts,
+		// compile and simulate are inside it, and what is left over is
+		// transport, encoding and decoding.
+		p50 := func(xs []float64) float64 { sort.Float64s(xs); return xs[len(xs)/2] }
+		t.Note += fmt.Sprintf("\nsimulate p50 over %d successes: client %.3fms; server queue %.3fms, handler %.3fms (compile %.3fms, simulate %.3fms); client - queue - handler %.3fms",
+			len(simLats), p50(simLats), p50(queueMS), p50(handlerMS), p50(compileMS), p50(simulateMS), p50(restMS))
 	}
 	fmt.Println(t.Render())
 

@@ -68,47 +68,41 @@ func DefaultSystemConfig(n int) SystemConfig {
 	}
 }
 
-// cache is a tag-only set-associative array with LRU replacement.
+// cache is a tag-only set-associative array with LRU replacement, held as
+// two flat set-major arrays: set s's ways are [s*ways, (s+1)*ways).
+//
+// tags hold line+1, so 0 is an invalid way (line numbers are never
+// negative: the engines clamp addresses to the memory image). The zero
+// value of both arrays is therefore an empty cache, and emptying one is two
+// clears with no per-way sentinel to write back.
 type cache struct {
-	cfg  CacheConfig
-	tags [][]int64 // per set, per way; -1 = invalid
-	lru  [][]int64 // per set, per way; higher = more recent
-	tick int64
+	sets, ways int64
+	tags       []int64 // line+1; 0 = invalid
+	lru        []int64 // higher = more recent
+	tick       int64
 }
 
-func newCache(cfg CacheConfig) *cache {
-	sets := cfg.Sets()
-	c := &cache{cfg: cfg}
-	c.tags = make([][]int64, sets)
-	c.lru = make([][]int64, sets)
-	for i := range c.tags {
-		c.tags[i] = make([]int64, cfg.Ways)
-		c.lru[i] = make([]int64, cfg.Ways)
-		for w := range c.tags[i] {
-			c.tags[i][w] = -1
-		}
+// reset empties the cache under cfg's geometry, keeping its arrays when
+// they are large enough.
+func (c *cache) reset(cfg CacheConfig) {
+	c.sets, c.ways, c.tick = cfg.Sets(), cfg.Ways, 0
+	n := int(cfg.Lines())
+	if cap(c.tags) < n {
+		c.tags, c.lru = make([]int64, n), make([]int64, n)
+		return
 	}
-	return c
-}
-
-// reset empties the cache, keeping its arrays.
-func (c *cache) reset() {
-	c.tick = 0
-	for i := range c.tags {
-		for w := range c.tags[i] {
-			c.tags[i][w] = -1
-			c.lru[i][w] = 0
-		}
-	}
+	c.tags, c.lru = c.tags[:n], c.lru[:n]
+	clear(c.tags)
+	clear(c.lru)
 }
 
 // lookup probes for a line, touching LRU on hit.
 func (c *cache) lookup(line int64) bool {
-	set := line % c.cfg.Sets()
-	for w, t := range c.tags[set] {
-		if t == line {
+	base := line % c.sets * c.ways
+	for w, t := range c.tags[base : base+c.ways] {
+		if t == line+1 {
 			c.tick++
-			c.lru[set][w] = c.tick
+			c.lru[base+int64(w)] = c.tick
 			return true
 		}
 	}
@@ -117,31 +111,31 @@ func (c *cache) lookup(line int64) bool {
 
 // insert fills a line, evicting LRU; returns the evicted line or -1.
 func (c *cache) insert(line int64) int64 {
-	set := line % c.cfg.Sets()
+	base := line % c.sets * c.ways
+	tags, lru := c.tags[base:base+c.ways], c.lru[base:base+c.ways]
 	victim, oldest := 0, int64(1)<<62
-	for w, t := range c.tags[set] {
-		if t == -1 {
+	for w, t := range tags {
+		if t == 0 {
 			victim = w
-			oldest = -1
 			break
 		}
-		if c.lru[set][w] < oldest {
-			victim, oldest = w, c.lru[set][w]
+		if lru[w] < oldest {
+			victim, oldest = w, lru[w]
 		}
 	}
-	evicted := c.tags[set][victim]
-	c.tags[set][victim] = line
+	evicted := tags[victim] - 1
+	tags[victim] = line + 1
 	c.tick++
-	c.lru[set][victim] = c.tick
+	lru[victim] = c.tick
 	return evicted
 }
 
 // invalidate removes a line if present.
 func (c *cache) invalidate(line int64) {
-	set := line % c.cfg.Sets()
-	for w, t := range c.tags[set] {
-		if t == line {
-			c.tags[set][w] = -1
+	base := line % c.sets * c.ways
+	for w, t := range c.tags[base : base+c.ways] {
+		if t == line+1 {
+			c.tags[base+int64(w)] = 0
 		}
 	}
 }
@@ -177,11 +171,14 @@ type AccessResult struct {
 	Coherence bool // the directory had to act
 }
 
-// System is the coherent hierarchy.
+// System is the coherent hierarchy. The zero value is empty; Reset (or
+// NewSystem) gives it a shape.
 type System struct {
 	cfg SystemConfig
-	l1s []*cache
-	l2  *cache
+	// l1s and perL1 keep whatever an earlier, larger shape allocated in
+	// their capacity, so shrinking and regrowing NumL1s reuses the arrays.
+	l1s []cache
+	l2  cache
 
 	// dir is the coherence directory, indexed densely by L1 line number;
 	// an entry with sharers == 0 is absent. The execution engines clamp
@@ -201,53 +198,44 @@ const MaxL1s = 64
 
 // NewSystem builds a hierarchy.
 func NewSystem(cfg SystemConfig) (*System, error) {
-	if cfg.NumL1s < 1 || cfg.NumL1s > MaxL1s {
-		return nil, fmt.Errorf("mem: NumL1s %d out of range [1,%d]", cfg.NumL1s, MaxL1s)
-	}
-	if err := cfg.L1.Validate(); err != nil {
+	s := &System{}
+	if err := s.Reset(cfg); err != nil {
 		return nil, err
-	}
-	if err := cfg.L2.Validate(); err != nil {
-		return nil, err
-	}
-	s := &System{
-		cfg:    cfg,
-		l2:     newCache(cfg.L2),
-		perL1:  make([]Stats, cfg.NumL1s),
-		lineSz: cfg.L1.LineWords,
-	}
-	for i := 0; i < cfg.NumL1s; i++ {
-		s.l1s = append(s.l1s, newCache(cfg.L1))
 	}
 	return s, nil
 }
 
-// Reset returns the hierarchy to its post-NewSystem state under cfg,
-// reusing the cache arrays and the directory slice when the shape (L1
-// count, cache geometries) is unchanged; a shape change rebuilds the
-// arrays. Identical behaviour to a fresh NewSystem either way.
+// Reset puts the hierarchy into the state NewSystem(cfg) returns, whatever
+// shapes it had before, allocating only what it does not already hold: a
+// cache array is reused whenever its capacity covers the new geometry (so
+// the L2, which no grid change touches, is kept), L1s beyond a smaller
+// NumL1s wait in the slice's capacity, and the directory slice stays. A
+// rejected cfg leaves the System as it was.
 func (s *System) Reset(cfg SystemConfig) error {
-	sameShape := cfg.NumL1s == s.cfg.NumL1s && cfg.L1 == s.cfg.L1 && cfg.L2 == s.cfg.L2
-	if !sameShape {
-		fresh, err := NewSystem(cfg)
-		if err != nil {
-			return err
-		}
-		fresh.dir = s.dir
-		clear(fresh.dir)
-		*s = *fresh
-		return nil
+	if cfg.NumL1s < 1 || cfg.NumL1s > MaxL1s {
+		return fmt.Errorf("mem: NumL1s %d out of range [1,%d]", cfg.NumL1s, MaxL1s)
+	}
+	if err := cfg.L1.Validate(); err != nil {
+		return err
+	}
+	if err := cfg.L2.Validate(); err != nil {
+		return err
 	}
 	s.cfg = cfg
 	s.lineSz = cfg.L1.LineWords
 	s.stats = Stats{}
-	for i := range s.perL1 {
-		s.perL1[i] = Stats{}
+	s.l2.reset(cfg.L2)
+	if cap(s.l1s) < cfg.NumL1s {
+		// Copy the whole capacity region, not just the live prefix: the
+		// parked caches past len still own arrays worth keeping.
+		s.l1s = append(make([]cache, 0, cfg.NumL1s), s.l1s[:cap(s.l1s)]...)
+		s.perL1 = make([]Stats, cfg.NumL1s)
 	}
-	s.l2.reset()
-	for _, c := range s.l1s {
-		c.reset()
+	s.l1s, s.perL1 = s.l1s[:cfg.NumL1s], s.perL1[:cfg.NumL1s]
+	for i := range s.l1s {
+		s.l1s[i].reset(cfg.L1)
 	}
+	clear(s.perL1)
 	clear(s.dir)
 	return nil
 }

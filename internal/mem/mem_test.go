@@ -181,14 +181,112 @@ func TestSingleL1NeverCoheres(t *testing.T) {
 }
 
 func TestNewSystemRejectsBadConfig(t *testing.T) {
-	cfg := smallConfig(0)
-	if _, err := NewSystem(cfg); err == nil {
-		t.Error("accepted 0 L1s")
+	badL1, badL2 := smallConfig(1), smallConfig(1)
+	badL1.L1.Ways = 3
+	badL2.L2.SizeWords = 1000
+	bad := map[string]SystemConfig{
+		"0 L1s":            smallConfig(0),
+		"more than MaxL1s": smallConfig(MaxL1s + 1),
+		"bad L1 geometry":  badL1,
+		"bad L2 geometry":  badL2,
 	}
-	cfg = smallConfig(1)
-	cfg.L1.Ways = 3
-	if _, err := NewSystem(cfg); err == nil {
-		t.Error("accepted bad L1 geometry")
+	for name, cfg := range bad {
+		if _, err := NewSystem(cfg); err == nil {
+			t.Errorf("NewSystem accepted %s", name)
+		}
+	}
+
+	// Reset rejects the same configurations and leaves the System as it
+	// was: it goes on behaving like an undisturbed twin.
+	s, _ := NewSystem(smallConfig(2))
+	twin, _ := NewSystem(smallConfig(2))
+	rng := rand.New(rand.NewSource(3))
+	step := func() {
+		l1, addr, write := rng.Intn(2), int64(rng.Intn(600)), rng.Intn(3) == 0
+		if got, want := s.Access(l1, addr, write), twin.Access(l1, addr, write); got != want {
+			t.Fatalf("after a rejected Reset: access(%d, %d, %v) = %+v, twin %+v", l1, addr, write, got, want)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		step()
+	}
+	for name, cfg := range bad {
+		if err := s.Reset(cfg); err == nil {
+			t.Errorf("Reset accepted %s", name)
+		}
+		for i := 0; i < 200; i++ {
+			step()
+		}
+	}
+	if s.Stats() != twin.Stats() {
+		t.Errorf("stats after rejected Resets %+v, twin %+v", s.Stats(), twin.Stats())
+	}
+}
+
+// TestResetIndistinguishableFromNew is the reuse contract: whatever shapes
+// a System went through before — more or fewer L1s, other L1 or L2
+// geometries, and back again — Reset(cfg) leaves it behaving exactly like
+// NewSystem(cfg): the same AccessResult for every access of a random
+// stream, the same Stats and per-L1 Stats at the end. The streams between
+// Resets dirty every array the next shape inherits.
+func TestResetIndistinguishableFromNew(t *testing.T) {
+	shape := func(rng *rand.Rand) SystemConfig {
+		cfg := smallConfig(1 + rng.Intn(9))
+		switch rng.Intn(4) {
+		case 1: // larger, more associative L1s
+			cfg.L1 = CacheConfig{SizeWords: 256, LineWords: 8, Ways: 4}
+		case 2: // direct-mapped L1s with the L2's line size
+			cfg.L1 = CacheConfig{SizeWords: 128, LineWords: 16, Ways: 1}
+		}
+		switch rng.Intn(3) {
+		case 1: // smaller L2
+			cfg.L2 = CacheConfig{SizeWords: 512, LineWords: 16, Ways: 2}
+		case 2: // larger L2, longer lines
+			cfg.L2 = CacheConfig{SizeWords: 4096, LineWords: 32, Ways: 8}
+		}
+		return cfg
+	}
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		reused := &System{}
+		for round := 0; round < 8; round++ {
+			cfg := shape(rng)
+			if round%3 == 2 {
+				cfg = reused.cfg // the same shape again
+			}
+			if err := reused.Reset(cfg); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 600; i++ {
+				l1, addr, write := rng.Intn(cfg.NumL1s), int64(rng.Intn(3000)), rng.Intn(3) == 0
+				access := (*System).Access
+				if rng.Intn(8) == 0 {
+					access = (*System).AccessSpeculative
+				}
+				if got, want := access(reused, l1, addr, write), access(fresh, l1, addr, write); got != want {
+					t.Errorf("seed %d round %d (%+v) access %d: reused %+v, fresh %+v", seed, round, cfg, i, got, want)
+					return false
+				}
+			}
+			if reused.Stats() != fresh.Stats() {
+				t.Errorf("seed %d round %d: stats reused %+v, fresh %+v", seed, round, reused.Stats(), fresh.Stats())
+				return false
+			}
+			for i := 0; i < cfg.NumL1s; i++ {
+				if reused.L1Stats(i) != fresh.L1Stats(i) {
+					t.Errorf("seed %d round %d: L1 %d stats reused %+v, fresh %+v", seed, round, i, reused.L1Stats(i), fresh.L1Stats(i))
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -249,6 +347,35 @@ func BenchmarkAccess(b *testing.B) {
 			}
 			if sink == 0 {
 				b.Fatal("every latency was 0")
+			}
+		})
+	}
+}
+
+// BenchmarkSystemReset is what a pooled simulator arena pays per run to
+// rewind the default hierarchy: with the shape unchanged, and cycling
+// through the cluster counts of the 2x2, 4x2, 3x3 and 4x4 grids (the L1
+// count follows the grid; the L2 does not change). Both are 0 allocs/op
+// once the largest shape has been seen.
+func BenchmarkSystemReset(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		l1s  []int
+	}{{"same-shape", []int{16}}, {"grid-change", []int{4, 8, 9, 16}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := &System{}
+			for _, n := range bc.l1s {
+				if err := s.Reset(DefaultSystemConfig(n)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Reset(DefaultSystemConfig(bc.l1s[i%len(bc.l1s)])); err != nil {
+					b.Fatal(err)
+				}
+				s.Access(0, int64(i%4096), true) // leave something to clear
 			}
 		})
 	}

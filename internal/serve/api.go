@@ -76,8 +76,20 @@ type SimulateResponse struct {
 	Result   SimResult `json:"result"`
 	// Cached reports an idempotency-cache replay (retry-safe: a retried
 	// request returns the stored result instead of re-simulating).
-	Cached       bool    `json:"cached"`
+	Cached bool `json:"cached"`
+	// ElapsedMS is the handler's time from the normalized request to the
+	// result: the cache probe, and on a miss the compile and the
+	// simulation. The three stages beside it say where a request's
+	// server-side time went: QueueMS is admission plus the wait for a run
+	// slot (before ElapsedMS starts); CompileMS is getting the compiled
+	// program — the compile, or the wait for another request's compile of
+	// the same program, and next to nothing when the warm cache answers;
+	// SimulateMS is building the placement policy and running the
+	// WaveCache. Both are 0 on a replay.
 	ElapsedMS    float64 `json:"elapsed_ms"`
+	QueueMS      float64 `json:"queue_ms"`
+	CompileMS    float64 `json:"compile_ms"`
+	SimulateMS   float64 `json:"simulate_ms"`
 	MetricsTable string  `json:"metrics_table,omitempty"`
 }
 

@@ -225,23 +225,36 @@ func (s *Server) admit(ctx context.Context, tn *tenant) (release func(), apiErr 
 	}
 }
 
-// runAdmitted is the shared request lifecycle around one unit of work:
-// in-flight registration (rejecting when draining), deadline context,
-// admission, outcome counting, latency recording, response writing. fn
-// reports whether its success came from a cache (counted separately).
-func (s *Server) runAdmitted(w http.ResponseWriter, r *http.Request, deadlineMS int64,
-	fn func(ctx context.Context, tn *tenant) (out any, cached bool, apiErr *ErrorResponse)) {
+// open starts a POST request: it resolves the tenant, then decodes the
+// body into req. The tenant comes first so that a malformed body is charged
+// to its invalid counter like every other bad request. On failure the
+// error response has been written and ok is false.
+func (s *Server) open(w http.ResponseWriter, r *http.Request, req any) (tn *tenant, ok bool) {
 	name, apiErr := tenantName(r)
 	if apiErr != nil {
 		s.fail(w, nil, apiErr)
-		return
+		return nil, false
 	}
-	tn := s.tenantFor(name)
+	tn = s.tenantFor(name)
 	if tn == nil {
 		s.fail(w, nil, &ErrorResponse{Code: CodeOverCapacity, Status: http.StatusServiceUnavailable,
 			Error: "tenant table full; load shed", RetryAfterMS: 60_000})
-		return
+		return nil, false
 	}
+	if apiErr := decode(r, req); apiErr != nil {
+		s.fail(w, tn, apiErr)
+		return nil, false
+	}
+	return tn, true
+}
+
+// runAdmitted is the shared request lifecycle around one unit of work:
+// in-flight registration (rejecting when draining), deadline context,
+// admission, outcome counting, latency recording, response writing. fn is
+// told how long admission and the wait for a run slot took, and reports
+// whether its success came from a cache (counted separately).
+func (s *Server) runAdmitted(w http.ResponseWriter, r *http.Request, tn *tenant, deadlineMS int64,
+	fn func(ctx context.Context, queued time.Duration) (out any, cached bool, apiErr *ErrorResponse)) {
 	if !s.begin() {
 		s.fail(w, tn, &ErrorResponse{Code: CodeDraining, Status: http.StatusServiceUnavailable,
 			Error: "server draining for shutdown"})
@@ -251,6 +264,7 @@ func (s *Server) runAdmitted(w http.ResponseWriter, r *http.Request, deadlineMS 
 
 	ctx, cancel := s.requestContext(r, deadlineMS)
 	defer cancel()
+	tq := time.Now()
 	release, apiErr := s.admit(ctx, tn)
 	if apiErr != nil {
 		s.fail(w, tn, apiErr)
@@ -259,12 +273,12 @@ func (s *Server) runAdmitted(w http.ResponseWriter, r *http.Request, deadlineMS 
 	defer release()
 
 	t0 := time.Now()
-	out, cached, apiErr := fn(ctx, tn)
+	out, cached, apiErr := fn(ctx, t0.Sub(tq))
 	if apiErr != nil {
 		s.fail(w, tn, apiErr)
 		return
 	}
-	tn.recordLatency(float64(time.Since(t0).Microseconds()) / 1000)
+	tn.recordLatency(millis(time.Since(t0)))
 	if cached {
 		tn.cacheHits.Add(1)
 	} else {
@@ -413,13 +427,17 @@ func compileKey(src string, unroll, opt int) string {
 	return harness.CacheKey("serve-compile", src, fmt.Sprintf("unroll=%d opt=%d", unroll, opt))
 }
 
+// millis renders a duration the way the API reports one: milliseconds
+// with microsecond resolution.
+func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
-	if apiErr := decode(r, &req); apiErr != nil {
-		s.fail(w, nil, apiErr)
+	tn, ok := s.open(w, r, &req)
+	if !ok {
 		return
 	}
-	s.runAdmitted(w, r, req.DeadlineMS, func(ctx context.Context, tn *tenant) (any, bool, *ErrorResponse) {
+	s.runAdmitted(w, r, tn, req.DeadlineMS, func(ctx context.Context, queued time.Duration) (any, bool, *ErrorResponse) {
 		sp, apiErr := s.normalizeSimulate(&req)
 		if apiErr != nil {
 			return nil, false, apiErr
@@ -427,18 +445,20 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 
 		// Idempotency: a retried request replays its completed result from
-		// the content-addressed cache instead of re-simulating. A torn or
-		// corrupt entry reads as a miss and is recomputed.
+		// the content-addressed cache (or the write-behind store in front
+		// of it) instead of re-simulating. A torn or corrupt entry reads as
+		// a miss and is recomputed.
 		key := sp.cacheKey()
-		if s.cache != nil {
+		if s.results != nil {
 			var res SimResult
-			if s.cache.Get(key, &res) {
+			if s.results.get(key, &res) {
 				return &SimulateResponse{
 					Workload:  sp.name,
 					Engines:   harness.EngineSetVersion,
 					Result:    res,
 					Cached:    true,
-					ElapsedMS: float64(time.Since(t0).Microseconds()) / 1000,
+					ElapsedMS: millis(time.Since(t0)),
+					QueueMS:   millis(queued),
 				}, true, nil
 			}
 		}
@@ -447,11 +467,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		if apiErr != nil {
 			return nil, false, apiErr
 		}
-		resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
-		if s.cache != nil {
-			if err := s.cache.Put(key, resp.Result); err != nil {
-				s.logf("simulate: idempotency cache put: %v", err)
-			}
+		resp.ElapsedMS = millis(time.Since(t0))
+		resp.QueueMS = millis(queued)
+		if s.results != nil {
+			s.results.put(key, resp.Result)
 		}
 		return resp, false, nil
 	})
@@ -461,9 +480,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // WaveCache, with the request context threaded into the simulator's
 // cancellation poll.
 func (s *Server) simulate(ctx context.Context, sp *simSpec, wantMetrics bool) (*SimulateResponse, *ErrorResponse) {
+	tc := time.Now()
 	c, _, err := s.compiled.get(ctx, compileKey(sp.src, sp.unroll, sp.opt), func() (*harness.Compiled, error) {
 		return harness.CompileSource(sp.name, sp.src, harness.CompileOptions{Unroll: sp.unroll, OptLevel: sp.opt})
 	})
+	ts := time.Now()
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			return nil, s.ctxError(ctx)
@@ -519,8 +540,10 @@ func (s *Server) simulate(ctx context.Context, sp *simSpec, wantMetrics bool) (*
 	}
 
 	resp := &SimulateResponse{
-		Workload: sp.name,
-		Engines:  harness.EngineSetVersion,
+		Workload:   sp.name,
+		Engines:    harness.EngineSetVersion,
+		CompileMS:  millis(ts.Sub(tc)),
+		SimulateMS: millis(time.Since(ts)),
 		Result: SimResult{
 			Value:        res.Value,
 			UsefulInstrs: c.UsefulInstrs,
@@ -547,11 +570,11 @@ func (s *Server) simulate(ctx context.Context, sp *simSpec, wantMetrics bool) (*
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	var req CompileRequest
-	if apiErr := decode(r, &req); apiErr != nil {
-		s.fail(w, nil, apiErr)
+	tn, ok := s.open(w, r, &req)
+	if !ok {
 		return
 	}
-	s.runAdmitted(w, r, req.DeadlineMS, func(ctx context.Context, tn *tenant) (any, bool, *ErrorResponse) {
+	s.runAdmitted(w, r, tn, req.DeadlineMS, func(ctx context.Context, _ time.Duration) (any, bool, *ErrorResponse) {
 		name, src, apiErr := resolveSource(req.Workload, req.Source)
 		if apiErr != nil {
 			return nil, false, apiErr
@@ -595,11 +618,11 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if apiErr := decode(r, &req); apiErr != nil {
-		s.fail(w, nil, apiErr)
+	tn, ok := s.open(w, r, &req)
+	if !ok {
 		return
 	}
-	s.runAdmitted(w, r, req.DeadlineMS, func(ctx context.Context, tn *tenant) (any, bool, *ErrorResponse) {
+	s.runAdmitted(w, r, tn, req.DeadlineMS, func(ctx context.Context, _ time.Duration) (any, bool, *ErrorResponse) {
 		if req.N <= 0 {
 			return nil, false, invalidErr("sweep size n must be positive")
 		}
@@ -632,7 +655,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			Computed:   run.Computed,
 			Cached:     run.Cached,
 			Mismatched: run.Mismatched,
-			ElapsedMS:  float64(time.Since(t0).Microseconds()) / 1000,
+			ElapsedMS:  millis(time.Since(t0)),
 		}, allCached, nil
 	})
 }

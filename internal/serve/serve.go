@@ -20,10 +20,19 @@
 //     land in the PR 6 content-addressed CellCache keyed by everything
 //     that determines them, so a retried request replays its result
 //     instead of re-simulating (and a torn cache entry is recomputed,
-//     never trusted).
+//     never trusted). A /v1/simulate result is visible to replays the
+//     moment its response is sent and durable shortly after: a
+//     write-behind store (writebehind.go) does the file creation, fsync
+//     and rename off the request's critical path, and Drain flushes it.
+//     A crash loses at most that store's queue, which costs nothing but
+//     time — a result is a pure function of its key, so the retried
+//     request re-simulates to the byte-identical body. /v1/sweep cells
+//     are written before the sweep moves on, because resuming depends on
+//     them.
 //   - Graceful degradation: drain (SIGTERM in waved) stops admissions
 //     with 503s, lets in-flight work finish within a budget, cancels
-//     whatever remains, and flushes metrics.
+//     whatever remains, makes every accepted result durable, and flushes
+//     metrics.
 //
 // Warm paths: simulation arenas come from the harness's sync.Pool (a
 // request pays the simulator's allocations only on pool misses), and
@@ -135,6 +144,7 @@ type Server struct {
 
 	compiled *compileCache
 	cache    *harness.CellCache // idempotency store; nil when disabled
+	results  *resultStore       // write-behind front of cache for /v1/simulate; nil with it
 	agg      *trace.Aggregate   // simulation trace counters across all served runs
 
 	janitorStop chan struct{}
@@ -189,6 +199,8 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.cache = cc
+		s.results = newResultStore(cc, writeBehindDepth, s.logf)
+		go s.results.run() // until Drain
 	}
 	return s, nil
 }
@@ -239,12 +251,20 @@ func (s *Server) Draining() bool {
 // work to finish, then cancel whatever remains — each running simulation
 // aborts at its next cancellation poll — and wait DrainGrace for handlers
 // to unwind. It returns nil when all in-flight work has finished; callers
-// flush metrics afterwards. Drain is idempotent.
+// flush metrics afterwards. Whichever way it returns, the results the
+// write-behind store accepted are durable by then and its writer has
+// stopped, so a successor on the same CacheDir replays them (and a caller
+// may remove the directory). Drain is idempotent.
 func (s *Server) Drain(budget time.Duration) error {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
 	s.StopJanitor()
+	if s.results != nil {
+		// Deferred so it follows the handlers that were still running: a
+		// handler that outlives even the grace period writes its own result.
+		defer s.results.close()
+	}
 
 	done := make(chan struct{})
 	go func() { s.inflight.Wait(); close(done) }()

@@ -54,14 +54,22 @@ func testConfig() Config {
 	return cfg
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *Client) {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
+	// Drain stops the write-behind writer, and it must have stopped before
+	// a CacheDir from t.TempDir() (registered earlier, so removed later) is
+	// deleted: a late rename would race the RemoveAll.
+	t.Cleanup(func() {
+		ts.Close()
+		if err := s.Drain(5 * time.Second); err != nil {
+			t.Errorf("cleanup: %v", err)
+		}
+	})
 	return s, &Client{BaseURL: ts.URL, Tenant: "test", HTTPClient: ts.Client()}
 }
 
@@ -513,6 +521,17 @@ func TestInvalidRequests(t *testing.T) {
 		map[string]any{"source": fastSrc, "shards": 4}, nil)
 	if err != nil || apiErr == nil || apiErr.Code != CodeInvalid || apiErr.Status != 400 {
 		t.Errorf("body with \"shards\": expected 400 invalid, got %+v (err %v)", apiErr, err)
+	}
+	// A body that does not decode is the tenant's invalid request too, on
+	// every POST endpoint: the tenant is resolved before the body is read.
+	for _, path := range []string{"/v1/simulate", "/v1/compile", "/v1/sweep"} {
+		apiErr, err := client.post(context.Background(), path, []int{1, 2}, nil)
+		if err != nil || apiErr == nil || apiErr.Code != CodeInvalid || apiErr.Status != 400 {
+			t.Errorf("%s with an array body: expected 400 invalid, got %+v (err %v)", path, apiErr, err)
+		}
+	}
+	if snaps, want := s.Snapshot(), uint64(len(cases)+4); len(snaps) != 1 || snaps[0].Invalid != want {
+		t.Errorf("invalid counter after malformed bodies: got %+v, want %d invalid for one tenant", snaps, want)
 	}
 }
 

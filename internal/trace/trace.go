@@ -469,11 +469,24 @@ type Tracer struct {
 	events  []Event
 	buckets []Bucket
 	m       Metrics
+
+	// countersOnly tracers keep no bucket series: every per-bucket update
+	// lands in sink, which nothing reads.
+	countersOnly bool
+	sink         Bucket
 }
 
 // New builds a tracer.
 func New(cfg Config) *Tracer {
 	return &Tracer{cfg: cfg.withDefaults()}
+}
+
+// NewCounters builds a tracer that collects Metrics and nothing else: no
+// event stream and no per-cycle Bucket series (Series returns none). It is
+// what a run needs when its only consumer is an Aggregate, which merges
+// Metrics alone; a long run then grows no series nobody will read.
+func NewCounters() *Tracer {
+	return &Tracer{cfg: Config{}.withDefaults(), countersOnly: true}
 }
 
 // Metrics returns the collected counters (nil receiver: an empty set).
@@ -503,6 +516,9 @@ func (t *Tracer) Series() ([]Bucket, int64) {
 // bucket returns the sample bucket covering cycle tm, growing the series
 // as simulated time advances.
 func (t *Tracer) bucket(tm int64) *Bucket {
+	if t.countersOnly {
+		return &t.sink
+	}
 	if tm < 0 {
 		tm = 0
 	}

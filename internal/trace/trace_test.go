@@ -254,3 +254,24 @@ func TestAggregateMergeCommutative(t *testing.T) {
 		t.Fatal("Reset did not clear the aggregate")
 	}
 }
+
+// TestCountersOnlyMatchesFullTracer: NewCounters drops the per-cycle
+// series and nothing else — an Aggregate fed from it renders the same
+// Summary, byte for byte, as one fed from a full tracer.
+func TestCountersOnlyMatchesFullTracer(t *testing.T) {
+	full, counters := New(Config{}), NewCounters()
+	drive(full)
+	drive(counters)
+	if buckets, _ := counters.Series(); len(buckets) != 0 {
+		t.Errorf("counters-only tracer kept a series of %d buckets", len(buckets))
+	}
+	if len(counters.Events()) != 0 {
+		t.Errorf("counters-only tracer recorded %d events", len(counters.Events()))
+	}
+	a, b := NewAggregate(), NewAggregate()
+	a.Add(full)
+	b.Add(counters)
+	if got, want := b.Summary("x").Render(), a.Summary("x").Render(); got != want {
+		t.Errorf("summary from a counters-only tracer differs:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}

@@ -671,7 +671,7 @@ type sim struct {
 	cfg  Config
 
 	net    *noc.Network
-	memsys *mem.System
+	memsys mem.System
 	engine *waveorder.Engine
 	clock  func() int64 // stable closure handed to the engine's tracer
 
@@ -830,13 +830,7 @@ func (s *sim) reset(p *isa.Program, pol placement.Policy, cfg Config) error {
 	} else if err := s.net.Reset(cfg.Net); err != nil {
 		return err
 	}
-	if s.memsys == nil {
-		ms, err := mem.NewSystem(cfg.Mem)
-		if err != nil {
-			return err
-		}
-		s.memsys = ms
-	} else if err := s.memsys.Reset(cfg.Mem); err != nil {
+	if err := s.memsys.Reset(cfg.Mem); err != nil {
 		return err
 	}
 
@@ -864,8 +858,9 @@ func (s *sim) reset(p *isa.Program, pol placement.Policy, cfg Config) error {
 
 	s.tr = cfg.Tracer
 	if s.tr == nil && cfg.Metrics != nil {
-		// Metrics-only tracing: counters without an event stream.
-		s.tr = trace.New(trace.Config{})
+		// Metrics-only tracing: cfg.Metrics merges counters, so neither an
+		// event stream nor the per-cycle series would ever be read.
+		s.tr = trace.NewCounters()
 	}
 	s.net.AttachTracer(s.tr)
 	if cfg.Faults.Enabled() {
