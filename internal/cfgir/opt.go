@@ -16,15 +16,16 @@ import "wavescalar/internal/isa"
 // redundancy is the builder's move-heavy lowering, which these passes clean
 // up completely on straight-line code.
 func (p *Program) Optimize() {
+	var s optScratch
 	for _, f := range p.Funcs {
 		f.Compact()
 		for round := 0; round < 4; round++ {
 			changed := false
 			for _, b := range f.Blocks {
-				if foldConstants(f, b) {
+				if s.foldConstants(f, b) {
 					changed = true
 				}
-				if localCSE(b) {
+				if s.localCSE(f, b) {
 					changed = true
 				}
 			}
@@ -42,27 +43,111 @@ func (p *Program) Optimize() {
 	}
 }
 
+// optScratch is the working state of the two block-local passes, made once
+// per Optimize call and reused by every block of every function and round.
+// What a pass knows about a register lives in a table indexed by Reg, each
+// slot stamped with the block pass that last wrote it: a slot with another
+// stamp is empty, so starting a block pass is one increment and clears
+// nothing, and the slices inside a slot keep their capacity from block to
+// block.
+type optScratch struct {
+	epoch uint32 // the current block pass; never 0, a fresh slot's stamp
+	regs  []regFacts
+	avail map[cseKey]Reg // localCSE: expression -> register holding it
+	loads []cseKey       // localCSE: load expressions since the last store or call
+}
+
+// regFacts is one register's slot. foldConstants uses the constant fields
+// and localCSE the rest; the two never share a block pass.
+type regFacts struct {
+	stamp    uint32
+	isConst  bool // the register holds constVal
+	isHeld   bool // the register holds the value of expression held
+	isCopy   bool // the register is a copy of copyOf
+	copyOf   Reg
+	constVal int64
+	held     cseKey
+	readers  []cseKey // expressions that read the register
+	copiedTo []Reg    // registers that were made copies of it
+}
+
+// cseKey is an expression localCSE can reuse: the operation and its operand
+// registers (an immediate for a constant).
+type cseKey struct {
+	kind InstrKind
+	op   isa.Opcode
+	a, b Reg
+	c    Reg
+	imm  int64
+}
+
+// begin starts a block pass over a block of f: every slot becomes empty and
+// the table covers the registers f has now (foldConstants adds some, so
+// each pass sizes the table for itself).
+func (s *optScratch) begin(f *Func) {
+	s.epoch++
+	if n := f.NumRegs - len(s.regs); n > 0 {
+		s.regs = append(s.regs, make([]regFacts, n)...)
+	}
+}
+
+// at returns r's slot for writing, emptied if an earlier pass wrote it last.
+func (s *optScratch) at(r Reg) *regFacts {
+	e := &s.regs[r]
+	if e.stamp != s.epoch {
+		e.stamp = s.epoch
+		e.isConst, e.isHeld, e.isCopy = false, false, false
+		e.readers, e.copiedTo = e.readers[:0], e.copiedTo[:0]
+	}
+	return e
+}
+
+// peek returns r's slot if this pass has written it and nil otherwise,
+// which covers NoReg and a register allocated after begin.
+func (s *optScratch) peek(r Reg) *regFacts {
+	if uint(r) < uint(len(s.regs)) && s.regs[r].stamp == s.epoch {
+		return &s.regs[r]
+	}
+	return nil
+}
+
+// constOf is the constant r is known to hold.
+func (s *optScratch) constOf(r Reg) (int64, bool) {
+	if e := s.peek(r); e != nil && e.isConst {
+		return e.constVal, true
+	}
+	return 0, false
+}
+
+func (s *optScratch) forgetConst(r Reg) {
+	if e := s.peek(r); e != nil {
+		e.isConst = false
+	}
+}
+
 // foldConstants tracks registers with known constant values within a block,
 // folds ALU operations over them, and simplifies algebraic identities.
-// Because variable registers are multiply assigned, the constant map is
+// Because variable registers are multiply assigned, the constant table is
 // purely local and is invalidated at redefinition.
-func foldConstants(f *Func, b *Block) bool {
+func (s *optScratch) foldConstants(f *Func, b *Block) bool {
+	s.begin(f)
 	changed := false
-	consts := make(map[Reg]int64)
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
 		switch in.Kind {
 		case KConst:
-			consts[in.Dst] = in.Imm
+			e := s.at(in.Dst)
+			e.isConst, e.constVal = true, in.Imm
 			continue
 		case KAlu:
-			av, aok := consts[in.A]
-			bv, bok := consts[in.B]
+			av, aok := s.constOf(in.A)
+			bv, bok := s.constOf(in.B)
 			unary := in.Op.NumInputs() == 1
 			if aok && (unary || bok) {
 				v := isa.EvalALU(in.Op, av, bv)
 				*in = Instr{Kind: KConst, Dst: in.Dst, Imm: v}
-				consts[in.Dst] = v
+				e := s.at(in.Dst)
+				e.isConst, e.constVal = true, v
 				changed = true
 				continue
 			}
@@ -94,15 +179,65 @@ func foldConstants(f *Func, b *Block) bool {
 			if simplified {
 				// The original destination is now defined by the inserted
 				// move; any constant previously recorded for it is stale.
-				delete(consts, b.Instrs[i+1].Dst)
+				s.forgetConst(b.Instrs[i+1].Dst)
 				continue
 			}
 		}
 		if in.HasDst() {
-			delete(consts, in.Dst)
+			s.forgetConst(in.Dst)
 		}
 	}
 	return changed
+}
+
+// resolve follows the copy chain from r to the register it stands for.
+func (s *optScratch) resolve(r Reg) Reg {
+	for {
+		e := s.peek(r)
+		if e == nil || !e.isCopy {
+			return r
+		}
+		r = e.copyOf
+	}
+}
+
+// invalidate drops everything localCSE knows that a new definition of r
+// makes stale.
+func (s *optScratch) invalidate(r Reg) {
+	e := s.at(r)
+	// Expressions that read r are stale.
+	for _, k := range e.readers {
+		delete(s.avail, k)
+	}
+	e.readers = e.readers[:0]
+	// The expression whose cached value lives in r is stale too (variable
+	// registers are multiply assigned).
+	if e.isHeld {
+		if v, ok := s.avail[e.held]; ok && v == r {
+			delete(s.avail, e.held)
+		}
+		e.isHeld = false
+	}
+	e.isCopy = false
+	// Any copy that resolves through r is stale.
+	for _, d := range e.copiedTo {
+		if de := s.peek(d); de != nil && de.isCopy && de.copyOf == r {
+			de.isCopy = false
+		}
+	}
+	e.copiedTo = e.copiedTo[:0]
+}
+
+func (s *optScratch) copyFrom(dst, src Reg) {
+	e := s.at(dst)
+	e.isCopy, e.copyOf = true, src
+	se := s.at(src)
+	se.copiedTo = append(se.copiedTo, dst)
+}
+
+func (s *optScratch) addReader(r Reg, k cseKey) {
+	e := s.at(r)
+	e.readers = append(e.readers, k)
 }
 
 // localCSE merges repeated pure computations within a block. The value
@@ -110,72 +245,28 @@ func foldConstants(f *Func, b *Block) bool {
 // is redefined. Loads are also merged until the next store or call.
 //
 // Every invalidation goes through a reverse index, so the pass is linear
-// in the block: readers lists the expressions that read a register, held
-// is the expression whose value a register holds (one at most: defining a
+// in the block: a register's readers lists the expressions that read it,
+// held is the expression whose value it holds (one at most: defining a
 // register first invalidates it), copiedTo lists the copies made from it,
 // and loads the load expressions since the last store or call. An index
 // entry may outlive the fact it recorded (the expression was dropped some
 // other way, or the register now holds a different copy), so each is
-// checked against avail or copies before it is acted on.
-func localCSE(b *Block) bool {
-	type key struct {
-		kind InstrKind
-		op   isa.Opcode
-		a, b Reg
-		c    Reg
-		imm  int64
+// checked against avail or the copy it names before it is acted on.
+func (s *optScratch) localCSE(f *Func, b *Block) bool {
+	s.begin(f)
+	if s.avail == nil {
+		s.avail = make(map[cseKey]Reg)
 	}
+	clear(s.avail)
+	s.loads = s.loads[:0]
 	changed := false
-	avail := make(map[key]Reg)     // expression -> register holding it
-	readers := make(map[Reg][]key) // operand register -> expressions reading it
-	held := make(map[Reg]key)      // register -> expression it holds
-	copies := make(map[Reg]Reg)    // copy propagation map (dst -> src)
-	copiedTo := make(map[Reg][]Reg)
-	var loads []key
-
-	resolve := func(r Reg) Reg {
-		for {
-			s, ok := copies[r]
-			if !ok {
-				return r
-			}
-			r = s
-		}
-	}
-	invalidate := func(r Reg) {
-		// Expressions that read r are stale.
-		for _, k := range readers[r] {
-			delete(avail, k)
-		}
-		delete(readers, r)
-		// Expressions whose cached value lives in r are stale too (variable
-		// registers are multiply assigned).
-		if k, ok := held[r]; ok {
-			if v, ok := avail[k]; ok && v == r {
-				delete(avail, k)
-			}
-			delete(held, r)
-		}
-		delete(copies, r)
-		// Any copy that resolves through r is stale.
-		for _, d := range copiedTo[r] {
-			if s, ok := copies[d]; ok && s == r {
-				delete(copies, d)
-			}
-		}
-		delete(copiedTo, r)
-	}
-	copyFrom := func(dst, src Reg) {
-		copies[dst] = src
-		copiedTo[src] = append(copiedTo[src], dst)
-	}
 
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
 		// Rewrite operands through the copy map first.
 		switch in.Kind {
 		case KAlu:
-			na, nb := resolve(in.A), resolve(in.B)
+			na, nb := s.resolve(in.A), s.resolve(in.B)
 			if na != in.A || (in.Op.NumInputs() == 2 && nb != in.B) {
 				in.A = na
 				if in.Op.NumInputs() == 2 {
@@ -184,88 +275,89 @@ func localCSE(b *Block) bool {
 				changed = true
 			}
 		case KLoad:
-			if na := resolve(in.A); na != in.A {
+			if na := s.resolve(in.A); na != in.A {
 				in.A = na
 				changed = true
 			}
 		case KStore:
-			na, nb := resolve(in.A), resolve(in.B)
+			na, nb := s.resolve(in.A), s.resolve(in.B)
 			if na != in.A || nb != in.B {
 				in.A, in.B = na, nb
 				changed = true
 			}
 		case KSelect:
-			na, nb, nc := resolve(in.A), resolve(in.B), resolve(in.C)
+			na, nb, nc := s.resolve(in.A), s.resolve(in.B), s.resolve(in.C)
 			if na != in.A || nb != in.B || nc != in.C {
 				in.A, in.B, in.C = na, nb, nc
 				changed = true
 			}
 		case KCall:
 			for j, a := range in.Args {
-				if na := resolve(a); na != a {
+				if na := s.resolve(a); na != a {
 					in.Args[j] = na
 					changed = true
 				}
 			}
 		}
 
-		var k key
+		var k cseKey
 		cacheable := false
 		switch in.Kind {
 		case KConst:
-			k = key{kind: KConst, imm: in.Imm}
+			k = cseKey{kind: KConst, imm: in.Imm}
 			cacheable = true
 		case KAlu:
-			k = key{kind: KAlu, op: in.Op, a: in.A, b: in.B}
+			k = cseKey{kind: KAlu, op: in.Op, a: in.A, b: in.B}
 			if in.Op.NumInputs() == 1 {
 				k.b = NoReg
 			}
 			cacheable = true
 		case KLoad:
-			k = key{kind: KLoad, a: in.A}
+			k = cseKey{kind: KLoad, a: in.A}
 			cacheable = true
 		case KSelect:
-			k = key{kind: KSelect, a: in.A, b: in.B, c: in.C}
+			k = cseKey{kind: KSelect, a: in.A, b: in.B, c: in.C}
 			cacheable = true
 		case KStore, KCall:
 			// Memory is clobbered: drop all cached loads.
-			for _, kk := range loads {
-				delete(avail, kk)
+			for _, kk := range s.loads {
+				delete(s.avail, kk)
 			}
-			loads = loads[:0]
+			s.loads = s.loads[:0]
 		}
 
 		if in.HasDst() {
-			invalidate(in.Dst)
+			s.invalidate(in.Dst)
 		}
 
 		if cacheable {
-			if prev, ok := avail[k]; ok && prev != in.Dst {
+			if prev, ok := s.avail[k]; ok && prev != in.Dst {
 				// Replace with a copy; later iterations propagate it.
 				dst := in.Dst
 				*in = Instr{Kind: KAlu, Op: isa.OpOr, Dst: dst, A: prev, B: prev}
-				copyFrom(dst, prev)
+				s.copyFrom(dst, prev)
 				changed = true
 				continue
 			}
-			avail[k] = in.Dst
-			held[in.Dst] = k
+			s.avail[k] = in.Dst
+			e := s.at(in.Dst)
+			e.isHeld, e.held = true, k
 			if in.Kind == KLoad {
-				loads = append(loads, k)
+				s.loads = append(s.loads, k)
 			}
 			if k.a != NoReg && in.Kind != KConst {
-				readers[k.a] = append(readers[k.a], k)
+				s.addReader(k.a, k)
 			}
 			if k.b != NoReg && (in.Kind == KAlu || in.Kind == KSelect) {
-				readers[k.b] = append(readers[k.b], k)
+				s.addReader(k.b, k)
 			}
 			if k.c != NoReg && in.Kind == KSelect {
-				readers[k.c] = append(readers[k.c], k)
+				s.addReader(k.c, k)
 			}
 			// `or dst, src, zero` moves feed copy propagation when the
 			// source is stable within the block.
 			if in.Kind == KAlu && in.Op == isa.OpOr && in.A == in.B {
-				copyFrom(in.Dst, in.A)
+				s.copyFrom(in.Dst, in.A)
 			}
 		}
 	}

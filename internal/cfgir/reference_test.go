@@ -232,8 +232,11 @@ func mustFromSource(tb testing.TB, name string, unroll, optLevel int) *Program {
 
 // TestLocalCSEMatchesReference replays Optimize's pass loop on every
 // corpus function and, at each point the pipeline would run localCSE, runs
-// both formulations on copies of the block.
+// both formulations on copies of the block. One scratch serves the whole
+// test, so every block pass after the first starts on tables an earlier
+// block, function or program left behind.
 func TestLocalCSEMatchesReference(t *testing.T) {
+	var sc optScratch
 	blocks := 0
 	for _, s := range referenceCorpus(50) {
 		for _, unroll := range []int{1, 4} {
@@ -242,11 +245,11 @@ func TestLocalCSEMatchesReference(t *testing.T) {
 				for round := 0; round < 4; round++ {
 					changed := false
 					for _, b := range f.Blocks {
-						if foldConstants(f, b) {
+						if sc.foldConstants(f, b) {
 							changed = true
 						}
 						ref := cloneBlock(b)
-						got, want := localCSE(b), localCSERef(ref)
+						got, want := sc.localCSE(f, b), localCSERef(ref)
 						if got != want || !reflect.DeepEqual(b.Instrs, ref.Instrs) {
 							t.Fatalf("%s unroll %d: %s b%d round %d: localCSE changed=%v, reference changed=%v\n got:  %v\n want: %v",
 								s, unroll, f.Name, b.ID, round, got, want, b.Instrs, ref.Instrs)
@@ -455,12 +458,15 @@ func BenchmarkOptimizeMemory(b *testing.B) {
 }
 
 // BenchmarkLocalCSE runs the pass over every block of the largest
-// function, as built (the move-heavy form the first optimizer round sees).
+// function, as built (the move-heavy form the first optimizer round sees),
+// on one scratch as Optimize does.
 func BenchmarkLocalCSE(b *testing.B) {
 	benchPass(b, OptNone, func(p *Program) {
+		var sc optScratch
 		fi, _ := largestFunc(p)
-		for _, blk := range p.Funcs[fi].Blocks {
-			localCSE(blk)
+		f := p.Funcs[fi]
+		for _, blk := range f.Blocks {
+			sc.localCSE(f, blk)
 		}
 	})
 }

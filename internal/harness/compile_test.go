@@ -148,6 +148,83 @@ func TestCompileSourceMatchesFourBuilds(t *testing.T) {
 	}
 }
 
+// TestCompileSourceBinarySubsets: asking for one dataflow binary yields
+// the program the full build puts in that field, byte for byte, beside the
+// same linear program, checksum, work count and optimizer counters; the
+// binaries not asked for are nil, and Binary says so instead of handing
+// out a nil program. Unroll 1 is the case where rolled is the steer build.
+func TestCompileSourceBinarySubsets(t *testing.T) {
+	progs := compileCorpus(30)
+	if testing.Short() {
+		progs = progs[:15]
+	}
+	for _, name := range progs {
+		src := workloads.ByName(name).Src
+		for _, opts := range []CompileOptions{
+			{Unroll: 4, OptLevel: 0},
+			{Unroll: 4, OptLevel: 1},
+			{Unroll: 1, OptLevel: 1},
+		} {
+			full, err := CompileSource(name, src, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for _, bin := range BinaryNames {
+				id := fmt.Sprintf("%s unroll %d O%d, %s only", name, opts.Unroll, opts.OptLevel, bin)
+				opts.Binaries = []string{bin}
+				got, err := CompileSource(name, src, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", id, err)
+				}
+				for _, other := range BinaryNames {
+					p, err := got.Binary(other)
+					want, _ := full.Binary(other)
+					switch {
+					case other != bin:
+						if p != nil || err == nil {
+							t.Errorf("%s: Binary(%q) = %v, %v; want nil and an error", id, other, p, err)
+						}
+					case err != nil:
+						t.Errorf("%s: %v", id, err)
+					case !bytes.Equal(isa.Encode(p), isa.Encode(want)):
+						t.Errorf("%s: encodes differently from the full build's", id)
+					}
+				}
+				if (got.Wave != nil) != (bin == "steer") || (got.WaveSel != nil) != (bin == "select") ||
+					(got.WaveNoUn != nil) != (bin == "rolled") {
+					t.Errorf("%s: built Wave=%v WaveSel=%v WaveNoUn=%v", id, got.Wave != nil, got.WaveSel != nil, got.WaveNoUn != nil)
+				}
+				if !reflect.DeepEqual(got.Linear, full.Linear) {
+					t.Errorf("%s: linear program differs from the full build's", id)
+				}
+				if got.Checksum != full.Checksum || got.UsefulInstrs != full.UsefulInstrs || got.MemOpt != full.MemOpt {
+					t.Errorf("%s: got checksum %d useful %d MemOpt %+v,\nfull build checksum %d useful %d MemOpt %+v", id,
+						got.Checksum, got.UsefulInstrs, got.MemOpt, full.Checksum, full.UsefulInstrs, full.MemOpt)
+				}
+				if bin == "steer" && got.Chains != full.Chains {
+					t.Errorf("%s: Chains %+v, full build %+v", id, got.Chains, full.Chains)
+				}
+			}
+		}
+	}
+
+	src := workloads.ByName("fft").Src
+	if _, err := CompileSource("fft", src, CompileOptions{Unroll: 4, Binaries: []string{"steer", "phi"}}); err == nil ||
+		!strings.Contains(err.Error(), `unknown binary "phi"`) {
+		t.Errorf("unknown binary name: err = %v", err)
+	}
+	two, err := CompileSource("fft", src, CompileOptions{Unroll: 4, Binaries: []string{"select", "rolled"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if two.Wave != nil || two.WaveSel == nil || two.WaveNoUn == nil {
+		t.Errorf("select+rolled built Wave=%v WaveSel=%v WaveNoUn=%v", two.Wave != nil, two.WaveSel != nil, two.WaveNoUn != nil)
+	}
+	if _, err := two.Binary("phi"); err == nil {
+		t.Error("Binary of an unknown name returned no error")
+	}
+}
+
 // TestCompileSourceErrorsNameProgramAndStage: whichever stage refuses a
 // program, a sweep over hundreds of them has to be able to say which
 // program it was.

@@ -18,6 +18,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -37,7 +39,8 @@ import (
 	"wavescalar/internal/workloads"
 )
 
-// Compiled is one workload built for every engine.
+// Compiled is one workload built for every engine. A dataflow binary that
+// CompileOptions.Binaries left out is nil; Binary returns one by name.
 type Compiled struct {
 	Name     string
 	Mirrors  string
@@ -74,10 +77,47 @@ type CompileOptions struct {
 	// Workers bounds the goroutines Suite compiles workloads across
 	// (0 = one per CPU, 1 = sequential).
 	Workers int
+	// Binaries names the dataflow binaries to build, from BinaryNames; empty
+	// builds all three. A binary that is not named is not lowered and its
+	// Compiled field stays nil (Chains goes with "steer"); everything else
+	// in Compiled, both cross-checks included, is produced regardless. The
+	// three are different programs that only E9 and E11 compare, so a caller
+	// that runs one of them (a served simulation) asks for that one.
+	Binaries []string
 	// Ctx, when non-nil, cancels a Suite compilation between workloads
 	// (nil = never cancelled). Ctx does not affect compiled output, only
 	// whether the remaining work runs.
 	Ctx context.Context
+}
+
+// BinaryNames are the dataflow binaries of one source, as
+// CompileOptions.Binaries and Compiled.Binary name them: "steer" is
+// Compiled.Wave, "select" WaveSel and "rolled" WaveNoUn.
+var BinaryNames = []string{"steer", "select", "rolled"}
+
+// builds reports whether the options ask for the named binary.
+func (o CompileOptions) builds(name string) bool {
+	return len(o.Binaries) == 0 || slices.Contains(o.Binaries, name)
+}
+
+// Binary returns the named dataflow binary, or an error when the name is
+// not one of BinaryNames or this Compiled was built without it.
+func (c *Compiled) Binary(name string) (*isa.Program, error) {
+	var p *isa.Program
+	switch name {
+	case "steer":
+		p = c.Wave
+	case "select":
+		p = c.WaveSel
+	case "rolled":
+		p = c.WaveNoUn
+	default:
+		return nil, fmt.Errorf("harness: unknown binary %q (%s)", name, strings.Join(BinaryNames, ", "))
+	}
+	if p == nil {
+		return nil, fmt.Errorf("%s: the %s binary was not built", c.Name, name)
+	}
+	return p, nil
 }
 
 // DefaultCompileOptions is the harness pipeline: unroll by 4, as the
@@ -137,11 +177,19 @@ func CompileWorkload(w *workloads.Workload, opts CompileOptions) (*Compiled, err
 // gets a clone because wavec.Compile consumes its input, and the steer
 // build then consumes the original. The rolled binary needs a second IR
 // only when unrolling rewrote a loop; otherwise it is the steer binary.
+// opts.Binaries leaves out the lowerings nobody asked for — the clone and
+// if-conversion, the second IR — and nothing else.
 func CompileSource(name, src string, opts CompileOptions) (*Compiled, error) {
 	c := &Compiled{Name: name, Src: src, Opt: opts.OptLevel}
 	stage := func(what string, err error) error {
 		return fmt.Errorf("%s: %s: %w", name, what, err)
 	}
+	for _, b := range opts.Binaries {
+		if !slices.Contains(BinaryNames, b) {
+			return nil, fmt.Errorf("%s: unknown binary %q (%s)", name, b, strings.Join(BinaryNames, ", "))
+		}
+	}
+	steer, sel, rolled := opts.builds("steer"), opts.builds("select"), opts.builds("rolled")
 	opt := max(opts.OptLevel, 0)
 
 	ir, st, unrolled, err := cfgir.FromSource(src, opts.Unroll, opt)
@@ -152,20 +200,31 @@ func CompileSource(name, src string, opts CompileOptions) (*Compiled, error) {
 	if c.Linear, err = linear.Compile(ir); err != nil {
 		return nil, stage("linear", err)
 	}
-	if c.WaveSel, err = wavec.Compile(ir.Clone(), wavec.Options{IfConvert: true}); err != nil {
-		return nil, stage("wavec", err)
+	if sel {
+		if c.WaveSel, err = wavec.Compile(ir.Clone(), wavec.Options{IfConvert: true}); err != nil {
+			return nil, stage("wavec", err)
+		}
 	}
-	if c.Wave, err = wavec.Compile(ir, wavec.Options{}); err != nil {
-		return nil, stage("wavec", err)
+	rolledIsSteer := rolled && !unrolled
+	if steer || rolledIsSteer {
+		p, err := wavec.Compile(ir, wavec.Options{})
+		if err != nil {
+			return nil, stage("wavec", err)
+		}
+		if steer {
+			c.Wave = p
+			c.Chains = wavec.MeasureChains(p)
+		}
+		if rolledIsSteer {
+			c.WaveNoUn = p
+		}
 	}
-	c.Chains = wavec.MeasureChains(c.Wave)
-	c.WaveNoUn = c.Wave
-	if unrolled {
-		rolled, _, _, err := cfgir.FromSource(src, 1, opt)
+	if rolled && unrolled {
+		rolledIR, _, _, err := cfgir.FromSource(src, 1, opt)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		if c.WaveNoUn, err = wavec.Compile(rolled, wavec.Options{}); err != nil {
+		if c.WaveNoUn, err = wavec.Compile(rolledIR, wavec.Options{}); err != nil {
 			return nil, stage("wavec", err)
 		}
 	}

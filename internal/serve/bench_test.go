@@ -1,9 +1,9 @@
 package serve
 
 import (
-	"fmt"
-	"strings"
 	"testing"
+
+	"wavescalar/internal/testprogs"
 )
 
 // The three request classes of the repository benchmark's serve-mix
@@ -31,14 +31,30 @@ func benchSimulate(b *testing.B, client *Client, req SimulateRequest, wantCached
 var benchGrids = []string{"2x2", "4x2", "3x3", "4x4"}
 
 // BenchmarkSimulateCold: a program the server has never seen — compile,
-// simulate, result put.
+// simulate, result put. The programs are serve-mix's cold set (the first
+// 200 of the generated corpus at its seed), so a profile taken here splits
+// the way the ledger's cold class does; once all have been asked for, the
+// next request goes to a new server on an empty cache directory, as every
+// serve-mix pass does.
 func BenchmarkSimulateCold(b *testing.B) {
-	_, client := benchServer(b)
+	var srcs []string
+	for _, spec := range testprogs.CorpusSpecs(200, 1) {
+		src, err := testprogs.GenerateSpec(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		srcs = append(srcs, src)
+	}
+	var client *Client
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src := strings.Replace(fastSrc, "i < 200", fmt.Sprintf("i < %d", 200+i), 1)
-		benchSimulate(b, client, SimulateRequest{Source: src, Grid: benchGrids[i%len(benchGrids)]}, false)
+		if i%len(srcs) == 0 {
+			b.StopTimer()
+			_, client = benchServer(b)
+			b.StartTimer()
+		}
+		benchSimulate(b, client, SimulateRequest{Source: srcs[i%len(srcs)], Grid: benchGrids[i%len(benchGrids)]}, false)
 	}
 }
 

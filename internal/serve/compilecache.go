@@ -10,11 +10,13 @@ import (
 )
 
 // compileCache is the warm compiled-program cache: an LRU keyed by the
-// workload hash (source + unroll factor) with singleflight semantics — N
-// concurrent requests for the same uncompiled program trigger one compile,
-// and the rest wait on it. Entries may be evicted while still being
-// waited on; waiters hold the entry pointer, so eviction only forgets the
-// key, never invalidates a result in use.
+// program hash (compileKey: source + unroll factor + optimization level)
+// and the dataflow binaries the entry was built with — all three, or the
+// one a simulate request named — with singleflight semantics: N concurrent
+// requests for the same uncompiled program trigger one compile, and the
+// rest wait on it. Entries may be evicted while still being waited on;
+// waiters hold the entry pointer, so eviction only forgets the key, never
+// invalidates a result in use.
 type compileCache struct {
 	max  int
 	hits atomic.Uint64
@@ -43,9 +45,13 @@ func newCompileCache(max int) *compileCache {
 	}
 }
 
-// get returns the compiled program for key, building it at most once per
-// cache residency. hit reports whether a warm entry (including one still
-// compiling under another request) satisfied the call.
+// get returns the program compiled under key with the named dataflow binary
+// in it (binary "" = all of them), building it at most once per cache
+// residency. An all-binaries entry is looked for first and serves any
+// request, so a compile followed by simulations of the program compiles
+// once; otherwise the entry for exactly this binary is used or built. hit
+// reports whether a warm entry (including one still compiling under another
+// request) satisfied the call.
 //
 // The wait — not the build — respects ctx: compilation executes the
 // program on two reference engines and cannot be interrupted mid-way, so
@@ -53,9 +59,13 @@ func newCompileCache(max int) *compileCache {
 // on in the background and lands in the cache. A retry after a deadline
 // expiry therefore finds the program warm instead of paying the compile
 // again — cancelled compile work is never wasted work.
-func (cc *compileCache) get(ctx context.Context, key string, build func() (*harness.Compiled, error)) (c *harness.Compiled, hit bool, err error) {
+func (cc *compileCache) get(ctx context.Context, key, binary string, build func() (*harness.Compiled, error)) (c *harness.Compiled, hit bool, err error) {
 	cc.mu.Lock()
 	e, ok := cc.entries[key]
+	if !ok && binary != "" {
+		key += "/" + binary
+		e, ok = cc.entries[key]
+	}
 	if ok {
 		cc.lru.MoveToFront(e.elem)
 	} else {

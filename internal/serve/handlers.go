@@ -8,11 +8,12 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	"wavescalar/internal/fault"
 	"wavescalar/internal/harness"
-	"wavescalar/internal/isa"
 	"wavescalar/internal/placement"
 	"wavescalar/internal/trace"
 	"wavescalar/internal/wavecache"
@@ -336,10 +337,8 @@ func (s *Server) normalizeSimulate(req *SimulateRequest) (*simSpec, *ErrorRespon
 	if sp.binary == "" {
 		sp.binary = "steer"
 	}
-	switch sp.binary {
-	case "steer", "select", "rolled":
-	default:
-		return nil, invalidErr("unknown binary %q (steer, select, rolled)", req.Binary)
+	if !slices.Contains(harness.BinaryNames, sp.binary) {
+		return nil, invalidErr("unknown binary %q (%s)", req.Binary, strings.Join(harness.BinaryNames, ", "))
 	}
 	sp.gridW, sp.gridH = 4, 4
 	if req.Grid != "" {
@@ -421,8 +420,10 @@ func (sp *simSpec) cacheKey() string {
 	)
 }
 
-// compileKey addresses the warm compiled-program cache (compilation
-// depends only on source, unroll factor, and optimization level).
+// compileKey addresses a program in the warm compiled-program cache: the
+// IR every binary is lowered from depends only on source, unroll factor,
+// and optimization level. compileCache.get completes it with the binaries
+// an entry holds.
 func compileKey(src string, unroll, opt int) string {
 	return harness.CacheKey("serve-compile", src, fmt.Sprintf("unroll=%d opt=%d", unroll, opt))
 }
@@ -481,8 +482,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // cancellation poll.
 func (s *Server) simulate(ctx context.Context, sp *simSpec, wantMetrics bool) (*SimulateResponse, *ErrorResponse) {
 	tc := time.Now()
-	c, _, err := s.compiled.get(ctx, compileKey(sp.src, sp.unroll, sp.opt), func() (*harness.Compiled, error) {
-		return harness.CompileSource(sp.name, sp.src, harness.CompileOptions{Unroll: sp.unroll, OptLevel: sp.opt})
+	c, _, err := s.compiled.get(ctx, compileKey(sp.src, sp.unroll, sp.opt), sp.binary, func() (*harness.Compiled, error) {
+		return harness.CompileSource(sp.name, sp.src,
+			harness.CompileOptions{Unroll: sp.unroll, OptLevel: sp.opt, Binaries: []string{sp.binary}})
 	})
 	ts := time.Now()
 	if err != nil {
@@ -494,14 +496,11 @@ func (s *Server) simulate(ctx context.Context, sp *simSpec, wantMetrics bool) (*
 		// server — is what fails here.
 		return nil, invalidErr("compile: %v", err)
 	}
-	var prog *isa.Program
-	switch sp.binary {
-	case "steer":
-		prog = c.Wave
-	case "select":
-		prog = c.WaveSel
-	case "rolled":
-		prog = c.WaveNoUn
+	prog, err := c.Binary(sp.binary)
+	if err != nil {
+		// The cache handed back an entry without the binary it was asked
+		// for: a server bug, reported as one.
+		return nil, &ErrorResponse{Code: CodeInternal, Status: http.StatusInternalServerError, Error: err.Error()}
 	}
 
 	m := harness.DefaultMachineOptions()
@@ -590,7 +589,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		if apiErr != nil {
 			return nil, false, apiErr
 		}
-		c, warm, err := s.compiled.get(ctx, compileKey(src, unroll, opt), func() (*harness.Compiled, error) {
+		c, warm, err := s.compiled.get(ctx, compileKey(src, unroll, opt), "", func() (*harness.Compiled, error) {
 			return harness.CompileSource(name, src, harness.CompileOptions{Unroll: unroll, OptLevel: opt})
 		})
 		if err != nil {

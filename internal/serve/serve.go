@@ -36,8 +36,9 @@
 //
 // Warm paths: simulation arenas come from the harness's sync.Pool (a
 // request pays the simulator's allocations only on pool misses), and
-// compiled programs are cached in an LRU keyed by workload hash with
-// singleflight semantics.
+// compiled programs are cached in an LRU keyed by workload hash and
+// binary set with singleflight semantics (a simulation compiles only the
+// dataflow binary it names; see compileCache).
 package serve
 
 import (

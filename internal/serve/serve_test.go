@@ -87,11 +87,14 @@ func directResult(t *testing.T, req SimulateRequest, maxCycles int64) SimResult 
 		w := harnessWorkload(t, name)
 		src = w
 	}
-	unroll := req.Unroll
-	if unroll == 0 {
-		unroll = harness.DefaultCompileOptions().Unroll
+	opts := harness.DefaultCompileOptions()
+	if req.Unroll != 0 {
+		opts.Unroll = req.Unroll
 	}
-	c, err := harness.CompileSource(name, src, harness.CompileOptions{Unroll: unroll})
+	if req.Opt != nil {
+		opts.OptLevel = *req.Opt
+	}
+	c, err := harness.CompileSource(name, src, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +180,18 @@ func TestSimulateMatchesDirectHarness(t *testing.T) {
 	s, client := newTestServer(t, srvCfg)
 	defer s.StopJanitor()
 
+	o0 := 0
 	reqs := []SimulateRequest{
 		{Source: fastSrc},
 		{Source: fastSrc, Binary: "select"},
 		{Source: fastSrc, Binary: "rolled", Unroll: 1},
+		// At the default unroll of 4 the rolled binary is lowered from a
+		// second IR; at unroll 1 above it is the steer binary.
+		{Source: fastSrc, Binary: "rolled"},
+		// A program the memory tier changes (110 -> 105 memory operations),
+		// at the default level and with the tier off.
+		{Workload: "ammp"},
+		{Workload: "ammp", Opt: &o0},
 		{Source: fastSrc, Grid: "2x2", MemMode: "serialized"},
 		{Source: fastSrc, MemMode: "ideal", Metrics: true},
 		{Source: fastSrc, MemMode: "spec"},
@@ -188,10 +199,14 @@ func TestSimulateMatchesDirectHarness(t *testing.T) {
 		{Workload: "gen:pipeline:7", Grid: "2x2"},
 		{Source: fastSrc, Faults: "defect=0.1,drop=0.005", FaultSeed: 42},
 	}
+	var ammp []SimResult
 	for i, req := range reqs {
 		resp, apiErr, err := client.Simulate(context.Background(), req)
 		if err != nil || apiErr != nil {
 			t.Fatalf("req %d: err=%v apiErr=%+v", i, err, apiErr)
+		}
+		if req.Workload == "ammp" {
+			ammp = append(ammp, resp.Result)
 		}
 		want := directResult(t, req, srvCfg.MaxCycles)
 		if got, wantJSON := mustJSON(t, resp.Result), mustJSON(t, want); got != wantJSON {
@@ -201,6 +216,90 @@ func TestSimulateMatchesDirectHarness(t *testing.T) {
 			t.Errorf("req %d: metrics requested but no metrics table", i)
 		}
 	}
+	// The comparison above tells the optimization levels apart only if they
+	// yield different results for some program in the table.
+	if len(ammp) != 2 || ammp[0].MemoryOps >= ammp[1].MemoryOps {
+		t.Errorf("ammp at the default level and at opt 0: %+v; want fewer memory operations at the default", ammp)
+	}
+}
+
+// TestSimulateCompilesTheNamedBinary: a simulate request compiles the one
+// dataflow binary it names, under a compile-cache entry of its own; a
+// /v1/compile entry holds all three and serves every later simulation of
+// the program; and whichever entry a request lands on, its result is the
+// direct harness run's.
+func TestSimulateCompilesTheNamedBinary(t *testing.T) {
+	srvCfg := testConfig()
+	s, client := newTestServer(t, srvCfg)
+	defer s.StopJanitor()
+	ctx := context.Background()
+	simulate := func(req SimulateRequest) {
+		t.Helper()
+		resp := mustSimulate(t, client, req)
+		if got, want := mustJSON(t, resp.Result), mustJSON(t, directResult(t, req, srvCfg.MaxCycles)); got != want {
+			t.Errorf("%+v: served result diverged from direct harness run\n got: %s\nwant: %s", req, got, want)
+		}
+	}
+	cacheState := func(what string, wantLen int, wantHits uint64) {
+		t.Helper()
+		if l, h := s.compiled.Len(), s.compiled.Hits(); l != wantLen || h != wantHits {
+			t.Errorf("%s: compile cache holds %d entries after %d hits, want %d and %d", what, l, h, wantLen, wantHits)
+		}
+	}
+
+	// One source, one binary at a time: three compiles, three entries.
+	for i, bin := range harness.BinaryNames {
+		simulate(SimulateRequest{Source: fastSrc, Binary: bin})
+		cacheState(bin, i+1, uint64(i)) // the hits are the lookups below
+		key := compileKey(fastSrc, harness.DefaultCompileOptions().Unroll, harness.DefaultCompileOptions().OptLevel)
+		c, hit, err := s.compiled.get(ctx, key, bin, func() (*harness.Compiled, error) {
+			return nil, fmt.Errorf("the %s entry is not resident", bin)
+		})
+		if err != nil || !hit {
+			t.Fatalf("%s: hit=%v err=%v", bin, hit, err)
+		}
+		for _, other := range harness.BinaryNames {
+			if _, err := c.Binary(other); (err == nil) != (other == bin) {
+				t.Errorf("entry compiled for %s: Binary(%q) err = %v", bin, other, err)
+			}
+		}
+	}
+	// A second steer request, for a cell not yet simulated, compiles nothing.
+	simulate(SimulateRequest{Source: fastSrc, Grid: "2x2"})
+	cacheState("second steer request", 3, 4)
+
+	// Compile, then simulate each binary: one compile, three hits.
+	src2 := strings.Replace(fastSrc, "i < 200", "i < 150", 1)
+	if _, apiErr, err := client.Compile(ctx, CompileRequest{Source: src2}); err != nil || apiErr != nil {
+		t.Fatalf("compile: err=%v apiErr=%+v", err, apiErr)
+	}
+	cacheState("compile", 4, 4)
+	for _, bin := range harness.BinaryNames {
+		simulate(SimulateRequest{Source: src2, Binary: bin})
+	}
+	cacheState("simulate after compile", 4, 7)
+
+	// Different binaries of one uncompiled program, asked for at once.
+	src3 := strings.Replace(fastSrc, "i < 200", "i < 120", 1)
+	var wg sync.WaitGroup
+	for _, bin := range harness.BinaryNames {
+		req := SimulateRequest{Source: src3, Binary: bin}
+		want := directResult(t, req, srvCfg.MaxCycles)
+		for twin := 0; twin < 2; twin++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, apiErr, err := client.Simulate(ctx, req)
+				if err != nil || apiErr != nil {
+					t.Errorf("concurrent %s: err=%v apiErr=%+v", bin, err, apiErr)
+				} else if resp.Result != want {
+					t.Errorf("concurrent %s: served %+v, direct harness %+v", bin, resp.Result, want)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	cacheState("concurrent binaries", 7, 10) // one compile per binary, the twin of each waits on it
 }
 
 func TestSimulateIdempotentReplay(t *testing.T) {

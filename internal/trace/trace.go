@@ -470,6 +470,13 @@ type Tracer struct {
 	buckets []Bucket
 	m       Metrics
 
+	// Firings by [cluster][domain] and link use by [router][direction],
+	// grown on demand like Metrics.PEFires: what Fire and LinkHop count
+	// since the last fold, which moves them into m.DomainFires and m.Links.
+	// A run fires millions of instructions and reads its metrics once.
+	domFires [][]uint64
+	links    [][4]LinkUse
+
 	// countersOnly tracers keep no bucket series: every per-bucket update
 	// lands in sink, which nothing reads.
 	countersOnly bool
@@ -494,7 +501,42 @@ func (t *Tracer) Metrics() *Metrics {
 	if t == nil {
 		return &Metrics{}
 	}
+	t.fold()
 	return &t.m
+}
+
+// fold moves the dense domain and link counts into the keyed maps of t.m
+// and zeroes them, so t.m is complete whenever it is read, folding again
+// adds nothing, and a tracer read mid-run keeps counting.
+func (t *Tracer) fold() {
+	for c, doms := range t.domFires {
+		for d, n := range doms {
+			if n == 0 {
+				continue
+			}
+			if t.m.DomainFires == nil {
+				t.m.DomainFires = make(map[DomKey]uint64)
+			}
+			t.m.DomainFires[DomKey{Cluster: c, Domain: d}] += n
+			doms[d] = 0
+		}
+	}
+	for r := range t.links {
+		for dir, u := range t.links[r] {
+			if u.Msgs == 0 {
+				continue
+			}
+			if t.m.Links == nil {
+				t.m.Links = make(map[LinkKey]LinkUse)
+			}
+			k := LinkKey{Router: r, Dir: dir}
+			sum := t.m.Links[k]
+			sum.Msgs += u.Msgs
+			sum.StallCycles += u.StallCycles
+			t.m.Links[k] = sum
+			t.links[r][dir] = LinkUse{}
+		}
+	}
 }
 
 // Events returns the recorded event stream (nil when events are off).
@@ -603,10 +645,14 @@ func (t *Tracer) Fire(tm int64, pe, cluster, domain int) {
 		t.m.ClusterFires = append(t.m.ClusterFires, 0)
 	}
 	t.m.ClusterFires[cluster]++
-	if t.m.DomainFires == nil {
-		t.m.DomainFires = make(map[DomKey]uint64)
+	for len(t.domFires) <= cluster {
+		t.domFires = append(t.domFires, nil)
 	}
-	t.m.DomainFires[DomKey{Cluster: cluster, Domain: domain}]++
+	doms := &t.domFires[cluster]
+	for len(*doms) <= domain {
+		*doms = append(*doms, 0)
+	}
+	(*doms)[domain]++
 	t.bucket(tm).Fires++
 	t.event(tm, KindFire, pe, int64(cluster), int64(domain))
 }
@@ -642,8 +688,8 @@ func (t *Tracer) NetMsg(tm int64, level int) {
 	}
 }
 
-// LinkHop records one traversal of a directed mesh link, with the cycles
-// the message waited for link bandwidth.
+// LinkHop records one traversal of a directed mesh link (dir 0-3, as in
+// LinkKey), with the cycles the message waited for link bandwidth.
 func (t *Tracer) LinkHop(tm int64, router, dir int, stall int64) {
 	if t == nil {
 		return
@@ -651,14 +697,12 @@ func (t *Tracer) LinkHop(tm int64, router, dir int, stall int64) {
 	t.touch(tm)
 	t.m.MeshHops++
 	t.m.LinkStallCycles += uint64(stall)
-	if t.m.Links == nil {
-		t.m.Links = make(map[LinkKey]LinkUse)
+	for len(t.links) <= router {
+		t.links = append(t.links, [4]LinkUse{})
 	}
-	k := LinkKey{Router: router, Dir: dir}
-	u := t.m.Links[k]
+	u := &t.links[router][dir]
 	u.Msgs++
 	u.StallCycles += uint64(stall)
-	t.m.Links[k] = u
 	t.bucket(tm).LinkStall += stall
 }
 
@@ -821,8 +865,9 @@ func (a *Aggregate) Add(t *Tracer) {
 	if a == nil || t == nil {
 		return
 	}
+	m := t.Metrics()
 	a.mu.Lock()
-	a.m.Merge(&t.m)
+	a.m.Merge(m)
 	a.mu.Unlock()
 }
 

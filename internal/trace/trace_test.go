@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -273,5 +274,105 @@ func TestCountersOnlyMatchesFullTracer(t *testing.T) {
 	b.Add(counters)
 	if got, want := b.Summary("x").Render(), a.Summary("x").Render(); got != want {
 		t.Errorf("summary from a counters-only tracer differs:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// refCounts is the keyed form the tracer's dense domain and link counters
+// must fold into: one map update per call, as Fire and LinkHop first did.
+type refCounts struct {
+	dom   map[DomKey]uint64
+	links map[LinkKey]LinkUse
+}
+
+// driveRandom feeds tr and ref the same seeded stream of n firings and
+// link hops over a machine of the given shape.
+func driveRandom(tr *Tracer, ref *refCounts, seed int64, n, clusters, domains int) {
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i++ {
+		tm := int64(i)
+		if rng.Intn(3) > 0 {
+			c, d := rng.Intn(clusters), rng.Intn(domains)
+			tr.Fire(tm, (c*domains+d)*8+rng.Intn(8), c, d)
+			ref.dom[DomKey{Cluster: c, Domain: d}]++
+		} else {
+			k := LinkKey{Router: rng.Intn(clusters), Dir: rng.Intn(4)}
+			stall := int64(rng.Intn(5))
+			tr.LinkHop(tm, k.Router, k.Dir, stall)
+			u := ref.links[k]
+			u.Msgs++
+			u.StallCycles += uint64(stall)
+			ref.links[k] = u
+		}
+	}
+}
+
+// TestDenseCountersFoldToMaps: the slices Fire and LinkHop count in reach
+// Metrics.DomainFires and Metrics.Links exactly as per-call map updates
+// would — on the first read, on a second read with nothing in between
+// (folding twice adds nothing), after more events, and through
+// Aggregate.Add of several tracers.
+func TestDenseCountersFoldToMaps(t *testing.T) {
+	check := func(what string, m *Metrics, ref *refCounts) {
+		t.Helper()
+		if !reflect.DeepEqual(m.DomainFires, ref.dom) {
+			t.Errorf("%s: DomainFires = %v, want %v", what, m.DomainFires, ref.dom)
+		}
+		if !reflect.DeepEqual(m.Links, ref.links) {
+			t.Errorf("%s: Links = %v, want %v", what, m.Links, ref.links)
+		}
+	}
+	merged := &refCounts{dom: map[DomKey]uint64{}, links: map[LinkKey]LinkUse{}}
+	agg := NewAggregate()
+	for seed := int64(1); seed <= 4; seed++ {
+		// Each tracer sees a different machine shape, so the merged maps
+		// hold keys some tracers never grew a slot for.
+		clusters, domains := int(seed)+1, 5-int(seed)
+		tr := NewCounters()
+		ref := &refCounts{dom: map[DomKey]uint64{}, links: map[LinkKey]LinkUse{}}
+		driveRandom(tr, ref, seed, 3000, clusters, domains)
+		check("first read", tr.Metrics(), ref)
+		check("second read", tr.Metrics(), ref)
+		driveRandom(tr, ref, seed+100, 1000, clusters+1, domains+1)
+		check("read after more events", tr.Metrics(), ref)
+
+		driveRandom(tr, ref, seed+200, 500, clusters, domains) // unread: Add must fold it
+		agg.Add(tr)
+		for k, v := range ref.dom {
+			merged.dom[k] += v
+		}
+		for k, v := range ref.links {
+			u := merged.links[k]
+			u.Msgs += v.Msgs
+			u.StallCycles += v.StallCycles
+			merged.links[k] = u
+		}
+	}
+	snap := agg.Snapshot()
+	check("aggregate", &snap, merged)
+
+	// A tracer that saw neither kind of event keeps both maps nil, as the
+	// per-call form did.
+	if m := New(Config{}).Metrics(); m.DomainFires != nil || m.Links != nil {
+		t.Errorf("idle tracer made maps: %+v", m)
+	}
+}
+
+// BenchmarkTracerFire and BenchmarkTracerLinkHop time the two per-event
+// counters of a metrics-only tracer (what every served run carries) over a
+// 4x4-cluster machine's PEs and links.
+func BenchmarkTracerFire(b *testing.B) {
+	tr := NewCounters()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pe := i & 511
+		tr.Fire(int64(i), pe, pe>>5, pe>>3&3)
+	}
+}
+
+func BenchmarkTracerLinkHop(b *testing.B) {
+	tr := NewCounters()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr.LinkHop(int64(i), i>>2&15, i&3, int64(i&1))
 	}
 }
