@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci check vet build test bench-test race soak bench bench-base bench-cmp bench-opt bench-spec bench-ledger bench-ab bench-micro fuzz fuzz-diff corpus
+.PHONY: ci check vet build test bench-test race soak bench bench-opt bench-spec bench-ledger bench-ab bench-micro fuzz fuzz-diff corpus
 
 ci: vet build test race
 
@@ -28,9 +28,10 @@ test:
 	$(GO) test ./...
 
 # bench/ is its own module (replace wavescalar => ../), so the root
-# `go test ./...` does not reach it.
+# `go vet ./...` and `go test ./...` do not reach it: this is the fence
+# that keeps it compiling against the packages it imports.
 bench-test:
-	cd bench && $(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The harness package alone runs ~10 minutes under the race detector (the
 # full experiment suite at race-instrumented speed), so the pass needs more
@@ -80,31 +81,6 @@ corpus:
 # (BenchmarkHarnessCells{Sequential,Parallel}).
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-
-# Before/after benchmark comparison workflow for performance work:
-#   make bench-base            # on the baseline commit: writes bench.base.txt
-#   ...apply the optimization...
-#   make bench-cmp             # writes bench.new.txt and compares
-# COUNT >= 5 gives benchstat-grade samples; comparison uses benchstat when
-# installed and falls back to a side-by-side diff otherwise. The .txt files
-# are scratch output — do not commit them.
-COUNT ?= 5
-BENCHRE ?= BenchmarkE[0-9]+_
-
-bench-base:
-	$(GO) test -bench='$(BENCHRE)' -benchtime=1x -count=$(COUNT) -benchmem -run=^$$ . | tee bench.base.txt
-
-bench-cmp:
-	$(GO) test -bench='$(BENCHRE)' -benchtime=1x -count=$(COUNT) -benchmem -run=^$$ . | tee bench.new.txt
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat bench.base.txt bench.new.txt; \
-	else \
-		echo "benchstat not installed; raw comparison:"; \
-		grep '^Benchmark' bench.base.txt | sort > bench.base.sorted.txt; \
-		grep '^Benchmark' bench.new.txt | sort > bench.new.sorted.txt; \
-		paste bench.base.sorted.txt bench.new.sorted.txt | column -t; \
-		rm -f bench.base.sorted.txt bench.new.sorted.txt; \
-	fi
 
 # bench-opt is the compiler memory-optimization tier's A/B gate: one
 # prebuilt test binary, run with the tier off (WAVEOPT=0) and on

@@ -2,14 +2,16 @@ package wavescalar
 
 // This file holds the benchmark harness entry points: one testing.B
 // benchmark per reconstructed table/figure of the MICRO 2003 evaluation
-// (experiments E1–E11; see DESIGN.md for the index and EXPERIMENTS.md for
-// the recorded results). Each benchmark regenerates its table on a reduced
-// configuration (three kernels, 2x2 cluster grid) so `go test -bench=.`
-// terminates in minutes; the full-suite tables are produced by
-// `go run ./cmd/waveexp`. The set includes ammp because it is the kernel
-// where the compiler memory-optimization tier fires (see `make bench-opt`).
+// and its follow-ups (experiments E1–E15 and M1; see DESIGN.md for the index
+// and EXPERIMENTS.md for the recorded results). Each benchmark regenerates
+// its table on a reduced configuration (three kernels, 2x2 cluster grid) so
+// `go test -bench=.` terminates in minutes; the full-suite tables are
+// produced by `go run ./cmd/waveexp`. The set includes ammp because it is
+// the kernel where the compiler memory-optimization tier fires (see
+// `make bench-opt`).
 
 import (
+	"fmt"
 	"os"
 	"strconv"
 	"sync"
@@ -27,20 +29,30 @@ var (
 
 // benchCompileOptions returns the benchmark suite's compile options.
 // WAVEOPT selects the optimizer tier (`make bench-opt` drives it with 0
-// and 1 for the before/after passes); unset keeps the default tier.
-func benchCompileOptions() harness.CompileOptions {
+// and 1 for the before/after passes); unset keeps the default tier, and a
+// value that is not a tier is an error, not a benchmark of the default.
+func benchCompileOptions() (harness.CompileOptions, error) {
 	o := harness.DefaultCompileOptions()
-	if n, err := strconv.Atoi(os.Getenv("WAVEOPT")); err == nil && n >= 0 {
-		o.OptLevel = n
+	if v := os.Getenv("WAVEOPT"); v != "" {
+		var err error
+		if o.OptLevel, err = strconv.Atoi(v); err == nil {
+			err = o.Validate()
+		}
+		if err != nil {
+			return o, fmt.Errorf("WAVEOPT: %v", err)
+		}
 	}
-	return o
+	return o, nil
 }
 
 // benchSuite compiles the reduced benchmark set once for all benchmarks.
 func benchSuite(b *testing.B) []*harness.Compiled {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchSet, benchErr = harness.Suite([]string{"lu", "fft", "ammp"}, benchCompileOptions())
+		var o harness.CompileOptions
+		if o, benchErr = benchCompileOptions(); benchErr == nil {
+			benchSet, benchErr = harness.Suite([]string{"lu", "fft", "ammp"}, o)
+		}
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -48,19 +60,20 @@ func benchSuite(b *testing.B) []*harness.Compiled {
 	return benchSet
 }
 
-func benchMachine() harness.MachineOptions {
+func benchMachine(b *testing.B) harness.MachineOptions {
+	b.Helper()
 	m := harness.DefaultMachineOptions()
 	m.GridW, m.GridH = 2, 2
 	// WAVEMEM sets the memory ordering mode inside every simulation cell
 	// (`make bench-spec` drives it with wave-ordered and spec for the A/B).
 	// Experiments that sweep memory modes themselves (E4, E15) override it
 	// per cell and are insensitive to it.
-	if v := os.Getenv("WAVEMEM"); v != "" {
-		mode, err := wavecache.ParseMemoryMode(v)
-		if err != nil {
-			panic(err)
-		}
-		m.MemMode = mode
+	var err error
+	if m.MemMode, err = wavecache.ParseMemoryMode(os.Getenv("WAVEMEM")); err != nil {
+		b.Fatalf("WAVEMEM: %v", err)
+	}
+	if err := m.Validate(); err != nil {
+		b.Fatal(err)
 	}
 	return m
 }
@@ -74,7 +87,7 @@ func runExperiment(b *testing.B, id string) {
 	if e == nil {
 		b.Fatalf("unknown experiment %s", id)
 	}
-	m := benchMachine()
+	m := benchMachine(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Run(set, m); err != nil {
@@ -152,7 +165,7 @@ func benchExperimentWorkers(b *testing.B, id string, workers int) {
 	if e == nil {
 		b.Fatalf("unknown experiment %s", id)
 	}
-	m := benchMachine()
+	m := benchMachine(b)
 	m.Workers = workers
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -172,7 +185,10 @@ func BenchmarkHarnessCellsParallel(b *testing.B)  { benchExperimentWorkers(b, "E
 // compilation at one worker vs one per CPU.
 func benchSuiteCompile(b *testing.B, workers int) {
 	b.Helper()
-	opts := benchCompileOptions()
+	opts, err := benchCompileOptions()
+	if err != nil {
+		b.Fatal(err)
+	}
 	opts.Workers = workers
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

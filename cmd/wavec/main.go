@@ -14,13 +14,13 @@ import (
 	"os"
 
 	"wavescalar"
+	"wavescalar/internal/cli"
 )
 
 func main() {
-	unroll := flag.Int("unroll", 4, "loop unrolling factor (1 disables)")
+	unroll, optLevel := cli.CompileFlags()
 	useSelect := flag.Bool("select", false, "lower small diamonds to φ SELECT instead of steers")
 	noopt := flag.Bool("noopt", false, "disable the IR optimizer")
-	optLevel := flag.Int("O", 1, "optimization level: 0 = base passes only, 1 = memory tier (scalar replacement, store forwarding, dead stores)")
 	showStats := flag.Bool("stats", false, "print compilation statistics to stderr")
 	dotFunc := flag.String("dot", "", "emit a GraphViz graph of the named function ('main' for the entry) instead of assembly")
 	flag.Usage = func() {
@@ -80,7 +80,4 @@ func main() {
 	}
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "wavec:", err)
-	os.Exit(1)
-}
+func fatal(err error) { cli.Fatal("wavec", err) }

@@ -42,6 +42,7 @@ import (
 	"syscall"
 	"time"
 
+	"wavescalar/internal/cli"
 	"wavescalar/internal/harness"
 	"wavescalar/internal/serve"
 )
@@ -138,7 +139,4 @@ func main() {
 	fmt.Fprintln(os.Stderr, "waved: drained cleanly")
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "waved:", err)
-	os.Exit(1)
-}
+func fatal(err error) { cli.Fatal("waved", err) }

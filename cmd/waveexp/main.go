@@ -1,11 +1,11 @@
 // Command waveexp regenerates the reconstructed MICRO 2003 evaluation:
-// every experiment table (E1–E11) over the benchmark suite. Results go to
-// standard output (or -out file); see EXPERIMENTS.md for the accompanying
-// paper-vs-measured discussion.
+// every experiment table (E1–E15 and M1) over the benchmark suite. Results
+// go to standard output (or -out file); see EXPERIMENTS.md for the
+// accompanying paper-vs-measured discussion.
 //
 // Usage:
 //
-//	waveexp [-experiments E1,E4] [-benches fft,lu] [-grid 4x4] [-j 8]
+//	waveexp [-experiments E1,E4] [-benches fft,lu] [-grid WxH] [-j 8]
 //	        [-metrics] [-cpuprofile cpu.out] [-memprofile mem.out]
 //	        [-out results.txt]
 //	waveexp -corpus N [-corpus-seed S] [-cache-dir DIR] [-shard k/n]
@@ -34,7 +34,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -48,17 +47,13 @@ import (
 func main() {
 	exps := flag.String("experiments", "", "comma-separated experiment IDs (default: all)")
 	benches := flag.String("benches", "", "comma-separated workloads (default: all; available: "+strings.Join(workloads.Names(), ",")+")")
-	grid := flag.String("grid", "4x4", "cluster grid, WxH")
+	grid, memName := cli.MachineFlags() // -mem: for the cells that do not sweep modes themselves
 	outPath := flag.String("out", "", "write results to this file instead of stdout (atomic: temp file + rename)")
-	unroll := flag.Int("unroll", 4, "loop unrolling factor")
-	optLevel := flag.Int("O", 1, "optimization level: 0 = base passes only, 1 = compiler memory tier (part of the corpus cell-cache key)")
+	unroll, optLevel := cli.CompileFlags()
 	jobs := flag.Int("j", runtime.NumCPU(), "worker goroutines for compilation and simulation cells (1 = sequential)")
-	memName := flag.String("mem", "",
-		"memory ordering for cells that do not sweep modes themselves: wave-ordered (default), serialized, ideal, spec")
 	metrics := flag.Bool("metrics", false,
 		"aggregate WaveCache trace metrics across each experiment's cells and print a summary table after it")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (go tool pprof format) to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
+	profiles := cli.ProfileFlags()
 	corpusN := flag.Int("corpus", 0, "run experiment E13 over N generated corpus programs instead of the experiment suite")
 	corpusSeed := flag.Int64("corpus-seed", 1, "base seed for the generated corpus (reproduces the corpus bit-for-bit)")
 	cacheDir := flag.String("cache-dir", "", "content-addressed cell cache directory for resumable/shardable corpus sweeps")
@@ -70,7 +65,7 @@ func main() {
 	if *jobs < 1 {
 		fatal(fmt.Errorf("-j must be >= 1, got %d", *jobs))
 	}
-	stop, err := startProfiles(*cpuprofile, *memprofile)
+	stop, err := profiles()
 	if err != nil {
 		fatal(err)
 	}
@@ -144,10 +139,8 @@ func main() {
 
 	m := harness.DefaultMachineOptions()
 	m.Workers = *jobs
-	if mm, err := wavecache.ParseMemoryMode(*memName); err != nil {
+	if m.MemMode, err = wavecache.ParseMemoryMode(*memName); err != nil {
 		fatal(err)
-	} else {
-		m.MemMode = mm
 	}
 	if *metrics {
 		m.Metrics = trace.NewAggregate()
@@ -273,57 +266,7 @@ var (
 	cleanupOut   func()
 )
 
-// startProfiles begins CPU profiling (when cpu is non-empty) and arranges
-// an allocation-profile snapshot at stop (when heap is non-empty). The
-// returned stop function is idempotent.
-func startProfiles(cpu, heap string) (func(), error) {
-	var cpuF *os.File
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		cpuF = f
-	}
-	done := false
-	return func() {
-		if done {
-			return
-		}
-		done = true
-		if cpuF != nil {
-			pprof.StopCPUProfile()
-			cpuF.Close()
-		}
-		if heap != "" {
-			f, err := os.Create(heap)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-				return
-			}
-			runtime.GC()
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-			}
-			f.Close()
-		}
-	}, nil
-}
-
 // fatal reports err and exits: 3 with a structured diagnostic when an
 // experiment cell aborted on a FaultError (e.g. a watchdog-tripped corpus
 // cell), 1 otherwise.
-func fatal(err error) {
-	if stopProfiles != nil {
-		stopProfiles()
-	}
-	if cleanupOut != nil {
-		cleanupOut()
-	}
-	cli.WriteDiagnostic(os.Stderr, "waveexp", err)
-	os.Exit(cli.Code(err))
-}
+func fatal(err error) { cli.Fatal("waveexp", err, stopProfiles, cleanupOut) }

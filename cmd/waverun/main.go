@@ -19,8 +19,7 @@ import (
 
 func main() {
 	isAsm := flag.Bool("asm", false, "input is WaveScalar assembly, not wsl source")
-	unroll := flag.Int("unroll", 4, "loop unrolling factor for wsl input")
-	optLevel := flag.Int("O", 1, "optimization level: 0 = base passes only, 1 = compiler memory tier")
+	unroll, optLevel := cli.CompileFlags() // for wsl input
 	maxCycles := flag.Int64("max-cycles", 0,
 		"abort after this many interpreter steps with a diagnostic dump (0 = default budget)")
 	flag.Usage = func() {
@@ -62,7 +61,4 @@ func main() {
 
 // fatal reports err and exits: 3 with a structured diagnostic when a
 // simulation aborted on a FaultError, 1 otherwise.
-func fatal(err error) {
-	cli.WriteDiagnostic(os.Stderr, "waverun", err)
-	os.Exit(cli.Code(err))
-}
+func fatal(err error) { cli.Fatal("waverun", err) }

@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	wavesim [-grid 4x4] [-placement dynamic-depth-first-snake]
-//	        [-mem wave-ordered|serialized|ideal|spec] [-density 16] [-queue 64]
+//	wavesim [-grid WxH] [-placement POLICY]
+//	        [-mem wave-ordered|serialized|ideal|spec] [-density N] [-queue N]
 //	        [-faults defect=0.05,drop=0.01] [-fault-seed 1] [-max-cycles N]
 //	        [-trace events.jsonl] [-trace-chrome trace.json] [-metrics]
 //	        [-cpuprofile cpu.out] [-memprofile mem.out]
@@ -23,25 +23,23 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"wavescalar"
 	"wavescalar/internal/cli"
+	"wavescalar/internal/harness"
 	"wavescalar/internal/trace"
 	"wavescalar/internal/wavecache"
 )
 
 func main() {
-	grid := flag.String("grid", "4x4", "cluster grid, WxH")
-	pol := flag.String("placement", "dynamic-depth-first-snake",
+	def := harness.DefaultMachineOptions()
+	grid, memFlag := cli.MachineFlags()
+	pol := flag.String("placement", def.Policy,
 		"placement policy: "+strings.Join(wavescalar.PlacementPolicies(), ", "))
-	memFlag := flag.String("mem", "", "memory ordering: wave-ordered (default), serialized, ideal, spec")
-	density := flag.Int("density", 16, "instruction homes packed per PE")
-	queue := flag.Int("queue", 64, "PE matching-table capacity")
-	unroll := flag.Int("unroll", 4, "loop unrolling factor")
-	optLevel := flag.Int("O", 1, "optimization level: 0 = base passes only, 1 = compiler memory tier")
+	density := flag.Int("density", def.Density, "instruction homes packed per PE")
+	queue := flag.Int("queue", def.InputQueue, "PE matching-table capacity")
+	unroll, optLevel := cli.CompileFlags()
 	baseline := flag.Bool("baseline", false, "also run the superscalar baseline and report speedup")
 	faults := flag.String("faults", "",
 		"fault injection spec: defect=R,drop=R,delay=R,memloss=R,kill=PE@CYCLE,retries=N,timeout=C,delaycycles=C")
@@ -52,8 +50,7 @@ func main() {
 	chromePath := flag.String("trace-chrome", "", "write a Chrome trace_event file (open at chrome://tracing)")
 	metrics := flag.Bool("metrics", false, "print the per-run trace metrics summary table")
 	sample := flag.Int64("trace-sample", 0, "trace counter sampling interval in cycles (0 = default)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (go tool pprof format) to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
+	profiles := cli.ProfileFlags()
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: wavesim [flags] file.wsl\n")
 		flag.PrintDefaults()
@@ -63,7 +60,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	stop, err := startProfiles(*cpuprofile, *memprofile)
+	stop, err := profiles()
 	if err != nil {
 		fatal(err)
 	}
@@ -144,13 +141,6 @@ func main() {
 	}
 }
 
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // writeTrace creates path and streams one of the tracer's export formats
 // into it, reporting close errors (a full disk truncates JSON silently
 // otherwise).
@@ -170,55 +160,8 @@ func writeTrace(path string, export func(io.Writer) error) error {
 // output survives error exits (os.Exit skips defers).
 var stopProfiles func()
 
-// startProfiles begins CPU profiling (when cpu is non-empty) and arranges
-// an allocation-profile snapshot at stop (when heap is non-empty). The
-// returned stop function is idempotent.
-func startProfiles(cpu, heap string) (func(), error) {
-	var cpuF *os.File
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		cpuF = f
-	}
-	done := false
-	return func() {
-		if done {
-			return
-		}
-		done = true
-		if cpuF != nil {
-			pprof.StopCPUProfile()
-			cpuF.Close()
-		}
-		if heap != "" {
-			f, err := os.Create(heap)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-				return
-			}
-			runtime.GC()
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-			}
-			f.Close()
-		}
-	}, nil
-}
-
 // fatal reports err and exits: 3 with a structured diagnostic when the
 // simulation aborted on a FaultError (watchdog, deadlock, unrecoverable
 // fault), 1 otherwise — so drivers can tell "the run faulted" from "the
 // invocation was wrong" without parsing stderr.
-func fatal(err error) {
-	if stopProfiles != nil {
-		stopProfiles()
-	}
-	cli.WriteDiagnostic(os.Stderr, "wavesim", err)
-	os.Exit(cli.Code(err))
-}
+func fatal(err error) { cli.Fatal("wavesim", err, stopProfiles) }

@@ -1,16 +1,17 @@
-// Package cli holds the exit-code policy shared by the command-line tools
-// (wavesim, waverun, waveexp, waved): simulation aborts carrying a
-// structured *fault.FaultError — watchdog expiry, deadlock, unrecoverable
-// message loss, cooperative cancellation — are distinguishable from
-// ordinary failures by exit code, so scripts and CI drivers can branch on
-// "the machine faulted" vs "the invocation was wrong" without parsing
-// stderr.
+// Package cli holds what the command-line tools share: the flags more than
+// one of them exposes (flags.go) and the exit-code policy. Simulation
+// aborts carrying a structured *fault.FaultError — watchdog expiry,
+// deadlock, unrecoverable message loss, cooperative cancellation — are
+// distinguishable from ordinary failures by exit code, so scripts and CI
+// drivers can branch on "the machine faulted" vs "the invocation was wrong"
+// without parsing stderr.
 package cli
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 
 	"wavescalar/internal/fault"
@@ -45,4 +46,17 @@ func WriteDiagnostic(w io.Writer, tool string, err error) {
 	}
 	fmt.Fprintf(w, "%s: fault diagnostic: kind=%s pe=%s cycle=%d detail=%q (exit %d)\n",
 		tool, fe.Kind, pe, fe.Cycle, fe.Detail, ExitFault)
+}
+
+// Fatal is how a command dies: it runs the cleanups os.Exit would skip
+// (flushing profiles, removing a pending -out temp file; nil ones are
+// passed over), reports err with WriteDiagnostic and exits with Code(err).
+func Fatal(tool string, err error, cleanups ...func()) {
+	for _, fn := range cleanups {
+		if fn != nil {
+			fn()
+		}
+	}
+	WriteDiagnostic(os.Stderr, tool, err)
+	os.Exit(Code(err))
 }

@@ -111,7 +111,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// String renders the config in ParseSpec form (empty when disabled).
+// String renders the config in ParseSpec form: every key whose value is not
+// the default, in a fixed order, so two configs that inject the same faults
+// render alike (empty for the zero config; Seed is not part of a spec).
 func (c Config) String() string {
 	var parts []string
 	add := func(k string, v float64) {
@@ -125,6 +127,16 @@ func (c Config) String() string {
 	add("memloss", c.MemLossRate)
 	if c.KillCycle > 0 {
 		parts = append(parts, fmt.Sprintf("kill=%d@%d", c.KillPE, c.KillCycle))
+	}
+	c, def := c.withDefaults(), Config{}.withDefaults()
+	if c.MaxRetries != def.MaxRetries {
+		parts = append(parts, fmt.Sprintf("retries=%d", c.MaxRetries))
+	}
+	if c.AckTimeout != def.AckTimeout {
+		parts = append(parts, fmt.Sprintf("timeout=%d", c.AckTimeout))
+	}
+	if c.DelayCycles != def.DelayCycles {
+		parts = append(parts, fmt.Sprintf("delaycycles=%d", c.DelayCycles))
 	}
 	return strings.Join(parts, ",")
 }

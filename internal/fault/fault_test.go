@@ -170,7 +170,8 @@ func TestParseSpec(t *testing.T) {
 }
 
 func TestConfigStringRoundTrip(t *testing.T) {
-	c := Config{DefectRate: 0.05, DropRate: 0.01, KillPE: 3, KillCycle: 77}
+	c := Config{DefectRate: 0.05, DropRate: 0.01, KillPE: 3, KillCycle: 77,
+		MaxRetries: 2, AckTimeout: 128, DelayCycles: 5}
 	back, err := ParseSpec(c.String())
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -47,6 +49,73 @@ func TestCacheKeySensitivity(t *testing.T) {
 		if CacheKey(parts...) == base {
 			t.Fatalf("CacheKey(%q) collided with CacheKey(a, b)", parts)
 		}
+	}
+
+	// The option structs' Key methods feed every cache key, so a field that
+	// can change a result must change its Key: walk the fields, so that a
+	// knob added without being keyed fails here. The fields below cannot
+	// change what a binary is or what a run returns.
+	notKeyed := map[string]string{
+		"CompileOptions.Workers":  "scheduling only",
+		"CompileOptions.Binaries": "which binaries are built, not what each is; callers key the binary they run",
+		"CompileOptions.Ctx":      "cancellation only",
+		"MachineOptions.Tracer":   "observes a run (TestTracingDoesNotPerturbSimulation)",
+		"MachineOptions.Workers":  "scheduling only (TestWorkerCountInvariance)",
+		"MachineOptions.Metrics":  "observes a run",
+		"MachineOptions.Ctx":      "cancellation only",
+	}
+	keyOf := func(v reflect.Value) string {
+		return v.Addr().MethodByName("Key").Call(nil)[0].String()
+	}
+	m := DefaultMachineOptions()
+	m.Faults = "drop=0.01"
+	for _, opts := range []any{&m, &CompileOptions{Unroll: 4, OptLevel: 1}} {
+		v := reflect.ValueOf(opts).Elem()
+		before := keyOf(v)
+		for i := 0; i < v.NumField(); i++ {
+			name := v.Type().Name() + "." + v.Type().Field(i).Name
+			f, old := v.Field(i), reflect.New(v.Field(i).Type()).Elem()
+			old.Set(f)
+			switch f.Kind() {
+			case reflect.Int, reflect.Int64:
+				f.SetInt(f.Int() + 1)
+			case reflect.Uint64:
+				f.SetUint(f.Uint() + 1)
+			case reflect.String:
+				f.SetString(map[string]string{"Faults": "drop=0.02", "Policy": "random"}[v.Type().Field(i).Name])
+			case reflect.Slice:
+				f.Set(reflect.ValueOf([]string{"steer"}))
+			case reflect.Pointer:
+				f.Set(reflect.New(f.Type().Elem()))
+			case reflect.Interface:
+				f.Set(reflect.ValueOf(context.Background()))
+			default:
+				t.Fatalf("%s: no mutation for kind %s; teach this test", name, f.Kind())
+			}
+			if _, skip := notKeyed[name]; skip == (keyOf(v) != before) {
+				t.Errorf("%s: mutated, Key changed = %v, listed as not keyed = %v", name, !skip, skip)
+			}
+			f.Set(old)
+		}
+	}
+
+	// Canonical: spellings of one machine share a key, different machines
+	// do not.
+	same := [][2]MachineOptions{
+		{{}, DefaultMachineOptions()},
+		{{Faults: "drop=0.01,defect=0.05"}, {Faults: " defect=0.05, drop=0.010"}},
+		{{Faults: "drop=0.01"}, {Faults: "drop=0.01,retries=8,timeout=64,delaycycles=16"}},
+	}
+	for _, p := range same {
+		if p[0].Key() != p[1].Key() {
+			t.Errorf("%+v and %+v are one machine but key apart:\n%s\n%s", p[0], p[1], p[0].Key(), p[1].Key())
+		}
+	}
+	if a, b := (MachineOptions{Faults: "drop=0.01"}), (MachineOptions{Faults: "drop=0.01,retries=2"}); a.Key() == b.Key() {
+		t.Errorf("retries=2 keys like the default: %s", a.Key())
+	}
+	if a, b := (CompileOptions{Unroll: 0}), (CompileOptions{Unroll: 1}); a.Key() != b.Key() {
+		t.Errorf("unroll 0 and 1 both mean off but key apart: %s, %s", a.Key(), b.Key())
 	}
 }
 

@@ -1,10 +1,10 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 
 	"wavescalar/internal/parallel"
 	"wavescalar/internal/stats"
@@ -13,7 +13,7 @@ import (
 
 // corpusCellVersion names the CorpusCell schema for cache keys; bump it
 // when the cell's serialized shape or meaning changes.
-const corpusCellVersion = "cell-v2"
+const corpusCellVersion = "cell-v3"
 
 // CorpusOptions configures a corpus-scale differential sweep (experiment
 // E13): N generated programs, each verified across the full engine table.
@@ -79,15 +79,8 @@ type CorpusRun struct {
 // determines its result — the program spec, compile options, machine
 // configuration, the engine table and its version, and the cell schema.
 func corpusCellKey(spec testprogs.CorpusSpec, o CorpusOptions) string {
-	m := o.Machine
-	return CacheKey(
-		"corpus-cell", corpusCellVersion, EngineSetVersion,
-		spec.Name(),
-		strconv.Itoa(o.Compile.Unroll),
-		fmt.Sprintf("opt=%d", o.Compile.OptLevel),
-		fmt.Sprintf("grid=%dx%d density=%d queue=%d policy=%s maxcycles=%d",
-			m.GridW, m.GridH, m.Density, m.InputQueue, m.Policy, m.MaxCycles),
-	)
+	return CacheKey("corpus-cell", corpusCellVersion, EngineSetVersion,
+		spec.Name(), o.Compile.Key(), o.Machine.Key())
 }
 
 // computeCorpusCell generates, compiles, and differentially verifies one
@@ -126,6 +119,11 @@ func RunCorpus(o CorpusOptions) (*CorpusRun, error) {
 	}
 	if o.Shards > 0 && (o.Shard < 1 || o.Shard > o.Shards) {
 		return nil, fmt.Errorf("harness: shard %d/%d out of range", o.Shard, o.Shards)
+	}
+	// Checked here because a cell records its own failures: options no cell
+	// can run under would otherwise come back as N mismatches.
+	if err := cmp.Or(o.Compile.Validate(), o.Machine.Validate()); err != nil {
+		return nil, err
 	}
 	var cache *CellCache
 	if o.CacheDir != "" {

@@ -227,4 +227,17 @@ func TestCorpusOptionValidation(t *testing.T) {
 			t.Errorf("shard %d/%d accepted", sh[0], sh[1])
 		}
 	}
+	// Options no cell can run under fail the sweep; they do not come back
+	// as a table of mismatches.
+	for _, edit := range []func(*CorpusOptions){
+		func(o *CorpusOptions) { o.Compile.OptLevel = 7 },
+		func(o *CorpusOptions) { o.Machine.Policy = "nonsense" },
+		func(o *CorpusOptions) { o.Machine.InputQueue = -1 },
+	} {
+		o := corpusOptions(4, 1)
+		edit(&o)
+		if run, err := RunCorpus(o); err == nil {
+			t.Errorf("compile %+v, machine %+v: accepted, %d mismatched", o.Compile, o.Machine, run.Mismatched)
+		}
+	}
 }

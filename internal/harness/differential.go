@@ -42,9 +42,9 @@ type Engine struct {
 func Engines(m MachineOptions) []Engine {
 	waveEngine := func(mode wavecache.MemoryMode) func(c *Compiled) (EngineRun, error) {
 		return func(c *Compiled) (EngineRun, error) {
-			cfg := m.WaveConfig()
-			cfg.MemMode = mode
-			pol, err := m.NewPolicy(c.Wave)
+			opt := m
+			opt.MemMode = mode
+			cfg, pol, err := opt.Build(c.Wave)
 			if err != nil {
 				return EngineRun{}, err
 			}

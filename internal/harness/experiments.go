@@ -107,19 +107,8 @@ func runE1(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 			rows[i].ores, err = RunOoO(c, DefaultOoOConfig())
 			return err
 		})
-		cells.add(func() error {
-			var err error
-			rows[i].wres, err = runWaveWith(c, c.Wave, m, m.WaveConfig())
-			return err
-		})
-		cells.add(func() error {
-			pol, err := placement.NewDynamicSnake(idealWaveConfig().Machine)
-			if err != nil {
-				return err
-			}
-			rows[i].ires, err = RunWave(c, c.Wave, pol, idealWaveConfig())
-			return err
-		})
+		cells.wave(c, c.Wave, m, &rows[i].wres)
+		cells.wave(c, c.Wave, idealMachine, &rows[i].ires, idealize)
 	}
 	if err := cells.run(); err != nil {
 		return nil, err
@@ -151,26 +140,10 @@ func runE2(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	cells := newCellSet(m)
 	for bi, c := range set {
 		for ci, capacity := range caps {
-			slot := bi*len(caps) + ci
-			cells.add(func() error {
-				cfg := m.WaveConfig()
-				cfg.Machine = placement.DefaultMachine(1, 1)
-				cfg.Machine.Capacity = capacity
-				cfg.PEStore = capacity
-				cfg.Net = wavecache.DefaultConfig(1, 1).Net
-				cfg.Mem = wavecache.DefaultConfig(1, 1).Mem
-				cfg.InputQueue = m.InputQueue
-				pol, err := placement.New(m.Policy, cfg.Machine, c.Wave, 12345)
-				if err != nil {
-					return err
-				}
-				res, err := RunWave(c, c.Wave, pol, cfg)
-				if err != nil {
-					return err
-				}
-				grid[slot] = res
-				return nil
-			})
+			opt := m
+			opt.GridW, opt.GridH = 1, 1
+			opt.Density, opt.PEStore = capacity, capacity
+			cells.wave(c, c.Wave, opt, &grid[bi*len(caps)+ci])
 		}
 	}
 	if err := cells.run(); err != nil {
@@ -198,17 +171,9 @@ func runE3(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	cells := newCellSet(m)
 	for bi, c := range set {
 		for gi, g := range grids {
-			slot := bi*len(grids) + gi
-			cells.add(func() error {
-				opt := m
-				opt.GridW, opt.GridH = g[0], g[1]
-				res, err := runWaveWith(c, c.Wave, opt, opt.WaveConfig())
-				if err != nil {
-					return err
-				}
-				grid[slot] = res
-				return nil
-			})
+			opt := m
+			opt.GridW, opt.GridH = g[0], g[1]
+			cells.wave(c, c.Wave, opt, &grid[bi*len(grids)+gi])
 		}
 	}
 	if err := cells.run(); err != nil {
@@ -229,21 +194,13 @@ func runE4(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 		"bench", "serialized", "wave-ordered", "speculative", "oracle",
 		"ordered/serial", "spec/ordered", "oracle/spec")
 	modes := []wavecache.MemoryMode{wavecache.MemSerial, wavecache.MemOrdered, wavecache.MemSpec, wavecache.MemIdeal}
-	cycles := make([]int64, len(set)*len(modes))
+	grid := make([]wavecache.Result, len(set)*len(modes))
 	cells := newCellSet(m)
 	for bi, c := range set {
 		for mi, mode := range modes {
-			slot := bi*len(modes) + mi
-			cells.add(func() error {
-				cfg := m.WaveConfig()
-				cfg.MemMode = mode
-				res, err := runWaveWith(c, c.Wave, m, cfg)
-				if err != nil {
-					return err
-				}
-				cycles[slot] = res.Cycles
-				return nil
-			})
+			opt := m
+			opt.MemMode = mode
+			cells.wave(c, c.Wave, opt, &grid[bi*len(modes)+mi])
 		}
 	}
 	if err := cells.run(); err != nil {
@@ -251,8 +208,8 @@ func runE4(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	}
 	var ordSer, specOrd []float64
 	for bi, c := range set {
-		cy := cycles[bi*len(modes) : (bi+1)*len(modes)]
-		serial, ordered, spec, oracle := cy[0], cy[1], cy[2], cy[3]
+		r := grid[bi*len(modes) : (bi+1)*len(modes)]
+		serial, ordered, spec, oracle := r[0].Cycles, r[1].Cycles, r[2].Cycles, r[3].Cycles
 		rs := float64(serial) / float64(ordered)
 		ro := float64(ordered) / float64(spec)
 		ordSer = append(ordSer, rs)
@@ -278,24 +235,16 @@ func runE5(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 		headers = append(headers, fmt.Sprintf("aipc@x%d", s))
 	}
 	t := stats.NewTable("E5: AIPC vs. operand-network latency scale", headers...)
-	cycles := make([]int64, len(set)*len(scales))
+	grid := make([]wavecache.Result, len(set)*len(scales))
 	cells := newCellSet(m)
 	for bi, c := range set {
 		for si, s := range scales {
-			slot := bi*len(scales) + si
-			cells.add(func() error {
-				cfg := m.WaveConfig()
+			cells.wave(c, c.Wave, m, &grid[bi*len(scales)+si], func(cfg *wavecache.Config) {
 				cfg.Net.IntraPod *= s
 				cfg.Net.IntraDomain *= s
 				cfg.Net.IntraCluster *= s
 				cfg.Net.InterClusterBase *= s
 				cfg.Net.LinkLatency *= s
-				res, err := runWaveWith(c, c.Wave, m, cfg)
-				if err != nil {
-					return err
-				}
-				cycles[slot] = res.Cycles
-				return nil
 			})
 		}
 	}
@@ -305,7 +254,7 @@ func runE5(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	for bi, c := range set {
 		row := []any{c.Name}
 		for si := range scales {
-			row = append(row, AIPC(c.UsefulInstrs, cycles[bi*len(scales)+si]))
+			row = append(row, AIPC(c.UsefulInstrs, grid[bi*len(scales)+si].Cycles))
 		}
 		t.AddRow(row...)
 	}
@@ -328,17 +277,9 @@ func runE6(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	cells := newCellSet(m)
 	for bi, c := range set {
 		for qi, q := range queues {
-			slot := bi*len(queues) + qi
-			cells.add(func() error {
-				cfg := m.WaveConfig()
-				cfg.InputQueue = q
-				res, err := runWaveWith(c, c.Wave, m, cfg)
-				if err != nil {
-					return err
-				}
-				grid[slot] = res
-				return nil
-			})
+			opt := m
+			opt.InputQueue = q
+			cells.wave(c, c.Wave, opt, &grid[bi*len(queues)+qi])
 		}
 	}
 	if err := cells.run(); err != nil {
@@ -372,17 +313,9 @@ func runE7(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	cells := newCellSet(m)
 	for bi, c := range set {
 		for si, s := range sizes {
-			slot := bi*len(sizes) + si
-			cells.add(func() error {
-				cfg := m.WaveConfig()
-				cfg.Mem.L1.SizeWords = s
-				res, err := runWaveWith(c, c.Wave, m, cfg)
-				if err != nil {
-					return err
-				}
-				grid[slot] = res
-				return nil
-			})
+			opt := m
+			opt.L1Words = s
+			cells.wave(c, c.Wave, opt, &grid[bi*len(sizes)+si])
 		}
 	}
 	if err := cells.run(); err != nil {
@@ -417,20 +350,9 @@ func runE8(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	cells := newCellSet(m)
 	for bi, c := range set {
 		for pi, name := range policies {
-			slot := bi*len(policies) + pi
-			cells.add(func() error {
-				cfg := m.WaveConfig()
-				pol, err := placement.New(name, cfg.Machine, c.Wave, 12345)
-				if err != nil {
-					return err
-				}
-				res, err := RunWave(c, c.Wave, pol, cfg)
-				if err != nil {
-					return err
-				}
-				grid[slot] = res
-				return nil
-			})
+			opt := m
+			opt.Policy = name
+			cells.wave(c, c.Wave, opt, &grid[bi*len(policies)+pi])
 		}
 	}
 	if err := cells.run(); err != nil {
@@ -463,16 +385,8 @@ func runE9(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	rows := make([]row, len(set))
 	cells := newCellSet(m)
 	for i, c := range set {
-		cells.add(func() error {
-			var err error
-			rows[i].rs, err = runWaveWith(c, c.Wave, m, m.WaveConfig())
-			return err
-		})
-		cells.add(func() error {
-			var err error
-			rows[i].rsel, err = runWaveWith(c, c.WaveSel, m, m.WaveConfig())
-			return err
-		})
+		cells.wave(c, c.Wave, m, &rows[i].rs)
+		cells.wave(c, c.WaveSel, m, &rows[i].rsel)
 	}
 	if err := cells.run(); err != nil {
 		return nil, err
@@ -494,23 +408,15 @@ func runE10(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 		headers = append(headers, fmt.Sprintf("aipc@%d", c))
 	}
 	t := stats.NewTable("E10: AIPC vs. instruction swap penalty (8-per-PE stores)", headers...)
-	cycles := make([]int64, len(set)*len(costs))
+	grid := make([]wavecache.Result, len(set)*len(costs))
 	cells := newCellSet(m)
+	// Only the stores shrink: placement still packs m.Density homes per PE,
+	// which is what makes them swap.
+	small := m
+	small.PEStore = 8
 	for bi, c := range set {
 		for ci, cost := range costs {
-			slot := bi*len(costs) + ci
-			cells.add(func() error {
-				cfg := m.WaveConfig()
-				cfg.PEStore = 8
-				cfg.Machine.Capacity = 8
-				cfg.SwapPenalty = cost
-				res, err := runWaveWith(c, c.Wave, m, cfg)
-				if err != nil {
-					return err
-				}
-				cycles[slot] = res.Cycles
-				return nil
-			})
+			cells.wave(c, c.Wave, small, &grid[bi*len(costs)+ci], func(cfg *wavecache.Config) { cfg.SwapPenalty = cost })
 		}
 	}
 	if err := cells.run(); err != nil {
@@ -519,7 +425,7 @@ func runE10(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	for bi, c := range set {
 		row := []any{c.Name}
 		for ci := range costs {
-			row = append(row, AIPC(c.UsefulInstrs, cycles[bi*len(costs)+ci]))
+			row = append(row, AIPC(c.UsefulInstrs, grid[bi*len(costs)+ci].Cycles))
 		}
 		t.AddRow(row...)
 	}
@@ -537,20 +443,8 @@ func runE11(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	rows := make([]row, len(set))
 	cells := newCellSet(m)
 	for i, c := range set {
-		cells.add(func() error {
-			var err error
-			pol, err := m.NewPolicy(c.WaveNoUn)
-			if err != nil {
-				return err
-			}
-			rows[i].wr, err = wavecache.Run(c.WaveNoUn, pol, m.WaveConfig())
-			return err
-		})
-		cells.add(func() error {
-			var err error
-			rows[i].wu, err = runWaveWith(c, c.Wave, m, m.WaveConfig())
-			return err
-		})
+		cells.wave(c, c.WaveNoUn, m, &rows[i].wr)
+		cells.wave(c, c.Wave, m, &rows[i].wu)
 		cells.add(func() error {
 			// Rolled linear build for the baseline.
 			w, err := workloadByName(c.Name)

@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"wavescalar/internal/fault"
-	"wavescalar/internal/placement"
 	"wavescalar/internal/stats"
 	"wavescalar/internal/wavecache"
 )
@@ -22,22 +20,21 @@ func init() {
 // reproducible bit-for-bit at any worker count.
 const e12Seed = 7
 
-// e12Scenarios is the fault sweep: configuration-time defects, operand
-// message loss, store-buffer message loss, and everything at once. Every
-// scenario is recoverable: each run must still produce its workload's
-// checksum (RunWave enforces it), the differential invariant of the
-// experiment.
+// e12Scenarios is the fault sweep, as -faults specs: configuration-time
+// defects, operand message loss, store-buffer message loss, and everything
+// at once. Every scenario is recoverable: each run must still produce its
+// workload's checksum (RunWave enforces it), the differential invariant of
+// the experiment.
 var e12Scenarios = []struct {
-	name string
-	cfg  fault.Config
+	name, spec string
 }{
-	{"fault-free", fault.Config{}},
-	{"defect-5%", fault.Config{Seed: e12Seed, DefectRate: 0.05}},
-	{"defect-25%", fault.Config{Seed: e12Seed, DefectRate: 0.25}},
-	{"drop-1%", fault.Config{Seed: e12Seed, DropRate: 0.01}},
-	{"drop-10%", fault.Config{Seed: e12Seed, DropRate: 0.10}},
-	{"memloss-1%", fault.Config{Seed: e12Seed, MemLossRate: 0.01}},
-	{"combined", fault.Config{Seed: e12Seed, DefectRate: 0.10, DropRate: 0.02, DelayRate: 0.02, MemLossRate: 0.01}},
+	{"fault-free", ""},
+	{"defect-5%", "defect=0.05"},
+	{"defect-25%", "defect=0.25"},
+	{"drop-1%", "drop=0.01"},
+	{"drop-10%", "drop=0.10"},
+	{"memloss-1%", "memloss=0.01"},
+	{"combined", "defect=0.10,drop=0.02,delay=0.02,memloss=0.01"},
 }
 
 func runE12(set []*Compiled, m MachineOptions) (*stats.Table, error) {
@@ -49,18 +46,11 @@ func runE12(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 		for si, sc := range e12Scenarios {
 			slot := bi*len(e12Scenarios) + si
 			cells.add(func() error {
-				cfg := m.WaveConfig()
-				cfg.Faults = sc.cfg
+				opt := m
+				opt.Faults, opt.FaultSeed = sc.spec, e12Seed
 				// Watchdog backstop: a faulty run must terminate, never hang.
-				cfg.MaxCycles = 50_000_000
-				// Placement and simulator derive the same defect map from
-				// (seed, rate); the policy never assigns a dead PE.
-				cfg.Machine.Defective = fault.DefectMap(sc.cfg, cfg.Machine.NumPEs())
-				pol, err := placement.New(m.Policy, cfg.Machine, c.Wave, 12345)
-				if err != nil {
-					return err
-				}
-				res, err := RunWave(c, c.Wave, pol, cfg)
+				opt.MaxCycles = 50_000_000
+				res, err := runWaveWith(c, c.Wave, opt)
 				if err != nil {
 					return fmt.Errorf("E12 %s/%s: %w", c.Name, sc.name, err)
 				}

@@ -1,8 +1,8 @@
 // Package harness compiles the benchmark suite through both backends and
-// runs the reconstructed MICRO 2003 evaluation: experiments E1–E11, each
-// regenerating one table/figure of the paper's evaluation section (see
-// DESIGN.md for the experiment index and EXPERIMENTS.md for results and
-// paper-vs-measured discussion).
+// runs the reconstructed MICRO 2003 evaluation: experiments E1–E15 and M1,
+// each regenerating one table/figure of the paper's evaluation section or
+// of its follow-ups (see DESIGN.md for the experiment index and
+// EXPERIMENTS.md for results and paper-vs-measured discussion).
 //
 // Every experiment is expressed as a set of independent simulation cells —
 // one (workload, configuration, engine) run each — fanned across a bounded
@@ -15,10 +15,8 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -28,7 +26,6 @@ import (
 	"wavescalar/internal/isa"
 	"wavescalar/internal/lang"
 	"wavescalar/internal/linear"
-	"wavescalar/internal/mem"
 	"wavescalar/internal/ooo"
 	"wavescalar/internal/parallel"
 	"wavescalar/internal/placement"
@@ -64,42 +61,6 @@ type Compiled struct {
 	Chains wavec.ChainStats
 }
 
-// CompileOptions controls the build pipeline.
-type CompileOptions struct {
-	Unroll int // loop unrolling factor (0/1 = off)
-	// OptLevel selects the optimizer tier: 0 runs only the base pipeline
-	// (constant folding, CSE, dead code), 1 adds the memory tier
-	// (store-to-load forwarding, redundant-load elimination, scalar
-	// replacement, dead-store elimination — see cfgir.OptimizeMemory).
-	// The level changes the compiled program, so it is part of every
-	// compiled-program cache key.
-	OptLevel int
-	// Workers bounds the goroutines Suite compiles workloads across
-	// (0 = one per CPU, 1 = sequential).
-	Workers int
-	// Binaries names the dataflow binaries to build, from BinaryNames; empty
-	// builds all three. A binary that is not named is not lowered and its
-	// Compiled field stays nil (Chains goes with "steer"); everything else
-	// in Compiled, both cross-checks included, is produced regardless. The
-	// three are different programs that only E9 and E11 compare, so a caller
-	// that runs one of them (a served simulation) asks for that one.
-	Binaries []string
-	// Ctx, when non-nil, cancels a Suite compilation between workloads
-	// (nil = never cancelled). Ctx does not affect compiled output, only
-	// whether the remaining work runs.
-	Ctx context.Context
-}
-
-// BinaryNames are the dataflow binaries of one source, as
-// CompileOptions.Binaries and Compiled.Binary name them: "steer" is
-// Compiled.Wave, "select" WaveSel and "rolled" WaveNoUn.
-var BinaryNames = []string{"steer", "select", "rolled"}
-
-// builds reports whether the options ask for the named binary.
-func (o CompileOptions) builds(name string) bool {
-	return len(o.Binaries) == 0 || slices.Contains(o.Binaries, name)
-}
-
 // Binary returns the named dataflow binary, or an error when the name is
 // not one of BinaryNames or this Compiled was built without it.
 func (c *Compiled) Binary(name string) (*isa.Program, error) {
@@ -119,12 +80,6 @@ func (c *Compiled) Binary(name string) (*isa.Program, error) {
 	}
 	return p, nil
 }
-
-// DefaultCompileOptions is the harness pipeline: unroll by 4, as the
-// paper's Alpha toolchain would, with the memory-optimization tier on.
-// (The golden-snapshot tests pin OptLevel 0 explicitly so the recorded
-// pre-optimizer binaries replay bit-for-bit.)
-func DefaultCompileOptions() CompileOptions { return CompileOptions{Unroll: 4, OptLevel: 1} }
 
 // Source returns the program's wsl source, falling back to the named
 // workload's source for Compiled values predating the Src field.
@@ -184,15 +139,12 @@ func CompileSource(name, src string, opts CompileOptions) (*Compiled, error) {
 	stage := func(what string, err error) error {
 		return fmt.Errorf("%s: %s: %w", name, what, err)
 	}
-	for _, b := range opts.Binaries {
-		if !slices.Contains(BinaryNames, b) {
-			return nil, fmt.Errorf("%s: unknown binary %q (%s)", name, b, strings.Join(BinaryNames, ", "))
-		}
+	if err := opts.Validate(); err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	steer, sel, rolled := opts.builds("steer"), opts.builds("select"), opts.builds("rolled")
-	opt := max(opts.OptLevel, 0)
 
-	ir, st, unrolled, err := cfgir.FromSource(src, opts.Unroll, opt)
+	ir, st, unrolled, err := cfgir.FromSource(src, opts.Unroll, opts.OptLevel)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
@@ -220,7 +172,7 @@ func CompileSource(name, src string, opts CompileOptions) (*Compiled, error) {
 		}
 	}
 	if rolled && unrolled {
-		rolledIR, _, _, err := cfgir.FromSource(src, 1, opt)
+		rolledIR, _, _, err := cfgir.FromSource(src, 1, opts.OptLevel)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
@@ -267,105 +219,28 @@ func Suite(names []string, opts CompileOptions) ([]*Compiled, error) {
 	})
 }
 
-// MachineOptions is the simulated-hardware configuration shared by the
-// experiments.
-type MachineOptions struct {
-	GridW, GridH int
-	// Density is the placement packing density (instruction homes per PE).
-	// The published machine packs 64, sized for SPEC-scale working sets;
-	// the kernels here are ~100x smaller, so the default preserves the
-	// paper's ratio of packed instructions to working-set size.
-	Density int
-	// InputQueue is the PE matching-table capacity before spills.
-	InputQueue int
-	// Policy names the placement policy.
-	Policy string
-	// MaxCycles bounds each WaveCache cell's simulated time (0 = no
-	// bound); corpus sweeps over generated programs set it so a
-	// pathological cell aborts with a watchdog error instead of hanging
-	// the sweep.
-	MaxCycles int64
-	// Workers bounds the goroutines an experiment fans its simulation
-	// cells across (0 = one per CPU, 1 = sequential). Any value produces
-	// byte-identical tables: cells collect results by index, never by
-	// completion order.
-	Workers int
-	// Metrics, when non-nil, collects trace counters from every WaveCache
-	// cell an experiment runs (the aggregate is thread-safe and its merge
-	// commutative, so summaries are worker-count invariant). nil — the
-	// default — leaves the simulators' tracing disabled and all tables
-	// byte-identical to a metrics-free build.
-	Metrics *trace.Aggregate
-	// MemMode is the memory ordering mode handed to every WaveCache cell
-	// that does not pin its own (the CLI -mem flag). The zero value is
-	// the default wave-ordered mode; experiments that sweep modes
-	// themselves (E4, E15) override it per cell.
-	MemMode wavecache.MemoryMode
-	// Ctx, when non-nil, cancels a sweep cooperatively: the worker pool
-	// stops claiming cells once Ctx is done, and every WaveCache cell
-	// inherits Ctx.Done() as its wavecache.Config.Cancel channel, so a
-	// long-running cell aborts mid-simulation with a structured
-	// cancellation FaultError instead of running to completion. nil — the
-	// default — is never-cancelled and results-identical to the pre-Ctx
-	// harness.
-	Ctx context.Context
-}
-
-// DefaultMachineOptions is the tuned kernel-scale configuration.
-func DefaultMachineOptions() MachineOptions {
-	return MachineOptions{GridW: 4, GridH: 4, Density: 16, InputQueue: 64,
-		Policy: "dynamic-depth-first-snake"}
-}
-
-// WaveConfig builds a wavecache config from the options.
-func (m MachineOptions) WaveConfig() wavecache.Config {
-	cfg := wavecache.DefaultConfig(m.GridW, m.GridH)
-	cfg.Machine.Capacity = m.Density
-	cfg.InputQueue = m.InputQueue
-	cfg.Metrics = m.Metrics
-	cfg.MaxCycles = m.MaxCycles
-	cfg.MemMode = m.MemMode
-	if m.Ctx != nil {
-		cfg.Cancel = m.Ctx.Done()
-	}
-	return cfg
-}
-
-// ctx returns the options' context, defaulting to Background.
-func (m MachineOptions) ctx() context.Context {
-	if m.Ctx != nil {
-		return m.Ctx
-	}
-	return context.Background()
-}
-
-// ctx returns the options' context, defaulting to Background.
-func (o CompileOptions) ctx() context.Context {
-	if o.Ctx != nil {
-		return o.Ctx
-	}
-	return context.Background()
-}
-
-// NewPolicy instantiates the configured placement policy for a program.
-// An unknown policy name or an unusable machine is reported as an error
-// (surfaced through the experiment and CLI exit paths), not a panic.
-func (m MachineOptions) NewPolicy(p *isa.Program) (placement.Policy, error) {
-	pol, err := placement.New(m.Policy, m.WaveConfig().Machine, p, 12345)
+// runWaveWith builds m for prog, lets edits adjust the wavecache-level
+// parameters MachineOptions does not carry (network latencies, swap
+// penalty, speculation scope), and runs RunWave. A caller that turns a
+// MachineOptions knob assigns it on its own copy of m first.
+func runWaveWith(c *Compiled, prog *isa.Program, m MachineOptions, edits ...func(*wavecache.Config)) (wavecache.Result, error) {
+	cfg, pol, err := m.Build(prog)
 	if err != nil {
-		return nil, fmt.Errorf("harness: policy %q: %w", m.Policy, err)
+		return wavecache.Result{}, fmt.Errorf("%s: %w", c.Name, err)
 	}
-	return pol, nil
-}
-
-// runWaveWith builds m's placement policy for prog and runs RunWave; the
-// shorthand most experiment cells use.
-func runWaveWith(c *Compiled, prog *isa.Program, m MachineOptions, cfg wavecache.Config) (wavecache.Result, error) {
-	pol, err := m.NewPolicy(prog)
-	if err != nil {
-		return wavecache.Result{}, err
+	for _, edit := range edits {
+		edit(&cfg)
 	}
 	return RunWave(c, prog, pol, cfg)
+}
+
+// wave declares the shape of almost every experiment cell: runWaveWith,
+// its result stored in out, a slot the cell owns.
+func (cs *cellSet) wave(c *Compiled, prog *isa.Program, m MachineOptions, out *wavecache.Result, edits ...func(*wavecache.Config)) {
+	cs.add(func() (err error) {
+		*out, err = runWaveWith(c, prog, m, edits...)
+		return err
+	})
 }
 
 // arenaPool recycles simulator arenas across experiment cells: a sweep
@@ -460,18 +335,18 @@ func WriteMetrics(id string, m MachineOptions, w io.Writer) {
 	m.Metrics.Reset()
 }
 
-// idealWaveConfig is the unbounded-resource dataflow machine used as the
-// "ideal dataflow" column of E1: free network, infinite queues and stores,
-// oracle memory ordering, single-cycle caches.
-func idealWaveConfig() wavecache.Config {
-	cfg := wavecache.DefaultConfig(8, 8)
-	cfg.Machine.Capacity = 1 // spread maximally: no PE contention
-	cfg.PEStore = 1 << 20
+// idealMachine is the unbounded-resource dataflow machine used as the
+// "ideal dataflow" column of E1: infinite queues and stores, instructions
+// spread one to a PE so none contend, oracle memory ordering — and, in
+// idealize, what MachineOptions does not carry: a free network and
+// single-cycle caches.
+var idealMachine = MachineOptions{GridW: 8, GridH: 8, Density: 1, PEStore: 1 << 20, InputQueue: 1 << 30,
+	Policy: "dynamic-snake", MemMode: wavecache.MemIdeal}
+
+func idealize(cfg *wavecache.Config) {
 	cfg.SwapPenalty = 0
-	cfg.InputQueue = 1 << 30
 	cfg.BufferWidth = 1 << 20
 	cfg.MemMsgLatency = 0
-	cfg.MemMode = wavecache.MemIdeal
 	cfg.Net.IntraPod = 1
 	cfg.Net.IntraDomain = 1
 	cfg.Net.IntraCluster = 1
@@ -481,7 +356,6 @@ func idealWaveConfig() wavecache.Config {
 	cfg.Mem.L1Latency = 1
 	cfg.Mem.L2Latency = 0
 	cfg.Mem.MemLatency = 0
-	return cfg
 }
 
 // interpStats runs the reference interpreter for dataflow-limit statistics.
@@ -491,13 +365,4 @@ func interpStats(prog *isa.Program) (interp.Stats, error) {
 		return interp.Stats{}, err
 	}
 	return m.Stats(), nil
-}
-
-// scaledMemory returns the kernel-scale memory hierarchy used by the
-// memory-pressure experiments: a 2 KB L1 preserves the paper's ratio of L1
-// capacity to working-set size.
-func scaledMemory(n int) mem.SystemConfig {
-	cfg := mem.DefaultSystemConfig(n)
-	cfg.L1.SizeWords = 256
-	return cfg
 }

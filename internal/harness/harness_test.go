@@ -1,9 +1,14 @@
 package harness
 
 import (
+	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"wavescalar/internal/fault"
+	"wavescalar/internal/placement"
+	"wavescalar/internal/wavecache"
 	"wavescalar/internal/workloads"
 )
 
@@ -131,5 +136,110 @@ func TestMachineOptionsPolicy(t *testing.T) {
 	bad.Policy = "no-such-policy"
 	if _, err := bad.NewPolicy(set[0].Wave); err == nil {
 		t.Error("unknown policy name should be an error, not a panic")
+	}
+
+	// Validate is every door's strictness: each of these used to be taken
+	// by at least one of them.
+	for _, bad := range []MachineOptions{
+		{GridW: -1}, {GridW: 9, GridH: 9}, {GridH: 65},
+		{Density: -1}, {PEStore: -1}, {InputQueue: -1}, {Density: maxCount + 1},
+		{MaxCycles: -5}, {Fuel: -1},
+		{L1Words: -64}, {L1Words: 17}, {L1Words: 1 << 40},
+		{MemMode: 9}, {MemMode: -1},
+		{Faults: "defect=x"}, {Faults: "drop=2"}, {Faults: "kill=512@10", GridW: 2, GridH: 2},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%+v validates", bad)
+		}
+		if _, _, err := bad.Build(set[0].Wave); err == nil {
+			t.Errorf("%+v builds", bad)
+		}
+	}
+	for _, bad := range []CompileOptions{{Unroll: -1}, {OptLevel: -1}, {OptLevel: 2}, {Binaries: []string{"phi"}}} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%+v validates", bad)
+		}
+		if _, err := CompileSource("bad", set[0].Src, bad); err == nil {
+			t.Errorf("%+v compiles", bad)
+		}
+	}
+}
+
+// TestMachineOptionsNeverPanic: whatever a door is handed — negative, zero,
+// huge — Build either refuses it or returns a machine that runs a program
+// to the right answer. Seeded, so a failure names its case.
+func TestMachineOptionsNeverPanic(t *testing.T) {
+	c, err := CompileSource("demo", `
+global a[16];
+func main() {
+	var s = 0;
+	for var i = 0; i < 24; i = i + 1 {
+		a[i & 15] = a[(i + 5) & 15] + i;
+		s = (s + a[i & 15]) & 0xFFFF;
+	}
+	return s;
+}`, DefaultCompileOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(18))
+	// Each field is mostly a value some door could plausibly be given and
+	// now and then a wild one, so that Build saying yes is exercised as
+	// much as Build saying no.
+	wild := []int64{-1 << 62, -7, -1, 1<<30 + 1, 1 << 40, 1<<63 - 1}
+	num := func(plausible ...int64) int64 {
+		if rng.Intn(10) == 0 {
+			return wild[rng.Intn(len(wild))]
+		}
+		return plausible[rng.Intn(len(plausible))]
+	}
+	str := func(odd []string, plausible ...string) string {
+		if rng.Intn(10) == 0 {
+			return odd[rng.Intn(len(odd))]
+		}
+		return plausible[rng.Intn(len(plausible))]
+	}
+	badSpecs := []string{"kill=100000@5", "kill=-1@5", "defect=1", "defect=-0.5", "retries=-1", "junk", "kill=1"}
+	accepted, finished := 0, 0
+	for i := 0; i < 400; i++ {
+		m := MachineOptions{
+			GridW: int(num(0, 1, 2, 3)), GridH: int(num(0, 1, 2, 3)),
+			Density:    int(num(0, 1, 2, 16, 64, 1<<30)),
+			PEStore:    int(num(0, 1, 8, 64, 1<<20)),
+			InputQueue: int(num(0, 1, 4, 64, 1<<30)),
+			Policy:     str([]string{"nonsense"}, append(placement.Names(), "")...),
+			MemMode:    wavecache.MemoryMode(num(0, 1, 2, 3)),
+			L1Words:    num(0, 16, 64, 4096, 17),
+			Fuel:       num(0, 1<<40),
+			MaxCycles:  num(0, 50, 1<<40),
+			Faults: str(badSpecs, "", "", "defect=0.2", "drop=0.01,delay=0.05", "memloss=0.02,retries=3",
+				"kill=3@40", "timeout=4611686018427387904,drop=0.01"),
+			FaultSeed: rng.Uint64(),
+		}
+		cfg, pol, err := m.Build(c.Wave)
+		if verr := m.Validate(); err == nil && verr != nil {
+			t.Fatalf("case %d %+v: built, though Validate says %v", i, m, verr)
+		}
+		if err != nil {
+			continue // by Validate, or by the policy (profile-feedback takes no defect map)
+		}
+		accepted++
+		// A bound the options did not ask for, so that no accepted machine
+		// can run away; one they did ask for may trip, as may their fuel or
+		// an unrecoverable fault, but only as a structured abort.
+		if cfg.MaxCycles == 0 {
+			cfg.MaxCycles = 5_000_000
+		}
+		_, err = RunWave(c, c.Wave, pol, cfg)
+		var fe *fault.FaultError
+		switch {
+		case err == nil:
+			finished++ // RunWave has checked the checksum
+		case !errors.As(err, &fe):
+			t.Errorf("case %d %+v: %v", i, m, err)
+		}
+	}
+	if accepted < 50 || finished < 25 {
+		t.Errorf("of 400 random machines %d were accepted and %d ran to the end; the generator no longer exercises Build's yes", accepted, finished)
 	}
 }

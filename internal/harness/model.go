@@ -6,7 +6,6 @@ import (
 	"wavescalar/internal/placemodel"
 	"wavescalar/internal/profile"
 	"wavescalar/internal/stats"
-	"wavescalar/internal/wavecache"
 )
 
 func init() {
@@ -27,17 +26,12 @@ func runM1(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 		"bench", "latency-r", "coherence-r", "contention-r", "combined-r")
 
 	// A small, contention-prone machine gives layouts room to differ, as
-	// in the paper's study.
-	mach := placement.DefaultMachine(2, 2)
-	mach.Capacity = 8
+	// in the paper's study. Input-queue contention is the resource the model
+	// does not capture (the paper notes the same); idealize it as their
+	// component isolation does.
+	simCfg := MachineOptions{GridW: 2, GridH: 2, Density: 8, PEStore: 8, InputQueue: 1 << 30}.WaveConfig()
+	mach := simCfg.Machine
 	cfg := placemodel.DefaultConfig(mach, 8)
-	simCfg := wavecache.DefaultConfig(2, 2)
-	simCfg.Machine = mach
-	simCfg.PEStore = 8
-	// Input-queue contention is the resource the model does not capture
-	// (the paper notes the same); idealize it as their component
-	// isolation does.
-	simCfg.InputQueue = 1 << 30
 
 	type cand struct {
 		name string

@@ -3,8 +3,8 @@ package harness
 import (
 	"fmt"
 
-	"wavescalar/internal/placement"
 	"wavescalar/internal/stats"
+	"wavescalar/internal/wavecache"
 )
 
 func init() {
@@ -15,11 +15,6 @@ func init() {
 		Run:   runE14,
 	})
 }
-
-// e14Seed drives the profile-feedback policy's hill-climb so the table is
-// reproducible run to run (it matches the 12345 the harness hands every
-// other placement policy).
-const e14Seed = 12345
 
 // runE14 measures the two feedback loops this harness closes around the
 // compiler: the memory-optimization tier (-O1 vs -O0) and the
@@ -67,32 +62,15 @@ func runE14(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	// Four simulation cells per bench: {O0, O1} x {baseline policy,
 	// profile-feedback}. The feedback cells construct their own policy
 	// (profiling run + model hill-climb) per cell, as cells must.
-	cycles := make([]int64, len(set)*4)
+	grid := make([]wavecache.Result, len(set)*4)
 	cells := newCellSet(m)
 	for bi := range set {
 		for li, cc := range [2]*Compiled{pairs[bi].o0, pairs[bi].o1} {
 			base := bi*4 + li*2
-			cells.add(func() error {
-				res, err := runWaveWith(cc, cc.Wave, m, m.WaveConfig())
-				if err != nil {
-					return err
-				}
-				cycles[base] = res.Cycles
-				return nil
-			})
-			cells.add(func() error {
-				cfg := m.WaveConfig()
-				pol, err := placement.New("profile-feedback", cfg.Machine, cc.Wave, e14Seed)
-				if err != nil {
-					return fmt.Errorf("E14 %s: %w", cc.Name, err)
-				}
-				res, err := RunWave(cc, cc.Wave, pol, cfg)
-				if err != nil {
-					return err
-				}
-				cycles[base+1] = res.Cycles
-				return nil
-			})
+			fb := m
+			fb.Policy = "profile-feedback"
+			cells.wave(cc, cc.Wave, m, &grid[base])
+			cells.wave(cc, cc.Wave, fb, &grid[base+1])
 		}
 	}
 	if err := cells.run(); err != nil {
@@ -103,7 +81,10 @@ func runE14(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	for bi, c := range set {
 		p := pairs[bi]
 		useful := p.o0.UsefulInstrs
-		cy := cycles[bi*4 : bi*4+4]
+		var cy [4]int64
+		for i := range cy {
+			cy[i] = grid[bi*4+i].Cycles
+		}
 		opt := float64(cy[0]) / float64(cy[2])
 		best := cy[1]
 		if cy[3] < best {

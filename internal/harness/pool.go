@@ -24,7 +24,7 @@ type cellSet struct {
 
 // newCellSet sizes a cell set for the machine's worker pool and inherits
 // its cancellation context (cells themselves additionally receive
-// Ctx.Done() through MachineOptions.WaveConfig).
+// Ctx.Done() through MachineOptions.Build).
 func newCellSet(m MachineOptions) *cellSet {
 	return &cellSet{workers: m.Workers, ctx: m.ctx()}
 }

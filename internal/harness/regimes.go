@@ -62,16 +62,7 @@ func runE1b(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	for bi, c := range set {
 		for ri, r := range regimes {
 			slot := bi*len(regimes) + ri
-			cells.add(func() error {
-				wcfg := m.WaveConfig()
-				r.apply(&wcfg.Mem)
-				res, err := runWaveWith(c, c.Wave, m, wcfg)
-				if err != nil {
-					return err
-				}
-				grid[slot].wres = res
-				return nil
-			})
+			cells.wave(c, c.Wave, m, &grid[slot].wres, func(cfg *wavecache.Config) { r.apply(&cfg.Mem) })
 			cells.add(func() error {
 				ocfg := DefaultOoOConfig()
 				r.apply(&ocfg.Mem)

@@ -32,49 +32,29 @@ func runE15(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	}
 	t := stats.NewTable("E15: AIPC and squash rate vs. speculation scope (waves per epoch)", headers...)
 
-	type cell struct {
-		cycles int64
-		spec   wavecache.SpecStats
-	}
-	ordered := make([]int64, len(set))
-	grid := make([]cell, len(set)*len(scopes))
+	ordered := make([]wavecache.Result, len(set))
+	grid := make([]wavecache.Result, len(set)*len(scopes))
 	cells := newCellSet(m)
+	spec := m
+	spec.MemMode = wavecache.MemSpec
 	for bi, c := range set {
-		cells.add(func() error {
-			res, err := runWaveWith(c, c.Wave, m, m.WaveConfig())
-			if err != nil {
-				return err
-			}
-			ordered[bi] = res.Cycles
-			return nil
-		})
+		cells.wave(c, c.Wave, m, &ordered[bi])
 		for si, scope := range scopes {
-			slot := bi*len(scopes) + si
-			cells.add(func() error {
-				cfg := m.WaveConfig()
-				cfg.MemMode = wavecache.MemSpec
-				cfg.SpecScope = scope
-				res, err := runWaveWith(c, c.Wave, m, cfg)
-				if err != nil {
-					return err
-				}
-				grid[slot] = cell{cycles: res.Cycles, spec: res.Spec}
-				return nil
-			})
+			cells.wave(c, c.Wave, spec, &grid[bi*len(scopes)+si], func(cfg *wavecache.Config) { cfg.SpecScope = scope })
 		}
 	}
 	if err := cells.run(); err != nil {
 		return nil, err
 	}
 	for bi, c := range set {
-		row := []any{c.Name, AIPC(c.UsefulInstrs, ordered[bi])}
+		row := []any{c.Name, AIPC(c.UsefulInstrs, ordered[bi].Cycles)}
 		for si := range scopes {
 			g := &grid[bi*len(scopes)+si]
 			sq := 0.0
-			if g.spec.Epochs > 0 {
-				sq = 100 * float64(g.spec.Squashes) / float64(g.spec.Epochs)
+			if g.Spec.Epochs > 0 {
+				sq = 100 * float64(g.Spec.Squashes) / float64(g.Spec.Epochs)
 			}
-			row = append(row, AIPC(c.UsefulInstrs, g.cycles), sq)
+			row = append(row, AIPC(c.UsefulInstrs, g.Cycles), sq)
 		}
 		t.AddRow(row...)
 	}

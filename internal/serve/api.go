@@ -16,15 +16,17 @@ import (
 // SimulateRequest asks for one WaveCache simulation. Exactly one of
 // Workload (a named benchmark kernel, or a generated corpus program as
 // "gen:family:seed[:size]") or Source (inline wsl) selects the program.
+// An omitted machine or compile field takes the harness default; DESIGN.md
+// "Machine configuration" lists each one's default and accepted range.
 type SimulateRequest struct {
 	Workload string `json:"workload,omitempty"`
 	Source   string `json:"source,omitempty"`
 	// Binary picks the compiled dataflow binary: "steer" (default),
 	// "select" (if-converted), or "rolled" (no unrolling).
 	Binary string `json:"binary,omitempty"`
-	// Grid is the cluster grid as "WxH" (default 4x4).
+	// Grid is the cluster grid as "WxH".
 	Grid string `json:"grid,omitempty"`
-	// Unroll is the loop unrolling factor (0 = the pipeline default of 4).
+	// Unroll is the loop unrolling factor (0 = the pipeline default).
 	Unroll int `json:"unroll,omitempty"`
 	// Opt is the compiler optimization level: nil = the pipeline default
 	// (1, memory tier on), explicit 0 = base passes only. It changes the
@@ -33,7 +35,7 @@ type SimulateRequest struct {
 	// MemMode is "wave-ordered" (default), "serialized", "ideal", or
 	// "spec" (speculative transactional wave-ordered memory).
 	MemMode string `json:"memmode,omitempty"`
-	// Policy names the placement policy (default dynamic-depth-first-snake).
+	// Policy names the placement policy.
 	Policy string `json:"policy,omitempty"`
 	// MaxCycles bounds simulated time (0 = the server's cap; requests may
 	// only tighten the cap, never exceed it).

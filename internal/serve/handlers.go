@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,13 +9,10 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
-	"slices"
-	"strings"
 	"time"
 
 	"wavescalar/internal/fault"
 	"wavescalar/internal/harness"
-	"wavescalar/internal/placement"
 	"wavescalar/internal/trace"
 	"wavescalar/internal/wavecache"
 	"wavescalar/internal/workloads"
@@ -30,7 +28,7 @@ const (
 // simulateCacheVersion names the idempotency-cache schema for /v1/simulate
 // results; bump it when SimResult or the simulated configuration keying
 // changes meaning.
-const simulateCacheVersion = "serve-simulate-v2"
+const simulateCacheVersion = "serve-simulate-v3"
 
 // Handler mounts the API. Routes use Go 1.22+ method patterns, so wrong
 // methods 405 without hand-rolled dispatch.
@@ -288,20 +286,13 @@ func (s *Server) runAdmitted(w http.ResponseWriter, r *http.Request, tn *tenant,
 	writeJSON(w, http.StatusOK, out)
 }
 
-// simSpec is a normalized, validated SimulateRequest: every field filled,
-// every default applied — the unit the cache key is built from.
-type simSpec struct {
-	name, src    string
-	binary       string
-	gridW, gridH int
-	unroll       int
-	opt          int
-	memName      string
-	memMode      wavecache.MemoryMode
-	policy       string
-	maxCycles    int64
-	faults       string
-	faultSeed    uint64
+// simJob is a validated SimulateRequest: the program, the binary of it to
+// run, and the compile and machine options every cache key is made from.
+type simJob struct {
+	name, src string
+	binary    string
+	co        harness.CompileOptions
+	m         harness.MachineOptions
 }
 
 // resolveSource yields (name, source) from a workload-or-inline request
@@ -327,105 +318,74 @@ func resolveSource(workload, source string) (string, string, *ErrorResponse) {
 	}
 }
 
-func (s *Server) normalizeSimulate(req *SimulateRequest) (*simSpec, *ErrorResponse) {
-	sp := &simSpec{}
+// normalizeSimulate translates a request into the options it stands for —
+// an omitted field is the harness default — and validates them, so a
+// request that cannot run is refused before anything is compiled.
+func (s *Server) normalizeSimulate(req *SimulateRequest) (*simJob, *ErrorResponse) {
+	j := &simJob{binary: cmp.Or(req.Binary, harness.BinaryNames[0])}
 	var apiErr *ErrorResponse
-	if sp.name, sp.src, apiErr = resolveSource(req.Workload, req.Source); apiErr != nil {
+	if j.name, j.src, apiErr = resolveSource(req.Workload, req.Source); apiErr != nil {
 		return nil, apiErr
 	}
-	sp.binary = req.Binary
-	if sp.binary == "" {
-		sp.binary = "steer"
+	if j.co, apiErr = compileOptions(req.Unroll, req.Opt, j.binary); apiErr != nil {
+		return nil, apiErr
 	}
-	if !slices.Contains(harness.BinaryNames, sp.binary) {
-		return nil, invalidErr("unknown binary %q (%s)", req.Binary, strings.Join(harness.BinaryNames, ", "))
+	// The server-side watchdog cap always applies; requests may tighten it.
+	j.m = harness.MachineOptions{Policy: req.Policy, MaxCycles: s.cfg.MaxCycles,
+		Faults: req.Faults, FaultSeed: req.FaultSeed}
+	if req.MaxCycles != 0 && req.MaxCycles < j.m.MaxCycles {
+		j.m.MaxCycles = req.MaxCycles
 	}
-	sp.gridW, sp.gridH = 4, 4
+	var err error
 	if req.Grid != "" {
-		var err error
-		if sp.gridW, sp.gridH, err = wavecache.ParseGrid(req.Grid); err != nil {
+		if j.m.GridW, j.m.GridH, err = wavecache.ParseGrid(req.Grid); err != nil {
 			return nil, invalidErr("%v", err)
 		}
 	}
-	sp.unroll = req.Unroll
-	if sp.unroll == 0 {
-		sp.unroll = harness.DefaultCompileOptions().Unroll
+	if j.m.MemMode, err = wavecache.ParseMemoryMode(req.MemMode); err != nil {
+		return nil, invalidErr("%v", err)
 	}
-	if sp.unroll < 0 || sp.unroll > 16 {
-		return nil, invalidErr("unroll %d out of range (1 .. 16)", req.Unroll)
+	if err := j.m.Validate(); err != nil {
+		return nil, invalidErr("%v", err)
 	}
-	opt, apiErr := normalizeOpt(req.Opt)
-	if apiErr != nil {
-		return nil, apiErr
-	}
-	sp.opt = opt
-	sp.memName = req.MemMode
-	if sp.memName == "" {
-		sp.memName = "wave-ordered"
-	}
-	switch sp.memName {
-	case "wave-ordered":
-		sp.memMode = wavecache.MemOrdered
-	case "serialized":
-		sp.memMode = wavecache.MemSerial
-	case "ideal":
-		sp.memMode = wavecache.MemIdeal
-	case "spec":
-		sp.memMode = wavecache.MemSpec
-	default:
-		return nil, invalidErr("unknown memmode %q (wave-ordered, serialized, ideal, spec)", req.MemMode)
-	}
-	sp.policy = req.Policy
-	if sp.policy == "" {
-		sp.policy = harness.DefaultMachineOptions().Policy
-	}
-	// The server-side watchdog cap always applies; requests may tighten it.
-	sp.maxCycles = s.cfg.MaxCycles
-	if req.MaxCycles > 0 && req.MaxCycles < sp.maxCycles {
-		sp.maxCycles = req.MaxCycles
-	}
-	sp.faults = req.Faults
-	sp.faultSeed = req.FaultSeed
-	if sp.faults != "" {
-		if _, err := fault.ParseSpec(sp.faults); err != nil {
-			return nil, invalidErr("bad faults spec: %v", err)
-		}
-	}
-	return sp, nil
+	return j, nil
 }
 
-// normalizeOpt applies the compile-pipeline default to an optional opt
-// level (nil = default on) and validates an explicit one.
-func normalizeOpt(opt *int) (int, *ErrorResponse) {
-	if opt == nil {
-		return harness.DefaultCompileOptions().OptLevel, nil
+// compileOptions are the validated options of a request's optional unroll
+// factor and opt level (0 / nil = the pipeline default), building the named
+// binaries (none = all). The cap on the unroll factor is the service's
+// resource bound, not the compiler's.
+func compileOptions(unroll int, opt *int, binaries ...string) (harness.CompileOptions, *ErrorResponse) {
+	co := harness.DefaultCompileOptions()
+	co.Unroll = cmp.Or(unroll, co.Unroll)
+	if opt != nil {
+		co.OptLevel = *opt
 	}
-	if *opt < 0 || *opt > 1 {
-		return 0, invalidErr("opt %d out of range (0 .. 1)", *opt)
+	co.Binaries = binaries
+	if err := co.Validate(); err != nil {
+		return co, invalidErr("%v", err)
 	}
-	return *opt, nil
+	if co.Unroll > 16 {
+		return co, invalidErr("unroll %d out of range (1 .. 16)", unroll)
+	}
+	return co, nil
 }
 
 // cacheKey is the idempotency-cache address of a simulate request: every
 // input that determines its SimResult, plus the engine-set and schema
 // versions. Two requests with the same key get byte-identical results —
 // which is exactly why a cached replay is retry-safe.
-func (sp *simSpec) cacheKey() string {
-	return harness.CacheKey(
-		simulateCacheVersion, harness.EngineSetVersion,
-		sp.src, sp.binary,
-		fmt.Sprintf("grid=%dx%d unroll=%d opt=%d mem=%s policy=%s maxcycles=%d",
-			sp.gridW, sp.gridH, sp.unroll, sp.opt, sp.memName, sp.policy, sp.maxCycles),
-		fmt.Sprintf("faults=%s seed=%d", sp.faults, sp.faultSeed),
-	)
+func (j *simJob) cacheKey() string {
+	return harness.CacheKey(simulateCacheVersion, harness.EngineSetVersion,
+		j.src, j.binary, j.co.Key(), j.m.Key())
 }
 
 // compileKey addresses a program in the warm compiled-program cache: the
 // IR every binary is lowered from depends only on source, unroll factor,
 // and optimization level. compileCache.get completes it with the binaries
 // an entry holds.
-func compileKey(src string, unroll, opt int) string {
-	return harness.CacheKey("serve-compile", src, fmt.Sprintf("unroll=%d opt=%d", unroll, opt))
+func compileKey(src string, co harness.CompileOptions) string {
+	return harness.CacheKey("serve-compile", src, co.Key())
 }
 
 // millis renders a duration the way the API reports one: milliseconds
@@ -439,7 +399,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.runAdmitted(w, r, tn, req.DeadlineMS, func(ctx context.Context, queued time.Duration) (any, bool, *ErrorResponse) {
-		sp, apiErr := s.normalizeSimulate(&req)
+		j, apiErr := s.normalizeSimulate(&req)
 		if apiErr != nil {
 			return nil, false, apiErr
 		}
@@ -449,12 +409,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		// the content-addressed cache (or the write-behind store in front
 		// of it) instead of re-simulating. A torn or corrupt entry reads as
 		// a miss and is recomputed.
-		key := sp.cacheKey()
+		key := j.cacheKey()
 		if s.results != nil {
 			var res SimResult
 			if s.results.get(key, &res) {
 				return &SimulateResponse{
-					Workload:  sp.name,
+					Workload:  j.name,
 					Engines:   harness.EngineSetVersion,
 					Result:    res,
 					Cached:    true,
@@ -464,7 +424,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 
-		resp, apiErr := s.simulate(ctx, sp, req.Metrics)
+		resp, apiErr := s.simulate(ctx, j, req.Metrics)
 		if apiErr != nil {
 			return nil, false, apiErr
 		}
@@ -480,11 +440,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // simulate compiles (through the warm LRU) and runs one request on the
 // WaveCache, with the request context threaded into the simulator's
 // cancellation poll.
-func (s *Server) simulate(ctx context.Context, sp *simSpec, wantMetrics bool) (*SimulateResponse, *ErrorResponse) {
+func (s *Server) simulate(ctx context.Context, j *simJob, wantMetrics bool) (*SimulateResponse, *ErrorResponse) {
 	tc := time.Now()
-	c, _, err := s.compiled.get(ctx, compileKey(sp.src, sp.unroll, sp.opt), sp.binary, func() (*harness.Compiled, error) {
-		return harness.CompileSource(sp.name, sp.src,
-			harness.CompileOptions{Unroll: sp.unroll, OptLevel: sp.opt, Binaries: []string{sp.binary}})
+	c, _, err := s.compiled.get(ctx, compileKey(j.src, j.co), j.binary, func() (*harness.Compiled, error) {
+		return harness.CompileSource(j.name, j.src, j.co)
 	})
 	ts := time.Now()
 	if err != nil {
@@ -496,42 +455,24 @@ func (s *Server) simulate(ctx context.Context, sp *simSpec, wantMetrics bool) (*
 		// server — is what fails here.
 		return nil, invalidErr("compile: %v", err)
 	}
-	prog, err := c.Binary(sp.binary)
+	prog, err := c.Binary(j.binary)
 	if err != nil {
 		// The cache handed back an entry without the binary it was asked
 		// for: a server bug, reported as one.
 		return nil, &ErrorResponse{Code: CodeInternal, Status: http.StatusInternalServerError, Error: err.Error()}
 	}
 
-	m := harness.DefaultMachineOptions()
-	m.GridW, m.GridH = sp.gridW, sp.gridH
-	m.Policy = sp.policy
-	m.MaxCycles = sp.maxCycles
+	m := j.m
 	m.Ctx = ctx
-	cfg := m.WaveConfig()
-	cfg.MemMode = sp.memMode
-	if sp.faults != "" {
-		fc, ferr := fault.ParseSpec(sp.faults)
-		if ferr != nil {
-			return nil, invalidErr("bad faults spec: %v", ferr)
-		}
-		fc.Seed = sp.faultSeed
-		cfg.Faults = fc
-		// Placement and simulator must agree on the defect map, so it is
-		// installed on the machine before the policy is constructed.
-		cfg.Machine.Defective = fault.DefectMap(fc, cfg.Machine.NumPEs())
-	}
+	m.Metrics = s.agg
 	var reqAgg *trace.Aggregate
 	if wantMetrics {
 		reqAgg = trace.NewAggregate()
-		cfg.Metrics = reqAgg
-	} else {
-		cfg.Metrics = s.agg
+		m.Metrics = reqAgg
 	}
-
-	pol, err := placement.New(sp.policy, cfg.Machine, prog, 12345)
+	cfg, pol, err := m.Build(prog)
 	if err != nil {
-		return nil, invalidErr("placement policy %q: %v", sp.policy, err)
+		return nil, invalidErr("%v", err)
 	}
 	res, err := harness.RunWave(c, prog, pol, cfg)
 	if err != nil {
@@ -539,7 +480,7 @@ func (s *Server) simulate(ctx context.Context, sp *simSpec, wantMetrics bool) (*
 	}
 
 	resp := &SimulateResponse{
-		Workload:   sp.name,
+		Workload:   j.name,
 		Engines:    harness.EngineSetVersion,
 		CompileMS:  millis(ts.Sub(tc)),
 		SimulateMS: millis(time.Since(ts)),
@@ -578,19 +519,12 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		if apiErr != nil {
 			return nil, false, apiErr
 		}
-		unroll := req.Unroll
-		if unroll == 0 {
-			unroll = harness.DefaultCompileOptions().Unroll
-		}
-		if unroll < 0 || unroll > 16 {
-			return nil, false, invalidErr("unroll %d out of range (1 .. 16)", req.Unroll)
-		}
-		opt, apiErr := normalizeOpt(req.Opt)
+		co, apiErr := compileOptions(req.Unroll, req.Opt)
 		if apiErr != nil {
 			return nil, false, apiErr
 		}
-		c, warm, err := s.compiled.get(ctx, compileKey(src, unroll, opt), "", func() (*harness.Compiled, error) {
-			return harness.CompileSource(name, src, harness.CompileOptions{Unroll: unroll, OptLevel: opt})
+		c, warm, err := s.compiled.get(ctx, compileKey(src, co), "", func() (*harness.Compiled, error) {
+			return harness.CompileSource(name, src, co)
 		})
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {

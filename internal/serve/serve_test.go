@@ -11,9 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"wavescalar/internal/fault"
+	"wavescalar"
 	"wavescalar/internal/harness"
-	"wavescalar/internal/placement"
 	"wavescalar/internal/wavecache"
 )
 
@@ -73,28 +72,55 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *Client) {
 	return s, &Client{BaseURL: ts.URL, Tenant: "test", HTTPClient: ts.Client()}
 }
 
+// requestOptions spells a request out as the harness options it stands
+// for, by hand rather than through normalizeSimulate: an omitted field is
+// the harness default, and the server's watchdog cap applies unless the
+// request tightens it.
+func requestOptions(t *testing.T, req SimulateRequest, maxCycles int64) (name, src string, co harness.CompileOptions, m harness.MachineOptions) {
+	t.Helper()
+	name, src = req.Workload, req.Source
+	if name == "" {
+		name = "inline"
+	}
+	if src == "" {
+		src = harnessWorkload(t, name)
+	}
+	co = harness.DefaultCompileOptions()
+	if req.Unroll != 0 {
+		co.Unroll = req.Unroll
+	}
+	if req.Opt != nil {
+		co.OptLevel = *req.Opt
+	}
+	m = harness.DefaultMachineOptions()
+	if req.Grid != "" {
+		if _, err := fmt.Sscanf(req.Grid, "%dx%d", &m.GridW, &m.GridH); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if req.Policy != "" {
+		m.Policy = req.Policy
+	}
+	m.MaxCycles = maxCycles
+	if req.MaxCycles != 0 {
+		m.MaxCycles = min(maxCycles, req.MaxCycles)
+	}
+	var err error
+	if m.MemMode, err = wavecache.ParseMemoryMode(req.MemMode); err != nil {
+		t.Fatal(err)
+	}
+	m.Faults, m.FaultSeed = req.Faults, req.FaultSeed
+	return name, src, co, m
+}
+
 // directResult computes the expected SimResult for a request with the
 // harness directly — no serve code in the loop — mirroring exactly what a
 // standalone harness user would do. Byte-identity between this and the
 // served result is the service's core correctness contract.
 func directResult(t *testing.T, req SimulateRequest, maxCycles int64) SimResult {
 	t.Helper()
-	name, src := req.Workload, req.Source
-	if name == "" {
-		name = "inline"
-	}
-	if src == "" {
-		w := harnessWorkload(t, name)
-		src = w
-	}
-	opts := harness.DefaultCompileOptions()
-	if req.Unroll != 0 {
-		opts.Unroll = req.Unroll
-	}
-	if req.Opt != nil {
-		opts.OptLevel = *req.Opt
-	}
-	c, err := harness.CompileSource(name, src, opts)
+	name, src, co, m := requestOptions(t, req, maxCycles)
+	c, err := harness.CompileSource(name, src, co)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,36 +131,7 @@ func directResult(t *testing.T, req SimulateRequest, maxCycles int64) SimResult 
 	case "rolled":
 		prog = c.WaveNoUn
 	}
-	m := harness.DefaultMachineOptions()
-	if req.Grid != "" {
-		if _, err := fmt.Sscanf(req.Grid, "%dx%d", &m.GridW, &m.GridH); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if req.Policy != "" {
-		m.Policy = req.Policy
-	}
-	m.MaxCycles = maxCycles
-	cfg := m.WaveConfig()
-	switch req.MemMode {
-	case "", "wave-ordered":
-	case "serialized":
-		cfg.MemMode = wavecache.MemSerial
-	case "ideal":
-		cfg.MemMode = wavecache.MemIdeal
-	case "spec":
-		cfg.MemMode = wavecache.MemSpec
-	}
-	if req.Faults != "" {
-		fc, err := fault.ParseSpec(req.Faults)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fc.Seed = req.FaultSeed
-		cfg.Faults = fc
-		cfg.Machine.Defective = fault.DefectMap(fc, cfg.Machine.NumPEs())
-	}
-	pol, err := placement.New(m.Policy, cfg.Machine, prog, 12345)
+	cfg, pol, err := m.Build(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,6 +151,39 @@ func directResult(t *testing.T, req SimulateRequest, maxCycles int64) SimResult 
 		PEsUsed:      res.PEsUsed,
 		MemoryOps:    res.Order.Loads + res.Order.Stores,
 		NetMessages:  res.Net.Messages,
+	}
+}
+
+// publicResult runs a request through the third door, the public API: the
+// wavescalar package's own compile pipeline and SimConfig, which name the
+// binary by how it is compiled (the rolled one is the steer one at unroll
+// 1). The fields are the ones SimResult shares with wavescalar.SimResult.
+func publicResult(t *testing.T, req SimulateRequest, maxCycles int64) SimResult {
+	t.Helper()
+	_, src, co, m := requestOptions(t, req, maxCycles)
+	cc := wavescalar.CompileConfig{Unroll: co.Unroll, Optimize: true, OptLevel: co.OptLevel, UseSelect: req.Binary == "select"}
+	if req.Binary == "rolled" {
+		cc.Unroll = 1
+	}
+	prog, err := wavescalar.Compile(src, cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prog.Simulate(wavescalar.SimConfig{
+		GridW: m.GridW, GridH: m.GridH,
+		Placement:  req.Policy,
+		MemoryMode: req.MemMode,
+		MaxCycles:  m.MaxCycles,
+		Faults:     req.Faults,
+		FaultSeed:  req.FaultSeed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return SimResult{
+		Value: res.Value, Cycles: res.Cycles, Fired: res.Fired, Tokens: res.Tokens,
+		Swaps: res.Swaps, Overflows: res.Overflows, PEsUsed: res.PEsUsed,
+		MemoryOps: res.MemoryOps, NetMessages: res.NetworkMessages,
 	}
 }
 
@@ -198,6 +228,9 @@ func TestSimulateMatchesDirectHarness(t *testing.T) {
 		{Workload: "gen:contention:5", Grid: "2x2", MemMode: "spec"},
 		{Workload: "gen:pipeline:7", Grid: "2x2"},
 		{Source: fastSrc, Faults: "defect=0.1,drop=0.005", FaultSeed: 42},
+		// Every request-settable field away from its default at once.
+		{Workload: "gen:pipeline:7", Binary: "select", Grid: "3x2", Unroll: 2, Opt: &o0, MemMode: "spec",
+			Policy: "packed-random", MaxCycles: 40_000_000, Faults: "drop=0.01,retries=9", FaultSeed: 7},
 	}
 	var ammp []SimResult
 	for i, req := range reqs {
@@ -211,6 +244,12 @@ func TestSimulateMatchesDirectHarness(t *testing.T) {
 		want := directResult(t, req, srvCfg.MaxCycles)
 		if got, wantJSON := mustJSON(t, resp.Result), mustJSON(t, want); got != wantJSON {
 			t.Errorf("req %d: served result diverged from direct harness run\n got: %s\nwant: %s", i, got, wantJSON)
+		}
+		// The public API reports no useful-instruction count; everything
+		// else it shares with the other two doors must agree.
+		want.UsefulInstrs, want.AIPC = 0, 0
+		if got := publicResult(t, req, srvCfg.MaxCycles); got != want {
+			t.Errorf("req %d: wavescalar.Simulate diverged from direct harness run\n got: %+v\nwant: %+v", i, got, want)
 		}
 		if req.Metrics && resp.MetricsTable == "" {
 			t.Errorf("req %d: metrics requested but no metrics table", i)
@@ -251,7 +290,7 @@ func TestSimulateCompilesTheNamedBinary(t *testing.T) {
 	for i, bin := range harness.BinaryNames {
 		simulate(SimulateRequest{Source: fastSrc, Binary: bin})
 		cacheState(bin, i+1, uint64(i)) // the hits are the lookups below
-		key := compileKey(fastSrc, harness.DefaultCompileOptions().Unroll, harness.DefaultCompileOptions().OptLevel)
+		key := compileKey(fastSrc, harness.DefaultCompileOptions())
 		c, hit, err := s.compiled.get(ctx, key, bin, func() (*harness.Compiled, error) {
 			return nil, fmt.Errorf("the %s entry is not resident", bin)
 		})
@@ -587,6 +626,7 @@ func TestInvalidRequests(t *testing.T) {
 	s, client := newTestServer(t, testConfig())
 	defer s.StopJanitor()
 
+	o7 := 7
 	cases := []SimulateRequest{
 		{},                                     // neither workload nor source
 		{Workload: "fft", Source: fastSrc},     // both
@@ -599,6 +639,11 @@ func TestInvalidRequests(t *testing.T) {
 		{Source: fastSrc, Policy: "nonsense"},  // unknown placement policy
 		{Source: "func main() { return ;; }"},  // parse error
 		{Source: fastSrc, Unroll: 99},          // unroll out of range
+		{Source: fastSrc, Unroll: -1},          // negative unroll
+		{Source: fastSrc, Opt: &o7},            // no such optimization level
+		{Source: fastSrc, MaxCycles: -5},       // a negative bound is not "unbounded"
+		// a kill PE outside the machine
+		{Source: fastSrc, Faults: "kill=512@9", Grid: "2x2"},
 	}
 	for i, req := range cases {
 		_, apiErr, err := client.Simulate(context.Background(), req)
@@ -612,6 +657,12 @@ func TestInvalidRequests(t *testing.T) {
 	snaps := s.Snapshot()
 	if len(snaps) != 1 || snaps[0].Invalid != uint64(len(cases)) {
 		t.Errorf("invalid counter: got %+v, want %d invalid for one tenant", snaps, len(cases))
+	}
+	// Every case but the parse error was refused before the compile — the
+	// unknown policy too, which used to be found only after it — and a
+	// failed compile is not kept.
+	if n := s.compiled.Len(); n != 0 {
+		t.Errorf("%d programs compiled for requests that were all invalid", n)
 	}
 
 	// A removed field is an unknown field: the decoder rejects the body,

@@ -141,25 +141,31 @@ func TestFaultyRunReproducible(t *testing.T) {
 
 // TestRetryExhaustionIsStructuredError: a message that can never be
 // delivered must surface as a *fault.FaultError after bounded retries —
-// not a hang, not a panic.
+// not a hang, not a panic. So must a hand-built Config whose PE stores hold
+// nothing: the first firing would evict from an empty store.
 func TestRetryExhaustionIsStructuredError(t *testing.T) {
+	noTweak := func(*Config) {}
 	for _, sc := range []struct {
-		name string
-		src  string
-		fc   fault.Config
+		name  string
+		src   string
+		fc    fault.Config
+		tweak func(*Config)
+		want  fault.Kind
 	}{
-		{"operand-loss", testprogs.Corpus[1].Src, fault.Config{Seed: 1, DropRate: 1.0, MaxRetries: 2}},
+		{"operand-loss", testprogs.Corpus[1].Src, fault.Config{Seed: 1, DropRate: 1.0, MaxRetries: 2}, noTweak, fault.KindMessageLoss},
 		// mem-loss needs a program that actually issues memory requests.
-		{"mem-loss", testprogs.Corpus[21].Src, fault.Config{Seed: 1, MemLossRate: 1.0, MaxRetries: 2}},
+		{"mem-loss", testprogs.Corpus[21].Src, fault.Config{Seed: 1, MemLossRate: 1.0, MaxRetries: 2}, noTweak, fault.KindMessageLoss},
+		{"empty-store", testprogs.Corpus[1].Src, fault.Config{}, func(c *Config) { c.PEStore = 0 }, fault.KindConfig},
+		{"negative-store", testprogs.Corpus[1].Src, fault.Config{}, func(c *Config) { c.PEStore = -1 }, fault.KindConfig},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
-			_, _, err := faultRun(t, sc.src, sc.fc)
+			_, _, err := faultRun(t, sc.src, sc.fc, sc.tweak)
 			var fe *fault.FaultError
 			if !errors.As(err, &fe) {
 				t.Fatalf("want *fault.FaultError, got %v", err)
 			}
-			if fe.Kind != fault.KindMessageLoss {
-				t.Fatalf("kind %v, want message-loss", fe.Kind)
+			if fe.Kind != sc.want {
+				t.Fatalf("kind %v, want %v", fe.Kind, sc.want)
 			}
 		})
 	}

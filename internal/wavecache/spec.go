@@ -108,8 +108,6 @@ type specEpoch struct {
 	speculative bool // false while the thrash fallback is active
 	squashed    bool // first conflict seen; remaining speculations replay
 	pending     int  // speculated ops not yet committed
-	reads       []int64
-	writes      []int64
 }
 
 // vsbEntry is one versioned-store-buffer record: a speculative store's
@@ -204,12 +202,7 @@ func (s *sim) specEpochFor(ctx, wave uint32) int32 {
 		ei = int32(len(sp.epochs) - 1)
 	}
 	ep := &sp.epochs[ei]
-	*ep = specEpoch{
-		key: key, ctx: ctx,
-		speculative: sp.offLeft == 0,
-		reads:       ep.reads[:0],
-		writes:      ep.writes[:0],
-	}
+	*ep = specEpoch{key: key, ctx: ctx, speculative: sp.offLeft == 0}
 	sp.st.Epochs++
 	if !ep.speculative {
 		sp.st.Fallbacks++
@@ -251,7 +244,6 @@ func (s *sim) specArrival(r *waveorder.Request) {
 	// max(commit slot, specDone), is never later than the in-order reply
 	// would have been.
 	if r.Kind == isa.MemLoad {
-		specAddAddr(&ep.reads, r.Addr)
 		ck.specSnap = sp.commitSeq
 		if pv, ok := sp.fwdTab.Get(key); ok {
 			// An in-flight speculative store covers this address: forward
@@ -271,7 +263,6 @@ func (s *sim) specArrival(r *waveorder.Request) {
 			s.tr.SpecIssue(s.now, false, ar.Latency)
 		}
 	} else {
-		specAddAddr(&ep.writes, r.Addr)
 		sp.nextUID++
 		uid := sp.nextUID
 		vi := sp.vsb.Alloc()
@@ -429,25 +420,12 @@ func (s *sim) specRetire(ei int32) {
 			break
 		}
 	}
-	ep.reads = ep.reads[:0]
-	ep.writes = ep.writes[:0]
 	sp.epochFree = append(sp.epochFree, ei)
 }
 
-// specAddAddr grows an epoch address set; sets are small (one wave
-// group's footprint), so membership is a linear scan.
-func specAddAddr(set *[]int64, addr int64) {
-	for _, a := range *set {
-		if a == addr {
-			return
-		}
-	}
-	*set = append(*set, addr)
-}
-
 // specDebugState renders the speculation subsystem for the watchdog
-// diagnostic dump: in-flight epochs with their read/write set sizes and
-// pending squashes, plus the thrash-fallback state. Deterministic: the
+// diagnostic dump: in-flight epochs with their mode, squash state and
+// uncommitted speculations, plus the thrash-fallback state. Deterministic: the
 // active list is in epoch creation order.
 func (s *sim) specDebugState() string {
 	sp := &s.spec
@@ -466,8 +444,8 @@ func (s *sim) specDebugState() string {
 		if ep.squashed {
 			state = "squash pending"
 		}
-		fmt.Fprintf(&b, "\n    epoch ctx %d group %d: %s, %s, %d reads, %d writes, %d speculations uncommitted",
-			ep.ctx, uint32(ep.key), mode, state, len(ep.reads), len(ep.writes), ep.pending)
+		fmt.Fprintf(&b, "\n    epoch ctx %d group %d: %s, %s, %d speculations uncommitted",
+			ep.ctx, uint32(ep.key), mode, state, ep.pending)
 	}
 	return b.String()
 }

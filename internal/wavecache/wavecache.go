@@ -208,17 +208,28 @@ func DefaultConfig(w, h int) Config {
 }
 
 // ParseGrid parses a cluster grid written "WxH" (the CLI -grid flag and the
-// serve API's grid field). It is strict — exactly two positive decimal
-// integers around one 'x', nothing else — and rejects grids with more
-// clusters than the memory hierarchy has L1 slots for.
+// serve API's grid field). It is strict — exactly two decimal integers
+// around one 'x', nothing else — and holds them to CheckGrid's bounds.
 func ParseGrid(s string) (w, h int, err error) {
-	if _, err := fmt.Sscanf(s, "%dx%d", &w, &h); err != nil || fmt.Sprintf("%dx%d", w, h) != s || w < 1 || h < 1 {
+	if _, err := fmt.Sscanf(s, "%dx%d", &w, &h); err != nil || fmt.Sprintf("%dx%d", w, h) != s {
 		return 0, 0, fmt.Errorf("bad grid %q (want WxH with W, H >= 1)", s)
 	}
-	if w > mem.MaxL1s || h > mem.MaxL1s || w*h > mem.MaxL1s {
-		return 0, 0, fmt.Errorf("grid %q has more than %d clusters", s, mem.MaxL1s)
+	if err := CheckGrid(w, h); err != nil {
+		return 0, 0, err
 	}
 	return w, h, nil
+}
+
+// CheckGrid rejects a cluster grid no machine can have: a side below 1, or
+// more clusters than the memory hierarchy has L1 slots for.
+func CheckGrid(w, h int) error {
+	if w < 1 || h < 1 {
+		return fmt.Errorf("bad grid %dx%d (want WxH with W, H >= 1)", w, h)
+	}
+	if w > mem.MaxL1s || h > mem.MaxL1s || w*h > mem.MaxL1s {
+		return fmt.Errorf("grid %dx%d has more than %d clusters", w, h, mem.MaxL1s)
+	}
+	return nil
 }
 
 // Result reports a simulation.
@@ -820,6 +831,11 @@ func RunWithMemory(p *isa.Program, pol placement.Policy, cfg Config) (Result, []
 func (s *sim) reset(p *isa.Program, pol placement.Policy, cfg Config) error {
 	if cfg.Fuel == 0 {
 		cfg.Fuel = 200_000_000
+	}
+	if cfg.PEStore < 1 {
+		// An empty store would have deliver evict from an empty LRU list.
+		return &fault.FaultError{Kind: fault.KindConfig, PE: -1,
+			Detail: fmt.Sprintf("PEStore %d: a PE must hold at least one instruction", cfg.PEStore)}
 	}
 	if s.net == nil {
 		net, err := noc.New(cfg.Net)

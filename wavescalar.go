@@ -24,6 +24,7 @@ import (
 	"wavescalar/internal/asm"
 	"wavescalar/internal/cfgir"
 	"wavescalar/internal/fault"
+	"wavescalar/internal/harness"
 	"wavescalar/internal/interp"
 	"wavescalar/internal/isa"
 	"wavescalar/internal/linear"
@@ -83,9 +84,12 @@ func (p *Program) ChainStats() wavec.ChainStats { return wavec.MeasureChains(p.d
 // Compile runs the full pipeline: lex/parse/check, optional unrolling, IR
 // construction and optimization, then both backends.
 func Compile(src string, cfg CompileConfig) (*Program, error) {
+	if err := (harness.CompileOptions{Unroll: cfg.Unroll, OptLevel: cfg.OptLevel}).Validate(); err != nil {
+		return nil, err
+	}
 	lvl := cfgir.OptNone
 	if cfg.Optimize {
-		lvl = max(cfg.OptLevel, 0)
+		lvl = cfg.OptLevel
 	}
 	ir, memOpt, _, err := cfgir.FromSource(src, cfg.Unroll, lvl)
 	if err != nil {
@@ -195,18 +199,18 @@ func (p *Program) InterpretWithFuel(fuel int64) (InterpretResult, error) {
 }
 
 // SimConfig parameterizes the WaveCache simulation. Zero values select the
-// published processor parameters scaled for kernel workloads.
+// published processor parameters scaled for kernel workloads; DESIGN.md
+// "Machine configuration" lists every field's default and accepted range.
 type SimConfig struct {
-	// GridW x GridH clusters (default 4x4).
+	// GridW x GridH clusters.
 	GridW, GridH int
-	// Placement policy name (see PlacementPolicies; default
-	// dynamic-depth-first-snake).
+	// Placement policy name (see PlacementPolicies).
 	Placement string
-	// Density is the number of instruction homes packed per PE (default 16).
+	// Density is the number of instruction homes packed per PE.
 	Density int
-	// PEStore is the per-PE instruction store size (default 64).
+	// PEStore is the per-PE instruction store size.
 	PEStore int
-	// InputQueue is the matching-table capacity before spills (default 64).
+	// InputQueue is the matching-table capacity before spills.
 	InputQueue int
 	// MemoryMode is "wave-ordered" (default), "serialized", "ideal", or
 	// "spec" (speculative transactional wave-ordered memory).
@@ -267,55 +271,26 @@ type SimResult struct {
 
 // Simulate runs the program on the cycle-level WaveCache simulator.
 func (p *Program) Simulate(sc SimConfig) (SimResult, error) {
-	if sc.GridW == 0 {
-		sc.GridW = 4
-	}
-	if sc.GridH == 0 {
-		sc.GridH = 4
-	}
-	cfg := wavecache.DefaultConfig(sc.GridW, sc.GridH)
-	if sc.Density == 0 {
-		sc.Density = 16
-	}
-	cfg.Machine.Capacity = sc.Density
-	if sc.PEStore != 0 {
-		cfg.PEStore = sc.PEStore
-	}
-	if sc.InputQueue == 0 {
-		sc.InputQueue = 64
-	}
-	cfg.InputQueue = sc.InputQueue
 	mm, err := wavecache.ParseMemoryMode(sc.MemoryMode)
-	if err != nil {
-		return SimResult{}, fmt.Errorf("wavescalar: %v", err)
-	}
-	cfg.MemMode = mm
-	if sc.L1Words != 0 {
-		cfg.Mem.L1.SizeWords = sc.L1Words
-	}
-	cfg.Fuel = sc.Fuel
-	cfg.MaxCycles = sc.MaxCycles
-	if sc.Faults != "" {
-		fc, err := fault.ParseSpec(sc.Faults)
-		if err != nil {
-			return SimResult{}, err
-		}
-		fc.Seed = sc.FaultSeed
-		cfg.Faults = fc
-		// Placement and simulator must agree on the defect map, so it is
-		// installed on the machine before the policy is constructed.
-		cfg.Machine.Defective = fault.DefectMap(fc, cfg.Machine.NumPEs())
-	}
-	if sc.Placement == "" {
-		sc.Placement = "dynamic-depth-first-snake"
-	}
-	pol, err := placement.New(sc.Placement, cfg.Machine, p.dataflow, 12345)
 	if err != nil {
 		return SimResult{}, err
 	}
-	if sc.Tracer != nil {
-		cfg.Tracer = sc.Tracer
-		pol = placement.Traced(pol, sc.Tracer)
+	cfg, pol, err := harness.MachineOptions{
+		GridW: sc.GridW, GridH: sc.GridH,
+		Policy:     sc.Placement,
+		Density:    sc.Density,
+		PEStore:    sc.PEStore,
+		InputQueue: sc.InputQueue,
+		MemMode:    mm,
+		L1Words:    sc.L1Words,
+		Fuel:       sc.Fuel,
+		MaxCycles:  sc.MaxCycles,
+		Faults:     sc.Faults,
+		FaultSeed:  sc.FaultSeed,
+		Tracer:     sc.Tracer,
+	}.Build(p.dataflow)
+	if err != nil {
+		return SimResult{}, err
 	}
 	res, err := wavecache.Run(p.dataflow, pol, cfg)
 	if err != nil {

@@ -116,11 +116,35 @@ func TestSimConfigVariants(t *testing.T) {
 			t.Errorf("%+v: value %d", sc, res.Value)
 		}
 	}
-	if _, err := prog.Simulate(SimConfig{MemoryMode: "nope"}); err == nil {
-		t.Error("bad memory mode accepted")
+	// What waved answers with a 400 is an error here too, not a panic
+	// (PEStore: -1 was one) and not a silently different machine.
+	for _, sc := range []SimConfig{
+		{MemoryMode: "nope"},
+		{Placement: "nope"},
+		{GridW: 9, GridH: 9},
+		{GridW: -1},
+		{Density: -1},
+		{PEStore: -1},
+		{InputQueue: -1},
+		{L1Words: 17},
+		{L1Words: -64},
+		{Fuel: -1},
+		{MaxCycles: -5},
+		{Faults: "defect=x"},
+		{Faults: "kill=100000@5"},
+	} {
+		if _, err := prog.Simulate(sc); err == nil {
+			t.Errorf("%+v accepted", sc)
+		}
 	}
-	if _, err := prog.Simulate(SimConfig{Placement: "nope"}); err == nil {
-		t.Error("bad placement accepted")
+	for _, cc := range []CompileConfig{
+		{Unroll: -1, Optimize: true},
+		{Optimize: true, OptLevel: 7},
+		{Optimize: true, OptLevel: -1},
+	} {
+		if _, err := Compile(demoSrc, cc); err == nil {
+			t.Errorf("%+v accepted", cc)
+		}
 	}
 }
 
