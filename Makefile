@@ -136,13 +136,14 @@ bench-spec:
 # table, wave-order buffer, operand network, the cache hierarchy's access
 # and its Reset with and without a grid change, the simulator's event
 # queue, arenas and one kernel per memory mode, the tracer's per-firing and
-# per-hop counters, interpreters, the placement model's move loop against
-# its reference, waved's cold / warm / replay request over loopback, and
-# the whole CompileSource) — one command for
+# per-hop counters, interpreters, what a run pays each placement policy
+# (construction plus every instruction's first Assign), the placement
+# model's move loop against its reference, waved's cold / warm / replay
+# request over loopback, and the whole CompileSource) — one command for
 # "each stage has its own benchmark". For -count, -benchtime or
 # -cpuprofile run `go test` on the package directly.
 bench-micro:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/lang ./internal/cfgir ./internal/wavec ./internal/tagtable ./internal/waveorder ./internal/noc ./internal/mem ./internal/wavecache ./internal/trace ./internal/interp ./internal/ooo ./internal/placemodel ./internal/serve
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/lang ./internal/cfgir ./internal/wavec ./internal/tagtable ./internal/waveorder ./internal/noc ./internal/mem ./internal/wavecache ./internal/trace ./internal/interp ./internal/ooo ./internal/placement ./internal/placemodel ./internal/serve
 	$(GO) test -run '^$$' -bench 'BenchmarkCompileSource$$' -benchmem ./internal/harness
 
 # bench-ledger runs the repository benchmark (BENCHMARK.json, bench/) end

@@ -54,7 +54,7 @@ func Engines(m MachineOptions) []Engine {
 	}
 	return []Engine{
 		{"ast-evaluator", func(c *Compiled) (EngineRun, error) {
-			v, err := lang.EvalProgram(c.Source())
+			v, err := lang.EvalProgram(c.Src)
 			return EngineRun{Value: v}, err
 		}},
 		{"linear-emulator", func(c *Compiled) (EngineRun, error) {

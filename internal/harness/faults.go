@@ -7,15 +7,6 @@ import (
 	"wavescalar/internal/wavecache"
 )
 
-func init() {
-	Experiments = append(Experiments, Experiment{
-		ID:    "E12",
-		Title: "Fault injection: IPC degradation vs. defect and loss rates",
-		Claim: "a tiled dataflow machine degrades gracefully under faults: placement routes around dead PEs and ack/retransmit recovers lost messages, so performance falls smoothly with fault rate while results stay correct",
-		Run:   runE12,
-	})
-}
-
 // e12Seed drives every E12 fault decision; one fixed seed keeps the tables
 // reproducible bit-for-bit at any worker count.
 const e12Seed = 7

@@ -81,18 +81,6 @@ func (c *Compiled) Binary(name string) (*isa.Program, error) {
 	return p, nil
 }
 
-// Source returns the program's wsl source, falling back to the named
-// workload's source for Compiled values predating the Src field.
-func (c *Compiled) Source() string {
-	if c.Src != "" {
-		return c.Src
-	}
-	if w := workloads.ByName(c.Name); w != nil {
-		return w.Src
-	}
-	return ""
-}
-
 // AddCompileMetrics folds the program's compile-time optimizer statistics
 // into a trace metrics record (the compile-tier rows of the -metrics
 // summary). A no-op for programs compiled at OptLevel 0.

@@ -74,6 +74,15 @@ func TestExperimentByID(t *testing.T) {
 }
 
 func TestEveryExperimentRuns(t *testing.T) {
+	// The order is observable: RunAll prints in it and the benchmark's
+	// exp-suite indexes the slice by a seeded permutation.
+	var ids []string
+	for _, e := range Experiments {
+		ids = append(ids, e.ID)
+	}
+	if got, want := strings.Join(ids, " "), "E1 E1b E2 E3 E4 E5 E6 E7 E8 E9 E10 E11 E12 M1 E14 E15"; got != want {
+		t.Errorf("experiment order is %s, want %s", got, want)
+	}
 	if testing.Short() {
 		t.Skip("experiment sweep is slow")
 	}

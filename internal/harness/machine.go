@@ -137,9 +137,9 @@ type MachineOptions struct {
 	// so the same (spec, seed) pair reproduces a faulty run bit-for-bit.
 	Faults    string
 	FaultSeed uint64
-	// Tracer, when non-nil, records the run's structured trace and every
-	// placement decision. It cannot change a Result, and belongs to one
-	// run: never share one across concurrent cells.
+	// Tracer, when non-nil, records the run's structured trace. It cannot
+	// change a Result, and belongs to one run: never share one across
+	// concurrent cells.
 	Tracer *trace.Tracer
 	// Workers bounds the goroutines an experiment fans its simulation
 	// cells across (0 = one per CPU, 1 = sequential). Any value produces
@@ -245,7 +245,7 @@ func (m MachineOptions) Key() string {
 
 // Build validates the options and returns the simulator configuration and
 // a fresh placement policy for prog: what wavecache.Run (or RunWave) needs
-// besides the program. The policy is traced when m.Tracer is set.
+// besides the program.
 func (m MachineOptions) Build(prog *isa.Program) (wavecache.Config, placement.Policy, error) {
 	m, fc, err := m.check()
 	if err != nil {
@@ -256,7 +256,7 @@ func (m MachineOptions) Build(prog *isa.Program) (wavecache.Config, placement.Po
 	if err != nil {
 		return wavecache.Config{}, nil, fmt.Errorf("harness: policy %q: %w", m.Policy, err)
 	}
-	return cfg, placement.Traced(pol, m.Tracer), nil
+	return cfg, pol, nil
 }
 
 // waveConfig lowers resolved options and their parsed fault spec.

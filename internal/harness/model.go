@@ -8,15 +8,6 @@ import (
 	"wavescalar/internal/stats"
 )
 
-func init() {
-	Experiments = append(Experiments, Experiment{
-		ID:    "M1",
-		Title: "SPAA'06 placement model: component and combined correlations",
-		Claim: "a weighted sum of operand latency, migratory coherence, and PE contention predicts layout performance (paper: combined correlation -0.90; components -0.88 / -0.84 / -0.76)",
-		Run:   runM1,
-	})
-}
-
 // runM1 reproduces the follow-on paper's method: profile each application
 // once, evaluate eight candidate layouts with the analytic model, simulate
 // each layout, and report the Pearson correlation between model scores and

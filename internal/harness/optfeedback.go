@@ -7,15 +7,6 @@ import (
 	"wavescalar/internal/wavecache"
 )
 
-func init() {
-	Experiments = append(Experiments, Experiment{
-		ID:    "E14",
-		Title: "Compiler memory optimization and profile-guided placement feedback",
-		Claim: "shrinking the wave-ordered memory chains at compile time and feeding a profile-optimized layout back into placement each improve AIPC, and the two compose",
-		Run:   runE14,
-	})
-}
-
 // runE14 measures the two feedback loops this harness closes around the
 // compiler: the memory-optimization tier (-O1 vs -O0) and the
 // profile-guided placement policy, in all four combinations. AIPC for
@@ -43,12 +34,12 @@ func runE14(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 			p.o0, p.o1 = c, c
 			var err error
 			if c.Opt != 0 {
-				if p.o0, err = CompileSource(c.Name, c.Source(), CompileOptions{Unroll: unroll, OptLevel: 0}); err != nil {
+				if p.o0, err = CompileSource(c.Name, c.Src, CompileOptions{Unroll: unroll, OptLevel: 0}); err != nil {
 					return fmt.Errorf("E14 %s at O0: %w", c.Name, err)
 				}
 			}
 			if c.Opt < 1 {
-				if p.o1, err = CompileSource(c.Name, c.Source(), CompileOptions{Unroll: unroll, OptLevel: 1}); err != nil {
+				if p.o1, err = CompileSource(c.Name, c.Src, CompileOptions{Unroll: unroll, OptLevel: 1}); err != nil {
 					return fmt.Errorf("E14 %s at O1: %w", c.Name, err)
 				}
 			}

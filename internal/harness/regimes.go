@@ -9,24 +9,6 @@ import (
 	"wavescalar/internal/wavecache"
 )
 
-func init() {
-	// Keep E1b ordered right after E1.
-	e1b := Experiment{
-		ID:    "E1b",
-		Title: "Memory pressure and the WaveCache/superscalar ratio",
-		Claim: "the WaveCache tolerates memory latency better than a window-limited superscalar, so its relative performance improves as working sets fall out of cache",
-		Run:   runE1b,
-	}
-	out := make([]Experiment, 0, len(Experiments)+1)
-	for _, e := range Experiments {
-		out = append(out, e)
-		if e.ID == "E1" {
-			out = append(out, e1b)
-		}
-	}
-	Experiments = out
-}
-
 // memoryRegime scales the cache hierarchy to emulate increasing pressure:
 // the kernels are ~100x smaller than SPEC, so the caches shrink in
 // proportion (documented in EXPERIMENTS.md's scaling caveats).

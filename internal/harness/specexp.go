@@ -7,15 +7,6 @@ import (
 	"wavescalar/internal/wavecache"
 )
 
-func init() {
-	Experiments = append(Experiments, Experiment{
-		ID:    "E15",
-		Title: "Speculation scope: transaction-epoch size under MemSpec",
-		Claim: "per-wave epochs catch conflicts cheaply; widening the scope amortizes epoch bookkeeping but squashes more innocent work per violation, so AIPC degrades as squash cost grows faster than the bookkeeping it saves",
-		Run:   runE15,
-	})
-}
-
 // runE15 sweeps the MemSpec transaction scope (waves per epoch) and
 // reports AIPC next to the squash rate — the fraction of epochs that hit
 // a conflict and replayed their speculative remainder. The wave-ordered

@@ -2,12 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"cmp"
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
 
-	"wavescalar/internal/fault"
-	"wavescalar/internal/placement"
 	"wavescalar/internal/trace"
 	"wavescalar/internal/wavecache"
 )
@@ -17,43 +18,16 @@ import (
 // the tracer.
 func tracedRun(t *testing.T, c *Compiled, m MachineOptions, faultSpec string) (wavecache.Result, *trace.Tracer) {
 	t.Helper()
-	cfg := m.WaveConfig()
-	if faultSpec != "" {
-		fc, err := fault.ParseSpec(faultSpec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fc.Seed = 7
-		cfg.Faults = fc
-		cfg.Machine.Defective = fault.DefectMap(fc, cfg.Machine.NumPEs())
-	}
-	pol, err := placement.New(m.Policy, cfg.Machine, c.Wave, 12345)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := trace.New(trace.Config{Events: true})
-	cfg.Tracer = tr
-	res, err := wavecache.Run(c.Wave, placement.Traced(pol, tr), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, tr
+	m.Tracer = trace.New(trace.Config{Events: true})
+	return runMachine(t, c, m, faultSpec), m.Tracer
 }
 
-// untracedRun is the same simulation with tracing fully disabled.
-func untracedRun(t *testing.T, c *Compiled, m MachineOptions, faultSpec string) wavecache.Result {
+// runMachine executes one workload on the WaveCache m describes, under
+// faultSpec with fault seed 7, with whatever tracing m asks for.
+func runMachine(t *testing.T, c *Compiled, m MachineOptions, faultSpec string) wavecache.Result {
 	t.Helper()
-	cfg := m.WaveConfig()
-	if faultSpec != "" {
-		fc, err := fault.ParseSpec(faultSpec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fc.Seed = 7
-		cfg.Faults = fc
-		cfg.Machine.Defective = fault.DefectMap(fc, cfg.Machine.NumPEs())
-	}
-	pol, err := placement.New(m.Policy, cfg.Machine, c.Wave, 12345)
+	m.Faults, m.FaultSeed = faultSpec, 7
+	cfg, pol, err := m.Build(c.Wave)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +39,11 @@ func untracedRun(t *testing.T, c *Compiled, m MachineOptions, faultSpec string) 
 }
 
 // TestTracingDoesNotPerturbSimulation: attaching a tracer (even with the
-// event stream enabled) must leave the simulation's Result bit-identical
-// to an untraced run — tracing observes the event processing order, it
-// never schedules anything. Checked on clean and faulty configurations.
+// event stream enabled), or only a metrics aggregate, must leave the
+// simulation's Result bit-identical to an untraced run — tracing observes
+// the event processing order, it never schedules anything. Checked on clean
+// and faulty configurations. The two observers must also agree on what they
+// saw; placements are the counter a metrics-only run used to miss.
 func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 	set := quickSet(t)
 	m := quickMachine()
@@ -79,11 +55,19 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			for _, c := range set {
-				base := untracedRun(t, c, m, spec)
-				traced, _ := tracedRun(t, c, m, spec)
-				if !reflect.DeepEqual(base, traced) {
-					t.Errorf("%s: traced result differs from untraced:\n%+v\n%+v",
-						c.Name, base, traced)
+				base := runMachine(t, c, m, spec)
+				traced, tr := tracedRun(t, c, m, spec)
+				counted := m
+				counted.Metrics = trace.NewAggregate()
+				metricsOnly := runMachine(t, c, counted, spec)
+				if !reflect.DeepEqual(base, traced) || !reflect.DeepEqual(base, metricsOnly) {
+					t.Errorf("%s: traced or metrics-only result differs from untraced:\n%+v\n%+v\n%+v",
+						c.Name, base, traced, metricsOnly)
+				}
+				got, want := counted.Metrics.Snapshot(), tr.Metrics()
+				if got.Placements == 0 || got.Placements != want.Placements || got.Fires != want.Fires {
+					t.Errorf("%s: metrics-only run counted %d placements, %d fires; the tracer %d, %d",
+						c.Name, got.Placements, got.Fires, want.Placements, want.Fires)
 				}
 			}
 		})
@@ -182,5 +166,57 @@ func TestMetricsWorkerCountInvariance(t *testing.T) {
 	}
 	if m1 != m8 {
 		t.Errorf("metrics summaries differ between -j 1 and -j 8:\n--- j1 ---\n%s\n--- j8 ---\n%s", m1, m8)
+	}
+}
+
+// pinnedPlaceEvents are FNV-1a digests of the KindPlace events (T, function,
+// instruction, PE) of a traced lu run on quickMachine, clean and with a PE
+// dying at cycle 5000, recorded when placements were traced by a wrapper
+// around the policy (placement.Traced, at the parent of the commit that
+// moved the emission into the engine): the engine must emit the same stream.
+var pinnedPlaceEvents = map[string]uint64{
+	"dynamic-depth-first-snake/clean":       0x5cc20c75fac166da,
+	"dynamic-depth-first-snake/kill=0@5000": 0xbae4368761e4e7eb,
+	"static-snake/clean":                    0xa063ee79ea4c6496,
+	"static-snake/kill=0@5000":              0x3dbe05ba128f0772,
+	"random/clean":                          0x98905d97fbe5db6a,
+	"random/kill=16@5000":                   0x75ccbc7eca3be031,
+}
+
+// TestPlaceEventsPinned: an instruction's first reference, and its first
+// reference after its home PE died, each emit one placement event at the
+// simulated time the reference happened, and nothing else does. Each policy
+// loses a PE that holds instructions lu references again after the death.
+func TestPlaceEventsPinned(t *testing.T) {
+	c := quickSet(t)[0]
+	for _, row := range []struct{ policy, kill string }{
+		{"dynamic-depth-first-snake", "kill=0@5000"},
+		{"static-snake", "kill=0@5000"},
+		{"random", "kill=16@5000"},
+	} {
+		var places [2]int
+		for i, spec := range []string{"", row.kill} {
+			key := row.policy + "/" + cmp.Or(spec, "clean")
+			m := quickMachine()
+			m.Policy = row.policy
+			_, tr := tracedRun(t, c, m, spec)
+			h := fnv.New64a()
+			for _, e := range tr.Events() {
+				if e.Kind == trace.KindPlace {
+					fmt.Fprintf(h, "%d:%d.%d@%d;", e.T, e.A, e.B, e.PE)
+					places[i]++
+				}
+			}
+			if uint64(places[i]) != tr.Metrics().Placements {
+				t.Errorf("%s: %d place events, Placements = %d", key, places[i], tr.Metrics().Placements)
+			}
+			if got := h.Sum64(); got != pinnedPlaceEvents[key] {
+				t.Errorf("placement events moved:\n\t%q: %#x,", key, got)
+			}
+		}
+		if places[1] <= places[0] {
+			t.Errorf("%s: %d placements with %s, %d without: nothing migrated",
+				row.policy, places[1], row.kill, places[0])
+		}
 	}
 }

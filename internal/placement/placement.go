@@ -4,17 +4,19 @@
 // dynamically, in the order execution first references them, filling PEs
 // along a "snake" path through the grid; the follow-on placement work
 // (SPAA 2006) names this dynamic-snake and compares it against static,
-// depth-first, random, and combined variants — all implemented here.
+// depth-first, random, and combined variants. All of them are one fill that
+// differs in which order instructions reach it and when, and all of them
+// are one type here (policy).
 package placement
 
 import (
 	"fmt"
+	"slices"
 
 	"wavescalar/internal/fault"
 	"wavescalar/internal/isa"
 	"wavescalar/internal/noc"
 	"wavescalar/internal/profile"
-	"wavescalar/internal/trace"
 )
 
 // Machine describes the PE topology placement targets.
@@ -143,41 +145,57 @@ func validateMachine(m Machine) error {
 	return nil
 }
 
-// fill allocates PE slots along an arbitrary PE order, Capacity per PE,
-// wrapping when the machine is exhausted and skipping defective PEs.
+// fill hands out instruction homes. Along an order of the PEs (the snake,
+// or a seeded permutation of it) it packs Capacity homes per PE, wrapping
+// when the machine is exhausted; with no order it draws PEs uniformly from
+// rng. Either way it never returns a defective PE.
 type fill struct {
 	m     Machine
-	order func(i int) int
-	next  int
+	order func(i int) int // nil: a uniform draw
+	next  int             // slots handed out along order
+	rng   uint64
 	// defective is the policy's own defect map (config-time defects plus
 	// mid-run kills); policy-owned so Machine values stay shareable.
 	defective []bool
+	usable    int
 }
 
-func newFill(m Machine, order func(i int) int) fill {
-	f := fill{m: m, order: order}
-	if m.Defective != nil {
-		f.defective = append([]bool(nil), m.Defective...)
-	}
-	return f
+// step advances the generator behind random's draws and packed-random's
+// permutation.
+func step(state *uint64) uint64 {
+	*state = *state*6364136223846793005 + 1442695040888963407
+	return *state >> 33
 }
 
-func (f *fill) dead(pe int) bool {
-	return f.defective != nil && pe < len(f.defective) && f.defective[pe]
-}
-
-// take allocates the next instruction home, skipping dead PEs by jumping to
-// the next PE boundary along the order. At least one usable PE is
+// take allocates the next instruction home. At least one usable PE is
 // guaranteed by validateMachine (at construction) and markDefective
-// (mid-run), which bounds the scan; should that invariant ever break, take
+// (mid-run), which bounds the scans; should that invariant ever break, take
 // falls back to a deterministic linear scan for any live PE rather than
 // panicking, so a library bug degrades a result instead of crashing the
 // caller's process.
 func (f *fill) take() int {
 	n := f.m.NumPEs()
+	if f.order == nil {
+		// Rejection-sample a live PE; after a bounded number of draws fall
+		// back to a linear scan so a heavily defective machine still assigns
+		// in O(NumPEs) deterministically.
+		for draws := 0; ; draws++ {
+			pe := int(step(&f.rng) % uint64(n))
+			if !f.defective[pe] {
+				return pe
+			}
+			if draws >= 64 {
+				for f.defective[pe] {
+					pe = (pe + 1) % n
+				}
+				return pe
+			}
+		}
+	}
+	// A dead PE is skipped by jumping to the next PE boundary along the order.
 	for skips := 0; skips <= n; skips++ {
 		pe := f.order((f.next / f.m.Capacity) % n)
-		if f.dead(pe) {
+		if f.defective[pe] {
 			f.next = (f.next/f.m.Capacity + 1) * f.m.Capacity
 			continue
 		}
@@ -185,345 +203,240 @@ func (f *fill) take() int {
 		return pe
 	}
 	for pe := 0; pe < n; pe++ {
-		if !f.dead(pe) {
+		if !f.defective[pe] {
 			return pe
 		}
 	}
 	return 0
 }
 
-func (f *fill) markDefective(pe int) error {
+// markDefective withdraws a PE, reporting whether it was live until now.
+func (f *fill) markDefective(pe int) (bool, error) {
 	if pe < 0 || pe >= f.m.NumPEs() {
-		return fmt.Errorf("placement: PE %d out of range [0,%d)", pe, f.m.NumPEs())
+		return false, fmt.Errorf("placement: PE %d out of range [0,%d)", pe, f.m.NumPEs())
 	}
-	if f.defective == nil {
-		f.defective = make([]bool, f.m.NumPEs())
+	if f.defective[pe] {
+		return false, nil
 	}
-	if !f.defective[pe] {
-		usable := 0
-		for _, d := range f.defective {
-			if !d {
-				usable++
-			}
-		}
-		if usable <= 1 {
-			return fmt.Errorf("placement: cannot mark PE %d defective: no usable PEs would remain", pe)
-		}
-		f.defective[pe] = true
+	if f.usable <= 1 {
+		return false, fmt.Errorf("placement: cannot mark PE %d defective: no usable PEs would remain", pe)
 	}
-	return nil
+	f.defective[pe] = true
+	f.usable--
+	return true, nil
 }
 
-// evictHomes withdraws every instruction homed on a dead PE so the next
-// Assign re-places it.
-func evictHomes(homes map[profile.InstrRef]int, pe int) {
-	for ref, p := range homes {
-		if p == pe {
-			delete(homes, ref)
-		}
-	}
-}
-
-// --- dynamic-snake -----------------------------------------------------
-
-// dynamicSnake fills PEs along the snake in dynamic first-reference order:
-// the MICRO 2003 WaveCache's own policy. PEs hold only instructions that
-// actually execute, which the SPAA 2006 study found best for PE contention.
-type dynamicSnake struct {
-	fill
-	homes map[profile.InstrRef]int
-}
-
-// NewDynamicSnake builds the policy.
-func NewDynamicSnake(m Machine) (Policy, error) {
-	if err := validateMachine(m); err != nil {
-		return nil, err
-	}
-	ds := &dynamicSnake{homes: make(map[profile.InstrRef]int)}
-	ds.fill = newFill(m, m.SnakePE)
-	return ds, nil
-}
-
-func (d *dynamicSnake) Name() string { return "dynamic-snake" }
-
-func (d *dynamicSnake) Assign(ref profile.InstrRef) int {
-	if pe, ok := d.homes[ref]; ok {
-		return pe
-	}
-	pe := d.take()
-	d.homes[ref] = pe
-	return pe
-}
-
-func (d *dynamicSnake) MarkDefective(pe int) error {
-	if err := d.fill.markDefective(pe); err != nil {
-		return err
-	}
-	evictHomes(d.homes, pe)
-	return nil
-}
-
-// --- static-snake ------------------------------------------------------
-
-// staticSnake packs instructions along the snake in static program order,
-// whether or not they ever execute. The fill is retained so instructions
-// evicted by a mid-run PE death can re-place.
-type staticSnake struct {
-	fill
-	homes map[profile.InstrRef]int
-}
-
-// NewStaticSnake precomputes the placement for a program.
-func NewStaticSnake(m Machine, p *isa.Program) (Policy, error) {
-	if err := validateMachine(m); err != nil {
-		return nil, err
-	}
-	s := &staticSnake{homes: make(map[profile.InstrRef]int)}
-	s.fill = newFill(m, m.SnakePE)
-	for fi := range p.Funcs {
-		for ii := range p.Funcs[fi].Instrs {
-			s.homes[profile.InstrRef{Func: isa.FuncID(fi), Instr: isa.InstrID(ii)}] = s.take()
-		}
-	}
-	return s, nil
-}
-
-func (s *staticSnake) Name() string { return "static-snake" }
-
-func (s *staticSnake) Assign(ref profile.InstrRef) int {
-	if pe, ok := s.homes[ref]; ok {
-		return pe
-	}
-	pe := s.take() // home evicted by a PE death: migrate
-	s.homes[ref] = pe
-	return pe
-}
-
-func (s *staticSnake) MarkDefective(pe int) error {
-	if err := s.fill.markDefective(pe); err != nil {
-		return err
-	}
-	evictHomes(s.homes, pe)
-	return nil
-}
-
-// --- depth-first chains ------------------------------------------------
-
-// dfsChains decomposes each function's dataflow graph into producer/
-// consumer chains by depth-first search: each chain is a path of dependent
+// dfsChains decomposes a function's dataflow graph into producer/consumer
+// chains by depth-first search: each chain is a path of dependent
 // instructions that should share a PE so their operands ride the free
-// intra-pod bypass.
-func dfsChains(f *isa.Function) [][]isa.InstrID {
+// intra-pod bypass. It returns the function's instructions listed chain
+// after chain, and for each instruction the [lo, hi) span of its chain in
+// that list.
+func dfsChains(f *isa.Function) (order []isa.InstrID, span [][2]int32) {
+	order = make([]isa.InstrID, 0, len(f.Instrs))
+	span = make([][2]int32, len(f.Instrs))
 	visited := make([]bool, len(f.Instrs))
-	var chains [][]isa.InstrID
-	var descend func(id isa.InstrID, chain []isa.InstrID) []isa.InstrID
-	descend = func(id isa.InstrID, chain []isa.InstrID) []isa.InstrID {
-		visited[id] = true
-		chain = append(chain, id)
-		in := &f.Instrs[id]
-		for _, lst := range [][]isa.Dest{in.Dests, in.DestsFalse} {
-			for _, d := range lst {
-				if !visited[d.Instr] {
-					return descend(d.Instr, chain)
+	for ii := range f.Instrs {
+		if visited[ii] {
+			continue
+		}
+		lo := len(order)
+		// Follow the first unvisited consumer until there is none.
+		for id := isa.InstrID(ii); id != isa.NoInstr; {
+			visited[id] = true
+			order = append(order, id)
+			in := &f.Instrs[id]
+			id = isa.NoInstr
+		consumers:
+			for _, lst := range [2][]isa.Dest{in.Dests, in.DestsFalse} {
+				for _, d := range lst {
+					if !visited[d.Instr] {
+						id = d.Instr
+						break consumers
+					}
 				}
 			}
 		}
-		return chain
-	}
-	for ii := range f.Instrs {
-		if !visited[ii] {
-			chains = append(chains, descend(isa.InstrID(ii), nil))
+		for _, id := range order[lo:] {
+			span[id] = [2]int32{int32(lo), int32(len(order))}
 		}
 	}
-	return chains
+	return order, span
 }
 
-// depthFirstSnake places DFS chains contiguously along the snake in static
-// chain order: the best policy for operand latency in the SPAA 2006 study.
-type depthFirstSnake struct {
+// policy is every built-in policy: a home table filled from one fill. The
+// policies differ in where fill's next home comes from (its order), in
+// whether homes are handed out at construction or on first reference
+// (which constructor pre-fills the table, and in which instruction order),
+// and in whether a first reference places one instruction or its whole DFS
+// chain (chains).
+type policy struct {
+	name string
 	fill
-	homes map[profile.InstrRef]int
+	// homes[fn][instr] is the instruction's home PE, -1 while it has none.
+	// A constructor given the program sizes the table from it; references
+	// beyond the table grow it.
+	homes [][]int32
+	// chains, when set, is each function's dfsChains: a first reference
+	// places every unplaced member of the instruction's chain.
+	chains []funcChains
 }
 
-// NewDepthFirstSnake precomputes the placement.
-func NewDepthFirstSnake(m Machine, p *isa.Program) (Policy, error) {
+type funcChains struct {
+	order []isa.InstrID
+	span  [][2]int32
+}
+
+// newPolicy validates the machine and builds a policy that fills along the
+// snake on first reference, its table sized for prog (nil: empty).
+func newPolicy(name string, m Machine, prog *isa.Program) (*policy, error) {
 	if err := validateMachine(m); err != nil {
 		return nil, err
 	}
-	s := &depthFirstSnake{homes: make(map[profile.InstrRef]int)}
-	s.fill = newFill(m, m.SnakePE)
-	for fi := range p.Funcs {
-		for _, chain := range dfsChains(&p.Funcs[fi]) {
-			for _, id := range chain {
-				s.homes[profile.InstrRef{Func: isa.FuncID(fi), Instr: id}] = s.take()
+	p := &policy{name: name, fill: fill{m: m, order: m.SnakePE,
+		defective: make([]bool, m.NumPEs()), usable: m.UsablePEs()}}
+	copy(p.defective, m.Defective)
+	if prog != nil {
+		p.homes = make([][]int32, len(prog.Funcs))
+		for fi := range prog.Funcs {
+			p.row(isa.FuncID(fi), len(prog.Funcs[fi].Instrs))
+		}
+	}
+	return p, nil
+}
+
+// row returns function fn's homes, grown to hold at least n instructions.
+func (p *policy) row(fn isa.FuncID, n int) []int32 {
+	for int(fn) >= len(p.homes) {
+		p.homes = append(p.homes, nil)
+	}
+	row := p.homes[fn]
+	if len(row) < n {
+		row = slices.Grow(row, n-len(row))
+		for len(row) < n {
+			row = append(row, -1)
+		}
+		p.homes[fn] = row
+	}
+	return row
+}
+
+func (p *policy) Name() string { return p.name }
+
+func (p *policy) Assign(ref profile.InstrRef) int {
+	row := p.row(ref.Func, int(ref.Instr)+1)
+	if row[ref.Instr] >= 0 {
+		return int(row[ref.Instr])
+	}
+	// Unplaced: a first reference, or a home evicted by a PE death.
+	if int(ref.Func) < len(p.chains) && int(ref.Instr) < len(p.chains[ref.Func].span) {
+		c := &p.chains[ref.Func]
+		for _, id := range c.order[c.span[ref.Instr][0]:c.span[ref.Instr][1]] {
+			if row[id] < 0 {
+				row[id] = int32(p.take())
+			}
+		}
+	} else {
+		row[ref.Instr] = int32(p.take())
+	}
+	return int(row[ref.Instr])
+}
+
+// MarkDefective withdraws every home on the dead PE, so the next Assign of
+// each re-places it.
+func (p *policy) MarkDefective(pe int) error {
+	wasLive, err := p.markDefective(pe)
+	if !wasLive {
+		return err
+	}
+	for _, row := range p.homes {
+		for i, home := range row {
+			if int(home) == pe {
+				row[i] = -1
 			}
 		}
 	}
-	return s, nil
-}
-
-func (s *depthFirstSnake) Name() string { return "depth-first-snake" }
-
-func (s *depthFirstSnake) Assign(ref profile.InstrRef) int {
-	if pe, ok := s.homes[ref]; ok {
-		return pe
-	}
-	pe := s.take() // home evicted by a PE death: migrate
-	s.homes[ref] = pe
-	return pe
-}
-
-func (s *depthFirstSnake) MarkDefective(pe int) error {
-	if err := s.fill.markDefective(pe); err != nil {
-		return err
-	}
-	evictHomes(s.homes, pe)
 	return nil
 }
 
-// --- dynamic-depth-first-snake ------------------------------------------
-
-// dynamicDFS is the improved algorithm of the placement study: instructions
-// are grouped into DFS chains (like depth-first-snake) but chains are
-// packed into PEs in dynamic first-reference order (like dynamic-snake), so
-// PEs hold only chains that execute and dependent instructions still share
-// the bypass network.
-type dynamicDFS struct {
-	fill
-	homes   map[profile.InstrRef]int
-	chainOf map[profile.InstrRef][]isa.InstrID
-}
-
-// NewDynamicDFS builds the policy for a program.
-func NewDynamicDFS(m Machine, p *isa.Program) (Policy, error) {
-	if err := validateMachine(m); err != nil {
+// NewDynamicSnake fills PEs along the snake in dynamic first-reference
+// order: the MICRO 2003 WaveCache's own policy. PEs hold only instructions
+// that actually execute, which the SPAA 2006 study found best for PE
+// contention.
+func NewDynamicSnake(m Machine) (Policy, error) {
+	p, err := newPolicy("dynamic-snake", m, nil)
+	if err != nil {
 		return nil, err
 	}
-	d := &dynamicDFS{
-		homes:   make(map[profile.InstrRef]int),
-		chainOf: make(map[profile.InstrRef][]isa.InstrID),
+	return p, nil
+}
+
+// NewStaticSnake packs instructions along the snake in static program
+// order, whether or not they ever execute.
+func NewStaticSnake(m Machine, prog *isa.Program) (Policy, error) {
+	p, err := newPolicy("static-snake", m, prog)
+	if err != nil {
+		return nil, err
 	}
-	d.fill = newFill(m, m.SnakePE)
-	for fi := range p.Funcs {
-		for _, chain := range dfsChains(&p.Funcs[fi]) {
-			for _, id := range chain {
-				d.chainOf[profile.InstrRef{Func: isa.FuncID(fi), Instr: id}] = chain
-			}
+	for _, row := range p.homes {
+		for i := range row {
+			row[i] = int32(p.take())
 		}
 	}
-	return d, nil
+	return p, nil
 }
 
-func (d *dynamicDFS) Name() string { return "dynamic-depth-first-snake" }
-
-func (d *dynamicDFS) Assign(ref profile.InstrRef) int {
-	if pe, ok := d.homes[ref]; ok {
-		return pe
+// NewDepthFirstSnake places DFS chains contiguously along the snake in
+// static chain order: the best policy for operand latency in the SPAA 2006
+// study.
+func NewDepthFirstSnake(m Machine, prog *isa.Program) (Policy, error) {
+	p, err := newPolicy("depth-first-snake", m, prog)
+	if err != nil {
+		return nil, err
 	}
-	// First reference to any member of the chain places the whole chain.
-	chain := d.chainOf[ref]
-	for _, id := range chain {
-		r := profile.InstrRef{Func: ref.Func, Instr: id}
-		if _, ok := d.homes[r]; !ok {
-			d.homes[r] = d.take()
+	for fi, row := range p.homes {
+		order, _ := dfsChains(&prog.Funcs[fi])
+		for _, id := range order {
+			row[id] = int32(p.take())
 		}
 	}
-	return d.homes[ref]
+	return p, nil
 }
 
-func (d *dynamicDFS) MarkDefective(pe int) error {
-	if err := d.fill.markDefective(pe); err != nil {
-		return err
+// NewDynamicDFS is the improved algorithm of the placement study:
+// instructions are grouped into DFS chains (like depth-first-snake) but
+// chains are packed into PEs in dynamic first-reference order (like
+// dynamic-snake), so PEs hold only chains that execute and dependent
+// instructions still share the bypass network.
+func NewDynamicDFS(m Machine, prog *isa.Program) (Policy, error) {
+	p, err := newPolicy("dynamic-depth-first-snake", m, prog)
+	if err != nil {
+		return nil, err
 	}
-	evictHomes(d.homes, pe)
-	return nil
+	p.chains = make([]funcChains, len(p.homes))
+	for fi := range p.chains {
+		p.chains[fi].order, p.chains[fi].span = dfsChains(&prog.Funcs[fi])
+	}
+	return p, nil
 }
 
-// --- random ------------------------------------------------------------
-
-// randomPolicy scatters instructions uniformly over the usable PEs.
-type randomPolicy struct {
-	m         Machine
-	state     uint64
-	homes     map[profile.InstrRef]int
-	defective []bool
-	usable    int
-}
-
-// NewRandom builds a seeded random placement.
+// NewRandom scatters instructions uniformly over the usable PEs, in
+// first-reference order.
 func NewRandom(m Machine, seed uint64) (Policy, error) {
-	if err := validateMachine(m); err != nil {
+	p, err := newPolicy("random", m, nil)
+	if err != nil {
 		return nil, err
 	}
-	r := &randomPolicy{m: m, state: seed | 1, homes: make(map[profile.InstrRef]int),
-		usable: m.UsablePEs()}
-	if m.Defective != nil {
-		r.defective = append([]bool(nil), m.Defective...)
-	}
-	return r, nil
+	p.order, p.rng = nil, seed|1
+	return p, nil
 }
 
-func (r *randomPolicy) Name() string { return "random" }
-
-func (r *randomPolicy) dead(pe int) bool {
-	return r.defective != nil && pe < len(r.defective) && r.defective[pe]
-}
-
-func (r *randomPolicy) Assign(ref profile.InstrRef) int {
-	if pe, ok := r.homes[ref]; ok {
-		return pe
-	}
-	n := r.m.NumPEs()
-	pe := 0
-	// Rejection-sample a live PE; after a bounded number of draws fall
-	// back to a linear scan so a heavily defective machine still assigns
-	// in O(NumPEs) deterministically.
-	for draws := 0; ; draws++ {
-		r.state = r.state*6364136223846793005 + 1442695040888963407
-		pe = int((r.state >> 33) % uint64(n))
-		if !r.dead(pe) {
-			break
-		}
-		if draws >= 64 {
-			for r.dead(pe) {
-				pe = (pe + 1) % n
-			}
-			break
-		}
-	}
-	r.homes[ref] = pe
-	return pe
-}
-
-func (r *randomPolicy) MarkDefective(pe int) error {
-	if pe < 0 || pe >= r.m.NumPEs() {
-		return fmt.Errorf("placement: PE %d out of range [0,%d)", pe, r.m.NumPEs())
-	}
-	if r.defective == nil {
-		r.defective = make([]bool, r.m.NumPEs())
-	}
-	if !r.defective[pe] {
-		if r.usable <= 1 {
-			return fmt.Errorf("placement: cannot mark PE %d defective: no usable PEs would remain", pe)
-		}
-		r.defective[pe] = true
-		r.usable--
-		evictHomes(r.homes, pe)
-	}
-	return nil
-}
-
-// packedRandom fills PEs densely (capacity-aware like dynamic-snake) but
+// NewPackedRandom fills PEs densely (capacity-aware like dynamic-snake) but
 // visits PEs in a seeded random permutation, destroying locality while
 // keeping packing.
-type packedRandom struct {
-	fill
-	homes map[profile.InstrRef]int
-}
-
-// NewPackedRandom builds the policy.
 func NewPackedRandom(m Machine, seed uint64) (Policy, error) {
-	if err := validateMachine(m); err != nil {
+	p, err := newPolicy("packed-random", m, nil)
+	if err != nil {
 		return nil, err
 	}
 	perm := make([]int, m.NumPEs())
@@ -532,32 +445,31 @@ func NewPackedRandom(m Machine, seed uint64) (Policy, error) {
 	}
 	state := seed | 1
 	for i := len(perm) - 1; i > 0; i-- {
-		state = state*6364136223846793005 + 1442695040888963407
-		j := int((state >> 33) % uint64(i+1))
+		j := int(step(&state) % uint64(i+1))
 		perm[i], perm[j] = perm[j], perm[i]
 	}
-	pr := &packedRandom{homes: make(map[profile.InstrRef]int)}
-	pr.fill = newFill(m, func(i int) int { return perm[i] })
-	return pr, nil
+	p.order = func(i int) int { return perm[i] }
+	return p, nil
 }
 
-func (p *packedRandom) Name() string { return "packed-random" }
+// Ctor builds a policy; it receives exactly New's arguments.
+type Ctor func(m Machine, prog *isa.Program, seed uint64) (Policy, error)
 
-func (p *packedRandom) Assign(ref profile.InstrRef) int {
-	if pe, ok := p.homes[ref]; ok {
-		return pe
-	}
-	pe := p.take()
-	p.homes[ref] = pe
-	return pe
+type namedCtor struct {
+	name string
+	ctor Ctor
 }
 
-func (p *packedRandom) MarkDefective(pe int) error {
-	if err := p.fill.markDefective(pe); err != nil {
-		return err
-	}
-	evictHomes(p.homes, pe)
-	return nil
+// policies is the ordered table New, Names and Register share: the
+// built-ins, then registered external policies in registration order
+// (deterministic — init order is fixed by the import graph).
+var policies = []namedCtor{
+	{"dynamic-snake", func(m Machine, _ *isa.Program, _ uint64) (Policy, error) { return NewDynamicSnake(m) }},
+	{"static-snake", func(m Machine, p *isa.Program, _ uint64) (Policy, error) { return NewStaticSnake(m, p) }},
+	{"depth-first-snake", func(m Machine, p *isa.Program, _ uint64) (Policy, error) { return NewDepthFirstSnake(m, p) }},
+	{"dynamic-depth-first-snake", func(m Machine, p *isa.Program, _ uint64) (Policy, error) { return NewDynamicDFS(m, p) }},
+	{"random", func(m Machine, _ *isa.Program, seed uint64) (Policy, error) { return NewRandom(m, seed) }},
+	{"packed-random", func(m Machine, _ *isa.Program, seed uint64) (Policy, error) { return NewPackedRandom(m, seed) }},
 }
 
 // New constructs a policy by name; prog may be nil for policies that do not
@@ -566,103 +478,33 @@ func (p *packedRandom) MarkDefective(pe int) error {
 // an all-defective grid is a structured configuration error here rather
 // than a failure mid-placement.
 func New(name string, m Machine, prog *isa.Program, seed uint64) (Policy, error) {
-	switch name {
-	case "dynamic-snake":
-		return NewDynamicSnake(m)
-	case "static-snake":
-		return NewStaticSnake(m, prog)
-	case "depth-first-snake":
-		return NewDepthFirstSnake(m, prog)
-	case "dynamic-depth-first-snake":
-		return NewDynamicDFS(m, prog)
-	case "random":
-		return NewRandom(m, seed)
-	case "packed-random":
-		return NewPackedRandom(m, seed)
-	}
-	if ctor, ok := registered[name]; ok {
-		return ctor(m, prog, seed)
+	for _, p := range policies {
+		if p.name == name {
+			return p.ctor(m, prog, seed)
+		}
 	}
 	return nil, fmt.Errorf("placement: unknown policy %q", name)
 }
 
-// Ctor builds a registered policy; it receives exactly New's arguments.
-type Ctor func(m Machine, prog *isa.Program, seed uint64) (Policy, error)
-
-var (
-	registered      = map[string]Ctor{}
-	registeredOrder []string
-)
-
 // Register adds an externally implemented policy under name, making it
 // reachable through New and visible in Names. Registration happens from
 // package init functions (e.g. internal/placemodel's profile-feedback
-// policy, which cannot live here without an import cycle); duplicate or
-// built-in-shadowing names panic, as that is a programming error.
+// policy, which cannot live here without an import cycle); a name already
+// in the table panics, as that is a programming error.
 func Register(name string, ctor Ctor) {
-	for _, n := range builtinNames {
-		if n == name {
-			panic("placement: Register would shadow built-in policy " + name)
+	for _, p := range policies {
+		if p.name == name {
+			panic("placement: duplicate policy registration " + name)
 		}
 	}
-	if _, dup := registered[name]; dup {
-		panic("placement: duplicate policy registration " + name)
-	}
-	registered[name] = ctor
-	registeredOrder = append(registeredOrder, name)
+	policies = append(policies, namedCtor{name, ctor})
 }
 
-// Traced wraps a policy so every fresh home assignment — and every
-// migration after a PE death — is recorded in the tracer as a placement
-// event. With a nil tracer the policy is returned unwrapped, so the
-// disabled path costs nothing. The wrapper preserves Reconfigurable.
-func Traced(pol Policy, tr *trace.Tracer) Policy {
-	if tr == nil {
-		return pol
-	}
-	return &traced{pol: pol, tr: tr, seen: make(map[profile.InstrRef]int)}
-}
-
-type traced struct {
-	pol  Policy
-	tr   *trace.Tracer
-	seen map[profile.InstrRef]int
-}
-
-func (t *traced) Name() string { return t.pol.Name() }
-
-func (t *traced) Assign(ref profile.InstrRef) int {
-	pe := t.pol.Assign(ref)
-	if prev, ok := t.seen[ref]; !ok || prev != pe {
-		t.seen[ref] = pe
-		t.tr.Place(int(ref.Func), int(ref.Instr), pe)
-	}
-	return pe
-}
-
-func (t *traced) MarkDefective(pe int) error {
-	rc, ok := t.pol.(Reconfigurable)
-	if !ok {
-		return fmt.Errorf("placement: policy %q is not reconfigurable", t.pol.Name())
-	}
-	return rc.MarkDefective(pe)
-}
-
-var builtinNames = []string{
-	"dynamic-snake",
-	"static-snake",
-	"depth-first-snake",
-	"dynamic-depth-first-snake",
-	"random",
-	"packed-random",
-}
-
-// Names lists the available policies: the built-ins followed by registered
-// external policies in registration order (deterministic — init order is
-// fixed by the import graph).
+// Names lists the available policies in table order.
 func Names() []string {
-	out := make([]string, 0, len(builtinNames)+len(registeredOrder))
-	out = append(out, builtinNames...)
-	out = append(out, registeredOrder...)
+	out := make([]string, len(policies))
+	for i, p := range policies {
+		out[i] = p.name
+	}
 	return out
 }

@@ -193,16 +193,20 @@ func TestDynamicDFSPlacesWholeChain(t *testing.T) {
 	wp := testProgram(t)
 	m := DefaultMachine(1, 1)
 	m.Capacity = 8
-	pol := must(NewDynamicDFS(m, wp)).(*dynamicDFS)
-	ref := profile.InstrRef{Func: wp.Entry, Instr: 0}
-	pol.Assign(ref)
-	chain := pol.chainOf[ref]
-	if len(chain) == 0 {
-		t.Fatal("instruction 0 has no chain")
+	pol := must(NewDynamicDFS(m, wp)).(*policy)
+	pol.Assign(profile.InstrRef{Func: wp.Entry, Instr: 0})
+	c := pol.chains[wp.Entry]
+	chain := c.order[c.span[0][0]:c.span[0][1]]
+	if len(chain) < 2 {
+		t.Fatalf("instruction 0's chain is %v, want several members", chain)
 	}
+	onChain := make(map[isa.InstrID]bool)
 	for _, id := range chain {
-		if _, ok := pol.homes[profile.InstrRef{Func: wp.Entry, Instr: id}]; !ok {
-			t.Fatalf("chain member i%d not placed with its chain", id)
+		onChain[id] = true
+	}
+	for id, home := range pol.homes[wp.Entry] {
+		if placed := home >= 0; placed != onChain[isa.InstrID(id)] {
+			t.Fatalf("i%d: placed = %v, on instruction 0's chain = %v", id, placed, onChain[isa.InstrID(id)])
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package placemodel
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -71,7 +70,7 @@ func newState(cfg Config, prof *profile.Profile, l Layout) *state {
 	s := &state{
 		cfg:      cfg,
 		loc:      make([]peLoc, npes),
-		refs:     make([]profile.InstrRef, 0, len(l)),
+		refs:     sortedRefs(l),
 		pe:       make([]int, len(l)),
 		clusters: m.NumClusters(),
 		occ:      make([]int32, npes),
@@ -84,12 +83,6 @@ func newState(cfg Config, prof *profile.Profile, l Layout) *state {
 		}
 	}
 
-	for r := range l {
-		s.refs = append(s.refs, r)
-	}
-	slices.SortFunc(s.refs, func(a, b profile.InstrRef) int {
-		return cmp.Or(cmp.Compare(a.Func, b.Func), cmp.Compare(a.Instr, b.Instr))
-	})
 	index := make(map[profile.InstrRef]int32, len(l))
 	for i, r := range s.refs {
 		pe := l[r]

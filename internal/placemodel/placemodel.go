@@ -21,6 +21,9 @@
 package placemodel
 
 import (
+	"cmp"
+	"slices"
+
 	"wavescalar/internal/placement"
 	"wavescalar/internal/profile"
 	"wavescalar/internal/stats"
@@ -31,15 +34,27 @@ type Layout map[profile.InstrRef]int
 
 // ExtractLayout materializes a policy's assignment for every instruction
 // the profile saw. Calling it after a simulation reads the recorded homes
-// (Assign is idempotent); calling it before a run drives dynamic policies
-// in profile iteration order, which is only appropriate for static
-// policies.
+// (Assign is idempotent); calling it before a run drives a policy that
+// assigns on first reference in (Func, Instr) order, not execution order.
 func ExtractLayout(pol placement.Policy, prof *profile.Profile) Layout {
 	l := make(Layout, len(prof.Fires))
-	for ref := range prof.Fires {
+	for _, ref := range sortedRefs(prof.Fires) {
 		l[ref] = pol.Assign(ref)
 	}
 	return l
+}
+
+// sortedRefs lists a map's instructions in (Func, Instr) order, so nothing
+// computed from the walk depends on map iteration order.
+func sortedRefs[V any](m map[profile.InstrRef]V) []profile.InstrRef {
+	refs := make([]profile.InstrRef, 0, len(m))
+	for r := range m {
+		refs = append(refs, r)
+	}
+	slices.SortFunc(refs, func(a, b profile.InstrRef) int {
+		return cmp.Or(cmp.Compare(a.Func, b.Func), cmp.Compare(a.Instr, b.Instr))
+	})
+	return refs
 }
 
 // Config carries the machine parameters the component models need.

@@ -1,6 +1,7 @@
 package placemodel
 
 import (
+	"maps"
 	"testing"
 
 	"wavescalar/internal/cfgir"
@@ -261,5 +262,23 @@ func TestFixedPolicyFallback(t *testing.T) {
 	a := pol.Assign(profile.InstrRef{Func: 0, Instr: 99})
 	if b := pol.Assign(profile.InstrRef{Func: 0, Instr: 99}); a != b {
 		t.Error("fallback not stable")
+	}
+}
+
+// TestExtractLayoutIgnoresMapOrder: a policy that assigns on first reference
+// hands out homes in the order ExtractLayout asks, so that order must not be
+// the profile map's.
+func TestExtractLayoutIgnoresMapOrder(t *testing.T) {
+	_, prof := compileAndProfile(t, modelSrc)
+	m := placement.DefaultMachine(2, 2)
+	extract := func() Layout {
+		pol, err := placement.NewRandom(m, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ExtractLayout(pol, prof)
+	}
+	if a, b := extract(), extract(); !maps.Equal(a, b) {
+		t.Errorf("two extractions of random(seed 7) over %d instructions differ", len(prof.Fires))
 	}
 }

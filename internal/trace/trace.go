@@ -16,13 +16,12 @@
 // policy construction, config, fault seed). The recorded event stream and
 // the metrics summary are therefore reproducible bit-for-bit for a fixed
 // seed; aggregation across experiment cells (Aggregate) uses only
-// commutative merges (sums, maxes, keyed additions) so summaries are also
-// invariant to worker count and completion order.
+// commutative merges (sums, maxes, element-wise additions) so summaries are
+// also invariant to worker count and completion order.
 package trace
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"wavescalar/internal/stats"
@@ -152,18 +151,7 @@ type Bucket struct {
 	MaxQueue, MaxPending            int64
 }
 
-// DomKey identifies a domain within a cluster.
-type DomKey struct {
-	Cluster, Domain int
-}
-
-// LinkKey identifies a directed mesh link (router index, direction 0-3:
-// east, west, south, north).
-type LinkKey struct {
-	Router, Dir int
-}
-
-// LinkUse is per-link utilization.
+// LinkUse is the utilization of one directed mesh link.
 type LinkUse struct {
 	Msgs        uint64
 	StallCycles uint64
@@ -179,15 +167,17 @@ type Metrics struct {
 	// Execution.
 	Fires, Tokens, Swaps, Overflows uint64
 	MaxQueueDepth                   int64
-	PEFires                         []uint64 // firings by PE (occupancy)
-	ClusterFires                    []uint64 // firings by cluster
-	DomainFires                     map[DomKey]uint64
+	PEFires                         []uint64   // firings by PE (occupancy)
+	ClusterFires                    []uint64   // firings by cluster
+	DomainFires                     [][]uint64 // firings by [cluster][domain]
 
 	// Operand network.
 	PodMsgs, DomainMsgs, ClusterMsgs, MeshMsgs uint64
 	MeshHops                                   uint64
 	LinkStallCycles                            uint64
-	Links                                      map[LinkKey]LinkUse
+	// Links is mesh link use by [router][direction], directions 0-3 being
+	// east, west, south, north.
+	Links [][4]LinkUse
 
 	// Wave-ordered memory.
 	MemSubmitted, MemIssued uint64
@@ -228,7 +218,7 @@ type Metrics struct {
 	EventsDropped uint64
 }
 
-// Merge folds o into m (commutative: sums, maxes, keyed additions).
+// Merge adds o into m (commutative: sums, maxes, element-wise additions).
 func (m *Metrics) Merge(o *Metrics) {
 	m.Runs += o.Runs
 	m.Cycles += o.Cycles
@@ -241,11 +231,11 @@ func (m *Metrics) Merge(o *Metrics) {
 	}
 	m.PEFires = mergeCounts(m.PEFires, o.PEFires)
 	m.ClusterFires = mergeCounts(m.ClusterFires, o.ClusterFires)
-	for k, v := range o.DomainFires {
-		if m.DomainFires == nil {
-			m.DomainFires = make(map[DomKey]uint64)
-		}
-		m.DomainFires[k] += v
+	for len(m.DomainFires) < len(o.DomainFires) {
+		m.DomainFires = append(m.DomainFires, nil)
+	}
+	for c, doms := range o.DomainFires {
+		m.DomainFires[c] = mergeCounts(m.DomainFires[c], doms)
 	}
 	m.PodMsgs += o.PodMsgs
 	m.DomainMsgs += o.DomainMsgs
@@ -253,14 +243,14 @@ func (m *Metrics) Merge(o *Metrics) {
 	m.MeshMsgs += o.MeshMsgs
 	m.MeshHops += o.MeshHops
 	m.LinkStallCycles += o.LinkStallCycles
-	for k, v := range o.Links {
-		if m.Links == nil {
-			m.Links = make(map[LinkKey]LinkUse)
+	for len(m.Links) < len(o.Links) {
+		m.Links = append(m.Links, [4]LinkUse{})
+	}
+	for r := range o.Links {
+		for dir, u := range o.Links[r] {
+			m.Links[r][dir].Msgs += u.Msgs
+			m.Links[r][dir].StallCycles += u.StallCycles
 		}
-		u := m.Links[k]
-		u.Msgs += v.Msgs
-		u.StallCycles += v.StallCycles
-		m.Links[k] = u
 	}
 	m.MemSubmitted += o.MemSubmitted
 	m.MemIssued += o.MemIssued
@@ -305,8 +295,8 @@ func mergeCounts(dst, src []uint64) []uint64 {
 	return dst
 }
 
-// Summary renders the metrics as a two-column table. Map-backed rows are
-// sorted so the rendering is deterministic.
+// Summary renders the metrics as a two-column table. A "busiest" row names
+// the first maximum in index order.
 func (m *Metrics) Summary(title string) *stats.Table {
 	t := stats.NewTable(title, "metric", "value")
 	add := func(k string, v any) { t.AddRow(k, v) }
@@ -322,8 +312,8 @@ func (m *Metrics) Summary(title string) *stats.Table {
 	if c, n, ok := busiestCount(m.ClusterFires); ok {
 		add("busiest cluster", fmt.Sprintf("%d (%d fires)", c, n))
 	}
-	if k, u, ok := m.busiestDomain(); ok {
-		add("busiest domain", fmt.Sprintf("c%d/d%d (%d fires)", k.Cluster, k.Domain, u))
+	if c, d, n, ok := m.busiestDomain(); ok {
+		add("busiest domain", fmt.Sprintf("c%d/d%d (%d fires)", c, d, n))
 	}
 	add("net msgs pod", m.PodMsgs)
 	add("net msgs domain", m.DomainMsgs)
@@ -331,9 +321,21 @@ func (m *Metrics) Summary(title string) *stats.Table {
 	add("net msgs mesh", m.MeshMsgs)
 	add("mesh hops", m.MeshHops)
 	add("link stall cycles", m.LinkStallCycles)
-	add("mesh links used", int64(len(m.Links)))
-	if k, u, ok := m.busiestLink(); ok {
-		add("busiest link", fmt.Sprintf("router %d dir %d (%d msgs, %d stall)", k.Router, k.Dir, u.Msgs, u.StallCycles))
+	linksUsed, busyRouter, busyDir := 0, 0, 0
+	var busiest LinkUse
+	for r := range m.Links {
+		for dir, u := range m.Links[r] {
+			if u.Msgs > 0 {
+				linksUsed++
+			}
+			if u.Msgs > busiest.Msgs {
+				busyRouter, busyDir, busiest = r, dir, u
+			}
+		}
+	}
+	add("mesh links used", int64(linksUsed))
+	if linksUsed > 0 {
+		add("busiest link", fmt.Sprintf("router %d dir %d (%d msgs, %d stall)", busyRouter, busyDir, busiest.Msgs, busiest.StallCycles))
 	}
 	add("mem requests submitted", m.MemSubmitted)
 	add("mem requests issued", m.MemIssued)
@@ -415,48 +417,13 @@ func busiestCount(xs []uint64) (idx int, n uint64, ok bool) {
 	return
 }
 
-func (m *Metrics) busiestDomain() (DomKey, uint64, bool) {
-	keys := make([]DomKey, 0, len(m.DomainFires))
-	for k := range m.DomainFires {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Cluster != keys[j].Cluster {
-			return keys[i].Cluster < keys[j].Cluster
-		}
-		return keys[i].Domain < keys[j].Domain
-	})
-	var best DomKey
-	var n uint64
-	ok := false
-	for _, k := range keys {
-		if v := m.DomainFires[k]; v > n {
-			best, n, ok = k, v, true
+func (m *Metrics) busiestDomain() (cluster, domain int, n uint64, ok bool) {
+	for c, doms := range m.DomainFires {
+		if d, v, found := busiestCount(doms); found && v > n {
+			cluster, domain, n, ok = c, d, v, true
 		}
 	}
-	return best, n, ok
-}
-
-func (m *Metrics) busiestLink() (LinkKey, LinkUse, bool) {
-	keys := make([]LinkKey, 0, len(m.Links))
-	for k := range m.Links {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Router != keys[j].Router {
-			return keys[i].Router < keys[j].Router
-		}
-		return keys[i].Dir < keys[j].Dir
-	})
-	var best LinkKey
-	var u LinkUse
-	ok := false
-	for _, k := range keys {
-		if v := m.Links[k]; v.Msgs > u.Msgs {
-			best, u, ok = k, v, true
-		}
-	}
-	return best, u, ok
+	return
 }
 
 // Tracer records events and metrics for one simulation run. Not safe for
@@ -469,13 +436,6 @@ type Tracer struct {
 	events  []Event
 	buckets []Bucket
 	m       Metrics
-
-	// Firings by [cluster][domain] and link use by [router][direction],
-	// grown on demand like Metrics.PEFires: what Fire and LinkHop count
-	// since the last fold, which moves them into m.DomainFires and m.Links.
-	// A run fires millions of instructions and reads its metrics once.
-	domFires [][]uint64
-	links    [][4]LinkUse
 
 	// countersOnly tracers keep no bucket series: every per-bucket update
 	// lands in sink, which nothing reads.
@@ -501,42 +461,7 @@ func (t *Tracer) Metrics() *Metrics {
 	if t == nil {
 		return &Metrics{}
 	}
-	t.fold()
 	return &t.m
-}
-
-// fold moves the dense domain and link counts into the keyed maps of t.m
-// and zeroes them, so t.m is complete whenever it is read, folding again
-// adds nothing, and a tracer read mid-run keeps counting.
-func (t *Tracer) fold() {
-	for c, doms := range t.domFires {
-		for d, n := range doms {
-			if n == 0 {
-				continue
-			}
-			if t.m.DomainFires == nil {
-				t.m.DomainFires = make(map[DomKey]uint64)
-			}
-			t.m.DomainFires[DomKey{Cluster: c, Domain: d}] += n
-			doms[d] = 0
-		}
-	}
-	for r := range t.links {
-		for dir, u := range t.links[r] {
-			if u.Msgs == 0 {
-				continue
-			}
-			if t.m.Links == nil {
-				t.m.Links = make(map[LinkKey]LinkUse)
-			}
-			k := LinkKey{Router: r, Dir: dir}
-			sum := t.m.Links[k]
-			sum.Msgs += u.Msgs
-			sum.StallCycles += u.StallCycles
-			t.m.Links[k] = sum
-			t.links[r][dir] = LinkUse{}
-		}
-	}
 }
 
 // Events returns the recorded event stream (nil when events are off).
@@ -645,10 +570,10 @@ func (t *Tracer) Fire(tm int64, pe, cluster, domain int) {
 		t.m.ClusterFires = append(t.m.ClusterFires, 0)
 	}
 	t.m.ClusterFires[cluster]++
-	for len(t.domFires) <= cluster {
-		t.domFires = append(t.domFires, nil)
+	for len(t.m.DomainFires) <= cluster {
+		t.m.DomainFires = append(t.m.DomainFires, nil)
 	}
-	doms := &t.domFires[cluster]
+	doms := &t.m.DomainFires[cluster]
 	for len(*doms) <= domain {
 		*doms = append(*doms, 0)
 	}
@@ -658,8 +583,9 @@ func (t *Tracer) Fire(tm int64, pe, cluster, domain int) {
 }
 
 // Place records a placement decision (or a post-eviction migration). The
-// policy has no notion of simulated time, so the event carries the latest
-// time the tracer has seen.
+// engine resolves a home while routing a token to it, not at a time of the
+// instruction's own, so the event carries the latest time the tracer has
+// seen.
 func (t *Tracer) Place(fn, instr, pe int) {
 	if t == nil {
 		return
@@ -689,7 +615,7 @@ func (t *Tracer) NetMsg(tm int64, level int) {
 }
 
 // LinkHop records one traversal of a directed mesh link (dir 0-3, as in
-// LinkKey), with the cycles the message waited for link bandwidth.
+// Metrics.Links), with the cycles the message waited for link bandwidth.
 func (t *Tracer) LinkHop(tm int64, router, dir int, stall int64) {
 	if t == nil {
 		return
@@ -697,10 +623,10 @@ func (t *Tracer) LinkHop(tm int64, router, dir int, stall int64) {
 	t.touch(tm)
 	t.m.MeshHops++
 	t.m.LinkStallCycles += uint64(stall)
-	for len(t.links) <= router {
-		t.links = append(t.links, [4]LinkUse{})
+	for len(t.m.Links) <= router {
+		t.m.Links = append(t.m.Links, [4]LinkUse{})
 	}
-	u := &t.links[router][dir]
+	u := &t.m.Links[router][dir]
 	u.Msgs++
 	u.StallCycles += uint64(stall)
 	t.bucket(tm).LinkStall += stall
@@ -871,7 +797,7 @@ func (a *Aggregate) Add(t *Tracer) {
 	a.mu.Unlock()
 }
 
-// Merge folds an already-snapshotted Metrics into the aggregate: how a
+// Merge adds an already-snapshotted Metrics into the aggregate: how a
 // per-request metrics sink (a served simulation that wants its own
 // counters) also contributes to a process-wide one.
 func (a *Aggregate) Merge(m *Metrics) {

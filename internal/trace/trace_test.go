@@ -99,8 +99,10 @@ func TestMetricsCounting(t *testing.T) {
 		t.Errorf("ClusterFires sum %d != Fires %d", sum, m.Fires)
 	}
 	sum = 0
-	for _, f := range m.DomainFires {
-		sum += f
+	for _, doms := range m.DomainFires {
+		for _, f := range doms {
+			sum += f
+		}
 	}
 	if sum != m.Fires {
 		t.Errorf("DomainFires sum %d != Fires %d", sum, m.Fires)
@@ -277,11 +279,15 @@ func TestCountersOnlyMatchesFullTracer(t *testing.T) {
 	}
 }
 
-// refCounts is the keyed form the tracer's dense domain and link counters
-// must fold into: one map update per call, as Fire and LinkHop first did.
+// refCounts is the reference the tracer's dense domain and link counters
+// are held to: one keyed map update per call.
 type refCounts struct {
-	dom   map[DomKey]uint64
-	links map[LinkKey]LinkUse
+	dom   map[[2]int]uint64  // [cluster, domain]
+	links map[[2]int]LinkUse // [router, direction]
+}
+
+func newRefCounts() *refCounts {
+	return &refCounts{dom: map[[2]int]uint64{}, links: map[[2]int]LinkUse{}}
 }
 
 // driveRandom feeds tr and ref the same seeded stream of n firings and
@@ -293,11 +299,11 @@ func driveRandom(tr *Tracer, ref *refCounts, seed int64, n, clusters, domains in
 		if rng.Intn(3) > 0 {
 			c, d := rng.Intn(clusters), rng.Intn(domains)
 			tr.Fire(tm, (c*domains+d)*8+rng.Intn(8), c, d)
-			ref.dom[DomKey{Cluster: c, Domain: d}]++
+			ref.dom[[2]int{c, d}]++
 		} else {
-			k := LinkKey{Router: rng.Intn(clusters), Dir: rng.Intn(4)}
+			k := [2]int{rng.Intn(clusters), rng.Intn(4)}
 			stall := int64(rng.Intn(5))
-			tr.LinkHop(tm, k.Router, k.Dir, stall)
+			tr.LinkHop(tm, k[0], k[1], stall)
 			u := ref.links[k]
 			u.Msgs++
 			u.StallCycles += uint64(stall)
@@ -306,36 +312,50 @@ func driveRandom(tr *Tracer, ref *refCounts, seed int64, n, clusters, domains in
 	}
 }
 
-// TestDenseCountersFoldToMaps: the slices Fire and LinkHop count in reach
-// Metrics.DomainFires and Metrics.Links exactly as per-call map updates
-// would — on the first read, on a second read with nothing in between
-// (folding twice adds nothing), after more events, and through
-// Aggregate.Add of several tracers.
-func TestDenseCountersFoldToMaps(t *testing.T) {
+// TestDenseCountersMatchPerCallCounts: Metrics.DomainFires and Metrics.Links
+// hold exactly what per-call map updates would — every counted key at its
+// index, zero everywhere else — on a read, on a later read after more
+// events over a larger machine, and through Aggregate.Add of tracers whose
+// slices grew to different shapes.
+func TestDenseCountersMatchPerCallCounts(t *testing.T) {
 	check := func(what string, m *Metrics, ref *refCounts) {
 		t.Helper()
-		if !reflect.DeepEqual(m.DomainFires, ref.dom) {
-			t.Errorf("%s: DomainFires = %v, want %v", what, m.DomainFires, ref.dom)
+		dom := map[[2]int]uint64{}
+		for c, doms := range m.DomainFires {
+			for d, n := range doms {
+				if n > 0 {
+					dom[[2]int{c, d}] = n
+				}
+			}
 		}
-		if !reflect.DeepEqual(m.Links, ref.links) {
-			t.Errorf("%s: Links = %v, want %v", what, m.Links, ref.links)
+		if !reflect.DeepEqual(dom, ref.dom) {
+			t.Errorf("%s: DomainFires = %v, want %v", what, dom, ref.dom)
+		}
+		links := map[[2]int]LinkUse{}
+		for r := range m.Links {
+			for dir, u := range m.Links[r] {
+				if u != (LinkUse{}) {
+					links[[2]int{r, dir}] = u
+				}
+			}
+		}
+		if !reflect.DeepEqual(links, ref.links) {
+			t.Errorf("%s: Links = %v, want %v", what, links, ref.links)
 		}
 	}
-	merged := &refCounts{dom: map[DomKey]uint64{}, links: map[LinkKey]LinkUse{}}
+	merged := newRefCounts()
 	agg := NewAggregate()
 	for seed := int64(1); seed <= 4; seed++ {
-		// Each tracer sees a different machine shape, so the merged maps
-		// hold keys some tracers never grew a slot for.
+		// Each tracer sees a different machine shape, so the merged slices
+		// hold slots some tracers never grew.
 		clusters, domains := int(seed)+1, 5-int(seed)
 		tr := NewCounters()
-		ref := &refCounts{dom: map[DomKey]uint64{}, links: map[LinkKey]LinkUse{}}
+		ref := newRefCounts()
 		driveRandom(tr, ref, seed, 3000, clusters, domains)
 		check("first read", tr.Metrics(), ref)
-		check("second read", tr.Metrics(), ref)
 		driveRandom(tr, ref, seed+100, 1000, clusters+1, domains+1)
 		check("read after more events", tr.Metrics(), ref)
 
-		driveRandom(tr, ref, seed+200, 500, clusters, domains) // unread: Add must fold it
 		agg.Add(tr)
 		for k, v := range ref.dom {
 			merged.dom[k] += v
@@ -350,10 +370,14 @@ func TestDenseCountersFoldToMaps(t *testing.T) {
 	snap := agg.Snapshot()
 	check("aggregate", &snap, merged)
 
-	// A tracer that saw neither kind of event keeps both maps nil, as the
-	// per-call form did.
-	if m := New(Config{}).Metrics(); m.DomainFires != nil || m.Links != nil {
-		t.Errorf("idle tracer made maps: %+v", m)
+	// A snapshot is a deep copy: counting on in a tracer already merged, or
+	// merging more, must not reach it.
+	before := snap.DomainFires[0][0]
+	late := NewCounters()
+	late.Fire(0, 0, 0, 0)
+	agg.Add(late)
+	if snap.DomainFires[0][0] != before {
+		t.Error("Snapshot shares DomainFires with the aggregate")
 	}
 }
 

@@ -123,12 +123,6 @@ type vsbEntry struct {
 type specState struct {
 	scope int // waves per epoch (>= 1)
 
-	// arriving is the cookie index of the request being submitted right
-	// now: issueMem clears it if the request issues synchronously, so
-	// processEvent knows whether the arrival buffered (and should
-	// speculate). -1 when no submit is in flight.
-	arriving int32
-
 	// Conflict detector: commitSeq numbers committed stores; lastStore
 	// maps address -> packed (commitSeq<<32 | uid) of the last committed
 	// store (uid 0 for stores that never speculated). A speculative load
@@ -170,7 +164,6 @@ func (sp *specState) reset(scope int) {
 		scope = 1
 	}
 	sp.scope = scope
-	sp.arriving = -1
 	sp.commitSeq = 0
 	sp.lastStore.Reset()
 	sp.confTab.Reset()

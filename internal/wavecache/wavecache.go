@@ -695,10 +695,10 @@ type sim struct {
 
 	// homes caches placement: global instruction index -> home PE, -1
 	// unresolved. Entries fill lazily through the policy — preserving the
-	// dynamic policies' first-reference packing order exactly — and are
-	// wiped wholesale on a mid-run PE death so survivors re-resolve
-	// against the policy's (unchanged) memo and migrants re-place in
-	// first-reference-after-death order, just as the uncached lookup did.
+	// dynamic policies' first-reference packing order exactly — and a
+	// mid-run PE death clears the dead PE's entries, so a miss is an
+	// instruction's first reference or its first after its home died: the
+	// two moments a placement is traced.
 	// locs caches Machine.Loc, which is a pure function of the geometry.
 	homes []int32
 	locs  []noc.Loc
@@ -1130,19 +1130,19 @@ func (s *sim) processEvent(e *event) error {
 	case evMemArrive:
 		if s.cfg.MemMode == MemSpec {
 			// The arrival either issues synchronously inside Submit (its
-			// ordering chain was already resolved — issueMem clears the
-			// marker) or buffers behind unresolved predecessors, in which
-			// case a deferred-speculation probe is scheduled: the request
-			// speculates only if it is still waiting specDelay cycles
-			// from now (spec.go).
-			s.spec.arriving = int32(e.req.Cookie)
+			// ordering chain was already resolved — issueMem zeroes the
+			// cookie's generation, and a slot reused since carries a newer
+			// one) or buffers behind unresolved predecessors, in which case
+			// a deferred-speculation probe is scheduled: the request
+			// speculates only if it is still waiting specDelay cycles from
+			// now (spec.go).
 			req := e.req
+			gen := s.ckSlab.At(int32(req.Cookie)).gen
 			if err := s.engine.Submit(req); err != nil {
 				return err
 			}
-			if s.spec.arriving >= 0 {
+			if s.ckSlab.At(int32(req.Cookie)).gen == gen {
 				s.pushSpecProbe(s.now+specDelay, req)
-				s.spec.arriving = -1
 			}
 			return s.memErr
 		}
@@ -1219,9 +1219,7 @@ func (s *sim) pushSpecProbe(t int64, req *waveorder.Request) {
 }
 
 // homePE resolves an instruction's home through the dense cache, falling
-// back to the placement policy on first reference. Repeat policy lookups
-// are pure memo reads for every shipped policy, so caching them preserves
-// results exactly while skipping the map probe on the hot path.
+// back to the placement policy — and recording the placement — on a miss.
 func (s *sim) homePE(gi int32) int {
 	if pe := s.homes[gi]; pe >= 0 {
 		return int(pe)
@@ -1229,6 +1227,7 @@ func (s *sim) homePE(gi int32) int {
 	di := &s.code[gi]
 	pe := s.pol.Assign(profile.InstrRef{Func: di.fn, Instr: di.id})
 	s.homes[gi] = int32(pe)
+	s.tr.Place(int(di.fn), int(di.id), pe)
 	return pe
 }
 
@@ -1391,13 +1390,12 @@ func (s *sim) killPE() error {
 	ps.lru.reset()
 	ps.waiting = 0
 	ps.free = 0
-	// Drop the whole dense home cache: references to surviving homes
-	// re-resolve against the policy's unchanged memo (same answer, no
-	// policy-state perturbation) while the dead PE's instructions re-place
-	// in first-reference-after-death order — exactly the uncached
-	// behaviour.
-	for i := range s.homes {
-		s.homes[i] = -1
+	// Forget the homes the policy just evicted; the survivors' stay cached
+	// (the policy would only repeat them).
+	for gi, home := range s.homes {
+		if int(home) == pe {
+			s.homes[gi] = -1
+		}
 	}
 	// Record the death in the simulator's defect view (copy-on-write: the
 	// caller's map must not be mutated) so diagnostics report it.
@@ -1607,12 +1605,6 @@ func (s *sim) issueMem(r *waveorder.Request) {
 		// Dead-stamp the cookie so any pending deferred-speculation probe
 		// for this request sees it gone (generations start at 1).
 		s.ckSlab.At(ci).gen = 0
-		if ci == s.spec.arriving {
-			// The request being submitted right now issued
-			// synchronously — it never buffered, so there is nothing to
-			// speculate on (see processEvent's evMemArrive branch).
-			s.spec.arriving = -1
-		}
 	}
 	s.ckSlab.Release(ci)
 	buf := ck.buf
