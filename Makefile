@@ -1,4 +1,4 @@
-# CI entry points. `make ci` is the full gate: vet, build, the whole
+# CI entry points. `make ci` is the full gate: vet, gofmt, build, the whole
 # test suite, and the race-detector pass over the concurrent packages
 # (the parallel pool, the harness cell fan-out, and the simulators whose
 # Run contracts promise read-only program sharing). `make bench-micro`
@@ -7,19 +7,23 @@
 
 GO ?= go
 
-.PHONY: ci check vet build test bench-test race soak bench bench-opt bench-spec bench-ledger bench-ab bench-micro fuzz fuzz-diff corpus
+.PHONY: ci check vet fmt-check build test bench-test race soak bench bench-ledger bench-ab bench-micro fuzz fuzz-diff corpus
 
-ci: vet build test race
+ci: vet fmt-check build test race
 
-# check is the fast pre-commit gate: vet + build + tests (no full race
+# check is the fast pre-commit gate: vet + gofmt + build + tests (no full race
 # pass — the simulator engine itself runs on one goroutine; `make race`
 # covers the harness -j fan-out and the service), plus the short service
 # soak under -race, a corpus-differential fuzz smoke, and the benchmark
 # module's own smoke tests.
-check: vet build test bench-test soak fuzz-diff
+check: vet fmt-check build test bench-test soak fuzz-diff
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when gofmt would rewrite any file of either module.
+fmt-check:
+	@out=$$(gofmt -l . | grep -v '^\.bench_build/'); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -82,55 +86,6 @@ corpus:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
-# bench-opt is the compiler memory-optimization tier's A/B gate: one
-# prebuilt test binary, run with the tier off (WAVEOPT=0) and on
-# (WAVEOPT=1) in strictly interleaved passes so host drift cancels (the
-# same methodology as BENCH_8 — back-to-back medians on a noisy host
-# would be dominated by drift). The regex focuses on the memory-bound
-# tables, where eliminating memory-chain slots pays in simulated cycles;
-# scripts/benchjson.py renders the record to BENCH_9.json.
-OPTBENCHRE ?= BenchmarkE1b_|BenchmarkE4_|BenchmarkE7_
-OPTCOUNT ?= 5
-
-bench-opt:
-	$(GO) test -c -o bench.opt.test .
-	rm -f bench.opt0.txt bench.opt1.txt
-	for i in $$(seq $(OPTCOUNT)); do \
-		WAVEOPT=0 ./bench.opt.test -test.bench='$(OPTBENCHRE)' -test.benchtime=1x -test.benchmem -test.run='^$$' >> bench.opt0.txt || exit 1; \
-		WAVEOPT=1 ./bench.opt.test -test.bench='$(OPTBENCHRE)' -test.benchtime=1x -test.benchmem -test.run='^$$' >> bench.opt1.txt || exit 1; \
-	done
-	python3 scripts/benchjson.py bench.opt0.txt bench.opt1.txt \
-		"compiler memory-optimization tier: -O0 (before) vs -O1 (after), same engine binary; AIPC tables byte-stable per tier, wall-clock and simulated cycles move" \
-		"WAVEOPT={0,1} ./bench.opt.test -test.bench='$(OPTBENCHRE)' -test.benchtime=1x -test.benchmem -test.run='^$$' (interleaved passes of one prebuilt binary)" \
-		> BENCH_9.json
-	rm -f bench.opt.test
-	@echo wrote BENCH_9.json
-
-# bench-spec is the speculative-memory A/B gate: one prebuilt test
-# binary, run with wave-ordered memory (WAVEMEM=wave-ordered) and
-# speculative memory (WAVEMEM=spec) in strictly interleaved passes so
-# host drift cancels (the bench-opt methodology). The regex picks tables
-# whose cells all honor the machine-wide memory mode — E4/E15 sweep modes
-# per cell and would dilute the comparison; E1b and E7 are the
-# memory-bound tables where hidden stall cycles pay. scripts/benchjson.py
-# renders the record to BENCH_10.json.
-SPECBENCHRE ?= BenchmarkE1b_|BenchmarkE7_
-SPECCOUNT ?= 5
-
-bench-spec:
-	$(GO) test -c -o bench.spec.test .
-	rm -f bench.spec0.txt bench.spec1.txt
-	for i in $$(seq $(SPECCOUNT)); do \
-		WAVEMEM=wave-ordered ./bench.spec.test -test.bench='$(SPECBENCHRE)' -test.benchtime=1x -test.benchmem -test.run='^$$' >> bench.spec0.txt || exit 1; \
-		WAVEMEM=spec ./bench.spec.test -test.bench='$(SPECBENCHRE)' -test.benchtime=1x -test.benchmem -test.run='^$$' >> bench.spec1.txt || exit 1; \
-	done
-	python3 scripts/benchjson.py bench.spec0.txt bench.spec1.txt \
-		"speculative transactional wave-ordered memory: WAVEMEM=wave-ordered (before) vs WAVEMEM=spec (after), same engine binary; simulated cycles drop on memory-bound tables, wall-clock carries the speculation bookkeeping" \
-		"WAVEMEM={wave-ordered,spec} ./bench.spec.test -test.bench='$(SPECBENCHRE)' -test.benchtime=1x -test.benchmem -test.run='^$$' (interleaved passes of one prebuilt binary)" \
-		> BENCH_10.json
-	rm -f bench.spec.test
-	@echo wrote BENCH_10.json
-
 # bench-micro runs the microbenchmarks the layers keep beside their tests
 # (compiler passes against their references, AST evaluator, IR clone, tag
 # table, wave-order buffer, operand network, the cache hierarchy's access
@@ -169,7 +124,7 @@ bench-ledger:
 # drifts, so back-to-back medians would measure the drift). It prints the
 # per-metric verdicts, exits non-zero when an end-to-end metric is worse
 # than its bound, and leaves the run records and the BENCH_<n>.json record
-# rendered from them (scripts/benchjson.py --ab; GOMAXPROCS under "host")
+# rendered from them (scripts/benchjson.py; GOMAXPROCS under "host")
 # in $(ABDIR).
 #   make bench-ab PARENT=HEAD~1 [ABN=10] [ABWORKLOADS=compile-corpus,serve-mix] [ABDESC='what changed']
 PARENT ?= HEAD~1
@@ -185,7 +140,7 @@ bench-ab:
 	cd bench && $(GO) build -o $(abspath $(ABDIR))/wsbench.change . && $(GO) build -o $(abspath $(ABDIR))/compare ./cmd/compare
 	$(ABDIR)/compare -exec -a $(ABDIR)/wsbench.parent -b $(ABDIR)/wsbench.change -n $(ABN) -seed $(BENCHSEED) -dir $(ABDIR) -workloads '$(ABWORKLOADS)'; \
 		status=$$?; \
-		python3 scripts/benchjson.py --ab $(ABDIR)/a.jsonl $(ABDIR)/b.jsonl "$(ABDESC)" \
+		python3 scripts/benchjson.py $(ABDIR)/a.jsonl $(ABDIR)/b.jsonl "$(ABDESC)" \
 			"make bench-ab PARENT=$(PARENT) ABN=$(ABN) BENCHSEED=$(BENCHSEED) ABWORKLOADS=$(ABWORKLOADS) (bench/cmd/compare -exec: prebuilt binaries, interleaved pairs, alternating order)" \
 			> $(ABDIR)/BENCH.json && echo wrote $(ABDIR)/BENCH.json; \
 		exit $$status

@@ -7,18 +7,14 @@ package wavescalar
 // its table on a reduced configuration (three kernels, 2x2 cluster grid) so
 // `go test -bench=.` terminates in minutes; the full-suite tables are
 // produced by `go run ./cmd/waveexp`. The set includes ammp because it is
-// the kernel where the compiler memory-optimization tier fires (see
-// `make bench-opt`).
+// the kernel where the compiler memory-optimization tier fires (E14 is the
+// O0/O1 table).
 
 import (
-	"fmt"
-	"os"
-	"strconv"
 	"sync"
 	"testing"
 
 	"wavescalar/internal/harness"
-	"wavescalar/internal/wavecache"
 )
 
 var (
@@ -27,32 +23,11 @@ var (
 	benchErr  error
 )
 
-// benchCompileOptions returns the benchmark suite's compile options.
-// WAVEOPT selects the optimizer tier (`make bench-opt` drives it with 0
-// and 1 for the before/after passes); unset keeps the default tier, and a
-// value that is not a tier is an error, not a benchmark of the default.
-func benchCompileOptions() (harness.CompileOptions, error) {
-	o := harness.DefaultCompileOptions()
-	if v := os.Getenv("WAVEOPT"); v != "" {
-		var err error
-		if o.OptLevel, err = strconv.Atoi(v); err == nil {
-			err = o.Validate()
-		}
-		if err != nil {
-			return o, fmt.Errorf("WAVEOPT: %v", err)
-		}
-	}
-	return o, nil
-}
-
 // benchSuite compiles the reduced benchmark set once for all benchmarks.
 func benchSuite(b *testing.B) []*harness.Compiled {
 	b.Helper()
 	benchOnce.Do(func() {
-		var o harness.CompileOptions
-		if o, benchErr = benchCompileOptions(); benchErr == nil {
-			benchSet, benchErr = harness.Suite([]string{"lu", "fft", "ammp"}, o)
-		}
+		benchSet, benchErr = harness.Suite([]string{"lu", "fft", "ammp"}, harness.DefaultCompileOptions())
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -64,14 +39,6 @@ func benchMachine(b *testing.B) harness.MachineOptions {
 	b.Helper()
 	m := harness.DefaultMachineOptions()
 	m.GridW, m.GridH = 2, 2
-	// WAVEMEM sets the memory ordering mode inside every simulation cell
-	// (`make bench-spec` drives it with wave-ordered and spec for the A/B).
-	// Experiments that sweep memory modes themselves (E4, E15) override it
-	// per cell and are insensitive to it.
-	var err error
-	if m.MemMode, err = wavecache.ParseMemoryMode(os.Getenv("WAVEMEM")); err != nil {
-		b.Fatalf("WAVEMEM: %v", err)
-	}
 	if err := m.Validate(); err != nil {
 		b.Fatal(err)
 	}
@@ -101,8 +68,7 @@ func runExperiment(b *testing.B, id string) {
 func BenchmarkE1_SpeedupVsSuperscalar(b *testing.B) { runExperiment(b, "E1") }
 
 // BenchmarkE1b_MemoryPressure regenerates the memory-regime sweep — the
-// most memory-bound table, and with E4 the one `make bench-opt` uses to
-// measure the compiler memory-optimization tier's simulation-side win.
+// most memory-bound table.
 func BenchmarkE1b_MemoryPressure(b *testing.B) { runExperiment(b, "E1b") }
 
 // BenchmarkE2_PECapacity regenerates the PE instruction-store capacity
@@ -144,14 +110,11 @@ func BenchmarkE11_Unrolling(b *testing.B) { runExperiment(b, "E11") }
 func BenchmarkE12_FaultInjection(b *testing.B) { runExperiment(b, "E12") }
 
 // BenchmarkE14_OptFeedback regenerates the optimizer-tier x placement
-// feedback matrix. It compiles both tiers internally, so unlike E1b/E4
-// it is insensitive to WAVEOPT — measure it for its own wall-clock, not
-// in the bench-opt A/B.
+// feedback matrix; it compiles both tiers internally.
 func BenchmarkE14_OptFeedback(b *testing.B) { runExperiment(b, "E14") }
 
 // BenchmarkE15_SpecScope regenerates the speculation-scope sweep. Like
-// E4 it sets its memory modes per cell, so it sits outside the WAVEMEM
-// A/B — measure it for its own wall-clock.
+// E4 it sets its memory modes per cell.
 func BenchmarkE15_SpecScope(b *testing.B) { runExperiment(b, "E15") }
 
 // benchExperimentWorkers reports the harness wall-clock for one
@@ -179,16 +142,13 @@ func benchExperimentWorkers(b *testing.B, id string, workers int) {
 // worker goroutine; BenchmarkHarnessCellsParallel fans the same cells
 // across one worker per CPU.
 func BenchmarkHarnessCellsSequential(b *testing.B) { benchExperimentWorkers(b, "E1", 1) }
-func BenchmarkHarnessCellsParallel(b *testing.B)  { benchExperimentWorkers(b, "E1", 0) }
+func BenchmarkHarnessCellsParallel(b *testing.B)   { benchExperimentWorkers(b, "E1", 0) }
 
 // BenchmarkSuiteCompileSequential / Parallel measure whole-suite
 // compilation at one worker vs one per CPU.
 func benchSuiteCompile(b *testing.B, workers int) {
 	b.Helper()
-	opts, err := benchCompileOptions()
-	if err != nil {
-		b.Fatal(err)
-	}
+	opts := harness.DefaultCompileOptions()
 	opts.Workers = workers
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

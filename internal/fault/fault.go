@@ -274,8 +274,37 @@ func (e *FaultError) Error() string {
 	return b.String()
 }
 
-// Stats counts fault activity outside the operand network (which keeps its
-// own drop/retry counters in noc.Stats).
+// Path names one of the machine's message paths. Each has its own fault
+// stream, so enabling loss on one never changes which messages the other
+// loses, and its own recovery counters.
+type Path uint8
+
+const (
+	// Operand is a PE-to-PE operand-network message; DropRate is its loss
+	// probability.
+	Operand Path = iota
+	// StoreBuffer is a memory request to, or a load reply from, a store
+	// buffer; MemLossRate is its loss probability.
+	StoreBuffer
+	numPaths
+)
+
+func (p Path) String() string {
+	if p == Operand {
+		return "operand"
+	}
+	return "store-buffer"
+}
+
+// PathStats counts one message path's transient faults and their recovery.
+type PathStats struct {
+	Drops     uint64 // message attempts lost in transit
+	Retries   uint64 // retransmits that followed a drop
+	RetryWait uint64 // cycles senders spent in ack timeouts before retransmits
+	Delayed   uint64 // deliveries transiently delayed by DelayCycles
+}
+
+// Stats counts a run's fault activity.
 type Stats struct {
 	// DefectivePEs is the size of the configuration-time defect map.
 	DefectivePEs int
@@ -283,11 +312,8 @@ type Stats struct {
 	// homes evicted from killed PEs and re-placed on live ones.
 	PEKills        uint64
 	MigratedInstrs uint64
-	// Store-buffer path transient faults and their recovery.
-	MemDrops      uint64
-	MemRetries    uint64
-	MemRetryWait  uint64 // cycles spent in mem-message ack timeouts
-	DelayedTokens uint64 // transient delays on the mem path
+	// The two message paths' recovery counters (Injector.Transit).
+	Operand, StoreBuffer PathStats
 }
 
 // splitmix64 advances one PRNG stream; the standard 64-bit mixer, chosen for
@@ -305,20 +331,25 @@ func rand01(state *uint64) float64 {
 	return float64(splitmix64(state)>>11) / (1 << 53)
 }
 
-// Injector draws fault decisions for one simulation run. Each fault class
-// consumes its own stream, so enabling memory loss never changes which
-// operand messages drop, and vice versa. Not safe for concurrent use:
+// Injector draws fault decisions for one simulation run and runs the
+// recovery protocol over them (Transit). Not safe for concurrent use:
 // construct one per simulation, like a placement policy.
 type Injector struct {
-	cfg      Config
-	tokState uint64 // operand-network stream
-	memState uint64 // store-buffer stream
-	stats    Stats
-	tr       *trace.Tracer // nil = tracing disabled
+	cfg   Config
+	paths [numPaths]pathState
+	tr    *trace.Tracer // nil = tracing disabled
+}
+
+// pathState is one message path's PRNG stream, per-attempt loss
+// probability, and counters.
+type pathState struct {
+	rng   uint64
+	loss  float64
+	stats PathStats
 }
 
 // AttachTracer installs the structured tracing sink (nil disables it);
-// store-buffer-path drops and retries are recorded as discrete events.
+// drops and retries on either path are recorded as discrete events.
 func (in *Injector) AttachTracer(tr *trace.Tracer) { in.tr = tr }
 
 // NewInjector builds the injector for a validated config.
@@ -327,18 +358,14 @@ func NewInjector(cfg Config) (*Injector, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	return &Injector{
-		cfg:      cfg,
-		tokState: cfg.Seed ^ 0x746F6B656E73, // "tokens"
-		memState: cfg.Seed ^ 0x6D656D6F7279, // "memory"
-	}, nil
+	in := &Injector{cfg: cfg}
+	in.paths[Operand] = pathState{rng: cfg.Seed ^ 0x746F6B656E73, loss: cfg.DropRate}        // "tokens"
+	in.paths[StoreBuffer] = pathState{rng: cfg.Seed ^ 0x6D656D6F7279, loss: cfg.MemLossRate} // "memory"
+	return in, nil
 }
 
-// Config returns the (defaulted) configuration in force.
-func (in *Injector) Config() Config { return in.cfg }
-
-// Stats returns the injector-side fault counters.
-func (in *Injector) Stats() Stats { return in.stats }
+// Stats returns one path's recovery counters.
+func (in *Injector) Stats(p Path) PathStats { return in.paths[p].stats }
 
 // DefectMap returns the configuration-time hard-defect map for n PEs,
 // derived only from the seed and defect rate: the same map whether computed
@@ -371,35 +398,6 @@ func CountDefects(m []bool) int {
 	return n
 }
 
-// TokenFault draws the transient-fault outcome for one operand-network
-// message attempt: whether it is dropped, and any extra delay. Implements
-// the noc.FaultModel interface.
-func (in *Injector) TokenFault() (drop bool, delay int64) {
-	if in.cfg.DropRate > 0 && rand01(&in.tokState) < in.cfg.DropRate {
-		return true, 0
-	}
-	if in.cfg.DelayRate > 0 && rand01(&in.tokState) < in.cfg.DelayRate {
-		return false, in.cfg.DelayCycles
-	}
-	return false, 0
-}
-
-// MemFault draws the outcome for one store-buffer message attempt.
-func (in *Injector) MemFault() (drop bool, delay int64) {
-	if in.cfg.MemLossRate > 0 && rand01(&in.memState) < in.cfg.MemLossRate {
-		in.stats.MemDrops++
-		return true, 0
-	}
-	if in.cfg.DelayRate > 0 && rand01(&in.memState) < in.cfg.DelayRate {
-		in.stats.DelayedTokens++
-		return false, in.cfg.DelayCycles
-	}
-	return false, 0
-}
-
-// MaxRetries bounds retransmit attempts; part of noc.FaultModel.
-func (in *Injector) MaxRetries() int { return in.cfg.MaxRetries }
-
 // Timeout is the sender's ack timeout before retransmit attempt number
 // attempt (0-based): exponential backoff from AckTimeout, capped at 2^10x.
 func (in *Injector) Timeout(attempt int) int64 {
@@ -409,28 +407,38 @@ func (in *Injector) Timeout(attempt int) int64 {
 	return in.cfg.AckTimeout << attempt
 }
 
-// MemTransit computes the delivery time of a store-buffer message injected
-// at cycle now, applying the loss/retransmit protocol on the memory path.
-// transport maps a send cycle to the fault-free arrival cycle (and charges
-// any bandwidth), and is invoked exactly once, at the send time of the
-// delivered attempt. On retry exhaustion MemTransit returns a *FaultError.
-func (in *Injector) MemTransit(now int64, pe int, transport func(send int64) int64) (int64, error) {
+// Transit computes the delivery time of one message PE pe injects on path
+// at cycle now: the sender-side ack/retransmit protocol every message path
+// shares. Each attempt may be lost — the sender times out waiting for the
+// acknowledgement and retransmits, with exponential backoff — or delivered
+// with a transient delay. transport maps a send cycle to the fault-free
+// arrival cycle (and charges any bandwidth); it is invoked exactly once, at
+// the send time of the delivered attempt: a dropped message is modeled as
+// corrupted in transit, its bandwidth footprint folded into the timeout it
+// costs. When the retry budget is exhausted Transit returns a *FaultError.
+func (in *Injector) Transit(path Path, now int64, pe int, transport func(send int64) int64) (int64, error) {
+	ps := &in.paths[path]
 	send := now
 	for attempt := 0; ; attempt++ {
-		drop, delay := in.MemFault()
-		if !drop {
-			return transport(send) + delay, nil
+		if ps.loss == 0 || rand01(&ps.rng) >= ps.loss {
+			arr := transport(send)
+			if in.cfg.DelayRate > 0 && rand01(&ps.rng) < in.cfg.DelayRate {
+				ps.stats.Delayed++
+				arr += in.cfg.DelayCycles
+			}
+			return arr, nil
 		}
+		ps.stats.Drops++
 		in.tr.Drop(send, pe)
 		if attempt >= in.cfg.MaxRetries {
 			return 0, &FaultError{
 				Kind: KindMessageLoss, PE: pe, Cycle: now,
-				Detail: fmt.Sprintf("store-buffer message lost after %d attempts", attempt+1),
+				Detail: fmt.Sprintf("%s message lost after %d attempts", path, attempt+1),
 			}
 		}
 		wait := in.Timeout(attempt)
-		in.stats.MemRetries++
-		in.stats.MemRetryWait += uint64(wait)
+		ps.stats.Retries++
+		ps.stats.RetryWait += uint64(wait)
 		in.tr.Retry(send, pe, wait)
 		send += wait
 	}

@@ -6,6 +6,24 @@ import (
 	"testing"
 )
 
+// fixedHop is a transport with a constant fault-free latency.
+func fixedHop(send int64) int64 { return send + 5 }
+
+// lossy returns a config that loses path p's messages at rate.
+func lossy(p Path, rate float64) Config {
+	if p == Operand {
+		return Config{Seed: 1, DropRate: rate}
+	}
+	return Config{Seed: 1, MemLossRate: rate}
+}
+
+// bothPaths runs a subtest per message path.
+func bothPaths(t *testing.T, f func(t *testing.T, p Path)) {
+	for p := Path(0); p < numPaths; p++ {
+		t.Run(p.String(), func(t *testing.T) { f(t, p) })
+	}
+}
+
 // TestInjectorDeterminism: identical (seed, config) pairs must draw
 // identical fault sequences — the property every reproducible-faulty-run
 // guarantee rests on.
@@ -20,47 +38,49 @@ func TestInjectorDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10_000; i++ {
-		d1, l1 := a.TokenFault()
-		d2, l2 := b.TokenFault()
-		if d1 != d2 || l1 != l2 {
-			t.Fatalf("token draw %d diverged: (%v,%d) vs (%v,%d)", i, d1, l1, d2, l2)
-		}
-		d1, l1 = a.MemFault()
-		d2, l2 = b.MemFault()
-		if d1 != d2 || l1 != l2 {
-			t.Fatalf("mem draw %d diverged", i)
+		for p := Path(0); p < numPaths; p++ {
+			a1, e1 := a.Transit(p, int64(i), 0, fixedHop)
+			a2, e2 := b.Transit(p, int64(i), 0, fixedHop)
+			if a1 != a2 || (e1 == nil) != (e2 == nil) {
+				t.Fatalf("%s message %d diverged: (%d,%v) vs (%d,%v)", p, i, a1, e1, a2, e2)
+			}
 		}
 	}
-	if a.Stats() != b.Stats() {
-		t.Fatalf("stats diverged: %+v vs %+v", a.Stats(), b.Stats())
+	for p := Path(0); p < numPaths; p++ {
+		if a.Stats(p) != b.Stats(p) || a.Stats(p).Drops == 0 || a.Stats(p).Delayed == 0 {
+			t.Fatalf("%s stats diverged or empty: %+v vs %+v", p, a.Stats(p), b.Stats(p))
+		}
 	}
 }
 
 // TestStreamIndependence: enabling the memory-loss stream must not change
-// which operand messages drop — separate streams per fault class.
+// which operand messages drop — separate streams per message path.
 func TestStreamIndependence(t *testing.T) {
 	base, _ := NewInjector(Config{Seed: 5, DropRate: 0.1})
 	both, _ := NewInjector(Config{Seed: 5, DropRate: 0.1, MemLossRate: 0.5})
 	for i := 0; i < 10_000; i++ {
-		d1, _ := base.TokenFault()
-		both.MemFault() // interleave mem draws; token stream must not notice
-		d2, _ := both.TokenFault()
-		if d1 != d2 {
-			t.Fatalf("token drop %d changed when mem faults were enabled", i)
+		a1, e1 := base.Transit(Operand, 0, 0, fixedHop)
+		both.Transit(StoreBuffer, 0, 0, fixedHop) // interleave mem draws; operand stream must not notice
+		a2, e2 := both.Transit(Operand, 0, 0, fixedHop)
+		if a1 != a2 || (e1 == nil) != (e2 == nil) {
+			t.Fatalf("operand message %d changed when mem faults were enabled", i)
 		}
+	}
+	if base.Stats(Operand) != both.Stats(Operand) || both.Stats(StoreBuffer).Drops == 0 {
+		t.Fatalf("operand %+v vs %+v; store-buffer %+v", base.Stats(Operand), both.Stats(Operand), both.Stats(StoreBuffer))
 	}
 }
 
 func TestRatesRoughlyHonored(t *testing.T) {
-	in, _ := NewInjector(Config{Seed: 1, DropRate: 0.25})
-	drops := 0
+	in, _ := NewInjector(Config{Seed: 1, DropRate: 0.25, MaxRetries: 64})
 	const n = 100_000
 	for i := 0; i < n; i++ {
-		if d, _ := in.TokenFault(); d {
-			drops++
+		if _, err := in.Transit(Operand, 0, 0, fixedHop); err != nil {
+			t.Fatal(err)
 		}
 	}
-	got := float64(drops) / n
+	drops := float64(in.Stats(Operand).Drops)
+	got := drops / (drops + n) // every attempt is one draw: the drops, then the delivery
 	if got < 0.23 || got > 0.27 {
 		t.Fatalf("drop rate %.4f far from configured 0.25", got)
 	}
@@ -100,6 +120,102 @@ func TestTimeoutBackoff(t *testing.T) {
 	}
 }
 
+// TestTransitRetryTiming: a message lost k times is sent at its injection
+// cycle plus the first k ack timeouts, the transport is charged exactly
+// once, at that send time, and a transient delay lands on top. k and the
+// delay are read back from the path's own counters, so the counters are
+// held to the timing too.
+func TestTransitRetryTiming(t *testing.T) {
+	bothPaths(t, func(t *testing.T, p Path) {
+		cfg := lossy(p, 0.3)
+		cfg.DelayRate, cfg.DelayCycles, cfg.AckTimeout, cfg.MaxRetries = 0.2, 9, 10, 40
+		in, err := NewInjector(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Not time-invariant, so a transport evaluated at the wrong cycle shows.
+		hop := func(send int64) int64 { return send + 5 + send%7 }
+		for i := 0; i < 400; i++ {
+			now, before := int64(1000+13*i), in.Stats(p)
+			calls, sentAt := 0, int64(-1)
+			arr, err := in.Transit(p, now, 3, func(send int64) int64 {
+				calls++
+				sentAt = send
+				return hop(send)
+			})
+			if err != nil {
+				t.Fatalf("message %d: %v", i, err)
+			}
+			after := in.Stats(p)
+			k := int(after.Retries - before.Retries)
+			wantSend := now
+			for a := 0; a < k; a++ {
+				wantSend += in.Timeout(a)
+			}
+			delay := int64(after.Delayed-before.Delayed) * cfg.DelayCycles
+			if calls != 1 || sentAt != wantSend || arr != hop(wantSend)+delay {
+				t.Fatalf("message %d (%d retries, delay %d): transport called %d times, last at %d, arrival %d; want once at %d, arrival %d",
+					i, k, delay, calls, sentAt, arr, wantSend, hop(wantSend)+delay)
+			}
+			if after.Drops-before.Drops != uint64(k) || after.RetryWait-before.RetryWait != uint64(wantSend-now) {
+				t.Fatalf("message %d: counters moved %+v -> %+v for %d retries, %d cycles of timeouts", i, before, after, k, wantSend-now)
+			}
+		}
+		if st := in.Stats(p); st.Retries < 100 || st.Delayed < 40 || in.Stats(1-p) != (PathStats{}) {
+			t.Fatalf("400 messages at loss 0.3, delay 0.2: %+v; other path %+v", st, in.Stats(1-p))
+		}
+	})
+}
+
+// TestTransitTransientDelay: a delivered-but-delayed message arrives late
+// by exactly DelayCycles and is counted; nothing is dropped.
+func TestTransitTransientDelay(t *testing.T) {
+	bothPaths(t, func(t *testing.T, p Path) {
+		in, err := NewInjector(Config{Seed: 1, DelayRate: 1, DelayCycles: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < 50; i++ {
+			if arr, err := in.Transit(p, 100+i, 0, fixedHop); err != nil || arr != fixedHop(100+i)+7 {
+				t.Fatalf("arrival %d, %v; want %d", arr, err, fixedHop(100+i)+7)
+			}
+		}
+		if st := in.Stats(p); st != (PathStats{Delayed: 50}) {
+			t.Fatalf("stats %+v, want 50 delayed and nothing else", st)
+		}
+	})
+}
+
+// TestTransitExhaustion: a certain-loss stream must return a structured
+// *FaultError naming the sender and the injection cycle after MaxRetries
+// retransmits, never loop forever, and must not invoke the transport (no
+// bandwidth charged for an undelivered message).
+func TestTransitExhaustion(t *testing.T) {
+	bothPaths(t, func(t *testing.T, p Path) {
+		cfg := lossy(p, 1.0)
+		cfg.MaxRetries = 3
+		in, err := NewInjector(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = in.Transit(p, 100, 7, func(int64) int64 {
+			t.Fatal("transport invoked for a message that was never delivered")
+			return 0
+		})
+		var fe *FaultError
+		if !errors.As(err, &fe) {
+			t.Fatalf("want *FaultError, got %v", err)
+		}
+		if fe.Kind != KindMessageLoss || fe.PE != 7 || fe.Cycle != 100 ||
+			!strings.Contains(fe.Detail, p.String()+" message lost after 4 attempts") {
+			t.Fatalf("bad fault fields: %+v", fe)
+		}
+		if st := in.Stats(p); st.Drops != 4 || st.Retries != 3 {
+			t.Fatalf("stats %+v, want 4 drops (MaxRetries+1) and 3 retries", st)
+		}
+	})
+}
+
 // TestMemTransitExhaustion: a certain-loss stream must return a structured
 // *FaultError after MaxRetries attempts, never loop forever, and must not
 // invoke the transport (no bandwidth charged for an undelivered message).
@@ -108,7 +224,7 @@ func TestMemTransitExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = in.MemTransit(100, 7, func(int64) int64 {
+	_, err = in.Transit(StoreBuffer, 100, 7, func(int64) int64 {
 		t.Fatal("transport invoked for a message that was never delivered")
 		return 0
 	})
@@ -119,8 +235,8 @@ func TestMemTransitExhaustion(t *testing.T) {
 	if fe.Kind != KindMessageLoss || fe.PE != 7 || fe.Cycle != 100 {
 		t.Fatalf("bad fault fields: %+v", fe)
 	}
-	if in.Stats().MemRetries != 3 {
-		t.Fatalf("retries = %d, want 3", in.Stats().MemRetries)
+	if in.Stats(StoreBuffer).Retries != 3 {
+		t.Fatalf("retries = %d, want 3", in.Stats(StoreBuffer).Retries)
 	}
 }
 
@@ -130,7 +246,7 @@ func TestMemTransitRecovery(t *testing.T) {
 	in, _ := NewInjector(Config{Seed: 1, MemLossRate: 0.3, AckTimeout: 10})
 	sawRetry := false
 	for i := 0; i < 200; i++ {
-		arr, err := in.MemTransit(1000, 0, func(send int64) int64 { return send + 5 })
+		arr, err := in.Transit(StoreBuffer, 1000, 0, func(send int64) int64 { return send + 5 })
 		if err != nil {
 			t.Fatalf("draw %d: %v", i, err)
 		}

@@ -48,7 +48,7 @@ func Engines(m MachineOptions) []Engine {
 			if err != nil {
 				return EngineRun{}, err
 			}
-			res, err := wavecache.Run(c.Wave, pol, cfg)
+			res, err := runPooled(c.Wave, pol, cfg)
 			return EngineRun{Value: res.Value, Cycles: res.Cycles}, err
 		}
 	}

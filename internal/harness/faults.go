@@ -62,8 +62,9 @@ func runE12(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 			if base > 0 {
 				rel = aipc / base
 			}
+			op, sb := r.Faults.Operand, r.Faults.StoreBuffer
 			t.AddRow(c.Name, sc.name, r.Faults.DefectivePEs, aipc, rel,
-				r.Net.Drops, r.Net.Retries, r.Faults.MemRetries, r.Net.RetryWaitCycles+r.Faults.MemRetryWait)
+				op.Drops, op.Retries, sb.Retries, op.RetryWait+sb.RetryWait)
 		}
 	}
 	t.Note = fmt.Sprintf("fault seed %d; rel = AIPC / fault-free AIPC; every cell re-verified its workload checksum against the linear emulator", e12Seed)

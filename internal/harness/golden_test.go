@@ -117,8 +117,8 @@ func collectGolden(t *testing.T) []goldenRecord {
 				Tokens: res.Tokens, Swaps: res.Swaps, Overflows: res.Overflows,
 				PEsUsed:     res.PEsUsed,
 				NetMessages: res.Net.Messages, NetMeshHops: res.Net.MeshHops,
-				NetStalls: res.Net.StallCycles, NetDrops: res.Net.Drops,
-				NetRetries:  res.Net.Retries,
+				NetStalls: res.Net.StallCycles, NetDrops: res.Faults.Operand.Drops,
+				NetRetries:  res.Faults.Operand.Retries,
 				MemAccesses: res.Mem.Accesses, MemL1Misses: res.Mem.L1Misses,
 				MemTransfers: res.Mem.Transfers,
 				OrderIssued:  res.Order.Issued, OrderWavesDone: res.Order.WavesDone,

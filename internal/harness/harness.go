@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"wavescalar/internal/cfgir"
-	"wavescalar/internal/interp"
 	"wavescalar/internal/isa"
 	"wavescalar/internal/lang"
 	"wavescalar/internal/linear"
@@ -237,11 +236,18 @@ func (cs *cellSet) wave(c *Compiled, prog *isa.Program, m MachineOptions, out *w
 // exclusively. Reuse is results-neutral — see wavecache.Arena.
 var arenaPool = sync.Pool{New: func() any { return wavecache.NewArena() }}
 
-// RunWave simulates a dataflow binary and checks its checksum.
-func RunWave(c *Compiled, prog *isa.Program, pol placement.Policy, cfg wavecache.Config) (wavecache.Result, error) {
+// runPooled is wavecache.Run on an arena from the pool: the door every
+// harness simulation goes through.
+func runPooled(prog *isa.Program, pol placement.Policy, cfg wavecache.Config) (wavecache.Result, error) {
 	a := arenaPool.Get().(*wavecache.Arena)
 	res, err := a.Run(prog, pol, cfg)
 	arenaPool.Put(a)
+	return res, err
+}
+
+// RunWave simulates a dataflow binary and checks its checksum.
+func RunWave(c *Compiled, prog *isa.Program, pol placement.Policy, cfg wavecache.Config) (wavecache.Result, error) {
+	res, err := runPooled(prog, pol, cfg)
 	if err != nil {
 		return res, fmt.Errorf("%s: wavecache: %w", c.Name, err)
 	}
@@ -344,13 +350,4 @@ func idealize(cfg *wavecache.Config) {
 	cfg.Mem.L1Latency = 1
 	cfg.Mem.L2Latency = 0
 	cfg.Mem.MemLatency = 0
-}
-
-// interpStats runs the reference interpreter for dataflow-limit statistics.
-func interpStats(prog *isa.Program) (interp.Stats, error) {
-	m := interp.New(prog, 0)
-	if _, err := m.Run(); err != nil {
-		return interp.Stats{}, err
-	}
-	return m.Stats(), nil
 }

@@ -156,11 +156,6 @@ type Stats struct {
 	Transfers uint64 // coherence ownership transfers / peer fetches
 	Invals    uint64 // coherence invalidations
 	Evictions uint64
-	// Speculative counts the subset of Accesses issued ahead of the
-	// wave-order commit point (MemSpec mode). A replayed access after a
-	// squash is a plain Access, so Accesses - Speculative is the
-	// committed-path traffic.
-	Speculative uint64
 }
 
 // AccessResult reports one access's timing.
@@ -272,17 +267,6 @@ func (s *System) L1Stats(i int) Stats { return s.perL1[i] }
 
 // LineOf maps a word address to its L1 line number.
 func (s *System) LineOf(addr int64) int64 { return addr / s.lineSz }
-
-// AccessSpeculative performs one timed access on behalf of a memory
-// request that has not yet reached its wave-order turn. The hierarchy
-// state evolves exactly as for Access (the line is fetched and the
-// directory acts — hardware cannot undo a cache fill either); the access
-// is additionally tallied under Stats.Speculative.
-func (s *System) AccessSpeculative(l1 int, addr int64, write bool) AccessResult {
-	s.stats.Speculative++
-	s.perL1[l1].Speculative++
-	return s.Access(l1, addr, write)
-}
 
 // Access performs one timed access from L1 number l1 and returns its
 // latency and classification.

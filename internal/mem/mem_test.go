@@ -263,11 +263,7 @@ func TestResetIndistinguishableFromNew(t *testing.T) {
 			}
 			for i := 0; i < 600; i++ {
 				l1, addr, write := rng.Intn(cfg.NumL1s), int64(rng.Intn(3000)), rng.Intn(3) == 0
-				access := (*System).Access
-				if rng.Intn(8) == 0 {
-					access = (*System).AccessSpeculative
-				}
-				if got, want := access(reused, l1, addr, write), access(fresh, l1, addr, write); got != want {
+				if got, want := reused.Access(l1, addr, write), fresh.Access(l1, addr, write); got != want {
 					t.Errorf("seed %d round %d (%+v) access %d: reused %+v, fresh %+v", seed, round, cfg, i, got, want)
 					return false
 				}

@@ -57,36 +57,32 @@ type Stats struct {
 	MeshHops   uint64
 	// StallCycles accumulates cycles messages waited for link bandwidth.
 	StallCycles uint64
-
-	// Transient-fault recovery (all zero without an attached FaultModel).
-	// Drops counts lost message attempts, Retries successful retransmits,
-	// Delayed transiently delayed deliveries; RetryWaitCycles accumulates
-	// sender ack-timeout cycles paid before retransmits.
-	Drops           uint64
-	Retries         uint64
-	Delayed         uint64
-	RetryWaitCycles uint64
 }
 
-// FaultModel injects transient faults into message delivery and supplies
-// the ack/retransmit protocol parameters. internal/fault.Injector implements
-// it; the interface lives here so noc stays free of the fault package.
-type FaultModel interface {
-	// TokenFault draws the outcome of one message attempt: dropped, and
-	// any extra transient delay on a delivered message.
-	TokenFault() (drop bool, delay int64)
-	// MaxRetries bounds retransmit attempts per message.
-	MaxRetries() int
-	// Timeout is the sender's ack timeout before retransmit attempt
-	// number attempt (0-based).
-	Timeout(attempt int) int64
-}
-
-// linkState is a FIFO link queue: the latest cycle that granted bandwidth
-// and how many messages it carried.
-type linkState struct {
+// Port is a FIFO bandwidth queue — a mesh link here, a store buffer's issue
+// port in the simulator: the latest cycle that granted a slot and how many
+// that cycle has carried.
+type Port struct {
 	cycle int64
 	used  int64
+}
+
+// Grant takes one of the port's width slots per cycle for a request made at
+// cycle t and returns the cycle granted. A request never overtakes earlier
+// grants, so one behind a backlog is bumped to the first cycle with a spare
+// slot, in O(1).
+func (p *Port) Grant(t, width int64) int64 {
+	switch {
+	case t > p.cycle:
+		p.cycle = t
+		p.used = 1
+	case p.used < width:
+		p.used++
+	default:
+		p.cycle++
+		p.used = 1
+	}
+	return p.cycle
 }
 
 // Network computes operand delivery times and accounts link contention.
@@ -96,15 +92,10 @@ type Network struct {
 	// 4 directed links per cluster: index cluster*4+dir. A flat array
 	// instead of a map keeps the per-hop bandwidth charge allocation-free
 	// and branch-cheap on the simulator's hot path.
-	links  []linkState
-	stats  Stats
-	faults FaultModel    // nil = perfect network
-	tr     *trace.Tracer // nil = tracing disabled
+	links []Port
+	stats Stats
+	tr    *trace.Tracer // nil = tracing disabled
 }
-
-// AttachFaults installs a transient-fault model consulted by SendReliable.
-// Pass nil to restore the perfect network.
-func (n *Network) AttachFaults(fm FaultModel) { n.faults = fm }
 
 // AttachTracer installs the structured tracing sink (nil disables it);
 // message-level and link-level counters are recorded per Send.
@@ -115,13 +106,13 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Width < 1 || cfg.Height < 1 {
 		return nil, fmt.Errorf("noc: bad mesh %dx%d", cfg.Width, cfg.Height)
 	}
-	return &Network{cfg: cfg, links: make([]linkState, cfg.Width*cfg.Height*4)}, nil
+	return &Network{cfg: cfg, links: make([]Port, cfg.Width*cfg.Height*4)}, nil
 }
 
 // Reset returns the network to its post-New state under cfg, reusing the
-// link array when the mesh geometry is unchanged. The fault model and
-// tracer attachments are cleared — a reused network belongs to a new run,
-// which must attach its own.
+// link array when the mesh geometry is unchanged. The tracer attachment is
+// cleared — a reused network belongs to a new run, which must attach its
+// own.
 func (n *Network) Reset(cfg Config) error {
 	if cfg.Width < 1 || cfg.Height < 1 {
 		return fmt.Errorf("noc: bad mesh %dx%d", cfg.Width, cfg.Height)
@@ -131,11 +122,10 @@ func (n *Network) Reset(cfg Config) error {
 		n.links = n.links[:need]
 		clear(n.links)
 	} else {
-		n.links = make([]linkState, need)
+		n.links = make([]Port, need)
 	}
 	n.cfg = cfg
 	n.stats = Stats{}
-	n.faults = nil
 	n.tr = nil
 	return nil
 }
@@ -218,41 +208,6 @@ func (n *Network) Send(src, dst Loc, now int64) int64 {
 	return t
 }
 
-// SendReliable is Send under the attached fault model: each attempt may be
-// dropped (the sender times out waiting for the acknowledgement and
-// retransmits with exponential backoff) or transiently delayed. Without an
-// attached model it is exactly Send. When the retry budget is exhausted it
-// returns an error — the caller surfaces it as a structured fault — and the
-// message is counted dropped. Link bandwidth is charged only for the
-// delivered attempt: a dropped message is modeled as corrupted in transit,
-// and its bandwidth footprint is folded into the timeout it costs.
-func (n *Network) SendReliable(src, dst Loc, now int64) (int64, error) {
-	if n.faults == nil {
-		return n.Send(src, dst, now), nil
-	}
-	send := now
-	for attempt := 0; ; attempt++ {
-		drop, delay := n.faults.TokenFault()
-		if !drop {
-			if delay > 0 {
-				n.stats.Delayed++
-			}
-			return n.Send(src, dst, send) + delay, nil
-		}
-		n.stats.Drops++
-		n.tr.Drop(send, -1)
-		if attempt >= n.faults.MaxRetries() {
-			return 0, fmt.Errorf("noc: message %v -> %v injected at cycle %d lost after %d attempts",
-				src, dst, now, attempt+1)
-		}
-		wait := n.faults.Timeout(attempt)
-		n.stats.Retries++
-		n.stats.RetryWaitCycles += uint64(wait)
-		n.tr.Retry(send, -1, wait)
-		send += wait
-	}
-}
-
 // nextDimOrder steps one cluster toward dst, X first.
 func (n *Network) nextDimOrder(cur, dst int) int {
 	cx, cy := n.clusterXY(cur)
@@ -271,28 +226,14 @@ func (n *Network) nextDimOrder(cur, dst int) int {
 
 // acquireLink charges one message of bandwidth on the directed link
 // cur->next requested at cycle t, returning the cycle the message actually
-// traverses. The link is a FIFO queue: a message never overtakes earlier
-// grants, so a request behind a backlog is bumped to the first cycle with
-// spare bandwidth, in O(1).
+// traverses (never before t).
 func (n *Network) acquireLink(cur, next int, t int64) int64 {
 	if n.cfg.LinkBandwidth <= 0 {
 		return t
 	}
-	ls := &n.links[cur*4+linkDir(cur, next, n.cfg.Width)]
-	switch {
-	case t > ls.cycle:
-		ls.cycle = t
-		ls.used = 1
-	case ls.used < n.cfg.LinkBandwidth:
-		ls.used++
-	default:
-		ls.cycle++
-		ls.used = 1
-	}
-	if ls.cycle > t {
-		n.stats.StallCycles += uint64(ls.cycle - t)
-	}
-	return ls.cycle
+	granted := n.links[cur*4+linkDir(cur, next, n.cfg.Width)].Grant(t, n.cfg.LinkBandwidth)
+	n.stats.StallCycles += uint64(granted - t)
+	return granted
 }
 
 func linkDir(cur, next, width int) int {

@@ -97,9 +97,9 @@ type SimulateResponse struct {
 
 // CompileRequest asks for compilation only.
 type CompileRequest struct {
-	Workload   string `json:"workload,omitempty"`
-	Source     string `json:"source,omitempty"`
-	Unroll     int    `json:"unroll,omitempty"`
+	Workload string `json:"workload,omitempty"`
+	Source   string `json:"source,omitempty"`
+	Unroll   int    `json:"unroll,omitempty"`
 	// Opt is the compiler optimization level: nil = the pipeline default
 	// (1, memory tier on), explicit 0 = base passes only.
 	Opt        *int  `json:"opt,omitempty"`
@@ -137,10 +137,10 @@ type SweepRequest struct {
 // SweepResponse is the rendered corpus table plus the sweep's cell
 // accounting.
 type SweepResponse struct {
-	Table      string `json:"table"`
-	Computed   int    `json:"computed"`
-	Cached     int    `json:"cached"`
-	Mismatched int    `json:"mismatched"`
+	Table      string  `json:"table"`
+	Computed   int     `json:"computed"`
+	Cached     int     `json:"cached"`
+	Mismatched int     `json:"mismatched"`
 	ElapsedMS  float64 `json:"elapsed_ms"`
 }
 

@@ -628,20 +628,20 @@ func TestInvalidRequests(t *testing.T) {
 
 	o7 := 7
 	cases := []SimulateRequest{
-		{},                                     // neither workload nor source
-		{Workload: "fft", Source: fastSrc},     // both
-		{Source: fastSrc, Binary: "phi"},       // unknown binary
-		{Source: fastSrc, Grid: "0x9"},         // grid out of range
-		{Source: fastSrc, Grid: "9x9"},         // more clusters than the machine supports
-		{Source: fastSrc, Grid: "4x4junk"},     // trailing bytes
-		{Source: fastSrc, MemMode: "psychic"},  // unknown memory mode
-		{Source: fastSrc, Faults: "defect=x"},  // malformed fault spec
-		{Source: fastSrc, Policy: "nonsense"},  // unknown placement policy
-		{Source: "func main() { return ;; }"},  // parse error
-		{Source: fastSrc, Unroll: 99},          // unroll out of range
-		{Source: fastSrc, Unroll: -1},          // negative unroll
-		{Source: fastSrc, Opt: &o7},            // no such optimization level
-		{Source: fastSrc, MaxCycles: -5},       // a negative bound is not "unbounded"
+		{},                                    // neither workload nor source
+		{Workload: "fft", Source: fastSrc},    // both
+		{Source: fastSrc, Binary: "phi"},      // unknown binary
+		{Source: fastSrc, Grid: "0x9"},        // grid out of range
+		{Source: fastSrc, Grid: "9x9"},        // more clusters than the machine supports
+		{Source: fastSrc, Grid: "4x4junk"},    // trailing bytes
+		{Source: fastSrc, MemMode: "psychic"}, // unknown memory mode
+		{Source: fastSrc, Faults: "defect=x"}, // malformed fault spec
+		{Source: fastSrc, Policy: "nonsense"}, // unknown placement policy
+		{Source: "func main() { return ;; }"}, // parse error
+		{Source: fastSrc, Unroll: 99},         // unroll out of range
+		{Source: fastSrc, Unroll: -1},         // negative unroll
+		{Source: fastSrc, Opt: &o7},           // no such optimization level
+		{Source: fastSrc, MaxCycles: -5},      // a negative bound is not "unbounded"
 		// a kill PE outside the machine
 		{Source: fastSrc, Faults: "kill=512@9", Grid: "2x2"},
 	}

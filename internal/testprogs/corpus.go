@@ -152,9 +152,9 @@ func GenerateSpec(s CorpusSpec) (string, error) {
 // back into the chase path) that defeat any static memory-ordering
 // shortcut — every load depends on the previous one.
 func genPointer(r *rand.Rand, size int) string {
-	n := 8 + r.Intn(25)            // nodes
+	n := 8 + r.Intn(25) // nodes
 	steps := (20 + r.Intn(60)) * size
-	a := 2*r.Intn(16) + 3          // odd stride keeps the graph well mixed
+	a := 2*r.Intn(16) + 3 // odd stride keeps the graph well mixed
 	b := r.Intn(n)
 	c := 3 + r.Intn(29)
 	m := 64 + r.Intn(448)

@@ -30,18 +30,22 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 
 // fieldNames maps each kind's A/B payloads to JSON field names; empty
 // means the payload is unused and omitted.
-var fieldNames = [...][2]string{
-	KindToken:     {"depth", ""},
-	KindFire:      {"cluster", "domain"},
-	KindSwap:      {"", ""},
-	KindOverflow:  {"", ""},
-	KindPlace:     {"func", "instr"},
-	KindMemSubmit: {"pending", ""},
-	KindMemIssue:  {"op", "stall"},
-	KindWaveDone:  {"ctx", "wave"},
-	KindRetry:     {"wait", ""},
-	KindDrop:      {"", ""},
-	KindKill:      {"", ""},
+var fieldNames = [numKinds][2]string{
+	KindToken:        {"depth", ""},
+	KindFire:         {"cluster", "domain"},
+	KindSwap:         {"", ""},
+	KindOverflow:     {"", ""},
+	KindPlace:        {"func", "instr"},
+	KindMemSubmit:    {"pending", ""},
+	KindMemIssue:     {"op", "stall"},
+	KindWaveDone:     {"ctx", "wave"},
+	KindRetry:        {"wait", ""},
+	KindDrop:         {"", ""},
+	KindKill:         {"", ""},
+	KindSpecIssue:    {"fwd", "lat"},
+	KindSpecConflict: {"op", ""},
+	KindSpecSquash:   {"ctx", "wave"},
+	KindSpecReplay:   {"lat", ""},
 }
 
 func appendEventJSON(buf []byte, e Event) []byte {

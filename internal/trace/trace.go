@@ -71,17 +71,22 @@ const (
 	// KindSpecReplay: a squashed or conflicting access re-executed at
 	// its wave-order commit point (A = replay latency).
 	KindSpecReplay
+
+	// numKinds sizes the per-kind name tables below and in export.go: a
+	// kind added above without a row in each leaves an empty name, which
+	// TestEveryKindHasExportNames rejects.
+	numKinds
 )
 
-var kindNames = [...]string{
-	KindToken:     "token",
-	KindFire:      "fire",
-	KindSwap:      "swap",
-	KindOverflow:  "overflow",
-	KindPlace:     "place",
-	KindMemSubmit: "mem-submit",
-	KindMemIssue:  "mem-issue",
-	KindWaveDone:  "wave-done",
+var kindNames = [numKinds]string{
+	KindToken:        "token",
+	KindFire:         "fire",
+	KindSwap:         "swap",
+	KindOverflow:     "overflow",
+	KindPlace:        "place",
+	KindMemSubmit:    "mem-submit",
+	KindMemIssue:     "mem-issue",
+	KindWaveDone:     "wave-done",
 	KindRetry:        "retry",
 	KindDrop:         "drop",
 	KindKill:         "kill",

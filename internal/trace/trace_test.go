@@ -169,6 +169,32 @@ func TestJSONLDeterministicAndValid(t *testing.T) {
 	}
 }
 
+// TestEveryKindHasExportNames: every event kind has a name, and every kind
+// that carries a payload exports it under a field name — the JSONL writer
+// omits an unnamed payload silently, which is how the four speculation kinds
+// once lost theirs. A kind added without rows in kindNames and fieldNames
+// fails here (payload-free kinds are listed by hand).
+func TestEveryKindHasExportNames(t *testing.T) {
+	payloadFree := map[Kind]bool{KindSwap: true, KindOverflow: true, KindDrop: true, KindKill: true}
+	seen := map[string]Kind{}
+	for k := Kind(0); k < numKinds; k++ {
+		name := kindNames[k]
+		if name == "" {
+			t.Errorf("kind %d has no name", k)
+		} else if prev, dup := seen[name]; dup {
+			t.Errorf("kinds %d and %d share the name %q", prev, k, name)
+		}
+		seen[name] = k
+		if names := fieldNames[k]; payloadFree[k] != (names == [2]string{}) || (names[0] == "" && names[1] != "") {
+			t.Errorf("kind %s: payload field names %q (payload-free: %v)", k, names, payloadFree[k])
+		}
+	}
+	line := string(appendEventJSON(nil, Event{T: 932, Kind: KindSpecIssue, PE: -1, A: 1, B: 3}))
+	if want := `{"t":932,"ev":"spec-issue","fwd":1,"lat":3}`; line != want {
+		t.Errorf("spec-issue exports %s, want %s", line, want)
+	}
+}
+
 // TestChromeTraceValidJSON: the Chrome export parses as a trace_event
 // JSON document with a non-empty traceEvents array.
 func TestChromeTraceValidJSON(t *testing.T) {

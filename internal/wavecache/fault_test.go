@@ -122,7 +122,7 @@ func TestFaultyRunReproducible(t *testing.T) {
 	if !reflect.DeepEqual(r1, r2) {
 		t.Fatalf("faulty runs diverged:\n%+v\n%+v", r1, r2)
 	}
-	if r1.Net.Drops == 0 || r1.Faults.DefectivePEs == 0 {
+	if r1.Faults.Operand.Drops == 0 || r1.Faults.DefectivePEs == 0 {
 		t.Fatalf("scenario injected nothing: %+v", r1.Faults)
 	}
 	// A different seed must (for these rates) produce a different timing.
@@ -134,7 +134,7 @@ func TestFaultyRunReproducible(t *testing.T) {
 	if r3.Value != r1.Value {
 		t.Fatalf("seed change broke correctness: %d vs %d", r3.Value, r1.Value)
 	}
-	if r3.Cycles == r1.Cycles && r3.Net.Drops == r1.Net.Drops {
+	if r3.Cycles == r1.Cycles && r3.Faults.Operand.Drops == r1.Faults.Operand.Drops {
 		t.Log("note: different fault seeds produced identical timing (unlikely but legal)")
 	}
 }
@@ -339,7 +339,7 @@ func TestKillResultPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := killPin{res.Cycles, res.Fired, res.Tokens, res.Swaps, res.Overflows,
-				res.PEsUsed, res.Faults.PEKills, res.Faults.MigratedInstrs, res.Faults.MemDrops}
+				res.PEsUsed, res.Faults.PEKills, res.Faults.MigratedInstrs, res.Faults.StoreBuffer.Drops}
 			if got != row.want {
 				t.Errorf("pinned kill result moved:\n got %+v\nwant %+v", got, row.want)
 			}

@@ -205,6 +205,28 @@ func (s *sim) specEpochFor(ctx, wave uint32) int32 {
 	return ei
 }
 
+// speculative is MemSpec's memOrdering: wave-ordered commit with the
+// speculation layer over it. A request that never speculated is charged
+// exactly as under waveOrdered.
+type speculative struct{ waveOrdered }
+
+// arrive submits the request. It either issues synchronously inside Submit
+// (its ordering chain was already resolved — issueMem zeroes the cookie's
+// generation, and a slot reused since carries a newer one) or buffers behind
+// unresolved predecessors, in which case a deferred-speculation probe is
+// scheduled: the request speculates only if it is still waiting specDelay
+// cycles from now.
+func (speculative) arrive(s *sim, r *waveorder.Request) error {
+	gen := s.ckSlab.At(int32(r.Cookie)).gen
+	if err := s.engine.Submit(r); err != nil {
+		return err
+	}
+	if s.ckSlab.At(int32(r.Cookie)).gen == gen {
+		s.pushSpecProbe(s.now+specDelay, r)
+	}
+	return nil
+}
+
 // specArrival speculates on a request that has been buffered behind
 // unresolved wave-order predecessors for specDelay cycles (its probe
 // event just fired and found it still waiting): the access runs against
@@ -249,7 +271,7 @@ func (s *sim) specArrival(r *waveorder.Request) {
 			sp.st.Forwards++
 			s.tr.SpecIssue(s.now, true, s.cfg.Mem.L1Latency)
 		} else {
-			ar := s.memsys.AccessSpeculative(ck.buf, clampAddr(r.Addr, len(s.memImage)), false)
+			ar := s.memsys.Access(ck.buf, clampAddr(r.Addr, len(s.memImage)), false)
 			ck.spec = specLoad
 			ck.specDone = s.now + ar.Latency
 			sp.st.SpecCycles += ar.Latency
@@ -263,7 +285,7 @@ func (s *sim) specArrival(r *waveorder.Request) {
 		sp.fwdTab.Put(key, int64(uint64(uid)<<32|uint64(uint32(vi))))
 		// The speculative store drains its cache access (fetch-for-write,
 		// coherence) early; its commit point pays only the issue slot.
-		ar := s.memsys.AccessSpeculative(ck.buf, clampAddr(r.Addr, len(s.memImage)), true)
+		ar := s.memsys.Access(ck.buf, clampAddr(r.Addr, len(s.memImage)), true)
 		ck.spec = specStore
 		ck.specUID = uid
 		ck.specSnap = uint32(vi) // stores reuse the snapshot slot as the vsb index
@@ -273,12 +295,15 @@ func (s *sim) specArrival(r *waveorder.Request) {
 	}
 }
 
-// specCommitLoad validates a speculated load at its wave-order commit
-// point and returns the cycle its reply leaves the store buffer. A valid
+// commitLoad validates a speculated load at its wave-order commit point
+// and returns the cycle its reply leaves the store buffer. A valid
 // speculation completes at its speculative time (never earlier than now —
 // MemSpec does not back-date); a conflicting or squashed one re-executes
 // here, in order, charging the replayed access.
-func (s *sim) specCommitLoad(ck *memCookie, r *waveorder.Request) int64 {
+func (m speculative) commitLoad(s *sim, ck *memCookie, r *waveorder.Request) int64 {
+	if ck.spec == specNone {
+		return m.waveOrdered.commitLoad(s, ck, r)
+	}
 	sp := &s.spec
 	ep := &sp.epochs[ck.specEp]
 	ep.pending--
@@ -315,18 +340,17 @@ func (s *sim) specCommitLoad(ck *memCookie, r *waveorder.Request) int64 {
 	return start + ar.Latency
 }
 
-// specCommitStore commits a store in MemSpec mode: a speculated store
-// retires its versioned-store-buffer entry (replaying its access first if
-// the epoch squashed); a store that issued synchronously performs its
-// ordinary in-order access. Either way the committed-store sequence
-// advances, which is what later loads validate against. The caller writes
-// the memory image.
-func (s *sim) specCommitStore(ck *memCookie, r *waveorder.Request) {
+// commitStore commits a store in MemSpec mode: a speculated store retires
+// its versioned-store-buffer entry (replaying its access first if the epoch
+// squashed); a store that issued synchronously performs its ordinary
+// in-order access. Either way the committed-store sequence advances, which
+// is what later loads validate against. The caller writes the memory image.
+func (m speculative) commitStore(s *sim, ck *memCookie, r *waveorder.Request) {
 	sp := &s.spec
 	key := uint64(r.Addr)
 	var uid uint32
-	s.bufIssueTime(ck.buf)
 	if ck.spec == specStore {
+		s.bufIssueTime(ck.buf)
 		uid = ck.specUID
 		ep := &sp.epochs[ck.specEp]
 		ep.pending--
@@ -343,7 +367,7 @@ func (s *sim) specCommitStore(ck *memCookie, r *waveorder.Request) {
 			s.tr.SpecReplay(s.now, ar.Latency)
 		}
 	} else {
-		s.memsys.Access(ck.buf, clampAddr(r.Addr, len(s.memImage)), true)
+		m.waveOrdered.commitStore(s, ck, r)
 	}
 	sp.commitSeq++
 	sp.lastStore.Put(key, int64(uint64(sp.commitSeq)<<32|uint64(uid)))

@@ -1,6 +1,7 @@
 package wavecache
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"wavescalar/internal/lang"
 	"wavescalar/internal/placement"
 	"wavescalar/internal/testprogs"
+	"wavescalar/internal/trace"
 )
 
 // specConflictSrc is a hand-built violation workload: the store's value
@@ -137,6 +139,38 @@ func TestSpecStoreForwarding(t *testing.T) {
 	}
 	if res.Spec.Conflicts != 0 || res.Spec.Squashes != 0 {
 		t.Errorf("clean forward workload conflicted: %+v", res.Spec)
+	}
+
+	// The exported event stream carries each speculation's payload: one
+	// spec-issue line per speculated request, each with its latency, the
+	// forwarded ones flagged.
+	cfg := DefaultConfig(2, 2)
+	cfg.MemMode = MemSpec
+	cfg.Tracer = trace.New(trace.Config{Events: true})
+	traced, err := Run(compileSource(t, specForwardSrc), mustPol(placement.NewDynamicSnake(cfg.Machine)), cfg)
+	if err != nil || traced != res {
+		t.Fatalf("traced run: %+v, %v; untraced %+v", traced, err, res)
+	}
+	var jsonl bytes.Buffer
+	if err := cfg.Tracer.WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	var issued, forwarded uint64
+	for _, line := range strings.Split(jsonl.String(), "\n") {
+		if !strings.Contains(line, `"ev":"spec-issue"`) {
+			continue
+		}
+		issued++
+		if !strings.Contains(line, `"lat":`) {
+			t.Fatalf("spec-issue line lost its latency: %s", line)
+		}
+		if strings.Contains(line, `"fwd":1`) {
+			forwarded++
+		}
+	}
+	if issued != res.Spec.Issued || forwarded != res.Spec.Forwards {
+		t.Errorf("event stream has %d spec-issue lines, %d forwarded; the run counted %d, %d",
+			issued, forwarded, res.Spec.Issued, res.Spec.Forwards)
 	}
 }
 

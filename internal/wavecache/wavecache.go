@@ -653,8 +653,7 @@ type memCookie struct {
 	tag    isa.Tag
 	fireAt int64
 	arrive int64 // cycle the request reached its store buffer
-	pe     int
-	buf    int // store-buffer cluster bound at submit time
+	buf    int   // store-buffer cluster bound at submit time
 
 	// Speculation state (MemSpec only; zero otherwise). spec classifies
 	// how the request executed ahead of its commit point, specDone is the
@@ -716,10 +715,15 @@ type sim struct {
 	// resident maps an instruction to its node in its home PE's recency
 	// list, -1 when it is not in the instruction store. One slice serves
 	// every PE because an instruction is only ever resident at its home.
-	resident  []int32
-	pes       []peState
-	bufBusy   []bufState // per-cluster store-buffer issue bandwidth
-	serialEnd int64      // MemSerial: completion of the in-flight operation
+	resident []int32
+	pes      []peState
+	bufBusy  []noc.Port // per-cluster store-buffer issue bandwidth
+
+	// mode is the run's memory-ordering mode (memorder.go), bound by reset;
+	// serial is the one mode value with state, kept here so binding it does
+	// not allocate.
+	mode   memOrdering
+	serial serialized
 
 	memImage []int64
 	// ctxTab maps live context ids to ctxSlab indices holding call metadata.
@@ -858,7 +862,6 @@ func (s *sim) reset(p *isa.Program, pol placement.Policy, cfg Config) error {
 
 	s.seq = 0
 	s.now, s.maxT = 0, 0
-	s.serialEnd = 0
 	s.nextCtx = 1
 	s.fuel = cfg.Fuel
 	s.done, s.result = false, 0
@@ -885,7 +888,6 @@ func (s *sim) reset(p *isa.Program, pol placement.Policy, cfg Config) error {
 			return err
 		}
 		s.inj = inj
-		s.net.AttachFaults(inj)
 		inj.AttachTracer(s.tr)
 		if cfg.Faults.DefectRate > 0 && cfg.Machine.Defective == nil {
 			return &fault.FaultError{Kind: fault.KindConfig, PE: -1,
@@ -935,14 +937,23 @@ func (s *sim) reset(p *isa.Program, pol placement.Policy, cfg Config) error {
 		s.engine.Reset(0)
 	}
 	s.engine.AttachTracer(s.tr, s.clock)
-	if cfg.MemMode == MemSpec {
+	// Bind the memory-ordering mode. A reused Arena may carry counters and
+	// retire hooks from an earlier MemSpec run; Result.Spec must read zero
+	// outside spec mode.
+	s.spec.st = SpecStats{}
+	s.engine.SetRetireHooks(nil, nil)
+	switch cfg.MemMode {
+	case MemSerial:
+		s.serial = serialized{}
+		s.mode = &s.serial
+	case MemIdeal:
+		s.mode = ideal{}
+	case MemSpec:
 		s.spec.reset(cfg.SpecScope)
 		s.engine.SetRetireHooks(s.specWaveRetire, s.specCtxEnd)
-	} else {
-		// A reused Arena may carry counters from an earlier MemSpec run;
-		// Result.Spec must read zero outside spec mode.
-		s.spec.st = SpecStats{}
-		s.engine.SetRetireHooks(nil, nil)
+		s.mode = speculative{}
+	default:
+		s.mode = waveOrdered{}
 	}
 	return nil
 }
@@ -1049,11 +1060,8 @@ func (s *sim) run() (Result, error) {
 	s.res.Order = s.engine.Stats()
 	s.res.Spec = s.spec.st
 	if s.inj != nil {
-		st := s.inj.Stats()
-		s.res.Faults.MemDrops = st.MemDrops
-		s.res.Faults.MemRetries = st.MemRetries
-		s.res.Faults.MemRetryWait = st.MemRetryWait
-		s.res.Faults.DelayedTokens = st.DelayedTokens
+		s.res.Faults.Operand = s.inj.Stats(fault.Operand)
+		s.res.Faults.StoreBuffer = s.inj.Stats(fault.StoreBuffer)
 	}
 	for i := range s.pes {
 		if s.pes[i].used {
@@ -1128,32 +1136,12 @@ func (s *sim) processEvent(e *event) error {
 	case evFire:
 		return s.fire(e)
 	case evMemArrive:
-		if s.cfg.MemMode == MemSpec {
-			// The arrival either issues synchronously inside Submit (its
-			// ordering chain was already resolved — issueMem zeroes the
-			// cookie's generation, and a slot reused since carries a newer
-			// one) or buffers behind unresolved predecessors, in which case
-			// a deferred-speculation probe is scheduled: the request
-			// speculates only if it is still waiting specDelay cycles from
-			// now (spec.go).
-			req := e.req
-			gen := s.ckSlab.At(int32(req.Cookie)).gen
-			if err := s.engine.Submit(req); err != nil {
-				return err
-			}
-			if s.ckSlab.At(int32(req.Cookie)).gen == gen {
-				s.pushSpecProbe(s.now+specDelay, req)
-			}
-			return s.memErr
-		}
-		if err := s.engine.Submit(e.req); err != nil {
+		if err := s.mode.arrive(s, e.req); err != nil {
 			return err
 		}
 		return s.memErr
-	default: // evSpecProbe
-		if s.specProbeLive(e) {
-			s.specArrival(e.req)
-		}
+	default: // evSpecProbe; the loop has already dropped the dead ones
+		s.specArrival(e.req)
 		return nil
 	}
 }
@@ -1334,13 +1322,14 @@ func (s *sim) send(fromPE int, dests []ddest, tag isa.Tag, val int64, t int64) e
 	return nil
 }
 
-// sendOperand times one operand-network message under the fault model.
+// sendOperand times one operand-network message, under the operand fault
+// stream's loss/retransmit protocol when faults are injected.
 func (s *sim) sendOperand(fromPE, dstPE int, t int64) (int64, error) {
-	arr, err := s.net.SendReliable(s.loc(fromPE), s.loc(dstPE), t)
-	if err != nil {
-		return 0, &fault.FaultError{Kind: fault.KindMessageLoss, PE: fromPE, Cycle: t, Detail: err.Error()}
+	src, dst := s.loc(fromPE), s.loc(dstPE)
+	if s.inj == nil {
+		return s.net.Send(src, dst, t), nil
 	}
-	return arr, nil
+	return s.inj.Transit(fault.Operand, t, fromPE, func(send int64) int64 { return s.net.Send(src, dst, send) })
 }
 
 // memHop times one store-buffer message (PE -> buffer or buffer -> PE):
@@ -1356,7 +1345,7 @@ func (s *sim) memHop(src, dst noc.Loc, t int64, pe int) (int64, error) {
 	if s.inj == nil {
 		return transport(t), nil
 	}
-	return s.inj.MemTransit(t, pe, transport)
+	return s.inj.Transit(fault.StoreBuffer, t, pe, transport)
 }
 
 // killPE executes the scheduled mid-run PE death: the placement policy is
@@ -1488,7 +1477,7 @@ func (s *sim) submitMem(pe int, gi int32, in *isa.Instruction, tag isa.Tag, addr
 	}
 	ci := s.ckSlab.Alloc()
 	s.ckGen++
-	*s.ckSlab.At(ci) = memCookie{gi: gi, tag: tag, fireAt: t, arrive: arr, pe: pe, buf: buf, gen: s.ckGen}
+	*s.ckSlab.At(ci) = memCookie{gi: gi, tag: tag, fireAt: t, arrive: arr, buf: buf, gen: s.ckGen}
 	req := s.allocReq()
 	*req = waveorder.Request{
 		Ctx: tag.Ctx, Wave: tag.Wave,
@@ -1597,50 +1586,34 @@ func (s *sim) fire(e *event) error {
 }
 
 // issueMem runs when the ordering engine releases a request in program
-// order; it performs the timed cache access and routes load replies.
+// order: the architectural half of a commit — read or write the memory
+// image, route a load's reply — around the one call that asks the run's
+// memory mode what the commit costs.
 func (s *sim) issueMem(r *waveorder.Request) {
 	ci := int32(r.Cookie)
-	ck := *s.ckSlab.At(ci)
-	if s.cfg.MemMode == MemSpec {
-		// Dead-stamp the cookie so any pending deferred-speculation probe
-		// for this request sees it gone (generations start at 1).
-		s.ckSlab.At(ci).gen = 0
-	}
+	// The cookie is read in place in the slab: Release only recycles the
+	// index and nothing below allocates a cookie, so the record is this
+	// request's until issueMem returns. (A local copy handed to the mode by
+	// pointer would move to the heap: one allocation per memory operation.)
+	ck := s.ckSlab.At(ci)
 	s.ckSlab.Release(ci)
-	buf := ck.buf
+	// Dead-stamp the cookie so any pending deferred-speculation probe for
+	// this request sees it gone (generations start at 1).
+	ck.gen = 0
 	// The ordering stall is how long the request sat buffered waiting for
 	// its wave chain to resolve: issue happens at the current event time,
 	// arrival was stamped at submit.
 	s.tr.MemIssue(s.now, int(r.Kind), s.now-ck.arrive)
 	switch r.Kind {
 	case isa.MemLoad:
-		var done int64
-		if s.cfg.MemMode == MemSpec && ck.spec != specNone {
-			done = s.specCommitLoad(&ck, r)
-		} else {
-			start := s.bufIssueTime(buf)
-			ar := s.memsys.Access(buf, clampAddr(r.Addr, len(s.memImage)), false)
-			done = start + ar.Latency
-			if s.cfg.MemMode == MemIdeal {
-				// Oracle ordering: timed as if the request issued the
-				// moment it fired at its PE.
-				done = ck.fireAt + ar.Latency
-			}
-			if s.cfg.MemMode == MemSerial {
-				if start < s.serialEnd {
-					start = s.serialEnd
-				}
-				done = start + ar.Latency
-				s.serialEnd = done + s.serialGap()
-			}
-		}
+		done := s.mode.commitLoad(s, ck, r)
 		var v int64
 		if r.Addr >= 0 && r.Addr < int64(len(s.memImage)) {
 			v = s.memImage[r.Addr]
 		}
 		for _, d := range s.code[ck.gi].dests {
 			dstPE := s.homePE(d.gi)
-			arr, err := s.memHop(noc.Loc{Cluster: buf}, s.loc(dstPE), done, dstPE)
+			arr, err := s.memHop(noc.Loc{Cluster: ck.buf}, s.loc(dstPE), done, dstPE)
 			if err != nil {
 				// issueMem is a callback without an error path; park the
 				// fault for the run loop to surface after Submit returns.
@@ -1652,59 +1625,20 @@ func (s *sim) issueMem(r *waveorder.Request) {
 			s.pushToken(arr, d.gi, d.port, ck.tag, v)
 		}
 	case isa.MemStore:
-		if s.cfg.MemMode == MemSpec {
-			s.specCommitStore(&ck, r)
-		} else {
-			start := s.bufIssueTime(buf)
-			ar := s.memsys.Access(buf, clampAddr(r.Addr, len(s.memImage)), true)
-			if s.cfg.MemMode == MemSerial {
-				if start < s.serialEnd {
-					start = s.serialEnd
-				}
-				s.serialEnd = start + ar.Latency + s.serialGap()
-			}
-		}
+		s.mode.commitStore(s, ck, r)
 		if r.Addr >= 0 && r.Addr < int64(len(s.memImage)) {
 			s.memImage[r.Addr] = r.Value
 		}
 	default:
 		// Ordering-only messages (nop, call, end) consume a buffer slot.
-		s.bufIssueTime(buf)
+		s.bufIssueTime(ck.buf)
 	}
-}
-
-// serialGap is the dependence-token round trip between consecutive memory
-// operations under MemSerial: the successor's request cannot even be
-// formed until a completion token has traveled back through the cluster
-// interconnect.
-func (s *sim) serialGap() int64 { return 2 * s.cfg.Net.IntraCluster }
-
-// bufState tracks one store buffer's issue bandwidth: the latest granting
-// cycle and how many issues it carried.
-type bufState struct {
-	cycle int64
-	used  int64
 }
 
 // bufIssueTime grants a store-buffer issue slot at or after the current
 // simulation time, BufferWidth per cycle per cluster, FIFO.
 func (s *sim) bufIssueTime(cluster int) int64 {
-	width := s.cfg.BufferWidth
-	if width <= 0 {
-		width = 1
-	}
-	bs := &s.bufBusy[cluster]
-	switch {
-	case s.now > bs.cycle:
-		bs.cycle = s.now
-		bs.used = 1
-	case bs.used < width:
-		bs.used++
-	default:
-		bs.cycle++
-		bs.used = 1
-	}
-	return bs.cycle
+	return s.bufBusy[cluster].Grant(s.now, max(s.cfg.BufferWidth, 1))
 }
 
 func clampAddr(a int64, n int) int64 {

@@ -296,6 +296,7 @@ func (p *Program) Simulate(sc SimConfig) (SimResult, error) {
 	if err != nil {
 		return SimResult{}, err
 	}
+	op, sb := res.Faults.Operand, res.Faults.StoreBuffer
 	out := SimResult{
 		Value:           res.Value,
 		Cycles:          res.Cycles,
@@ -311,10 +312,10 @@ func (p *Program) Simulate(sc SimConfig) (SimResult, error) {
 		DefectivePEs:    res.Faults.DefectivePEs,
 		PEKills:         res.Faults.PEKills,
 		MigratedInstrs:  res.Faults.MigratedInstrs,
-		MessageDrops:    res.Net.Drops + res.Faults.MemDrops,
-		MessageRetries:  res.Net.Retries + res.Faults.MemRetries,
-		RetryWaitCycles: res.Net.RetryWaitCycles + res.Faults.MemRetryWait,
-		DelayedMessages: res.Net.Delayed + res.Faults.DelayedTokens,
+		MessageDrops:    op.Drops + sb.Drops,
+		MessageRetries:  op.Retries + sb.Retries,
+		RetryWaitCycles: op.RetryWait + sb.RetryWait,
+		DelayedMessages: op.Delayed + sb.Delayed,
 	}
 	if res.Mem.Accesses > 0 {
 		out.L1MissRate = float64(res.Mem.L1Misses) / float64(res.Mem.Accesses)
