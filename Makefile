@@ -63,11 +63,15 @@ fuzz:
 
 # fuzz-diff is the corpus-differential smoke: generated programs across
 # all workload families, each checked for agreement across all ten
-# engines (see internal/testprogs/differential_fuzz_test.go).
+# engines (see internal/testprogs/differential_fuzz_test.go) — and then
+# arbitrary bytes as a cell-cache segment: open never fails and a Get that
+# hits is vouched for by its record (internal/harness/cellcache_test.go).
 DIFFFUZZTIME ?= 20s
+CACHEFUZZTIME ?= 10s
 
 fuzz-diff:
 	$(GO) test -run='^$$' -fuzz=FuzzDifferential -fuzztime=$(DIFFFUZZTIME) ./internal/testprogs
+	$(GO) test -run='^$$' -fuzz=FuzzCellCacheOpen -fuzztime=$(CACHEFUZZTIME) ./internal/harness
 
 # corpus runs the E13 sweep in miniature: 250 generated programs (50
 # seeds per family). The full acceptance sweep is
@@ -94,12 +98,15 @@ bench:
 # per-hop counters, interpreters, what a run pays each placement policy
 # (construction plus every instruction's first Assign), the placement
 # model's move loop against its reference, waved's cold / warm / replay
-# request over loopback, and the whole CompileSource) — one command for
-# "each stage has its own benchmark". For -count, -benchtime or
+# request over loopback, the whole CompileSource, and the cell cache's Put
+# and Get at an iteration count that seals several segments, so their
+# fsyncs are in the number) — one command for "each stage has its own
+# benchmark". For -count, -benchtime or
 # -cpuprofile run `go test` on the package directly.
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/lang ./internal/cfgir ./internal/wavec ./internal/tagtable ./internal/waveorder ./internal/noc ./internal/mem ./internal/wavecache ./internal/trace ./internal/interp ./internal/ooo ./internal/placement ./internal/placemodel ./internal/serve
 	$(GO) test -run '^$$' -bench 'BenchmarkCompileSource$$' -benchmem ./internal/harness
+	$(GO) test -run '^$$' -bench 'BenchmarkCellCache' -benchtime 20000x -benchmem ./internal/harness
 
 # bench-ledger runs the repository benchmark (BENCHMARK.json, bench/) end
 # to end: every workload once untraced (the end-to-end metrics) and once

@@ -77,19 +77,23 @@ func main() {
 		fatal(err)
 	}
 
+	// One handle serves the prune and the sweep. Nothing closes it on a
+	// fatal exit: a Put is safe against the process ending once it returns.
+	var cache *harness.CellCache
+	if *cacheDir != "" {
+		if cache, err = harness.NewCellCache(*cacheDir); err != nil {
+			fatal(err)
+		}
+	}
 	if *cachePrune != "" {
-		if *cacheDir == "" {
+		if cache == nil {
 			fatal(fmt.Errorf("-cache-prune needs -cache-dir"))
 		}
 		age, size, err := harness.ParsePruneSpec(*cachePrune)
 		if err != nil {
 			fatal(err)
 		}
-		cc, err := harness.NewCellCache(*cacheDir)
-		if err != nil {
-			fatal(err)
-		}
-		st, err := cc.Prune(age, size)
+		st, err := cache.Prune(age, size)
 		if err != nil {
 			fatal(err)
 		}
@@ -104,13 +108,18 @@ func main() {
 	}
 
 	if *corpusN > 0 {
-		runCorpus(out, *corpusN, *corpusSeed, *cacheDir, *shard, *resume, *jobs, *optLevel)
+		runCorpus(out, *corpusN, *corpusSeed, cache, *shard, *resume, *jobs, *optLevel)
+		if cache != nil {
+			if err := cache.Close(); err != nil {
+				fatal(err)
+			}
+		}
 		if err := commit(); err != nil {
 			fatal(err)
 		}
 		return
 	}
-	if *shard != "" || *resume || *cacheDir != "" {
+	if *shard != "" || *resume || cache != nil {
 		fatal(fmt.Errorf("-shard/-resume/-cache-dir apply only to -corpus sweeps"))
 	}
 
@@ -180,14 +189,14 @@ func main() {
 // the section header and the table — goes to out, so an -out file from a
 // sharded, resumed, or cached run is byte-identical to a single
 // invocation's; run statistics and timing go to stderr.
-func runCorpus(out io.Writer, n int, seed int64, cacheDir, shard string, resume bool, jobs, optLevel int) {
+func runCorpus(out io.Writer, n int, seed int64, cache *harness.CellCache, shard string, resume bool, jobs, optLevel int) {
 	o := harness.CorpusOptions{
-		N:        n,
-		Seed:     seed,
-		CacheDir: cacheDir,
-		Resume:   resume,
-		Compile:  harness.DefaultCompileOptions(),
-		Machine:  harness.DefaultCorpusMachine(),
+		N:       n,
+		Seed:    seed,
+		Cache:   cache,
+		Resume:  resume,
+		Compile: harness.DefaultCompileOptions(),
+		Machine: harness.DefaultCorpusMachine(),
 	}
 	o.Compile.OptLevel = optLevel
 	o.Compile.Workers = jobs
@@ -197,7 +206,7 @@ func runCorpus(out io.Writer, n int, seed int64, cacheDir, shard string, resume 
 			fatal(fmt.Errorf("bad -shard %q (want k/n with 1 <= k <= n)", shard))
 		}
 	}
-	if (resume || shard != "") && cacheDir == "" {
+	if (resume || shard != "") && cache == nil {
 		fatal(fmt.Errorf("-resume and -shard need -cache-dir to share cells across invocations"))
 	}
 	start := time.Now()

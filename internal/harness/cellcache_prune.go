@@ -1,8 +1,9 @@
 package harness
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,20 +12,23 @@ import (
 	"time"
 )
 
-// PruneStats reports what one CellCache.Prune pass did.
+// PruneStats reports what one CellCache.Prune pass did. Prune works by the
+// segment; the counts are of the live records the handle indexes, so they
+// read as they always have.
 type PruneStats struct {
-	// Scanned is the number of cache entries examined.
+	// Scanned is the number of records the handle held before the pass.
 	Scanned int
-	// RemovedAge / RemovedSize count entries deleted for exceeding the age
-	// bound and for bringing the cache under the size bound, respectively.
+	// RemovedAge / RemovedSize count records deleted with segments older
+	// than the age bound and with segments evicted to meet the size bound.
 	RemovedAge, RemovedSize int
-	// RemovedTemp counts stray temp files (from killed writers) cleaned up.
+	// RemovedTemp counts files of the pre-segment layout (xx/<key>.json
+	// entries and the temp files of killed writers) cleaned up.
 	RemovedTemp int
-	// KeptBytes is the total payload size remaining after the pass.
+	// KeptBytes is the total segment size remaining after the pass.
 	KeptBytes int64
 }
 
-// Removed is the total number of cache entries deleted.
+// Removed is the total number of cache records deleted.
 func (p PruneStats) Removed() int { return p.RemovedAge + p.RemovedSize }
 
 func (p PruneStats) String() string {
@@ -33,100 +37,95 @@ func (p PruneStats) String() string {
 		FormatBytes(p.KeptBytes))
 }
 
-// staleTempAge is how old a temp file must be before Prune treats it as
-// abandoned by a killed writer rather than in flight from a live one.
-const staleTempAge = time.Hour
-
-// Prune bounds the cache directory for long-lived processes: it removes
-// entries older than maxAge (0 = no age bound) and then, oldest first,
-// enough further entries to bring the total size under maxBytes (0 = no
-// size bound). Stray temp files left by killed writers are removed once
-// they are over an hour old.
+// Prune bounds the cache directory for long-lived processes. It seals the
+// active segment, so the bounds have whole segments to work on, then
+// unlinks every segment last written more than maxAge ago (0 = no age
+// bound) and, oldest first, enough further segments to bring the total
+// size under maxBytes (0 = no size bound); keys that lived in a removed
+// segment leave the index. Everything the pre-segment layout left behind
+// goes too: nothing reads it any more.
 //
-// Prune is safe to run concurrently with Put and Get from any process
-// sharing the directory: entries are whole files written atomically, so a
-// pruned entry simply becomes a cache miss to be recomputed — a reader
-// never observes a torn entry, and a concurrent Put of the same key either
-// lands before the Remove (and is pruned) or after (and survives as a
-// fresh entry). Per-entry deletion errors are counted as kept, not fatal;
-// only a failure to scan the directory tree is returned.
+// Prune is safe beside Put and Get on this handle and on any other handle
+// or process sharing the directory: a pruned record simply becomes a miss
+// to be recomputed. A segment another handle is still appending to is a
+// candidate like any other; what its writer appends after the unlink only
+// that writer sees. Deletion errors count the segment as kept; only a
+// failure to list the directory is returned.
 func (cc *CellCache) Prune(maxAge time.Duration, maxBytes int64) (PruneStats, error) {
-	type entry struct {
-		path  string
-		size  int64
-		mtime time.Time
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	st := PruneStats{Scanned: len(cc.index)}
+	if err := cc.flush(true); err != nil {
+		return st, err
 	}
-	var (
-		st      PruneStats
-		entries []entry
-	)
-	now := time.Now()
-	err := filepath.WalkDir(cc.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			// A shard directory pruned or renamed underneath the walk is a
-			// concurrent-delete race, not a failure.
-			if os.IsNotExist(err) {
-				return nil
-			}
-			return err
-		}
-		if d.IsDir() {
-			return nil
-		}
-		info, err := d.Info()
-		if err != nil {
-			return nil // deleted underneath us: already pruned
-		}
-		name := d.Name()
-		if strings.HasPrefix(name, ".") && strings.Contains(name, ".tmp-") {
-			if now.Sub(info.ModTime()) > staleTempAge {
-				if os.Remove(path) == nil {
-					st.RemovedTemp++
-				}
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".json") {
-			return nil
-		}
-		st.Scanned++
-		entries = append(entries, entry{path: path, size: info.Size(), mtime: info.ModTime()})
-		return nil
-	})
-	if err != nil {
+	entries, err := os.ReadDir(cc.dir)
+	if err != nil && !errors.Is(err, os.ErrNotExist) { // no directory yet: nothing to prune
 		return st, fmt.Errorf("cellcache: prune: %w", err)
 	}
-
-	var kept []entry
+	nsegs := 0
+	var kept []os.FileInfo    // segments the age bound left: the size bound's candidates
+	gone := map[string]*int{} // removed segment -> the counter its records go to
+	remove := func(info os.FileInfo, counter *int) bool {
+		if os.Remove(filepath.Join(cc.dir, info.Name())) != nil {
+			return false
+		}
+		gone[info.Name()] = counter
+		st.KeptBytes -= info.Size()
+		return true
+	}
+	now := time.Now()
 	for _, e := range entries {
-		if maxAge > 0 && now.Sub(e.mtime) > maxAge {
-			if os.Remove(e.path) == nil {
-				st.RemovedAge++
-				continue
-			}
+		if e.IsDir() {
+			st.RemovedTemp += removeOldLayout(filepath.Join(cc.dir, e.Name()))
+			continue
 		}
-		kept = append(kept, e)
-		st.KeptBytes += e.size
-	}
-	if maxBytes > 0 && st.KeptBytes > maxBytes {
-		// Oldest first; ties broken by path so the pass is deterministic.
-		sort.Slice(kept, func(i, j int) bool {
-			if !kept[i].mtime.Equal(kept[j].mtime) {
-				return kept[i].mtime.Before(kept[j].mtime)
-			}
-			return kept[i].path < kept[j].path
-		})
-		for _, e := range kept {
-			if st.KeptBytes <= maxBytes {
-				break
-			}
-			if os.Remove(e.path) == nil {
-				st.RemovedSize++
-				st.KeptBytes -= e.size
-			}
+		info, err := e.Info()
+		if err != nil || !strings.HasSuffix(e.Name(), segSuffix) {
+			continue // pruned underneath us, or not ours
+		}
+		st.KeptBytes += info.Size()
+		nsegs++
+		if maxAge <= 0 || now.Sub(info.ModTime()) <= maxAge || !remove(info, &st.RemovedAge) {
+			kept = append(kept, info)
 		}
 	}
+	// Oldest first; ties broken by name so the pass is deterministic.
+	sort.Slice(kept, func(i, j int) bool {
+		return cmp.Or(kept[i].ModTime().Compare(kept[j].ModTime()), strings.Compare(kept[i].Name(), kept[j].Name())) < 0
+	})
+	for _, info := range kept {
+		if maxBytes <= 0 || st.KeptBytes <= maxBytes {
+			break
+		}
+		remove(info, &st.RemovedSize)
+	}
+	for key, loc := range cc.index {
+		if counter := gone[loc.seg]; counter != nil {
+			*counter++
+			delete(cc.index, key)
+		}
+	}
+	cc.stats.Segments, cc.stats.Bytes = nsegs-len(gone), st.KeptBytes // the directory, as just seen
 	return st, nil
+}
+
+// removeOldLayout deletes the files of one shard directory of the
+// pre-segment layout (two hex digits, holding <key>.json entries and
+// writers' temp files) and the directory itself, and returns how many
+// files went. Any other directory — waved keeps its sweep cache in a
+// subdirectory of its simulate cache — is left alone.
+func removeOldLayout(dir string) (removed int) {
+	if name := filepath.Base(dir); len(name) != 2 || !plainKey(name) {
+		return 0
+	}
+	files, _ := os.ReadDir(dir) // unreadable: nothing to remove
+	for _, f := range files {
+		if os.Remove(filepath.Join(dir, f.Name())) == nil {
+			removed++
+		}
+	}
+	os.Remove(dir) // fails harmlessly if anything is left
+	return removed
 }
 
 // ParsePruneSpec parses the CLI prune specification: comma-separated

@@ -14,25 +14,49 @@ type pruneProbe struct {
 	Pad []int `json:"pad,omitempty"`
 }
 
-func TestPruneAgeBound(t *testing.T) {
-	cc, err := NewCellCache(t.TempDir())
+// putSegment puts each key as a pruneProbe (its ID the key's position in
+// all) and seals, so that these keys have a segment to themselves, then
+// dates the segment age into the past.
+func putSegment(t *testing.T, cc *CellCache, all []string, keys []string, pad int, age time.Duration) (size int64) {
+	t.Helper()
+	for _, k := range keys {
+		id := 0
+		for all[id] != k {
+			id++
+		}
+		if err := cc.Put(k, &pruneProbe{ID: id, Pad: make([]int, pad)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path, _, _ := cc.recordRange(t, keys[0])
+	mt := time.Now().Add(-age)
+	if err := os.Chtimes(path, mt, mt); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := make([]string, 8)
+	return info.Size()
+}
+
+func pruneKeys(what string, n int) []string {
+	keys := make([]string, n)
 	for i := range keys {
-		keys[i] = CacheKey("prune-age", fmt.Sprint(i))
-		if err := cc.Put(keys[i], &pruneProbe{ID: i}); err != nil {
-			t.Fatal(err)
-		}
+		keys[i] = CacheKey(what, fmt.Sprint(i))
 	}
-	// Age half the entries by backdating their mtimes.
-	old := time.Now().Add(-2 * time.Hour)
-	for _, k := range keys[:4] {
-		if err := os.Chtimes(cc.path(k), old, old); err != nil {
-			t.Fatal(err)
-		}
-	}
+	return keys
+}
+
+func TestPruneAgeBound(t *testing.T) {
+	cc := openCache(t, t.TempDir())
+	keys := pruneKeys("prune-age", 8)
+	// Two segments; the first was last written two hours ago.
+	putSegment(t, cc, keys, keys[:4], 0, 2*time.Hour)
+	putSegment(t, cc, keys, keys[4:], 0, 0)
 	st, err := cc.Prune(time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -40,48 +64,36 @@ func TestPruneAgeBound(t *testing.T) {
 	if st.RemovedAge != 4 || st.Scanned != 8 {
 		t.Fatalf("prune stats %+v, want 4 of 8 removed by age", st)
 	}
-	for i, k := range keys {
-		var v pruneProbe
-		got := cc.Get(k, &v)
-		if want := i >= 4; got != want {
-			t.Fatalf("key %d: present=%v, want %v", i, got, want)
+	for _, h := range []*CellCache{cc, openCache(t, cc.Dir())} {
+		for i, k := range keys {
+			var v pruneProbe
+			got := h.Get(k, &v)
+			if want := i >= 4; got != want || got && v.ID != i {
+				t.Fatalf("key %d: present=%v (%+v), want %v", i, got, v, want)
+			}
 		}
 	}
 }
 
 func TestPruneSizeBoundEvictsOldestFirst(t *testing.T) {
-	cc, err := NewCellCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cc := openCache(t, t.TempDir())
 	const n = 6
-	keys := make([]string, n)
-	var entryBytes int64
+	keys := pruneKeys("prune-size", n)
+	var segBytes int64
 	for i := range keys {
-		keys[i] = CacheKey("prune-size", fmt.Sprint(i))
-		if err := cc.Put(keys[i], &pruneProbe{ID: i, Pad: make([]int, 64)}); err != nil {
-			t.Fatal(err)
-		}
-		// Deterministic age order: entry i is (n-i) hours old.
-		mt := time.Now().Add(-time.Duration(n-i) * time.Hour)
-		if err := os.Chtimes(cc.path(keys[i]), mt, mt); err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			info, err := os.Stat(cc.path(keys[i]))
-			if err != nil {
-				t.Fatal(err)
-			}
-			entryBytes = info.Size()
-		}
+		// Deterministic age order: segment i is (n-i) hours old.
+		segBytes = putSegment(t, cc, keys, keys[i:i+1], 64, time.Duration(n-i)*time.Hour)
 	}
-	// Budget for three entries: the three oldest must go.
-	st, err := cc.Prune(0, 3*entryBytes+entryBytes/2)
+	// Budget for three segments: the three oldest must go.
+	st, err := cc.Prune(0, 3*segBytes+segBytes/2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.RemovedSize != 3 {
-		t.Fatalf("prune stats %+v, want 3 removed by size", st)
+	if st.RemovedSize != 3 || st.KeptBytes != 3*segBytes {
+		t.Fatalf("prune stats %+v, want 3 removed by size and %d bytes kept", st, 3*segBytes)
+	}
+	if cs := cc.Stats(); cs.Segments != 3 || cs.Bytes != 3*segBytes || cs.Records != 3 {
+		t.Fatalf("after the pass the handle reads %+v, want the three segments left", cs)
 	}
 	for i, k := range keys {
 		var v pruneProbe
@@ -92,39 +104,48 @@ func TestPruneSizeBoundEvictsOldestFirst(t *testing.T) {
 	}
 }
 
+// TestPruneRemovesStaleTempFiles: what the file-per-entry layout left in a
+// directory — entries, and the temp files of killed writers — is never
+// read again, so Prune removes and counts it; a directory that is not one
+// of that layout's (waved's sweep cache lives in one) is not touched.
 func TestPruneRemovesStaleTempFiles(t *testing.T) {
 	dir := t.TempDir()
-	cc, err := NewCellCache(dir)
-	if err != nil {
-		t.Fatal(err)
+	key := CacheKey("old-layout")
+	old := []string{
+		filepath.Join(dir, "ab", ".deadbeef.tmp-123"),
+		filepath.Join(dir, key[:2], key+".json"),
 	}
-	sub := filepath.Join(dir, "ab")
-	if err := os.MkdirAll(sub, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	stale := filepath.Join(sub, ".deadbeef.tmp-123")
-	fresh := filepath.Join(sub, ".cafebabe.tmp-456")
-	for _, p := range []string{stale, fresh} {
-		if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
+	for _, p := range old {
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(`{"key":"`+key+`","sum":"","payload":1}`), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	old := time.Now().Add(-2 * staleTempAge)
-	if err := os.Chtimes(stale, old, old); err != nil {
+	var v pruneProbe
+	cc := openCache(t, dir)
+	if cc.Get(key, &v) || cc.Corrupt() != 0 {
+		t.Fatalf("an old-layout entry was read (corrupt %d)", cc.Corrupt())
+	}
+	sweep := openCache(t, filepath.Join(dir, "corpus"))
+	if err := sweep.Put(key, &pruneProbe{ID: 1}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := cc.Prune(time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.RemovedTemp != 1 {
-		t.Fatalf("prune stats %+v, want exactly the stale temp file removed", st)
+	if st.RemovedTemp != 2 || st.Removed() != 0 {
+		t.Fatalf("prune stats %+v, want exactly the two old-layout files removed", st)
 	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Fatal("stale temp file survived prune")
+	for _, p := range old {
+		if _, err := os.Stat(filepath.Dir(p)); !os.IsNotExist(err) {
+			t.Errorf("%s survived prune", filepath.Dir(p))
+		}
 	}
-	if _, err := os.Stat(fresh); err != nil {
-		t.Fatal("fresh temp file (live writer) was removed")
+	if !openCache(t, sweep.Dir()).Get(key, &v) {
+		t.Error("prune of the outer cache reached into the nested one")
 	}
 }
 
@@ -132,11 +153,13 @@ func TestPruneRemovesStaleTempFiles(t *testing.T) {
 // pass racing Put and Get traffic (a long-lived waved process) must never
 // surface a torn entry — every Get either misses or returns a fully valid
 // payload, and the cache's corruption counter stays at zero.
+//
+// A pass seals the writers' active segment and unlinks it under them; every
+// other pass comes from a second handle on the directory, which unlinks
+// segments the first is still appending to and reading.
 func TestPruneConcurrentWithPutGet(t *testing.T) {
-	cc, err := NewCellCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cc := openCache(t, t.TempDir())
+	handles := [2]*CellCache{cc, openCache(t, cc.Dir())}
 	const (
 		writers = 4
 		keysPer = 32
@@ -168,18 +191,19 @@ func TestPruneConcurrentWithPutGet(t *testing.T) {
 	prunerWG.Add(1)
 	go func() {
 		defer prunerWG.Done()
-		for {
+		for pass := 0; ; pass++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
 			// Alternate aggressive size-bound and age-bound passes.
-			if _, err := cc.Prune(0, 1); err != nil {
+			h := handles[pass%2]
+			if _, err := h.Prune(0, 1); err != nil {
 				t.Errorf("prune: %v", err)
 				return
 			}
-			if _, err := cc.Prune(time.Nanosecond, 0); err != nil {
+			if _, err := h.Prune(time.Nanosecond, 0); err != nil {
 				t.Errorf("prune: %v", err)
 				return
 			}

@@ -24,12 +24,14 @@ type CorpusOptions struct {
 	Seed int64
 	// Shard/Shards select the 1-based shard k of n: this invocation
 	// computes only cells with index ≡ k-1 (mod n). Zero values mean
-	// "all cells". Distinct shard invocations sharing a CacheDir combine:
-	// aggregation always merges on read from the cache.
+	// "all cells". Distinct shard invocations sharing a cache directory
+	// combine: aggregation always merges on read from the cache.
 	Shard, Shards int
-	// CacheDir, when non-empty, persists each completed cell to the
-	// content-addressed CellCache rooted there.
-	CacheDir string
+	// Cache, when non-nil, persists each completed cell to that
+	// content-addressed store. The caller opens it — a handle indexes its
+	// directory when opened and sees other processes' cells as of then —
+	// and closes it; RunCorpus syncs it before returning.
+	Cache *CellCache
 	// Resume skips cells whose cached result validates; without it,
 	// in-shard cells are recomputed (and re-Put) even when cached.
 	Resume bool
@@ -71,7 +73,8 @@ type CorpusRun struct {
 	// Computed/Cached/Missing partition the corpus for this invocation;
 	// Mismatched counts cells where at least one engine disagreed.
 	Computed, Cached, Missing, Mismatched int
-	// CorruptEntries counts cache entries discarded and recomputed.
+	// CorruptEntries is the cache handle's Corrupt count after the sweep:
+	// records found unusable since it was opened, each one recomputed.
 	CorruptEntries int64
 }
 
@@ -109,7 +112,7 @@ func computeCorpusCell(spec testprogs.CorpusSpec, o CorpusOptions, engines []Eng
 
 // RunCorpus runs experiment E13: a seeded corpus of generated workload
 // families, each program executed across all ten engines, aggregated
-// into a per-family pass-rate and AIPC-distribution table. With CacheDir
+// into a per-family pass-rate and AIPC-distribution table. With Cache
 // set the sweep is resumable and shardable; the table is byte-identical
 // whether the corpus ran in one invocation, across shards, at any worker
 // count, or was merged on read from the cache.
@@ -125,13 +128,7 @@ func RunCorpus(o CorpusOptions) (*CorpusRun, error) {
 	if err := cmp.Or(o.Compile.Validate(), o.Machine.Validate()); err != nil {
 		return nil, err
 	}
-	var cache *CellCache
-	if o.CacheDir != "" {
-		var err error
-		if cache, err = NewCellCache(o.CacheDir); err != nil {
-			return nil, err
-		}
-	}
+	cache := o.Cache
 	inShard := func(i int) bool {
 		return o.Shards <= 0 || i%o.Shards == o.Shard-1
 	}
@@ -180,6 +177,11 @@ func RunCorpus(o CorpusOptions) (*CorpusRun, error) {
 		}
 		return nil
 	})
+	if cache != nil {
+		// The sweep's cells become durable together, here, not one fsync
+		// per cell — also when the sweep failed: what it stored is good.
+		err = cmp.Or(err, cache.Sync())
+	}
 	if err != nil {
 		return nil, err
 	}

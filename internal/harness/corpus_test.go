@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"wavescalar/internal/testprogs"
@@ -102,7 +100,7 @@ func TestCorpusShardMergeByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	for shard := 1; shard <= 2; shard++ {
 		o := corpusOptions(n, shard) // different worker counts per shard
-		o.CacheDir = dir
+		o.Cache = openCache(t, dir)  // one invocation, one handle
 		o.Shard, o.Shards = shard, 2
 		run, err := RunCorpus(o)
 		if err != nil {
@@ -124,7 +122,7 @@ func TestCorpusShardMergeByteIdentical(t *testing.T) {
 	}
 
 	o := corpusOptions(n, 3)
-	o.CacheDir = dir
+	o.Cache = openCache(t, dir)
 	o.Resume = true
 	resumed, err := RunCorpus(o)
 	if err != nil {
@@ -149,7 +147,7 @@ func TestCorpusResumeRecomputesCorrupt(t *testing.T) {
 	const n = 10
 	dir := t.TempDir()
 	o := corpusOptions(n, 0)
-	o.CacheDir = dir
+	o.Cache = openCache(t, dir)
 	first, err := RunCorpus(o)
 	if err != nil {
 		t.Fatal(err)
@@ -158,18 +156,11 @@ func TestCorpusResumeRecomputesCorrupt(t *testing.T) {
 		t.Fatalf("first run computed %d, want %d", first.Computed, n)
 	}
 
-	// Truncate one entry on disk.
+	// Truncate one entry on disk: its record keeps its first third.
 	spec := testprogs.CorpusSpecs(n, o.Seed)[3]
-	key := corpusCellKey(spec, o)
-	path := filepath.Join(dir, key[:2], key+".json")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)/3], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	rewriteRecord(t, o.Cache, corpusCellKey(spec, o), func(line []byte) []byte { return line[:len(line)/3] })
 
+	o.Cache = openCache(t, dir)
 	o.Resume = true
 	resumed, err := RunCorpus(o)
 	if err != nil {
@@ -186,6 +177,7 @@ func TestCorpusResumeRecomputesCorrupt(t *testing.T) {
 		t.Errorf("table changed after corrupt-entry recompute")
 	}
 	// The recomputed Put healed the slot: a further resume is all-cached.
+	o.Cache = openCache(t, dir)
 	healed, err := RunCorpus(o)
 	if err != nil {
 		t.Fatal(err)

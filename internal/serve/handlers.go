@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"path/filepath"
 	"time"
 
 	"wavescalar/internal/fault"
@@ -406,13 +405,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 
 		// Idempotency: a retried request replays its completed result from
-		// the content-addressed cache (or the write-behind store in front
-		// of it) instead of re-simulating. A torn or corrupt entry reads as
-		// a miss and is recomputed.
+		// the content-addressed cache instead of re-simulating. A torn or
+		// corrupt entry reads as a miss and is recomputed.
 		key := j.cacheKey()
-		if s.results != nil {
+		if s.cache != nil {
 			var res SimResult
-			if s.results.get(key, &res) {
+			if s.cache.Get(key, &res) {
 				return &SimulateResponse{
 					Workload:  j.name,
 					Engines:   harness.EngineSetVersion,
@@ -430,8 +428,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.ElapsedMS = millis(time.Since(t0))
 		resp.QueueMS = millis(queued)
-		if s.results != nil {
-			s.results.put(key, resp.Result)
+		if s.cache != nil {
+			// Before the response: the replay a client sends the moment it
+			// has this answer must hit.
+			if err := s.cache.Put(key, resp.Result); err != nil {
+				s.logf("simulate: idempotency cache put: %v", err)
+			}
 		}
 		return resp, false, nil
 	})
@@ -573,9 +575,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		co.Compile.Ctx = ctx
 		co.Machine.Ctx = ctx
 		co.Machine.Workers = s.cfg.SweepWorkers
-		if s.cfg.CacheDir != "" {
-			co.CacheDir = filepath.Join(s.cfg.CacheDir, "corpus")
-		}
+		co.Cache = s.corpus
 		run, err := harness.RunCorpus(co)
 		if err != nil {
 			return nil, false, s.classifyRunError(ctx, err)
@@ -595,19 +595,25 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "json" {
+		caches := map[string]harness.CacheStats{}
+		for _, c := range s.caches() {
+			caches[c.name] = c.cc.Stats()
+		}
 		writeJSON(w, http.StatusOK, struct {
-			Draining     bool             `json:"draining"`
-			UptimeSec    float64          `json:"uptime_sec"`
-			Queued       int64            `json:"queued"`
-			CompiledWarm int              `json:"compiled_warm"`
-			CompiledHits uint64           `json:"compiled_hits"`
-			Tenants      []TenantSnapshot `json:"tenants"`
+			Draining     bool                          `json:"draining"`
+			UptimeSec    float64                       `json:"uptime_sec"`
+			Queued       int64                         `json:"queued"`
+			CompiledWarm int                           `json:"compiled_warm"`
+			CompiledHits uint64                        `json:"compiled_hits"`
+			Cache        map[string]harness.CacheStats `json:"cache,omitempty"`
+			Tenants      []TenantSnapshot              `json:"tenants"`
 		}{
 			Draining:     s.Draining(),
 			UptimeSec:    time.Since(s.start).Seconds(),
 			Queued:       s.queued.Load(),
 			CompiledWarm: s.compiled.Len(),
 			CompiledHits: s.compiled.Hits(),
+			Cache:        caches,
 			Tenants:      s.Snapshot(),
 		})
 		return

@@ -20,19 +20,17 @@
 //     land in the PR 6 content-addressed CellCache keyed by everything
 //     that determines them, so a retried request replays its result
 //     instead of re-simulating (and a torn cache entry is recomputed,
-//     never trusted). A /v1/simulate result is visible to replays the
-//     moment its response is sent and durable shortly after: a
-//     write-behind store (writebehind.go) does the file creation, fsync
-//     and rename off the request's critical path, and Drain flushes it.
-//     A crash loses at most that store's queue, which costs nothing but
-//     time — a result is a pure function of its key, so the retried
-//     request re-simulates to the byte-identical body. /v1/sweep cells
-//     are written before the sweep moves on, because resuming depends on
-//     them.
+//     never trusted). /v1/simulate and /v1/sweep store through the same
+//     CellCache.Put under its one durability rule: a result is replayable,
+//     and safe against the process being killed, once its append has
+//     returned — before the response is sent — and durable against a
+//     machine crash once its log segment is synced (when it fills, and in
+//     Drain). A crash loses at most an unsynced tail, which costs nothing
+//     but time — a result is a pure function of its key, so the retried
+//     request re-simulates to the byte-identical body.
 //   - Graceful degradation: drain (SIGTERM in waved) stops admissions
 //     with 503s, lets in-flight work finish within a budget, cancels
-//     whatever remains, makes every accepted result durable, and flushes
-//     metrics.
+//     whatever remains, syncs both caches, and flushes metrics.
 //
 // Warm paths: simulation arenas come from the harness's sync.Pool (a
 // request pays the simulator's allocations only on pool misses), and
@@ -45,6 +43,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -144,8 +143,8 @@ type Server struct {
 	drainCancel context.CancelFunc
 
 	compiled *compileCache
-	cache    *harness.CellCache // idempotency store; nil when disabled
-	results  *resultStore       // write-behind front of cache for /v1/simulate; nil with it
+	cache    *harness.CellCache // /v1/simulate idempotency store; nil when disabled
+	corpus   *harness.CellCache // /v1/sweep cell store under CacheDir/corpus; nil with it
 	agg      *trace.Aggregate   // simulation trace counters across all served runs
 
 	janitorStop chan struct{}
@@ -195,15 +194,29 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.drainCtx, s.drainCancel = context.WithCancel(context.Background())
 	if cfg.CacheDir != "" {
-		cc, err := harness.NewCellCache(cfg.CacheDir)
-		if err != nil {
+		// Opened once, here: an open indexes the directory.
+		var err error
+		if s.cache, err = harness.NewCellCache(cfg.CacheDir); err != nil {
 			return nil, err
 		}
-		s.cache = cc
-		s.results = newResultStore(cc, writeBehindDepth, s.logf)
-		go s.results.run() // until Drain
+		if s.corpus, err = harness.NewCellCache(filepath.Join(cfg.CacheDir, "corpus")); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
+}
+
+// caches lists the open result stores by the name /v1/stats gives them.
+func (s *Server) caches() []namedCache {
+	if s.cache == nil {
+		return nil
+	}
+	return []namedCache{{"simulate", s.cache}, {"sweep", s.corpus}}
+}
+
+type namedCache struct {
+	name string
+	cc   *harness.CellCache
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -252,20 +265,19 @@ func (s *Server) Draining() bool {
 // work to finish, then cancel whatever remains — each running simulation
 // aborts at its next cancellation poll — and wait DrainGrace for handlers
 // to unwind. It returns nil when all in-flight work has finished; callers
-// flush metrics afterwards. Whichever way it returns, the results the
-// write-behind store accepted are durable by then and its writer has
-// stopped, so a successor on the same CacheDir replays them (and a caller
-// may remove the directory). Drain is idempotent.
+// flush metrics afterwards. Whichever way it returns, every result stored
+// by then has been synced and the caches' descriptors are released, so a
+// successor on the same CacheDir replays them (and a caller may remove the
+// directory). Drain is idempotent.
 func (s *Server) Drain(budget time.Duration) error {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
 	s.StopJanitor()
-	if s.results != nil {
-		// Deferred so it follows the handlers that were still running: a
-		// handler that outlives even the grace period writes its own result.
-		defer s.results.close()
-	}
+	// Deferred so it follows the handlers that were still running; one
+	// that outlives even the grace period still stores its result, in a
+	// segment of its own that nothing syncs.
+	defer s.closeCaches()
 
 	done := make(chan struct{})
 	go func() { s.inflight.Wait(); close(done) }()
@@ -289,8 +301,21 @@ func (s *Server) Drain(budget time.Duration) error {
 	}
 }
 
-// StartJanitor runs the housekeeping loop: every interval it prunes the
-// idempotency cache to the given bounds (skipped when no cache or no
+// closeCaches syncs and closes both result stores and logs what that cost.
+func (s *Server) closeCaches() {
+	for _, c := range s.caches() {
+		st, t0 := c.cc.Stats(), time.Now()
+		if err := c.cc.Close(); err != nil {
+			s.logf("drain: %s cache: %v", c.name, err)
+		} else if st.UnsyncedRecords > 0 {
+			s.logf("drain: %s cache: synced %d records (%s) in %v", c.name,
+				st.UnsyncedRecords, harness.FormatBytes(st.UnsyncedBytes), time.Since(t0).Round(time.Microsecond))
+		}
+	}
+}
+
+// StartJanitor runs the housekeeping loop: every interval it prunes both
+// result caches to the given bounds (skipped when no cache or no
 // bounds) and forgets tenants idle longer than idleTenant. Call once;
 // StopJanitor (or Drain) ends it.
 func (s *Server) StartJanitor(interval time.Duration, pruneAge time.Duration, pruneBytes int64, idleTenant time.Duration) {
@@ -303,11 +328,13 @@ func (s *Server) StartJanitor(interval time.Duration, pruneAge time.Duration, pr
 				return
 			case <-t.C:
 			}
-			if s.cache != nil && (pruneAge > 0 || pruneBytes > 0) {
-				if st, err := s.cache.Prune(pruneAge, pruneBytes); err != nil {
-					s.logf("janitor: cache prune: %v", err)
-				} else if st.Removed() > 0 || st.RemovedTemp > 0 {
-					s.logf("janitor: cache prune: %s", st)
+			if pruneAge > 0 || pruneBytes > 0 {
+				for _, c := range s.caches() {
+					if st, err := c.cc.Prune(pruneAge, pruneBytes); err != nil {
+						s.logf("janitor: %s cache prune: %v", c.name, err)
+					} else if st.Removed() > 0 || st.RemovedTemp > 0 {
+						s.logf("janitor: %s cache prune: %s", c.name, st)
+					}
 				}
 			}
 			if idleTenant > 0 {
@@ -390,6 +417,16 @@ func (s *Server) renderStatsText() string {
 		int64(s.cfg.MaxQueue+s.cfg.MaxConcurrent))
 	b.WriteString(s.StatsTable().Render())
 	b.WriteString("\n")
+	if cs := s.caches(); cs != nil {
+		t := stats.NewTable("waved result caches",
+			"cache", "records", "segments", "bytes", "gets", "hits", "puts", "corrupt", "unsynced-bytes")
+		for _, c := range cs {
+			st := c.cc.Stats()
+			t.AddRow(c.name, st.Records, st.Segments, st.Bytes, st.Gets, st.Hits, st.Puts, st.Corrupt, st.UnsyncedBytes)
+		}
+		b.WriteString(t.Render())
+		b.WriteString("\n")
+	}
 	if s.agg.Runs() > 0 {
 		b.WriteString(s.agg.Summary("WaveCache trace metrics (all served runs)").Render())
 		b.WriteString("\n")

@@ -60,9 +60,8 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *Client) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	// Drain stops the write-behind writer, and it must have stopped before
-	// a CacheDir from t.TempDir() (registered earlier, so removed later) is
-	// deleted: a late rename would race the RemoveAll.
+	// Drain closes the caches' segments, before a CacheDir from t.TempDir()
+	// (registered earlier, so removed later) is deleted.
 	t.Cleanup(func() {
 		ts.Close()
 		if err := s.Drain(5 * time.Second); err != nil {

@@ -271,12 +271,12 @@ func TestSoak(t *testing.T) {
 	for end := time.Now().Add(60 * time.Second); ; {
 		runtime.GC()
 		now = runtime.NumGoroutine()
-		if now <= baseline+3 || time.Now().After(end) {
+		if now <= baseline+2 || time.Now().After(end) {
 			break
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	if now > baseline+3 {
+	if now > baseline+2 {
 		buf := make([]byte, 1<<20)
 		t.Errorf("goroutine leak: %d at start, %d after soak\n%s",
 			baseline, now, buf[:runtime.Stack(buf, true)])
