@@ -84,8 +84,9 @@ CORPUSFLAGS ?=
 corpus:
 	$(GO) run ./cmd/waveexp -corpus $(CORPUS) -corpus-seed 1 $(CORPUSFLAGS)
 
-# bench regenerates the reduced-configuration experiment benchmarks,
-# including the harness worker-pool wall-clock comparison
+# bench regenerates every experiment table on the reduced configuration
+# (BenchmarkExperiment/<ID>, one sub-benchmark per harness.Experiments
+# entry) and the harness worker-pool wall-clock comparison
 # (BenchmarkHarnessCells{Sequential,Parallel}).
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

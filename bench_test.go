@@ -1,9 +1,9 @@
 package wavescalar
 
-// This file holds the benchmark harness entry points: one testing.B
-// benchmark per reconstructed table/figure of the MICRO 2003 evaluation
-// and its follow-ups (experiments E1–E15 and M1; see DESIGN.md for the index
-// and EXPERIMENTS.md for the recorded results). Each benchmark regenerates
+// This file holds the benchmark harness entry points: BenchmarkExperiment
+// has one sub-benchmark per reconstructed table/figure of the MICRO 2003
+// evaluation and its follow-ups (experiments E1–E15 and M1; see DESIGN.md for
+// the index and EXPERIMENTS.md for the recorded results). Each regenerates
 // its table on a reduced configuration (three kernels, 2x2 cluster grid) so
 // `go test -bench=.` terminates in minutes; the full-suite tables are
 // produced by `go run ./cmd/waveexp`. The set includes ammp because it is
@@ -45,89 +45,12 @@ func benchMachine(b *testing.B) harness.MachineOptions {
 	return m
 }
 
-// runExperiment executes one experiment table per benchmark iteration and
-// reports the headline cell as a custom metric where meaningful.
-func runExperiment(b *testing.B, id string) {
+// runExperiment regenerates one experiment's table per benchmark iteration
+// on workers goroutines (0 = one per CPU; the table is identical either way
+// — see harness.MachineOptions.Workers).
+func runExperiment(b *testing.B, e harness.Experiment, workers int) {
 	b.Helper()
 	set := benchSuite(b)
-	e := harness.ExperimentByID(id)
-	if e == nil {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	m := benchMachine(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(set, m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE1_SpeedupVsSuperscalar regenerates the headline comparison:
-// WaveCache vs. out-of-order superscalar vs. ideal dataflow.
-func BenchmarkE1_SpeedupVsSuperscalar(b *testing.B) { runExperiment(b, "E1") }
-
-// BenchmarkE1b_MemoryPressure regenerates the memory-regime sweep — the
-// most memory-bound table.
-func BenchmarkE1b_MemoryPressure(b *testing.B) { runExperiment(b, "E1b") }
-
-// BenchmarkE2_PECapacity regenerates the PE instruction-store capacity
-// sweep (swap thrashing at small stores).
-func BenchmarkE2_PECapacity(b *testing.B) { runExperiment(b, "E2") }
-
-// BenchmarkE3_GridSize regenerates the cluster-grid scaling sweep.
-func BenchmarkE3_GridSize(b *testing.B) { runExperiment(b, "E3") }
-
-// BenchmarkE4_MemoryOrdering regenerates the wave-ordered vs. serialized
-// vs. oracle memory comparison — the paper's central claim.
-func BenchmarkE4_MemoryOrdering(b *testing.B) { runExperiment(b, "E4") }
-
-// BenchmarkE5_OperandLatency regenerates the operand-network latency
-// sensitivity sweep.
-func BenchmarkE5_OperandLatency(b *testing.B) { runExperiment(b, "E5") }
-
-// BenchmarkE6_InputQueue regenerates the PE input-queue capacity sweep.
-func BenchmarkE6_InputQueue(b *testing.B) { runExperiment(b, "E6") }
-
-// BenchmarkE7_CacheSize regenerates the L1 size / coherence traffic sweep.
-func BenchmarkE7_CacheSize(b *testing.B) { runExperiment(b, "E7") }
-
-// BenchmarkE8_Placement regenerates the placement-algorithm comparison.
-func BenchmarkE8_Placement(b *testing.B) { runExperiment(b, "E8") }
-
-// BenchmarkE9_SteerVsSelect regenerates the steer (φ⁻¹) vs. select (φ)
-// control ablation.
-func BenchmarkE9_SteerVsSelect(b *testing.B) { runExperiment(b, "E9") }
-
-// BenchmarkE10_SwapCost regenerates the instruction swap-penalty sweep.
-func BenchmarkE10_SwapCost(b *testing.B) { runExperiment(b, "E10") }
-
-// BenchmarkE11_Unrolling regenerates the loop-unrolling ablation.
-func BenchmarkE11_Unrolling(b *testing.B) { runExperiment(b, "E11") }
-
-// BenchmarkE12_FaultInjection regenerates the fault-injection sweep
-// (defect maps, message loss, recovery costs).
-func BenchmarkE12_FaultInjection(b *testing.B) { runExperiment(b, "E12") }
-
-// BenchmarkE14_OptFeedback regenerates the optimizer-tier x placement
-// feedback matrix; it compiles both tiers internally.
-func BenchmarkE14_OptFeedback(b *testing.B) { runExperiment(b, "E14") }
-
-// BenchmarkE15_SpecScope regenerates the speculation-scope sweep. Like
-// E4 it sets its memory modes per cell.
-func BenchmarkE15_SpecScope(b *testing.B) { runExperiment(b, "E15") }
-
-// benchExperimentWorkers reports the harness wall-clock for one
-// experiment at a fixed worker count; comparing the Sequential and
-// Parallel variants below shows the speedup of the cell pool (identical
-// tables either way — see harness.MachineOptions.Workers).
-func benchExperimentWorkers(b *testing.B, id string, workers int) {
-	b.Helper()
-	set := benchSuite(b)
-	e := harness.ExperimentByID(id)
-	if e == nil {
-		b.Fatalf("unknown experiment %s", id)
-	}
 	m := benchMachine(b)
 	m.Workers = workers
 	b.ResetTimer()
@@ -138,11 +61,25 @@ func benchExperimentWorkers(b *testing.B, id string, workers int) {
 	}
 }
 
+// BenchmarkExperiment has one sub-benchmark per table, named by its ID
+// (`-bench 'Experiment/E4$'`); harness.Experiments says what each one
+// reproduces. E14 compiles both optimizer tiers internally.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range harness.Experiments {
+		b.Run(e.ID, func(b *testing.B) { runExperiment(b, e, 0) })
+	}
+}
+
 // BenchmarkHarnessCellsSequential runs E1's simulation cells on one
 // worker goroutine; BenchmarkHarnessCellsParallel fans the same cells
-// across one worker per CPU.
-func BenchmarkHarnessCellsSequential(b *testing.B) { benchExperimentWorkers(b, "E1", 1) }
-func BenchmarkHarnessCellsParallel(b *testing.B)   { benchExperimentWorkers(b, "E1", 0) }
+// across one worker per CPU, which shows the speedup of the cell pool.
+func BenchmarkHarnessCellsSequential(b *testing.B) {
+	runExperiment(b, *harness.ExperimentByID("E1"), 1)
+}
+
+func BenchmarkHarnessCellsParallel(b *testing.B) {
+	runExperiment(b, *harness.ExperimentByID("E1"), 0)
+}
 
 // BenchmarkSuiteCompileSequential / Parallel measure whole-suite
 // compilation at one worker vs one per CPU.

@@ -123,6 +123,13 @@ func main() {
 		fatal(fmt.Errorf("-shard/-resume/-cache-dir apply only to -corpus sweeps"))
 	}
 
+	// Every ID is resolved before anything is compiled: a misspelt one must
+	// not cost a suite compile and the experiments named before it.
+	run, err := pickExperiments(*exps)
+	if err != nil {
+		fatal(err)
+	}
+
 	var names []string
 	if *benches != "" {
 		names = strings.Split(*benches, ",")
@@ -158,26 +165,8 @@ func main() {
 		fatal(fmt.Errorf("-grid: %v", err))
 	}
 
-	if *exps == "" {
-		if err := harness.RunAll(set, m, out); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, id := range strings.Split(*exps, ",") {
-			e := harness.ExperimentByID(strings.TrimSpace(id))
-			if e == nil {
-				fatal(fmt.Errorf("unknown experiment %q", id))
-			}
-			fmt.Fprintf(out, "\n## %s — %s\n\nPaper claim: %s\n\n", e.ID, e.Title, e.Claim)
-			t0 := time.Now()
-			tbl, err := e.Run(set, m)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Fprintln(out, tbl.Render())
-			harness.WriteMetrics(e.ID, m, out)
-			fmt.Fprintf(out, "(%s in %v)\n", e.ID, time.Since(t0).Round(time.Millisecond))
-		}
+	if err := harness.RunAll(run, set, m, out); err != nil {
+		fatal(err)
 	}
 	fmt.Fprintf(out, "\ntotal time: %v\n", time.Since(start).Round(time.Millisecond))
 	if err := commit(); err != nil {
@@ -257,6 +246,29 @@ func openOut(path string) (io.Writer, func() error, error) {
 		return nil
 	}
 	return io.MultiWriter(os.Stdout, tmp), commit, nil
+}
+
+// pickExperiments resolves -experiments, a comma-separated list of IDs
+// (spaces around one are ignored), against harness.Experiments; the empty
+// spec is all of them.
+func pickExperiments(spec string) ([]harness.Experiment, error) {
+	if spec == "" {
+		return harness.Experiments, nil
+	}
+	var run []harness.Experiment
+	for _, id := range strings.Split(spec, ",") {
+		id = strings.TrimSpace(id)
+		e := harness.ExperimentByID(id)
+		if e == nil {
+			var known []string
+			for _, k := range harness.Experiments {
+				known = append(known, k.ID)
+			}
+			return nil, fmt.Errorf("unknown experiment %q (known: %s)", id, strings.Join(known, ", "))
+		}
+		run = append(run, *e)
+	}
+	return run, nil
 }
 
 func pick(names []string) []string {

@@ -4,7 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"wavescalar/internal/parallel"
 	"wavescalar/internal/stats"
@@ -251,9 +251,9 @@ func corpusTable(o CorpusOptions, cells []*CorpusCell) *stats.Table {
 		if judged := a.pass + a.fail; judged > 0 {
 			rate = float64(a.pass) / float64(judged)
 		}
+		lo, median, hi := spread(a.aipcs)
 		t.AddRow(name, a.total, a.pass, a.fail, a.missing, rate,
-			minOf(a.aipcs), stats.GeoMean(a.aipcs), medianOf(a.aipcs), maxOf(a.aipcs),
-			stats.GeoMean(a.usefuls))
+			lo, stats.GeoMean(a.aipcs), median, hi, stats.GeoMean(a.usefuls))
 	}
 	for _, f := range fams {
 		row(f, byFamily[f])
@@ -264,42 +264,16 @@ func corpusTable(o CorpusOptions, cells []*CorpusCell) *stats.Table {
 	return t
 }
 
-func minOf(xs []float64) float64 {
+// spread is the minimum, median and maximum of xs — NaN, like
+// stats.GeoMean, for a family with no passing cell.
+func spread(xs []float64) (lo, median, hi float64) {
 	if len(xs) == 0 {
-		return math.NaN()
+		return math.NaN(), math.NaN(), math.NaN()
 	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-func maxOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-func medianOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s)%2 == 1 {
-		return s[len(s)/2]
-	}
-	return (s[len(s)/2-1] + s[len(s)/2]) / 2
+	s := slices.Sorted(slices.Values(xs))
+	n := len(s)
+	// Odd n averages the middle element with itself, which is exact.
+	return s[0], (s[(n-1)/2] + s[n/2]) / 2, s[n-1]
 }
 
 // DefaultCorpusMachine is the corpus sweep's machine: the tuned kernel

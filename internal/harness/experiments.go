@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
 
 	"wavescalar/internal/ooo"
 	"wavescalar/internal/placement"
@@ -160,98 +161,51 @@ func runE1(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 }
 
 func runE2(set []*Compiled, m MachineOptions) (*stats.Table, error) {
-	caps := []int{4, 8, 16, 32, 64}
-	headers := []string{"bench"}
-	for _, c := range caps {
-		headers = append(headers, fmt.Sprintf("aipc@%d", c), fmt.Sprintf("swaps@%d", c))
+	var points []point
+	for _, capacity := range []int{4, 8, 16, 32, 64} {
+		points = append(points, point{label: strconv.Itoa(capacity), opt: func(o *MachineOptions) {
+			o.GridW, o.GridH = 1, 1
+			o.Density, o.PEStore = capacity, capacity
+		}})
 	}
-	t := stats.NewTable("E2: AIPC and swaps vs. PE instruction-store capacity (1x1 grid)", headers...)
-	grid := make([]wavecache.Result, len(set)*len(caps))
-	cells := newCellSet(m)
-	for bi, c := range set {
-		for ci, capacity := range caps {
-			opt := m
-			opt.GridW, opt.GridH = 1, 1
-			opt.Density, opt.PEStore = capacity, capacity
-			cells.wave(c, c.Wave, opt, &grid[bi*len(caps)+ci])
-		}
-	}
-	if err := cells.run(); err != nil {
-		return nil, err
-	}
-	for bi, c := range set {
-		row := []any{c.Name}
-		for ci := range caps {
-			res := &grid[bi*len(caps)+ci]
-			row = append(row, AIPC(c.UsefulInstrs, res.Cycles), res.Swaps)
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	return sweepTable("E2: AIPC and swaps vs. PE instruction-store capacity (1x1 grid)",
+		columns(points, "aipc@", "swaps@"), set, m, points,
+		func(c *Compiled, res []wavecache.Result) []any {
+			var row []any
+			for i := range res {
+				row = append(row, AIPC(c.UsefulInstrs, res[i].Cycles), res[i].Swaps)
+			}
+			return row
+		})
 }
 
 func runE3(set []*Compiled, m MachineOptions) (*stats.Table, error) {
-	grids := [][2]int{{1, 1}, {2, 2}, {4, 4}, {8, 8}}
-	headers := []string{"bench"}
-	for _, g := range grids {
-		headers = append(headers, fmt.Sprintf("aipc@%dx%d", g[0], g[1]))
+	var points []point
+	for _, g := range [][2]int{{1, 1}, {2, 2}, {4, 4}, {8, 8}} {
+		points = append(points, point{label: fmt.Sprintf("%dx%d", g[0], g[1]),
+			opt: func(o *MachineOptions) { o.GridW, o.GridH = g[0], g[1] }})
 	}
-	t := stats.NewTable("E3: AIPC vs. cluster grid size", headers...)
-	grid := make([]wavecache.Result, len(set)*len(grids))
-	cells := newCellSet(m)
-	for bi, c := range set {
-		for gi, g := range grids {
-			opt := m
-			opt.GridW, opt.GridH = g[0], g[1]
-			cells.wave(c, c.Wave, opt, &grid[bi*len(grids)+gi])
-		}
-	}
-	if err := cells.run(); err != nil {
-		return nil, err
-	}
-	for bi, c := range set {
-		row := []any{c.Name}
-		for gi := range grids {
-			row = append(row, AIPC(c.UsefulInstrs, grid[bi*len(grids)+gi].Cycles))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	return sweepTable("E3: AIPC vs. cluster grid size", columns(points, "aipc@"), set, m, points, aipcs)
 }
 
 func runE4(set []*Compiled, m MachineOptions) (*stats.Table, error) {
-	t := stats.NewTable("E4: AIPC by memory ordering strategy",
-		"bench", "serialized", "wave-ordered", "speculative", "oracle",
-		"ordered/serial", "spec/ordered", "oracle/spec")
-	modes := []wavecache.MemoryMode{wavecache.MemSerial, wavecache.MemOrdered, wavecache.MemSpec, wavecache.MemIdeal}
-	grid := make([]wavecache.Result, len(set)*len(modes))
-	cells := newCellSet(m)
-	for bi, c := range set {
-		for mi, mode := range modes {
-			opt := m
-			opt.MemMode = mode
-			cells.wave(c, c.Wave, opt, &grid[bi*len(modes)+mi])
-		}
-	}
-	if err := cells.run(); err != nil {
-		return nil, err
+	var points []point
+	for _, mode := range []wavecache.MemoryMode{wavecache.MemSerial, wavecache.MemOrdered, wavecache.MemSpec, wavecache.MemIdeal} {
+		points = append(points, point{label: mode.String(), opt: func(o *MachineOptions) { o.MemMode = mode }})
 	}
 	var ordSer, specOrd []float64
-	for bi, c := range set {
-		r := grid[bi*len(modes) : (bi+1)*len(modes)]
-		serial, ordered, spec, oracle := r[0].Cycles, r[1].Cycles, r[2].Cycles, r[3].Cycles
-		rs := float64(serial) / float64(ordered)
-		ro := float64(ordered) / float64(spec)
-		ordSer = append(ordSer, rs)
-		specOrd = append(specOrd, ro)
-		t.AddRow(c.Name,
-			AIPC(c.UsefulInstrs, serial),
-			AIPC(c.UsefulInstrs, ordered),
-			AIPC(c.UsefulInstrs, spec),
-			AIPC(c.UsefulInstrs, oracle),
-			rs,
-			ro,
-			float64(spec)/float64(oracle))
+	t, err := sweepTable("E4: AIPC by memory ordering strategy",
+		[]string{"serialized", "wave-ordered", "speculative", "oracle", "ordered/serial", "spec/ordered", "oracle/spec"},
+		set, m, points, func(c *Compiled, r []wavecache.Result) []any {
+			serial, ordered, spec, oracle := r[0].Cycles, r[1].Cycles, r[2].Cycles, r[3].Cycles
+			rs := float64(serial) / float64(ordered)
+			ro := float64(ordered) / float64(spec)
+			ordSer = append(ordSer, rs)
+			specOrd = append(specOrd, ro)
+			return append(aipcs(c, r), rs, ro, float64(spec)/float64(oracle))
+		})
+	if err != nil {
+		return nil, err
 	}
 	t.Note = fmt.Sprintf("geomean speedup: wave-ordered over serialized %.2fx, speculative over wave-ordered %.2fx",
 		stats.GeoMean(ordSer), stats.GeoMean(specOrd))
@@ -259,205 +213,106 @@ func runE4(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 }
 
 func runE5(set []*Compiled, m MachineOptions) (*stats.Table, error) {
-	scales := []int64{0, 1, 2, 4}
-	headers := []string{"bench"}
-	for _, s := range scales {
-		headers = append(headers, fmt.Sprintf("aipc@x%d", s))
+	var points []point
+	for _, s := range []int64{0, 1, 2, 4} {
+		points = append(points, point{label: fmt.Sprintf("x%d", s), edit: func(cfg *wavecache.Config) {
+			cfg.Net.IntraPod *= s
+			cfg.Net.IntraDomain *= s
+			cfg.Net.IntraCluster *= s
+			cfg.Net.InterClusterBase *= s
+			cfg.Net.LinkLatency *= s
+		}})
 	}
-	t := stats.NewTable("E5: AIPC vs. operand-network latency scale", headers...)
-	grid := make([]wavecache.Result, len(set)*len(scales))
-	cells := newCellSet(m)
-	for bi, c := range set {
-		for si, s := range scales {
-			cells.wave(c, c.Wave, m, &grid[bi*len(scales)+si], func(cfg *wavecache.Config) {
-				cfg.Net.IntraPod *= s
-				cfg.Net.IntraDomain *= s
-				cfg.Net.IntraCluster *= s
-				cfg.Net.InterClusterBase *= s
-				cfg.Net.LinkLatency *= s
-			})
-		}
-	}
-	if err := cells.run(); err != nil {
-		return nil, err
-	}
-	for bi, c := range set {
-		row := []any{c.Name}
-		for si := range scales {
-			row = append(row, AIPC(c.UsefulInstrs, grid[bi*len(scales)+si].Cycles))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	return sweepTable("E5: AIPC vs. operand-network latency scale", columns(points, "aipc@"), set, m, points, aipcs)
 }
 
 func runE6(set []*Compiled, m MachineOptions) (*stats.Table, error) {
-	queues := []int{4, 16, 64, 256, 1 << 30}
-	headers := []string{"bench"}
-	for _, q := range queues {
-		label := fmt.Sprintf("%d", q)
-		if q == 1<<30 {
+	var points []point
+	for _, q := range []int{4, 16, 64, 256, maxCount} {
+		label := strconv.Itoa(q)
+		if q == maxCount {
 			label = "inf"
 		}
-		headers = append(headers, "aipc@"+label)
+		points = append(points, point{label: label, opt: func(o *MachineOptions) { o.InputQueue = q }})
 	}
-	headers = append(headers, "spills@16")
-	t := stats.NewTable("E6: AIPC vs. PE input-queue capacity", headers...)
-	grid := make([]wavecache.Result, len(set)*len(queues))
-	cells := newCellSet(m)
-	for bi, c := range set {
-		for qi, q := range queues {
-			opt := m
-			opt.InputQueue = q
-			cells.wave(c, c.Wave, opt, &grid[bi*len(queues)+qi])
-		}
-	}
-	if err := cells.run(); err != nil {
-		return nil, err
-	}
-	for bi, c := range set {
-		row := []any{c.Name}
-		var spills16 uint64
-		for qi, q := range queues {
-			res := &grid[bi*len(queues)+qi]
-			if q == 16 {
-				spills16 = res.Overflows
-			}
-			row = append(row, AIPC(c.UsefulInstrs, res.Cycles))
-		}
-		row = append(row, spills16)
-		t.AddRow(row...)
-	}
-	return t, nil
+	const spillsAt = 1 // the 16-entry queue's point
+	return sweepTable("E6: AIPC vs. PE input-queue capacity",
+		append(columns(points, "aipc@"), "spills@"+points[spillsAt].label), set, m, points,
+		func(c *Compiled, res []wavecache.Result) []any {
+			return append(aipcs(c, res), res[spillsAt].Overflows)
+		})
 }
 
 func runE7(set []*Compiled, m MachineOptions) (*stats.Table, error) {
-	sizes := []int64{64, 256, 1024, 4096}
-	headers := []string{"bench"}
-	for _, s := range sizes {
-		headers = append(headers, fmt.Sprintf("aipc@%dKB", s*8/1024))
+	var points []point
+	for _, words := range []int64{64, 256, 1024, 4096} {
+		points = append(points, point{label: fmt.Sprintf("%dKB", words*8/1024),
+			opt: func(o *MachineOptions) { o.L1Words = words }})
 	}
-	headers = append(headers, "missrate@2KB", "transfers@2KB")
-	t := stats.NewTable("E7: AIPC vs. per-cluster L1 size; coherence traffic", headers...)
-	grid := make([]wavecache.Result, len(set)*len(sizes))
-	cells := newCellSet(m)
-	for bi, c := range set {
-		for si, s := range sizes {
-			opt := m
-			opt.L1Words = s
-			cells.wave(c, c.Wave, opt, &grid[bi*len(sizes)+si])
-		}
-	}
-	if err := cells.run(); err != nil {
-		return nil, err
-	}
-	for bi, c := range set {
-		row := []any{c.Name}
-		var miss float64
-		var transfers uint64
-		for si, s := range sizes {
-			res := &grid[bi*len(sizes)+si]
-			if s == 256 {
-				if res.Mem.Accesses > 0 {
-					miss = float64(res.Mem.L1Misses) / float64(res.Mem.Accesses)
-				}
-				transfers = res.Mem.Transfers
+	const trafficAt = 1 // the 256-word (2 KB) point
+	at := points[trafficAt].label
+	t, err := sweepTable("E7: AIPC vs. per-cluster L1 size; coherence traffic",
+		append(columns(points, "aipc@"), "missrate@"+at, "transfers@"+at), set, m, points,
+		func(c *Compiled, res []wavecache.Result) []any {
+			mem := res[trafficAt].Mem
+			var miss float64
+			if mem.Accesses > 0 {
+				miss = float64(mem.L1Misses) / float64(mem.Accesses)
 			}
-			row = append(row, AIPC(c.UsefulInstrs, res.Cycles))
-		}
-		row = append(row, miss, transfers)
-		t.AddRow(row...)
+			return append(aipcs(c, res), miss, mem.Transfers)
+		})
+	if err != nil {
+		return nil, err
 	}
 	t.Note = "L1 sizes are per cluster; 64 words = 0.5 KB"
 	return t, nil
 }
 
 func runE8(set []*Compiled, m MachineOptions) (*stats.Table, error) {
-	policies := placement.Names()
-	headers := append([]string{"bench"}, policies...)
-	t := stats.NewTable("E8: AIPC by placement algorithm", headers...)
-	grid := make([]wavecache.Result, len(set)*len(policies))
-	cells := newCellSet(m)
-	for bi, c := range set {
-		for pi, name := range policies {
-			opt := m
-			opt.Policy = name
-			cells.wave(c, c.Wave, opt, &grid[bi*len(policies)+pi])
-		}
+	var points []point
+	for _, name := range placement.Names() {
+		points = append(points, point{label: name, opt: func(o *MachineOptions) { o.Policy = name }})
 	}
-	if err := cells.run(); err != nil {
+	perPolicy := make([][]float64, len(points))
+	t, err := sweepTable("E8: AIPC by placement algorithm", columns(points, ""), set, m, points,
+		func(c *Compiled, res []wavecache.Result) []any {
+			for pi := range res {
+				perPolicy[pi] = append(perPolicy[pi], AIPC(c.UsefulInstrs, res[pi].Cycles))
+			}
+			return aipcs(c, res)
+		})
+	if err != nil {
 		return nil, err
 	}
-	perPolicy := make([][]float64, len(policies))
-	for bi, c := range set {
-		row := []any{c.Name}
-		for pi := range policies {
-			a := AIPC(c.UsefulInstrs, grid[bi*len(policies)+pi].Cycles)
-			perPolicy[pi] = append(perPolicy[pi], a)
-			row = append(row, a)
-		}
-		t.AddRow(row...)
-	}
 	geo := []any{"geomean"}
-	for pi := range policies {
-		geo = append(geo, stats.GeoMean(perPolicy[pi]))
+	for _, col := range perPolicy {
+		geo = append(geo, stats.GeoMean(col))
 	}
 	t.AddRow(geo...)
 	return t, nil
 }
 
 func runE9(set []*Compiled, m MachineOptions) (*stats.Table, error) {
-	t := stats.NewTable("E9: steer (φ⁻¹) vs. select (φ) control",
-		"bench", "steer-aipc", "select-aipc", "steer-static", "select-static", "steer-fired", "select-fired")
-	type row struct {
-		rs, rsel wavecache.Result
-	}
-	rows := make([]row, len(set))
-	cells := newCellSet(m)
-	for i, c := range set {
-		cells.wave(c, c.Wave, m, &rows[i].rs)
-		cells.wave(c, c.WaveSel, m, &rows[i].rsel)
-	}
-	if err := cells.run(); err != nil {
-		return nil, err
-	}
-	for i, c := range set {
-		r := &rows[i]
-		t.AddRow(c.Name,
-			AIPC(c.UsefulInstrs, r.rs.Cycles), AIPC(c.UsefulInstrs, r.rsel.Cycles),
-			c.Wave.NumInstrs(), c.WaveSel.NumInstrs(),
-			r.rs.Fired, r.rsel.Fired)
-	}
-	return t, nil
+	return sweepTable("E9: steer (φ⁻¹) vs. select (φ) control",
+		[]string{"steer-aipc", "select-aipc", "steer-static", "select-static", "steer-fired", "select-fired"},
+		set, m, []point{{label: "steer"}, {label: "select", binary: "select"}},
+		func(c *Compiled, res []wavecache.Result) []any {
+			return append(aipcs(c, res), c.Wave.NumInstrs(), c.WaveSel.NumInstrs(), res[0].Fired, res[1].Fired)
+		})
 }
 
 func runE10(set []*Compiled, m MachineOptions) (*stats.Table, error) {
-	costs := []int64{0, 8, 32, 128}
-	headers := []string{"bench"}
-	for _, c := range costs {
-		headers = append(headers, fmt.Sprintf("aipc@%d", c))
+	var points []point
+	for _, cost := range []int64{0, 8, 32, 128} {
+		points = append(points, point{label: strconv.FormatInt(cost, 10),
+			// Only the stores shrink: placement still packs m.Density homes
+			// per PE, which is what makes them swap.
+			opt:  func(o *MachineOptions) { o.PEStore = 8 },
+			edit: func(cfg *wavecache.Config) { cfg.SwapPenalty = cost }})
 	}
-	t := stats.NewTable("E10: AIPC vs. instruction swap penalty (8-per-PE stores)", headers...)
-	grid := make([]wavecache.Result, len(set)*len(costs))
-	cells := newCellSet(m)
-	// Only the stores shrink: placement still packs m.Density homes per PE,
-	// which is what makes them swap.
-	small := m
-	small.PEStore = 8
-	for bi, c := range set {
-		for ci, cost := range costs {
-			cells.wave(c, c.Wave, small, &grid[bi*len(costs)+ci], func(cfg *wavecache.Config) { cfg.SwapPenalty = cost })
-		}
-	}
-	if err := cells.run(); err != nil {
+	t, err := sweepTable("E10: AIPC vs. instruction swap penalty (8-per-PE stores)", columns(points, "aipc@"), set, m, points, aipcs)
+	if err != nil {
 		return nil, err
-	}
-	for bi, c := range set {
-		row := []any{c.Name}
-		for ci := range costs {
-			row = append(row, AIPC(c.UsefulInstrs, grid[bi*len(costs)+ci].Cycles))
-		}
-		t.AddRow(row...)
 	}
 	t.Note = "stores deliberately undersized (8 instructions) so swapping is on the critical path"
 	return t, nil

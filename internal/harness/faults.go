@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"wavescalar/internal/stats"
-	"wavescalar/internal/wavecache"
 )
 
 // e12Seed drives every E12 fault decision; one fixed seed keeps the tables
@@ -29,34 +28,24 @@ var e12Scenarios = []struct {
 }
 
 func runE12(set []*Compiled, m MachineOptions) (*stats.Table, error) {
+	var points []point
+	for _, sc := range e12Scenarios {
+		points = append(points, point{label: sc.name, opt: func(o *MachineOptions) {
+			o.Faults, o.FaultSeed = sc.spec, e12Seed
+			// Watchdog backstop: a faulty run must terminate, never hang.
+			o.MaxCycles = 50_000_000
+		}})
+	}
+	res, err := sweep(set, m, points)
+	if err != nil {
+		return nil, fmt.Errorf("E12 %w", err)
+	}
 	t := stats.NewTable("E12: AIPC under injected faults (checksums verified on every cell)",
 		"bench", "scenario", "dead-pes", "aipc", "rel", "drops", "retries", "mem-retries", "retry-wait")
-	results := make([]wavecache.Result, len(set)*len(e12Scenarios))
-	cells := newCellSet(m)
 	for bi, c := range set {
+		base := AIPC(c.UsefulInstrs, res[bi][0].Cycles)
 		for si, sc := range e12Scenarios {
-			slot := bi*len(e12Scenarios) + si
-			cells.add(func() error {
-				opt := m
-				opt.Faults, opt.FaultSeed = sc.spec, e12Seed
-				// Watchdog backstop: a faulty run must terminate, never hang.
-				opt.MaxCycles = 50_000_000
-				res, err := runWaveWith(c, c.Wave, opt)
-				if err != nil {
-					return fmt.Errorf("E12 %s/%s: %w", c.Name, sc.name, err)
-				}
-				results[slot] = res
-				return nil
-			})
-		}
-	}
-	if err := cells.run(); err != nil {
-		return nil, err
-	}
-	for bi, c := range set {
-		base := AIPC(c.UsefulInstrs, results[bi*len(e12Scenarios)].Cycles)
-		for si, sc := range e12Scenarios {
-			r := &results[bi*len(e12Scenarios)+si]
+			r := &res[bi][si]
 			aipc := AIPC(c.UsefulInstrs, r.Cycles)
 			rel := 0.0
 			if base > 0 {

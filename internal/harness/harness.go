@@ -206,17 +206,19 @@ func Suite(names []string, opts CompileOptions) ([]*Compiled, error) {
 	})
 }
 
-// runWaveWith builds m for prog, lets edits adjust the wavecache-level
-// parameters MachineOptions does not carry (network latencies, swap
-// penalty, speculation scope), and runs RunWave. A caller that turns a
-// MachineOptions knob assigns it on its own copy of m first.
+// runWaveWith builds m for prog, lets edits (nil ones skipped) adjust the
+// wavecache-level parameters MachineOptions does not carry (network
+// latencies, swap penalty, speculation scope), and runs RunWave. A caller
+// that turns a MachineOptions knob assigns it on its own copy of m first.
 func runWaveWith(c *Compiled, prog *isa.Program, m MachineOptions, edits ...func(*wavecache.Config)) (wavecache.Result, error) {
 	cfg, pol, err := m.Build(prog)
 	if err != nil {
 		return wavecache.Result{}, fmt.Errorf("%s: %w", c.Name, err)
 	}
 	for _, edit := range edits {
-		edit(&cfg)
+		if edit != nil {
+			edit(&cfg)
+		}
 	}
 	return RunWave(c, prog, pol, cfg)
 }
@@ -294,14 +296,14 @@ type Experiment struct {
 	Run   func(set []*Compiled, m MachineOptions) (*stats.Table, error)
 }
 
-// RunAll executes every experiment, writing each table to w as it
-// completes, followed by a per-experiment wall-clock line. The timing
-// lines are the only output that varies between runs; the tables
-// themselves are deterministic at any m.Workers setting. With m.Metrics
-// installed, each experiment's table is followed by the merged WaveCache
-// trace-counter summary of its cells (also deterministic).
-func RunAll(set []*Compiled, m MachineOptions, w io.Writer) error {
-	for _, e := range Experiments {
+// RunAll executes exps in order (Experiments for the whole evaluation) and
+// is the one printer of an experiment section: header, claim, table, then a
+// wall-clock line. The timing lines are the only output that varies between
+// runs; the tables themselves are deterministic at any m.Workers setting.
+// With m.Metrics installed, each experiment's table is followed by the
+// merged WaveCache trace-counter summary of its cells (also deterministic).
+func RunAll(exps []Experiment, set []*Compiled, m MachineOptions, w io.Writer) error {
+	for _, e := range exps {
 		if err := m.ctx().Err(); err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}

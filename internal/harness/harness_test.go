@@ -114,7 +114,7 @@ func TestRunAllWritesEverySection(t *testing.T) {
 	}
 	set := quickSet(t)
 	var sb strings.Builder
-	if err := RunAll(set, quickMachine(), &sb); err != nil {
+	if err := RunAll(Experiments, set, quickMachine(), &sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

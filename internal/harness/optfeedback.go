@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"wavescalar/internal/stats"
-	"wavescalar/internal/wavecache"
 )
 
 // runE14 measures the two feedback loops this harness closes around the
@@ -51,20 +50,16 @@ func runE14(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	}
 
 	// Four simulation cells per bench: {O0, O1} x {baseline policy,
-	// profile-feedback}. The feedback cells construct their own policy
-	// (profiling run + model hill-climb) per cell, as cells must.
-	grid := make([]wavecache.Result, len(set)*4)
-	cells := newCellSet(m)
-	for bi := range set {
-		for li, cc := range [2]*Compiled{pairs[bi].o0, pairs[bi].o1} {
-			base := bi*4 + li*2
-			fb := m
-			fb.Policy = "profile-feedback"
-			cells.wave(cc, cc.Wave, m, &grid[base])
-			cells.wave(cc, cc.Wave, fb, &grid[base+1])
-		}
+	// profile-feedback}, as a two-point sweep over both tiers of every
+	// bench. The feedback cells construct their own policy (profiling run +
+	// model hill-climb) per cell, as cells must.
+	var tiers []*Compiled
+	for _, p := range pairs {
+		tiers = append(tiers, p.o0, p.o1)
 	}
-	if err := cells.run(); err != nil {
+	res, err := sweep(tiers, m, []point{{label: "base"},
+		{label: "proffb", opt: func(o *MachineOptions) { o.Policy = "profile-feedback" }}})
+	if err != nil {
 		return nil, err
 	}
 
@@ -72,10 +67,8 @@ func runE14(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	for bi, c := range set {
 		p := pairs[bi]
 		useful := p.o0.UsefulInstrs
-		var cy [4]int64
-		for i := range cy {
-			cy[i] = grid[bi*4+i].Cycles
-		}
+		o0, o1 := res[2*bi], res[2*bi+1]
+		cy := [4]int64{o0[0].Cycles, o0[1].Cycles, o1[0].Cycles, o1[1].Cycles}
 		opt := float64(cy[0]) / float64(cy[2])
 		best := cy[1]
 		if cy[3] < best {

@@ -1,7 +1,7 @@
 package harness
 
 import (
-	"fmt"
+	"strconv"
 
 	"wavescalar/internal/stats"
 	"wavescalar/internal/wavecache"
@@ -16,38 +16,27 @@ import (
 // (RunWave), so a speculation bug fails the experiment rather than
 // skewing it.
 func runE15(set []*Compiled, m MachineOptions) (*stats.Table, error) {
-	scopes := []int{1, 2, 4, 8}
-	headers := []string{"bench", "ordered"}
-	for _, sc := range scopes {
-		headers = append(headers, fmt.Sprintf("aipc@%d", sc), fmt.Sprintf("sq%%@%d", sc))
+	points := []point{{label: "ordered"}}
+	for _, scope := range []int{1, 2, 4, 8} {
+		points = append(points, point{label: strconv.Itoa(scope),
+			opt:  func(o *MachineOptions) { o.MemMode = wavecache.MemSpec },
+			edit: func(cfg *wavecache.Config) { cfg.SpecScope = scope }})
 	}
-	t := stats.NewTable("E15: AIPC and squash rate vs. speculation scope (waves per epoch)", headers...)
-
-	ordered := make([]wavecache.Result, len(set))
-	grid := make([]wavecache.Result, len(set)*len(scopes))
-	cells := newCellSet(m)
-	spec := m
-	spec.MemMode = wavecache.MemSpec
-	for bi, c := range set {
-		cells.wave(c, c.Wave, m, &ordered[bi])
-		for si, scope := range scopes {
-			cells.wave(c, c.Wave, spec, &grid[bi*len(scopes)+si], func(cfg *wavecache.Config) { cfg.SpecScope = scope })
-		}
-	}
-	if err := cells.run(); err != nil {
-		return nil, err
-	}
-	for bi, c := range set {
-		row := []any{c.Name, AIPC(c.UsefulInstrs, ordered[bi].Cycles)}
-		for si := range scopes {
-			g := &grid[bi*len(scopes)+si]
-			sq := 0.0
-			if g.Spec.Epochs > 0 {
-				sq = 100 * float64(g.Spec.Squashes) / float64(g.Spec.Epochs)
+	t, err := sweepTable("E15: AIPC and squash rate vs. speculation scope (waves per epoch)",
+		append([]string{"ordered"}, columns(points[1:], "aipc@", "sq%@")...), set, m, points,
+		func(c *Compiled, res []wavecache.Result) []any {
+			row := []any{AIPC(c.UsefulInstrs, res[0].Cycles)}
+			for _, g := range res[1:] {
+				sq := 0.0
+				if g.Spec.Epochs > 0 {
+					sq = 100 * float64(g.Spec.Squashes) / float64(g.Spec.Epochs)
+				}
+				row = append(row, AIPC(c.UsefulInstrs, g.Cycles), sq)
 			}
-			row = append(row, AIPC(c.UsefulInstrs, g.Cycles), sq)
-		}
-		t.AddRow(row...)
+			return row
+		})
+	if err != nil {
+		return nil, err
 	}
 	t.Note = "sq% = squashed epochs / opened epochs; scope 1 is the Transactional WaveCache's per-wave implicit transaction"
 	return t, nil
