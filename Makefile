@@ -41,7 +41,7 @@ bench-test:
 # full experiment suite at race-instrumented speed), so the pass needs more
 # than go test's default 10-minute per-package timeout.
 race:
-	$(GO) test -race -timeout 30m ./internal/parallel ./internal/harness ./internal/wavecache ./internal/ooo ./internal/fault ./internal/noc ./internal/waveorder ./internal/trace ./internal/tagtable ./internal/serve ./internal/cfgir ./internal/placemodel
+	$(GO) test -race -timeout 30m ./internal/parallel ./internal/harness ./internal/wavecache ./internal/ooo ./internal/fault ./internal/noc ./internal/waveorder ./internal/trace ./internal/tagtable ./internal/serve ./internal/cfgir ./internal/placemodel ./internal/lang
 
 # soak hammers the waved service layer under the race detector: hundreds
 # of concurrent mixed requests across multiple tenants against an
@@ -92,20 +92,23 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # bench-micro runs the microbenchmarks the layers keep beside their tests
-# (compiler passes against their references, AST evaluator, IR clone, tag
+# (compiler passes against their references, AST evaluator, IR clone, the
+# linear emulator untraced (the compile path's checksum run) and traced (the
+# out-of-order model's front end), tag
 # table, wave-order buffer, operand network, the cache hierarchy's access
 # and its Reset with and without a grid change, the simulator's event
 # queue, arenas and one kernel per memory mode, the tracer's per-firing and
 # per-hop counters, interpreters, what a run pays each placement policy
 # (construction plus every instruction's first Assign), the placement
 # model's move loop against its reference, waved's cold / warm / replay
-# request over loopback, the whole CompileSource, and the cell cache's Put
+# request over loopback, the whole CompileSource — every binary, and the
+# steer binary alone as waved's cold path asks for it — and the cell cache's Put
 # and Get at an iteration count that seals several segments, so their
 # fsyncs are in the number) — one command for "each stage has its own
 # benchmark". For -count, -benchtime or
 # -cpuprofile run `go test` on the package directly.
 bench-micro:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/lang ./internal/cfgir ./internal/wavec ./internal/tagtable ./internal/waveorder ./internal/noc ./internal/mem ./internal/wavecache ./internal/trace ./internal/interp ./internal/ooo ./internal/placement ./internal/placemodel ./internal/serve
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/lang ./internal/cfgir ./internal/wavec ./internal/linear ./internal/tagtable ./internal/waveorder ./internal/noc ./internal/mem ./internal/wavecache ./internal/trace ./internal/interp ./internal/ooo ./internal/placement ./internal/placemodel ./internal/serve
 	$(GO) test -run '^$$' -bench 'BenchmarkCompileSource$$' -benchmem ./internal/harness
 	$(GO) test -run '^$$' -bench 'BenchmarkCellCache' -benchtime 20000x -benchmem ./internal/harness
 

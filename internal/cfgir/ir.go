@@ -124,10 +124,21 @@ type Func struct {
 	NumRegs int
 	Blocks  []*Block
 	Entry   int
+
+	// converged is set when Optimize's last round on the function changed
+	// nothing — the iteration reached its fixpoint, the round bound did not
+	// cut it short — and cleared by the methods of this package that edit a
+	// function (NewReg, NewBlock, IfConvert). While it holds, running the
+	// base passes again is a no-op, which is what lets OptimizeMemory leave
+	// out the cleanup of a function the memory tier did not touch. A caller
+	// that rewrites Blocks by hand after Optimize and wants that cleanup
+	// calls Optimize again.
+	converged bool
 }
 
 // NewReg allocates a fresh virtual register.
 func (f *Func) NewReg() Reg {
+	f.converged = false
 	r := Reg(f.NumRegs)
 	f.NumRegs++
 	return r
@@ -135,6 +146,7 @@ func (f *Func) NewReg() Reg {
 
 // NewBlock appends an empty block and returns it.
 func (f *Func) NewBlock() *Block {
+	f.converged = false
 	b := &Block{ID: len(f.Blocks)}
 	f.Blocks = append(f.Blocks, b)
 	return b

@@ -100,8 +100,15 @@ func (s *MemOptStats) Eliminated() int64 { return s.InstrsBefore - s.InstrsAfter
 // dead-store elimination — followed by the base pass pipeline to copy-
 // propagate and dead-code-eliminate the moves the tier leaves behind.
 // Callers run the base Optimize first; the tier assumes compacted blocks.
+//
+// The cleanup leaves out a function the tier did not touch and on which
+// Optimize had converged: the base passes are at their fixpoint there, so
+// running them would change nothing. A function Optimize gave up on at its
+// round bound gets the cleanup even when the tier left it alone — those
+// further rounds can still change it.
 func (p *Program) OptimizeMemory() MemOptStats {
 	var total MemOptStats
+	var s optScratch
 	touches := p.MemTouches()
 	for _, f := range p.Funcs {
 		st := MemOptStats{
@@ -111,7 +118,8 @@ func (p *Program) OptimizeMemory() MemOptStats {
 		// The forwarding pass reveals new dead stores (a forwarded load no
 		// longer reads the first store) and vice versa, so alternate to a
 		// bounded fixpoint.
-		for round := 0; round < 4; round++ {
+		touched := false
+		for round := 0; round < maxRounds; round++ {
 			changed := forwardLocal(f, touches, &st)
 			constOf := constDefs(f)
 			if forwardMemory(f, touches, constOf, &st) {
@@ -123,20 +131,18 @@ func (p *Program) OptimizeMemory() MemOptStats {
 			if !changed {
 				break
 			}
+			touched = true
 		}
 		st.MemAfter = countMemOps(f)
+		// Clean up the or-moves and newly dead address arithmetic, and count
+		// the instructions after it, so InstrsAfter reports what the
+		// backends actually consume.
+		if touched || !f.converged {
+			s.optimize(f)
+		}
 		st.InstrsAfter = countInstrs(f)
 		total.Add(st)
 	}
-	// Clean up the or-moves and newly dead address arithmetic; measure the
-	// program-level instruction counts after cleanup so InstrsAfter reports
-	// what the backends actually consume.
-	p.Optimize()
-	after := int64(0)
-	for _, f := range p.Funcs {
-		after += countInstrs(f)
-	}
-	total.InstrsAfter = after
 	return total
 }
 

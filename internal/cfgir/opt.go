@@ -15,30 +15,60 @@ import "wavescalar/internal/isa"
 // The pipeline is deliberately local-plus-liveness: the source of most
 // redundancy is the builder's move-heavy lowering, which these passes clean
 // up completely on straight-line code.
+//
+// A round reruns the two block-local passes only where they can still do
+// something. Both are functions of the block's instruction list alone, and
+// report a change whenever they edit it; so once both have reported none on
+// a block, rerunning them can only report none again until something else
+// edits that list — and between rounds only dead-code elimination does. A
+// block in that state is settled and later rounds skip it, which leaves out
+// exactly the runs that would have been no-ops: the rounds see the same
+// changes, stop at the same point and emit the same IR as rounds that run
+// every pass on every block (TestOptimizeMatchesRunEverythingReference).
 func (p *Program) Optimize() {
 	var s optScratch
 	for _, f := range p.Funcs {
+		s.optimize(f)
+	}
+}
+
+// maxRounds bounds the fixpoint iteration of the pass pipelines.
+const maxRounds = 4
+
+// optimize is Optimize on one function. It leaves f.converged saying
+// whether the last round changed nothing, as opposed to the round bound
+// cutting the iteration short.
+func (s *optScratch) optimize(f *Func) {
+	f.Compact()
+	f.converged = false
+	if s.settled == nil {
+		s.settled = make(map[*Block]bool)
+	}
+	clear(s.settled)
+	for round := 0; round < maxRounds; round++ {
+		changed := false
+		for _, b := range f.Blocks {
+			if s.settled[b] {
+				continue
+			}
+			// Not `||`: localCSE runs whatever foldConstants reported.
+			folded, merged := s.foldConstants(f, b), s.localCSE(f, b)
+			if folded || merged {
+				changed = true
+			} else {
+				s.settled[b] = true
+			}
+		}
+		if foldBranches(f) {
+			changed = true
+		}
+		if s.eliminateDeadCode(f) {
+			changed = true
+		}
 		f.Compact()
-		for round := 0; round < 4; round++ {
-			changed := false
-			for _, b := range f.Blocks {
-				if s.foldConstants(f, b) {
-					changed = true
-				}
-				if s.localCSE(f, b) {
-					changed = true
-				}
-			}
-			if foldBranches(f) {
-				changed = true
-			}
-			if eliminateDeadCode(f) {
-				changed = true
-			}
-			f.Compact()
-			if !changed {
-				break
-			}
+		if !changed {
+			f.converged = true
+			break
 		}
 	}
 }
@@ -55,6 +85,11 @@ type optScratch struct {
 	regs  []regFacts
 	avail map[cseKey]Reg // localCSE: expression -> register holding it
 	loads []cseKey       // localCSE: load expressions since the last store or call
+	uses  []Reg          // eliminateDeadCode: one instruction's operands
+	// settled holds the blocks of the function being optimized on which
+	// both local passes last reported no change and whose instructions
+	// nothing has edited since.
+	settled map[*Block]bool
 }
 
 // regFacts is one register's slot. foldConstants uses the constant fields
@@ -403,40 +438,50 @@ func foldBranches(f *Func) bool {
 	return changed
 }
 
-// eliminateDeadCode removes pure instructions whose results are never used.
-func eliminateDeadCode(f *Func) bool {
+// eliminateDeadCode removes pure instructions whose results are never used,
+// compacting each block in place. Liveness hands back sets of its own, so a
+// block's live-out set is walked backwards through the block as it is. A
+// block that loses an instruction is no longer settled.
+func (s *optScratch) eliminateDeadCode(f *Func) bool {
 	_, liveOut := f.Liveness()
 	changed := false
-	var buf []Reg
 	for bi, b := range f.Blocks {
-		live := liveOut[bi].Clone()
+		live := liveOut[bi]
 		switch b.Term.Kind {
 		case TBranch:
 			live.Add(b.Term.Cond)
 		case TRet:
 			live.Add(b.Term.Val)
 		}
-		keep := make([]Instr, 0, len(b.Instrs))
+		// Survivors move to the tail of the slice as the walk meets them,
+		// which keeps their order; the walk reads index i before anything
+		// can be written there (w > i until the first removal, w >= i
+		// after).
+		w := len(b.Instrs)
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
-			in := b.Instrs[i]
+			in := &b.Instrs[i]
 			if in.Pure() && !live.Has(in.Dst) {
-				changed = true
 				continue
 			}
 			if in.HasDst() {
 				live.Remove(in.Dst)
 			}
-			buf = in.Uses(buf[:0])
-			for _, r := range buf {
+			s.uses = in.Uses(s.uses[:0])
+			for _, r := range s.uses {
 				live.Add(r)
 			}
-			keep = append(keep, in)
+			w--
+			if w != i {
+				b.Instrs[w] = *in
+			}
 		}
-		// keep is reversed.
-		for i, j := 0, len(keep)-1; i < j; i, j = i+1, j-1 {
-			keep[i], keep[j] = keep[j], keep[i]
+		if w > 0 {
+			n := copy(b.Instrs, b.Instrs[w:])
+			clear(b.Instrs[n:]) // drop the stale tail's references to call-argument lists
+			b.Instrs = b.Instrs[:n]
+			delete(s.settled, b)
+			changed = true
 		}
-		b.Instrs = keep
 	}
 	return changed
 }

@@ -7,24 +7,32 @@ import (
 	"wavescalar/internal/lang"
 )
 
-// OptNone as FromSource's optLevel leaves the IR as built: compacted, not
+// OptNone as FromFile's optLevel leaves the IR as built: compacted, not
 // optimized.
 const OptNone = -1
 
-// FromSource is the front half of every compile, and the one home of its
-// sequence: parse and check src, unroll counted loops by `unroll` (0 or 1
-// disables), lower to IR, compact, then Optimize (optLevel >= 0) and
-// OptimizeMemory (optLevel >= 1, whose counters are returned). unrolled
-// reports whether lang.Unroll rewrote any loop; when it did not, the IR is
-// the one unroll factor 1 yields.
-//
-// A caller that feeds more than one backend builds once and hands
-// wavec.Compile, which consumes its input, a Clone.
+// FromSource is the front half of a compile from source text: parse and
+// check src, then FromFile. A front-end error is labelled "frontend: ".
 func FromSource(src string, unroll, optLevel int) (p *Program, st MemOptStats, unrolled bool, err error) {
 	f, err := lang.ParseAndCheck(src)
 	if err != nil {
 		return nil, st, false, fmt.Errorf("frontend: %w", err)
 	}
+	return FromFile(f, unroll, optLevel)
+}
+
+// FromFile is the front half of every compile on a checked file, and the
+// one home of its sequence: unroll f's counted loops in place by `unroll`
+// (0 or 1 leaves f as it is), lower to IR, compact, then Optimize (optLevel
+// >= 0) and OptimizeMemory (optLevel >= 1, whose counters are returned).
+// unrolled reports whether lang.Unroll rewrote any loop; when it did not,
+// the IR is the one unroll factor 1 yields. A caller that wants the IR of
+// both the file as written and its unrolled form parses once and calls
+// FromFile twice, factor 1 first.
+//
+// A caller that feeds more than one backend builds once and hands
+// wavec.Compile, which consumes its input, a Clone.
+func FromFile(f *lang.File, unroll, optLevel int) (p *Program, st MemOptStats, unrolled bool, err error) {
 	unrolled = lang.Unroll(f, unroll) > 0
 	if p, err = Build(f); err != nil {
 		return nil, st, false, fmt.Errorf("build: %w", err)

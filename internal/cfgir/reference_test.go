@@ -211,6 +211,198 @@ func livenessRef(f *Func) (liveIn, liveOut []RegSet) {
 	return liveIn, liveOut
 }
 
+// eliminateDeadCodeRef is eliminateDeadCode as first written: a clone of
+// the live-out set and a fresh instruction slice per block, filled backwards
+// and reversed.
+func eliminateDeadCodeRef(f *Func) bool {
+	_, liveOut := f.Liveness()
+	changed := false
+	var buf []Reg
+	for bi, b := range f.Blocks {
+		live := liveOut[bi].Clone()
+		switch b.Term.Kind {
+		case TBranch:
+			live.Add(b.Term.Cond)
+		case TRet:
+			live.Add(b.Term.Val)
+		}
+		keep := make([]Instr, 0, len(b.Instrs))
+		for i := len(b.Instrs) - 1; i >= 0; i-- {
+			in := b.Instrs[i]
+			if in.Pure() && !live.Has(in.Dst) {
+				changed = true
+				continue
+			}
+			if in.HasDst() {
+				live.Remove(in.Dst)
+			}
+			buf = in.Uses(buf[:0])
+			for _, r := range buf {
+				live.Add(r)
+			}
+			keep = append(keep, in)
+		}
+		for i, j := 0, len(keep)-1; i < j; i, j = i+1, j-1 {
+			keep[i], keep[j] = keep[j], keep[i]
+		}
+		b.Instrs = keep
+	}
+	return changed
+}
+
+// optimizeRef is Optimize as first written: every round runs both local
+// passes on every block. It reports per function whether the rounds ended
+// at a fixpoint, which is what Optimize records in Func.converged.
+func optimizeRef(p *Program) {
+	var s optScratch
+	for _, f := range p.Funcs {
+		f.Compact()
+		f.converged = false
+		for round := 0; round < 4; round++ {
+			changed := false
+			for _, b := range f.Blocks {
+				if s.foldConstants(f, b) {
+					changed = true
+				}
+				if localCSERef(b) {
+					changed = true
+				}
+			}
+			if foldBranches(f) {
+				changed = true
+			}
+			if eliminateDeadCodeRef(f) {
+				changed = true
+			}
+			f.Compact()
+			if !changed {
+				f.converged = true
+				break
+			}
+		}
+	}
+}
+
+// optimizeMemoryRef is OptimizeMemory as first written: the tier on every
+// function, then the whole base pipeline on every function.
+func optimizeMemoryRef(p *Program) MemOptStats {
+	var total MemOptStats
+	touches := p.MemTouches()
+	for _, f := range p.Funcs {
+		st := MemOptStats{MemBefore: countMemOps(f), InstrsBefore: countInstrs(f)}
+		for round := 0; round < 4; round++ {
+			changed := forwardLocal(f, touches, &st)
+			constOf := constDefs(f)
+			if forwardMemory(f, touches, constOf, &st) {
+				changed = true
+			}
+			if eliminateDeadStores(f, touches, constOf, &st) {
+				changed = true
+			}
+			if !changed {
+				break
+			}
+		}
+		st.MemAfter = countMemOps(f)
+		total.Add(st)
+	}
+	optimizeRef(p)
+	total.InstrsAfter = 0
+	for _, f := range p.Funcs {
+		total.InstrsAfter += countInstrs(f)
+	}
+	return total
+}
+
+// roundBoundSrc needs more than four rounds of the base pipeline: each
+// round's dead-code elimination exposes the next link of a chain of
+// cross-block dead values. Optimize stops on it at the round bound, so it
+// must not count as converged — a further run (the memory tier's cleanup)
+// still changes it.
+const roundBoundSrc = `
+func main() {
+	var a = 1; var b = 0; var c = 0; var d = 0; var e = 0; var f = 0; var g = 0; var h = 0;
+	var i = 0;
+	while i < 3 { b = a + i; i = i + 1; }
+	while i < 6 { c = b + i; i = i + 1; }
+	while i < 9 { d = c + i; i = i + 1; }
+	while i < 12 { e = d + i; i = i + 1; }
+	while i < 15 { f = e + i; i = i + 1; }
+	while i < 18 { g = f + i; i = i + 1; }
+	while i < 21 { h = g + i; i = i + 1; }
+	return i;
+}`
+
+// TestOptimizeMatchesRunEverythingReference: skipping settled blocks, the
+// in-place dead-code elimination and the cleanup OptimizeMemory leaves out
+// change nothing — every function of the corpus, at both tiers and unrolled
+// or not, is DeepEqual (instructions, block order, register count and the
+// converged mark) to what the run-everything pipeline makes of it, and the
+// tier's counters are the same.
+func TestOptimizeMatchesRunEverythingReference(t *testing.T) {
+	type subject struct{ name, src string }
+	subjects := []subject{{"round bound", roundBoundSrc}}
+	for _, s := range referenceCorpus(50) {
+		subjects = append(subjects, subject{s, workloads.ByName(s).Src})
+	}
+	funcs, unconverged, cleanupsLeftOut := 0, 0, 0
+	for _, s := range subjects {
+		for _, unroll := range []int{1, 4} {
+			got, _, _, err := FromSource(s.src, unroll, OptNone)
+			if err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			want := got.Clone()
+			got.Optimize()
+			optimizeRef(want)
+			compare := func(tier string) {
+				t.Helper()
+				for i, f := range got.Funcs {
+					// The reference leaves an empty block an empty, non-nil
+					// slice where the builder's nil survives in-place
+					// compaction; DeepEqual tells the two apart.
+					for _, fn := range []*Func{f, want.Funcs[i]} {
+						for _, b := range fn.Blocks {
+							if len(b.Instrs) == 0 {
+								b.Instrs = nil
+							}
+						}
+					}
+					if !reflect.DeepEqual(f, want.Funcs[i]) {
+						t.Fatalf("%s unroll %d %s: %s differs from the run-everything reference\n got:\n%s\n want:\n%s",
+							s.name, unroll, tier, f.Name, f, want.Funcs[i])
+					}
+				}
+			}
+			compare("O0")
+			for _, f := range got.Funcs {
+				funcs++
+				if !f.converged {
+					unconverged++
+				}
+			}
+			before := make([]string, len(got.Funcs))
+			for i, f := range got.Funcs {
+				before[i] = f.String()
+			}
+			gotSt, wantSt := got.OptimizeMemory(), optimizeMemoryRef(want)
+			if gotSt != wantSt {
+				t.Fatalf("%s unroll %d: memory tier counters %+v, reference %+v", s.name, unroll, gotSt, wantSt)
+			}
+			compare("O1")
+			for i, f := range got.Funcs {
+				if f.String() == before[i] {
+					cleanupsLeftOut++
+				}
+			}
+		}
+	}
+	if unconverged == 0 {
+		t.Error("no function stopped at the round bound; the test needs one")
+	}
+	t.Logf("compared %d functions at two tiers; %d stopped at the round bound; the memory tier left %d unchanged", funcs, unconverged, cleanupsLeftOut)
+}
+
 // referenceCorpus names the ten kernels plus n generated programs
 // (workloads.ByName resolves both kinds).
 func referenceCorpus(n int) []string {
@@ -260,7 +452,7 @@ func TestLocalCSEMatchesReference(t *testing.T) {
 					if foldBranches(f) {
 						changed = true
 					}
-					if eliminateDeadCode(f) {
+					if sc.eliminateDeadCode(f) {
 						changed = true
 					}
 					f.Compact()

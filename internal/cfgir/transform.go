@@ -151,6 +151,7 @@ func (f *Func) ifConvertOnce(maxArm int) bool {
 			u.Instrs = append(u.Instrs, Instr{Kind: KSelect, Dst: r, A: cond, B: tv, C: fv})
 		}
 		u.Term = Term{Kind: TJump, Then: join}
+		f.converged = false
 		return true
 	}
 	return false

@@ -333,7 +333,18 @@ func TestCellCacheConcurrent(t *testing.T) {
 // every RunCorpus caller before this store had a Close — leaves no
 // goroutine behind.
 func TestCellCacheNoGoroutines(t *testing.T) {
+	// The goroutines of the test before this one may still be on their way
+	// out — a WaitGroup releases its waiter before they have exited — so
+	// the count is read once it has stopped falling.
 	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n == before {
+			break
+		}
+		before = n
+	}
 	cc, err := NewCellCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

@@ -1,0 +1,92 @@
+package harness
+
+import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"wavescalar/internal/asm"
+	"wavescalar/internal/linear"
+	"wavescalar/internal/workloads"
+)
+
+// compile_digests.txt pins the *output* of the compile pipeline: a SHA-256
+// of every binary CompileSource emits (the asm text of the steer, select and
+// rolled dataflow programs and a listing of the linear one) beside the
+// checksum, the work count and the optimizer and chain counters, for the ten
+// kernels and testprogs.CorpusSpecs(100, 1) at both optimizer tiers.
+// TestCompileSourceMatchesFourBuilds compares CompileSource to a pipeline
+// assembled from the same passes, so it cannot see a pass change its output;
+// this file can. It was recorded before the compile path was reworked for
+// speed and a change that claims to be output-preserving must leave it
+// byte-identical. Regenerate (only for a change meant to alter emitted code):
+//
+//	go test ./internal/harness -run TestCompileSourceDigestsPinned -update-compile-digests
+var updateCompileDigests = flag.Bool("update-compile-digests", false, "rewrite testdata/compile_digests.txt from the current compiler")
+
+const compileDigestsPath = "testdata/compile_digests.txt"
+
+// linearListing renders a linear program as text: every field an engine
+// reads is in it.
+func linearListing(p *linear.Program) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "entry %d memwords %d\n", p.Entry, p.MemWords)
+	for _, g := range p.Globals {
+		fmt.Fprintf(&sb, "global %s @%d size %d init %v\n", g.Name, g.Addr, g.Size, g.Init)
+	}
+	for _, f := range p.Funcs {
+		fmt.Fprintf(&sb, "func %s params %v regs %d\n", f.Name, f.Params, f.NumRegs)
+		for i := range f.Code {
+			fmt.Fprintf(&sb, "%4d  %s\n", i, f.Code[i].String())
+		}
+	}
+	return sb.String()
+}
+
+func compileDigestLine(name string, opt int) (string, error) {
+	c, err := CompileSource(name, workloads.ByName(name).Src, CompileOptions{Unroll: 4, OptLevel: opt})
+	if err != nil {
+		return "", err
+	}
+	sum := func(text string) string { return fmt.Sprintf("%x", sha256.Sum256([]byte(text))) }
+	return fmt.Sprintf("%s O%d steer=%s select=%s rolled=%s linear=%s checksum=%d useful=%d memopt=%+v chains=%+v",
+		name, opt, sum(asm.Print(c.Wave)), sum(asm.Print(c.WaveSel)), sum(asm.Print(c.WaveNoUn)), sum(linearListing(c.Linear)),
+		c.Checksum, c.UsefulInstrs, c.MemOpt, c.Chains), nil
+}
+
+func TestCompileSourceDigestsPinned(t *testing.T) {
+	var want []string
+	if !*updateCompileDigests {
+		data, err := os.ReadFile(compileDigestsPath)
+		if err != nil {
+			t.Fatalf("missing digests (run with -update-compile-digests to create): %v", err)
+		}
+		want = strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	}
+	var got []string
+	for _, name := range compileCorpus(100) {
+		for opt := 0; opt <= 1; opt++ {
+			line, err := compileDigestLine(name, opt)
+			if err != nil {
+				t.Fatalf("%s O%d: %v", name, opt, err)
+			}
+			if i := len(got); i < len(want) && want[i] != line {
+				t.Errorf("compiled output changed:\n got:  %s\n want: %s", line, want[i])
+			}
+			got = append(got, line)
+		}
+	}
+	if *updateCompileDigests {
+		if err := os.WriteFile(compileDigestsPath, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d digests to %s", len(got), compileDigestsPath)
+		return
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d compilations, %d recorded digests", len(got), len(want))
+	}
+}

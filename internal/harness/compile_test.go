@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -252,25 +253,58 @@ func TestCompileSourceErrorsNameProgramAndStage(t *testing.T) {
 	}
 }
 
+// TestCompileSourceStopsAtEvaluatorFuel: a source that does not terminate
+// is refused as soon as the evaluator's budget is gone — before the IR is
+// built and without the emulator spending its own budget on the same loop
+// (with the default budgets that is the difference between 500M evaluator
+// steps and those plus 2G emulated instructions, on every retry of a waved
+// request). The emulator's budget here is the smaller one: had it run, its
+// error would be the one reported, as for any other pair of failures.
+func TestCompileSourceStopsAtEvaluatorFuel(t *testing.T) {
+	const spin = "func main() { var i = 0; while 1 { i = i + 1; } return i; }"
+	_, err := compileSource("spin", spin, DefaultCompileOptions(), 10_000, 1_000)
+	if !errors.Is(err, lang.ErrOutOfFuel) || !strings.HasPrefix(err.Error(), "spin: evaluator: ") {
+		t.Errorf("evaluator out of fuel first: err = %v", err)
+	}
+	// With fuel for the evaluator only, the emulator's exhaustion is the
+	// error; with fuel for both the program compiles.
+	const count = "func main() { var i = 0; while i < 100 { i = i + 1; } return i; }"
+	_, err = compileSource("count", count, DefaultCompileOptions(), 10_000, 50)
+	if !errors.Is(err, linear.ErrFuel) || !strings.HasPrefix(err.Error(), "count: linear emulator: ") {
+		t.Errorf("emulator out of fuel: err = %v", err)
+	}
+	if c, err := compileSource("count", count, DefaultCompileOptions(), 10_000, 10_000); err != nil || c.Checksum != 100 {
+		t.Errorf("within both budgets: %v, %v", c, err)
+	}
+}
+
 var sinkCompiled *Compiled
 
 // BenchmarkCompileSource is the whole compile layer at both optimizer
 // tiers, on the subjects of the cfgir layer benchmarks: the generated
-// "mixed" program with the largest function, and ammp.
+// "mixed" program with the largest function, and ammp. The steer
+// sub-benchmarks ask for the one binary a waved simulate request compiles
+// on its cold path.
 func BenchmarkCompileSource(b *testing.B) {
 	for _, name := range []string{"gen:mixed:3745987421742060995", "ammp"} {
 		src := workloads.ByName(name).Src
-		for opt := 0; opt <= 1; opt++ {
-			b.Run(fmt.Sprintf("%s/O%d", name, opt), func(b *testing.B) {
-				b.ReportAllocs()
-				for b.Loop() {
-					c, err := CompileSource(name, src, CompileOptions{Unroll: 4, OptLevel: opt})
-					if err != nil {
-						b.Fatal(err)
-					}
-					sinkCompiled = c
+		for _, bins := range [][]string{nil, {"steer"}} {
+			for opt := 0; opt <= 1; opt++ {
+				id := fmt.Sprintf("%s/O%d", name, opt)
+				if bins != nil {
+					id += "/" + bins[0]
 				}
-			})
+				b.Run(id, func(b *testing.B) {
+					b.ReportAllocs()
+					for b.Loop() {
+						c, err := CompileSource(name, src, CompileOptions{Unroll: 4, OptLevel: opt, Binaries: bins})
+						if err != nil {
+							b.Fatal(err)
+						}
+						sinkCompiled = c
+					}
+				})
+			}
 		}
 	}
 }

@@ -15,6 +15,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -113,15 +114,30 @@ func CompileWorkload(w *workloads.Workload, opts CompileOptions) (*Compiled, err
 // the linear emulator's checksum against the AST evaluator exactly as the
 // workload path always has.
 //
-// The optimized IR is built once per distinct unroll factor. All three
-// binaries at opts.Unroll lower the same IR, so they run the same
-// optimized program: linear.Compile only reads it, the φ-select build
-// gets a clone because wavec.Compile consumes its input, and the steer
-// build then consumes the original. The rolled binary needs a second IR
-// only when unrolling rewrote a loop; otherwise it is the steer binary.
-// opts.Binaries leaves out the lowerings nobody asked for — the clone and
-// if-conversion, the second IR — and nothing else.
+// Each piece of work is done once. The source is parsed and checked once.
+// The evaluator runs first, on the file as written, because lang.Unroll
+// rewrites the file in place afterwards. The optimized IR is built once per
+// distinct unroll factor: the rolled IR, when that binary is asked for, from
+// the file as written, and the IR at opts.Unroll from the file once
+// unrolled — the same IR, and the same binary, when unrolling found no
+// loop to rewrite. All the binaries at opts.Unroll lower one IR, so they run
+// the same optimized program: linear.Compile only reads it, the φ-select
+// build gets a clone because wavec.Compile consumes its input, and the steer
+// build then consumes the original. opts.Binaries leaves out the lowerings
+// nobody asked for — the clone and if-conversion, the second IR — and
+// nothing else.
+//
+// Which stage an error names is fixed: a front-end, build or lowering error
+// first, then the emulator's, then the evaluator's, then a checksum
+// mismatch — except that an evaluator out of fuel is returned at once, so a
+// source that does not terminate costs one budget and not two.
 func CompileSource(name, src string, opts CompileOptions) (*Compiled, error) {
+	return compileSource(name, src, opts, 0, 0)
+}
+
+// compileSource is CompileSource with the two reference engines' budgets
+// (evaluator steps, emulator instructions; 0 = each engine's default).
+func compileSource(name, src string, opts CompileOptions, evalFuel, emuFuel int64) (*Compiled, error) {
 	c := &Compiled{Name: name, Src: src, Opt: opts.OptLevel}
 	stage := func(what string, err error) error {
 		return fmt.Errorf("%s: %s: %w", name, what, err)
@@ -131,11 +147,33 @@ func CompileSource(name, src string, opts CompileOptions) (*Compiled, error) {
 	}
 	steer, sel, rolled := opts.builds("steer"), opts.builds("select"), opts.builds("rolled")
 
-	ir, st, unrolled, err := cfgir.FromSource(src, opts.Unroll, opts.OptLevel)
+	f, err := lang.ParseAndCheck(src)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
+		return nil, stage("frontend", err)
 	}
-	c.MemOpt = st
+	want, evalErr := lang.NewEvaluator(f, evalFuel).Run()
+	if errors.Is(evalErr, lang.ErrOutOfFuel) {
+		return nil, stage("evaluator", evalErr)
+	}
+
+	// ir is the program at opts.Unroll; rolledIR stays nil when ir is also
+	// the rolled program.
+	var ir, rolledIR *cfgir.Program
+	unroll := opts.Unroll
+	if rolled {
+		if ir, c.MemOpt, _, err = cfgir.FromFile(f, 1, opts.OptLevel); err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		if lang.Unroll(f, unroll) > 0 {
+			rolledIR, ir = ir, nil
+		}
+		unroll = 1 // f is unrolled now
+	}
+	if ir == nil {
+		if ir, c.MemOpt, _, err = cfgir.FromFile(f, unroll, opts.OptLevel); err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+	}
 	if c.Linear, err = linear.Compile(ir); err != nil {
 		return nil, stage("linear", err)
 	}
@@ -144,7 +182,7 @@ func CompileSource(name, src string, opts CompileOptions) (*Compiled, error) {
 			return nil, stage("wavec", err)
 		}
 	}
-	rolledIsSteer := rolled && !unrolled
+	rolledIsSteer := rolled && rolledIR == nil
 	if steer || rolledIsSteer {
 		p, err := wavec.Compile(ir, wavec.Options{})
 		if err != nil {
@@ -158,26 +196,21 @@ func CompileSource(name, src string, opts CompileOptions) (*Compiled, error) {
 			c.WaveNoUn = p
 		}
 	}
-	if rolled && unrolled {
-		rolledIR, _, _, err := cfgir.FromSource(src, 1, opts.OptLevel)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
+	if rolledIR != nil {
 		if c.WaveNoUn, err = wavec.Compile(rolledIR, wavec.Options{}); err != nil {
 			return nil, stage("wavec", err)
 		}
 	}
 
-	em := linear.NewEmulator(c.Linear, 0)
+	em := linear.NewEmulator(c.Linear, emuFuel)
 	if c.Checksum, err = em.Run(); err != nil {
 		return nil, stage("linear emulator", err)
 	}
 	c.UsefulInstrs = em.Instrs
 
 	// Cross-check against the AST evaluator.
-	want, err := lang.EvalProgram(src)
-	if err != nil {
-		return nil, stage("evaluator", err)
+	if evalErr != nil {
+		return nil, stage("evaluator", evalErr)
 	}
 	if want != c.Checksum {
 		return nil, fmt.Errorf("%s: linear checksum %d != evaluator %d", name, c.Checksum, want)

@@ -20,8 +20,12 @@ func runE14(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 
 	// Build both tiers of every bench up front. The incoming set may have
 	// been compiled at either level, so reuse a bench's own binary for the
-	// level it was built at and recompile only the other tier.
-	unroll := DefaultCompileOptions().Unroll
+	// level it was built at and recompile only the other tier — its steer
+	// binary, which is what every cell below simulates and what Chains and
+	// MemOpt come with.
+	tier := func(opt int) CompileOptions {
+		return CompileOptions{Unroll: DefaultCompileOptions().Unroll, OptLevel: opt, Binaries: []string{"steer"}}
+	}
 	type pair struct {
 		o0, o1 *Compiled
 	}
@@ -33,12 +37,12 @@ func runE14(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 			p.o0, p.o1 = c, c
 			var err error
 			if c.Opt != 0 {
-				if p.o0, err = CompileSource(c.Name, c.Src, CompileOptions{Unroll: unroll, OptLevel: 0}); err != nil {
+				if p.o0, err = CompileSource(c.Name, c.Src, tier(0)); err != nil {
 					return fmt.Errorf("E14 %s at O0: %w", c.Name, err)
 				}
 			}
 			if c.Opt < 1 {
-				if p.o1, err = CompileSource(c.Name, c.Src, CompileOptions{Unroll: unroll, OptLevel: 1}); err != nil {
+				if p.o1, err = CompileSource(c.Name, c.Src, tier(1)); err != nil {
 					return fmt.Errorf("E14 %s at O1: %w", c.Name, err)
 				}
 			}

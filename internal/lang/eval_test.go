@@ -2,9 +2,13 @@ package lang_test
 
 import (
 	"errors"
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"wavescalar/internal/lang"
+	"wavescalar/internal/testprogs"
 	"wavescalar/internal/workloads"
 )
 
@@ -140,6 +144,166 @@ func main() { return spin(1); }`)
 	}
 	if ev.Steps != 1001 {
 		t.Errorf("Steps = %d, want 1001 (the step that found the tank empty)", ev.Steps)
+	}
+}
+
+// evalOutcome is everything an evaluator run can be observed to do.
+type evalOutcome struct {
+	result, steps int64
+	err           string
+	mem           []int64
+}
+
+func (o evalOutcome) equal(p evalOutcome) bool {
+	return o.result == p.result && o.steps == p.steps && o.err == p.err && slices.Equal(o.mem, p.mem)
+}
+
+func (o evalOutcome) String() string {
+	return fmt.Sprintf("result %d, Steps %d, err %q, %d words of memory", o.result, o.steps, o.err, len(o.mem))
+}
+
+func outcome(result int64, err error, steps int64, mem []int64) evalOutcome {
+	o := evalOutcome{result: result, steps: steps, mem: mem}
+	if err != nil {
+		o.err = err.Error()
+	}
+	return o
+}
+
+func boundOutcome(f *lang.File, fuel int64) evalOutcome {
+	ev := lang.NewEvaluator(f, fuel)
+	v, err := ev.Run()
+	return outcome(v, err, ev.Steps, ev.Memory())
+}
+
+func byNameOutcome(f *lang.File, fuel int64) evalOutcome {
+	ev := newRefEvaluator(f, fuel)
+	v, err := ev.Run()
+	return outcome(v, err, ev.Steps, ev.Memory())
+}
+
+// shadowingCases are the scoping rules a slot assignment could get wrong:
+// each is a place where two declarations of one name are live at once, or
+// one has just stopped being.
+var shadowingCases = []struct{ name, src string }{
+	{"nested block shadows and is popped", `
+func main() {
+	var x = 1;
+	var y = 0;
+	{ var x = 10; { var x = 100; y = y + x; } y = y + x; }
+	var z = 5;
+	return y * 10 + x + z;
+}`},
+	{"parameter shadowed in the body", `
+func f(a, b) { var r = a; { var a = a * 10; var b = a + b; r = r + a + b; } return r + a - b; }
+func main() { return f(3, 4) + f(f(1, 2), 5); }`},
+	{"for-init variable shadows an outer one", `
+func main() {
+	var i = 9;
+	var s = 0;
+	for var i = 0; i < 3; i = i + 1 { var t = i; s = s + t; }
+	var after = i;
+	for i = 0; i < 2; i = i + 1 { s = s + 100; }
+	return s * 100 + after * 10 + i;
+}`},
+	{"local shadows a scalar global that is read again after the block", `
+global g = 7;
+global a[4];
+func bump() { g = g + 1; return g; }
+func main() {
+	var before = g;
+	{ var g = 40; g = g + 1; a[1] = g; bump(); }
+	g = g + 100;
+	return before * 1000000 + a[1] * 1000 + g;
+}`},
+	{"slots are reused by sibling blocks and by callees", `
+func leaf(n) { var p = n + 1; { var q = p * 2; return q; } }
+func main() {
+	var s = 0;
+	if s == 0 { var u = 3; s = s + leaf(u); } else { var v = 4; s = s - v; }
+	{ var w; s = s * 10 + w; }
+	while s < 1000 { var k = leaf(s); s = s + k; }
+	return s;
+}`},
+	{"a call inside an argument list", `
+func add(a, b) { var t = a + b; return t; }
+func main() { var x = 2; return add(add(x, add(3, 4)), add(x, x) * add(1, x)); }`},
+	{"an out-of-range index names the array", `
+global a[4];
+global b[4];
+func main() { var i = 0; b[i - 1] = 7; return a[3]; }`},
+	{"an out-of-range read inside a callee", `
+global a[4];
+func get(i) { return a[i]; }
+func main() { var s = 0; for var i = 0; i < 9; i = i + 1 { s = s + get(i); } return s; }`},
+}
+
+// TestEvaluatorMatchesByNameReference holds the bound evaluator to the
+// by-name one — result, Steps, final memory image and error text — on the
+// shadowing table, the ten kernels and a generated corpus, each as written
+// and unrolled by 2 and 4 (an unrolled file is where a slot scheme tied to
+// the loop shapes the parser produces would break), and with the tank
+// running dry at a few depths, where Steps says the two stopped at the same
+// node.
+func TestEvaluatorMatchesByNameReference(t *testing.T) {
+	type prog struct{ name, src string }
+	var progs []prog
+	for _, tc := range shadowingCases {
+		progs = append(progs, prog{tc.name, tc.src})
+	}
+	for _, n := range workloads.Names() {
+		progs = append(progs, prog{n, workloads.ByName(n).Src})
+	}
+	for _, spec := range testprogs.CorpusSpecs(40, 1) {
+		progs = append(progs, prog{spec.Name(), workloads.ByName(spec.Name()).Src})
+	}
+	runs := 0
+	for _, p := range progs {
+		for _, unroll := range []int{1, 2, 4} {
+			f, err := lang.ParseAndCheck(p.src)
+			if err != nil {
+				t.Fatalf("%s: %v", p.name, err)
+			}
+			lang.Unroll(f, unroll)
+			for _, fuel := range []int64{0, 1, 57, 1000, 20011} {
+				if fuel != 0 && unroll == 2 {
+					continue
+				}
+				got, want := boundOutcome(f, fuel), byNameOutcome(f, fuel)
+				if !got.equal(want) {
+					t.Fatalf("%s unroll %d fuel %d:\n bound:   %v\n by name: %v", p.name, unroll, fuel, got, want)
+				}
+				runs++
+			}
+		}
+	}
+	t.Logf("compared %d runs of %d programs", runs, len(progs))
+}
+
+// TestEvaluatorsShareAFile: NewEvaluator only reads the file, so evaluators
+// built and run concurrently on one *File agree with a lone one (the race
+// detector is what makes this a test of "only reads").
+func TestEvaluatorsShareAFile(t *testing.T) {
+	f, err := lang.ParseAndCheck(workloads.ByName("lu").Src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lang.Unroll(f, 4)
+	want := boundOutcome(f, 0)
+	var wg sync.WaitGroup
+	got := make([]evalOutcome, 4)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = boundOutcome(f, 0)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if !got[i].equal(want) {
+			t.Errorf("evaluator %d: %v, want %v", i, got[i], want)
+		}
 	}
 }
 

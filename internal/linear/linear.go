@@ -210,6 +210,10 @@ type Emulator struct {
 	prog *Program
 	mem  []int64
 	fuel int64
+	// slab is where register frames come from: its length is the frames of
+	// the live activations that were taken from it, innermost last. See
+	// frame.
+	slab []int64
 
 	// Instrs counts executed dynamic instructions.
 	Instrs int64
@@ -247,17 +251,33 @@ func (e *Emulator) Memory() []int64 { return e.mem }
 // Run executes main.
 func (e *Emulator) Run() (int64, error) {
 	frames := int64(0)
-	return e.call(e.prog.Entry, nil, &frames)
+	e.slab = e.slab[:0]
+	return e.call(e.prog.Entry, e.frame(e.prog.Entry), &frames)
 }
 
-func (e *Emulator) call(fi int, args []int64, frames *int64) (int64, error) {
+// frame takes a zeroed register frame for function fi from the end of the
+// slab. A slab with no room left is replaced by one twice its size, and the
+// frames already handed out stay where they are, in the slab they came from:
+// a frame never moves, so an activation holds one slice of registers for as
+// long as it runs.
+func (e *Emulator) frame(fi int) []int64 {
+	n := e.prog.Funcs[fi].NumRegs
+	if len(e.slab)+n > cap(e.slab) {
+		e.slab = make([]int64, 0, max(2*cap(e.slab), n, 1024))
+	}
+	fp := len(e.slab)
+	e.slab = e.slab[:fp+n]
+	regs := e.slab[fp : fp+n : fp+n]
+	clear(regs)
+	return regs
+}
+
+// call runs function fi on regs, a frame the caller took and put the
+// arguments in.
+func (e *Emulator) call(fi int, regs []int64, frames *int64) (int64, error) {
 	f := e.prog.Funcs[fi]
 	frame := *frames
 	*frames++
-	regs := make([]int64, f.NumRegs)
-	for i, pr := range f.Params {
-		regs[pr] = args[i]
-	}
 	pc := 0
 	for {
 		if pc < 0 || pc >= len(f.Code) {
@@ -308,17 +328,25 @@ func (e *Emulator) call(fi int, args []int64, frames *int64) (int64, error) {
 				ev.Taken = true
 			}
 		case LCall:
-			callArgs := make([]int64, len(in.Args))
-			for i, a := range in.Args {
-				callArgs[i] = regs[a]
-			}
 			ev.CalleeFrame = *frames
 			if e.Trace != nil {
 				e.Trace(ev)
 			}
-			v, err := e.call(in.Callee, callArgs, frames)
+			args := e.frame(in.Callee)
+			slab, mark := cap(e.slab), len(e.slab)-len(args)
+			for i, pr := range e.prog.Funcs[in.Callee].Params {
+				args[pr] = regs[in.Args[i]]
+			}
+			v, err := e.call(in.Callee, args, frames)
 			if err != nil {
 				return 0, err
+			}
+			// The callee's frame goes back — unless a larger slab (capacity
+			// names a slab: each is larger than the last) took over somewhere
+			// below this call, in which case the frame sits in a retired slab
+			// and the new one is empty again already.
+			if cap(e.slab) == slab {
+				e.slab = e.slab[:mark]
 			}
 			regs[in.Rd] = v
 			pc = next

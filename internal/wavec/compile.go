@@ -24,6 +24,7 @@ package wavec
 
 import (
 	"fmt"
+	"math/bits"
 
 	"wavescalar/internal/cfgir"
 	"wavescalar/internal/isa"
@@ -60,12 +61,13 @@ func Compile(p *cfgir.Program, opts Options) (*isa.Program, error) {
 	if out.Entry < 0 {
 		return nil, fmt.Errorf("wavec: program has no main function")
 	}
+	var regs regTable
 	for fi, f := range p.Funcs {
 		if opts.IfConvert {
 			f.IfConvert(opts.MaxArm)
 		}
 		f.SplitCriticalEdges()
-		fc := &funcCompiler{prog: p, ir: f, touches: touches, self: fi}
+		fc := &funcCompiler{prog: p, ir: f, touches: touches, self: fi, regs: &regs}
 		isaFunc, err := fc.compile()
 		if err != nil {
 			return nil, fmt.Errorf("wavec: %s: %w", f.Name, err)
@@ -167,13 +169,77 @@ type funcCompiler struct {
 	lastSlot  []slotKey
 	edgeSeq   map[cfgir.Edge]int32 // wave-exit nop sequence numbers
 
-	nets   map[netKey]int
-	netArr []*net
+	// netID finds the net of a (block, register) live-in value: a block's
+	// nets sit in netID[netBase[block]:netBase[block+1]], a register's at
+	// its rank in the block's live-in set and the trigger's last. -1 until
+	// netFor makes the net, so nets are still numbered in the order they are
+	// first asked for.
+	netBase []int
+	netID   []int32
+	netArr  []*net
+
+	regs *regTable
 }
 
-type netKey struct {
-	block int
-	reg   cfgir.Reg
+// regTable is what compileBlock knows about each register in the block it
+// is compiling: the token source that currently carries its value, and the
+// constant it holds when it is a block-local constant (a register may have
+// both, once a constant has been materialized). It is one table indexed by
+// register for the whole Compile, each slot stamped with the block pass that
+// last wrote it; a slot with another stamp is empty, so starting a block is
+// one increment and clears nothing.
+type regTable struct {
+	epoch uint32 // the current block pass; never 0, a fresh slot's stamp
+	slots []regSlot
+}
+
+type regSlot struct {
+	stamp    uint32
+	hasVal   bool
+	hasConst bool
+	val      valRef
+	imm      int64
+}
+
+// begin starts a block pass over a block of f: every slot becomes empty.
+func (t *regTable) begin(f *cfgir.Func) {
+	t.epoch++
+	if n := f.NumRegs + regBias - len(t.slots); n > 0 {
+		t.slots = append(t.slots, make([]regSlot, n)...)
+	}
+}
+
+// regBias makes triggerReg, the lowest register there is, index 0.
+const regBias = -int(triggerReg)
+
+// at returns r's slot for writing, emptied if an earlier pass wrote it last.
+func (t *regTable) at(r cfgir.Reg) *regSlot {
+	e := &t.slots[int(r)+regBias]
+	if e.stamp != t.epoch {
+		*e = regSlot{stamp: t.epoch}
+	}
+	return e
+}
+
+// val is the token source carrying r, if r has one.
+func (t *regTable) val(r cfgir.Reg) (valRef, bool) {
+	if e := &t.slots[int(r)+regBias]; e.stamp == t.epoch && e.hasVal {
+		return e.val, true
+	}
+	return valRef{}, false
+}
+
+// constant is the block-local constant r holds, if it holds one.
+func (t *regTable) constant(r cfgir.Reg) (int64, bool) {
+	if e := &t.slots[int(r)+regBias]; e.stamp == t.epoch && e.hasConst {
+		return e.imm, true
+	}
+	return 0, false
+}
+
+// define records that r is now carried by v and no longer a constant.
+func (t *regTable) define(r cfgir.Reg, v valRef) {
+	*t.at(r) = regSlot{stamp: t.epoch, hasVal: true, val: v}
 }
 
 // slotKey identifies a memory slot: instruction index within a block, or
@@ -203,6 +269,8 @@ func (fc *funcCompiler) compile() (*isa.Function, error) {
 		fc.planMemory()
 	}
 
+	fc.out.Instrs = make([]isa.Instruction, 0, fc.instrBound())
+
 	// Parameter pads: pad 0 is the activation trigger.
 	pads := make([]isa.InstrID, 0, len(f.Params)+1)
 	for i := 0; i <= len(f.Params); i++ {
@@ -211,12 +279,48 @@ func (fc *funcCompiler) compile() (*isa.Function, error) {
 	}
 	fc.out.Params = pads
 
-	fc.nets = make(map[netKey]int)
+	fc.netBase = make([]int, len(f.Blocks)+1)
+	for id := range f.Blocks {
+		fc.netBase[id+1] = fc.netBase[id] + fc.liveIn[id].Count() + 1
+	}
+	fc.netID = make([]int32, fc.netBase[len(f.Blocks)])
+	for i := range fc.netID {
+		fc.netID[i] = -1
+	}
 	for _, b := range f.Blocks {
 		fc.compileBlock(b, pads)
 	}
 	fc.resolveNets()
 	return fc.out, nil
+}
+
+// instrBound is an upper bound on the instructions compile emits, so that
+// emit never regrows the function's instruction slice. It is exact but for
+// the block-local constants no consumer needs as a token, which are counted
+// and not emitted.
+func (fc *funcCompiler) instrBound() int {
+	f := fc.ir
+	n := len(f.Params) + 1 // pads
+	for id, b := range f.Blocks {
+		n += len(b.Instrs) + 1 // and the block's memory nop or its return
+		for i := range b.Instrs {
+			if in := &b.Instrs[i]; in.Kind == cfgir.KCall {
+				n += 2 + len(in.Args) // landing pad, context, trigger and argument sends
+			}
+		}
+		if b.Term.Kind == cfgir.TBranch { // a steer per routed register and the trigger
+			n++
+			for w, bits1 := range fc.liveIn[b.Term.Then] {
+				n += bits.OnesCount64(bits1 | fc.liveIn[b.Term.Else][w])
+			}
+		}
+		for _, v := range b.Succs() {
+			if fc.crossing(id, v) { // a wave advance per value, and the trigger's wave-exit nop
+				n += fc.liveIn[v].Count() + 2
+			}
+		}
+	}
+	return n
 }
 
 func (fc *funcCompiler) emit(in isa.Instruction) isa.InstrID {
@@ -374,16 +478,22 @@ func (fc *funcCompiler) annotation(kind isa.MemKind, s slotKey) isa.MemOrder {
 	}
 }
 
-// netFor returns (creating on demand) the net of a block live-in value.
+// netFor returns (creating on demand) the net of a block live-in value: r
+// is the trigger or a member of the block's live-in set.
 func (fc *funcCompiler) netFor(block int, r cfgir.Reg) int {
-	k := netKey{block: block, reg: r}
-	if id, ok := fc.nets[k]; ok {
-		return id
+	i := fc.netBase[block+1] - 1
+	if r != triggerReg {
+		live := fc.liveIn[block]
+		i = fc.netBase[block] + bits.OnesCount64(live[r/64]&(1<<(uint(r)%64)-1))
+		for _, w := range live[:r/64] {
+			i += bits.OnesCount64(w)
+		}
 	}
-	id := len(fc.netArr)
-	fc.netArr = append(fc.netArr, &net{})
-	fc.nets[k] = id
-	return id
+	if fc.netID[i] < 0 {
+		fc.netID[i] = int32(len(fc.netArr))
+		fc.netArr = append(fc.netArr, &net{})
+	}
+	return int(fc.netID[i])
 }
 
 // subscribe routes a value to one instruction input port.
@@ -468,32 +578,33 @@ func (fc *funcCompiler) edgeRegs(b *cfgir.Block) []cfgir.Reg {
 func (fc *funcCompiler) compileBlock(b *cfgir.Block, pads []isa.InstrID) {
 	f := fc.ir
 	wave := fc.waveOf[b.ID]
-	cur := make(map[cfgir.Reg]valRef)
 
-	// consts tracks registers holding block-local constants; operands
-	// drawn from them become instruction immediates (real WaveScalar
-	// instructions encode immediate operands), avoiding a CONST firing
-	// per dynamic use. The OpConst instruction is emitted lazily, only if
-	// some consumer needs the value as a real token.
-	consts := make(map[cfgir.Reg]int64)
+	// regs tracks, per register, the token source carrying it and whether
+	// it holds a block-local constant; operands drawn from constants become
+	// instruction immediates (real WaveScalar instructions encode immediate
+	// operands), avoiding a CONST firing per dynamic use. The OpConst
+	// instruction is emitted lazily, only if some consumer needs the value
+	// as a real token.
+	regs := fc.regs
+	regs.begin(f)
 
 	if b.ID == f.Entry {
-		cur[triggerReg] = srcVal(pads[0])
+		regs.define(triggerReg, srcVal(pads[0]))
 		for i, pr := range f.Params {
-			cur[pr] = srcVal(pads[i+1])
+			regs.define(pr, srcVal(pads[i+1]))
 		}
 		// Any other live-in at entry corresponds to a path where the value
 		// is defined before use; give it an unfed net so the graph stays
 		// well formed.
 		for _, r := range fc.liveIn[b.ID].Members() {
-			if _, ok := cur[r]; !ok {
-				cur[r] = valRef{isNet: true, net: fc.netFor(b.ID, r)}
+			if _, ok := regs.val(r); !ok {
+				regs.define(r, valRef{isNet: true, net: fc.netFor(b.ID, r)})
 			}
 		}
 	} else {
-		cur[triggerReg] = valRef{isNet: true, net: fc.netFor(b.ID, triggerReg)}
+		regs.define(triggerReg, valRef{isNet: true, net: fc.netFor(b.ID, triggerReg)})
 		for _, r := range fc.liveIn[b.ID].Members() {
-			cur[r] = valRef{isNet: true, net: fc.netFor(b.ID, r)}
+			regs.define(r, valRef{isNet: true, net: fc.netFor(b.ID, r)})
 		}
 	}
 
@@ -504,7 +615,7 @@ func (fc *funcCompiler) compileBlock(b *cfgir.Block, pads []isa.InstrID) {
 			Mem:  fc.annotation(isa.MemNop, fc.firstSlot[b.ID]),
 			Wave: wave,
 		})
-		fc.subscribe(cur[triggerReg], isa.Dest{Instr: nop, Port: 0})
+		fc.subscribe(fc.trigger(), isa.Dest{Instr: nop, Port: 0})
 	}
 
 	// wire attaches operand r to port p of instruction id, as an immediate
@@ -512,7 +623,7 @@ func (fc *funcCompiler) compileBlock(b *cfgir.Block, pads []isa.InstrID) {
 	// (some port of the instruction must stay a token port).
 	wire := func(id isa.InstrID, p uint8, r cfgir.Reg, allowImm bool) {
 		if allowImm {
-			if v, ok := consts[r]; ok {
+			if v, ok := regs.constant(r); ok {
 				in := fc.instr(id)
 				tokenPortsLeft := in.Op.NumInputs() - popcount(in.ImmMask) - 1
 				if tokenPortsLeft >= 1 {
@@ -522,7 +633,7 @@ func (fc *funcCompiler) compileBlock(b *cfgir.Block, pads []isa.InstrID) {
 				}
 			}
 		}
-		fc.subscribe(fc.materialize(cur, consts, r, wave), isa.Dest{Instr: id, Port: p})
+		fc.subscribe(fc.materialize(r, wave), isa.Dest{Instr: id, Port: p})
 	}
 
 	for i := range b.Instrs {
@@ -531,36 +642,32 @@ func (fc *funcCompiler) compileBlock(b *cfgir.Block, pads []isa.InstrID) {
 		case cfgir.KConst:
 			// Deferred: becomes an immediate at each use, or a real CONST
 			// instruction on first materialization.
-			consts[in.Dst] = in.Imm
-			delete(cur, in.Dst)
+			*regs.at(in.Dst) = regSlot{stamp: regs.epoch, hasConst: true, imm: in.Imm}
 		case cfgir.KAlu:
 			id := fc.emit(isa.Instruction{Op: in.Op, Wave: wave})
 			wire(id, 0, in.A, true)
 			if in.Op.NumInputs() == 2 {
 				wire(id, 1, in.B, true)
 			}
-			cur[in.Dst] = srcVal(id)
-			delete(consts, in.Dst)
+			regs.define(in.Dst, srcVal(id))
 		case cfgir.KSelect:
 			id := fc.emit(isa.Instruction{Op: isa.OpSelect, Wave: wave})
 			wire(id, 0, in.A, false) // the predicate token supplies the tag
 			wire(id, 1, in.B, true)
 			wire(id, 2, in.C, true)
-			cur[in.Dst] = srcVal(id)
-			delete(consts, in.Dst)
+			regs.define(in.Dst, srcVal(id))
 		case cfgir.KLoad:
 			s := slotKey{block: b.ID, index: i}
 			id := fc.emit(isa.Instruction{Op: isa.OpLoad, Mem: fc.annotation(isa.MemLoad, s), Wave: wave})
 			wire(id, 0, in.A, false) // the address token supplies the tag
-			cur[in.Dst] = srcVal(id)
-			delete(consts, in.Dst)
+			regs.define(in.Dst, srcVal(id))
 		case cfgir.KStore:
 			s := slotKey{block: b.ID, index: i}
 			id := fc.emit(isa.Instruction{Op: isa.OpStore, Mem: fc.annotation(isa.MemStore, s), Wave: wave})
 			wire(id, 0, in.A, false)
 			wire(id, 1, in.B, true)
 		case cfgir.KCall:
-			fc.compileCall(b, i, in, cur, consts, wave)
+			fc.compileCall(b, i, in, wave)
 		}
 	}
 
@@ -572,25 +679,25 @@ func (fc *funcCompiler) compileBlock(b *cfgir.Block, pads []isa.InstrID) {
 			mem = fc.annotation(isa.MemEnd, slotKey{block: b.ID, index: slotRet})
 		}
 		ret := fc.emit(isa.Instruction{Op: isa.OpReturn, Mem: mem, Wave: wave})
-		fc.subscribe(fc.materialize(cur, consts, b.Term.Val, wave), isa.Dest{Instr: ret, Port: 0})
+		fc.subscribe(fc.materialize(b.Term.Val, wave), isa.Dest{Instr: ret, Port: 0})
 	case cfgir.TJump:
 		v := b.Term.Then
 		for _, r := range fc.edgeRegs(b) {
 			if fc.liveOnEdge(v, r) {
-				fc.route(fc.materialize(cur, consts, r, wave), b.ID, v, r)
+				fc.route(fc.materialize(r, wave), b.ID, v, r)
 			}
 		}
 	case cfgir.TBranch:
-		pv := fc.materialize(cur, consts, b.Term.Cond, wave)
+		pv := fc.materialize(b.Term.Cond, wave)
 		for _, r := range fc.edgeRegs(b) {
 			st := fc.emit(isa.Instruction{Op: isa.OpSteer, Wave: wave})
 			fc.subscribe(pv, isa.Dest{Instr: st, Port: 0})
-			if v, ok := consts[r]; ok {
+			if v, ok := regs.constant(r); ok {
 				si := fc.instr(st)
 				si.ImmMask |= 1 << 1
 				si.ImmVals[1] = v
 			} else {
-				fc.subscribe(fc.materialize(cur, consts, r, wave), isa.Dest{Instr: st, Port: 1})
+				fc.subscribe(fc.materialize(r, wave), isa.Dest{Instr: st, Port: 1})
 			}
 			if fc.liveOnEdge(b.Term.Then, r) {
 				fc.route(valRef{src: srcRef{id: st}}, b.ID, b.Term.Then, r)
@@ -602,9 +709,15 @@ func (fc *funcCompiler) compileBlock(b *cfgir.Block, pads []isa.InstrID) {
 	}
 }
 
+// trigger is the token source of the block's activation trigger.
+func (fc *funcCompiler) trigger() valRef {
+	v, _ := fc.regs.val(triggerReg)
+	return v
+}
+
 // compileCall emits the call linkage: context allocation, argument sends,
 // and the return landing pad.
-func (fc *funcCompiler) compileCall(b *cfgir.Block, i int, in *cfgir.Instr, cur map[cfgir.Reg]valRef, consts map[cfgir.Reg]int64, wave int32) {
+func (fc *funcCompiler) compileCall(b *cfgir.Block, i int, in *cfgir.Instr, wave int32) {
 	callee := isa.FuncID(in.Callee)
 	pad := fc.emit(isa.Instruction{Op: isa.OpNop, Wave: wave,
 		Comment: fmt.Sprintf("ret from %s", fc.prog.Funcs[in.Callee].Name)})
@@ -614,7 +727,7 @@ func (fc *funcCompiler) compileCall(b *cfgir.Block, i int, in *cfgir.Instr, cur 
 	}
 	nc := fc.emit(isa.Instruction{Op: isa.OpNewCtx, Target: callee, TargetPad: int32(pad),
 		Mem: mem, Wave: wave})
-	fc.subscribe(cur[triggerReg], isa.Dest{Instr: nc, Port: 0})
+	fc.subscribe(fc.trigger(), isa.Dest{Instr: nc, Port: 0})
 
 	// Trigger send: pad 0 of the callee receives the context value itself.
 	sa0 := fc.emit(isa.Instruction{Op: isa.OpSendArg, Target: callee, TargetPad: 0, Wave: wave})
@@ -623,33 +736,33 @@ func (fc *funcCompiler) compileCall(b *cfgir.Block, i int, in *cfgir.Instr, cur 
 	for ai, arg := range in.Args {
 		sa := fc.emit(isa.Instruction{Op: isa.OpSendArg, Target: callee, TargetPad: int32(ai + 1), Wave: wave})
 		fc.addDest(srcRef{id: nc}, isa.Dest{Instr: sa, Port: 0})
-		if v, ok := consts[arg]; ok {
+		if v, ok := fc.regs.constant(arg); ok {
 			si := fc.instr(sa)
 			si.ImmMask |= 1 << 1
 			si.ImmVals[1] = v
 		} else {
-			fc.subscribe(fc.materialize(cur, consts, arg, wave), isa.Dest{Instr: sa, Port: 1})
+			fc.subscribe(fc.materialize(arg, wave), isa.Dest{Instr: sa, Port: 1})
 		}
 	}
-	cur[in.Dst] = srcVal(pad)
-	delete(consts, in.Dst)
+	fc.regs.define(in.Dst, srcVal(pad))
 }
 
 // materialize returns a token source for register r, emitting a CONST
 // instruction on demand for block-local constants that some consumer needs
 // as a real token.
-func (fc *funcCompiler) materialize(cur map[cfgir.Reg]valRef, consts map[cfgir.Reg]int64, r cfgir.Reg, wave int32) valRef {
-	if v, ok := cur[r]; ok {
+func (fc *funcCompiler) materialize(r cfgir.Reg, wave int32) valRef {
+	if v, ok := fc.regs.val(r); ok {
 		return v
 	}
-	imm, ok := consts[r]
+	imm, ok := fc.regs.constant(r)
 	if !ok {
 		panic(fmt.Sprintf("wavec: register r%d has neither value nor constant", r))
 	}
 	id := fc.emit(isa.Instruction{Op: isa.OpConst, Imm: imm, Wave: wave})
-	fc.subscribe(cur[triggerReg], isa.Dest{Instr: id, Port: 0})
+	fc.subscribe(fc.trigger(), isa.Dest{Instr: id, Port: 0})
 	v := srcVal(id)
-	cur[r] = v
+	e := fc.regs.at(r)
+	e.hasVal, e.val = true, v
 	return v
 }
 
