@@ -7,16 +7,16 @@
 
 GO ?= go
 
-.PHONY: ci check vet fmt-check build test bench-test race soak bench bench-ledger bench-ab bench-micro fuzz fuzz-diff corpus
+.PHONY: ci check vet fmt-check build test bench-test race race-compile soak bench bench-ledger bench-ab bench-micro fuzz fuzz-diff corpus
 
 ci: vet fmt-check build test race
 
 # check is the fast pre-commit gate: vet + gofmt + build + tests (no full race
 # pass — the simulator engine itself runs on one goroutine; `make race`
-# covers the harness -j fan-out and the service), plus the short service
-# soak under -race, a corpus-differential fuzz smoke, and the benchmark
-# module's own smoke tests.
-check: vet fmt-check build test bench-test soak fuzz-diff
+# covers the harness -j fan-out and the service), plus the compile path's
+# stages and the short service soak under -race, a corpus-differential fuzz
+# smoke, and the benchmark module's own smoke tests.
+check: vet fmt-check build test bench-test race-compile soak fuzz-diff
 
 vet:
 	$(GO) vet ./...
@@ -41,7 +41,15 @@ bench-test:
 # full experiment suite at race-instrumented speed), so the pass needs more
 # than go test's default 10-minute per-package timeout.
 race:
-	$(GO) test -race -timeout 30m ./internal/parallel ./internal/harness ./internal/wavecache ./internal/ooo ./internal/fault ./internal/noc ./internal/waveorder ./internal/trace ./internal/tagtable ./internal/serve ./internal/cfgir ./internal/placemodel ./internal/lang
+	$(GO) test -race -timeout 30m ./internal/parallel ./internal/harness ./internal/wavecache ./internal/ooo ./internal/fault ./internal/noc ./internal/waveorder ./internal/trace ./internal/tagtable ./internal/serve ./internal/cfgir ./internal/placemodel ./internal/lang ./internal/wavec ./internal/linear
+
+# race-compile is the part of the race pass that belongs in the pre-commit
+# gate: one CompileSource runs its stages — evaluator, emulator, the
+# lowerings — on goroutines of their own, so the tests that drive it, the
+# passes it overlaps and waved's compile cache run under the detector on
+# every check (well under a minute; the full harness pass above is ten).
+race-compile:
+	$(GO) test -race -run 'TestCompileSource|TestIfConvert|TestEvaluatorsShareAFile|TestCompileCache' ./internal/harness ./internal/cfgir ./internal/lang ./internal/serve
 
 # soak hammers the waved service layer under the race detector: hundreds
 # of concurrent mixed requests across multiple tenants against an

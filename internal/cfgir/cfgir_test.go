@@ -1,6 +1,7 @@
 package cfgir
 
 import (
+	"reflect"
 	"testing"
 
 	"wavescalar/internal/isa"
@@ -255,5 +256,84 @@ func TestInstrUsesAndString(t *testing.T) {
 	}
 	if s := (Term{Kind: TBranch, Cond: 1, Then: 2, Else: 3}).String(); s != "branch r1 ? b2 : b3" {
 		t.Errorf("Term.String = %q", s)
+	}
+}
+
+// TestIfConvertReportsConversions: the count IfConvert returns is the number
+// of diamonds and triangles it rewrote — each turns exactly one branch into
+// a jump — and 0 means the function is the one it was given, which is what
+// lets a caller holding a Clone drop it.
+func TestIfConvertReportsConversions(t *testing.T) {
+	branches := func(p *Program) (n int) {
+		for _, f := range p.Funcs {
+			for _, b := range f.Blocks {
+				if b.Term.Kind == TBranch {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"diamond", "if x > 1 { y = x + 1; } else { y = x - 2; }", 1},
+		{"triangle", "if x > 1 { y = x + 1; }", 1},
+		{"two in a row", "if x > 1 { y = x + 1; } if x > 2 { y = y * 3; } else { y = y - 1; }", 2},
+		// The inner one; its emptied join block stays between the outer
+		// then-arm and the outer join, so the outer shape no longer matches.
+		{"nested", "if x > 1 { if x > 2 { y = 7; } else { y = 9; } } else { y = x; }", 1},
+		{"store in an arm", "if x > 1 { a[1] = x; } else { y = 2; }", 0},
+		{"loop only", "while y < x { y = y + 3; }", 0},
+		{"straight line", "y = x * x;", 0},
+	} {
+		src := "global a[4] = {5, 6, 7, 8};\nfunc main() { var x = a[0]; var y = 0; " + tc.body + " return y + a[1]; }"
+		p, _, _, err := FromSource(src, 1, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		before, had := p.Clone(), branches(p)
+		got := p.IfConvert(0)
+		if got != tc.want || had-branches(p) != got {
+			t.Errorf("%s: IfConvert reported %d conversions, want %d; branches %d -> %d", tc.name, got, tc.want, had, branches(p))
+		}
+		if got == 0 && !reflect.DeepEqual(before, p) {
+			t.Errorf("%s: no conversion, but the program changed", tc.name)
+		}
+		if again := p.IfConvert(0); again != 0 {
+			t.Errorf("%s: a second IfConvert converted %d more", tc.name, again)
+		}
+	}
+
+	// The same two properties on real programs, function by function, and
+	// the maxArm 0 default.
+	converted, untouched := 0, 0
+	for _, name := range referenceCorpus(30) {
+		p := mustFromSource(t, name, 4, 1)
+		before := p.Clone()
+		total := 0
+		for i, f := range p.Funcs {
+			had := branches(&Program{Funcs: []*Func{f}})
+			n := f.IfConvert(defaultMaxArm)
+			if left := branches(&Program{Funcs: []*Func{f}}); had-left != n {
+				t.Errorf("%s: %s: reported %d conversions, branches %d -> %d", name, f.Name, n, had, left)
+			}
+			if n == 0 && !reflect.DeepEqual(before.Funcs[i], f) {
+				t.Errorf("%s: %s: no conversion, but the function changed", name, f.Name)
+			}
+			total += n
+		}
+		if n := before.IfConvert(0); n != total || !reflect.DeepEqual(before, p) {
+			t.Errorf("%s: Program.IfConvert(0) converted %d, the functions one by one %d", name, n, total)
+		}
+		if total == 0 {
+			untouched++
+		} else {
+			converted++
+		}
+	}
+	if converted == 0 || untouched == 0 {
+		t.Errorf("%d programs converted, %d untouched; the test needs both", converted, untouched)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"wavescalar/internal/isa"
 	"wavescalar/internal/lang"
 	"wavescalar/internal/linear"
+	"wavescalar/internal/parallel"
 	"wavescalar/internal/testprogs"
 	"wavescalar/internal/wavec"
 	"wavescalar/internal/workloads"
@@ -253,28 +255,168 @@ func TestCompileSourceErrorsNameProgramAndStage(t *testing.T) {
 	}
 }
 
+// TestCompileSourceErrorPrecedenceAcrossStages: the two reference runs and
+// the lowerings overlap, so two of them can fail in either order; the error
+// reported is the one the documented order names, every time. (A build or
+// lowering error is not in the table: no source that passes the checker
+// makes one.)
+func TestCompileSourceErrorPrecedenceAcrossStages(t *testing.T) {
+	// Both engines trap: the emulator on the flat address, the evaluator on
+	// the array bound, after a loop the two finish at different times.
+	const bothTrap = "global a[4];\nfunc main() { var i = 0; while i < 300 { i = i + 1; } a[i] = 1; return a[0]; }"
+	// Only the evaluator traps (b[-1] is a word of a), after the same loop.
+	const evalTrap = "global a[4];\nglobal b[4];\nfunc main() { var i = 0; while i < 300 { i = i + 1; } b[i - 301] = 7; return a[3]; }"
+	for _, tc := range []struct {
+		name, src         string
+		evalFuel, emuFuel int64
+		prefix            string
+		is                error
+	}{
+		{"emulator trap, evaluator trap", bothTrap, 0, 0, "linear emulator: linear: main: store address", nil},
+		{"emulator out of fuel, evaluator trap", evalTrap, 0, 100, "linear emulator: ", linear.ErrFuel},
+		{"emulator trap, evaluator out of fuel", bothTrap, 100, 0, "evaluator: ", lang.ErrOutOfFuel},
+		{"emulator out of fuel, evaluator out of fuel", bothTrap, 100, 100, "evaluator: ", lang.ErrOutOfFuel},
+	} {
+		for rep := 0; rep < 25; rep++ {
+			_, _, err := compileSource("p", tc.src, DefaultCompileOptions(), tc.evalFuel, tc.emuFuel)
+			if err == nil || !strings.HasPrefix(err.Error(), "p: "+tc.prefix) || (tc.is != nil && !errors.Is(err, tc.is)) {
+				t.Errorf("%s (run %d): err = %v, want prefix %q", tc.name, rep, err, "p: "+tc.prefix)
+				break
+			}
+		}
+	}
+}
+
+// TestCompileSourceSharesSelectWhenNothingConverts: φ versus φ⁻¹ only
+// exists where a small pure diamond does. Where if-conversion converts
+// nothing WaveSel is the steer binary itself — the rule WaveNoUn follows
+// for unrolling — and where it converts something WaveSel is what lowering
+// a fresh IR with Options.IfConvert gives.
+func TestCompileSourceSharesSelectWhenNothingConverts(t *testing.T) {
+	standalone := func(name string, opts CompileOptions) []byte {
+		ir, _, _, err := cfgir.FromSource(workloads.ByName(name).Src, opts.Unroll, opts.OptLevel)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		p, err := wavec.Compile(ir, wavec.Options{IfConvert: true})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return isa.Encode(p)
+	}
+	shared := map[string]bool{}
+	for _, name := range compileCorpus(20) {
+		for opt := 0; opt <= 1; opt++ {
+			opts := CompileOptions{Unroll: 4, OptLevel: opt}
+			id := fmt.Sprintf("%s O%d", name, opt)
+			c, err := CompileSource(name, workloads.ByName(name).Src, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			want := standalone(name, opts)
+			if !bytes.Equal(isa.Encode(c.WaveSel), want) {
+				t.Errorf("%s: WaveSel differs from a standalone if-converting compile", id)
+			}
+			same := bytes.Equal(want, isa.Encode(c.Wave))
+			if (c.WaveSel == c.Wave) != same {
+				t.Errorf("%s: WaveSel is Wave: %v; the two binaries are byte-equal: %v", id, c.WaveSel == c.Wave, same)
+			}
+			shared[name] = c.WaveSel == c.Wave
+
+			// Select alone: still a select binary, and no steer one beside it.
+			opts.Binaries = []string{"select"}
+			only, err := CompileSource(name, workloads.ByName(name).Src, opts)
+			if err != nil {
+				t.Fatalf("%s, select only: %v", id, err)
+			}
+			if only.Wave != nil || only.WaveNoUn != nil || !bytes.Equal(isa.Encode(only.WaveSel), want) {
+				t.Errorf("%s, select only: Wave=%v WaveNoUn=%v, WaveSel equal to the standalone build: %v", id,
+					only.Wave != nil, only.WaveNoUn != nil, bytes.Equal(isa.Encode(only.WaveSel), want))
+			}
+		}
+	}
+	generated := false
+	for name, is := range shared {
+		generated = generated || is && strings.HasPrefix(name, "gen:")
+	}
+	if !shared["fft"] || !shared["ammp"] || shared["lu"] || !generated {
+		t.Errorf("shared select binary: fft %v ammp %v lu %v, some generated program %v; want true true false true",
+			shared["fft"], shared["ammp"], shared["lu"], generated)
+	}
+
+	// Rolled is the steer lowering when unrolling is off, so select and
+	// rolled together share it with no steer binary asked for.
+	c, err := CompileSource("fft", workloads.ByName("fft").Src, CompileOptions{Unroll: 1, Binaries: []string{"select", "rolled"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Wave != nil || c.WaveSel == nil || c.WaveSel != c.WaveNoUn {
+		t.Errorf("fft, select+rolled, unroll 1: Wave=%v, WaveSel is WaveNoUn: %v", c.Wave != nil, c.WaveSel == c.WaveNoUn)
+	}
+}
+
+// TestCompileSourceConcurrentCallers: Suite compiles workloads on several
+// goroutines and each compile now fans out itself. Eight callers at once
+// must emit what one caller does — the pinned digests.
+func TestCompileSourceConcurrentCallers(t *testing.T) {
+	data, err := os.ReadFile(compileDigestsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := map[string]string{} // "name O<opt>" -> line
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		f := strings.SplitN(line, " ", 3)
+		pinned[f[0]+" "+f[1]] = line
+	}
+	progs := compileCorpus(20)
+	if testing.Short() {
+		progs = progs[:15]
+	}
+	err = parallel.ForEach(8, 2*len(progs), func(i int) error {
+		name, opt := progs[i/2], i%2
+		line, err := compileDigestLine(name, opt)
+		if err != nil {
+			return err
+		}
+		if want, ok := pinned[fmt.Sprintf("%s O%d", name, opt)]; !ok || line != want {
+			t.Errorf("compiled beside seven other callers:\n got:  %s\n want: %s", line, want)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCompileSourceStopsAtEvaluatorFuel: a source that does not terminate
-// is refused as soon as the evaluator's budget is gone — before the IR is
-// built and without the emulator spending its own budget on the same loop
-// (with the default budgets that is the difference between 500M evaluator
-// steps and those plus 2G emulated instructions, on every retry of a waved
-// request). The emulator's budget here is the smaller one: had it run, its
-// error would be the one reported, as for any other pair of failures.
+// is refused as soon as the evaluator's budget is gone, and the emulator,
+// which runs the same loop beside it, is stopped there instead of spending
+// its own budget as well (with the default budgets that is the difference
+// between 500M evaluator steps and the time of 2G emulated instructions, on
+// every retry of a waved request). The error is the evaluator's whichever of
+// the two gave up first.
 func TestCompileSourceStopsAtEvaluatorFuel(t *testing.T) {
 	const spin = "func main() { var i = 0; while 1 { i = i + 1; } return i; }"
-	_, err := compileSource("spin", spin, DefaultCompileOptions(), 10_000, 1_000)
-	if !errors.Is(err, lang.ErrOutOfFuel) || !strings.HasPrefix(err.Error(), "spin: evaluator: ") {
-		t.Errorf("evaluator out of fuel first: err = %v", err)
+	for _, emuFuel := range []int64{1_000, 1 << 50} {
+		_, emulated, err := compileSource("spin", spin, DefaultCompileOptions(), 10_000, emuFuel)
+		if !errors.Is(err, lang.ErrOutOfFuel) || !strings.HasPrefix(err.Error(), "spin: evaluator: ") {
+			t.Errorf("emulator budget %d, evaluator out of fuel: err = %v", emuFuel, err)
+		}
+		// Stopped within a poll interval of the evaluator's last step, having
+		// run only while the evaluator did: nowhere near 2^50.
+		if emulated > 1<<32 {
+			t.Errorf("emulator budget %d: it executed %d instructions", emuFuel, emulated)
+		}
 	}
 	// With fuel for the evaluator only, the emulator's exhaustion is the
 	// error; with fuel for both the program compiles.
 	const count = "func main() { var i = 0; while i < 100 { i = i + 1; } return i; }"
-	_, err = compileSource("count", count, DefaultCompileOptions(), 10_000, 50)
+	_, _, err := compileSource("count", count, DefaultCompileOptions(), 10_000, 50)
 	if !errors.Is(err, linear.ErrFuel) || !strings.HasPrefix(err.Error(), "count: linear emulator: ") {
 		t.Errorf("emulator out of fuel: err = %v", err)
 	}
-	if c, err := compileSource("count", count, DefaultCompileOptions(), 10_000, 10_000); err != nil || c.Checksum != 100 {
-		t.Errorf("within both budgets: %v, %v", c, err)
+	if c, emulated, err := compileSource("count", count, DefaultCompileOptions(), 10_000, 10_000); err != nil || c.Checksum != 100 || emulated != c.UsefulInstrs {
+		t.Errorf("within both budgets: %v, %d emulated, %v", c, emulated, err)
 	}
 }
 

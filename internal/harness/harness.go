@@ -20,6 +20,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wavescalar/internal/cfgir"
@@ -114,108 +115,162 @@ func CompileWorkload(w *workloads.Workload, opts CompileOptions) (*Compiled, err
 // the linear emulator's checksum against the AST evaluator exactly as the
 // workload path always has.
 //
-// Each piece of work is done once. The source is parsed and checked once.
-// The evaluator runs first, on the file as written, because lang.Unroll
-// rewrites the file in place afterwards. The optimized IR is built once per
-// distinct unroll factor: the rolled IR, when that binary is asked for, from
-// the file as written, and the IR at opts.Unroll from the file once
-// unrolled — the same IR, and the same binary, when unrolling found no
-// loop to rewrite. All the binaries at opts.Unroll lower one IR, so they run
-// the same optimized program: linear.Compile only reads it, the φ-select
-// build gets a clone because wavec.Compile consumes its input, and the steer
-// build then consumes the original. opts.Binaries leaves out the lowerings
-// nobody asked for — the clone and if-conversion, the second IR — and
-// nothing else.
+// Each piece of work is done once, and what waits on nothing else runs
+// beside it (DESIGN.md §11 draws the graph). The source is parsed and
+// checked once. lang.Unroll rewrites the file in place, so the two things
+// that need the file as written come before it: the evaluator binds its
+// names — and then runs on a goroutine of its own, never looking at the file
+// again — and the rolled IR, when that binary is asked for, is lowered. The
+// IR is built once per distinct unroll factor; the rolled one is optimized
+// and lowered to its binary on a second goroutine while the caller builds
+// the IR at opts.Unroll — the same IR, and the same binary, when unrolling
+// found no loop to rewrite. All the binaries at opts.Unroll lower that one
+// IR, so they run the same optimized program: linear.Compile only reads it,
+// the φ-select build gets a clone because wavec.Compile consumes its input,
+// and the steer build then consumes the original while the emulator runs
+// the linear program. The clone is if-converted before it is lowered: when
+// that converts nothing it is still the IR the steer build lowers, and
+// WaveSel is the steer binary itself, as WaveNoUn is when unrolling rewrote
+// nothing. opts.Binaries leaves out the lowerings nobody asked for — the
+// clone and if-conversion, the second IR — and nothing else.
 //
-// Which stage an error names is fixed: a front-end, build or lowering error
-// first, then the emulator's, then the evaluator's, then a checksum
-// mismatch — except that an evaluator out of fuel is returned at once, so a
-// source that does not terminate costs one budget and not two.
+// Which stage an error names is fixed, whatever finished first: an evaluator
+// out of fuel before anything else; then a front-end, build or lowering
+// error, then the emulator's, then the evaluator's, then a checksum
+// mismatch. An evaluator that runs dry stops the emulator as well, so a
+// source that does not terminate costs one budget of time and not two.
 func CompileSource(name, src string, opts CompileOptions) (*Compiled, error) {
-	return compileSource(name, src, opts, 0, 0)
+	c, _, err := compileSource(name, src, opts, 0, 0)
+	return c, err
 }
 
 // compileSource is CompileSource with the two reference engines' budgets
-// (evaluator steps, emulator instructions; 0 = each engine's default).
-func compileSource(name, src string, opts CompileOptions, evalFuel, emuFuel int64) (*Compiled, error) {
+// (evaluator steps, emulator instructions; 0 = each engine's default). It
+// also reports how many instructions the emulator executed, error or not.
+func compileSource(name, src string, opts CompileOptions, evalFuel, emuFuel int64) (_ *Compiled, emulated int64, _ error) {
 	c := &Compiled{Name: name, Src: src, Opt: opts.OptLevel}
 	stage := func(what string, err error) error {
+		if err == nil {
+			return nil
+		}
 		return fmt.Errorf("%s: %s: %w", name, what, err)
 	}
 	if err := opts.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
+		return nil, 0, fmt.Errorf("%s: %w", name, err)
 	}
 	steer, sel, rolled := opts.builds("steer"), opts.builds("select"), opts.builds("rolled")
 
 	f, err := lang.ParseAndCheck(src)
 	if err != nil {
-		return nil, stage("frontend", err)
+		return nil, 0, stage("frontend", err)
 	}
-	want, evalErr := lang.NewEvaluator(f, evalFuel).Run()
-	if errors.Is(evalErr, lang.ErrOutOfFuel) {
-		return nil, stage("evaluator", evalErr)
-	}
+	ev := lang.NewEvaluator(f, evalFuel)
 
-	// ir is the program at opts.Unroll; rolledIR stays nil when ir is also
-	// the rolled program.
-	var ir, rolledIR *cfgir.Program
-	unroll := opts.Unroll
-	if rolled {
-		if ir, c.MemOpt, _, err = cfgir.FromFile(f, 1, opts.OptLevel); err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
+	// Each stage writes variables (and fields of c) that are its own until
+	// the join, and from here on only the calling goroutine touches f: there
+	// is nothing to lock.
+	var (
+		want                        int64
+		evalErr, emuErr             error
+		irErr                       error // the caller's chain: both lowerings to IR, then to the linear program
+		selErr, steerErr, rolledErr error
+		steerProg                   *isa.Program
+		selIsSteer                  bool
+		em                          *linear.Emulator
+		evalDry                     atomic.Bool
+	)
+	func() {
+		var g parallel.Group
+		defer g.Wait() // the join, also when this goroutine returns early or panics
+		g.Go(func() {
+			if want, evalErr = ev.Run(); errors.Is(evalErr, lang.ErrOutOfFuel) {
+				evalDry.Store(true)
+			}
+		})
+
+		// ir is the program at opts.Unroll. It is the rolled program too
+		// unless lang.Unroll finds a loop to rewrite: then what was lowered
+		// from the file as written is optimized and compiled on its own.
+		var ir *cfgir.Program
+		if rolled {
+			if ir, err = cfgir.Lower(f); err != nil {
+				irErr = stage("build", err)
+				return
+			}
 		}
-		if lang.Unroll(f, unroll) > 0 {
-			rolledIR, ir = ir, nil
+		rolledIsSteer := rolled
+		if lang.Unroll(f, opts.Unroll) > 0 && rolled {
+			rolledIR := ir
+			ir, rolledIsSteer = nil, false
+			g.Go(func() {
+				rolledIR.OptimizeTo(opts.OptLevel)
+				c.WaveNoUn, rolledErr = wavec.Compile(rolledIR, wavec.Options{})
+			})
 		}
-		unroll = 1 // f is unrolled now
-	}
-	if ir == nil {
-		if ir, c.MemOpt, _, err = cfgir.FromFile(f, unroll, opts.OptLevel); err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
+		if ir == nil {
+			if ir, err = cfgir.Lower(f); err != nil {
+				irErr = stage("build", err)
+				return
+			}
 		}
-	}
-	if c.Linear, err = linear.Compile(ir); err != nil {
-		return nil, stage("linear", err)
-	}
-	if sel {
-		if c.WaveSel, err = wavec.Compile(ir.Clone(), wavec.Options{IfConvert: true}); err != nil {
-			return nil, stage("wavec", err)
+		c.MemOpt = ir.OptimizeTo(opts.OptLevel)
+		if c.Linear, err = linear.Compile(ir); err != nil {
+			irErr = stage("linear", err)
+			return
 		}
-	}
-	rolledIsSteer := rolled && rolledIR == nil
-	if steer || rolledIsSteer {
-		p, err := wavec.Compile(ir, wavec.Options{})
-		if err != nil {
-			return nil, stage("wavec", err)
+		em = linear.NewEmulator(c.Linear, emuFuel)
+		em.Stop = &evalDry
+		g.Go(func() { c.Checksum, emuErr = em.Run() })
+
+		lowerSteer := steer || rolledIsSteer
+		if sel {
+			selIR := ir.Clone()
+			g.Go(func() {
+				if converted := selIR.IfConvert(0); converted == 0 && lowerSteer {
+					selIsSteer = true // selIR is still what the steer build lowers
+					return
+				}
+				c.WaveSel, selErr = wavec.Compile(selIR, wavec.Options{}) // if-converted above
+			})
+		}
+		if !lowerSteer {
+			return
+		}
+		if steerProg, steerErr = wavec.Compile(ir, wavec.Options{}); steerErr != nil {
+			return
 		}
 		if steer {
-			c.Wave = p
-			c.Chains = wavec.MeasureChains(p)
+			c.Wave = steerProg
+			c.Chains = wavec.MeasureChains(steerProg)
 		}
 		if rolledIsSteer {
-			c.WaveNoUn = p
+			c.WaveNoUn = steerProg
 		}
-	}
-	if rolledIR != nil {
-		if c.WaveNoUn, err = wavec.Compile(rolledIR, wavec.Options{}); err != nil {
-			return nil, stage("wavec", err)
-		}
+	}()
+	if em != nil {
+		emulated = em.Instrs
 	}
 
-	em := linear.NewEmulator(c.Linear, emuFuel)
-	if c.Checksum, err = em.Run(); err != nil {
-		return nil, stage("linear emulator", err)
+	if errors.Is(evalErr, lang.ErrOutOfFuel) {
+		return nil, emulated, stage("evaluator", evalErr)
 	}
-	c.UsefulInstrs = em.Instrs
-
-	// Cross-check against the AST evaluator.
-	if evalErr != nil {
-		return nil, stage("evaluator", evalErr)
+	for _, err := range []error{
+		irErr, stage("wavec", selErr), stage("wavec", steerErr), stage("wavec", rolledErr),
+		stage("linear emulator", emuErr),
+		stage("evaluator", evalErr),
+	} {
+		if err != nil {
+			return nil, emulated, err
+		}
 	}
 	if want != c.Checksum {
-		return nil, fmt.Errorf("%s: linear checksum %d != evaluator %d", name, c.Checksum, want)
+		return nil, emulated, fmt.Errorf("%s: linear checksum %d != evaluator %d", name, c.Checksum, want)
 	}
-	return c, nil
+	if selIsSteer {
+		c.WaveSel = steerProg
+	}
+	c.UsefulInstrs = emulated
+	return c, emulated, nil
 }
 
 // Suite compiles a set of workloads (all of them if names is empty).

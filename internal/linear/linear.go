@@ -13,6 +13,7 @@ package linear
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"wavescalar/internal/cfgir"
 	"wavescalar/internal/isa"
@@ -204,6 +205,15 @@ func compileFunc(f *cfgir.Func) (*Func, error) {
 // ErrFuel reports instruction-budget exhaustion.
 var ErrFuel = fmt.Errorf("linear: execution exceeded instruction budget")
 
+// ErrStopped reports that Emulator.Stop was raised while the program ran.
+var ErrStopped = fmt.Errorf("linear: execution stopped on request")
+
+// stopPoll is how many instructions run between two looks at
+// Emulator.Stop: the flag is read when the low bits of the remaining budget
+// are zero, so an instruction pays one more test of a register it already
+// holds for the fuel check and the atomic load happens once in 2^18.
+const stopPoll = 1 << 18
+
 // Emulator executes linear programs functionally (correctness oracle #4)
 // and can emit a dynamic trace for the out-of-order timing model.
 type Emulator struct {
@@ -220,6 +230,11 @@ type Emulator struct {
 
 	// Trace, when non-nil, receives every executed instruction.
 	Trace func(ev TraceEvent)
+
+	// Stop, when non-nil, is a request another goroutine may raise while Run
+	// executes: Run returns ErrStopped within stopPoll instructions of its
+	// being set.
+	Stop *atomic.Bool
 }
 
 // TraceEvent describes one dynamic instruction for the timing model.
@@ -288,6 +303,9 @@ func (e *Emulator) call(fi int, regs []int64, frames *int64) (int64, error) {
 		e.fuel--
 		if e.fuel < 0 {
 			return 0, ErrFuel
+		}
+		if e.fuel&(stopPoll-1) == 0 && e.Stop != nil && e.Stop.Load() {
+			return 0, ErrStopped
 		}
 		ev := TraceEvent{Func: fi, PC: pc, Frame: frame, Instr: in}
 		next := pc + 1

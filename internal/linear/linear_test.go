@@ -3,6 +3,7 @@ package linear
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"wavescalar/internal/cfgir"
@@ -123,6 +124,38 @@ func TestEmulatorFuel(t *testing.T) {
 	lp := compileSource(t, `func main() { while 1 { } return 0; }`)
 	if _, err := NewEmulator(lp, 100).Run(); err != ErrFuel {
 		t.Fatalf("got %v, want ErrFuel", err)
+	}
+}
+
+// TestEmulatorStopRequest: a raised Stop ends the run with ErrStopped within
+// one poll interval — raised while the program runs (here by the trace hook,
+// so the instruction it is raised at is known) or before it starts — and an
+// emulator nobody stops is not affected by having one.
+func TestEmulatorStopRequest(t *testing.T) {
+	lp := compileSource(t, `func main() { while 1 { } return 0; }`)
+	var stop atomic.Bool
+	const raiseAt = 1000
+	em := NewEmulator(lp, 0)
+	em.Stop = &stop
+	em.Trace = func(TraceEvent) {
+		if em.Instrs == raiseAt {
+			stop.Store(true)
+		}
+	}
+	if _, err := em.Run(); err != ErrStopped || em.Instrs <= raiseAt || em.Instrs > raiseAt+stopPoll {
+		t.Errorf("stop raised at instruction %d: %v after %d instructions", raiseAt, err, em.Instrs)
+	}
+	em = NewEmulator(lp, 0)
+	em.Stop = &stop
+	if _, err := em.Run(); err != ErrStopped || em.Instrs > stopPoll {
+		t.Errorf("stop raised before Run: %v after %d instructions", err, em.Instrs)
+	}
+
+	lp = compileSource(t, `func main() { var i = 0; while i < 100 { i = i + 1; } return i; }`)
+	em = NewEmulator(lp, 0)
+	em.Stop = new(atomic.Bool)
+	if v, err := em.Run(); v != 100 || err != nil {
+		t.Errorf("never stopped: %d, %v", v, err)
 	}
 }
 

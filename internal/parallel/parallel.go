@@ -158,3 +158,41 @@ func MapCtx[T any](ctx context.Context, workers, n int, f func(i int) (T, error)
 	}
 	return out, nil
 }
+
+// Group is spawn-and-wait for a handful of different functions, where
+// ForEach is for many calls of one: Go starts f on a goroutine of its own
+// and Wait returns once every function started so far has. It keeps
+// ForEach's panic contract — a panicking function is recovered on its
+// goroutine and the panic re-raised by Wait on the waiting goroutine, after
+// all of them have finished; of several, the earliest started wins.
+//
+// Go and Wait are called from the one goroutine that owns the Group, whose
+// zero value is ready to use. What the functions return travels in
+// variables each writes alone and the owner reads after Wait.
+type Group struct {
+	wg     sync.WaitGroup
+	panics []*any // one cell per Go call, written by that goroutine alone
+}
+
+// Go runs f on a new goroutine.
+func (g *Group) Go(f func()) {
+	cell := new(any)
+	g.panics = append(g.panics, cell)
+	g.wg.Add(1)
+	go func() {
+		defer g.wg.Done()
+		defer func() { *cell = recover() }()
+		f()
+	}()
+}
+
+// Wait blocks until every function started by Go has returned, then
+// re-raises the first one's panic, if any did.
+func (g *Group) Wait() {
+	g.wg.Wait()
+	for _, cell := range g.panics {
+		if *cell != nil {
+			panic(*cell)
+		}
+	}
+}

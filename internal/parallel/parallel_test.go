@@ -217,3 +217,45 @@ func TestMapCtxCompletesWithoutCancellation(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupWaitsForEveryFunction: Wait returns once everything started has
+// finished, results travelling in variables each function owns; a second
+// round of Go and Wait on the same Group works the same way.
+func TestGroupWaitsForEveryFunction(t *testing.T) {
+	var g Group
+	g.Wait() // nothing started
+	var out [5]int
+	for round := 1; round <= 2; round++ {
+		for i := range out {
+			g.Go(func() { out[i] += round * (i + 1) })
+		}
+		g.Wait()
+		for i, v := range out {
+			if want := (i + 1) * round * (round + 1) / 2; v != want {
+				t.Fatalf("round %d: out[%d] = %d, want %d", round, i, v, want)
+			}
+		}
+	}
+}
+
+// TestGroupPanicSurfacesOnWaiter: ForEach's contract — the panic is raised
+// on the waiting goroutine, after every other function has finished, and of
+// two the one started first wins.
+func TestGroupPanicSurfacesOnWaiter(t *testing.T) {
+	var finished atomic.Bool
+	release := make(chan struct{})
+	defer func() {
+		if r := recover(); r != "first" {
+			t.Fatalf("recovered %v, want first", r)
+		}
+		if !finished.Load() {
+			t.Error("Wait re-raised the panic before the slow function finished")
+		}
+	}()
+	var g Group
+	g.Go(func() { <-release; panic("first") })
+	g.Go(func() { defer close(release); panic("second") })
+	g.Go(func() { <-release; finished.Store(true) })
+	g.Wait()
+	t.Fatal("Wait returned instead of panicking")
+}

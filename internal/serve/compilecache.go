@@ -3,6 +3,8 @@ package serve
 import (
 	"container/list"
 	"context"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -33,6 +35,16 @@ type compileEntry struct {
 	c    *harness.Compiled
 	err  error
 }
+
+// buildPanic is the error get returns when build panicked: a bug in the
+// compiler, not in the program handed to it, so the handlers report it as
+// CodeInternal where any other build error is the request's fault.
+type buildPanic struct {
+	value any
+	stack []byte // of the build goroutine, for the server log
+}
+
+func (p *buildPanic) Error() string { return fmt.Sprintf("compiler panic: %v", p.value) }
 
 func newCompileCache(max int) *compileCache {
 	if max < 1 {
@@ -79,18 +91,28 @@ func (cc *compileCache) get(ctx context.Context, key, binary string, build func(
 			delete(cc.entries, old.key)
 		}
 		go func() {
-			e.c, e.err = build()
-			if e.err != nil {
-				// Never cache failures: a bad source stays bad, but transient
-				// failures must not poison the key — a retry recompiles.
-				cc.mu.Lock()
-				if cur, live := cc.entries[key]; live && cur == e {
-					cc.lru.Remove(e.elem)
-					delete(cc.entries, key)
+			// Whatever build does, the waiters are released: net/http
+			// recovers handler goroutines only, so a panic escaping this
+			// one would take the process down, and one swallowed without
+			// closing done would leave them waiting out their deadlines on
+			// a key nobody is building.
+			defer func() {
+				if r := recover(); r != nil {
+					e.c, e.err = nil, &buildPanic{value: r, stack: debug.Stack()}
 				}
-				cc.mu.Unlock()
-			}
-			close(e.done)
+				if e.err != nil {
+					// Never cache failures: a bad source stays bad, but transient
+					// failures must not poison the key — a retry recompiles.
+					cc.mu.Lock()
+					if cur, live := cc.entries[key]; live && cur == e {
+						cc.lru.Remove(e.elem)
+						delete(cc.entries, key)
+					}
+					cc.mu.Unlock()
+				}
+				close(e.done)
+			}()
+			e.c, e.err = build()
 		}()
 	}
 	cc.mu.Unlock()

@@ -155,6 +155,24 @@ func (s *Server) ctxError(ctx context.Context) *ErrorResponse {
 	}
 }
 
+// compileError translates a failed compileCache.get: a wait the context
+// ended follows the context's story, a compiler panic is the server's bug
+// (logged with the build goroutine's stack), and anything else is the
+// program's fault — the pipeline cross-checks its own backends, so a bad
+// program, not a bad server, is what fails there.
+func (s *Server) compileError(ctx context.Context, err error) *ErrorResponse {
+	var bp *buildPanic
+	switch {
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+		return s.ctxError(ctx)
+	case errors.As(err, &bp):
+		s.logf("compile: %v\n%s", bp, bp.stack)
+		return &ErrorResponse{Code: CodeInternal, Status: http.StatusInternalServerError, Error: bp.Error()}
+	default:
+		return invalidErr("compile: %v", err)
+	}
+}
+
 // classifyRunError maps a harness/simulator error onto the API: a
 // cancellation fault follows the context's story, a real simulation fault
 // is the structured 422 diagnostic, a bare context error (worker pool
@@ -449,13 +467,7 @@ func (s *Server) simulate(ctx context.Context, j *simJob, wantMetrics bool) (*Si
 	})
 	ts := time.Now()
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			return nil, s.ctxError(ctx)
-		}
-		// Compilation failures are the program's fault: the pipeline
-		// cross-checks its own backends, so a bad program — not a bad
-		// server — is what fails here.
-		return nil, invalidErr("compile: %v", err)
+		return nil, s.compileError(ctx, err)
 	}
 	prog, err := c.Binary(j.binary)
 	if err != nil {
@@ -529,10 +541,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 			return harness.CompileSource(name, src, co)
 		})
 		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				return nil, false, s.ctxError(ctx)
-			}
-			return nil, false, invalidErr("compile: %v", err)
+			return nil, false, s.compileError(ctx, err)
 		}
 		return &CompileResponse{
 			Workload:         name,

@@ -49,8 +49,8 @@ type Options struct {
 // backend. A caller that wants more than one binary from one IR passes a
 // p.Clone() to every call but the last.
 func Compile(p *cfgir.Program, opts Options) (*isa.Program, error) {
-	if opts.MaxArm == 0 {
-		opts.MaxArm = 8
+	if opts.IfConvert {
+		p.IfConvert(opts.MaxArm)
 	}
 	touches := computeTouches(p)
 	out := &isa.Program{
@@ -63,9 +63,6 @@ func Compile(p *cfgir.Program, opts Options) (*isa.Program, error) {
 	}
 	var regs regTable
 	for fi, f := range p.Funcs {
-		if opts.IfConvert {
-			f.IfConvert(opts.MaxArm)
-		}
 		f.SplitCriticalEdges()
 		fc := &funcCompiler{prog: p, ir: f, touches: touches, self: fi, regs: &regs}
 		isaFunc, err := fc.compile()
