@@ -58,14 +58,6 @@ func compileDigestLine(name string, opt int) (string, error) {
 }
 
 func TestCompileSourceDigestsPinned(t *testing.T) {
-	var want []string
-	if !*updateCompileDigests {
-		data, err := os.ReadFile(compileDigestsPath)
-		if err != nil {
-			t.Fatalf("missing digests (run with -update-compile-digests to create): %v", err)
-		}
-		want = strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-	}
 	var got []string
 	for _, name := range compileCorpus(100) {
 		for opt := 0; opt <= 1; opt++ {
@@ -73,20 +65,34 @@ func TestCompileSourceDigestsPinned(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s O%d: %v", name, opt, err)
 			}
-			if i := len(got); i < len(want) && want[i] != line {
-				t.Errorf("compiled output changed:\n got:  %s\n want: %s", line, want[i])
-			}
 			got = append(got, line)
 		}
 	}
-	if *updateCompileDigests {
-		if err := os.WriteFile(compileDigestsPath, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+	pinnedLines(t, compileDigestsPath, *updateCompileDigests, "-update-compile-digests", got)
+}
+
+// pinnedLines holds got to the lines recorded in the file at path, or, when
+// update is set, rewrites the file from got.
+func pinnedLines(t *testing.T, path string, update bool, updateFlag string, got []string) {
+	t.Helper()
+	if update {
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d digests to %s", len(got), compileDigestsPath)
+		t.Logf("wrote %d lines to %s", len(got), path)
 		return
 	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing %s (run with %s to create): %v", path, updateFlag, err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	for i := 0; i < min(len(got), len(want)); i++ {
+		if got[i] != want[i] {
+			t.Errorf("%s line %d changed:\n got:  %s\n want: %s", path, i+1, got[i], want[i])
+		}
+	}
 	if len(got) != len(want) {
-		t.Errorf("%d compilations, %d recorded digests", len(got), len(want))
+		t.Errorf("%d lines, %d recorded in %s", len(got), len(want), path)
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // corpusCellVersion names the CorpusCell schema for cache keys; bump it
 // when the cell's serialized shape or meaning changes.
-const corpusCellVersion = "cell-v3"
+const corpusCellVersion = "cell-v4"
 
 // CorpusOptions configures a corpus-scale differential sweep (experiment
 // E13): N generated programs, each verified across the full engine table.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"wavescalar/internal/interp"
+	"wavescalar/internal/isa"
 	"wavescalar/internal/lang"
 	"wavescalar/internal/linear"
 	"wavescalar/internal/ooo"
@@ -19,11 +20,16 @@ import (
 const EngineSetVersion = "engines-v3"
 
 // EngineRun is one engine's observation of a program: the final checksum
-// every engine must agree on, and — for the timing engines — the
-// simulated cycle count (0 for the untimed functional engines).
+// every engine must agree on, the simulated cycle count for the timing
+// engines (0 for the untimed functional ones), and a digest of the final
+// memory image (wavecache.ImageDigest; 0 for the out-of-order model, which
+// keeps none). A checksum is what the program chose to read back: a dead
+// store reordered past another to the same address leaves it alone and
+// changes the image.
 type EngineRun struct {
-	Value  int64
-	Cycles int64
+	Value     int64
+	Cycles    int64
+	MemDigest uint64
 }
 
 // Engine is one execution engine of the differential suite.
@@ -48,31 +54,37 @@ func Engines(m MachineOptions) []Engine {
 			if err != nil {
 				return EngineRun{}, err
 			}
-			res, err := runPooled(c.Wave, pol, cfg)
-			return EngineRun{Value: res.Value, Cycles: res.Cycles}, err
+			a := arenaPool.Get().(*wavecache.Arena)
+			defer arenaPool.Put(a)
+			res, err := a.Run(c.Wave, pol, cfg)
+			return EngineRun{Value: res.Value, Cycles: res.Cycles, MemDigest: wavecache.ImageDigest(a.Memory())}, err
+		}
+	}
+	interpEngine := func(prog func(c *Compiled) *isa.Program) func(c *Compiled) (EngineRun, error) {
+		return func(c *Compiled) (EngineRun, error) {
+			m := interp.New(prog(c), 0)
+			v, err := m.Run()
+			return EngineRun{Value: v, MemDigest: wavecache.ImageDigest(m.Memory())}, err
 		}
 	}
 	return []Engine{
 		{"ast-evaluator", func(c *Compiled) (EngineRun, error) {
-			v, err := lang.EvalProgram(c.Src)
-			return EngineRun{Value: v}, err
+			f, err := lang.ParseAndCheck(c.Src)
+			if err != nil {
+				return EngineRun{}, err
+			}
+			ev := lang.NewEvaluator(f, 0)
+			v, err := ev.Run()
+			return EngineRun{Value: v, MemDigest: wavecache.ImageDigest(ev.Memory())}, err
 		}},
 		{"linear-emulator", func(c *Compiled) (EngineRun, error) {
-			v, err := linear.NewEmulator(c.Linear, 0).Run()
-			return EngineRun{Value: v}, err
+			em := linear.NewEmulator(c.Linear, 0)
+			v, err := em.Run()
+			return EngineRun{Value: v, MemDigest: wavecache.ImageDigest(em.Memory())}, err
 		}},
-		{"interp-steer", func(c *Compiled) (EngineRun, error) {
-			v, err := interp.New(c.Wave, 0).Run()
-			return EngineRun{Value: v}, err
-		}},
-		{"interp-select", func(c *Compiled) (EngineRun, error) {
-			v, err := interp.New(c.WaveSel, 0).Run()
-			return EngineRun{Value: v}, err
-		}},
-		{"interp-rolled", func(c *Compiled) (EngineRun, error) {
-			v, err := interp.New(c.WaveNoUn, 0).Run()
-			return EngineRun{Value: v}, err
-		}},
+		{"interp-steer", interpEngine(func(c *Compiled) *isa.Program { return c.Wave })},
+		{"interp-select", interpEngine(func(c *Compiled) *isa.Program { return c.WaveSel })},
+		{"interp-rolled", interpEngine(func(c *Compiled) *isa.Program { return c.WaveNoUn })},
 		{"wavecache-" + wavecache.MemOrdered.String(), waveEngine(wavecache.MemOrdered)},
 		{"wavecache-" + wavecache.MemSerial.String(), waveEngine(wavecache.MemSerial)},
 		{"wavecache-" + wavecache.MemIdeal.String(), waveEngine(wavecache.MemIdeal)},
@@ -98,10 +110,11 @@ func EngineNames(m MachineOptions) []string {
 // serializes losslessly into the corpus cell cache (int64s round-trip
 // exactly through encoding/json into typed fields).
 type EngineResult struct {
-	Engine string `json:"engine"`
-	Value  int64  `json:"value"`
-	Cycles int64  `json:"cycles,omitempty"`
-	Err    string `json:"err,omitempty"`
+	Engine    string `json:"engine"`
+	Value     int64  `json:"value"`
+	Cycles    int64  `json:"cycles,omitempty"`
+	MemDigest uint64 `json:"mem_digest,omitempty"`
+	Err       string `json:"err,omitempty"`
 }
 
 // DiffResult is a full cross-engine differential verdict for one program.
@@ -111,15 +124,23 @@ type DiffResult struct {
 	Results []EngineResult
 }
 
-// Mismatches lists the engines that failed or disagreed with Want.
+// Mismatches lists the engines that failed, disagreed with Want, or left a
+// different memory image behind than the first engine that keeps one (the
+// AST evaluator, in Engines' order).
 func (d *DiffResult) Mismatches() []string {
 	var out []string
+	var wantMem uint64
 	for _, r := range d.Results {
+		if r.Err == "" && wantMem == 0 {
+			wantMem = r.MemDigest
+		}
 		switch {
 		case r.Err != "":
 			out = append(out, fmt.Sprintf("%s: %s", r.Engine, r.Err))
 		case r.Value != d.Want:
 			out = append(out, fmt.Sprintf("%s: checksum %d, want %d", r.Engine, r.Value, d.Want))
+		case r.MemDigest != 0 && r.MemDigest != wantMem:
+			out = append(out, fmt.Sprintf("%s: memory image %016x, want %016x", r.Engine, r.MemDigest, wantMem))
 		}
 	}
 	return out
@@ -135,7 +156,7 @@ func RunDifferential(c *Compiled, engines []Engine) *DiffResult {
 	d := &DiffResult{Name: c.Name, Want: c.Checksum, Results: make([]EngineResult, len(engines))}
 	for i, e := range engines {
 		run, err := e.Run(c)
-		d.Results[i] = EngineResult{Engine: e.Name, Value: run.Value, Cycles: run.Cycles}
+		d.Results[i] = EngineResult{Engine: e.Name, Value: run.Value, Cycles: run.Cycles, MemDigest: run.MemDigest}
 		if err != nil {
 			d.Results[i].Err = err.Error()
 		}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strings"
 	"sync"
 	"testing"
 )
@@ -78,6 +79,16 @@ func TestRunDifferential(t *testing.T) {
 		if r.Cycles > 0 {
 			cycles[r.Engine] = true
 		}
+		// Every engine but the out-of-order model keeps a memory image.
+		if (r.MemDigest != 0) != (r.Engine != "ooo") {
+			t.Errorf("%s: memory digest %x", r.Engine, r.MemDigest)
+		}
+	}
+	// The image is compared, not just carried: same checksum, one word of
+	// memory different — what a dead store committed out of order leaves.
+	d.Results[5].MemDigest++
+	if m := d.Mismatches(); len(m) != 1 || !strings.Contains(m[0], d.Results[5].Engine+": memory image") {
+		t.Errorf("a different memory image under an agreeing checksum went unreported: %v", m)
 	}
 	for _, e := range []string{"wavecache-wave-ordered", "ooo"} {
 		if !cycles[e] {

@@ -93,16 +93,28 @@ func collectGolden(t *testing.T) []goldenRecord {
 	m.GridW, m.GridH = 2, 2
 	var recs []goldenRecord
 	for _, c := range set {
+		ref, err := emulatorTrace(c.Linear)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, sc := range goldenScenarios {
 			cfg := goldenConfig(m, sc.Cfg)
 			pol, err := placement.New(m.Policy, cfg.Machine, c.Wave, 12345)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, mem, err := wavecache.RunWithMemory(c.Wave, pol, cfg)
+			a := wavecache.NewArena()
+			res, err := a.Run(c.Wave, pol, cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", c.Name, sc.Name, err)
 			}
+			// Riding along: whatever the scenario lost, delayed or routed
+			// around, memory saw the program's loads and stores in order.
+			if f := a.Fence(); f.Commit != ref.commit || f.Image != ref.image {
+				t.Errorf("%s/%s: commit trace %x (image %x) is not the emulator's %x (image %x)",
+					c.Name, sc.Name, f.Commit, f.Image, ref.commit, ref.image)
+			}
+			mem := a.Memory()
 			h := fnv.New64a()
 			for _, w := range mem {
 				var b [8]byte

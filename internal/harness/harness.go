@@ -326,8 +326,9 @@ func (cs *cellSet) wave(c *Compiled, prog *isa.Program, m MachineOptions, out *w
 // exclusively. Reuse is results-neutral — see wavecache.Arena.
 var arenaPool = sync.Pool{New: func() any { return wavecache.NewArena() }}
 
-// runPooled is wavecache.Run on an arena from the pool: the door every
-// harness simulation goes through.
+// runPooled is wavecache.Run on an arena from the pool: the door harness
+// simulations go through (the differential engines take the arena themselves,
+// to digest its memory image before handing it back).
 func runPooled(prog *isa.Program, pol placement.Policy, cfg wavecache.Config) (wavecache.Result, error) {
 	a := arenaPool.Get().(*wavecache.Arena)
 	res, err := a.Run(prog, pol, cfg)

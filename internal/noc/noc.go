@@ -180,19 +180,27 @@ func (n *Network) Send(src, dst Loc, now int64) int64 {
 	switch {
 	case src.Cluster == dst.Cluster && src.Domain == dst.Domain && src.Pod == dst.Pod:
 		n.stats.PodLocal++
-		n.tr.NetMsg(now, trace.LevelPod)
+		if n.tr != nil {
+			n.tr.NetMsg(now, trace.LevelPod)
+		}
 		return now + n.cfg.IntraPod
 	case src.Cluster == dst.Cluster && src.Domain == dst.Domain:
 		n.stats.DomainHops++
-		n.tr.NetMsg(now, trace.LevelDomain)
+		if n.tr != nil {
+			n.tr.NetMsg(now, trace.LevelDomain)
+		}
 		return now + n.cfg.IntraDomain
 	case src.Cluster == dst.Cluster:
 		n.stats.ClusterBus++
-		n.tr.NetMsg(now, trace.LevelCluster)
+		if n.tr != nil {
+			n.tr.NetMsg(now, trace.LevelCluster)
+		}
 		return now + n.cfg.IntraCluster
 	}
 	n.stats.MeshMsgs++
-	n.tr.NetMsg(now, trace.LevelMesh)
+	if n.tr != nil {
+		n.tr.NetMsg(now, trace.LevelMesh)
+	}
 	t := now + n.cfg.InterClusterBase
 	cur := src.Cluster
 	for cur != dst.Cluster {

@@ -1,9 +1,11 @@
 package wavecache
 
 import (
+	"errors"
 	"testing"
 
 	"wavescalar/internal/fault"
+	"wavescalar/internal/isa"
 	"wavescalar/internal/placement"
 	"wavescalar/internal/testprogs"
 	"wavescalar/internal/workloads"
@@ -53,7 +55,8 @@ func TestArenaReuseBitIdentical(t *testing.T) {
 	killed.Faults = fault.Config{Seed: 11, KillPE: 0, KillCycle: 200}
 	killed.MaxCycles = 20_000_000
 	for _, cfg := range []Config{killed, clean, killed, clean} {
-		want, err := Run(wp, mustPol(placement.NewDynamicSnake(cfg.Machine)), cfg)
+		fresh := NewArena()
+		want, err := fresh.Run(wp, mustPol(placement.NewDynamicSnake(cfg.Machine)), cfg)
 		if err != nil {
 			t.Fatalf("kill-then-reuse fresh: %v", err)
 		}
@@ -65,8 +68,139 @@ func TestArenaReuseBitIdentical(t *testing.T) {
 			t.Fatalf("kill-then-reuse (kill cycle %d): arena result diverged\n got %+v\nwant %+v",
 				cfg.Faults.KillCycle, got, want)
 		}
+		if got, want := a.Fence(), fresh.Fence(); got != want {
+			t.Fatalf("kill-then-reuse (kill cycle %d): arena fence diverged\n got %+v\nwant %+v",
+				cfg.Faults.KillCycle, got, want)
+		}
 		if cfg.Faults.KillCycle > 0 && (got.Faults.PEKills != 1 || got.Faults.MigratedInstrs == 0) {
 			t.Fatalf("kill-then-reuse: the kill migrated nothing: %+v", got.Faults)
+		}
+	}
+}
+
+// TestCancelAtEventNThenReuse is the reuse contract at its worst moment: a
+// run cancelled through Config.Cancel anywhere between its first events and
+// its last leaves match slots occupied, waves bound, a bindings-since-clear
+// count, a half-drained ring and (under MemSpec) open epochs behind, and the
+// next Run's reset must forget all of it. mcf and lu are cancelled at the
+// start, at every seventeenth of their wave retirements and at the last one;
+// then a different program (small: calls, a loop, loads and stores) and then
+// the cancelled one again run on the same arena, and Result and fence —
+// commit trace, memory image, every work counter — must be a fresh arena's.
+// Each memory mode takes the first point, the last and every fourth between,
+// staggered so that the four modes cover all eighteen between them.
+//
+// Config.Cancel is polled every cancelPollInterval events, so the channel has
+// to close at a fixed point of the event schedule for the test to repeat
+// itself: the test stands between the ordering engine's wave-retire hook and
+// the simulator's and closes it at the n-th retirement.
+func TestCancelAtEventNThenReuse(t *testing.T) {
+	if testing.Short() || raceBuild {
+		// One goroutine throughout: nothing for the detector to find at ten
+		// times the cost.
+		t.Skip("cancels and re-runs two kernels at eighteen points across four memory modes")
+	}
+	type ref struct {
+		res   Result
+		fence Fence
+	}
+	var other string
+	for _, c := range testprogs.Corpus {
+		if c.Name == "recursion_memory" {
+			other = c.Src
+		}
+	}
+	progs := []*isa.Program{
+		compileSource(t, workloads.ByName("mcf").Src),
+		compileSource(t, workloads.ByName("lu").Src),
+		compileSource(t, other),
+	}
+	cancelled := 0
+	for mi, mode := range []MemoryMode{MemOrdered, MemSerial, MemIdeal, MemSpec} {
+		cfg := DefaultConfig(2, 2)
+		cfg.MemMode = mode
+		run := func(a *Arena, wp *isa.Program, cancel <-chan struct{}) (ref, error) {
+			c := cfg
+			c.Cancel = cancel
+			res, err := a.Run(wp, mustPol(placement.NewDynamicSnake(c.Machine)), c)
+			return ref{res, a.Fence()}, err
+		}
+		want := make([]ref, len(progs))
+		for i, wp := range progs {
+			var err error
+			if want[i], err = run(NewArena(), wp, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		a := NewArena()
+		if _, err := run(a, progs[2], nil); err != nil { // the first run makes the engine
+			t.Fatal(err)
+		}
+		var retired, closeAt uint64
+		var cancel chan struct{}
+		a.s.engine.SetRetireHooks(func(ctx, wave uint32) {
+			if retired++; retired == closeAt {
+				close(cancel)
+			}
+			a.s.waveRetire(ctx, wave)
+		}, a.s.ctxEnd)
+
+		for k := 0; k < 2; k++ { // the kernel cancelled
+			waves := want[k].res.Order.WavesDone
+			for step := 0; step <= 17; step++ {
+				if step != 0 && step != 17 && step%4 != mi {
+					continue
+				}
+				cancel = make(chan struct{})
+				retired, closeAt = 0, max(waves*uint64(step)/17, 1)
+				if step == 0 {
+					close(cancel) // before the first event: the first poll sees it
+					closeAt = 0
+				}
+				_, err := run(a, progs[k], cancel)
+				var fe *fault.FaultError
+				switch {
+				case errors.As(err, &fe) && fe.Kind == fault.KindCancelled:
+					cancelled++
+				case err != nil || step < 17:
+					// Only the last retirement may be too late for a poll to see.
+					t.Fatalf("%v: program %d, step %d: run was not cancelled: %v", mode, k, step, err)
+				}
+				for _, i := range []int{2, k} {
+					got, err := run(a, progs[i], nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want[i] {
+						t.Fatalf("%v: program %d cancelled at retirement %d of %d, then program %d: the reused arena diverged from a fresh one\n got %+v\nwant %+v",
+							mode, k, closeAt, waves, i, got, want[i])
+					}
+				}
+			}
+		}
+	}
+	if want := 2 * (16 + 4); cancelled < want { // per kernel: the staggered points, and the first in each mode
+		t.Errorf("%d runs were cancelled, want at least %d", cancelled, want)
+	}
+}
+
+// TestRingCoversDefaultLatencies: the event queue's ring spans 512 cycles
+// because nothing the default machine does schedules further ahead than that
+// more than a handful of times a run. A later latency parameter that
+// outgrows the ring would ride the heap on every push — results stay exact,
+// the simulator just gets slower — so the heap's share is pinned here where
+// a perf regression of that kind would otherwise go unnoticed.
+func TestRingCoversDefaultLatencies(t *testing.T) {
+	for _, name := range []string{"mcf", "lu"} {
+		wp := compileSource(t, workloads.ByName(name).Src)
+		cfg := DefaultConfig(4, 4)
+		a := NewArena()
+		if _, err := a.Run(wp, mustPol(placement.NewDynamicSnake(cfg.Machine)), cfg); err != nil {
+			t.Fatal(err)
+		}
+		if w := a.Fence().Work; w.HeapPushes > 8 {
+			t.Errorf("%s: %d of %d pushes missed the %d-cycle ring, want at most 8", name, w.HeapPushes, w.Events, wheelSize)
 		}
 	}
 }

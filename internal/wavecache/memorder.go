@@ -7,10 +7,10 @@ import "wavescalar/internal/waveorder"
 // depend on the mode — and differ only in what a request does on reaching
 // its store buffer and in what its commit costs: the cut the Transactional
 // WaveCache draws when it layers speculation over the ordered store buffer.
-// reset binds one per run; the event loop, processEvent and issueMem call it
+// reset binds one per run; the event loop and issueMem call it
 // without knowing which. What is not per memory operation — MemSpec's reset,
-// its retire hooks, its share of the watchdog dump — stays keyed on
-// Config.MemMode in reset and diagnose.
+// its half of the retire hooks, its share of the watchdog dump — stays keyed
+// on Config.MemMode in reset, waveRetire / ctxEnd and diagnose.
 type memOrdering interface {
 	// arrive hands a request that has just reached its store buffer to the
 	// ordering engine.
@@ -32,12 +32,12 @@ func (waveOrdered) arrive(s *sim, r *waveorder.Request) error { return s.engine.
 
 func (waveOrdered) commitLoad(s *sim, ck *memCookie, r *waveorder.Request) int64 {
 	start := s.bufIssueTime(ck.buf)
-	return start + s.memsys.Access(ck.buf, clampAddr(r.Addr, len(s.memImage)), false).Latency
+	return start + s.access(ck, r, false).Latency
 }
 
 func (waveOrdered) commitStore(s *sim, ck *memCookie, r *waveorder.Request) {
 	s.bufIssueTime(ck.buf)
-	s.memsys.Access(ck.buf, clampAddr(r.Addr, len(s.memImage)), true)
+	s.access(ck, r, true)
 }
 
 // ideal is MemIdeal's oracle ordering: a load is timed as if its request
@@ -47,7 +47,7 @@ type ideal struct{ waveOrdered }
 
 func (ideal) commitLoad(s *sim, ck *memCookie, r *waveorder.Request) int64 {
 	s.bufIssueTime(ck.buf)
-	return ck.fireAt + s.memsys.Access(ck.buf, clampAddr(r.Addr, len(s.memImage)), false).Latency
+	return ck.fireAt + s.access(ck, r, false).Latency
 }
 
 // serialized is MemSerial: one memory operation in flight at a time. end is
@@ -71,7 +71,7 @@ func (m *serialized) commitStore(s *sim, ck *memCookie, r *waveorder.Request) {
 // completion.
 func (m *serialized) issue(s *sim, ck *memCookie, r *waveorder.Request, write bool) int64 {
 	start := max(s.bufIssueTime(ck.buf), m.end)
-	done := start + s.memsys.Access(ck.buf, clampAddr(r.Addr, len(s.memImage)), write).Latency
+	done := start + s.access(ck, r, write).Latency
 	m.end = done + 2*s.cfg.Net.IntraCluster
 	return done
 }

@@ -271,7 +271,7 @@ func (s *sim) specArrival(r *waveorder.Request) {
 			sp.st.Forwards++
 			s.tr.SpecIssue(s.now, true, s.cfg.Mem.L1Latency)
 		} else {
-			ar := s.memsys.Access(ck.buf, clampAddr(r.Addr, len(s.memImage)), false)
+			ar := s.access(ck, r, false)
 			ck.spec = specLoad
 			ck.specDone = s.now + ar.Latency
 			sp.st.SpecCycles += ar.Latency
@@ -285,7 +285,7 @@ func (s *sim) specArrival(r *waveorder.Request) {
 		sp.fwdTab.Put(key, int64(uint64(uid)<<32|uint64(uint32(vi))))
 		// The speculative store drains its cache access (fetch-for-write,
 		// coherence) early; its commit point pays only the issue slot.
-		ar := s.memsys.Access(ck.buf, clampAddr(r.Addr, len(s.memImage)), true)
+		ar := s.access(ck, r, true)
 		ck.spec = specStore
 		ck.specUID = uid
 		ck.specSnap = uint32(vi) // stores reuse the snapshot slot as the vsb index
@@ -334,7 +334,7 @@ func (m speculative) commitLoad(s *sim, ck *memCookie, r *waveorder.Request) int
 		return done
 	}
 	sp.st.ReplayedOps++
-	ar := s.memsys.Access(ck.buf, clampAddr(r.Addr, len(s.memImage)), false)
+	ar := s.access(ck, r, false)
 	sp.st.ReplayCycles += ar.Latency
 	s.tr.SpecReplay(s.now, ar.Latency)
 	return start + ar.Latency
@@ -362,7 +362,7 @@ func (m speculative) commitStore(s *sim, ck *memCookie, r *waveorder.Request) {
 		sp.vsb.Release(vi)
 		if ep.squashed {
 			sp.st.ReplayedOps++
-			ar := s.memsys.Access(ck.buf, clampAddr(r.Addr, len(s.memImage)), true)
+			ar := s.access(ck, r, true)
 			sp.st.ReplayCycles += ar.Latency
 			s.tr.SpecReplay(s.now, ar.Latency)
 		}

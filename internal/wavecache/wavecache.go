@@ -335,14 +335,22 @@ type eventQueue struct {
 	buckets [][]int32 // ring of slab-index FIFOs, slot = cycle & wheelMask
 	bmap    []uint64  // non-empty bitmap over the ring
 
-	backdated uint64 // pushes that landed behind the cursor (tests read it)
+	backdated  uint64 // pushes that landed behind the cursor (tests read it)
+	heapPushes uint64 // pushes that missed the ring, back-dated ones included
 }
 
-// wheelSize is the ring span in cycles: network hops, penalties, and cache
-// misses almost always land within it, so overflow pushes are rare (and
-// still exact when they happen).
+// wheelSize is the ring span in cycles, sized to the latencies the machine
+// has: the longest a message is scheduled ahead is a DRAM miss behind a
+// coherence transfer or a retransmission backoff, a few hundred cycles, so a
+// 512-cycle ring takes every push of a ten-kernel wave-ordered pass but one
+// (of 18.5 million; a 4,096-cycle ring took them all) while its bucket
+// headers and bitmap stay in L1 instead of cycling through L2. A push the
+// ring does not cover rides the heap and pops in the same order — span is a
+// host-speed constant, never a simulated one (TestWheelQueueDifferential) —
+// and TestRingCoversDefaultLatencies notices if a later latency parameter
+// outgrows it.
 const (
-	wheelBits = 12
+	wheelBits = 9
 	wheelSize = 1 << wheelBits
 	wheelMask = wheelSize - 1
 )
@@ -353,7 +361,7 @@ func (q *eventQueue) reset() {
 	q.slab = q.slab[:0]
 	q.free = q.free[:0]
 	q.heap = q.heap[:0]
-	q.backdated = 0
+	q.backdated, q.heapPushes = 0, 0
 	if q.buckets == nil {
 		q.buckets = make([][]int32, wheelSize)
 		q.bmap = make([]uint64, wheelSize/64)
@@ -408,6 +416,7 @@ func (q *eventQueue) push(i int32, t int64, seq uint64) {
 	if d < 0 {
 		q.backdated++
 	}
+	q.heapPushes++
 	q.heapPush(i, t, seq)
 }
 
@@ -525,6 +534,21 @@ type operands struct {
 	vals [3]int64
 	have uint8
 }
+
+// matchSlot is an instruction's first-waiter slot: the partial tuple of the
+// one tag waiting there, or of the first when several are. In the paper a
+// token sits in its PE's matching table until its partner arrives, and nine
+// times in ten nothing else is waiting at that instruction meanwhile, so the
+// wait needs no hashing: the instruction's own slot holds the tuple, and only
+// a second concurrently waiting tag spills to the instruction's tag table.
+type matchSlot struct {
+	key uint64 // packed tag of the waiter
+	ops operands
+}
+
+// used reports whether a tuple is parked in the slot: a parked tuple holds at
+// least the token that parked it, and a freed slot's have is zeroed.
+func (sl *matchSlot) used() bool { return sl.ops.have != 0 }
 
 // dinstr is one predecoded instruction: everything the event loop reads
 // per token, in one record indexed by global instruction index
@@ -708,8 +732,10 @@ type sim struct {
 	destArena []ddest
 	instrBase []int
 
-	// opstore is the per-static-instruction operand-matching table: packed
-	// tag -> opSlab index of the partially assembled tuple.
+	// Operand matching, per static instruction: slots holds the first
+	// waiting tag's partial tuple, opstore (packed tag -> opSlab index) those
+	// of any further tags waiting at the same time.
+	slots   []matchSlot
 	opstore []tagtable.Table
 	opSlab  tagtable.Slab[operands]
 	// resident maps an instruction to its node in its home PE's recency
@@ -731,12 +757,20 @@ type sim struct {
 	ctxSlab tagtable.Slab[ctxInfo]
 	nextCtx uint32
 
-	// waveBuf records each dynamic wave's store-buffer cluster (bound at
-	// first touch), keyed by packed tag.
+	// waveBuf records each live dynamic wave's store-buffer cluster, keyed by
+	// packed tag: bound at first touch, deleted when the wave retires.
+	// waveBound counts the bindings made since the table was last cleared
+	// (see bufferCluster).
 	waveBuf     tagtable.Table
+	waveBound   int
 	lastWaveOK  bool // the previous bufferCluster call's binding
 	lastWaveKey uint64
 	lastWaveBuf int
+	// retired, when a test makes it non-nil, collects every unbound wave;
+	// lateBinds counts bindings then made for one of them — memory messages
+	// that arrived after their wave retired (see bufferCluster).
+	retired   map[uint64]struct{}
+	lateBinds int
 
 	// ckSlab pools memCookies; requests carry slab indices, not pointers,
 	// so cookies never box. reqFree pools the Request records themselves,
@@ -770,6 +804,11 @@ type sim struct {
 	// are the live execution counters, so they are current whenever a
 	// diagnostic or cancellation message reads them.
 	res Result
+
+	// The engine fence (fence.go): the commit-trace digests issueMem folds
+	// and the work counters that are not derived from other state.
+	commit, commitStores uint64
+	work                 Work
 }
 
 // Arena is a reusable simulator: it owns the complete mutable memory image
@@ -825,7 +864,7 @@ func RunWithMemory(p *isa.Program, pol placement.Policy, cfg Config) (Result, []
 	if err != nil {
 		return Result{}, nil, err
 	}
-	return res, a.s.memImage, nil
+	return res, a.Memory(), nil
 }
 
 // reset rewinds the simulator to boot state for (p, pol, cfg), reusing
@@ -867,10 +906,12 @@ func (s *sim) reset(p *isa.Program, pol placement.Policy, cfg Config) error {
 	s.done, s.result = false, 0
 	s.inj, s.killed, s.memErr = nil, false, nil
 	s.res = Result{}
+	s.commit, s.commitStores, s.work = 0, 0, Work{}
 
 	s.ctxTab.Reset()
 	s.ctxSlab.Reset()
 	s.waveBuf.Reset()
+	s.waveBound = 0
 	s.lastWaveOK = false
 	s.ckSlab.Reset()
 	s.ckGen = 0
@@ -905,6 +946,8 @@ func (s *sim) reset(p *isa.Program, pol placement.Policy, cfg Config) error {
 	// Resize-then-reset: the reset loops run after the new lengths are
 	// established, so they also scrub any stale records a reslice-up just
 	// exposed from the capacity region.
+	s.slots = resize(s.slots, total)
+	clear(s.slots)
 	s.opstore = resize(s.opstore, total)
 	for i := range s.opstore {
 		s.opstore[i].Reset()
@@ -932,16 +975,15 @@ func (s *sim) reset(p *isa.Program, pol placement.Policy, cfg Config) error {
 	if s.engine == nil {
 		s.engine = waveorder.NewEngine(0, s.issueMem)
 		s.engine.SetReleaser(func(r *waveorder.Request) { s.reqFree = append(s.reqFree, r) })
+		s.engine.SetRetireHooks(s.waveRetire, s.ctxEnd)
 		s.clock = func() int64 { return s.now }
 	} else {
 		s.engine.Reset(0)
 	}
 	s.engine.AttachTracer(s.tr, s.clock)
-	// Bind the memory-ordering mode. A reused Arena may carry counters and
-	// retire hooks from an earlier MemSpec run; Result.Spec must read zero
-	// outside spec mode.
+	// Bind the memory-ordering mode. A reused Arena may carry counters from
+	// an earlier MemSpec run; Result.Spec must read zero outside spec mode.
 	s.spec.st = SpecStats{}
-	s.engine.SetRetireHooks(nil, nil)
 	switch cfg.MemMode {
 	case MemSerial:
 		s.serial = serialized{}
@@ -950,7 +992,6 @@ func (s *sim) reset(p *isa.Program, pol placement.Policy, cfg Config) error {
 		s.mode = ideal{}
 	case MemSpec:
 		s.spec.reset(cfg.SpecScope)
-		s.engine.SetRetireHooks(s.specWaveRetire, s.specCtxEnd)
 		s.mode = speculative{}
 	default:
 		s.mode = waveOrdered{}
@@ -1121,29 +1162,24 @@ func (s *sim) loop() error {
 		if e.time > s.maxT {
 			s.maxT = e.time
 		}
-		if err := s.processEvent(&e); err != nil {
+		var err error
+		switch e.kind {
+		case evToken:
+			err = s.deliver(&e)
+		case evFire:
+			err = s.fire(&e)
+		case evMemArrive:
+			if err = s.mode.arrive(s, e.req); err == nil {
+				err = s.memErr
+			}
+		default: // evSpecProbe; the dead ones were dropped above
+			s.specArrival(e.req)
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// processEvent executes one event.
-func (s *sim) processEvent(e *event) error {
-	switch e.kind {
-	case evToken:
-		return s.deliver(e)
-	case evFire:
-		return s.fire(e)
-	case evMemArrive:
-		if err := s.mode.arrive(s, e.req); err != nil {
-			return err
-		}
-		return s.memErr
-	default: // evSpecProbe; the loop has already dropped the dead ones
-		s.specArrival(e.req)
-		return nil
-	}
 }
 
 // specProbeLive reports whether a deferred-speculation probe's request is
@@ -1232,7 +1268,14 @@ func (s *sim) loc(pe int) noc.Loc { return s.locs[pe] }
 // overflow check sees the same waiting count, waiting still rises by one
 // token and falls by the firing's, and a token aimed at an immediate port
 // (or a port the opcode does not have) fails the bypass test and takes the
-// table path, where it collides or parks exactly as before.
+// matching path, where it collides or parks exactly as before.
+//
+// Matching is bypass, then first-waiter slot, then table: of the tokens that
+// do wait for a partner, 91.4% (5.17 M of 5.65 M on a ten-kernel pass) meet
+// at most one other tag waiting at their instruction, and their tuple lives
+// in the instruction's matchSlot — no hash, no slab record. What the paths
+// share is kept the same whichever holds the tuple: the collision error, the
+// waiting count and the overflow check read nothing of where a tuple sits.
 func (s *sim) deliver(e *event) error {
 	s.res.Tokens++
 	gi := e.gi
@@ -1248,7 +1291,9 @@ func (s *sim) deliver(e *event) error {
 		s.tr.Overflow(e.time, pe)
 	}
 	ps.waiting++
-	s.tr.Token(e.time, pe, ps.waiting)
+	if s.tr != nil {
+		s.tr.Token(e.time, pe, ps.waiting)
+	}
 
 	di := &s.code[gi]
 	bit := uint8(1) << e.port
@@ -1257,16 +1302,37 @@ func (s *sim) deliver(e *event) error {
 		vals = di.immVals
 		vals[e.port] = e.vals[0]
 	} else {
-		tbl := &s.opstore[gi]
+		// The tuple this token joins is in the slot, else in the table, else
+		// it is new: in the slot if that is free, in the table if another
+		// tag is waiting there. The table is asked before a new tuple parks
+		// because a tag that arrived while the slot was busy sits in the
+		// table still after the slot has freed (a Get on an empty table
+		// returns at once).
 		key := tagKey(e.tag)
-		oi, ok := tbl.Get(key)
-		if !ok {
+		sl := &s.slots[gi]
+		tbl := &s.opstore[gi]
+		var ops *operands
+		oi := int64(-1) // the tuple's opSlab index when the table holds it
+		if sl.used() && sl.key == key {
+			ops = &sl.ops
+		} else if ti, ok := tbl.Get(key); ok {
+			oi = ti
+			ops = s.opSlab.At(int32(oi))
+		} else if !sl.used() {
+			sl.key = key
+			sl.ops = operands{vals: di.immVals, have: di.immMask}
+			ops = &sl.ops
+		} else {
 			oi = int64(s.opSlab.Alloc())
-			ops := s.opSlab.At(int32(oi))
+			ops = s.opSlab.At(int32(oi))
 			ops.have, ops.vals = di.immMask, di.immVals
 			tbl.Put(key, oi)
 		}
-		ops := s.opSlab.At(int32(oi))
+		if oi < 0 {
+			s.work.SlotMatched++
+		} else {
+			s.work.TableMatched++
+		}
 		if ops.have&bit != 0 {
 			return fmt.Errorf("wavecache: token collision at %s/i%d port %d tag %v",
 				s.prog.Funcs[di.fn].Name, di.id, e.port, e.tag)
@@ -1277,8 +1343,12 @@ func (s *sim) deliver(e *event) error {
 			return nil
 		}
 		vals = ops.vals
-		tbl.Delete(key)
-		s.opSlab.Release(int32(oi))
+		if oi < 0 {
+			sl.ops.have = 0
+		} else {
+			tbl.Delete(key)
+			s.opSlab.Release(int32(oi))
+		}
 	}
 	ps.waiting -= int(di.tokens)
 
@@ -1416,6 +1486,9 @@ func (s *sim) diagnose() string {
 	partial := 0
 	for i := range s.opstore {
 		partial += s.opstore[i].Len()
+		if s.slots[i].used() {
+			partial++
+		}
 	}
 	fmt.Fprintf(&b, "  %d partial operand tuples awaiting matches\n", partial)
 	if n := fault.CountDefects(s.cfg.Machine.Defective); n > 0 {
@@ -1439,13 +1512,25 @@ func (s *sim) diagnose() string {
 // bufferCluster binds a dynamic wave to a store buffer by first touch: the
 // cluster of the first PE to send one of the wave's memory messages owns
 // the whole wave, matching the WaveCache's locality-seeking dynamic wave
-// assignment.
+// assignment. The binding lives as long as the wave: waveRetire and ctxEnd
+// delete it when the wave's chain has issued, so the table holds the waves
+// in flight and nothing else.
 //
 // A wave's memory messages arrive in runs, so the previous call's binding
 // is kept in front of the table. It is always the binding the table holds
 // for that wave — every call ends by storing what it returns, including the
-// one that clears the table and re-inserts its own — so the shortcut cannot
-// change an answer.
+// one that clears the table and re-inserts its own, and unbind drops it with
+// the table entry — so the shortcut cannot change an answer.
+//
+// The clear at the 65,537th binding is inherited from the table that never
+// forgot a wave, where it bounded the table's size. It is simulated
+// behaviour — the waves in flight at that moment rebind by first touch,
+// possibly to another cluster (TestWaveBindingClearRulePinned) — so it is
+// kept exactly, counted in bindings made since the last clear, which is what
+// that table's length was as long as no message arrives for a retired wave
+// (TestNoMemoryMessageAfterWaveRetires). With bindings retiring it bounds
+// nothing any more: a candidate for deletion together with a re-recording of
+// the numbers it moves.
 func (s *sim) bufferCluster(tag isa.Tag, requesterPE int) int {
 	key := tagKey(tag)
 	if s.lastWaveOK && s.lastWaveKey == key {
@@ -1454,17 +1539,53 @@ func (s *sim) bufferCluster(tag isa.Tag, requesterPE int) int {
 	buf, ok := s.waveBuf.Get(key)
 	if !ok {
 		buf = int64(s.loc(requesterPE).Cluster)
-		s.waveBuf.Put(key, buf)
-		if s.waveBuf.Len() > 1<<16 {
-			// In-flight waves are few; a large table means retired entries
-			// linger. Clearing is safe: rebinding only risks a different (still
-			// valid) cluster for stragglers.
-			s.waveBuf.Reset()
-			s.waveBuf.Put(key, buf)
+		if _, gone := s.retired[key]; gone {
+			s.lateBinds++
 		}
+		s.work.Bound++
+		s.waveBound++
+		if s.waveBound > 1<<16 {
+			s.waveBuf.Reset()
+			s.waveBound = 1
+		}
+		s.waveBuf.Put(key, buf)
 	}
 	s.lastWaveOK, s.lastWaveKey, s.lastWaveBuf = true, key, int(buf)
 	return int(buf)
+}
+
+// unbind forgets a retired wave's store-buffer binding.
+func (s *sim) unbind(ctx, wave uint32) {
+	key := tagKey(isa.Tag{Ctx: ctx, Wave: wave})
+	if s.waveBuf.Delete(key) {
+		s.work.Retired++
+	}
+	if s.lastWaveKey == key {
+		s.lastWaveOK = false
+	}
+	if s.retired != nil {
+		s.retired[key] = struct{}{}
+	}
+}
+
+// waveRetire is the ordering engine's wave-completion hook: the wave's
+// <pred, this, succ> chain has issued to its end, so no memory message of it
+// is still to come and its binding goes — the point at which the
+// Transactional WaveCache commits an epoch, which is what MemSpec does next.
+func (s *sim) waveRetire(ctx, wave uint32) {
+	s.unbind(ctx, wave)
+	if s.cfg.MemMode == MemSpec {
+		s.specWaveRetire(ctx, wave)
+	}
+}
+
+// ctxEnd is the engine's context-end hook: a context's last wave ends on its
+// MemEnd without a wave completion, so its binding retires here.
+func (s *sim) ctxEnd(ctx, lastWave uint32) {
+	s.unbind(ctx, lastWave)
+	if s.cfg.MemMode == MemSpec {
+		s.specCtxEnd(ctx)
+	}
 }
 
 // submitMem routes a memory message from a PE to its wave's store buffer:
@@ -1603,7 +1724,9 @@ func (s *sim) issueMem(r *waveorder.Request) {
 	// The ordering stall is how long the request sat buffered waiting for
 	// its wave chain to resolve: issue happens at the current event time,
 	// arrival was stamped at submit.
-	s.tr.MemIssue(s.now, int(r.Kind), s.now-ck.arrive)
+	if s.tr != nil {
+		s.tr.MemIssue(s.now, int(r.Kind), s.now-ck.arrive)
+	}
 	switch r.Kind {
 	case isa.MemLoad:
 		done := s.mode.commitLoad(s, ck, r)
@@ -1611,6 +1734,7 @@ func (s *sim) issueMem(r *waveorder.Request) {
 		if r.Addr >= 0 && r.Addr < int64(len(s.memImage)) {
 			v = s.memImage[r.Addr]
 		}
+		s.commit = FoldCommit(s.commit, false, r.Addr, v)
 		for _, d := range s.code[ck.gi].dests {
 			dstPE := s.homePE(d.gi)
 			arr, err := s.memHop(noc.Loc{Cluster: ck.buf}, s.loc(dstPE), done, dstPE)
@@ -1629,6 +1753,8 @@ func (s *sim) issueMem(r *waveorder.Request) {
 		if r.Addr >= 0 && r.Addr < int64(len(s.memImage)) {
 			s.memImage[r.Addr] = r.Value
 		}
+		s.commit = FoldCommit(s.commit, true, r.Addr, r.Value)
+		s.commitStores = FoldCommit(s.commitStores, true, r.Addr, r.Value)
 	default:
 		// Ordering-only messages (nop, call, end) consume a buffer slot.
 		s.bufIssueTime(ck.buf)
@@ -1639,6 +1765,13 @@ func (s *sim) issueMem(r *waveorder.Request) {
 // simulation time, BufferWidth per cycle per cluster, FIFO.
 func (s *sim) bufIssueTime(cluster int) int64 {
 	return s.bufBusy[cluster].Grant(s.now, max(s.cfg.BufferWidth, 1))
+}
+
+// access is the one spelling of a cache access: request r's address, clamped
+// into the memory image, through the L1 of the cluster its wave is bound to.
+func (s *sim) access(ck *memCookie, r *waveorder.Request, write bool) mem.AccessResult {
+	s.work.MemAccess++
+	return s.memsys.Access(ck.buf, clampAddr(r.Addr, len(s.memImage)), write)
 }
 
 func clampAddr(a int64, n int) int64 {

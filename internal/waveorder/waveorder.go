@@ -241,10 +241,12 @@ type Engine struct {
 	// Retirement hooks (nil when disabled). onWaveDone fires when a
 	// wave's last chain slot issues, before the context's wave counter
 	// advances; onCtxEnd fires when a context's MemEnd issues, before
-	// the context state is released. Speculative memory modes use them
-	// as the transaction-epoch commit points.
+	// the context state is released, with the context's last wave — the
+	// one that ends on the MemEnd and never completes. The hosting
+	// simulator retires per-wave state on them, and speculative memory
+	// modes use them as the transaction-epoch commit points.
 	onWaveDone func(ctx, wave uint32)
-	onCtxEnd   func(ctx uint32)
+	onCtxEnd   func(ctx, lastWave uint32)
 }
 
 // Stats counts ordering-engine activity.
@@ -304,11 +306,12 @@ func (e *Engine) SetReleaser(f func(*Request)) { e.release = f }
 // SetRetireHooks installs the retirement callbacks: waveDone fires once
 // per completed wave (its last chain slot has issued) with the context id
 // and the wave number just retired; ctxEnd fires once per context whose
-// MemEnd has issued. Both run synchronously inside the issue drain, so
+// MemEnd has issued, with the number of the wave the MemEnd closed (which
+// waveDone never reports). Both run synchronously inside the issue drain, so
 // they observe every earlier operation already issued and none later —
 // the commit point a transactional memory epoch needs. Hooks survive
 // Reset, like the issue callback and releaser. Pass nil to disable.
-func (e *Engine) SetRetireHooks(waveDone func(ctx, wave uint32), ctxEnd func(ctx uint32)) {
+func (e *Engine) SetRetireHooks(waveDone func(ctx, wave uint32), ctxEnd func(ctx, lastWave uint32)) {
 	e.onWaveDone = waveDone
 	e.onCtxEnd = ctxEnd
 }
@@ -502,7 +505,7 @@ func (e *Engine) issueOne(c *ctxState, r *Request) error {
 			e.top = nil
 		}
 		if e.onCtxEnd != nil {
-			e.onCtxEnd(c.id)
+			e.onCtxEnd(c.id, c.curWave)
 		}
 		e.releaseCtx(c)
 		e.recycle(r)
