@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci check vet fmt-check build test bench-test race race-compile soak bench bench-ledger bench-ab bench-micro fuzz fuzz-diff corpus
+.PHONY: ci check vet fmt-check build test tier1-time bench-test race race-compile soak bench bench-ledger bench-ab bench-micro fuzz fuzz-diff corpus
 
 ci: vet fmt-check build test race
 
@@ -30,6 +30,21 @@ build:
 
 test:
 	$(GO) test ./...
+
+# tier1-time is the instrument for what the tier-1 suite costs, not part of
+# it: one uncached `go test -json` pass over the module with every test
+# binary started through scripts/tier1time.py, which reads the binary's
+# user+sys CPU seconds from rusage. It prints the 20 slowest tests and, per
+# package, wall and CPU seconds; the raw stream stays in $(T1DIR). Compare
+# two commits by running it on each, alternating — the host drifts.
+T1DIR ?= .bench_build/tier1
+
+tier1-time:
+	rm -rf $(T1DIR) && mkdir -p $(T1DIR)
+	$(GO) test -json -count=1 -exec 'python3 $(abspath scripts/tier1time.py) exec $(abspath $(T1DIR))/rusage.tsv' ./... > $(T1DIR)/test.json; \
+		status=$$?; \
+		python3 scripts/tier1time.py report $(T1DIR)/test.json $(T1DIR)/rusage.tsv; \
+		exit $$status
 
 # bench/ is its own module (replace wavescalar => ../), so the root
 # `go vet ./...` and `go test ./...` do not reach it: this is the fence

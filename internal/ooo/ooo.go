@@ -19,6 +19,7 @@ package ooo
 
 import (
 	"fmt"
+	"slices"
 
 	"wavescalar/internal/cfgir"
 	"wavescalar/internal/isa"
@@ -107,7 +108,6 @@ type Result struct {
 // cycles is exactly what the old map retained too.
 type capSchedule struct {
 	width int32
-	low   int64
 	keys  []int64   // cycle+1 per slot; 0 = empty
 	cells []capCell // parallel to keys
 	n     int       // live slots
@@ -171,9 +171,6 @@ func (c *capSchedule) grow() {
 // reserve returns the first cycle >= t with a free slot and takes it,
 // compressing skip pointers along the probed chain.
 func (c *capSchedule) reserve(t int64) int64 {
-	if t < c.low {
-		t = c.low
-	}
 	chain := c.chain[:0]
 	var si int
 	for {
@@ -203,13 +200,6 @@ func (c *capSchedule) reserve(t int64) int64 {
 		c.cells[si].count++
 	}
 	return t
-}
-
-// advanceLow promises nothing earlier than t will be requested again.
-func (c *capSchedule) advanceLow(t int64) {
-	if t > c.low {
-		c.low = t
-	}
 }
 
 // monoSchedule is the capSchedule specialization for monotone
@@ -274,12 +264,6 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// regKey renames an architectural register within its activation frame.
-type regKey struct {
-	frame int64
-	reg   cfgir.Reg
-}
-
 // storeEntry is an in-flight store in the LSQ.
 type storeEntry struct {
 	addrReady int64
@@ -287,10 +271,11 @@ type storeEntry struct {
 	addr      int64
 }
 
-// callFrame remembers where a call's return value must land.
+// callFrame remembers where a call's return value must land: the caller's
+// registers start at base in core.regs.
 type callFrame struct {
-	frame int64
-	rd    cfgir.Reg
+	base int
+	rd   cfgir.Reg
 }
 
 // core is the timing state threaded through the trace.
@@ -312,7 +297,14 @@ type core struct {
 	robCommits []int64
 	robHead    int
 
-	lastWrite map[regKey]int64
+	// Renaming: regs is a stack of activations, innermost last, each
+	// holding the cycle its registers' last writes complete (0 for a
+	// register never written); frame is the innermost one, starting at
+	// base. A call pushes the callee's, its return pops it, and the slab
+	// is reused, so a call allocates nothing.
+	regs      []int64
+	frame     []int64
+	base      int
 	callStack []callFrame
 	stores    []storeEntry
 
@@ -328,12 +320,22 @@ type core struct {
 // TestConcurrentRunsShareProgram), and identical (p, cfg) inputs produce
 // bit-identical Results.
 func Run(p *linear.Program, cfg Config) (Result, error) {
+	c, err := newCore(p, cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return c.run(c.step)
+}
+
+// newCore fills cfg's defaults and builds the timing state, main's
+// activation entered.
+func newCore(p *linear.Program, cfg Config) (*core, error) {
 	if cfg.Fuel == 0 {
 		cfg.Fuel = 500_000_000
 	}
 	memsys, err := mem.NewSystem(cfg.Mem)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if cfg.ALUPorts == 0 {
 		cfg.ALUPorts = cfg.IssueWidth
@@ -360,11 +362,16 @@ func Run(p *linear.Program, cfg Config) (Result, error) {
 		memsys:     memsys,
 		bp:         newGshare(cfg.GShareBits),
 		robCommits: make([]int64, cfg.ROBSize),
-		lastWrite:  make(map[regKey]int64),
 	}
+	c.enter(p.Entry)
+	return c, nil
+}
 
-	em := linear.NewEmulator(p, cfg.Fuel)
-	em.Trace = c.step
+// run drives the program's trace through step, a model of one dynamic
+// instruction (core.step; ooo_ref_test.go passes its reference).
+func (c *core) run(step func(linear.TraceEvent)) (Result, error) {
+	em := linear.NewEmulator(c.prog, c.cfg.Fuel)
+	em.Trace = step
 	v, err := em.Run()
 	if err != nil {
 		return Result{}, fmt.Errorf("ooo: %w", err)
@@ -375,17 +382,29 @@ func Run(p *linear.Program, cfg Config) (Result, error) {
 	if c.res.Cycles > 0 {
 		c.res.IPC = float64(c.res.Instrs) / float64(c.res.Cycles)
 	}
-	c.res.Mem = memsys.Stats()
+	c.res.Mem = c.memsys.Stats()
 	return c.res, nil
 }
 
-func (c *core) ready(frame int64, r cfgir.Reg) int64 {
-	return c.lastWrite[regKey{frame: frame, reg: r}]
+// enter pushes a fresh activation of function fn: every register unwritten.
+func (c *core) enter(fn int) {
+	c.base = len(c.regs)
+	n := c.prog.Funcs[fn].NumRegs
+	c.regs = slices.Grow(c.regs, n)[:c.base+n]
+	c.frame = c.regs[c.base:]
+	clear(c.frame)
 }
 
-func (c *core) write(frame int64, r cfgir.Reg, t int64) {
-	c.lastWrite[regKey{frame: frame, reg: r}] = t
+// leave pops the innermost activation, returning to the caller's at base.
+func (c *core) leave(base int) {
+	c.regs = c.regs[:c.base]
+	c.base = base
+	c.frame = c.regs[base:]
 }
+
+func (c *core) ready(r cfgir.Reg) int64 { return c.frame[r] }
+
+func (c *core) write(r cfgir.Reg, t int64) { c.frame[r] = t }
 
 // issueAt grants an issue slot and a functional-unit port at or after
 // ready.
@@ -400,7 +419,6 @@ func (c *core) issueAt(ready int64, port *capSchedule) int64 {
 // step models one dynamic instruction of the trace.
 func (c *core) step(ev linear.TraceEvent) {
 	in := ev.Instr
-	frame := ev.Frame
 
 	// Fetch: front-end bandwidth plus sequential ordering.
 	fetchT := c.fetch.reserve(c.fetchMin)
@@ -424,25 +442,25 @@ func (c *core) step(ev linear.TraceEvent) {
 	case linear.LConst:
 		issueT := c.issueAt(ready, c.aluPort)
 		execDone = issueT + c.cfg.IntLatency
-		c.write(frame, in.Rd, execDone)
+		c.write(in.Rd, execDone)
 	case linear.LAlu:
-		up(c.ready(frame, in.Ra))
+		up(c.ready(in.Ra))
 		if in.Alu.NumInputs() == 2 {
-			up(c.ready(frame, in.Rb))
+			up(c.ready(in.Rb))
 		}
 		issueT := c.issueAt(ready, c.fuPort(in))
 		execDone = issueT + c.aluLatency(in)
-		c.write(frame, in.Rd, execDone)
+		c.write(in.Rd, execDone)
 	case linear.LSelect:
-		up(c.ready(frame, in.Ra))
-		up(c.ready(frame, in.Rb))
-		up(c.ready(frame, in.Rc))
+		up(c.ready(in.Ra))
+		up(c.ready(in.Rb))
+		up(c.ready(in.Rc))
 		issueT := c.issueAt(ready, c.aluPort)
 		execDone = issueT + c.cfg.IntLatency
-		c.write(frame, in.Rd, execDone)
+		c.write(in.Rd, execDone)
 	case linear.LLoad:
 		c.res.Loads++
-		up(c.ready(frame, in.Ra))
+		up(c.ready(in.Ra))
 		adjusted, forwarded := c.loadConstraints(ready, ev.Addr)
 		issueT := c.issueAt(adjusted, c.loadPort)
 		if forwarded {
@@ -452,11 +470,11 @@ func (c *core) step(ev linear.TraceEvent) {
 			ar := c.memsys.Access(0, ev.Addr, false)
 			execDone = issueT + ar.Latency
 		}
-		c.write(frame, in.Rd, execDone)
+		c.write(in.Rd, execDone)
 	case linear.LStore:
 		c.res.Stores++
-		addrReady := max64(dispatch, c.ready(frame, in.Ra))
-		dataReady := max64(dispatch, c.ready(frame, in.Rb))
+		addrReady := max64(dispatch, c.ready(in.Ra))
+		dataReady := max64(dispatch, c.ready(in.Rb))
 		issueT := c.issueAt(max64(addrReady, dataReady), c.storePort)
 		execDone = issueT
 		c.pushStore(storeEntry{addrReady: addrReady, dataReady: dataReady, addr: ev.Addr})
@@ -468,7 +486,7 @@ func (c *core) step(ev linear.TraceEvent) {
 		c.fetchMin = max64(c.fetchMin, fetchT+1) // redirect after a taken jump
 	case linear.LBranch:
 		c.res.Branches++
-		up(c.ready(frame, in.Ra))
+		up(c.ready(in.Ra))
 		issueT := c.issueAt(ready, c.aluPort)
 		execDone = issueT + c.cfg.IntLatency
 		pred := c.bp.predict(pcKey)
@@ -483,22 +501,26 @@ func (c *core) step(ev linear.TraceEvent) {
 		issueT := c.issueAt(ready, nil)
 		execDone = issueT
 		// Arguments move into the callee's fresh frame through rename;
-		// register windows mean no memory traffic.
+		// register windows mean no memory traffic. The caller's frame is
+		// read through the slice taken before the push: growing the slab
+		// copies it, and only the callee's frame is written here.
+		caller := c.frame
+		c.callStack = append(c.callStack, callFrame{base: c.base, rd: in.Rd})
+		c.enter(in.Callee)
 		calleeParams := c.prog.Funcs[in.Callee].Params
 		for i, a := range in.Args {
-			t := max64(execDone, c.ready(frame, a))
-			c.write(ev.CalleeFrame, calleeParams[i], t)
+			c.write(calleeParams[i], max64(execDone, caller[a]))
 		}
-		c.callStack = append(c.callStack, callFrame{frame: frame, rd: in.Rd})
 		c.fetchMin = max64(c.fetchMin, fetchT+1)
 	case linear.LRet:
-		up(c.ready(frame, in.Ra))
+		up(c.ready(in.Ra))
 		issueT := c.issueAt(ready, nil)
 		execDone = issueT
 		if n := len(c.callStack); n > 0 {
 			cf := c.callStack[n-1]
 			c.callStack = c.callStack[:n-1]
-			c.write(cf.frame, cf.rd, execDone)
+			c.leave(cf.base)
+			c.write(cf.rd, execDone)
 		}
 		c.fetchMin = max64(c.fetchMin, fetchT+1)
 	}

@@ -203,10 +203,6 @@ func TestCapSchedule(t *testing.T) {
 	if s.reserve(10) != 11 {
 		t.Error("third reservation should spill to cycle 11")
 	}
-	s.advanceLow(20)
-	if s.reserve(5) != 20 {
-		t.Error("advanceLow not respected")
-	}
 }
 
 // TestCapScheduleDifferential pins the open-addressed capSchedule against

@@ -27,9 +27,10 @@
 //
 // Allocation discipline: the inner loop is allocation-free in steady state.
 // Events live in a pooled slab (no interface boxing, records recycled on
-// delivery) ordered by a calendar wheel of per-cycle FIFO buckets, with an
-// index-based 4-ary min-heap holding only the events outside the wheel's
-// window; per-instruction operand matching, context metadata, and
+// delivery) ordered by a calendar wheel of per-cycle FIFO buckets, each a
+// list threaded through the slab records themselves, with an index-based
+// 4-ary min-heap holding only the events outside the wheel's window;
+// per-instruction operand matching, context metadata, and
 // wave-to-buffer bindings use internal/tagtable's open-addressed tables and
 // slabs; PE residency is one dense slice; memory requests and their
 // reply-routing cookies recycle through freelists fed by the ordering
@@ -261,7 +262,7 @@ const (
 	evSpecProbe // MemSpec deferred-speculation probe (spec.go)
 )
 
-// event is one queue record, 56 bytes. Which fields a kind reads:
+// event is one queue record, 64 bytes. Which fields a kind reads:
 //
 //	evToken      gi, port, tag, vals[0] (the token's value)
 //	evFire       gi, tag, vals (the operand tuple)
@@ -269,11 +270,15 @@ const (
 //	evSpecProbe  req, vals[0] (the packed (gen, cookie)); the req pointer is
 //	             only dereferenced after the cookie generation check proves
 //	             the request is still buffered in the ordering engine
+//
+// next belongs to the queue, not to a kind: the slab index of the record
+// behind this one in its wheel bucket.
 type event struct {
 	time int64
 	kind evKind
 	port uint8 // destination input port
 	gi   int32 // destination instruction, global index
+	next int32
 	tag  isa.Tag
 	vals [3]int64
 	req  *waveorder.Request
@@ -303,7 +308,10 @@ func entLess(a, b heapEnt) bool {
 //
 // It is a calendar wheel: events within wheelSize cycles of the drain
 // cursor land in a ring of per-cycle FIFO buckets, making push and pop
-// O(1); a 4-ary min-heap of inline (time, seq) keys holds everything else —
+// O(1). A bucket is a list threaded through the slab — head and tail
+// indices in the ring, each record's successor in its own next field — so a
+// pop reads the ring and then the record it returns, nothing in between. A
+// 4-ary min-heap of inline (time, seq) keys holds everything else —
 // the far future, and pushes back-dated behind the cursor (MemIdeal's
 // oracle load replies are timed from the cycle the load fired, which the
 // clock may already have passed). Exactness argument: the seq stamp is
@@ -323,15 +331,20 @@ type eventQueue struct {
 	free []int32
 	heap []heapEnt
 
-	cur     int64     // drain cursor: the cycle currently being popped
-	n       int       // events resident in buckets
-	bhead   int       // consumed prefix of the current bucket
-	buckets [][]int32 // ring of slab-index FIFOs, slot = cycle & wheelMask
-	bmap    []uint64  // non-empty bitmap over the ring
+	cur  int64                  // drain cursor: the cycle currently being popped
+	n    int                    // events resident in buckets
+	ring [wheelSize]bucket      // per-cycle FIFOs, slot = cycle & wheelMask
+	bmap [wheelSize / 64]uint64 // non-empty bitmap over the ring, for the cursor's jump
 
 	backdated  uint64 // pushes that landed behind the cursor (tests read it)
 	heapPushes uint64 // pushes that missed the ring, back-dated ones included
 }
+
+// bucket is one cycle's FIFO, linked head to tail through event.next: head
+// is the slab index of its first record plus one, so the zero bucket is the
+// empty one, and tail the index of its last (meaningful only while head is
+// not 0). A bucket's bitmap bit is set exactly while it is not empty.
+type bucket struct{ head, tail int32 }
 
 // wheelSize is the ring span in cycles, sized to the latencies the machine
 // has: the longest a message is scheduled ahead is a DRAM miss behind a
@@ -349,28 +362,17 @@ const (
 	wheelMask = wheelSize - 1
 )
 
-// reset empties the queue for a new run; the ring is allocated once and
-// reused across runs.
+// reset empties the queue for a new run, including one a cancel or a fault
+// abandoned with events still linked in its buckets: the slab is truncated
+// and the ring and bitmap are zeroed.
 func (q *eventQueue) reset() {
 	q.slab = q.slab[:0]
 	q.free = q.free[:0]
 	q.heap = q.heap[:0]
 	q.backdated, q.heapPushes = 0, 0
-	if q.buckets == nil {
-		q.buckets = make([][]int32, wheelSize)
-		q.bmap = make([]uint64, wheelSize/64)
-	}
-	if q.n != 0 || q.cur != 0 || q.bhead != 0 {
-		for w, word := range q.bmap {
-			for word != 0 {
-				s := w*64 + bits.TrailingZeros64(word)
-				word &= word - 1
-				q.buckets[s] = q.buckets[s][:0]
-			}
-			q.bmap[w] = 0
-		}
-		q.n, q.cur, q.bhead = 0, 0, 0
-	}
+	q.ring = [wheelSize]bucket{}
+	q.bmap = [wheelSize / 64]uint64{}
+	q.n, q.cur = 0, 0
 }
 
 func (q *eventQueue) len() int { return len(q.heap) + q.n }
@@ -393,17 +395,21 @@ func (q *eventQueue) alloc() int32 {
 func (q *eventQueue) release(i int32) { q.free = append(q.free, i) }
 
 // push enqueues slab index i under the key (t, seq); the caller stamps seq
-// from the run-wide counter. Events within the ring window append to their
-// cycle's FIFO; everything else (far future and back-dated) rides the heap.
+// from the run-wide counter. Events within the ring window link at the tail
+// of their cycle's FIFO; everything else (far future and back-dated) rides
+// the heap.
 func (q *eventQueue) push(i int32, t int64, seq uint64) {
 	d := t - q.cur
 	if uint64(d) < wheelSize {
 		s := int(t) & wheelMask
-		b := q.buckets[s]
-		if len(b) == 0 {
+		b := &q.ring[s]
+		if b.head == 0 {
 			q.bmap[s>>6] |= 1 << (uint(s) & 63)
+			b.head = i + 1
+		} else {
+			q.slab[b.tail].next = i
 		}
-		q.buckets[s] = append(b, i)
+		b.tail = i
 		q.n++
 		return
 	}
@@ -438,26 +444,30 @@ func (q *eventQueue) heapPush(i int32, t int64, seq uint64) {
 // It drains in exact (time, seq) order: heap entries at or before the
 // cursor first (back-dated ones are earlier than anything bucketed; ones at
 // the cursor's cycle were pushed before any of the cycle's direct bucket
-// entries, so their seq stamps are strictly smaller), then the bucket FIFO;
-// when the cycle is dry the cursor jumps straight to the next non-empty
-// bucket or the heap's front time, whichever is earlier.
+// entries, so their seq stamps are strictly smaller), then the bucket FIFO,
+// unlinking its head; the bucket's bit clears with its last record, so a
+// push at the cursor's cycle after that starts the bucket afresh. When the
+// cycle is dry the cursor jumps straight to the next non-empty bucket or
+// the heap's front time, whichever is earlier.
 func (q *eventQueue) pop() int32 {
 	for {
 		if len(q.heap) > 0 && q.heap[0].time <= q.cur {
 			return q.heapPop()
 		}
 		s := int(q.cur) & wheelMask
-		b := q.buckets[s]
-		if q.bhead < len(b) {
-			idx := b[q.bhead]
-			q.bhead++
+		b := &q.ring[s]
+		if b.head != 0 {
+			idx := b.head - 1
+			if idx == b.tail {
+				b.head = 0
+				q.bmap[s>>6] &^= 1 << (uint(s) & 63)
+			} else {
+				b.head = q.slab[idx].next + 1
+			}
 			q.n--
 			return idx
 		}
-		// Cycle exhausted: retire the bucket and advance the cursor.
-		q.buckets[s] = b[:0]
-		q.bmap[s>>6] &^= 1 << (uint(s) & 63)
-		q.bhead = 0
+		// Cycle exhausted: advance the cursor.
 		nt := int64(-1)
 		if d := q.nextBucketDelta(); d > 0 {
 			nt = q.cur + int64(d)
@@ -471,8 +481,8 @@ func (q *eventQueue) pop() int32 {
 
 // nextBucketDelta scans the non-empty bitmap for the ring distance
 // (1..wheelSize-1) from the cursor's slot to the nearest occupied bucket
-// strictly after it, or -1 when the ring is empty. The cursor's own slot
-// is always cleared before the scan, so a full wrap terminates.
+// strictly after it, or -1 when the ring is empty. The cursor's own bucket
+// is always empty when pop scans, so a full wrap terminates.
 func (q *eventQueue) nextBucketDelta() int {
 	cs := int(q.cur) & wheelMask
 	for d := 1; d < wheelSize; {

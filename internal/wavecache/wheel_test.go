@@ -36,12 +36,14 @@ func (h *refQueue) Pop() any {
 
 // queuePair drives an eventQueue and the reference with one schedule. Each
 // event's seq rides in vals[0] so a pop can be checked against the
-// reference's.
+// reference's. now is the clock, the running maximum of popped times,
+// exactly sim.now.
 type queuePair struct {
 	t   *testing.T
 	q   eventQueue
 	ref refQueue
 	seq uint64
+	now int64
 }
 
 func newQueuePair(t *testing.T) *queuePair {
@@ -71,77 +73,128 @@ func (p *queuePair) pop() refEnt {
 		p.t.Fatalf("wheel popped (t=%d seq=%d), reference popped (t=%d seq=%d)",
 			got.time, got.seq, want.time, want.seq)
 	}
+	p.now = max(p.now, got.time)
+	if p.q.cur > p.now {
+		p.t.Fatalf("cursor %d ran ahead of the clock %d", p.q.cur, p.now)
+	}
 	return got
 }
 
+// drive runs ops steps of a randomized push/pop schedule on p, leaving
+// whatever is still queued. Pushes follow the engine's real contract — seq
+// stamps monotone, times anywhere relative to the clock — and are
+// adversarial on both sides of it: bursts at the current cycle, deltas
+// straddling the ring window (forcing heap overflow), long dead stretches
+// that make the cursor jump, duplicate times, and the back-dated pushes
+// MemIdeal's oracle replies make: single ones a few cycles behind the
+// cursor, bursts of them, one landing exactly on the cursor, and one more
+// than a whole ring behind it.
+func (p *queuePair) drive(rng *rand.Rand, ops int) {
+	p.t.Helper()
+	back := func(d int64) {
+		if tm := p.now - d; tm >= 0 {
+			p.push(tm)
+		}
+	}
+	for op := 0; op < ops; op++ {
+		if p.q.len() == 0 || (rng.Intn(3) > 0 && p.q.len() < 400) {
+			switch rng.Intn(14) {
+			case 0: // far future: overflows the ring window
+				p.push(p.now + int64(wheelSize+rng.Intn(3*wheelSize)))
+			case 1: // straddle the window edge
+				p.push(p.now + int64(wheelSize-2+rng.Intn(5)))
+			case 2: // long dead stretch: cursor must jump
+				p.push(p.now + int64(500+rng.Intn(2000)))
+			case 3: // back-dated behind the cursor
+				back(int64(rng.Intn(64)))
+			case 4: // a burst of back-dated pushes, with same-cycle company
+				for n := 2 + rng.Intn(6); n > 0; n-- {
+					back(int64(rng.Intn(64)))
+					p.push(p.now)
+				}
+			case 5: // exactly on the cursor: not back-dated, joins its bucket
+				p.push(p.q.cur)
+			case 6: // more than a whole ring behind: must not alias a live bucket
+				back(int64(wheelSize + 1 + rng.Intn(wheelSize)))
+			default: // near future, heavy same-cycle traffic
+				p.push(p.now + int64(rng.Intn(4)))
+			}
+		} else {
+			p.pop()
+		}
+	}
+}
+
+// drain pops both queues dry.
+func (p *queuePair) drain() {
+	p.t.Helper()
+	for p.q.len() > 0 {
+		p.pop()
+	}
+	if p.ref.Len() != 0 {
+		p.t.Fatalf("reference retains %d events after wheel drained", p.ref.Len())
+	}
+}
+
 // TestWheelQueueDifferential drives the calendar-wheel queue and the
-// reference heap with the identical randomized push/pop schedule and
-// requires the identical pop sequence. Pushes follow the engine's real
-// contract — seq stamps monotone, times anywhere relative to the clock,
-// where the clock (now) is the running maximum of popped times, exactly
-// sim.now — and are adversarial on both sides of it: bursts at the current
-// cycle, deltas straddling the ring window (forcing heap overflow), long
-// dead stretches that make the cursor jump, duplicate times, and the
-// back-dated pushes MemIdeal's oracle replies make: single ones a few
-// cycles behind the cursor, bursts of them, one landing exactly on the
-// cursor, and one more than a whole ring behind it.
+// reference heap with the identical randomized push/pop schedule (drive)
+// and requires the identical pop sequence. Two cases ride along for the
+// buckets threaded through the slab: a bucket popped empty and refilled at
+// the cursor's cycle, whose bit the last pop cleared, and a queue reset with
+// events still linked in its buckets and heap — what an Arena's queue holds
+// when a cancelled or faulted run is followed by the next Run
+// (TestCancelAtEventNThenReuse checks whole runs of that).
 func TestWheelQueueDifferential(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
-		rng := rand.New(rand.NewSource(int64(900 + trial)))
 		p := newQueuePair(t)
-		now := int64(0)
-		pop := func() {
-			if e := p.pop(); e.time > now {
-				now = e.time
-			}
-			if p.q.cur > now {
-				t.Fatalf("trial %d: cursor %d ran ahead of the clock %d", trial, p.q.cur, now)
-			}
-		}
-		back := func(d int64) {
-			if tm := now - d; tm >= 0 {
-				p.push(tm)
-			}
-		}
-
 		p.push(0)
-		for op := 0; op < 8000; op++ {
-			if p.q.len() == 0 || (rng.Intn(3) > 0 && p.q.len() < 400) {
-				switch rng.Intn(14) {
-				case 0: // far future: overflows the ring window
-					p.push(now + int64(wheelSize+rng.Intn(3*wheelSize)))
-				case 1: // straddle the window edge
-					p.push(now + int64(wheelSize-2+rng.Intn(5)))
-				case 2: // long dead stretch: cursor must jump
-					p.push(now + int64(500+rng.Intn(2000)))
-				case 3: // back-dated behind the cursor
-					back(int64(rng.Intn(64)))
-				case 4: // a burst of back-dated pushes, with same-cycle company
-					for n := 2 + rng.Intn(6); n > 0; n-- {
-						back(int64(rng.Intn(64)))
-						p.push(now)
-					}
-				case 5: // exactly on the cursor: not back-dated, joins its bucket
-					p.push(p.q.cur)
-				case 6: // more than a whole ring behind: must not alias a live bucket
-					back(int64(wheelSize + 1 + rng.Intn(wheelSize)))
-				default: // near future, heavy same-cycle traffic
-					p.push(now + int64(rng.Intn(4)))
-				}
-			} else {
-				pop()
-			}
-		}
+		p.drive(rand.New(rand.NewSource(int64(900+trial))), 8000)
 		if p.q.backdated == 0 {
 			t.Fatalf("trial %d: schedule never pushed behind the cursor", trial)
 		}
-		for p.q.len() > 0 {
-			pop()
-		}
-		if p.ref.Len() != 0 {
-			t.Fatalf("trial %d: reference retains %d events after wheel drained", trial, p.ref.Len())
-		}
+		p.drain()
 	}
+
+	t.Run("bucket refilled after draining at the cursor", func(t *testing.T) {
+		p := newQueuePair(t)
+		p.push(700) // a later bucket and a heap entry stay queued throughout
+		p.push(5000)
+		for tm := int64(1); tm <= 300; tm++ {
+			for n := 1 + tm%3; n > 0; n-- {
+				p.push(tm)
+			}
+			for p.ref[0].time <= tm {
+				p.pop()
+			}
+			s := int(tm) & wheelMask
+			if p.q.cur != tm || p.q.bmap[s>>6]&(1<<(uint(s)&63)) != 0 {
+				t.Fatalf("t=%d: cursor %d, bucket still marked after its last pop", tm, p.q.cur)
+			}
+			for n := 1 + tm%2; n > 0; n-- { // pop before everything at tm+1
+				p.push(tm)
+			}
+		}
+		p.drain()
+	})
+
+	t.Run("reset with events linked in the buckets", func(t *testing.T) {
+		p := newQueuePair(t)
+		for trial := 0; trial < 20; trial++ {
+			rng := rand.New(rand.NewSource(int64(1900 + trial)))
+			p.drive(rng, 2000) // the run a cancel abandons
+			for p.q.n < 50 {
+				p.push(p.now + int64(rng.Intn(2*wheelSize)))
+			}
+			p.q.reset()
+			p.ref, p.seq, p.now = p.ref[:0], 0, 0
+			if p.q.len() != 0 {
+				t.Fatalf("trial %d: %d events survive reset", trial, p.q.len())
+			}
+			p.push(0)
+			p.drive(rng, 2000) // the next run on the same queue
+			p.drain()
+		}
+	})
 }
 
 // TestWheelQueuePastPush pins the back-dated path on a schedule small

@@ -394,10 +394,15 @@ func (e *Engine) Submit(r *Request) error {
 	if e.root.ended {
 		return fmt.Errorf("waveorder: request %v after program memory sequence ended", r)
 	}
-	c := e.ctxs[r.Ctx]
-	if c == nil {
-		c = e.newCtxState(r.Ctx)
-		e.ctxs[r.Ctx] = c
+	// Most requests belong to the context at the issue point; only one from
+	// a caller's later wave or a not-yet-spliced child looks its context up.
+	c := e.top
+	if c.id != r.Ctx {
+		c = e.ctxs[r.Ctx]
+		if c == nil {
+			c = e.newCtxState(r.Ctx)
+			e.ctxs[r.Ctx] = c
+		}
 	}
 	e.waveOf(c, r.Wave).add(r)
 	e.pending++

@@ -1,6 +1,7 @@
 package waveorder
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -341,4 +342,112 @@ func BenchmarkEngineInOrder(b *testing.B) {
 			e.Submit(&rc)
 		}
 	}
+}
+
+// submitMapOnly is Submit as it was before the issue-point shortcut: every
+// request finds its context through the map. It is kept as the reference
+// TestSubmitOffTopMatchesMapLookup holds Submit to.
+func submitMapOnly(e *Engine, r *Request) error {
+	if e.root.ended {
+		return fmt.Errorf("waveorder: request %v after program memory sequence ended", r)
+	}
+	c := e.ctxs[r.Ctx]
+	if c == nil {
+		c = e.newCtxState(r.Ctx)
+		e.ctxs[r.Ctx] = c
+	}
+	e.waveOf(c, r.Wave).add(r)
+	e.pending++
+	if e.pending > e.stats.MaxPending {
+		e.stats.MaxPending = e.pending
+	}
+	e.stats.Submitted++
+	if e.tr != nil {
+		e.tr.MemSubmit(e.clock(), e.pending)
+	}
+	return e.drain()
+}
+
+// TestSubmitOffTopMatchesMapLookup: Submit looks at the issue point's
+// context first and goes to the map only for a request of another context.
+// The two off-top cases are a caller's later wave arriving while its callee
+// is spliced in, and a child's request arriving before the MemCall that
+// splices it has issued (its context is made on the spot). Two hand-built
+// schedules take each once; then random call-nested streams in random
+// arrival order, which must take both often, must issue in the same order,
+// with the same stats, as the map-only reference.
+func TestSubmitOffTopMatchesMapLookup(t *testing.T) {
+	type outcome struct {
+		issued []*Request
+		stats  Stats
+		err    string
+	}
+	// run submits stream in the order perm gives, counting how many
+	// requests Submit found off the issue point, and of which kind.
+	run := func(stream []*Request, perm []int, submit func(*Engine, *Request) error) (o outcome, callerLater, childEarly int) {
+		e := NewEngine(0, func(r *Request) { o.issued = append(o.issued, r) })
+		for _, i := range perm {
+			r := stream[i]
+			if e.top != nil && e.top.id != r.Ctx {
+				// A context on the splice stack below the issue point is a
+				// caller; any other is a child whose call has not issued.
+				if c := e.ctxs[r.Ctx]; c != nil && (c == e.root || c.spliced) {
+					callerLater++
+				} else {
+					childEarly++
+				}
+			}
+			if err := submit(e, r); err != nil {
+				o.err = err.Error()
+				break
+			}
+		}
+		o.stats = e.Stats()
+		return o, callerLater, childEarly
+	}
+	check := func(name string, stream []*Request, perm []int) (int, int) {
+		t.Helper()
+		got, callerLater, childEarly := run(stream, perm, (*Engine).Submit)
+		want, _, _ := run(stream, perm, submitMapOnly)
+		if got.err != want.err || got.stats != want.stats || len(got.issued) != len(want.issued) {
+			t.Fatalf("%s: Submit issued %d (%+v, err %q), map-only %d (%+v, err %q)",
+				name, len(got.issued), got.stats, got.err, len(want.issued), want.stats, want.err)
+		}
+		for i := range got.issued {
+			if got.issued[i] != want.issued[i] {
+				t.Fatalf("%s: issue %d is %v, map-only issues %v", name, i, got.issued[i], want.issued[i])
+			}
+		}
+		if len(got.issued) != len(stream) {
+			t.Fatalf("%s: %d of %d requests issued", name, len(got.issued), len(stream))
+		}
+		return callerLater, childEarly
+	}
+
+	// Parent ctx 0: wave 0 is a call of ctx 3, wave 1 a store and the end.
+	// Child ctx 3: a store and its end.
+	stream := []*Request{
+		{Ctx: 0, Wave: 0, Kind: isa.MemCall, Seq: 0, Pred: isa.SeqStart, Succ: isa.SeqEnd, ChildCtx: 3},
+		{Ctx: 3, Wave: 0, Kind: isa.MemStore, Seq: 0, Pred: isa.SeqStart, Succ: 1, Addr: 1, Value: 4},
+		{Ctx: 3, Wave: 0, Kind: isa.MemEnd, Seq: 1, Pred: 0, Succ: isa.SeqEnd},
+		{Ctx: 0, Wave: 1, Kind: isa.MemStore, Seq: 0, Pred: isa.SeqStart, Succ: 1, Addr: 1, Value: 9},
+		{Ctx: 0, Wave: 1, Kind: isa.MemEnd, Seq: 1, Pred: 0, Succ: isa.SeqEnd},
+	}
+	if callerLater, childEarly := check("caller's later wave", stream, []int{0, 3, 4, 1, 2}); callerLater != 2 || childEarly != 0 {
+		t.Errorf("caller's later wave: %d caller / %d child requests off the issue point, want 2 / 0", callerLater, childEarly)
+	}
+	if callerLater, childEarly := check("child before its call", stream, []int{1, 2, 0, 3, 4}); callerLater != 0 || childEarly != 2 {
+		t.Errorf("child before its call: %d caller / %d child requests off the issue point, want 0 / 2", callerLater, childEarly)
+	}
+
+	var callerLater, childEarly int
+	for seed := int64(0); seed < 300; seed++ {
+		stream := buildStream(seed)
+		cl, ce := check("random", stream, rand.New(rand.NewSource(seed+1000)).Perm(len(stream)))
+		callerLater, childEarly = callerLater+cl, childEarly+ce
+	}
+	if callerLater == 0 || childEarly == 0 {
+		t.Fatalf("random streams never reached a context off the issue point: %d caller / %d child requests", callerLater, childEarly)
+	}
+	t.Logf("random streams: %d caller-later and %d child-early requests off the issue point", callerLater, childEarly)
 }
