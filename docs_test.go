@@ -95,6 +95,23 @@ func (p *pkgNames) declare(d ast.Decl) {
 	}
 }
 
+// prHeading matches a Markdown heading that names a pull request.
+var prHeading = regexp.MustCompile(`^#+ .*PR \d+`)
+
+// TestDesignHeadingsNameNoPRs: DESIGN.md describes the system that is, so
+// its headings say what a section is about, not which change brought it.
+func TestDesignHeadingsNameNoPRs(t *testing.T) {
+	text, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range strings.Split(string(text), "\n") {
+		if prHeading.MatchString(line) {
+			t.Errorf("DESIGN.md:%d: heading names a PR: %s", i+1, line)
+		}
+	}
+}
+
 // TestDocsNameRealIdentifiers: a code span in README.md or DESIGN.md that
 // reads `pkg.Ident`, with pkg a directory under internal/, names something
 // that package declares (test files included) — a top-level declaration, or

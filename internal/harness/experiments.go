@@ -102,7 +102,7 @@ var Experiments = []Experiment{
 	{
 		ID:    "E14",
 		Title: "Compiler memory optimization and profile-guided placement feedback",
-		Claim: "shrinking the wave-ordered memory chains at compile time and feeding a profile-optimized layout back into placement each improve AIPC, and the two compose",
+		Claim: "shrinking the wave-ordered memory chains at compile time improves AIPC where the tier removes operations; a profile-fed fixed layout (the SPAA'06 model's hill-climb from a depth-first-snake seed, which keeps that seed on these kernels) is set against dynamic placement, so the feedback column measures static against dynamic depth-first placement",
 		Run:   runE14,
 	},
 	{

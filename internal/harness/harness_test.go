@@ -230,7 +230,7 @@ func main() {
 			t.Fatalf("case %d %+v: built, though Validate says %v", i, m, verr)
 		}
 		if err != nil {
-			continue // by Validate, or by the policy (profile-feedback takes no defect map)
+			continue // by Validate, or by the policy's constructor
 		}
 		accepted++
 		// A bound the options did not ask for, so that no accepted machine

@@ -94,7 +94,7 @@ func (o CompileOptions) ctx() context.Context {
 
 const (
 	// placementSeed seeds the randomized placement policies (random,
-	// packed-random, profile-feedback's hill-climb): one constant for every
+	// packed-random) and E14's feedback hill-climb: one constant for every
 	// door, so a cell's result is a function of its options alone.
 	placementSeed = 12345
 	// maxCount bounds Density, PEStore and InputQueue: E6's "infinite" queue

@@ -3,7 +3,9 @@ package harness
 import (
 	"fmt"
 
+	"wavescalar/internal/placemodel"
 	"wavescalar/internal/stats"
+	"wavescalar/internal/wavecache"
 )
 
 // runE14 measures the two feedback loops this harness closes around the
@@ -54,16 +56,20 @@ func runE14(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	}
 
 	// Four simulation cells per bench: {O0, O1} x {baseline policy,
-	// profile-feedback}, as a two-point sweep over both tiers of every
-	// bench. The feedback cells construct their own policy (profiling run +
-	// model hill-climb) per cell, as cells must.
-	var tiers []*Compiled
-	for _, p := range pairs {
-		tiers = append(tiers, p.o0, p.o1)
+	// profile feedback}. The feedback cells construct their own policy
+	// (profiling run + model hill-climb) per cell, as cells must.
+	res := make([][4]wavecache.Result, len(set))
+	cells := newCellSet(m)
+	for bi, p := range pairs {
+		for ti, c := range []*Compiled{p.o0, p.o1} {
+			cells.wave(c, c.Wave, m, &res[bi][2*ti])
+			cells.add(func() (err error) {
+				res[bi][2*ti+1], err = runFeedback(c, m)
+				return err
+			})
+		}
 	}
-	res, err := sweep(tiers, m, []point{{label: "base"},
-		{label: "proffb", opt: func(o *MachineOptions) { o.Policy = "profile-feedback" }}})
-	if err != nil {
+	if err := cells.run(); err != nil {
 		return nil, err
 	}
 
@@ -71,8 +77,8 @@ func runE14(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	for bi, c := range set {
 		p := pairs[bi]
 		useful := p.o0.UsefulInstrs
-		o0, o1 := res[2*bi], res[2*bi+1]
-		cy := [4]int64{o0[0].Cycles, o0[1].Cycles, o1[0].Cycles, o1[1].Cycles}
+		r := &res[bi]
+		cy := [4]int64{r[0].Cycles, r[1].Cycles, r[2].Cycles, r[3].Cycles}
 		opt := float64(cy[0]) / float64(cy[2])
 		best := cy[1]
 		if cy[3] < best {
@@ -93,4 +99,21 @@ func runE14(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	}
 	t.Note = fmt.Sprintf("geomean cycle speedup: O1 over O0 (baseline policy) %.2fx; best feedback combination over O0 baseline %.2fx", stats.GeoMean(optRatios), stats.GeoMean(bestRatios))
 	return t, nil
+}
+
+// runFeedback simulates c's steer binary on m's machine under the
+// profile-feedback layout, which placemodel.NewProfileFeedback builds here
+// in place of the policy m names: no placement.New name reaches it, because
+// on the harness machines it repeats depth-first-snake.
+func runFeedback(c *Compiled, m MachineOptions) (wavecache.Result, error) {
+	m, fc, err := m.check()
+	if err != nil {
+		return wavecache.Result{}, fmt.Errorf("%s: %w", c.Name, err)
+	}
+	cfg := m.waveConfig(fc)
+	pol, err := placemodel.NewProfileFeedback(cfg.Machine, c.Wave, placementSeed)
+	if err != nil {
+		return wavecache.Result{}, fmt.Errorf("%s/proffb: %w", c.Name, err)
+	}
+	return RunWave(c, c.Wave, pol, cfg)
 }

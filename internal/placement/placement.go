@@ -452,18 +452,12 @@ func NewPackedRandom(m Machine, seed uint64) (Policy, error) {
 	return p, nil
 }
 
-// Ctor builds a policy; it receives exactly New's arguments.
-type Ctor func(m Machine, prog *isa.Program, seed uint64) (Policy, error)
-
-type namedCtor struct {
+// policies is the ordered table New and Names share; each constructor
+// receives exactly New's arguments.
+var policies = []struct {
 	name string
-	ctor Ctor
-}
-
-// policies is the ordered table New, Names and Register share: the
-// built-ins, then registered external policies in registration order
-// (deterministic — init order is fixed by the import graph).
-var policies = []namedCtor{
+	ctor func(m Machine, prog *isa.Program, seed uint64) (Policy, error)
+}{
 	{"dynamic-snake", func(m Machine, _ *isa.Program, _ uint64) (Policy, error) { return NewDynamicSnake(m) }},
 	{"static-snake", func(m Machine, p *isa.Program, _ uint64) (Policy, error) { return NewStaticSnake(m, p) }},
 	{"depth-first-snake", func(m Machine, p *isa.Program, _ uint64) (Policy, error) { return NewDepthFirstSnake(m, p) }},
@@ -484,20 +478,6 @@ func New(name string, m Machine, prog *isa.Program, seed uint64) (Policy, error)
 		}
 	}
 	return nil, fmt.Errorf("placement: unknown policy %q", name)
-}
-
-// Register adds an externally implemented policy under name, making it
-// reachable through New and visible in Names. Registration happens from
-// package init functions (e.g. internal/placemodel's profile-feedback
-// policy, which cannot live here without an import cycle); a name already
-// in the table panics, as that is a programming error.
-func Register(name string, ctor Ctor) {
-	for _, p := range policies {
-		if p.name == name {
-			panic("placement: duplicate policy registration " + name)
-		}
-	}
-	policies = append(policies, namedCtor{name, ctor})
 }
 
 // Names lists the available policies in table order.

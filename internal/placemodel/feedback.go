@@ -11,13 +11,9 @@ import (
 // This file closes the placement feedback loop: profile the program on the
 // reference dataflow interpreter, seed a layout from a static policy,
 // improve it under the analytic placement model (Optimize), and replay the
-// result through a FixedPolicy. Registering it with the placement package
-// makes "profile-feedback" a first-class policy name — selectable by the
-// E8 placement comparison, the CLIs' -policy flags, and the serve API —
-// without the placement package importing this one (which imports it).
-func init() {
-	placement.Register("profile-feedback", NewProfileFeedback)
-}
+// result through a FixedPolicy. It is not a placement.New name: on the
+// harness machines the climb hands back its depth-first-snake seed, so the
+// policy would repeat that one, and only E14 builds it, directly.
 
 const (
 	// feedbackIters bounds the hill-climb. A move updates the model by its

@@ -16,13 +16,9 @@ import (
 // search — only the analytic model, updated by each move's delta (see
 // state) — which is the entire point.
 //
-// It returns the best-scoring layout the walk visited, if any scored
-// strictly below the seed. If none did, it returns the layout the walk
-// ended on — not the seed — and because every uphill escape raises the bar
-// for the moves after it, that layout can score well above the seed: as
-// E8 and E14 construct profile-feedback it does on all ten kernels (the
-// table in EXPERIMENTS.md §E14). Both experiments are recorded with this
-// behaviour, so changing it changes their tables.
+// It returns the best-scoring layout the walk visited, or the seed if
+// nothing scored strictly below it, so the result never scores above the
+// seed.
 func Optimize(cfg Config, prof *profile.Profile, seed Layout, iters int, rngSeed int64) Layout {
 	if len(seed) == 0 {
 		return Layout{}
@@ -51,7 +47,7 @@ func Optimize(cfg Config, prof *profile.Profile, seed Layout, iters int, rngSeed
 		return w.Latency*c.Latency/latScale + w.Data*c.Data/dataScale + w.Contention*c.Contention/conScale
 	}
 
-	var best []int // homes of the best layout seen; nil until the seed is beaten
+	best := append([]int(nil), cur.pe...) // homes of the best layout seen
 	bestScore := score(base)
 	curScore := bestScore
 
@@ -80,9 +76,6 @@ func Optimize(cfg Config, prof *profile.Profile, seed Layout, iters int, rngSeed
 			cur.move(i, old)
 			cur.latency = lat // undo exactly even if cfg's latencies are fractional
 		}
-	}
-	if best == nil {
-		best = cur.pe
 	}
 	return cur.layout(best)
 }

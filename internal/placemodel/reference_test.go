@@ -2,8 +2,10 @@ package placemodel
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -17,11 +19,10 @@ import (
 )
 
 // This file keeps the placement model's original, map-based formulation —
-// Equations 1–5 evaluated from scratch over the whole profile, and the
-// hill-climb that re-runs them on every move — as the reference, and holds
-// the dense incremental implementation to it: equal Components (==, not a
-// tolerance) after every move and undo, and DeepEqual layouts out of
-// Optimize.
+// Equations 1–5 evaluated from scratch over the whole profile — as the
+// reference, and holds the dense incremental implementation to it: equal
+// Components (==, not a tolerance) after every move and undo. Optimize is
+// held to what it promises instead: never a layout scoring above its seed.
 
 // pairLatencyRef is Equation 1: the latency between two placed instructions.
 func (c Config) pairLatencyRef(peA, peB int) float64 {
@@ -120,85 +121,6 @@ func evaluateRef(cfg Config, prof *profile.Profile, l Layout) Components {
 	}
 }
 
-// optimizeRef is Optimize as first written: every move re-runs the whole
-// map-based evaluation, and the best layout is a map clone. Its return
-// value when no move ever scores strictly below the seed — bestLayout
-// still aliases cur, so the final random walk comes back — is part of what
-// Optimize must reproduce.
-func optimizeRef(cfg Config, prof *profile.Profile, seed Layout, iters int, rngSeed int64) Layout {
-	rng := rand.New(rand.NewSource(rngSeed))
-	cur := make(Layout, len(seed))
-	for k, v := range seed {
-		cur[k] = v
-	}
-
-	// The three components have incomparable units; weight them by the
-	// paper's contributions over scale estimates from the seed layout so a
-	// unit move trades off sensibly.
-	base := evaluateRef(cfg, prof, cur)
-	latScale := base.Latency
-	if latScale <= 0 {
-		latScale = 1
-	}
-	conScale := base.Contention
-	if conScale <= 0 {
-		conScale = 1
-	}
-	dataScale := base.Data
-	if dataScale <= 0 {
-		dataScale = 1
-	}
-	w := PaperWeights()
-	score := func(c Components) float64 {
-		return w.Latency*c.Latency/latScale + w.Data*c.Data/dataScale + w.Contention*c.Contention/conScale
-	}
-
-	refs := make([]profile.InstrRef, 0, len(cur))
-	for r := range cur {
-		refs = append(refs, r)
-	}
-	// Deterministic iteration order (maps are randomized).
-	sortRefsRef(refs)
-
-	bestLayout := cur
-	bestScore := score(base)
-	curScore := bestScore
-
-	npes := cfg.Machine.NumPEs()
-	for it := 0; it < iters; it++ {
-		r := refs[rng.Intn(len(refs))]
-		old := cur[r]
-		cand := rng.Intn(npes)
-		if cand == old {
-			continue
-		}
-		cur[r] = cand
-		s := score(evaluateRef(cfg, prof, cur))
-		switch {
-		case s <= curScore:
-			curScore = s
-			if s < bestScore {
-				bestScore = s
-				bestLayout = cloneLayoutRef(cur)
-			}
-		case rng.Float64() < 0.02:
-			// Occasional uphill move to escape local minima.
-			curScore = s
-		default:
-			cur[r] = old
-		}
-	}
-	return bestLayout
-}
-
-func cloneLayoutRef(l Layout) Layout {
-	out := make(Layout, len(l))
-	for k, v := range l {
-		out[k] = v
-	}
-	return out
-}
-
 func sortRefsRef(refs []profile.InstrRef) {
 	// Insertion-free sort via the standard library would need a comparator
 	// import; a simple deterministic ordering suffices.
@@ -268,9 +190,45 @@ func syntheticProfile(rng *rand.Rand, n int) *profile.Profile {
 	return prof
 }
 
-// TestIncrementalMatchesEvaluate walks the dense state through random
-// moves and undos and requires its running Components to equal a
-// from-scratch reference evaluation of the same layout after every step.
+// walkMatchesReference walks the dense state of layout through steps random
+// moves, undoing half of them, and requires its running Components to equal
+// a from-scratch reference evaluation of the same layout after every step.
+// It updates layout as it goes.
+func walkMatchesReference(t *testing.T, cfg Config, prof *profile.Profile, layout Layout, rng *rand.Rand, steps int) {
+	t.Helper()
+	s := newState(cfg, prof, layout)
+	npes := cfg.Machine.NumPEs()
+	check := func(step int, what string) {
+		t.Helper()
+		if got, want := s.components(), evaluateRef(cfg, prof, layout); got != want {
+			t.Fatalf("step %d (%s): incremental %+v, reference %+v", step, what, got, want)
+		}
+	}
+	check(0, "build")
+	if got := Evaluate(cfg, prof, layout); got != s.components() {
+		t.Fatalf("Evaluate %+v differs from the state it builds %+v", got, s.components())
+	}
+	for step := 1; step <= steps; step++ {
+		i := rng.Intn(len(s.pe))
+		old, to := s.pe[i], rng.Intn(npes)
+		s.move(i, to)
+		layout[s.refs[i]] = to
+		check(step, "move")
+		if rng.Intn(2) == 0 {
+			s.move(i, old)
+			layout[s.refs[i]] = old
+			check(step, "undo")
+		}
+	}
+	if got := s.layout(s.pe); !reflect.DeepEqual(got, layout) {
+		t.Fatal("dense assignment and map layout diverged")
+	}
+}
+
+// TestIncrementalMatchesEvaluate holds the dense state to the reference
+// equations along random walks: on synthetic profiles built to hit every
+// corner of the bookkeeping, and on the inputs Optimize is really handed —
+// the kernels' profiles and depth-first-snake seeds at both grids.
 func TestIncrementalMatchesEvaluate(t *testing.T) {
 	const n = 40
 	cases := []struct {
@@ -288,7 +246,6 @@ func TestIncrementalMatchesEvaluate(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			prof := syntheticProfile(rng, n)
-			cfg := DefaultConfig(tc.machine, tc.capacity)
 			npes := tc.machine.NumPEs()
 
 			layout := make(Layout)
@@ -302,42 +259,60 @@ func TestIncrementalMatchesEvaluate(t *testing.T) {
 			for i, r := range refs[:n] {
 				layout[r] = (i / 2) % npes
 			}
-
-			s := newState(cfg, prof, layout)
-			check := func(step int, what string) {
-				t.Helper()
-				if got, want := s.components(), evaluateRef(cfg, prof, layout); got != want {
-					t.Fatalf("step %d (%s): incremental %+v, reference %+v", step, what, got, want)
-				}
-			}
-			check(0, "build")
-			if got := Evaluate(cfg, prof, layout); got != s.components() {
-				t.Fatalf("Evaluate %+v differs from the state it builds %+v", got, s.components())
-			}
-			for step := 1; step <= 3000; step++ {
-				i := rng.Intn(n)
-				old, to := s.pe[i], rng.Intn(npes)
-				s.move(i, to)
-				layout[s.refs[i]] = to
-				check(step, "move")
-				if rng.Intn(2) == 0 {
-					s.move(i, old)
-					layout[s.refs[i]] = old
-					check(step, "undo")
-				}
-			}
-			if got := s.layout(s.pe); !reflect.DeepEqual(got, layout) {
-				t.Fatal("dense assignment and map layout diverged")
-			}
+			walkMatchesReference(t, DefaultConfig(tc.machine, tc.capacity), prof, layout, rng, 3000)
 		})
 	}
+	kernels := feedbackCases(t)
+	t.Run("kernels", func(t *testing.T) {
+		for _, in := range kernels {
+			t.Run(in.name(), func(t *testing.T) {
+				t.Parallel()
+				walkMatchesReference(t, in.cfg, in.prof, maps.Clone(in.seed), rand.New(rand.NewSource(42)), 300)
+			})
+		}
+	})
 }
 
-// feedbackInputs reproduces NewProfileFeedback's inputs for one kernel as
-// E8 and E14 construct the policy — the harness's default binary (unroll 4,
-// -O1), an interpreter profile at feedbackLineWords, a depth-first-snake
-// seed layout — on a w x h machine.
-func feedbackInputs(tb testing.TB, name string, w, h int) (Config, *profile.Profile, Layout) {
+// feedbackCase is NewProfileFeedback's inputs for one kernel on one grid.
+type feedbackCase struct {
+	kernel string
+	grid   [2]int
+	cfg    Config
+	prof   *profile.Profile
+	seed   Layout
+}
+
+func (c feedbackCase) name() string { return fmt.Sprintf("%s/%dx%d", c.kernel, c.grid[0], c.grid[1]) }
+
+// kernelFeedback holds feedbackCases' inputs, built once per test binary.
+var kernelFeedback struct {
+	once  sync.Once
+	cases []feedbackCase
+}
+
+// feedbackCases is NewProfileFeedback's inputs for the ten kernels on the
+// 2x2 and 4x4 machines, kernel-major.
+func feedbackCases(t *testing.T) []feedbackCase {
+	t.Helper()
+	kernelFeedback.once.Do(func() {
+		for _, name := range workloads.Names() {
+			prog, prof := kernelProfile(t, name)
+			for _, grid := range [][2]int{{2, 2}, {4, 4}} {
+				cfg, seed := feedbackSeed(t, prog, prof, grid[0], grid[1])
+				kernelFeedback.cases = append(kernelFeedback.cases, feedbackCase{name, grid, cfg, prof, seed})
+			}
+		}
+	})
+	if len(kernelFeedback.cases) != 2*len(workloads.Names()) {
+		t.Fatal("building the kernels' feedback inputs failed")
+	}
+	return kernelFeedback.cases
+}
+
+// kernelProfile compiles a kernel as the harness does by default (unroll 4,
+// -O1) and profiles it on the interpreter at feedbackLineWords, as
+// NewProfileFeedback does.
+func kernelProfile(tb testing.TB, name string) (*isa.Program, *profile.Profile) {
 	tb.Helper()
 	ir, _, _, err := cfgir.FromSource(workloads.ByName(name).Src, 4, 1)
 	if err != nil {
@@ -352,88 +327,30 @@ func feedbackInputs(tb testing.TB, name string, w, h int) (Config, *profile.Prof
 	if _, err := im.Run(); err != nil {
 		tb.Fatal(err)
 	}
+	return prog, prof
+}
+
+// feedbackSeed is the rest of NewProfileFeedback's inputs on a w x h
+// machine of the harness's density: the model configuration, and the
+// depth-first-snake layout the climb starts from.
+func feedbackSeed(tb testing.TB, prog *isa.Program, prof *profile.Profile, w, h int) (Config, Layout) {
+	tb.Helper()
 	m := placement.DefaultMachine(w, h)
-	m.Capacity = 16 // harness.DefaultMachineOptions().Density: the machine E8 and E14 hand the policy
+	m.Capacity = 16 // harness.DefaultMachineOptions().Density: the machine E14 hands the policy
 	base, err := placement.NewDepthFirstSnake(m, prog)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return DefaultConfig(m, m.Capacity), prof, ExtractLayout(base, prof)
+	return DefaultConfig(m, m.Capacity), ExtractLayout(base, prof)
 }
 
-// TestOptimizeMatchesReference requires Optimize to return exactly the
-// layout the reference hill-climb returns, on profile-feedback's inputs for
-// all ten kernels. The cases must include both ways the hill-climb ends: a
-// walk that scored strictly below its seed at some point (the best snapshot
-// comes back) and one that never did (the layout it ended on comes back).
-// With -v it logs the seed-versus-returned model operand latency at
-// profile-feedback's own iteration count and E14's rng seed: the table in
-// EXPERIMENTS.md §E14.
-func TestOptimizeMatchesReference(t *testing.T) {
-	rngSeeds := []int64{12345, 1, 7}
-	if testing.Short() {
-		rngSeeds = rngSeeds[:1]
-	}
-	var beaten, walked atomic.Int64
-	t.Run("kernels", func(t *testing.T) {
-		for _, name := range workloads.Names() {
-			t.Run(name, func(t *testing.T) {
-				t.Parallel()
-				for _, grid := range [][2]int{{2, 2}, {4, 4}} {
-					cfg, prof, seed := feedbackInputs(t, name, grid[0], grid[1])
-					// agree runs both hill-climbs and returns the seed's
-					// and the returned layout's components. Every layout
-					// the walk visits, the last included, is a candidate
-					// for best, so the returned layout scores below the
-					// seed exactly when the seed was beaten.
-					agree := func(seed Layout, iters int, rngSeed int64) (base, ret Components) {
-						t.Helper()
-						got := Optimize(cfg, prof, seed, iters, rngSeed)
-						if want := optimizeRef(cfg, prof, seed, iters, rngSeed); !reflect.DeepEqual(got, want) {
-							t.Fatalf("%dx%d rng seed %d, %d iterations: layout differs from the reference hill-climb",
-								grid[0], grid[1], rngSeed, iters)
-						}
-						base, ret = Evaluate(cfg, prof, seed), Evaluate(cfg, prof, got)
-						switch {
-						case seedScaledScore(base, ret) < seedScaledScore(base, base):
-							beaten.Add(1)
-						case !reflect.DeepEqual(got, seed):
-							walked.Add(1)
-						}
-						return base, ret
-					}
-
-					// A scattered seed is easy to beat, so the best
-					// snapshot is retaken many times along the walk.
-					random, err := placement.NewRandom(cfg.Machine, 7)
-					if err != nil {
-						t.Fatal(err)
-					}
-					agree(ExtractLayout(random, prof), feedbackIters, 12345)
-
-					// The reference costs a whole Evaluate per move, so
-					// only E14's rng seed runs the full iteration count.
-					for _, rngSeed := range rngSeeds {
-						iterCounts := []int{0, 1, 64}
-						if rngSeed == 12345 {
-							iterCounts = append(iterCounts, feedbackIters)
-						}
-						for _, iters := range iterCounts {
-							base, ret := agree(seed, iters, rngSeed)
-							if rngSeed == 12345 && iters == feedbackIters {
-								t.Logf("%s %dx%d: model operand latency seed %.0f -> returned %.0f (%.2fx)",
-									name, grid[0], grid[1], base.Latency, ret.Latency, ret.Latency/base.Latency)
-							}
-						}
-					}
-				}
-			})
-		}
-	})
-	t.Logf("%d cases returned a layout that beat the seed, %d the layout a never-better walk ended on", beaten.Load(), walked.Load())
-	if beaten.Load() == 0 || walked.Load() == 0 {
-		t.Error("the cases must cover both ways the hill-climb ends")
-	}
+// feedbackInputs is NewProfileFeedback's inputs for one kernel on a w x h
+// machine.
+func feedbackInputs(tb testing.TB, name string, w, h int) (Config, *profile.Profile, Layout) {
+	tb.Helper()
+	prog, prof := kernelProfile(tb, name)
+	cfg, seed := feedbackSeed(tb, prog, prof, w, h)
+	return cfg, prof, seed
 }
 
 // seedScaledScore is the hill-climb's objective: the paper's weights over
@@ -447,6 +364,47 @@ func seedScaledScore(base, c Components) float64 {
 	}
 	w := PaperWeights()
 	return w.Latency*c.Latency/scale(base.Latency) + w.Data*c.Data/scale(base.Data) + w.Contention*c.Contention/scale(base.Contention)
+}
+
+// TestOptimizeNeverWorseThanSeed: on profile-feedback's inputs — the ten
+// kernels, both grids, three rng seeds — the climb returns a layout its own
+// objective scores no higher than the seed, returns the seed itself unless
+// it found a layout strictly lower, and returns the same layout when called
+// again. (TestOptimizeImprovesRealPerformance covers a seed that is beaten.)
+func TestOptimizeNeverWorseThanSeed(t *testing.T) {
+	cases := feedbackCases(t)
+	var beaten, total atomic.Int64
+	t.Run("kernels", func(t *testing.T) {
+		for _, name := range workloads.Names() {
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				for _, in := range cases {
+					if in.kernel != name {
+						continue
+					}
+					for _, rngSeed := range []int64{12345, 1, 7} {
+						got := Optimize(in.cfg, in.prof, in.seed, feedbackIters, rngSeed)
+						base := Evaluate(in.cfg, in.prof, in.seed)
+						before, after := seedScaledScore(base, base), seedScaledScore(base, Evaluate(in.cfg, in.prof, got))
+						switch {
+						case after > before:
+							t.Errorf("%s rng seed %d: returned layout scores %.6f, above the seed's %.6f", in.name(), rngSeed, after, before)
+						case after == before && !reflect.DeepEqual(got, in.seed):
+							t.Errorf("%s rng seed %d: returned a layout other than the seed that does not score below it", in.name(), rngSeed)
+						case after < before:
+							beaten.Add(1)
+							t.Logf("%s rng seed %d: seed-scaled score %.4f -> %.4f", in.name(), rngSeed, before, after)
+						}
+						if again := Optimize(in.cfg, in.prof, in.seed, feedbackIters, rngSeed); !reflect.DeepEqual(again, got) {
+							t.Errorf("%s rng seed %d: a second call returned a different layout", in.name(), rngSeed)
+						}
+						total.Add(1)
+					}
+				}
+			})
+		}
+	})
+	t.Logf("%d of %d inputs returned a layout below the seed; the rest returned the seed", beaten.Load(), total.Load())
 }
 
 func TestOptimizeEmptyLayout(t *testing.T) {
@@ -470,25 +428,23 @@ func TestEvaluateHomeOutsideMachinePanics(t *testing.T) {
 	Evaluate(cfg, profile.New(16), l)
 }
 
-// benchOptimize runs one hill-climb per iteration over NewProfileFeedback's
-// inputs and reports the cost per move.
-func benchOptimize(b *testing.B, optimize func(Config, *profile.Profile, Layout, int, int64) Layout) {
+// BenchmarkOptimize runs one hill-climb per iteration over
+// NewProfileFeedback's inputs and reports the cost per move.
+func BenchmarkOptimize(b *testing.B) {
 	for _, name := range []string{"ammp", "twolf"} {
+		prog, prof := kernelProfile(b, name)
 		for _, grid := range [][2]int{{2, 2}, {4, 4}} {
-			cfg, prof, seed := feedbackInputs(b, name, grid[0], grid[1])
+			cfg, seed := feedbackSeed(b, prog, prof, grid[0], grid[1])
 			b.Run(fmt.Sprintf("%s/%dx%d", name, grid[0], grid[1]), func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					optimize(cfg, prof, seed, feedbackIters, 12345)
+					Optimize(cfg, prof, seed, feedbackIters, 12345)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/feedbackIters, "ns/move")
 			})
 		}
 	}
 }
-
-func BenchmarkOptimize(b *testing.B)          { benchOptimize(b, Optimize) }
-func BenchmarkOptimizeReference(b *testing.B) { benchOptimize(b, optimizeRef) }
 
 // BenchmarkMove is the steady-state loop alone — one move and its undo on
 // a built state — and must report 0 allocs/op.

@@ -636,6 +636,8 @@ func invalidSimulateRequests() []SimulateRequest {
 		{Source: fastSrc, MemMode: "psychic"}, // unknown memory mode
 		{Source: fastSrc, Faults: "defect=x"}, // malformed fault spec
 		{Source: fastSrc, Policy: "nonsense"}, // unknown placement policy
+		// profile feedback is E14's alone, not a placement policy name
+		{Source: fastSrc, Policy: "profile-feedback"},
 		{Source: "func main() { return ;; }"}, // parse error
 		{Source: fastSrc, Unroll: 99},         // unroll out of range
 		{Source: fastSrc, Unroll: -1},         // negative unroll

@@ -30,10 +30,6 @@ import (
 	"wavescalar/internal/linear"
 	"wavescalar/internal/ooo"
 	"wavescalar/internal/placement"
-
-	// Registers the "profile-feedback" placement policy so the CLIs and
-	// PlacementPolicies expose it.
-	_ "wavescalar/internal/placemodel"
 	"wavescalar/internal/trace"
 	"wavescalar/internal/wavec"
 	"wavescalar/internal/wavecache"

@@ -164,9 +164,21 @@ func TestUseSelectVariant(t *testing.T) {
 	}
 }
 
+// TestPlacementPolicies: the six built-in policies are the only names, so
+// profile feedback, which E14 builds for itself, is refused like any unknown
+// name — the error wavesim's -placement flag reports.
 func TestPlacementPolicies(t *testing.T) {
-	if len(PlacementPolicies()) < 6 {
-		t.Error("expected at least 6 placement policies")
+	if got := PlacementPolicies(); len(got) != 6 {
+		t.Errorf("placement policies %v, want the six built-ins", got)
+	}
+	prog, err := Compile(demoSrc, DefaultCompileConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := DefaultSimConfig()
+	sc.Placement = "profile-feedback"
+	if _, err := prog.Simulate(sc); err == nil || !strings.Contains(err.Error(), `unknown placement policy "profile-feedback"`) {
+		t.Errorf("Simulate with placement profile-feedback: %v, want the unknown-policy error", err)
 	}
 }
 
