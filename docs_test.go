@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -112,14 +113,14 @@ func TestDesignHeadingsNameNoPRs(t *testing.T) {
 	}
 }
 
-// TestDocsNameRealIdentifiers: a code span in README.md or DESIGN.md that
-// reads `pkg.Ident`, with pkg a directory under internal/, names something
+// TestDocsNameRealIdentifiers: a code span in README.md, DESIGN.md or the
+// references under docs/ that reads `pkg.Ident`, with pkg a directory under internal/, names something
 // that package declares (test files included) — a top-level declaration, or
 // a method or field; `pkg.Type.Member` names a member of that type. A name
 // a refactor removes therefore cannot survive in prose.
 func TestDocsNameRealIdentifiers(t *testing.T) {
 	loaded := map[string]*pkgNames{}
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", "docs/ISA.md", "docs/LANGUAGE.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -144,4 +145,34 @@ func TestDocsNameRealIdentifiers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// changesEntry matches the first line of a CHANGES.md entry and captures its
+// PR number.
+var changesEntry = regexp.MustCompile(`^(?:- |\*\*)PR (\d+)\b`)
+
+// TestChangesEntriesStayShort: a CHANGES.md entry from PR 32 on is at most
+// 1,500 bytes; the measurements behind it belong in EXPERIMENTS.md, which
+// the entry points to. An entry runs from its first line to the next entry.
+func TestChangesEntriesStayShort(t *testing.T) {
+	const firstBudgeted, budget = 32, 1500
+	text, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, size := 0, 0
+	check := func() {
+		if pr >= firstBudgeted && size > budget {
+			t.Errorf("CHANGES.md: the PR %d entry is %d bytes, over the %d-byte budget", pr, size, budget)
+		}
+	}
+	for _, line := range strings.Split(strings.TrimRight(string(text), "\n"), "\n") {
+		if m := changesEntry.FindStringSubmatch(line); m != nil {
+			check()
+			pr, _ = strconv.Atoi(m[1])
+			size = 0
+		}
+		size += len(strings.TrimSpace(line))
+	}
+	check()
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -9,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"wavescalar/internal/asm"
 	"wavescalar/internal/cfgir"
 	"wavescalar/internal/isa"
 	"wavescalar/internal/lang"
@@ -16,6 +16,7 @@ import (
 	"wavescalar/internal/parallel"
 	"wavescalar/internal/testprogs"
 	"wavescalar/internal/wavec"
+	"wavescalar/internal/wavecache"
 	"wavescalar/internal/workloads"
 )
 
@@ -80,6 +81,7 @@ func compileSourceFourBuilds(name, src string, opts CompileOptions) (*Compiled, 
 		return nil, err
 	}
 	c.UsefulInstrs = em.Instrs
+	c.Image = wavecache.ImageDigest(em.Memory())
 	return c, nil
 }
 
@@ -126,18 +128,18 @@ func TestCompileSourceMatchesFourBuilds(t *testing.T) {
 				{"WaveSel", got.WaveSel, want.WaveSel},
 				{"WaveNoUn", got.WaveNoUn, want.WaveNoUn},
 			} {
-				if !bytes.Equal(isa.Encode(bin.got), isa.Encode(bin.want)) {
-					t.Errorf("%s: %s encodes differently from the four-build pipeline", id, bin.name)
+				if asm.Print(bin.got) != asm.Print(bin.want) {
+					t.Errorf("%s: %s prints differently from the four-build pipeline", id, bin.name)
 				}
 			}
 			if !reflect.DeepEqual(got.Linear, want.Linear) {
 				t.Errorf("%s: linear program differs from the four-build pipeline", id)
 			}
 			if got.MemOpt != want.MemOpt || got.Chains != want.Chains ||
-				got.Checksum != want.Checksum || got.UsefulInstrs != want.UsefulInstrs {
-				t.Errorf("%s: got MemOpt %+v Chains %+v checksum %d useful %d,\nwant MemOpt %+v Chains %+v checksum %d useful %d", id,
-					got.MemOpt, got.Chains, got.Checksum, got.UsefulInstrs,
-					want.MemOpt, want.Chains, want.Checksum, want.UsefulInstrs)
+				got.Checksum != want.Checksum || got.Image != want.Image || got.UsefulInstrs != want.UsefulInstrs {
+				t.Errorf("%s: got MemOpt %+v Chains %+v checksum %d image %016x useful %d,\nwant MemOpt %+v Chains %+v checksum %d image %016x useful %d", id,
+					got.MemOpt, got.Chains, got.Checksum, got.Image, got.UsefulInstrs,
+					want.MemOpt, want.Chains, want.Checksum, want.Image, want.UsefulInstrs)
 			}
 			if got.WaveNoUn == got.Wave {
 				reused++
@@ -189,8 +191,8 @@ func TestCompileSourceBinarySubsets(t *testing.T) {
 						}
 					case err != nil:
 						t.Errorf("%s: %v", id, err)
-					case !bytes.Equal(isa.Encode(p), isa.Encode(want)):
-						t.Errorf("%s: encodes differently from the full build's", id)
+					case asm.Print(p) != asm.Print(want):
+						t.Errorf("%s: prints differently from the full build's", id)
 					}
 				}
 				if (got.Wave != nil) != (bin == "steer") || (got.WaveSel != nil) != (bin == "select") ||
@@ -293,7 +295,7 @@ func TestCompileSourceErrorPrecedenceAcrossStages(t *testing.T) {
 // for unrolling — and where it converts something WaveSel is what lowering
 // a fresh IR with Options.IfConvert gives.
 func TestCompileSourceSharesSelectWhenNothingConverts(t *testing.T) {
-	standalone := func(name string, opts CompileOptions) []byte {
+	standalone := func(name string, opts CompileOptions) string {
 		ir, _, _, err := cfgir.FromSource(workloads.ByName(name).Src, opts.Unroll, opts.OptLevel)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -302,7 +304,7 @@ func TestCompileSourceSharesSelectWhenNothingConverts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		return isa.Encode(p)
+		return asm.Print(p)
 	}
 	shared := map[string]bool{}
 	for _, name := range compileCorpus(20) {
@@ -314,10 +316,10 @@ func TestCompileSourceSharesSelectWhenNothingConverts(t *testing.T) {
 				t.Fatalf("%s: %v", id, err)
 			}
 			want := standalone(name, opts)
-			if !bytes.Equal(isa.Encode(c.WaveSel), want) {
+			if asm.Print(c.WaveSel) != want {
 				t.Errorf("%s: WaveSel differs from a standalone if-converting compile", id)
 			}
-			same := bytes.Equal(want, isa.Encode(c.Wave))
+			same := want == asm.Print(c.Wave)
 			if (c.WaveSel == c.Wave) != same {
 				t.Errorf("%s: WaveSel is Wave: %v; the two binaries are byte-equal: %v", id, c.WaveSel == c.Wave, same)
 			}
@@ -329,9 +331,9 @@ func TestCompileSourceSharesSelectWhenNothingConverts(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s, select only: %v", id, err)
 			}
-			if only.Wave != nil || only.WaveNoUn != nil || !bytes.Equal(isa.Encode(only.WaveSel), want) {
+			if only.Wave != nil || only.WaveNoUn != nil || asm.Print(only.WaveSel) != want {
 				t.Errorf("%s, select only: Wave=%v WaveNoUn=%v, WaveSel equal to the standalone build: %v", id,
-					only.Wave != nil, only.WaveNoUn != nil, bytes.Equal(isa.Encode(only.WaveSel), want))
+					only.Wave != nil, only.WaveNoUn != nil, asm.Print(only.WaveSel) == want)
 			}
 		}
 	}

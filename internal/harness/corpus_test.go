@@ -19,7 +19,7 @@ func corpusOptions(n int, workers int) CorpusOptions {
 
 // TestCorpusDifferentialAgreement is the generator-correctness
 // acceptance sweep: 200 seeds per family (the full corpus round-robins
-// the families) must compile and agree across all ten engines, with the
+// the families) must compile and agree across all eight engines, with the
 // WaveCache watchdog bounding every cell.
 func TestCorpusDifferentialAgreement(t *testing.T) {
 	if testing.Short() {
@@ -36,9 +36,8 @@ func TestCorpusDifferentialAgreement(t *testing.T) {
 	if run.Mismatched != 0 {
 		for i, cell := range run.Cells {
 			if cell != nil && !cell.Pass {
-				d := DiffResult{Name: cell.Spec.Name(), Want: cell.Want, Results: cell.Engines}
 				src, _ := testprogs.GenerateSpec(cell.Spec)
-				t.Errorf("cell %d (%s): %v\n%s", i, cell.Spec.Name(), d.Mismatches(), src)
+				t.Errorf("cell %d (%s): want %d, engines %+v\n%s", i, cell.Spec.Name(), cell.Want, cell.Engines, src)
 			}
 		}
 		t.Fatalf("%d/%d cells mismatched", run.Mismatched, run.Computed)
@@ -49,7 +48,7 @@ func TestCorpusDifferentialAgreement(t *testing.T) {
 // memory-optimization tier off. Together with the default sweep above
 // (which compiles at DefaultCompileOptions' OptLevel 1) it pins the
 // tier's soundness contract corpus-wide: both the optimized and the
-// unoptimized binary of every generated program must agree with all nine
+// unoptimized binary of every generated program must agree with all eight
 // engines, so the two binaries transitively agree with each other. A
 // smaller N keeps the combined runtime near the old single sweep; the
 // full-size O1 sweep plus FuzzDifferential (which runs both tiers per
@@ -71,9 +70,8 @@ func TestCorpusDifferentialAgreementO0(t *testing.T) {
 	if run.Mismatched != 0 {
 		for i, cell := range run.Cells {
 			if cell != nil && !cell.Pass {
-				d := DiffResult{Name: cell.Spec.Name(), Want: cell.Want, Results: cell.Engines}
 				src, _ := testprogs.GenerateSpec(cell.Spec)
-				t.Errorf("cell %d (%s at -O0): %v\n%s", i, cell.Spec.Name(), d.Mismatches(), src)
+				t.Errorf("cell %d (%s at -O0): want %d, engines %+v\n%s", i, cell.Spec.Name(), cell.Want, cell.Engines, src)
 			}
 		}
 		t.Fatalf("%d/%d cells mismatched at -O0", run.Mismatched, run.Computed)

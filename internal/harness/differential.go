@@ -5,8 +5,6 @@ import (
 
 	"wavescalar/internal/interp"
 	"wavescalar/internal/isa"
-	"wavescalar/internal/lang"
-	"wavescalar/internal/linear"
 	"wavescalar/internal/ooo"
 	"wavescalar/internal/wavecache"
 )
@@ -17,13 +15,13 @@ import (
 // pipeline change), and stale cached cells stop matching instead of
 // silently polluting resumed sweeps. Being a source constant, the version
 // is visible in git history alongside the change that required the bump.
-const EngineSetVersion = "engines-v4"
+const EngineSetVersion = "engines-v5"
 
 // EngineRun is one engine's observation of a program: the final checksum
 // every engine must agree on, the simulated cycle count for the timing
-// engines (0 for the untimed functional ones), and a digest of the final
-// memory image (wavecache.ImageDigest; 0 for the out-of-order model, which
-// keeps none). A checksum is what the program chose to read back: a dead
+// engines (0 for the untimed interpreter), and a digest of the final memory
+// image (wavecache.ImageDigest; 0 for the out-of-order model, which keeps
+// none). A checksum is what the program chose to read back: a dead
 // store reordered past another to the same address leaves it alone and
 // changes the image.
 type EngineRun struct {
@@ -38,13 +36,15 @@ type Engine struct {
 	Run  func(c *Compiled) (EngineRun, error)
 }
 
-// Engines is the single authoritative engine table: the AST evaluator,
-// the linear emulator, the dataflow interpreter on all three compiled
-// binaries, the WaveCache timing simulator in all four memory modes, and
-// the out-of-order baseline — ten engines. The differential test, the
-// FuzzDifferential target, and the waveexp corpus sweep all share this
-// definition, so the engine list cannot drift between test and
-// production.
+// Engines is the single authoritative engine table: the dataflow
+// interpreter on all three compiled binaries, the WaveCache timing simulator
+// in all four memory modes, and the out-of-order baseline — eight engines.
+// The two reference engines, the AST evaluator and the linear emulator, are
+// not rows: CompileSource has already run both on every program and agreed
+// their results into Compiled.Checksum and Compiled.Image, which every row
+// is held to. The differential test, the FuzzDifferential target, and the
+// waveexp corpus sweep all share this definition, so the engine list cannot
+// drift between test and production.
 func Engines(m MachineOptions) []Engine {
 	waveEngine := func(mode wavecache.MemoryMode) func(c *Compiled) (EngineRun, error) {
 		return func(c *Compiled) (EngineRun, error) {
@@ -68,20 +68,6 @@ func Engines(m MachineOptions) []Engine {
 		}
 	}
 	return []Engine{
-		{"ast-evaluator", func(c *Compiled) (EngineRun, error) {
-			f, err := lang.ParseAndCheck(c.Src)
-			if err != nil {
-				return EngineRun{}, err
-			}
-			ev := lang.NewEvaluator(f, 0)
-			v, err := ev.Run()
-			return EngineRun{Value: v, MemDigest: wavecache.ImageDigest(ev.Memory())}, err
-		}},
-		{"linear-emulator", func(c *Compiled) (EngineRun, error) {
-			em := linear.NewEmulator(c.Linear, 0)
-			v, err := em.Run()
-			return EngineRun{Value: v, MemDigest: wavecache.ImageDigest(em.Memory())}, err
-		}},
 		{"interp-steer", interpEngine(func(c *Compiled) *isa.Program { return c.Wave })},
 		{"interp-select", interpEngine(func(c *Compiled) *isa.Program { return c.WaveSel })},
 		{"interp-rolled", interpEngine(func(c *Compiled) *isa.Program { return c.WaveNoUn })},
@@ -120,27 +106,23 @@ type EngineResult struct {
 // DiffResult is a full cross-engine differential verdict for one program.
 type DiffResult struct {
 	Name    string
-	Want    int64 // the compile-time checksum every engine must reproduce
+	Want    int64  // the compile-time checksum every engine must reproduce
+	Image   uint64 // the compile-time memory-image digest (Compiled.Image)
 	Results []EngineResult
 }
 
 // Mismatches lists the engines that failed, disagreed with Want, or left a
-// different memory image behind than the first engine that keeps one (the
-// AST evaluator, in Engines' order).
+// memory image behind other than Image.
 func (d *DiffResult) Mismatches() []string {
 	var out []string
-	var wantMem uint64
 	for _, r := range d.Results {
-		if r.Err == "" && wantMem == 0 {
-			wantMem = r.MemDigest
-		}
 		switch {
 		case r.Err != "":
 			out = append(out, fmt.Sprintf("%s: %s", r.Engine, r.Err))
 		case r.Value != d.Want:
 			out = append(out, fmt.Sprintf("%s: checksum %d, want %d", r.Engine, r.Value, d.Want))
-		case r.MemDigest != 0 && r.MemDigest != wantMem:
-			out = append(out, fmt.Sprintf("%s: memory image %016x, want %016x", r.Engine, r.MemDigest, wantMem))
+		case r.MemDigest != 0 && r.MemDigest != d.Image:
+			out = append(out, fmt.Sprintf("%s: memory image %016x, want %016x", r.Engine, r.MemDigest, d.Image))
 		}
 	}
 	return out
@@ -153,7 +135,7 @@ func (d *DiffResult) Pass() bool { return len(d.Mismatches()) == 0 }
 // collects the verdict. Engine errors are recorded, not returned: a
 // corpus sweep must survive a single bad cell and report it.
 func RunDifferential(c *Compiled, engines []Engine) *DiffResult {
-	d := &DiffResult{Name: c.Name, Want: c.Checksum, Results: make([]EngineResult, len(engines))}
+	d := &DiffResult{Name: c.Name, Want: c.Checksum, Image: c.Image, Results: make([]EngineResult, len(engines))}
 	for i, e := range engines {
 		run, err := e.Run(c)
 		d.Results[i] = EngineResult{Engine: e.Name, Value: run.Value, Cycles: run.Cycles, MemDigest: run.MemDigest}

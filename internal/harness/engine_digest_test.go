@@ -23,8 +23,8 @@ import (
 // memory-image digest, and the work counters that no host-side optimization
 // may move: events popped, tokens bypassed and matched, wave bindings made,
 // mem.Access / noc.Send / waveorder.Submit calls (wavecache.Fence). The
-// golden snapshot pins one mode of one machine at -O0; ten engines agree on a
-// return value; this file pins what the paper is about — the order in which
+// golden snapshot pins one mode of one machine at -O0; the reference engines
+// and eight differential engines agree on a return value and a memory image; this file pins what the paper is about — the order in which
 // memory operations reach memory — and how much work it took.
 //
 // It was recorded from the engine as it stood before its third hot-path round

@@ -42,12 +42,15 @@ import (
 type Compiled struct {
 	Name     string
 	Mirrors  string
-	Src      string       // the wsl source (the AST-evaluator engine's input)
+	Src      string       // the wsl source
 	Wave     *isa.Program // steer-based dataflow binary
 	WaveSel  *isa.Program // φ-select (if-converted) dataflow binary
 	WaveNoUn *isa.Program // without loop unrolling (E11)
 	Linear   *linear.Program
 	Checksum int64
+	// Image is the wavecache.ImageDigest of the final memory image, on
+	// which the evaluator and the linear emulator agree.
+	Image uint64
 	// UsefulInstrs is the dynamic linear instruction count: the
 	// architecture-neutral work metric (the paper's "Alpha-equivalent"
 	// instruction count). Note it is measured on the binary this Compiled
@@ -112,8 +115,9 @@ func CompileWorkload(w *workloads.Workload, opts CompileOptions) (*Compiled, err
 
 // CompileSource builds an arbitrary wsl source — a named workload or a
 // generated corpus program — through the full pipeline, cross-checking
-// the linear emulator's checksum against the AST evaluator exactly as the
-// workload path always has.
+// the linear emulator's checksum and final memory image against the AST
+// evaluator's. Those two reference runs happen here and nowhere else: the
+// differential engines are held to Checksum and Image.
 //
 // Each piece of work is done once, and what waits on nothing else runs
 // beside it (DESIGN.md §11 draws the graph). The source is parsed and
@@ -137,8 +141,9 @@ func CompileWorkload(w *workloads.Workload, opts CompileOptions) (*Compiled, err
 // Which stage an error names is fixed, whatever finished first: an evaluator
 // out of fuel before anything else; then a front-end, build or lowering
 // error, then the emulator's, then the evaluator's, then a checksum
-// mismatch. An evaluator that runs dry stops the emulator as well, so a
-// source that does not terminate costs one budget of time and not two.
+// mismatch, then a memory-image mismatch. An evaluator that runs dry stops
+// the emulator as well, so a source that does not terminate costs one budget
+// of time and not two.
 func CompileSource(name, src string, opts CompileOptions) (*Compiled, error) {
 	c, _, err := compileSource(name, src, opts, 0, 0)
 	return c, err
@@ -266,6 +271,10 @@ func compileSource(name, src string, opts CompileOptions, evalFuel, emuFuel int6
 	if want != c.Checksum {
 		return nil, emulated, fmt.Errorf("%s: linear checksum %d != evaluator %d", name, c.Checksum, want)
 	}
+	c.Image = wavecache.ImageDigest(em.Memory())
+	if evImage := wavecache.ImageDigest(ev.Memory()); evImage != c.Image {
+		return nil, emulated, fmt.Errorf("%s: linear memory image %016x != evaluator %016x", name, c.Image, evImage)
+	}
 	if selIsSteer {
 		c.WaveSel = steerProg
 	}
@@ -296,7 +305,7 @@ func Suite(names []string, opts CompileOptions) ([]*Compiled, error) {
 
 // runWaveWith builds m for prog, lets edits (nil ones skipped) adjust the
 // wavecache-level parameters MachineOptions does not carry (network
-// latencies, swap penalty, speculation scope), and runs RunWave. A caller
+// latencies, swap penalty, cache hierarchy), and runs RunWave. A caller
 // that turns a MachineOptions knob assigns it on its own copy of m first.
 func runWaveWith(c *Compiled, prog *isa.Program, m MachineOptions, edits ...func(*wavecache.Config)) (wavecache.Result, error) {
 	cfg, pol, err := m.Build(prog)

@@ -285,7 +285,7 @@ func (m MachineOptions) waveConfig(fc fault.Config) wavecache.Config {
 
 // WaveConfig is Build's configuration alone, for a caller that sets
 // parameters MachineOptions does not carry (network latencies, swap
-// penalty, speculation scope) and builds its policy with NewPolicy. Options
+// penalty, cache hierarchy) and builds its policy with NewPolicy. Options
 // that do not validate are reported there, not here.
 func (m MachineOptions) WaveConfig() wavecache.Config {
 	m, fc, _ := m.resolve()

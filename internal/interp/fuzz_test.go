@@ -123,14 +123,15 @@ func TestDifferentialFuzz(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: placement: %v", seed, err)
 				}
-				res, mem2, err := wavecache.RunWithMemory(wp, pol, cfg)
+				a := wavecache.NewArena()
+				res, err := a.Run(wp, pol, cfg)
 				if err != nil {
 					t.Fatalf("seed %d: wavecache: %v\n%s", seed, err, src)
 				}
 				if res.Value != want {
 					t.Fatalf("seed %d: wavecache = %d, want %d\n%s", seed, res.Value, want, src)
 				}
-				checkMem("wavecache", mem2)
+				checkMem("wavecache", a.Memory())
 
 				ores, err := ooo.Run(lp, ooo.DefaultConfig())
 				if err != nil {

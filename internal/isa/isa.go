@@ -380,16 +380,6 @@ func (p *Program) FuncByName(name string) *Function {
 	return nil
 }
 
-// GlobalByName returns the global with the given name, or nil.
-func (p *Program) GlobalByName(name string) *Global {
-	for i := range p.Globals {
-		if p.Globals[i].Name == name {
-			return &p.Globals[i]
-		}
-	}
-	return nil
-}
-
 // NumInstrs returns the total static instruction count of the program.
 func (p *Program) NumInstrs() int {
 	n := 0
@@ -419,40 +409,4 @@ func (p *Program) FillMemory(dst []int64) []int64 {
 		copy(dst[g.Addr:g.Addr+g.Size], g.Init)
 	}
 	return dst
-}
-
-// Clone returns a deep copy of the program: no slice is shared with the
-// receiver, so the copy may be mutated (or handed to a mutating tool)
-// while other goroutines keep reading the original.
-//
-// The simulators (wavecache.Run, ooo.Run, interp) treat their program as
-// read-only, so concurrent simulation of ONE *Program needs no cloning;
-// Clone exists for callers that want to transform a program (compiler
-// passes, experiment-specific rewrites) without invalidating binaries
-// already in flight.
-func (p *Program) Clone() *Program {
-	out := &Program{Entry: p.Entry, MemWords: p.MemWords}
-	out.Funcs = make([]Function, len(p.Funcs))
-	for i := range p.Funcs {
-		f := &p.Funcs[i]
-		nf := Function{
-			Name:          f.Name,
-			NumWaves:      f.NumWaves,
-			TouchesMemory: f.TouchesMemory,
-			Params:        append([]InstrID(nil), f.Params...),
-			Instrs:        append([]Instruction(nil), f.Instrs...),
-		}
-		for j := range nf.Instrs {
-			in := &nf.Instrs[j]
-			in.Dests = append([]Dest(nil), in.Dests...)
-			in.DestsFalse = append([]Dest(nil), in.DestsFalse...)
-		}
-		out.Funcs[i] = nf
-	}
-	out.Globals = make([]Global, len(p.Globals))
-	for i, g := range p.Globals {
-		g.Init = append([]int64(nil), g.Init...)
-		out.Globals[i] = g
-	}
-	return out
 }

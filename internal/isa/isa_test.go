@@ -1,7 +1,6 @@
 package isa
 
 import (
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -205,41 +204,8 @@ func TestLookupHelpers(t *testing.T) {
 	if p.FuncByName("main") == nil || p.FuncByName("nope") != nil {
 		t.Error("FuncByName broken")
 	}
-	if p.GlobalByName("g") == nil || p.GlobalByName("x") != nil {
-		t.Error("GlobalByName broken")
-	}
 	if n := p.NumInstrs(); n != 3 {
 		t.Errorf("NumInstrs = %d, want 3", n)
-	}
-}
-
-func TestCloneIsDeepAndIndependent(t *testing.T) {
-	p := validProgram()
-	p.Globals[0].Init = []int64{7, 8}
-	q := p.Clone()
-	if err := q.Validate(); err != nil {
-		t.Fatalf("clone invalid: %v", err)
-	}
-	if !reflect.DeepEqual(p, q) {
-		t.Fatalf("clone differs from original:\n%+v\n%+v", p, q)
-	}
-	// Mutating the clone through every nested slice must leave the
-	// original untouched.
-	q.Funcs[0].Instrs[1].Imm = 99
-	q.Funcs[0].Instrs[0].Dests[0].Port = 2
-	q.Funcs[0].Params[0] = 2
-	q.Globals[0].Init[0] = -1
-	if p.Funcs[0].Instrs[1].Imm != 42 {
-		t.Error("clone shares Instrs with original")
-	}
-	if p.Funcs[0].Instrs[0].Dests[0].Port != 0 {
-		t.Error("clone shares Dests with original")
-	}
-	if p.Funcs[0].Params[0] != 0 {
-		t.Error("clone shares Params with original")
-	}
-	if p.Globals[0].Init[0] != 7 {
-		t.Error("clone shares Global.Init with original")
 	}
 }
 

@@ -276,55 +276,3 @@ func TestBuildLayout(t *testing.T) {
 		t.Error("empty layout should reserve one word")
 	}
 }
-
-// TestPrintRoundTrip: printing and reparsing any program (including the
-// evaluator corpus and unrolled programs) must preserve semantics.
-func TestPrintRoundTrip(t *testing.T) {
-	for _, c := range evalCases {
-		want, err := EvalProgram(c.src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := ParseAndCheck(c.src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		printed := PrintFile(f)
-		got, err := EvalProgram(printed)
-		if err != nil {
-			t.Fatalf("%s: reparse failed: %v\n%s", c.name, err, printed)
-		}
-		if got != want {
-			t.Errorf("%s: round trip changed result %d -> %d\n%s", c.name, want, got, printed)
-		}
-		// Printing must be a fixpoint: print(parse(print(x))) == print(x).
-		f2, err := ParseAndCheck(printed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if PrintFile(f2) != printed {
-			t.Errorf("%s: printer is not a fixpoint", c.name)
-		}
-	}
-}
-
-func TestPrintUnrolledProgram(t *testing.T) {
-	src := `func main() { var s = 0; for var i = 0; i < 50; i = i + 1 { s = s + i; } return s; }`
-	want, _ := EvalProgram(src)
-	f, err := ParseAndCheck(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	Unroll(f, 4)
-	printed := PrintFile(f)
-	got, err := EvalProgram(printed)
-	if err != nil {
-		t.Fatalf("printed unrolled program invalid: %v\n%s", err, printed)
-	}
-	if got != want {
-		t.Errorf("unrolled round trip: %d -> %d", want, got)
-	}
-	if !strings.Contains(printed, "while") {
-		t.Error("printed unrolled program should contain the rewritten while loops")
-	}
-}

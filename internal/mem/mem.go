@@ -170,8 +170,8 @@ type AccessResult struct {
 // NewSystem) gives it a shape.
 type System struct {
 	cfg SystemConfig
-	// l1s and perL1 keep whatever an earlier, larger shape allocated in
-	// their capacity, so shrinking and regrowing NumL1s reuses the arrays.
+	// l1s keeps whatever an earlier, larger shape allocated in its
+	// capacity, so shrinking and regrowing NumL1s reuses the arrays.
 	l1s []cache
 	l2  cache
 
@@ -183,7 +183,6 @@ type System struct {
 	dir []dirState
 
 	stats  Stats
-	perL1  []Stats
 	lineSz int64
 }
 
@@ -224,13 +223,11 @@ func (s *System) Reset(cfg SystemConfig) error {
 		// Copy the whole capacity region, not just the live prefix: the
 		// parked caches past len still own arrays worth keeping.
 		s.l1s = append(make([]cache, 0, cfg.NumL1s), s.l1s[:cap(s.l1s)]...)
-		s.perL1 = make([]Stats, cfg.NumL1s)
 	}
-	s.l1s, s.perL1 = s.l1s[:cfg.NumL1s], s.perL1[:cfg.NumL1s]
+	s.l1s = s.l1s[:cfg.NumL1s]
 	for i := range s.l1s {
 		s.l1s[i].reset(cfg.L1)
 	}
-	clear(s.perL1)
 	clear(s.dir)
 	return nil
 }
@@ -262,9 +259,6 @@ func (s *System) dirEnsure(line int64) *dirState {
 // Stats returns aggregate counters.
 func (s *System) Stats() Stats { return s.stats }
 
-// L1Stats returns the counters of one L1.
-func (s *System) L1Stats(i int) Stats { return s.perL1[i] }
-
 // LineOf maps a word address to its L1 line number.
 func (s *System) LineOf(addr int64) int64 { return addr / s.lineSz }
 
@@ -273,7 +267,6 @@ func (s *System) LineOf(addr int64) int64 { return addr / s.lineSz }
 func (s *System) Access(l1 int, addr int64, write bool) AccessResult {
 	line := s.LineOf(addr)
 	s.stats.Accesses++
-	s.perL1[l1].Accesses++
 
 	res := AccessResult{Latency: s.cfg.L1Latency}
 	d := s.dirAt(line)
@@ -282,7 +275,6 @@ func (s *System) Access(l1 int, addr int64, write bool) AccessResult {
 		// L1 hit; a write to a shared line still needs the directory to
 		// invalidate the other sharers (upgrade miss).
 		s.stats.L1Hits++
-		s.perL1[l1].L1Hits++
 		if write && d != nil && (d.sharers&^(1<<uint(l1)) != 0) {
 			s.invalidatePeers(d, l1, line)
 			d.owner = l1
@@ -299,7 +291,6 @@ func (s *System) Access(l1 int, addr int64, write bool) AccessResult {
 
 	// L1 miss.
 	s.stats.L1Misses++
-	s.perL1[l1].L1Misses++
 
 	if d != nil && d.sharers != 0 && d.sharers != 1<<uint(l1) {
 		// Some peer holds the line: fetch it from there (dirty transfer if
@@ -307,7 +298,6 @@ func (s *System) Access(l1 int, addr int64, write bool) AccessResult {
 		res.Coherence = true
 		res.Latency += s.cfg.CoherencePenalty
 		s.stats.Transfers++
-		s.perL1[l1].Transfers++
 		if write {
 			s.invalidatePeers(d, l1, line)
 			d.sharers = 0
@@ -316,11 +306,9 @@ func (s *System) Access(l1 int, addr int64, write bool) AccessResult {
 		res.L2Hit = true
 		res.Latency += s.cfg.L2Latency
 		s.stats.L2Hits++
-		s.perL1[l1].L2Hits++
 	} else {
 		res.Latency += s.cfg.L2Latency + s.cfg.MemLatency
 		s.stats.L2Misses++
-		s.perL1[l1].L2Misses++
 		if ev := s.l2.insert(line / (s.cfg.L2.LineWords / s.cfg.L1.LineWords)); ev != -1 {
 			s.stats.Evictions++
 		}
@@ -356,7 +344,6 @@ func (s *System) invalidatePeers(d *dirState, except int, line int64) {
 		if d.sharers&(1<<uint(i)) != 0 {
 			s.l1s[i].invalidate(line)
 			s.stats.Invals++
-			s.perL1[i].Invals++
 		}
 	}
 }

@@ -11,8 +11,8 @@
 //   - register renaming (implicit: per-frame last-writer tracking),
 //   - a unified scheduling window / reorder buffer with issue and commit
 //     width limits,
-//   - a load/store queue with store-to-load forwarding and optional
-//     conservative disambiguation,
+//   - a load/store queue with store-to-load forwarding (a load waits only
+//     on older in-flight stores to its own address),
 //   - the same cache hierarchy model as the WaveCache simulator
 //     (single L1).
 package ooo
@@ -49,10 +49,6 @@ type Config struct {
 	MulDivPorts int
 	LoadPorts   int
 	StorePorts  int
-
-	// ConservativeLSQ forces loads to wait for every older in-flight
-	// store's address computation (no speculative disambiguation).
-	ConservativeLSQ bool
 
 	Mem mem.SystemConfig
 
@@ -266,7 +262,6 @@ func b2u(b bool) uint64 {
 
 // storeEntry is an in-flight store in the LSQ.
 type storeEntry struct {
-	addrReady int64
 	dataReady int64
 	addr      int64
 }
@@ -477,7 +472,7 @@ func (c *core) step(ev linear.TraceEvent) {
 		dataReady := max64(dispatch, c.ready(in.Rb))
 		issueT := c.issueAt(max64(addrReady, dataReady), c.storePort)
 		execDone = issueT
-		c.pushStore(storeEntry{addrReady: addrReady, dataReady: dataReady, addr: ev.Addr})
+		c.pushStore(storeEntry{dataReady: dataReady, addr: ev.Addr})
 		// Stats at retirement; the write buffer hides the latency.
 		c.memsys.Access(0, ev.Addr, true)
 	case linear.LJump:
@@ -558,9 +553,6 @@ func (c *core) loadConstraints(t int64, addr int64) (int64, bool) {
 	forwarded := false
 	for i := range c.stores {
 		s := &c.stores[i]
-		if c.cfg.ConservativeLSQ && s.addrReady > t {
-			t = s.addrReady
-		}
 		if s.addr == addr {
 			forwarded = true
 			if s.dataReady > t {

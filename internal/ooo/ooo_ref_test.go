@@ -96,7 +96,7 @@ func (m *mapRename) step(ev linear.TraceEvent) {
 		dataReady := max64(dispatch, m.ready(frame, in.Rb))
 		issueT := c.issueAt(max64(addrReady, dataReady), c.storePort)
 		execDone = issueT
-		c.pushStore(storeEntry{addrReady: addrReady, dataReady: dataReady, addr: ev.Addr})
+		c.pushStore(storeEntry{dataReady: dataReady, addr: ev.Addr})
 		c.memsys.Access(0, ev.Addr, true)
 	case linear.LJump:
 		issueT := c.issueAt(ready, nil)
@@ -176,8 +176,7 @@ func compileLinear(t testing.TB, src string) *linear.Program {
 // TestRenameMatchesMapReference: renaming through a stack of per-activation
 // frames gives the identical Result to the map keyed by (frame, register) on
 // the ten kernels and two recursive corpus programs, under the default core
-// (E1b's cache-resident regime), conservative disambiguation, and E1b's
-// other two regimes (their hierarchies are copied from internal/harness,
+// (E1b's cache-resident regime) and E1b's other two regimes (their hierarchies are copied from internal/harness,
 // which this package cannot import). The two longest traces, twolf's 1.8 M
 // instructions and gzip's 0.9 M, run the default core only: they are over
 // half of the matrix's cost, and the map reference is slower than the model.
@@ -202,7 +201,6 @@ func TestRenameMatchesMapReference(t *testing.T) {
 		apply func(*Config)
 	}{
 		{"default", func(*Config) {}},
-		{"conservative-lsq", func(c *Config) { c.ConservativeLSQ = true }},
 		{"L1-starved", func(c *Config) { c.Mem.L1.SizeWords = 256 }},
 		{"DRAM-heavy", func(c *Config) {
 			c.Mem.L1.SizeWords = 256

@@ -139,30 +139,6 @@ func TestSmallROBThrottles(t *testing.T) {
 	}
 }
 
-func TestConservativeLSQSlower(t *testing.T) {
-	// Store-then-load-heavy code should suffer under conservative
-	// disambiguation.
-	src := "global a[64];\nfunc main() { var s = 0; for var i = 0; i < 64; i = i + 1 { a[i] = i; s = s + a[(i * 7) % 64]; } return s; }"
-	lp := compileSource(t, src)
-	fast := DefaultConfig()
-	slow := DefaultConfig()
-	slow.ConservativeLSQ = true
-	rf, err := Run(lp, fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := Run(lp, slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Value != rf.Value {
-		t.Fatal("LSQ mode changed the answer")
-	}
-	if rs.Cycles < rf.Cycles {
-		t.Errorf("conservative LSQ (%d) faster than speculative (%d)", rs.Cycles, rf.Cycles)
-	}
-}
-
 func TestForwardingHappens(t *testing.T) {
 	src := "global a[4];\nfunc main() { var s = 0; for var i = 0; i < 100; i = i + 1 { a[0] = i; s = s + a[0]; } return s; }"
 	lp := compileSource(t, src)

@@ -158,16 +158,3 @@ func (t *Table) Render() string {
 	}
 	return b.String()
 }
-
-// CSV renders the table as comma-separated values (no escaping needed for
-// our numeric content).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.Headers, ","))
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		b.WriteString(strings.Join(row, ","))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}

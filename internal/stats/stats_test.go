@@ -131,15 +131,6 @@ func TestTableNARendering(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("x", "a", "b")
-	tb.AddRow(1, 2)
-	csv := tb.CSV()
-	if csv != "a,b\n1,2\n" {
-		t.Errorf("CSV = %q", csv)
-	}
-}
-
 func TestFormatFloat(t *testing.T) {
 	cases := map[float64]string{
 		0.001234: "0.0012",

@@ -10,8 +10,7 @@ import (
 // TestCorpusFamilyValidity: every family × 200 seeds must parse,
 // type-check, build through the IR pipeline, and terminate within a
 // bounded evaluator budget — the generator-side half of the corpus
-// guarantee (the harness corpus tests add the ten-engine agreement
-// half).
+// guarantee (the harness corpus tests add the engine-agreement half).
 func TestCorpusFamilyValidity(t *testing.T) {
 	for _, fam := range Families() {
 		fam := fam

@@ -36,8 +36,8 @@ func DefaultGenConfig() GenConfig {
 // are masked into range with %, so no engine faults on bounds.
 //
 // The generator is the engine of the differential fuzz tests: every
-// generated program must produce identical results on all six execution
-// engines.
+// generated program must produce identical results on the AST evaluator,
+// the linear emulator and every engine of the harness's differential table.
 func Generate(seed int64) string {
 	return GenerateWith(seed, DefaultGenConfig())
 }

@@ -31,7 +31,9 @@ func faultRun(t *testing.T, src string, fc fault.Config, tweak ...func(*Config))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return RunWithMemory(wp, pol, cfg)
+	a := NewArena()
+	res, err := a.Run(wp, pol, cfg)
+	return res, a.Memory(), err
 }
 
 // TestDisabledFaultsChangeNothing: a zero fault config (plus a generous

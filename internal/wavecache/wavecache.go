@@ -857,17 +857,6 @@ func Run(p *isa.Program, pol placement.Policy, cfg Config) (Result, error) {
 	return NewArena().Run(p, pol, cfg)
 }
 
-// RunWithMemory is Run but also returns the final memory image, for the
-// differential test suites.
-func RunWithMemory(p *isa.Program, pol placement.Policy, cfg Config) (Result, []int64, error) {
-	a := NewArena()
-	res, err := a.Run(p, pol, cfg)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	return res, a.Memory(), nil
-}
-
 // reset rewinds the simulator to boot state for (p, pol, cfg), reusing
 // every backing array whose shape still fits. It performs exactly the
 // validation newSim used to, in the same order, so error behaviour is

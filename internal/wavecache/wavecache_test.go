@@ -64,10 +64,12 @@ func TestSimulatorMatchesEvaluator(t *testing.T) {
 			}
 			wp := compileSource(t, c.Src)
 			pol := mustPol(placement.NewDynamicSnake(cfg.Machine))
-			res, gotMem, err := RunWithMemory(wp, pol, cfg)
+			a := NewArena()
+			res, err := a.Run(wp, pol, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			gotMem := a.Memory()
 			if res.Value != want {
 				t.Fatalf("value %d, want %d", res.Value, want)
 			}

@@ -3,7 +3,8 @@
 // sources and inputs cannot be redistributed, so each kernel here
 // reproduces the dominant loop and memory structure of its counterpart in
 // wsl, generating its own deterministic input data (documented per kernel).
-// Every kernel returns a checksum that all six execution engines must agree
+// Every kernel returns a checksum that the AST evaluator, the linear
+// emulator and every engine of the harness's differential table must agree
 // on.
 package workloads
 

@@ -127,20 +127,6 @@ func (p *Program) ExportDot(function string) (string, error) {
 	return asm.Dot(p.dataflow, fn), nil
 }
 
-// EncodeBinary serializes the dataflow binary to the compact on-disk
-// format; DecodeBinary loads it back.
-func (p *Program) EncodeBinary() []byte { return isa.Encode(p.dataflow) }
-
-// DecodeBinary loads a program from the binary format produced by
-// EncodeBinary. Like ParseAssembly, the result has no linear baseline.
-func DecodeBinary(data []byte) (*Program, error) {
-	dp, err := isa.Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	return &Program{dataflow: dp}, nil
-}
-
 // StaticInstructions returns the dataflow binary's instruction count.
 func (p *Program) StaticInstructions() int { return p.dataflow.NumInstrs() }
 

@@ -182,7 +182,7 @@ func TestPlacementPolicies(t *testing.T) {
 	}
 }
 
-func TestExportDotAndBinary(t *testing.T) {
+func TestExportDot(t *testing.T) {
 	prog, err := Compile(demoSrc, DefaultCompileConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -196,20 +196,5 @@ func TestExportDotAndBinary(t *testing.T) {
 	}
 	if _, err := prog.ExportDot("nope"); err == nil {
 		t.Error("unknown function accepted")
-	}
-	data := prog.EncodeBinary()
-	back, err := DecodeBinary(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := back.Interpret()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Value != demoWant {
-		t.Fatalf("binary round trip computes %d, want %d", res.Value, demoWant)
-	}
-	if _, err := DecodeBinary([]byte("junk")); err == nil {
-		t.Error("junk binary accepted")
 	}
 }
