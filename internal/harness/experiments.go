@@ -293,12 +293,35 @@ func runE8(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 }
 
 func runE9(set []*Compiled, m MachineOptions) (*stats.Table, error) {
-	return sweepTable("E9: steer (φ⁻¹) vs. select (φ) control",
-		[]string{"steer-aipc", "select-aipc", "steer-static", "select-static", "steer-fired", "select-fired"},
-		set, m, []point{{label: "steer"}, {label: "select", binary: "select"}},
-		func(c *Compiled, res []wavecache.Result) []any {
-			return append(aipcs(c, res), c.Wave.NumInstrs(), c.WaveSel.NumInstrs(), res[0].Fired, res[1].Fired)
-		})
+	t := stats.NewTable("E9: steer (φ⁻¹) vs. select (φ) control",
+		"bench", "steer-aipc", "select-aipc", "steer-static", "select-static", "steer-fired", "select-fired")
+	// When nothing was if-converted the select binary is the steer binary,
+	// and the simulator is deterministic: the select column copies the steer
+	// cell's Result instead of running it again.
+	res := make([][2]wavecache.Result, len(set))
+	cells := newCellSet(m)
+	for i, c := range set {
+		sel, err := c.Binary("select")
+		if err != nil {
+			return nil, err
+		}
+		cells.wave(c, c.Wave, m, &res[i][0])
+		if sel != c.Wave {
+			cells.wave(c, sel, m, &res[i][1])
+		}
+	}
+	if err := cells.run(); err != nil {
+		return nil, err
+	}
+	for i, c := range set {
+		steer, sel := res[i][0], res[i][1]
+		if c.WaveSel == c.Wave {
+			sel = steer
+		}
+		t.AddRow(c.Name, AIPC(c.UsefulInstrs, steer.Cycles), AIPC(c.UsefulInstrs, sel.Cycles),
+			c.Wave.NumInstrs(), c.WaveSel.NumInstrs(), steer.Fired, sel.Fired)
+	}
+	return t, nil
 }
 
 func runE10(set []*Compiled, m MachineOptions) (*stats.Table, error) {
@@ -331,9 +354,7 @@ func runE11(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 		cells.wave(c, c.WaveNoUn, m, &rows[i].wr)
 		cells.wave(c, c.Wave, m, &rows[i].wu)
 		cells.add(func() error {
-			// Rolled linear build for the baseline: only Linear is read, so
-			// one dataflow lowering (there is no asking for none) and not three.
-			rolled, err := CompileSource(c.Name, c.Src, CompileOptions{Unroll: 1, OptLevel: c.Opt, Binaries: []string{"steer"}})
+			rolled, err := rolledBuild(c)
 			if err != nil {
 				return err
 			}
@@ -361,4 +382,11 @@ func runE11(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	t.Note = fmt.Sprintf("geomean unrolling gain: WaveCache %.2fx, superscalar %.2fx",
 		stats.GeoMean(wcGains), stats.GeoMean(oooGains))
 	return t, nil
+}
+
+// rolledBuild compiles c's source without unrolling: E11's build for the
+// baseline. Only Linear is read, so one dataflow lowering (there is no
+// asking for none) and not three.
+func rolledBuild(c *Compiled) (*Compiled, error) {
+	return CompileSource(c.Name, c.Src, CompileOptions{Unroll: 1, OptLevel: c.Opt, Binaries: []string{"steer"}})
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 
@@ -48,13 +47,11 @@ func (cs *cellSet) run() error {
 // from the experiment's machine. opt turns MachineOptions knobs on the
 // cell's own copy; edit adjusts the wavecache-level parameters
 // MachineOptions does not carry (network latencies, swap penalty); either
-// may be nil. binary names the dataflow binary the cells run, as
-// Compiled.Binary does ("" is steer).
+// may be nil. Every cell runs the steer binary.
 type point struct {
-	label  string
-	opt    func(*MachineOptions)
-	edit   func(*wavecache.Config)
-	binary string
+	label string
+	opt   func(*MachineOptions)
+	edit  func(*wavecache.Config)
 }
 
 // sweep runs every bench of set at every point on m's worker pool and
@@ -68,15 +65,12 @@ func sweep(set []*Compiled, m MachineOptions, points []point) ([][]wavecache.Res
 		res[bi] = make([]wavecache.Result, len(points))
 		for pi, p := range points {
 			cells.add(func() error {
-				prog, err := c.Binary(cmp.Or(p.binary, "steer"))
-				if err != nil {
-					return err
-				}
 				opt := m
 				if p.opt != nil {
 					p.opt(&opt)
 				}
-				if res[bi][pi], err = runWaveWith(c, prog, opt, p.edit); err != nil {
+				var err error
+				if res[bi][pi], err = runWaveWith(c, c.Wave, opt, p.edit); err != nil {
 					return fmt.Errorf("%s/%s: %w", c.Name, p.label, err)
 				}
 				return nil

@@ -3,11 +3,14 @@ package harness
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"wavescalar/internal/fault"
+	"wavescalar/internal/stats"
 	"wavescalar/internal/wavecache"
 )
 
@@ -48,21 +51,17 @@ func main() {
 }
 
 // sweepPoints builds three points in a loop, the way the experiments do:
-// each has its own grid (opt) and swap penalty (edit), and the third runs
-// the select binary. ran receives the configuration each cell ran with.
+// each has its own grid (opt) and swap penalty (edit). ran receives the
+// configuration each cell ran with.
 func sweepPoints(ran func(label string, cfg wavecache.Config)) []point {
 	var points []point
 	for i, label := range []string{"p0", "p1", "p2"} {
-		p := point{label: label,
+		points = append(points, point{label: label,
 			opt: func(o *MachineOptions) { o.GridW, o.GridH, o.PEStore = i+1, 1, 4 },
 			edit: func(cfg *wavecache.Config) {
 				cfg.SwapPenalty = int64(10 * (i + 1))
 				ran(label, *cfg)
-			}}
-		if i == 2 {
-			p.binary = "select"
-		}
-		points = append(points, p)
+			}})
 	}
 	return points
 }
@@ -105,13 +104,9 @@ func TestSweepCellsLandAtBenchPoint(t *testing.T) {
 		}
 		seen := map[int64]string{}
 		for pi, p := range points {
-			prog := c.Wave
-			if p.binary == "select" {
-				prog = c.WaveSel
-			}
 			opt := m
 			opt.GridW, opt.GridH, opt.PEStore = pi+1, 1, 4
-			want, err := runWaveWith(c, prog, opt, func(cfg *wavecache.Config) { cfg.SwapPenalty = int64(10 * (pi + 1)) })
+			want, err := runWaveWith(c, c.Wave, opt, func(cfg *wavecache.Config) { cfg.SwapPenalty = int64(10 * (pi + 1)) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,6 +120,42 @@ func TestSweepCellsLandAtBenchPoint(t *testing.T) {
 				t.Errorf("%s: points %s and %s both take %d cycles", c.Name, other, p.label, want.Cycles)
 			}
 			seen[want.Cycles] = p.label
+		}
+	}
+}
+
+// TestE9SelectColumnIsTheSelectRun: E9's select columns are a direct run
+// of WaveSel both where WaveSel is simulated (lu) and where the steer cell
+// is copied (fft: nothing if-converted, WaveSel == Wave).
+func TestE9SelectColumnIsTheSelectRun(t *testing.T) {
+	set := quickSet(t)
+	if set[0].WaveSel == set[0].Wave || set[1].WaveSel != set[1].Wave {
+		t.Fatal("quickSet no longer has one bench with an if converted and one with nothing if-converted")
+	}
+	m := quickMachine()
+	tbl, err := runE9(set, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range set {
+		steer, err := runWaveWith(c, c.Wave, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, err := runWaveWith(c, c.WaveSel, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := tbl.Rows[i]
+		want := []string{c.Name,
+			stats.FormatFloat(AIPC(c.UsefulInstrs, steer.Cycles)), stats.FormatFloat(AIPC(c.UsefulInstrs, sel.Cycles)),
+			fmt.Sprint(c.Wave.NumInstrs()), fmt.Sprint(c.WaveSel.NumInstrs()), fmt.Sprint(steer.Fired), fmt.Sprint(sel.Fired)}
+		if !slices.Equal(row, want) {
+			t.Errorf("E9 row %v, direct runs give %v", row, want)
+		}
+		// A swapped column only shows where the two binaries differ.
+		if c.WaveSel != c.Wave && steer.Fired == sel.Fired {
+			t.Errorf("%s: steer and select both fire %d instructions", c.Name, sel.Fired)
 		}
 	}
 }

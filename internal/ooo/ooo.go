@@ -95,19 +95,18 @@ type Result struct {
 }
 
 // capSchedule grants at most width events per cycle. Full cycles carry
-// path-compressed skip pointers to the next candidate cycle, so a reserve
-// behind an arbitrarily long full region costs amortized near-constant
-// time. The cycle -> cell mapping is an open-addressed, linear-probed
-// table (same idiom as internal/tagtable): reserve dominates the
-// superscalar model's profile, and the Go map's hash-and-bucket machinery
-// was most of its cost. Cells are never deleted — the set of touched
-// cycles is exactly what the old map retained too.
+// path-compressed skip pointers (absolute cycles) to the next candidate, so
+// a reserve behind an arbitrarily long full region costs amortized
+// near-constant time. The schedule holds only the cycles a request can
+// still name: a window [base, base+len(cells)) kept as a ring, cycle t in
+// cell t mod len(cells). prune moves base up and empties the cells it
+// passes, so the window is as long as the farthest request is ahead of the
+// watermark, not as long as the run.
 type capSchedule struct {
 	width int32
-	keys  []int64   // cycle+1 per slot; 0 = empty
-	cells []capCell // parallel to keys
-	n     int       // live slots
-	chain []int64   // reusable path-compression scratch (slot indices)
+	base  int64     // no request names a cycle below base
+	cells []capCell // power-of-two ring over the window
+	chain []int64   // reusable path-compression scratch (cycles)
 }
 
 // capCell is one cycle's schedule state. skip == 0 means "no skip
@@ -119,83 +118,60 @@ type capCell struct {
 }
 
 func newCapSchedule(width int) *capSchedule {
-	const initSlots = 1 << 10
-	return &capSchedule{
-		width: int32(width),
-		keys:  make([]int64, initSlots),
-		cells: make([]capCell, initSlots),
-	}
+	return &capSchedule{width: int32(width), cells: make([]capCell, 256)}
 }
 
-func cycleHash(k int64) uint64 {
-	h := uint64(k) * 0x9E3779B97F4A7C15
-	return h ^ h>>29
-}
+func (c *capSchedule) at(t int64) *capCell { return &c.cells[t&int64(len(c.cells)-1)] }
 
-// slot returns the index holding cycle t, or the empty slot where it
-// would be inserted.
-func (c *capSchedule) slot(t int64) int {
-	mask := uint64(len(c.keys) - 1)
-	i := cycleHash(t+1) & mask
-	for {
-		k := c.keys[i]
-		if k == 0 || k == t+1 {
-			return int(i)
-		}
-		i = (i + 1) & mask
-	}
-}
-
-func (c *capSchedule) grow() {
-	oldKeys, oldCells := c.keys, c.cells
-	c.keys = make([]int64, 2*len(oldKeys))
-	c.cells = make([]capCell, len(c.keys))
-	mask := uint64(len(c.keys) - 1)
-	for i, k := range oldKeys {
-		if k == 0 {
-			continue
-		}
-		j := cycleHash(k) & mask
-		for c.keys[j] != 0 {
-			j = (j + 1) & mask
-		}
-		c.keys[j] = k
-		c.cells[j] = oldCells[i]
-	}
-}
+// inWindow reports whether cycle t (>= base) has a cell.
+func (c *capSchedule) inWindow(t int64) bool { return t-c.base < int64(len(c.cells)) }
 
 // reserve returns the first cycle >= t with a free slot and takes it,
-// compressing skip pointers along the probed chain.
+// compressing skip pointers along the probed chain. t must be >= base.
 func (c *capSchedule) reserve(t int64) int64 {
 	chain := c.chain[:0]
-	var si int
-	for {
-		si = c.slot(t)
-		if c.keys[si] == 0 || c.cells[si].count < c.width {
-			break
-		}
-		chain = append(chain, int64(si))
-		if nx := c.cells[si].skip; nx != 0 {
+	for c.inWindow(t) && c.at(t).count >= c.width {
+		chain = append(chain, t)
+		if nx := c.at(t).skip; nx != 0 {
 			t = nx
 		} else {
 			t++
 		}
 	}
 	for _, s := range chain {
-		c.cells[s].skip = t
+		c.at(s).skip = t
 	}
 	c.chain = chain
-	if c.keys[si] == 0 {
-		c.keys[si] = t + 1
-		c.cells[si] = capCell{count: 1}
-		c.n++
-		if c.n*4 >= len(c.keys)*3 {
-			c.grow()
+	if !c.inWindow(t) {
+		c.grow(t)
+	}
+	c.at(t).count++
+	return t
+}
+
+// grow doubles the ring until it reaches cycle t.
+func (c *capSchedule) grow(t int64) {
+	old := *c
+	n := len(c.cells)
+	for int64(n) <= t-c.base {
+		n *= 2
+	}
+	c.cells = make([]capCell, n)
+	for u := old.base; old.inWindow(u); u++ {
+		*c.at(u) = *old.at(u)
+	}
+}
+
+// prune forgets the cycles below w: no later request may name one.
+func (c *capSchedule) prune(w int64) {
+	if c.inWindow(w) {
+		for t := c.base; t < w; t++ {
+			*c.at(t) = capCell{}
 		}
 	} else {
-		c.cells[si].count++
+		clear(c.cells)
 	}
-	return t
+	c.base = max(c.base, w)
 }
 
 // monoSchedule is the capSchedule specialization for monotone
@@ -301,7 +277,11 @@ type core struct {
 	frame     []int64
 	base      int
 	callStack []callFrame
-	stores    []storeEntry
+
+	// The LSQ: a ring of LSQSize in-flight stores, stores[oldest] the next
+	// overwritten once it is full.
+	stores []storeEntry
+	oldest int
 
 	res Result
 }
@@ -357,6 +337,7 @@ func newCore(p *linear.Program, cfg Config) (*core, error) {
 		memsys:     memsys,
 		bp:         newGshare(cfg.GShareBits),
 		robCommits: make([]int64, cfg.ROBSize),
+		stores:     make([]storeEntry, 0, cfg.LSQSize),
 	}
 	c.enter(p.Entry)
 	return c, nil
@@ -401,6 +382,20 @@ func (c *core) ready(r cfgir.Reg) int64 { return c.frame[r] }
 
 func (c *core) write(r cfgir.Reg, t int64) { c.frame[r] = t }
 
+// dispatch returns the cycle the instruction fetched at fetchT enters the
+// window: the decode pipeline behind it plus a free reorder-buffer slot.
+// That is the maximum of two non-decreasing streams (fetch grants, and
+// commits ROBSize instructions back), and every reservation the
+// instruction makes is at or after it, so no later request names a cycle
+// below it: every port schedule forgets them.
+func (c *core) dispatch(fetchT int64) int64 {
+	dispatch := max(fetchT+c.cfg.DecodeDepth, c.robCommits[c.robHead]+1)
+	for _, s := range [...]*capSchedule{c.issue, c.aluPort, c.mulPort, c.loadPort, c.storePort} {
+		s.prune(dispatch)
+	}
+	return dispatch
+}
+
 // issueAt grants an issue slot and a functional-unit port at or after
 // ready.
 func (c *core) issueAt(ready int64, port *capSchedule) int64 {
@@ -417,12 +412,7 @@ func (c *core) step(ev linear.TraceEvent) {
 
 	// Fetch: front-end bandwidth plus sequential ordering.
 	fetchT := c.fetch.reserve(c.fetchMin)
-
-	// Dispatch: decode pipeline plus a free reorder-buffer slot.
-	dispatch := fetchT + c.cfg.DecodeDepth
-	if robFree := c.robCommits[c.robHead] + 1; dispatch < robFree {
-		dispatch = robFree
-	}
+	dispatch := c.dispatch(fetchT)
 
 	ready := dispatch
 	up := func(t int64) {
@@ -563,10 +553,16 @@ func (c *core) loadConstraints(t int64, addr int64) (int64, bool) {
 	return t, forwarded
 }
 
+// pushStore enters s in the LSQ, in place of the oldest store once the
+// ring is full. Forwarding takes the maximum over matching stores, so the
+// ring's order is never read.
 func (c *core) pushStore(s storeEntry) {
-	c.stores = append(c.stores, s)
-	if len(c.stores) > c.cfg.LSQSize {
-		c.stores = c.stores[1:]
+	switch {
+	case len(c.stores) < cap(c.stores):
+		c.stores = append(c.stores, s)
+	case len(c.stores) > 0:
+		c.stores[c.oldest] = s
+		c.oldest = (c.oldest + 1) % len(c.stores)
 	}
 }
 

@@ -44,10 +44,7 @@ func (m *mapRename) step(ev linear.TraceEvent) {
 	frame := ev.Frame
 
 	fetchT := c.fetch.reserve(c.fetchMin)
-	dispatch := fetchT + c.cfg.DecodeDepth
-	if robFree := c.robCommits[c.robHead] + 1; dispatch < robFree {
-		dispatch = robFree
-	}
+	dispatch := c.dispatch(fetchT)
 	ready := dispatch
 	up := func(t int64) {
 		if t > ready {

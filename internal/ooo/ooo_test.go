@@ -1,6 +1,7 @@
 package ooo
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -181,18 +182,32 @@ func TestCapSchedule(t *testing.T) {
 	}
 }
 
-// TestCapScheduleDifferential pins the open-addressed capSchedule against
-// a naive per-cycle-count reference on pseudo-random request streams, and
-// monoSchedule against capSchedule on monotone streams (the only streams
-// monoSchedule is specified for: fetch and commit).
+// TestCapScheduleDifferential pins the windowed capSchedule against a
+// naive per-cycle-count reference on pseudo-random request streams shaped
+// like the core's: a rising watermark (dispatch), prune called at random
+// points, requests at or above the last pruned watermark — mostly near it,
+// some hundreds of cycles ahead, as loads behind DRAM misses are. The
+// window must stay as long as the farthest grant is ahead of the pruned
+// watermark, give or take its power-of-two rounding. monoSchedule is pinned
+// against capSchedule on monotone streams (the only streams monoSchedule is
+// specified for: fetch and commit).
 func TestCapScheduleDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
 		width := 1 + rng.Intn(4)
 		s := newCapSchedule(width)
 		counts := map[int64]int{} // reference: linear scan over exact counts
+		var watermark, pruned, span int64
 		for i := 0; i < 5000; i++ {
-			req := int64(rng.Intn(300))
+			watermark += int64(rng.Intn(2))
+			if rng.Intn(4) == 0 {
+				s.prune(watermark)
+				pruned = watermark
+			}
+			req := pruned + int64(rng.Intn(40))
+			if rng.Intn(50) == 0 {
+				req += 300 + int64(rng.Intn(700))
+			}
 			want := req
 			for counts[want] >= width {
 				want++
@@ -200,6 +215,10 @@ func TestCapScheduleDifferential(t *testing.T) {
 			counts[want]++
 			if got := s.reserve(req); got != want {
 				t.Fatalf("trial %d req %d: capSchedule granted %d, reference %d", trial, req, got, want)
+			}
+			span = max(span, want-pruned)
+			if n := int64(len(s.cells)); n > max(256, 2*span) {
+				t.Fatalf("trial %d: a %d-cell window for grants at most %d cycles past the watermark", trial, n, span)
 			}
 		}
 	}
@@ -215,6 +234,24 @@ func TestCapScheduleDifferential(t *testing.T) {
 				t.Fatalf("trial %d req %d: monoSchedule granted %d, capSchedule %d", trial, req, got, want)
 			}
 		}
+	}
+}
+
+// TestRunAllocsDoNotGrowWithTrace: the timing state lives in fixed or
+// windowed structures — port schedules pruned at dispatch, a ring LSQ — so
+// one loop run for 500 and for 5,000 iterations allocates the same.
+func TestRunAllocsDoNotGrowWithTrace(t *testing.T) {
+	var allocs [2]float64
+	for i, n := range []int{500, 5000} {
+		lp := compileSource(t, fmt.Sprintf("global a[16];\nfunc main() { var s = 0; for var i = 0; i < %d; i = i + 1 { a[i %% 16] = s; s = s + a[(i * 7) %% 16] * 3; } return s; }", n))
+		allocs[i] = testing.AllocsPerRun(3, func() {
+			if _, err := Run(lp, DefaultConfig()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("a run allocates %v times at 500 iterations, %v at 5,000", allocs[0], allocs[1])
 	}
 }
 
