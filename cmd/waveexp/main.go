@@ -18,7 +18,7 @@
 //
 // -corpus N switches to experiment E13: N generated workload programs
 // (seeded by -corpus-seed, round-robin across the testprogs corpus
-// families) each differentially verified across all eight engines and
+// families) each differentially verified across all seven engines and
 // aggregated into a per-family pass-rate and AIPC table. With -cache-dir
 // the sweep is resumable (-resume skips cells whose cached result
 // validates) and shardable (-shard k/n computes every n-th cell starting

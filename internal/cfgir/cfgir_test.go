@@ -294,20 +294,19 @@ func TestIfConvertReportsConversions(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		before, had := p.Clone(), branches(p)
-		got := p.IfConvert(0)
+		got := p.IfConvert()
 		if got != tc.want || had-branches(p) != got {
 			t.Errorf("%s: IfConvert reported %d conversions, want %d; branches %d -> %d", tc.name, got, tc.want, had, branches(p))
 		}
 		if got == 0 && !reflect.DeepEqual(before, p) {
 			t.Errorf("%s: no conversion, but the program changed", tc.name)
 		}
-		if again := p.IfConvert(0); again != 0 {
+		if again := p.IfConvert(); again != 0 {
 			t.Errorf("%s: a second IfConvert converted %d more", tc.name, again)
 		}
 	}
 
-	// The same two properties on real programs, function by function, and
-	// the maxArm 0 default.
+	// The same two properties on real programs, function by function.
 	converted, untouched := 0, 0
 	for _, name := range referenceCorpus(30) {
 		p := mustFromSource(t, name, 4, 1)
@@ -315,7 +314,7 @@ func TestIfConvertReportsConversions(t *testing.T) {
 		total := 0
 		for i, f := range p.Funcs {
 			had := branches(&Program{Funcs: []*Func{f}})
-			n := f.IfConvert(defaultMaxArm)
+			n := f.IfConvert()
 			if left := branches(&Program{Funcs: []*Func{f}}); had-left != n {
 				t.Errorf("%s: %s: reported %d conversions, branches %d -> %d", name, f.Name, n, had, left)
 			}
@@ -324,8 +323,8 @@ func TestIfConvertReportsConversions(t *testing.T) {
 			}
 			total += n
 		}
-		if n := before.IfConvert(0); n != total || !reflect.DeepEqual(before, p) {
-			t.Errorf("%s: Program.IfConvert(0) converted %d, the functions one by one %d", name, n, total)
+		if n := before.IfConvert(); n != total || !reflect.DeepEqual(before, p) {
+			t.Errorf("%s: Program.IfConvert converted %d, the functions one by one %d", name, n, total)
 		}
 		if total == 0 {
 			untouched++

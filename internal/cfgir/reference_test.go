@@ -493,7 +493,7 @@ func TestLivenessMatchesReference(t *testing.T) {
 		p := mustFromSource(t, s, 4, 1)
 		check(s, "O1", p)
 		for _, f := range p.Funcs {
-			f.IfConvert(8)
+			f.IfConvert()
 			f.SplitCriticalEdges()
 		}
 		check(s, "O1 if-converted and split", p)
@@ -547,7 +547,7 @@ func TestCloneIsDeep(t *testing.T) {
 					}
 				}
 			}
-			f.IfConvert(8)
+			f.IfConvert()
 			f.SplitCriticalEdges()
 			for _, b := range f.Blocks {
 				for ii := range b.Instrs {

@@ -37,36 +37,31 @@ func (f *Func) SplitCriticalEdges() {
 // both arms. This pass is the compiler half of that trade-off; experiment
 // E9 measures it.
 //
-// maxArm bounds the number of instructions per converted arm. IfConvert
+// An arm converts if it holds at most maxArm instructions. IfConvert
 // returns how many diamonds and triangles it rewrote; 0 means f is
 // untouched.
-func (f *Func) IfConvert(maxArm int) (converted int) {
-	for f.ifConvertOnce(maxArm) {
+func (f *Func) IfConvert() (converted int) {
+	for f.ifConvertOnce() {
 		converted++
 		f.Compact()
 	}
 	return converted
 }
 
-// defaultMaxArm is the per-arm instruction bound (*Program).IfConvert
-// applies when given none.
-const defaultMaxArm = 8
+// maxArm is IfConvert's per-arm instruction bound.
+const maxArm = 8
 
-// IfConvert if-converts every function (maxArm 0 = 8 instructions per arm)
-// and returns the total number of conversions. A caller holding a Clone learns
+// IfConvert if-converts every function and returns the total number of conversions. A caller holding a Clone learns
 // from 0 that the clone is still the program it copied, so whatever it
 // would lower from it is what the original lowers to.
-func (p *Program) IfConvert(maxArm int) (converted int) {
-	if maxArm == 0 {
-		maxArm = defaultMaxArm
-	}
+func (p *Program) IfConvert() (converted int) {
 	for _, f := range p.Funcs {
-		converted += f.IfConvert(maxArm)
+		converted += f.IfConvert()
 	}
 	return converted
 }
 
-func (f *Func) ifConvertOnce(maxArm int) bool {
+func (f *Func) ifConvertOnce() bool {
 	preds := f.Preds()
 	liveIn, _ := f.Liveness()
 

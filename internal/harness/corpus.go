@@ -111,7 +111,7 @@ func computeCorpusCell(spec testprogs.CorpusSpec, o CorpusOptions, engines []Eng
 }
 
 // RunCorpus runs experiment E13: a seeded corpus of generated workload
-// families, each program executed across all eight engines, aggregated
+// families, each program executed across all seven engines, aggregated
 // into a per-family pass-rate and AIPC-distribution table. With Cache
 // set the sweep is resumable and shardable; the table is byte-identical
 // whether the corpus ran in one invocation, across shards, at any worker

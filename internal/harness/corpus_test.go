@@ -19,7 +19,7 @@ func corpusOptions(n int, workers int) CorpusOptions {
 
 // TestCorpusDifferentialAgreement is the generator-correctness
 // acceptance sweep: 200 seeds per family (the full corpus round-robins
-// the families) must compile and agree across all eight engines, with the
+// the families) must compile and agree across all seven engines, with the
 // WaveCache watchdog bounding every cell.
 func TestCorpusDifferentialAgreement(t *testing.T) {
 	if testing.Short() {
@@ -48,7 +48,7 @@ func TestCorpusDifferentialAgreement(t *testing.T) {
 // memory-optimization tier off. Together with the default sweep above
 // (which compiles at DefaultCompileOptions' OptLevel 1) it pins the
 // tier's soundness contract corpus-wide: both the optimized and the
-// unoptimized binary of every generated program must agree with all eight
+// unoptimized binary of every generated program must agree with all seven
 // engines, so the two binaries transitively agree with each other. A
 // smaller N keeps the combined runtime near the old single sweep; the
 // full-size O1 sweep plus FuzzDifferential (which runs both tiers per

@@ -5,7 +5,6 @@ import (
 
 	"wavescalar/internal/interp"
 	"wavescalar/internal/isa"
-	"wavescalar/internal/ooo"
 	"wavescalar/internal/wavecache"
 )
 
@@ -15,13 +14,12 @@ import (
 // pipeline change), and stale cached cells stop matching instead of
 // silently polluting resumed sweeps. Being a source constant, the version
 // is visible in git history alongside the change that required the bump.
-const EngineSetVersion = "engines-v5"
+const EngineSetVersion = "engines-v6"
 
 // EngineRun is one engine's observation of a program: the final checksum
 // every engine must agree on, the simulated cycle count for the timing
 // engines (0 for the untimed interpreter), and a digest of the final memory
-// image (wavecache.ImageDigest; 0 for the out-of-order model, which keeps
-// none). A checksum is what the program chose to read back: a dead
+// image (wavecache.ImageDigest). A checksum is what the program chose to read back: a dead
 // store reordered past another to the same address leaves it alone and
 // changes the image.
 type EngineRun struct {
@@ -38,11 +36,13 @@ type Engine struct {
 
 // Engines is the single authoritative engine table: the dataflow
 // interpreter on all three compiled binaries, the WaveCache timing simulator
-// in all four memory modes, and the out-of-order baseline — eight engines.
-// The two reference engines, the AST evaluator and the linear emulator, are
-// not rows: CompileSource has already run both on every program and agreed
-// their results into Compiled.Checksum and Compiled.Image, which every row
-// is held to. The differential test, the FuzzDifferential target, and the
+// in all four memory modes — seven engines. The two reference engines, the
+// AST evaluator and the linear emulator, are not rows: CompileSource has
+// already run both on every program and agreed their results into
+// Compiled.Checksum and Compiled.Image, which every row is held to. Nor is
+// the out-of-order baseline: ooo.Run's value is the linear emulator's run
+// of the same program (interp.TestDifferentialFuzz still holds it to the
+// others on generated programs, and ooo_digests.txt pins its timing). The differential test, the FuzzDifferential target, and the
 // waveexp corpus sweep all share this definition, so the engine list cannot
 // drift between test and production.
 func Engines(m MachineOptions) []Engine {
@@ -75,10 +75,6 @@ func Engines(m MachineOptions) []Engine {
 		{"wavecache-" + wavecache.MemSerial.String(), waveEngine(wavecache.MemSerial)},
 		{"wavecache-" + wavecache.MemIdeal.String(), waveEngine(wavecache.MemIdeal)},
 		{"wavecache-" + wavecache.MemSpec.String(), waveEngine(wavecache.MemSpec)},
-		{"ooo", func(c *Compiled) (EngineRun, error) {
-			res, err := ooo.Run(c.Linear, DefaultOoOConfig())
-			return EngineRun{Value: res.Value, Cycles: res.Cycles}, err
-		}},
 	}
 }
 
@@ -121,7 +117,7 @@ func (d *DiffResult) Mismatches() []string {
 			out = append(out, fmt.Sprintf("%s: %s", r.Engine, r.Err))
 		case r.Value != d.Want:
 			out = append(out, fmt.Sprintf("%s: checksum %d, want %d", r.Engine, r.Value, d.Want))
-		case r.MemDigest != 0 && r.MemDigest != d.Image:
+		case r.MemDigest != d.Image:
 			out = append(out, fmt.Sprintf("%s: memory image %016x, want %016x", r.Engine, r.MemDigest, d.Image))
 		}
 	}

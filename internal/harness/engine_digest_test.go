@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,21 +17,28 @@ import (
 	"wavescalar/internal/workloads"
 )
 
-// engine_digests.txt is the WaveCache engine's fence: per cell — the ten
-// kernels on the default 4x4 machine and testprogs.CorpusSpecs(100, 1) on the
-// corpus machine, the steer binary, all four memory modes — the simulated
-// outcome (value, cycles, fired, tokens), the commit-trace digest (the order
-// and values of every load and store as they reached memory), the final
-// memory-image digest, and the work counters that no host-side optimization
-// may move: events popped, tokens bypassed and matched, wave bindings made,
-// mem.Access / noc.Send / waveorder.Submit calls (wavecache.Fence). The
-// golden snapshot pins one mode of one machine at -O0; the reference engines
-// and eight differential engines agree on a return value and a memory image; this file pins what the paper is about — the order in which
-// memory operations reach memory — and how much work it took.
+// engine_digests.txt is the WaveCache engine's fence. Its cells run the steer
+// binary: the ten kernels on the default 4x4 machine and
+// testprogs.CorpusSpecs(100, 1) on the corpus machine, in all four memory
+// modes, and the -O0 kernels on 2x2, wave-ordered, under four fault
+// scenarios. Per cell it pins the simulated outcome (value, cycles, fired,
+// tokens), the commit-trace digest (the order and values of every load and
+// store as they reached memory), the final memory-image digest, the work
+// counters that no host-side optimization may move (events popped, tokens
+// bypassed and matched, wave bindings made, mem.Access / noc.Send /
+// waveorder.Submit calls: wavecache.Fence), and the Result's swap, PE,
+// network, cache and ordering counters. The differential engines agree on a
+// return value and a memory image; this file pins what the paper is about —
+// the order in which memory operations reach memory — and how much work it
+// took.
 //
-// It was recorded from the engine as it stood before its third hot-path round
-// (PR 27's parent plus the counters themselves), and an engine change that
-// claims to leave simulated behaviour alone must leave it byte-identical.
+// The four-mode cells were recorded from the engine as it stood before its
+// third hot-path round (that round's parent plus the counters themselves); the
+// fault rows and the Result counters carry the values of the golden snapshot
+// they replace. An engine change that claims to leave simulated behaviour
+// alone must leave the file byte-identical. TestGoldenWaveCache checks the
+// fault rows and TestEngineDigestsPinned the others; the flag below makes
+// either test rewrite the whole file.
 // The counters a round is meant to move — heap pushes, slot against table
 // matches, bindings retired — are in wavecache.Fence and EXPERIMENTS.md, not
 // here. Regenerate only for a change meant to alter simulated behaviour:
@@ -105,29 +114,108 @@ func fenceCorpusSet(t *testing.T, n int) []*Compiled {
 	return fenceCorpus.set[:n]
 }
 
+// o0Options builds the -O0 steer binary alone.
+var o0Options = CompileOptions{Unroll: DefaultCompileOptions().Unroll, OptLevel: 0, Binaries: []string{"steer"}}
+
+// o0Suite compiles the ten kernels' steer binaries at -O0 once per test
+// binary: the fence's fault rows run them, and TestO1AddsNoStoragePressure
+// sets them against the -O1 ones.
+var o0Suite struct {
+	once sync.Once
+	set  []*Compiled
+	err  error
+}
+
+func o0Set(t *testing.T) []*Compiled {
+	t.Helper()
+	o0Suite.once.Do(func() {
+		o0Suite.set, o0Suite.err = Suite(nil, o0Options)
+	})
+	if o0Suite.err != nil {
+		t.Fatal(o0Suite.err)
+	}
+	return o0Suite.set
+}
+
+// fenceFaults are the fault rows' scenarios, E12's span: clean, defects,
+// operand loss, and everything at once with memory loss.
+var fenceFaults = []string{"", "defect=0.25", "drop=0.10", "defect=0.10,drop=0.02,delay=0.02,memloss=0.01"}
+
+// fenceCell is one line of the fence: a program on a machine.
+type fenceCell struct {
+	c     *Compiled
+	ref   int // index into the progs fenceCells returns
+	m     MachineOptions
+	name  string
+	fault bool // a fault row: the -O0 kernels on 2x2 under a fault scenario
+}
+
+// fenceCells lists every cell of engine_digests.txt in the file's order: the
+// kernels and the corpus in the four memory modes, then the fault rows.
+func fenceCells(t *testing.T) (progs []*Compiled, cells []fenceCell) {
+	t.Helper()
+	add := func(set []*Compiled, ms []MachineOptions, fault bool, label func(MachineOptions) string) {
+		for _, c := range set {
+			progs = append(progs, c)
+			for _, m := range ms {
+				cells = append(cells, fenceCell{c, len(progs) - 1, m, c.Name + " " + label(m), fault})
+			}
+		}
+	}
+	inModes := func(m MachineOptions) []MachineOptions {
+		var ms []MachineOptions
+		for _, m.MemMode = range memModes {
+			ms = append(ms, m)
+		}
+		return ms
+	}
+	mode := func(m MachineOptions) string { return m.MemMode.String() }
+	add(fullSet(t), inModes(DefaultMachineOptions()), false, mode)
+	add(fenceCorpusSet(t, 100), inModes(DefaultCorpusMachine()), false, mode)
+	// The fault rows: the -O0 kernels on 2x2, wave-ordered, under E12's seed.
+	// The snapshot they came from predates the memory tier, so they keep
+	// pinning the pre-tier binaries.
+	var faulty []MachineOptions
+	for _, spec := range fenceFaults {
+		m := quickMachine()
+		m.MaxCycles, m.Faults, m.FaultSeed = 50_000_000, spec, e12Seed
+		faulty = append(faulty, m)
+	}
+	add(o0Set(t), faulty, true, func(m MachineOptions) string {
+		return fmt.Sprintf("%v -O0 2x2 faults=%s", m.MemMode, cmp.Or(m.Faults, "none"))
+	})
+	return progs, cells
+}
+
+// isFaultRow tells a fault row's line of engine_digests.txt from the others.
+func isFaultRow(line string) bool { return strings.Contains(line, " faults=") }
+
+// TestEngineDigestsPinned holds the kernels and the corpus, in the four
+// memory modes, to their lines of engine_digests.txt.
 func TestEngineDigestsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the engine fence simulates every kernel in four memory modes")
 	}
-	type cell struct {
-		c    *Compiled
-		m    MachineOptions
-		mode wavecache.MemoryMode
-	}
-	var progs []*Compiled
-	var cells []cell
-	add := func(set []*Compiled, m MachineOptions) {
-		for _, c := range set {
-			progs = append(progs, c)
-			for _, mode := range memModes {
-				m.MemMode = mode
-				cells = append(cells, cell{c, m, mode})
-			}
-		}
-	}
-	add(fullSet(t), DefaultMachineOptions())
-	add(fenceCorpusSet(t, 100), DefaultCorpusMachine())
+	pinFence(t, false)
+}
 
+// TestGoldenWaveCache holds the fault rows — every kernel, clean and under
+// injected faults — to their lines of engine_digests.txt.
+func TestGoldenWaveCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the fault rows simulate every kernel under four fault scenarios")
+	}
+	pinFence(t, true)
+}
+
+// pinFence simulates the fault rows or the other rows of the fence and holds
+// each to its recorded line. Under -update-engine-digests it simulates every
+// cell and rewrites the whole file.
+func pinFence(t *testing.T, faultRows bool) {
+	progs, cells := fenceCells(t)
+	if !*updateEngineDigests {
+		cells = slices.DeleteFunc(cells, func(cl fenceCell) bool { return cl.fault != faultRows })
+	}
 	refs, err := parallel.Map(0, len(progs), func(i int) (emuTrace, error) { return emulatorTrace(progs[i].Linear) })
 	if err != nil {
 		t.Fatal(err)
@@ -136,13 +224,13 @@ func TestEngineDigestsPinned(t *testing.T) {
 		cl := cells[i]
 		res, f, err := fenceRun(cl.c, cl.c.Wave, cl.m)
 		if err != nil {
-			return "", fmt.Errorf("%s %v: %w", cl.c.Name, cl.mode, err)
+			return "", fmt.Errorf("%s: %w", cl.name, err)
 		}
 		// The relation the digest must satisfy, whatever the file says: the
 		// steer binary commits the emulator's loads and stores, in its order.
-		if ref := refs[i/len(memModes)]; f.Commit != ref.commit || f.Stores != ref.stores || f.Image != ref.image {
-			return "", fmt.Errorf("%s %v: commit trace %x (stores %x, image %x) is not the emulator's program-order trace %x (stores %x, image %x)",
-				cl.c.Name, cl.mode, f.Commit, f.Stores, f.Image, ref.commit, ref.stores, ref.image)
+		if ref := refs[cl.ref]; f.Commit != ref.commit || f.Stores != ref.stores || f.Image != ref.image {
+			return "", fmt.Errorf("%s: commit trace %x (stores %x, image %x) is not the emulator's program-order trace %x (stores %x, image %x)",
+				cl.name, f.Commit, f.Stores, f.Image, ref.commit, ref.stores, ref.image)
 		}
 		// The books: a token takes exactly one of deliver's paths, the access
 		// helper sees every access, and (from the change that retires
@@ -150,17 +238,22 @@ func TestEngineDigestsPinned(t *testing.T) {
 		// — no memory message arrived for a wave after it retired.
 		w := f.Work
 		if w.Bypassed+w.SlotMatched+w.TableMatched != res.Tokens || w.MemAccess != res.Mem.Accesses || w.Retired != 0 && w.Retired != w.Bound {
-			return "", fmt.Errorf("%s %v: work counters do not add up: %+v against %d tokens, %d accesses", cl.c.Name, cl.mode, w, res.Tokens, res.Mem.Accesses)
+			return "", fmt.Errorf("%s: work counters do not add up: %+v against %d tokens, %d accesses", cl.name, w, res.Tokens, res.Mem.Accesses)
 		}
-		return fmt.Sprintf("%s %v value=%d cycles=%d fired=%d tokens=%d commit=%016x image=%016x events=%d bypassed=%d matched=%d bound=%d access=%d send=%d submit=%d",
-			cl.c.Name, cl.mode, res.Value, res.Cycles, res.Fired, res.Tokens, f.Commit, f.Image,
-			w.Events, w.Bypassed, w.SlotMatched+w.TableMatched, w.Bound, w.MemAccess, w.NocSend, w.Submits), nil
+		return fmt.Sprintf("%s value=%d cycles=%d fired=%d tokens=%d commit=%016x image=%016x events=%d bypassed=%d matched=%d bound=%d access=%d send=%d submit=%d"+
+			" swaps=%d overflows=%d pes=%d messages=%d hops=%d stalls=%d drops=%d retries=%d l1miss=%d transfers=%d issued=%d waves=%d maxpending=%d",
+			cl.name, res.Value, res.Cycles, res.Fired, res.Tokens, f.Commit, f.Image,
+			w.Events, w.Bypassed, w.SlotMatched+w.TableMatched, w.Bound, w.MemAccess, w.NocSend, w.Submits,
+			res.Swaps, res.Overflows, res.PEsUsed, res.Net.Messages, res.Net.MeshHops, res.Net.StallCycles,
+			res.Faults.Operand.Drops, res.Faults.Operand.Retries, res.Mem.L1Misses, res.Mem.Transfers,
+			res.Order.Issued, res.Order.WavesDone, res.Order.MaxPending), nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	pinnedLines(t, engineDigestsPath, *updateEngineDigests, "-update-engine-digests", got)
+	pinnedLines(t, engineDigestsPath, *updateEngineDigests, "-update-engine-digests", got,
+		func(line string) bool { return isFaultRow(line) == faultRows })
 }
 
 // o1OverflowRises are the cells where the -O1 binary does overflow the
@@ -189,21 +282,22 @@ func TestO1AddsNoStoragePressure(t *testing.T) {
 		m      MachineOptions
 	}
 	var cells []cell
-	add := func(set []*Compiled, m MachineOptions) {
-		o0, err := parallel.Map(0, len(set), func(i int) (*Compiled, error) {
-			return CompileSource(set[i].Name, set[i].Src, CompileOptions{Unroll: DefaultCompileOptions().Unroll, OptLevel: 0, Binaries: []string{"steer"}})
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, c := range set {
+	add := func(o1, o0 []*Compiled, m MachineOptions) {
+		for i, c := range o1 {
 			if asm.Print(o0[i].Wave) != asm.Print(c.Wave) {
 				cells = append(cells, cell{o0[i], c, m})
 			}
 		}
 	}
-	add(fullSet(t), DefaultMachineOptions())
-	add(fenceCorpusSet(t, 100), DefaultCorpusMachine())
+	corpus := fenceCorpusSet(t, 100)
+	corpusO0, err := parallel.Map(0, len(corpus), func(i int) (*Compiled, error) {
+		return CompileSource(corpus[i].Name, corpus[i].Src, o0Options)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	add(fullSet(t), o0Set(t), DefaultMachineOptions())
+	add(corpus, corpusO0, DefaultCorpusMachine())
 	if len(cells) == 0 {
 		t.Fatal("the tier rewrote none of the fence's programs")
 	}
@@ -260,7 +354,7 @@ func main() {
 // PE dying mid-run and MemSpec's squash-and-replay change when a memory
 // operation reaches its store buffer and what it costs, never the order in
 // which operations commit: the steer binary's commit trace stays the
-// emulator's in every memory mode. (TestGoldenWaveCache holds the -O0
+// emulator's in every memory mode. (TestEngineDigestsPinned holds the -O0
 // binaries to the same relation under its four fault scenarios.)
 func TestCommitTraceSurvivesFaults(t *testing.T) {
 	squash, err := CompileSource("spec-squash", specSquashSrc, DefaultCompileOptions())

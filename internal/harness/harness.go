@@ -231,7 +231,7 @@ func compileSource(name, src string, opts CompileOptions, evalFuel, emuFuel int6
 		if sel {
 			selIR := ir.Clone()
 			g.Go(func() {
-				if converted := selIR.IfConvert(0); converted == 0 && lowerSteer {
+				if converted := selIR.IfConvert(); converted == 0 && lowerSteer {
 					selIsSteer = true // selIR is still what the steer build lowers
 					return
 				}

@@ -3,7 +3,9 @@ package harness
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"wavescalar/internal/fault"
@@ -12,14 +14,25 @@ import (
 	"wavescalar/internal/workloads"
 )
 
-// quickSet compiles a small, fast subset of the suite.
+// quickSuite caches a small, fast subset of the suite, compiled once per
+// test binary.
+var quickSuite struct {
+	once sync.Once
+	set  []*Compiled
+	err  error
+}
+
+// quickSet returns lu and fft in a slice of the caller's own; the programs
+// are shared and read-only.
 func quickSet(t testing.TB) []*Compiled {
 	t.Helper()
-	set, err := Suite([]string{"lu", "fft"}, DefaultCompileOptions())
-	if err != nil {
-		t.Fatal(err)
+	quickSuite.once.Do(func() {
+		quickSuite.set, quickSuite.err = Suite([]string{"lu", "fft"}, DefaultCompileOptions())
+	})
+	if quickSuite.err != nil {
+		t.Fatal(quickSuite.err)
 	}
-	return set
+	return slices.Clone(quickSuite.set)
 }
 
 // quickMachine keeps experiment runtime small for tests.
@@ -73,6 +86,48 @@ func TestExperimentByID(t *testing.T) {
 	}
 }
 
+// quickSweep holds RunAll's output for every experiment on quickSet and
+// quickMachine, run once per test binary: TestRunAllWritesEverySection and
+// TestEveryExperimentRuns read the one sweep.
+var quickSweep struct {
+	once     sync.Once
+	sections []string
+	err      error
+}
+
+// quickSections returns the sweep's sections, each without its "## ".
+func quickSections(t *testing.T) []string {
+	t.Helper()
+	quickSweep.once.Do(func() {
+		var sb strings.Builder
+		quickSweep.err = RunAll(Experiments, quickSet(t), quickMachine(), &sb)
+		quickSweep.sections = strings.Split(sb.String(), "\n## ")[1:]
+	})
+	if quickSweep.err != nil {
+		t.Fatal(quickSweep.err)
+	}
+	return quickSweep.sections
+}
+
+// TestRunAllWritesEverySection: RunAll writes one section per experiment, in
+// Experiments' order.
+func TestRunAllWritesEverySection(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment sweep is slow")
+	}
+	sections := quickSections(t)
+	if len(sections) != len(Experiments) {
+		t.Fatalf("%d sections for %d experiments", len(sections), len(Experiments))
+	}
+	for i, e := range Experiments {
+		if !strings.HasPrefix(sections[i], e.ID+" — ") {
+			t.Errorf("section %d is not %s:\n%s", i, e.ID, sections[i])
+		}
+	}
+}
+
+// TestEveryExperimentRuns: the experiments run in their pinned order, and
+// each one's section of the sweep has a row for every bench.
 func TestEveryExperimentRuns(t *testing.T) {
 	// The order is observable: RunAll prints in it and the benchmark's
 	// exp-suite indexes the slice by a seeded permutation.
@@ -87,41 +142,19 @@ func TestEveryExperimentRuns(t *testing.T) {
 		t.Skip("experiment sweep is slow")
 	}
 	set := quickSet(t)
-	m := quickMachine()
+	sections := quickSections(t)
 	for _, e := range Experiments {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tbl, err := e.Run(set, m)
-			if err != nil {
-				t.Fatal(err)
+			i := slices.IndexFunc(sections, func(sec string) bool { return strings.HasPrefix(sec, e.ID+" — ") })
+			if i < 0 {
+				t.Fatalf("no section for %s", e.ID)
 			}
-			if len(tbl.Rows) < len(set) {
-				t.Fatalf("table has %d rows for %d benches", len(tbl.Rows), len(set))
-			}
-			out := tbl.Render()
 			for _, c := range set {
-				if !strings.Contains(out, c.Name) {
-					t.Errorf("table missing bench %s:\n%s", c.Name, out)
+				if !strings.Contains(sections[i], "\n"+c.Name+" ") {
+					t.Errorf("table has no %s row:\n%s", c.Name, sections[i])
 				}
 			}
 		})
-	}
-}
-
-func TestRunAllWritesEverySection(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment sweep is slow")
-	}
-	set := quickSet(t)
-	var sb strings.Builder
-	if err := RunAll(Experiments, set, quickMachine(), &sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, e := range Experiments {
-		if !strings.Contains(out, "## "+e.ID) {
-			t.Errorf("output missing section %s", e.ID)
-		}
 	}
 }
 

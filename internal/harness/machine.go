@@ -54,7 +54,7 @@ var BinaryNames = []string{"steer", "select", "rolled"}
 
 // DefaultCompileOptions is the harness pipeline: unroll by 4, as the
 // paper's Alpha toolchain would, with the memory-optimization tier on.
-// (The golden-snapshot tests pin OptLevel 0 explicitly so the recorded
+// (The engine fence's fault rows pin OptLevel 0 explicitly so the recorded
 // pre-optimizer binaries replay bit-for-bit.)
 func DefaultCompileOptions() CompileOptions { return CompileOptions{Unroll: 4, OptLevel: 1} }
 

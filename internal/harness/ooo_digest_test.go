@@ -58,5 +58,5 @@ func TestOoODigestsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinnedLines(t, oooDigestsPath, *updateOoODigests, "-update-ooo-digests", got)
+	pinnedLines(t, oooDigestsPath, *updateOoODigests, "-update-ooo-digests", got, nil)
 }

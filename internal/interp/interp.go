@@ -5,10 +5,13 @@
 // steers, wave advances, context allocation, and wave-ordered memory — but
 // with no microarchitectural timing.
 //
-// It serves three roles: correctness oracle #3 (the WaveCache simulator and
-// the two baseline engines must agree with it), the "ideal dataflow" limit
-// machine in experiment E1, and the profile collector feeding the placement
-// algorithms.
+// It serves three roles: the differential suite's interp-steer,
+// interp-select and interp-rolled rows (every compiled binary must reproduce
+// the reference engines' checksum and memory image on it), the untimed run
+// behind `waverun`, and the profile collector feeding the placement model
+// and profile-guided placement. E1's "ideal dataflow" column is not this
+// machine: it is the WaveCache simulator on an idealized configuration
+// (harness.idealMachine).
 package interp
 
 import (

@@ -312,18 +312,6 @@ func newCore(p *linear.Program, cfg Config) (*core, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.ALUPorts == 0 {
-		cfg.ALUPorts = cfg.IssueWidth
-	}
-	if cfg.MulDivPorts == 0 {
-		cfg.MulDivPorts = 1
-	}
-	if cfg.LoadPorts == 0 {
-		cfg.LoadPorts = 2
-	}
-	if cfg.StorePorts == 0 {
-		cfg.StorePorts = 1
-	}
 	c := &core{
 		cfg:        cfg,
 		prog:       p,

@@ -11,7 +11,7 @@ import (
 )
 
 // FuzzDifferential: any (seed, family, size) triple must generate a valid
-// program on which all eight engines agree. The fuzzer explores raw int64
+// program on which all seven engines agree. The fuzzer explores raw int64
 // inputs; the target folds them into the spec domain, so every input is
 // meaningful and the committed seed corpus (testdata/fuzz/FuzzDifferential)
 // stays human-readable. Run with:

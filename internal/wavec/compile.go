@@ -35,9 +35,6 @@ type Options struct {
 	// IfConvert lowers small pure if/else diamonds to φ SELECT
 	// instructions instead of steers (experiment E9).
 	IfConvert bool
-	// MaxArm bounds the per-arm instruction count for if-conversion
-	// (default 8).
-	MaxArm int
 }
 
 // Compile lowers a whole program. The input must be built (and usually
@@ -50,7 +47,7 @@ type Options struct {
 // p.Clone() to every call but the last.
 func Compile(p *cfgir.Program, opts Options) (*isa.Program, error) {
 	if opts.IfConvert {
-		p.IfConvert(opts.MaxArm)
+		p.IfConvert()
 	}
 	touches := computeTouches(p)
 	out := &isa.Program{

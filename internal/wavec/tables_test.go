@@ -112,13 +112,13 @@ func TestNetForNumbersNetsInRequestOrder(t *testing.T) {
 func TestInstrBoundHolds(t *testing.T) {
 	emitted, bound := 0, 0
 	for _, name := range workloads.Names() {
-		for _, opts := range []Options{{}, {IfConvert: true, MaxArm: 8}} {
+		for _, opts := range []Options{{}, {IfConvert: true}} {
 			p := mustIR(t, name)
 			touches := computeTouches(p)
 			var regs regTable
 			for fi, f := range p.Funcs {
 				if opts.IfConvert {
-					f.IfConvert(opts.MaxArm)
+					f.IfConvert()
 				}
 				f.SplitCriticalEdges()
 				fc := &funcCompiler{prog: p, ir: f, touches: touches, self: fi, regs: &regs}

@@ -12,7 +12,7 @@ import (
 
 // bindLoopSrc makes one wave per iteration (compileSource does not unroll),
 // each with a store and a load, so a run binds more than 65,536 waves to
-// store buffers — more than any kernel or either golden file does. bindCallSrc
+// store buffers — more than any kernel or fence cell does. bindCallSrc
 // does the same through contexts: at least 77,000 activations, each ending on
 // a MemEnd, so the binding of a context's last wave — the one no wave
 // completion retires — is on the path too.

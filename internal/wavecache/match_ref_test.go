@@ -26,7 +26,7 @@ func deliverTableOnly(s *sim, e *event) error {
 	t := e.time
 	if ps.waiting >= s.cfg.InputQueue {
 		s.res.Overflows++
-		t += s.cfg.OverflowPenalty
+		t += overflowPenalty
 	}
 	ps.waiting++
 

@@ -127,9 +127,8 @@ type Config struct {
 	// into its PE's store.
 	SwapPenalty int64
 	// InputQueue is the per-PE token queue capacity; tokens beyond it pay
-	// OverflowPenalty (matching-table spill to memory).
-	InputQueue      int
-	OverflowPenalty int64
+	// overflowPenalty (matching-table spill to memory).
+	InputQueue int
 
 	// BufferWidth is how many memory operations a cluster's store buffer
 	// can issue per cycle (the published L1 sustains 4 accesses/cycle).
@@ -185,20 +184,23 @@ type Config struct {
 	Metrics *trace.Aggregate
 }
 
+// overflowPenalty is the cycles a token pays to spill past a full
+// matching table.
+const overflowPenalty = 10
+
 // DefaultConfig returns the published WaveScalar processor parameters on a
 // w x h cluster grid.
 func DefaultConfig(w, h int) Config {
 	m := placement.DefaultMachine(w, h)
 	return Config{
-		Machine:         m,
-		PEStore:         64,
-		SwapPenalty:     32,
-		InputQueue:      16,
-		OverflowPenalty: 10,
-		BufferWidth:     4,
-		MemMsgLatency:   2,
-		Net:             noc.DefaultConfig(w, h),
-		Mem:             mem.DefaultSystemConfig(m.NumClusters()),
+		Machine:       m,
+		PEStore:       64,
+		SwapPenalty:   32,
+		InputQueue:    16,
+		BufferWidth:   4,
+		MemMsgLatency: 2,
+		Net:           noc.DefaultConfig(w, h),
+		Mem:           mem.DefaultSystemConfig(m.NumClusters()),
 	}
 }
 
@@ -1276,7 +1278,7 @@ func (s *sim) deliver(e *event) error {
 	if ps.waiting >= s.cfg.InputQueue {
 		// Matching-table overflow spills to memory.
 		s.res.Overflows++
-		t += s.cfg.OverflowPenalty
+		t += overflowPenalty
 		s.tr.Overflow(e.time, pe)
 	}
 	ps.waiting++
