@@ -122,8 +122,8 @@ bench:
 # out-of-order model's front end), tag
 # table, wave-order buffer, operand network, the cache hierarchy's access
 # and its Reset with and without a grid change, the simulator's event
-# queue, arenas and one kernel per memory mode, the tracer's per-firing and
-# per-hop counters, interpreters, what a run pays each placement policy
+# queue, arenas and one kernel per memory mode, interpreters, what a run
+# pays each placement policy
 # (construction plus every instruction's first Assign), the placement
 # model's move loop against its reference, waved's cold / warm / replay
 # request over loopback, the whole CompileSource — every binary, and the
@@ -133,7 +133,7 @@ bench:
 # benchmark". For -count, -benchtime or
 # -cpuprofile run `go test` on the package directly.
 bench-micro:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/lang ./internal/cfgir ./internal/wavec ./internal/linear ./internal/tagtable ./internal/waveorder ./internal/noc ./internal/mem ./internal/wavecache ./internal/trace ./internal/interp ./internal/ooo ./internal/placement ./internal/placemodel ./internal/serve
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/lang ./internal/cfgir ./internal/wavec ./internal/linear ./internal/tagtable ./internal/waveorder ./internal/noc ./internal/mem ./internal/wavecache ./internal/interp ./internal/ooo ./internal/placement ./internal/placemodel ./internal/serve
 	$(GO) test -run '^$$' -bench 'BenchmarkCompileSource$$' -benchmem ./internal/harness
 	$(GO) test -run '^$$' -bench 'BenchmarkCellCache' -benchtime 20000x -benchmem ./internal/harness
 

@@ -146,11 +146,7 @@ func main() {
 	}
 	fmt.Fprintf(out, "compiled in %v\n", time.Since(start).Round(time.Millisecond))
 	if *metrics && copts.OptLevel >= 1 {
-		var cm trace.Metrics
-		for _, c := range set {
-			c.AddCompileMetrics(&cm)
-		}
-		fmt.Fprintln(out, cm.CompileSummary("compile: memory-optimization tier (all workloads)").Render())
+		fmt.Fprintln(out, harness.CompileSummary(set).Render())
 	}
 
 	m := harness.DefaultMachineOptions()

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"slices"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"wavescalar/internal/isa"
 	"wavescalar/internal/linear"
 	"wavescalar/internal/parallel"
+	"wavescalar/internal/trace"
 	"wavescalar/internal/wavecache"
 	"wavescalar/internal/workloads"
 )
@@ -26,8 +28,9 @@ import (
 // store as they reached memory), the final memory-image digest, the work
 // counters that no host-side optimization may move (events popped, tokens
 // bypassed and matched, wave bindings made, mem.Access / noc.Send /
-// waveorder.Submit calls: wavecache.Fence), and the Result's swap, PE,
-// network, cache and ordering counters. The differential engines agree on a
+// waveorder.Submit calls: wavecache.Fence), the Result's swap, PE,
+// network, cache and ordering counters, and a digest of the run's rendered
+// trace-metrics summary. The differential engines agree on a
 // return value and a memory image; this file pins what the paper is about —
 // the order in which memory operations reach memory — and how much work it
 // took.
@@ -222,7 +225,9 @@ func pinFence(t *testing.T, faultRows bool) {
 	}
 	got, err := parallel.Map(0, len(cells), func(i int) (string, error) {
 		cl := cells[i]
-		res, f, err := fenceRun(cl.c, cl.c.Wave, cl.m)
+		m := cl.m
+		m.Metrics = trace.NewAggregate()
+		res, f, err := fenceRun(cl.c, cl.c.Wave, m)
 		if err != nil {
 			return "", fmt.Errorf("%s: %w", cl.name, err)
 		}
@@ -241,12 +246,12 @@ func pinFence(t *testing.T, faultRows bool) {
 			return "", fmt.Errorf("%s: work counters do not add up: %+v against %d tokens, %d accesses", cl.name, w, res.Tokens, res.Mem.Accesses)
 		}
 		return fmt.Sprintf("%s value=%d cycles=%d fired=%d tokens=%d commit=%016x image=%016x events=%d bypassed=%d matched=%d bound=%d access=%d send=%d submit=%d"+
-			" swaps=%d overflows=%d pes=%d messages=%d hops=%d stalls=%d drops=%d retries=%d l1miss=%d transfers=%d issued=%d waves=%d maxpending=%d",
+			" swaps=%d overflows=%d pes=%d messages=%d hops=%d stalls=%d drops=%d retries=%d l1miss=%d transfers=%d issued=%d waves=%d maxpending=%d metrics=%016x",
 			cl.name, res.Value, res.Cycles, res.Fired, res.Tokens, f.Commit, f.Image,
 			w.Events, w.Bypassed, w.SlotMatched+w.TableMatched, w.Bound, w.MemAccess, w.NocSend, w.Submits,
 			res.Swaps, res.Overflows, res.PEsUsed, res.Net.Messages, res.Net.MeshHops, res.Net.StallCycles,
 			res.Faults.Operand.Drops, res.Faults.Operand.Retries, res.Mem.L1Misses, res.Mem.Transfers,
-			res.Order.Issued, res.Order.WavesDone, res.Order.MaxPending), nil
+			res.Order.Issued, res.Order.WavesDone, res.Order.MaxPending, metricsDigest(m.Metrics)), nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -254,6 +259,15 @@ func pinFence(t *testing.T, faultRows bool) {
 
 	pinnedLines(t, engineDigestsPath, *updateEngineDigests, "-update-engine-digests", got,
 		func(line string) bool { return isFaultRow(line) == faultRows })
+}
+
+// metricsDigest is the FNV-64a of the rendered trace-metrics summary: every
+// row, the busiest cluster, domain and link, the queue depth, the ordering
+// stall and the placements among them.
+func metricsDigest(agg *trace.Aggregate) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(agg.Summary("").Render()))
+	return h.Sum64()
 }
 
 // o1OverflowRises are the cells where the -O1 binary does overflow the

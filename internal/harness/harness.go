@@ -31,7 +31,6 @@ import (
 	"wavescalar/internal/parallel"
 	"wavescalar/internal/placement"
 	"wavescalar/internal/stats"
-	"wavescalar/internal/trace"
 	"wavescalar/internal/wavec"
 	"wavescalar/internal/wavecache"
 	"wavescalar/internal/workloads"
@@ -85,22 +84,37 @@ func (c *Compiled) Binary(name string) (*isa.Program, error) {
 	return p, nil
 }
 
-// AddCompileMetrics folds the program's compile-time optimizer statistics
-// into a trace metrics record (the compile-tier rows of the -metrics
-// summary). A no-op for programs compiled at OptLevel 0.
-func (c *Compiled) AddCompileMetrics(m *trace.Metrics) {
-	if c.Opt < 1 {
-		return
+// CompileSummary renders the memory-optimization tier's counters summed
+// over the programs of set compiled at OptLevel 1 or above (the compile
+// table of waveexp -metrics).
+func CompileSummary(set []*Compiled) *stats.Table {
+	var n, fwd, reused, promoted, dead, memops, instrs, slots, nops int64
+	for _, c := range set {
+		if c.Opt < 1 {
+			continue
+		}
+		mo := &c.MemOpt
+		n++
+		fwd += mo.StoresForwarded
+		reused += mo.LoadsReused
+		promoted += mo.LoadsPromoted
+		dead += mo.DeadStores
+		memops += mo.MemBefore - mo.MemAfter
+		instrs += mo.Eliminated()
+		slots += c.Chains.Slots
+		nops += c.Chains.Nops
 	}
-	m.CompilePrograms++
-	m.StoresForwarded += c.MemOpt.StoresForwarded
-	m.LoadsReused += c.MemOpt.LoadsReused
-	m.LoadsPromoted += c.MemOpt.LoadsPromoted
-	m.DeadStores += c.MemOpt.DeadStores
-	m.MemOpsEliminated += c.MemOpt.MemBefore - c.MemOpt.MemAfter
-	m.InstrsEliminated += c.MemOpt.Eliminated()
-	m.ChainSlots += c.Chains.Slots
-	m.ChainNops += c.Chains.Nops
+	t := stats.NewTable("compile: memory-optimization tier (all workloads)", "metric", "value")
+	t.AddRow("programs optimized", n)
+	t.AddRow("stores forwarded", fwd)
+	t.AddRow("loads reused", reused)
+	t.AddRow("loads promoted", promoted)
+	t.AddRow("dead stores", dead)
+	t.AddRow("mem ops eliminated", memops)
+	t.AddRow("instrs eliminated", instrs)
+	t.AddRow("chain slots", slots)
+	t.AddRow("chain mem-nops", nops)
+	return t
 }
 
 // CompileWorkload builds one workload through the full pipeline.

@@ -146,10 +146,10 @@ type MachineOptions struct {
 	// byte-identical tables: cells collect results by index, never by
 	// completion order.
 	Workers int
-	// Metrics, when non-nil, collects trace counters from every WaveCache
-	// cell an experiment runs (the aggregate is thread-safe and its merge
-	// commutative, so summaries are worker-count invariant). nil — the
-	// default — leaves the simulators' tracing disabled and all tables
+	// Metrics, when non-nil, collects the trace.Metrics every WaveCache
+	// cell an experiment runs builds from its own counters (the aggregate
+	// is thread-safe and its merge commutative, so summaries are
+	// worker-count invariant). It attaches no tracer, and all tables stay
 	// byte-identical to a metrics-free build.
 	Metrics *trace.Aggregate
 	// Ctx, when non-nil, cancels a sweep cooperatively: the worker pool

@@ -42,8 +42,7 @@ func runMachine(t *testing.T, c *Compiled, m MachineOptions, faultSpec string) w
 // event stream enabled), or only a metrics aggregate, must leave the
 // simulation's Result bit-identical to an untraced run — tracing observes
 // the event processing order, it never schedules anything. Checked on clean
-// and faulty configurations. The two observers must also agree on what they
-// saw; placements are the counter a metrics-only run used to miss.
+// and faulty configurations.
 func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 	set := quickSet(t)
 	m := quickMachine()
@@ -56,18 +55,13 @@ func TestTracingDoesNotPerturbSimulation(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, c := range set {
 				base := runMachine(t, c, m, spec)
-				traced, tr := tracedRun(t, c, m, spec)
+				traced, _ := tracedRun(t, c, m, spec)
 				counted := m
 				counted.Metrics = trace.NewAggregate()
 				metricsOnly := runMachine(t, c, counted, spec)
 				if !reflect.DeepEqual(base, traced) || !reflect.DeepEqual(base, metricsOnly) {
 					t.Errorf("%s: traced or metrics-only result differs from untraced:\n%+v\n%+v\n%+v",
 						c.Name, base, traced, metricsOnly)
-				}
-				got, want := counted.Metrics.Snapshot(), tr.Metrics()
-				if got.Placements == 0 || got.Placements != want.Placements || got.Fires != want.Fires {
-					t.Errorf("%s: metrics-only run counted %d placements, %d fires; the tracer %d, %d",
-						c.Name, got.Placements, got.Fires, want.Placements, want.Fires)
 				}
 			}
 		})
@@ -217,6 +211,68 @@ func TestPlaceEventsPinned(t *testing.T) {
 		if places[1] <= places[0] {
 			t.Errorf("%s: %d placements with %s, %d without: nothing migrated",
 				row.policy, places[1], row.kill, places[0])
+		}
+	}
+}
+
+// TestDenseCountersMatchPerCallCounts holds the engine's dense counters to
+// the event stream of the same run, one event per call: fires by PE,
+// cluster and domain to the fire events, Placements to the place events,
+// OrderStallCycles to the summed mem-issue stalls and MaxQueueDepth to the
+// deepest token event. (Links has no events; the engine fence's metrics
+// column pins it.) Each memory mode runs under one fault scenario: none,
+// losses, a PE kill, both.
+func TestDenseCountersMatchPerCallCounts(t *testing.T) {
+	specs := []string{"", "defect=0.05,drop=0.02,memloss=0.01", "kill=0@5000", "drop=0.02,kill=0@5000"}
+	for _, c := range quickSet(t) {
+		for i, mode := range memModes {
+			m := quickMachine()
+			m.MemMode = mode
+			res, tr := tracedRun(t, c, m, specs[i])
+			key := fmt.Sprintf("%s %v %q", c.Name, mode, specs[i])
+			if tr.EventsDropped() != 0 {
+				t.Fatalf("%s: %d events past the cap", key, tr.EventsDropped())
+			}
+			mc := m.WaveConfig().Machine
+			nc := mc.NumClusters()
+			want := trace.Metrics{
+				PEFires:      make([]uint64, mc.NumPEs()),
+				ClusterFires: make([]uint64, nc),
+				DomainFires:  make([][]uint64, nc),
+			}
+			for cl := range want.DomainFires {
+				want.DomainFires[cl] = make([]uint64, mc.DomainsPerCluster)
+			}
+			for _, e := range tr.Events() {
+				switch e.Kind {
+				case trace.KindFire:
+					want.PEFires[e.PE]++
+					want.ClusterFires[e.A]++
+					want.DomainFires[e.A][e.B]++
+				case trace.KindPlace:
+					want.Placements++
+				case trace.KindMemIssue:
+					want.OrderStallCycles += uint64(e.B)
+				case trace.KindToken:
+					want.MaxQueueDepth = max(want.MaxQueueDepth, e.A)
+				}
+			}
+			got := tr.Metrics()
+			if !reflect.DeepEqual(got.PEFires, want.PEFires) || !reflect.DeepEqual(got.ClusterFires, want.ClusterFires) ||
+				!reflect.DeepEqual(got.DomainFires, want.DomainFires) {
+				t.Errorf("%s: fires by PE/cluster/domain\n%v %v %v\nwant\n%v %v %v", key,
+					got.PEFires, got.ClusterFires, got.DomainFires, want.PEFires, want.ClusterFires, want.DomainFires)
+			}
+			if got.Placements != want.Placements || got.OrderStallCycles != want.OrderStallCycles ||
+				got.MaxQueueDepth != want.MaxQueueDepth {
+				t.Errorf("%s: placements %d, ordering stall %d, max queue %d; the events say %d, %d, %d", key,
+					got.Placements, got.OrderStallCycles, got.MaxQueueDepth,
+					want.Placements, want.OrderStallCycles, want.MaxQueueDepth)
+			}
+			if got.Fires != res.Fired || got.Runs != 1 || got.Cycles != res.Cycles {
+				t.Errorf("%s: stamped %d runs, %d cycles, %d fires; the run %d cycles, %d fires", key,
+					got.Runs, got.Cycles, got.Fires, res.Cycles, res.Fired)
+			}
 		}
 	}
 }

@@ -93,12 +93,16 @@ type Network struct {
 	// instead of a map keeps the per-hop bandwidth charge allocation-free
 	// and branch-cheap on the simulator's hot path.
 	links []Port
+	// use counts each directed link's messages and bandwidth stalls, by
+	// [cluster][direction] (directions as in trace.Metrics.Links).
+	use   [][4]trace.LinkUse
 	stats Stats
 	tr    *trace.Tracer // nil = tracing disabled
 }
 
-// AttachTracer installs the structured tracing sink (nil disables it);
-// message-level and link-level counters are recorded per Send.
+// AttachTracer installs the run's timeline (nil disables it); every Send
+// reports its message, and mesh traffic and link stalls land in the
+// per-cycle series.
 func (n *Network) AttachTracer(tr *trace.Tracer) { n.tr = tr }
 
 // New builds a network.
@@ -106,23 +110,25 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Width < 1 || cfg.Height < 1 {
 		return nil, fmt.Errorf("noc: bad mesh %dx%d", cfg.Width, cfg.Height)
 	}
-	return &Network{cfg: cfg, links: make([]Port, cfg.Width*cfg.Height*4)}, nil
+	nc := cfg.Width * cfg.Height
+	return &Network{cfg: cfg, links: make([]Port, nc*4), use: make([][4]trace.LinkUse, nc)}, nil
 }
 
 // Reset returns the network to its post-New state under cfg, reusing the
-// link array when the mesh geometry is unchanged. The tracer attachment is
+// link arrays when the mesh geometry is unchanged. The tracer attachment is
 // cleared — a reused network belongs to a new run, which must attach its
 // own.
 func (n *Network) Reset(cfg Config) error {
 	if cfg.Width < 1 || cfg.Height < 1 {
 		return fmt.Errorf("noc: bad mesh %dx%d", cfg.Width, cfg.Height)
 	}
-	need := cfg.Width * cfg.Height * 4
-	if need <= cap(n.links) {
-		n.links = n.links[:need]
+	nc := cfg.Width * cfg.Height
+	if nc <= cap(n.use) {
+		n.links, n.use = n.links[:nc*4], n.use[:nc]
 		clear(n.links)
+		clear(n.use)
 	} else {
-		n.links = make([]Port, need)
+		n.links, n.use = make([]Port, nc*4), make([][4]trace.LinkUse, nc)
 	}
 	n.cfg = cfg
 	n.stats = Stats{}
@@ -132,6 +138,11 @@ func (n *Network) Reset(cfg Config) error {
 
 // Stats returns the counters.
 func (n *Network) Stats() Stats { return n.stats }
+
+// LinkUse returns each directed mesh link's message and stall counts, by
+// [cluster][direction]. The slice is the network's own: copy it to keep it
+// past the next Reset.
+func (n *Network) LinkUse() [][4]trace.LinkUse { return n.use }
 
 // Cluster coordinates.
 func (n *Network) clusterXY(c int) (int, int) { return c % n.cfg.Width, c / n.cfg.Width }
@@ -177,37 +188,35 @@ func (n *Network) hops(a, b int) int64 {
 // the statistics.
 func (n *Network) Send(src, dst Loc, now int64) int64 {
 	n.stats.Messages++
+	mesh := src.Cluster != dst.Cluster
+	if n.tr != nil {
+		n.tr.NetMsg(now, mesh)
+	}
 	switch {
 	case src.Cluster == dst.Cluster && src.Domain == dst.Domain && src.Pod == dst.Pod:
 		n.stats.PodLocal++
-		if n.tr != nil {
-			n.tr.NetMsg(now, trace.LevelPod)
-		}
 		return now + n.cfg.IntraPod
 	case src.Cluster == dst.Cluster && src.Domain == dst.Domain:
 		n.stats.DomainHops++
-		if n.tr != nil {
-			n.tr.NetMsg(now, trace.LevelDomain)
-		}
 		return now + n.cfg.IntraDomain
-	case src.Cluster == dst.Cluster:
+	case !mesh:
 		n.stats.ClusterBus++
-		if n.tr != nil {
-			n.tr.NetMsg(now, trace.LevelCluster)
-		}
 		return now + n.cfg.IntraCluster
 	}
 	n.stats.MeshMsgs++
-	if n.tr != nil {
-		n.tr.NetMsg(now, trace.LevelMesh)
-	}
 	t := now + n.cfg.InterClusterBase
 	cur := src.Cluster
 	for cur != dst.Cluster {
 		next := n.nextDimOrder(cur, dst.Cluster)
-		granted := n.acquireLink(cur, next, t)
+		dir := linkDir(cur, next, n.cfg.Width)
+		granted := n.acquireLink(cur*4+dir, t)
+		stall := uint64(granted - t)
+		n.stats.StallCycles += stall
+		u := &n.use[cur][dir]
+		u.Msgs++
+		u.StallCycles += stall
 		if n.tr != nil {
-			n.tr.LinkHop(t, cur, linkDir(cur, next, n.cfg.Width), granted-t)
+			n.tr.LinkHop(t, granted-t)
 		}
 		t = granted + n.cfg.LinkLatency
 		n.stats.MeshHops++
@@ -232,16 +241,14 @@ func (n *Network) nextDimOrder(cur, dst int) int {
 	}
 }
 
-// acquireLink charges one message of bandwidth on the directed link
-// cur->next requested at cycle t, returning the cycle the message actually
-// traverses (never before t).
-func (n *Network) acquireLink(cur, next int, t int64) int64 {
+// acquireLink charges one message of bandwidth on directed link number
+// link (cluster*4+direction) requested at cycle t, returning the cycle the
+// message actually traverses (never before t).
+func (n *Network) acquireLink(link int, t int64) int64 {
 	if n.cfg.LinkBandwidth <= 0 {
 		return t
 	}
-	granted := n.links[cur*4+linkDir(cur, next, n.cfg.Width)].Grant(t, n.cfg.LinkBandwidth)
-	n.stats.StallCycles += uint64(granted - t)
-	return granted
+	return n.links[link].Grant(t, n.cfg.LinkBandwidth)
 }
 
 func linkDir(cur, next, width int) int {

@@ -2,8 +2,11 @@ package noc
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"wavescalar/internal/trace"
 )
 
 func TestLatencyRegimes(t *testing.T) {
@@ -71,6 +74,9 @@ func TestBandwidthContention(t *testing.T) {
 	if n.Stats().StallCycles == 0 {
 		t.Error("no stall cycles recorded under contention")
 	}
+	if got := n.LinkUse()[0][0]; got.Msgs != 3 || got.StallCycles != n.Stats().StallCycles {
+		t.Errorf("east link of cluster 0: %+v, want 3 messages and all %d stall cycles", got, n.Stats().StallCycles)
+	}
 }
 
 func TestDimensionOrderHops(t *testing.T) {
@@ -91,6 +97,17 @@ func TestMeshStats(t *testing.T) {
 	st := n.Stats()
 	if st.Messages != 2 || st.ClusterBus != 1 || st.MeshMsgs != 1 || st.MeshHops != 2 {
 		t.Errorf("stats %+v", st)
+	}
+	// X first: cluster 0 east to 1, then 1 south to 3.
+	used := [][4]trace.LinkUse{{{Msgs: 1}}, {2: {Msgs: 1}}, {}, {}}
+	if got := n.LinkUse(); !reflect.DeepEqual(got, used) {
+		t.Errorf("link use %v, want %v", got, used)
+	}
+	if err := n.Reset(DefaultConfig(2, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.LinkUse(); !reflect.DeepEqual(got, make([][4]trace.LinkUse, 4)) {
+		t.Errorf("Reset kept link use %v", got)
 	}
 }
 

@@ -478,6 +478,9 @@ func (s *Server) simulate(ctx context.Context, j *simJob, wantMetrics bool) (*Si
 
 	m := j.m
 	m.Ctx = ctx
+	// Every run folds its trace metrics into the server-wide aggregate. The
+	// engine builds them from its own counters once the run has finished,
+	// so no tracer rides along.
 	m.Metrics = s.agg
 	var reqAgg *trace.Aggregate
 	if wantMetrics {

@@ -145,7 +145,7 @@ type Server struct {
 	compiled *compileCache
 	cache    *harness.CellCache // /v1/simulate idempotency store; nil when disabled
 	corpus   *harness.CellCache // /v1/sweep cell store under CacheDir/corpus; nil with it
-	agg      *trace.Aggregate   // simulation trace counters across all served runs
+	agg      *trace.Aggregate   // trace metrics of every served run, as each run's engine built them
 
 	janitorStop chan struct{}
 	janitorOnce sync.Once

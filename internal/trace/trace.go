@@ -1,11 +1,18 @@
 // Package trace is the structured observability layer for the WaveCache
-// simulator: per-cycle counters (PE occupancy by domain and cluster,
-// operand-queue depths, mesh-link utilization, store-buffer ordering
-// stalls, fault-recovery retries) and an optional event stream exportable
-// as JSONL or the Chrome trace_event format (chrome://tracing).
+// simulator. It holds two things:
 //
-// The layer is zero-cost when disabled: every Tracer method is safe on a
-// nil receiver and returns immediately, performing no allocation, so the
+//   - Metrics, a run's counter set (PE occupancy by domain and cluster,
+//     operand-queue depth, mesh-link utilization, store-buffer ordering
+//     stalls, fault-recovery retries), with Summary to render it and
+//     Aggregate to merge it across runs. The simulator keeps every count
+//     itself and builds a run's Metrics once, at the end of a successful
+//     run; nothing here counts.
+//   - Tracer, the run's timeline: the per-cycle Bucket series and an
+//     optional event stream, exportable as JSONL or the Chrome
+//     trace_event format (chrome://tracing).
+//
+// A Tracer is zero-cost when disabled: every method is safe on a nil
+// receiver and returns immediately, performing no allocation, so the
 // simulators thread a possibly-nil *Tracer through their hot paths and a
 // run without tracing is bit-identical to a build without the package
 // (TestDisabledTracerZeroAlloc and the harness differential suites prove
@@ -112,25 +119,17 @@ type Event struct {
 	A, B int64
 }
 
-// Network levels for NetMsg.
-const (
-	LevelPod = iota
-	LevelDomain
-	LevelCluster
-	LevelMesh
-)
-
-// Config parameterizes a Tracer. The zero value records metrics only.
+// Config parameterizes a Tracer. The zero value records the per-cycle
+// series only.
 type Config struct {
-	// Events enables the event stream (JSONL / Chrome export). Metrics
-	// are always collected on a non-nil Tracer.
+	// Events enables the event stream (JSONL / Chrome export).
 	Events bool
 	// SampleInterval is the bucket width, in cycles, of the per-cycle
 	// counter series (default 64).
 	SampleInterval int64
 	// MaxEvents bounds the event buffer (default 1<<20); events beyond
-	// it are dropped and counted in Metrics.EventsDropped — the cap is
-	// never silent.
+	// it are dropped and counted (EventsDropped, and the run's
+	// Metrics.EventsDropped) — the cap is never silent.
 	MaxEvents int
 }
 
@@ -148,12 +147,10 @@ func (c Config) withDefaults() Config {
 // happened in [i*Interval, (i+1)*Interval) cycles. Counters are sums over
 // the bucket; Max* fields are high-water marks within it.
 type Bucket struct {
-	Fires, Tokens, Swaps, Overflows int64
-	MeshMsgs, LinkStall             int64
-	MemSubmits, MemIssues           int64
-	OrderStall                      int64
-	Retries, Drops                  int64
-	MaxQueue, MaxPending            int64
+	Fires, Tokens         int64
+	MeshMsgs, LinkStall   int64
+	MemIssues, OrderStall int64
+	MaxQueue, MaxPending  int64
 }
 
 // LinkUse is the utilization of one directed mesh link.
@@ -162,9 +159,9 @@ type LinkUse struct {
 	StallCycles uint64
 }
 
-// Metrics is the aggregate counter set a run (or a merged set of runs)
-// produced. All fields merge commutatively, so summaries are independent
-// of merge order.
+// Metrics is the counter set a run (or a merged set of runs) produced. The
+// simulator builds a run's set from its own counters; all fields merge
+// commutatively, so summaries are independent of merge order.
 type Metrics struct {
 	Runs   int64
 	Cycles int64 // simulated cycles, summed across runs
@@ -206,18 +203,6 @@ type Metrics struct {
 
 	// Placement.
 	Placements uint64
-
-	// Compiler memory-optimization tier (populated at compile time by the
-	// harness, never by the simulators; summed across programs).
-	CompilePrograms  int64 // programs run through the tier
-	StoresForwarded  int64 // loads replaced by a preceding store's value
-	LoadsReused      int64 // loads replaced within a block
-	LoadsPromoted    int64 // loads replaced across block boundaries
-	DeadStores       int64 // stores deleted as overwritten
-	MemOpsEliminated int64 // net static load/store reduction
-	InstrsEliminated int64 // net static instruction reduction
-	ChainSlots       int64 // wave-ordered chain slots after optimization
-	ChainNops        int64 // MEMORY-NOP slots after optimization
 
 	// EventsDropped counts events beyond Config.MaxEvents.
 	EventsDropped uint64
@@ -276,15 +261,6 @@ func (m *Metrics) Merge(o *Metrics) {
 	m.RetryWaitCycles += o.RetryWaitCycles
 	m.PEKills += o.PEKills
 	m.Placements += o.Placements
-	m.CompilePrograms += o.CompilePrograms
-	m.StoresForwarded += o.StoresForwarded
-	m.LoadsReused += o.LoadsReused
-	m.LoadsPromoted += o.LoadsPromoted
-	m.DeadStores += o.DeadStores
-	m.MemOpsEliminated += o.MemOpsEliminated
-	m.InstrsEliminated += o.InstrsEliminated
-	m.ChainSlots += o.ChainSlots
-	m.ChainNops += o.ChainNops
 	m.EventsDropped += o.EventsDropped
 }
 
@@ -368,38 +344,9 @@ func (m *Metrics) Summary(title string) *stats.Table {
 	add("retry wait cycles", m.RetryWaitCycles)
 	add("PE kills", m.PEKills)
 	add("placements", m.Placements)
-	// Compile-tier rows appear only when the harness attributed compile
-	// stats, so pure simulation summaries are unchanged.
-	if m.CompilePrograms > 0 {
-		add("compile: programs optimized", m.CompilePrograms)
-		add("compile: stores forwarded", m.StoresForwarded)
-		add("compile: loads reused", m.LoadsReused)
-		add("compile: loads promoted", m.LoadsPromoted)
-		add("compile: dead stores", m.DeadStores)
-		add("compile: mem ops eliminated", m.MemOpsEliminated)
-		add("compile: instrs eliminated", m.InstrsEliminated)
-		add("compile: chain slots", m.ChainSlots)
-		add("compile: chain mem-nops", m.ChainNops)
-	}
 	if m.EventsDropped > 0 {
 		add("events dropped (buffer cap)", m.EventsDropped)
 	}
-	return t
-}
-
-// CompileSummary renders only the compile-tier rows — for callers that
-// aggregate compile statistics without any simulation runs.
-func (m *Metrics) CompileSummary(title string) *stats.Table {
-	t := stats.NewTable(title, "metric", "value")
-	t.AddRow("programs optimized", m.CompilePrograms)
-	t.AddRow("stores forwarded", m.StoresForwarded)
-	t.AddRow("loads reused", m.LoadsReused)
-	t.AddRow("loads promoted", m.LoadsPromoted)
-	t.AddRow("dead stores", m.DeadStores)
-	t.AddRow("mem ops eliminated", m.MemOpsEliminated)
-	t.AddRow("instrs eliminated", m.InstrsEliminated)
-	t.AddRow("chain slots", m.ChainSlots)
-	t.AddRow("chain mem-nops", m.ChainNops)
 	return t
 }
 
@@ -431,21 +378,20 @@ func (m *Metrics) busiestDomain() (cluster, domain int, n uint64, ok bool) {
 	return
 }
 
-// Tracer records events and metrics for one simulation run. Not safe for
-// concurrent use: construct one per run, like a placement policy. All
-// methods are no-ops on a nil receiver — a nil *Tracer is the disabled
-// state and costs one predictable branch per call site.
+// Tracer records the timeline of one simulation run: the per-cycle
+// Bucket series and, when Config.Events is set, the event stream. It
+// counts nothing else; the simulator stamps the run's Metrics on it at the
+// end of a successful run. Not safe for concurrent use: construct one per
+// run, like a placement policy. All methods are no-ops on a nil receiver —
+// a nil *Tracer is the disabled state and costs one predictable branch per
+// call site.
 type Tracer struct {
 	cfg     Config
 	lastT   int64
 	events  []Event
+	dropped uint64
 	buckets []Bucket
 	m       Metrics
-
-	// countersOnly tracers keep no bucket series: every per-bucket update
-	// lands in sink, which nothing reads.
-	countersOnly bool
-	sink         Bucket
 }
 
 // New builds a tracer.
@@ -453,20 +399,29 @@ func New(cfg Config) *Tracer {
 	return &Tracer{cfg: cfg.withDefaults()}
 }
 
-// NewCounters builds a tracer that collects Metrics and nothing else: no
-// event stream and no per-cycle Bucket series (Series returns none). It is
-// what a run needs when its only consumer is an Aggregate, which merges
-// Metrics alone; a long run then grows no series nobody will read.
-func NewCounters() *Tracer {
-	return &Tracer{cfg: Config{}.withDefaults(), countersOnly: true}
-}
-
-// Metrics returns the collected counters (nil receiver: an empty set).
+// Metrics returns the run's counter set, as the simulator stamped it at
+// the end of the run (nil receiver, or before then: an empty set).
 func (t *Tracer) Metrics() *Metrics {
 	if t == nil {
 		return &Metrics{}
 	}
 	return &t.m
+}
+
+// SetMetrics stamps the run's counter set on the tracer; the simulator
+// calls it once, at the end of a successful run.
+func (t *Tracer) SetMetrics(m *Metrics) {
+	if t != nil {
+		t.m = *m
+	}
+}
+
+// EventsDropped counts the events recorded past Config.MaxEvents.
+func (t *Tracer) EventsDropped() uint64 {
+	if t == nil {
+		return 0
+	}
+	return t.dropped
 }
 
 // Events returns the recorded event stream (nil when events are off).
@@ -488,9 +443,6 @@ func (t *Tracer) Series() ([]Bucket, int64) {
 // bucket returns the sample bucket covering cycle tm, growing the series
 // as simulated time advances.
 func (t *Tracer) bucket(tm int64) *Bucket {
-	if t.countersOnly {
-		return &t.sink
-	}
 	if tm < 0 {
 		tm = 0
 	}
@@ -506,7 +458,7 @@ func (t *Tracer) event(tm int64, k Kind, pe int, a, b int64) {
 		return
 	}
 	if len(t.events) >= t.cfg.MaxEvents {
-		t.m.EventsDropped++
+		t.dropped++
 		return
 	}
 	t.events = append(t.events, Event{T: tm, Kind: k, PE: int32(pe), A: a, B: b})
@@ -525,10 +477,6 @@ func (t *Tracer) Token(tm int64, pe, depth int) {
 		return
 	}
 	t.touch(tm)
-	t.m.Tokens++
-	if int64(depth) > t.m.MaxQueueDepth {
-		t.m.MaxQueueDepth = int64(depth)
-	}
 	b := t.bucket(tm)
 	b.Tokens++
 	if int64(depth) > b.MaxQueue {
@@ -543,8 +491,6 @@ func (t *Tracer) Overflow(tm int64, pe int) {
 		return
 	}
 	t.touch(tm)
-	t.m.Overflows++
-	t.bucket(tm).Overflows++
 	t.event(tm, KindOverflow, pe, 0, 0)
 }
 
@@ -554,35 +500,16 @@ func (t *Tracer) Swap(tm int64, pe int) {
 		return
 	}
 	t.touch(tm)
-	t.m.Swaps++
-	t.bucket(tm).Swaps++
 	t.event(tm, KindSwap, pe, 0, 0)
 }
 
-// Fire records an instruction firing: the PE-occupancy counter, broken
-// down by cluster and domain.
+// Fire records an instruction firing at a PE of the given cluster and
+// domain.
 func (t *Tracer) Fire(tm int64, pe, cluster, domain int) {
 	if t == nil {
 		return
 	}
 	t.touch(tm)
-	t.m.Fires++
-	for len(t.m.PEFires) <= pe {
-		t.m.PEFires = append(t.m.PEFires, 0)
-	}
-	t.m.PEFires[pe]++
-	for len(t.m.ClusterFires) <= cluster {
-		t.m.ClusterFires = append(t.m.ClusterFires, 0)
-	}
-	t.m.ClusterFires[cluster]++
-	for len(t.m.DomainFires) <= cluster {
-		t.m.DomainFires = append(t.m.DomainFires, nil)
-	}
-	doms := &t.m.DomainFires[cluster]
-	for len(*doms) <= domain {
-		*doms = append(*doms, 0)
-	}
-	(*doms)[domain]++
 	t.bucket(tm).Fires++
 	t.event(tm, KindFire, pe, int64(cluster), int64(domain))
 }
@@ -595,45 +522,30 @@ func (t *Tracer) Place(fn, instr, pe int) {
 	if t == nil {
 		return
 	}
-	t.m.Placements++
 	t.event(t.lastT, KindPlace, pe, int64(fn), int64(instr))
 }
 
-// NetMsg records an operand-network message at one of the four hierarchy
-// levels (LevelPod..LevelMesh).
-func (t *Tracer) NetMsg(tm int64, level int) {
+// NetMsg records an operand-network message sent at tm. A mesh message
+// counts in the per-cycle mesh-traffic series; every message's send time
+// advances the clock that stamps placement events — after a retransmit it
+// is the latest time the run has reached.
+func (t *Tracer) NetMsg(tm int64, mesh bool) {
 	if t == nil {
 		return
 	}
 	t.touch(tm)
-	switch level {
-	case LevelPod:
-		t.m.PodMsgs++
-	case LevelDomain:
-		t.m.DomainMsgs++
-	case LevelCluster:
-		t.m.ClusterMsgs++
-	case LevelMesh:
-		t.m.MeshMsgs++
+	if mesh {
 		t.bucket(tm).MeshMsgs++
 	}
 }
 
-// LinkHop records one traversal of a directed mesh link (dir 0-3, as in
-// Metrics.Links), with the cycles the message waited for link bandwidth.
-func (t *Tracer) LinkHop(tm int64, router, dir int, stall int64) {
+// LinkHop records one traversal of a mesh link, with the cycles the message
+// waited for link bandwidth.
+func (t *Tracer) LinkHop(tm int64, stall int64) {
 	if t == nil {
 		return
 	}
 	t.touch(tm)
-	t.m.MeshHops++
-	t.m.LinkStallCycles += uint64(stall)
-	for len(t.m.Links) <= router {
-		t.m.Links = append(t.m.Links, [4]LinkUse{})
-	}
-	u := &t.m.Links[router][dir]
-	u.Msgs++
-	u.StallCycles += uint64(stall)
 	t.bucket(tm).LinkStall += stall
 }
 
@@ -645,12 +557,7 @@ func (t *Tracer) MemSubmit(tm int64, pending int) {
 		return
 	}
 	t.touch(tm)
-	t.m.MemSubmitted++
-	if int64(pending) > t.m.MaxPending {
-		t.m.MaxPending = int64(pending)
-	}
 	b := t.bucket(tm)
-	b.MemSubmits++
 	if int64(pending) > b.MaxPending {
 		b.MaxPending = int64(pending)
 	}
@@ -665,8 +572,6 @@ func (t *Tracer) MemIssue(tm int64, memKind int, stall int64) {
 		return
 	}
 	t.touch(tm)
-	t.m.MemIssued++
-	t.m.OrderStallCycles += uint64(stall)
 	b := t.bucket(tm)
 	b.MemIssues++
 	b.OrderStall += stall
@@ -679,7 +584,6 @@ func (t *Tracer) WaveDone(tm int64, ctx, wave uint32) {
 		return
 	}
 	t.touch(tm)
-	t.m.WavesDone++
 	t.event(tm, KindWaveDone, -1, int64(ctx), int64(wave))
 }
 
@@ -691,13 +595,9 @@ func (t *Tracer) SpecIssue(tm int64, forwarded bool, lat int64) {
 		return
 	}
 	t.touch(tm)
-	t.m.SpecIssued++
 	fwd := int64(0)
 	if forwarded {
-		t.m.SpecForwards++
 		fwd = 1
-	} else {
-		t.m.SpecCycles += lat
 	}
 	t.event(tm, KindSpecIssue, -1, fwd, lat)
 }
@@ -709,7 +609,6 @@ func (t *Tracer) SpecConflict(tm int64, memKind int) {
 		return
 	}
 	t.touch(tm)
-	t.m.SpecConflicts++
 	t.event(tm, KindSpecConflict, -1, int64(memKind), 0)
 }
 
@@ -719,7 +618,6 @@ func (t *Tracer) SpecSquash(tm int64, ctx, wave uint32) {
 		return
 	}
 	t.touch(tm)
-	t.m.SpecSquashes++
 	t.event(tm, KindSpecSquash, -1, int64(ctx), int64(wave))
 }
 
@@ -730,8 +628,6 @@ func (t *Tracer) SpecReplay(tm int64, lat int64) {
 		return
 	}
 	t.touch(tm)
-	t.m.SpecReplayedOps++
-	t.m.SpecReplayCycles += lat
 	t.event(tm, KindSpecReplay, -1, lat, 0)
 }
 
@@ -742,9 +638,6 @@ func (t *Tracer) Retry(tm int64, pe int, wait int64) {
 		return
 	}
 	t.touch(tm)
-	t.m.Retries++
-	t.m.RetryWaitCycles += uint64(wait)
-	t.bucket(tm).Retries++
 	t.event(tm, KindRetry, pe, wait, 0)
 }
 
@@ -754,8 +647,6 @@ func (t *Tracer) Drop(tm int64, pe int) {
 		return
 	}
 	t.touch(tm)
-	t.m.Drops++
-	t.bucket(tm).Drops++
 	t.event(tm, KindDrop, pe, 0, 0)
 }
 
@@ -765,22 +656,11 @@ func (t *Tracer) Kill(tm int64, pe int) {
 		return
 	}
 	t.touch(tm)
-	t.m.PEKills++
 	t.event(tm, KindKill, pe, 0, 0)
 }
 
-// Finish stamps the run's final cycle count into the metrics; the
-// simulator calls it once at the end of a successful run.
-func (t *Tracer) Finish(cycles int64) {
-	if t == nil {
-		return
-	}
-	t.m.Runs++
-	t.m.Cycles += cycles
-}
-
 // Aggregate is a thread-safe metrics sink: experiment cells running on a
-// worker pool each merge their run's tracer into it. Because Metrics
+// worker pool each merge their run's Metrics into it. Because Metrics
 // merges are commutative, the aggregate is byte-identical at any worker
 // count.
 type Aggregate struct {
@@ -791,20 +671,8 @@ type Aggregate struct {
 // NewAggregate builds an empty sink.
 func NewAggregate() *Aggregate { return &Aggregate{} }
 
-// Add merges a run's metrics into the aggregate.
-func (a *Aggregate) Add(t *Tracer) {
-	if a == nil || t == nil {
-		return
-	}
-	m := t.Metrics()
-	a.mu.Lock()
-	a.m.Merge(m)
-	a.mu.Unlock()
-}
-
-// Merge adds an already-snapshotted Metrics into the aggregate: how a
-// per-request metrics sink (a served simulation that wants its own
-// counters) also contributes to a process-wide one.
+// Merge adds a run's (or another aggregate's snapshotted) Metrics into the
+// aggregate.
 func (a *Aggregate) Merge(m *Metrics) {
 	if a == nil || m == nil {
 		return

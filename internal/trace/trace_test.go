@@ -20,15 +20,16 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 		tr.Swap(11, 4)
 		tr.Fire(12, 5, 0, 1)
 		tr.Place(0, 7, 5)
-		tr.NetMsg(13, LevelMesh)
-		tr.LinkHop(13, 2, 1, 4)
+		tr.NetMsg(13, true)
+		tr.LinkHop(13, 4)
 		tr.MemSubmit(14, 2)
 		tr.MemIssue(15, 1, 3)
 		tr.WaveDone(16, 0, 2)
 		tr.Retry(17, 6, 32)
 		tr.Drop(17, 6)
 		tr.Kill(18, 9)
-		tr.Finish(100)
+		tr.SetMetrics(&Metrics{})
+		_ = tr.EventsDropped()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracer allocated %.1f per run, want 0", allocs)
@@ -50,9 +51,10 @@ func drive(tr *Tracer) {
 		if cy%29 == 0 {
 			tr.Overflow(cy, pe)
 		}
-		tr.NetMsg(cy, int(cy%4))
-		if cy%4 == LevelMesh {
-			tr.LinkHop(cy, pe/2, int(cy)%4, cy%3)
+		mesh := cy%4 == 3
+		tr.NetMsg(cy, mesh)
+		if mesh {
+			tr.LinkHop(cy, cy%3)
 		}
 		if cy%5 == 0 {
 			tr.MemSubmit(cy, rng.Intn(6))
@@ -70,68 +72,51 @@ func drive(tr *Tracer) {
 			tr.Place(0, 12, pe)
 		}
 	}
-	tr.Finish(500)
 }
 
-// TestMetricsCounting: counters reflect the driven mix.
+// TestMetricsCounting: the per-cycle series counts the driven mix, and the
+// tracer reports the run's Metrics exactly as the simulator stamped them —
+// it counts none of them itself.
 func TestMetricsCounting(t *testing.T) {
 	tr := New(Config{Events: true})
 	drive(tr)
-	m := tr.Metrics()
-	if m.Tokens != 500 {
-		t.Errorf("Tokens = %d, want 500", m.Tokens)
-	}
-	if m.Fires == 0 || m.Swaps == 0 || m.Overflows == 0 {
-		t.Errorf("zero fire/swap/overflow counters: %+v", m)
-	}
-	var sum uint64
-	for _, f := range m.PEFires {
-		sum += f
-	}
-	if sum != m.Fires {
-		t.Errorf("PEFires sum %d != Fires %d", sum, m.Fires)
-	}
-	sum = 0
-	for _, f := range m.ClusterFires {
-		sum += f
-	}
-	if sum != m.Fires {
-		t.Errorf("ClusterFires sum %d != Fires %d", sum, m.Fires)
-	}
-	sum = 0
-	for _, doms := range m.DomainFires {
-		for _, f := range doms {
-			sum += f
-		}
-	}
-	if sum != m.Fires {
-		t.Errorf("DomainFires sum %d != Fires %d", sum, m.Fires)
-	}
-	if m.PodMsgs+m.DomainMsgs+m.ClusterMsgs+m.MeshMsgs != 500 {
-		t.Errorf("net msg level counts don't sum to 500: %+v", m)
-	}
-	if m.MeshHops == 0 || len(m.Links) == 0 {
-		t.Errorf("no mesh link accounting: %+v", m)
-	}
-	if m.Drops != m.Retries || m.Drops == 0 {
-		t.Errorf("Drops %d / Retries %d", m.Drops, m.Retries)
-	}
-	if m.PEKills != 1 || m.WavesDone != 1 || m.Placements != 1 {
-		t.Errorf("kills/waves/placements: %+v", m)
-	}
-	if m.Runs != 1 || m.Cycles != 500 {
-		t.Errorf("Finish not recorded: runs %d cycles %d", m.Runs, m.Cycles)
+	if m := tr.Metrics(); !reflect.DeepEqual(*m, Metrics{}) {
+		t.Errorf("a tracer counted metrics of its own: %+v", m)
 	}
 	buckets, interval := tr.Series()
-	if interval != 64 || len(buckets) == 0 {
+	if interval != 64 || len(buckets) != 8 {
 		t.Fatalf("series: %d buckets, interval %d", len(buckets), interval)
 	}
-	var bt int64
+	var sum Bucket
 	for _, b := range buckets {
-		bt += b.Tokens
+		sum.Fires += b.Fires
+		sum.Tokens += b.Tokens
+		sum.MeshMsgs += b.MeshMsgs
+		sum.LinkStall += b.LinkStall
+		sum.MemIssues += b.MemIssues
+		sum.OrderStall += b.OrderStall
+		sum.MaxQueue = max(sum.MaxQueue, b.MaxQueue)
+		sum.MaxPending = max(sum.MaxPending, b.MaxPending)
 	}
-	if bt != 500 {
-		t.Errorf("bucket token sum %d, want 500", bt)
+	// 500 cycles: a fire every 3rd, a mesh message every 4th (stalling
+	// cy%3), a memory issue every 7th (stalling cy%11).
+	var stall, order int64
+	for cy := int64(3); cy < 500; cy += 4 {
+		stall += cy % 3
+	}
+	for cy := int64(0); cy < 500; cy += 7 {
+		order += cy % 11
+	}
+	want := Bucket{Fires: 167, Tokens: 500, MeshMsgs: 125, LinkStall: stall, MemIssues: 72, OrderStall: order,
+		MaxQueue: 7, MaxPending: 5}
+	if sum != want {
+		t.Errorf("series sums %+v, want %+v", sum, want)
+	}
+
+	stamped := &Metrics{Runs: 1, Cycles: 500, Fires: 167, PEFires: []uint64{167}}
+	tr.SetMetrics(stamped)
+	if got := tr.Metrics(); !reflect.DeepEqual(got, stamped) {
+		t.Errorf("Metrics() = %+v, want the stamped %+v", got, stamped)
 	}
 }
 
@@ -228,7 +213,7 @@ func TestChromeTraceValidJSON(t *testing.T) {
 }
 
 // TestEventCapCounted: events beyond MaxEvents are dropped and the drop
-// is surfaced in the metrics, never silent.
+// is counted, never silent; the series still sees every call.
 func TestEventCapCounted(t *testing.T) {
 	tr := New(Config{Events: true, MaxEvents: 10})
 	for i := 0; i < 50; i++ {
@@ -237,192 +222,93 @@ func TestEventCapCounted(t *testing.T) {
 	if got := len(tr.Events()); got != 10 {
 		t.Fatalf("recorded %d events, want cap 10", got)
 	}
-	if tr.Metrics().EventsDropped != 40 {
-		t.Fatalf("EventsDropped = %d, want 40", tr.Metrics().EventsDropped)
+	if tr.EventsDropped() != 40 {
+		t.Fatalf("EventsDropped = %d, want 40", tr.EventsDropped())
 	}
-	if tr.Metrics().Tokens != 50 {
-		t.Fatalf("metrics must still count capped events: Tokens = %d", tr.Metrics().Tokens)
+	if buckets, _ := tr.Series(); buckets[0].Tokens != 50 {
+		t.Fatalf("the series must still count capped events: Tokens = %d", buckets[0].Tokens)
 	}
 }
 
-// TestAggregateMergeCommutative: merging run metrics in any order yields
-// the same summary — the property that makes experiment summaries
-// worker-count invariant.
-func TestAggregateMergeCommutative(t *testing.T) {
-	mk := func(seed int64) *Tracer {
-		tr := New(Config{})
-		rng := rand.New(rand.NewSource(seed))
-		for cy := int64(0); cy < 200; cy++ {
-			pe := rng.Intn(8)
-			tr.Token(cy, pe, rng.Intn(5))
-			tr.Fire(cy, pe, pe/4, pe%4)
-			tr.LinkHop(cy, pe, pe%4, cy%2)
-			tr.MemIssue(cy, 0, cy%5)
+// randomMetrics is a seeded counter set for a machine of the given clusters
+// and domains per cluster, two PEs a domain, every dense counter filled.
+func randomMetrics(seed int64, clusters, domains int) *Metrics {
+	rng := rand.New(rand.NewSource(seed))
+	m := &Metrics{Runs: 1, Cycles: 200 + seed, MaxQueueDepth: rng.Int63n(9), MaxPending: rng.Int63n(9)}
+	m.ClusterFires = make([]uint64, clusters)
+	m.DomainFires = make([][]uint64, clusters)
+	m.Links = make([][4]LinkUse, clusters)
+	for c := range clusters {
+		m.DomainFires[c] = make([]uint64, domains)
+		for d := range domains {
+			for range 2 {
+				n := uint64(rng.Intn(50))
+				m.PEFires = append(m.PEFires, n)
+				m.ClusterFires[c] += n
+				m.DomainFires[c][d] += n
+				m.Fires += n
+			}
 		}
-		tr.Finish(200)
-		return tr
+		for dir := range 4 {
+			u := LinkUse{Msgs: uint64(rng.Intn(20)), StallCycles: uint64(rng.Intn(5))}
+			m.Links[c][dir] = u
+			m.MeshHops += u.Msgs
+			m.LinkStallCycles += u.StallCycles
+		}
 	}
-	a, b, c := mk(1), mk(2), mk(3)
+	m.OrderStallCycles = uint64(rng.Intn(1000))
+	return m
+}
+
+// TestAggregateMergeCommutative: merging run metrics in any order yields
+// the same merged set and summary — the property that makes experiment
+// summaries worker-count invariant — even when the runs' dense counters
+// have different shapes, and a snapshot shares no storage with the
+// aggregate.
+func TestAggregateMergeCommutative(t *testing.T) {
+	// Each run sees a different machine shape, so the merged slices hold
+	// slots some runs never had.
+	a, b, c := randomMetrics(1, 2, 4), randomMetrics(2, 3, 3), randomMetrics(3, 4, 2)
 	ag1, ag2 := NewAggregate(), NewAggregate()
-	ag1.Add(a)
-	ag1.Add(b)
-	ag1.Add(c)
-	ag2.Add(c)
-	ag2.Add(a)
-	ag2.Add(b)
-	s1 := ag1.Summary("x").Render()
-	s2 := ag2.Summary("x").Render()
-	if s1 != s2 {
-		t.Fatalf("merge order changed summary:\n%s\nvs\n%s", s1, s2)
+	for _, m := range []*Metrics{a, b, c} {
+		ag1.Merge(m)
+	}
+	for _, m := range []*Metrics{c, a, b} {
+		ag2.Merge(m)
+	}
+	s1, s2 := ag1.Snapshot(), ag2.Snapshot()
+	if !reflect.DeepEqual(s1, s2) {
+		t.Fatalf("merge order changed the merged set:\n%+v\nvs\n%+v", s1, s2)
+	}
+	if r1, r2 := ag1.Summary("x").Render(), ag2.Summary("x").Render(); r1 != r2 {
+		t.Fatalf("merge order changed summary:\n%s\nvs\n%s", r1, r2)
+	}
+	// Element-wise: every slot is the sum of the runs that had it.
+	for cl := range s1.DomainFires {
+		for d, n := range s1.DomainFires[cl] {
+			var want uint64
+			for _, m := range []*Metrics{a, b, c} {
+				if cl < len(m.DomainFires) && d < len(m.DomainFires[cl]) {
+					want += m.DomainFires[cl][d]
+				}
+			}
+			if n != want {
+				t.Errorf("DomainFires[%d][%d] = %d, want %d", cl, d, n, want)
+			}
+		}
 	}
 	if ag1.Runs() != 3 {
 		t.Fatalf("Runs = %d, want 3", ag1.Runs())
 	}
+
+	// A snapshot is a deep copy: merging more must not reach it.
+	before := s1.DomainFires[0][0]
+	ag1.Merge(a)
+	if s1.DomainFires[0][0] != before {
+		t.Error("Snapshot shares DomainFires with the aggregate")
+	}
 	ag1.Reset()
 	if ag1.Runs() != 0 {
 		t.Fatal("Reset did not clear the aggregate")
-	}
-}
-
-// TestCountersOnlyMatchesFullTracer: NewCounters drops the per-cycle
-// series and nothing else — an Aggregate fed from it renders the same
-// Summary, byte for byte, as one fed from a full tracer.
-func TestCountersOnlyMatchesFullTracer(t *testing.T) {
-	full, counters := New(Config{}), NewCounters()
-	drive(full)
-	drive(counters)
-	if buckets, _ := counters.Series(); len(buckets) != 0 {
-		t.Errorf("counters-only tracer kept a series of %d buckets", len(buckets))
-	}
-	if len(counters.Events()) != 0 {
-		t.Errorf("counters-only tracer recorded %d events", len(counters.Events()))
-	}
-	a, b := NewAggregate(), NewAggregate()
-	a.Add(full)
-	b.Add(counters)
-	if got, want := b.Summary("x").Render(), a.Summary("x").Render(); got != want {
-		t.Errorf("summary from a counters-only tracer differs:\n got:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// refCounts is the reference the tracer's dense domain and link counters
-// are held to: one keyed map update per call.
-type refCounts struct {
-	dom   map[[2]int]uint64  // [cluster, domain]
-	links map[[2]int]LinkUse // [router, direction]
-}
-
-func newRefCounts() *refCounts {
-	return &refCounts{dom: map[[2]int]uint64{}, links: map[[2]int]LinkUse{}}
-}
-
-// driveRandom feeds tr and ref the same seeded stream of n firings and
-// link hops over a machine of the given shape.
-func driveRandom(tr *Tracer, ref *refCounts, seed int64, n, clusters, domains int) {
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < n; i++ {
-		tm := int64(i)
-		if rng.Intn(3) > 0 {
-			c, d := rng.Intn(clusters), rng.Intn(domains)
-			tr.Fire(tm, (c*domains+d)*8+rng.Intn(8), c, d)
-			ref.dom[[2]int{c, d}]++
-		} else {
-			k := [2]int{rng.Intn(clusters), rng.Intn(4)}
-			stall := int64(rng.Intn(5))
-			tr.LinkHop(tm, k[0], k[1], stall)
-			u := ref.links[k]
-			u.Msgs++
-			u.StallCycles += uint64(stall)
-			ref.links[k] = u
-		}
-	}
-}
-
-// TestDenseCountersMatchPerCallCounts: Metrics.DomainFires and Metrics.Links
-// hold exactly what per-call map updates would — every counted key at its
-// index, zero everywhere else — on a read, on a later read after more
-// events over a larger machine, and through Aggregate.Add of tracers whose
-// slices grew to different shapes.
-func TestDenseCountersMatchPerCallCounts(t *testing.T) {
-	check := func(what string, m *Metrics, ref *refCounts) {
-		t.Helper()
-		dom := map[[2]int]uint64{}
-		for c, doms := range m.DomainFires {
-			for d, n := range doms {
-				if n > 0 {
-					dom[[2]int{c, d}] = n
-				}
-			}
-		}
-		if !reflect.DeepEqual(dom, ref.dom) {
-			t.Errorf("%s: DomainFires = %v, want %v", what, dom, ref.dom)
-		}
-		links := map[[2]int]LinkUse{}
-		for r := range m.Links {
-			for dir, u := range m.Links[r] {
-				if u != (LinkUse{}) {
-					links[[2]int{r, dir}] = u
-				}
-			}
-		}
-		if !reflect.DeepEqual(links, ref.links) {
-			t.Errorf("%s: Links = %v, want %v", what, links, ref.links)
-		}
-	}
-	merged := newRefCounts()
-	agg := NewAggregate()
-	for seed := int64(1); seed <= 4; seed++ {
-		// Each tracer sees a different machine shape, so the merged slices
-		// hold slots some tracers never grew.
-		clusters, domains := int(seed)+1, 5-int(seed)
-		tr := NewCounters()
-		ref := newRefCounts()
-		driveRandom(tr, ref, seed, 3000, clusters, domains)
-		check("first read", tr.Metrics(), ref)
-		driveRandom(tr, ref, seed+100, 1000, clusters+1, domains+1)
-		check("read after more events", tr.Metrics(), ref)
-
-		agg.Add(tr)
-		for k, v := range ref.dom {
-			merged.dom[k] += v
-		}
-		for k, v := range ref.links {
-			u := merged.links[k]
-			u.Msgs += v.Msgs
-			u.StallCycles += v.StallCycles
-			merged.links[k] = u
-		}
-	}
-	snap := agg.Snapshot()
-	check("aggregate", &snap, merged)
-
-	// A snapshot is a deep copy: counting on in a tracer already merged, or
-	// merging more, must not reach it.
-	before := snap.DomainFires[0][0]
-	late := NewCounters()
-	late.Fire(0, 0, 0, 0)
-	agg.Add(late)
-	if snap.DomainFires[0][0] != before {
-		t.Error("Snapshot shares DomainFires with the aggregate")
-	}
-}
-
-// BenchmarkTracerFire and BenchmarkTracerLinkHop time the two per-event
-// counters of a metrics-only tracer (what every served run carries) over a
-// 4x4-cluster machine's PEs and links.
-func BenchmarkTracerFire(b *testing.B) {
-	tr := NewCounters()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pe := i & 511
-		tr.Fire(int64(i), pe, pe>>5, pe>>3&3)
-	}
-}
-
-func BenchmarkTracerLinkHop(b *testing.B) {
-	tr := NewCounters()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.LinkHop(int64(i), i>>2&15, i&3, int64(i&1))
 	}
 }

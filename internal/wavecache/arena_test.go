@@ -2,12 +2,14 @@ package wavecache
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"wavescalar/internal/fault"
 	"wavescalar/internal/isa"
 	"wavescalar/internal/placement"
 	"wavescalar/internal/testprogs"
+	"wavescalar/internal/trace"
 	"wavescalar/internal/workloads"
 )
 
@@ -75,6 +77,40 @@ func TestArenaReuseBitIdentical(t *testing.T) {
 		if cfg.Faults.KillCycle > 0 && (got.Faults.PEKills != 1 || got.Faults.MigratedInstrs == 0) {
 			t.Fatalf("kill-then-reuse: the kill migrated nothing: %+v", got.Faults)
 		}
+	}
+}
+
+// TestMetricsBuiltWithoutTracer: a run with Config.Metrics and no Tracer
+// runs untraced, and a reused arena merges the same Metrics for a cell as it
+// did the first time, after a run on another grid: the engine's counters
+// reset with the arena.
+func TestMetricsBuiltWithoutTracer(t *testing.T) {
+	wp := compileSource(t, workloads.ByName("lu").Src)
+	a := NewArena()
+	var first trace.Metrics
+	for i, side := range []int{2, 1, 2} {
+		cfg := DefaultConfig(side, side)
+		cfg.Machine.Capacity = 4 // spread lu over the clusters
+		agg := trace.NewAggregate()
+		cfg.Metrics = agg
+		if _, err := a.Run(wp, mustPol(placement.NewDynamicSnake(cfg.Machine)), cfg); err != nil {
+			t.Fatal(err)
+		}
+		if a.s.tr != nil {
+			t.Fatal("a metrics-only run carried a tracer")
+		}
+		m := agg.Snapshot()
+		if m.Runs != 1 || m.Fires == 0 || m.Placements == 0 || m.OrderStallCycles == 0 {
+			t.Fatalf("%dx%d: metrics not built: %+v", side, side, m)
+		}
+		if i == 0 {
+			first = m
+		} else if side == 2 && !reflect.DeepEqual(m, first) {
+			t.Fatalf("the reused arena's metrics differ:\n got %+v\nwant %+v", m, first)
+		}
+	}
+	if first.MeshMsgs == 0 {
+		t.Fatal("the 2x2 run sent nothing over the mesh: link use is not exercised")
 	}
 }
 

@@ -44,6 +44,7 @@ package wavecache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"wavescalar/internal/fault"
@@ -170,17 +171,18 @@ type Config struct {
 	// agree on which PEs are dead.
 	Faults fault.Config
 
-	// Tracer, when non-nil, records this run's structured trace (counters
-	// plus, if configured, the event stream). nil disables tracing at zero
-	// cost and leaves Results bit-identical to a tracer-free build. Like a
-	// placement policy, a Tracer belongs to one run: never share one
-	// across concurrent Runs.
+	// Tracer, when non-nil, records this run's timeline (the per-cycle
+	// series plus, if configured, the event stream) and, at successful
+	// completion, is stamped with the run's trace.Metrics. nil disables
+	// tracing at zero cost and leaves Results bit-identical to a
+	// tracer-free build. Like a placement policy, a Tracer belongs to one
+	// run: never share one across concurrent Runs.
 	Tracer *trace.Tracer
 
-	// Metrics, when non-nil, receives the run's trace counters at
-	// successful completion (via a private metrics-only tracer when Tracer
-	// is nil). The aggregate is thread-safe, so concurrent experiment
-	// cells may share one.
+	// Metrics, when non-nil, receives the run's trace.Metrics at
+	// successful completion, built from the engine's own counters; no
+	// tracer is involved. The aggregate is thread-safe, so concurrent
+	// experiment cells may share one.
 	Metrics *trace.Aggregate
 }
 
@@ -594,6 +596,7 @@ type peState struct {
 	nres    int // resident instructions (the length of lru)
 	waiting int // tokens delivered but not yet consumed by a firing
 	used    bool
+	fires   uint64 // instructions fired here (trace.Metrics.PEFires)
 }
 
 // peLRU is the doubly-linked recency list over one PE's resident
@@ -803,6 +806,12 @@ type sim struct {
 	// nil-safe call or guarded so the disabled path costs one branch).
 	tr *trace.Tracer
 
+	// The counts trace.Metrics holds beyond Result (metrics builds it);
+	// fires per PE are peState.fires and link use is the network's.
+	maxQueue   int    // deepest operand queue a delivery left behind
+	orderStall uint64 // cycles requests sat buffered before issueMem
+	placements uint64 // homes the placement policy resolved (homePE misses)
+
 	// res accumulates the run's result; its Fired/Tokens/Swaps/Overflows
 	// are the live execution counters, so they are current whenever a
 	// diagnostic or cancellation message reads them.
@@ -899,6 +908,7 @@ func (s *sim) reset(p *isa.Program, pol placement.Policy, cfg Config) error {
 	s.inj, s.killed, s.memErr = nil, false, nil
 	s.res = Result{}
 	s.commit, s.commitStores, s.work = 0, 0, Work{}
+	s.maxQueue, s.orderStall, s.placements = 0, 0, 0
 
 	s.ctxTab.Reset()
 	s.ctxSlab.Reset()
@@ -908,11 +918,6 @@ func (s *sim) reset(p *isa.Program, pol placement.Policy, cfg Config) error {
 	s.ckGen = 0
 
 	s.tr = cfg.Tracer
-	if s.tr == nil && cfg.Metrics != nil {
-		// Metrics-only tracing: cfg.Metrics merges counters, so neither an
-		// event stream nor the per-cycle series would ever be read.
-		s.tr = trace.NewCounters()
-	}
 	s.net.AttachTracer(s.tr)
 	if cfg.Faults.Enabled() {
 		inj, err := fault.NewInjector(cfg.Faults)
@@ -957,7 +962,7 @@ func (s *sim) reset(p *isa.Program, pol placement.Policy, cfg Config) error {
 	s.pes = resize(s.pes, npe)
 	for i := range s.pes {
 		ps := &s.pes[i]
-		ps.free, ps.nres, ps.waiting, ps.used = 0, 0, 0, false
+		ps.free, ps.nres, ps.waiting, ps.used, ps.fires = 0, 0, 0, false, 0
 		ps.lru.reset()
 	}
 	s.bufBusy = resize(s.bufBusy, cfg.Machine.NumClusters())
@@ -1100,9 +1105,55 @@ func (s *sim) run() (Result, error) {
 			s.res.PEsUsed++
 		}
 	}
-	s.tr.Finish(s.res.Cycles)
-	s.cfg.Metrics.Add(s.tr)
+	if s.cfg.Metrics != nil || s.tr != nil {
+		m := s.metrics()
+		s.cfg.Metrics.Merge(m)
+		s.tr.SetMetrics(m)
+	}
 	return s.res, nil
+}
+
+// metrics builds the finished run's trace.Metrics from the Result and the
+// arena's own counters.
+func (s *sim) metrics() *trace.Metrics {
+	r := &s.res
+	fo, fs := r.Faults.Operand, r.Faults.StoreBuffer
+	m := &trace.Metrics{
+		Runs: 1, Cycles: r.Cycles,
+		Fires: r.Fired, Tokens: r.Tokens, Swaps: r.Swaps, Overflows: r.Overflows,
+		MaxQueueDepth: int64(s.maxQueue),
+
+		PodMsgs: r.Net.PodLocal, DomainMsgs: r.Net.DomainHops, ClusterMsgs: r.Net.ClusterBus,
+		MeshMsgs: r.Net.MeshMsgs, MeshHops: r.Net.MeshHops, LinkStallCycles: r.Net.StallCycles,
+		Links: slices.Clone(s.net.LinkUse()),
+
+		MemSubmitted: r.Order.Submitted, MemIssued: r.Order.Issued,
+		OrderStallCycles: s.orderStall, MaxPending: int64(r.Order.MaxPending),
+		WavesDone: r.Order.WavesDone,
+
+		SpecIssued: r.Spec.Issued, SpecForwards: r.Spec.Forwards, SpecConflicts: r.Spec.Conflicts,
+		SpecSquashes: r.Spec.Squashes, SpecReplayedOps: r.Spec.ReplayedOps,
+		SpecCycles: r.Spec.SpecCycles, SpecReplayCycles: r.Spec.ReplayCycles,
+
+		Drops: fo.Drops + fs.Drops, Retries: fo.Retries + fs.Retries,
+		RetryWaitCycles: fo.RetryWait + fs.RetryWait, PEKills: r.Faults.PEKills,
+
+		Placements:    s.placements,
+		EventsDropped: s.tr.EventsDropped(),
+	}
+	m.PEFires = make([]uint64, len(s.pes))
+	m.ClusterFires = make([]uint64, s.cfg.Machine.NumClusters())
+	m.DomainFires = make([][]uint64, len(m.ClusterFires))
+	for c := range m.DomainFires {
+		m.DomainFires[c] = make([]uint64, s.cfg.Machine.DomainsPerCluster)
+	}
+	for pe := range s.pes {
+		n, l := s.pes[pe].fires, s.locs[pe]
+		m.PEFires[pe] = n
+		m.ClusterFires[l.Cluster] += n
+		m.DomainFires[l.Cluster][l.Domain] += n
+	}
+	return m
 }
 
 // loop is the event loop: events processed strictly in (time, seq) order.
@@ -1242,6 +1293,7 @@ func (s *sim) homePE(gi int32) int {
 	di := &s.code[gi]
 	pe := s.pol.Assign(profile.InstrRef{Func: di.fn, Instr: di.id})
 	s.homes[gi] = int32(pe)
+	s.placements++
 	s.tr.Place(int(di.fn), int(di.id), pe)
 	return pe
 }
@@ -1282,6 +1334,7 @@ func (s *sim) deliver(e *event) error {
 		s.tr.Overflow(e.time, pe)
 	}
 	ps.waiting++
+	s.maxQueue = max(s.maxQueue, ps.waiting)
 	if s.tr != nil {
 		s.tr.Token(e.time, pe, ps.waiting)
 	}
@@ -1591,6 +1644,7 @@ func (s *sim) fire(e *event) error {
 	gi, tag, vals := e.gi, e.tag, e.vals
 	di := &s.code[gi]
 	pe := s.homePE(gi)
+	s.pes[pe].fires++
 	t := e.time
 	if s.tr != nil {
 		l := s.loc(pe)
@@ -1695,8 +1749,10 @@ func (s *sim) issueMem(r *waveorder.Request) {
 	// The ordering stall is how long the request sat buffered waiting for
 	// its wave chain to resolve: issue happens at the current event time,
 	// arrival was stamped at submit.
+	stall := s.now - ck.arrive
+	s.orderStall += uint64(stall)
 	if s.tr != nil {
-		s.tr.MemIssue(s.now, int(r.Kind), s.now-ck.arrive)
+		s.tr.MemIssue(s.now, int(r.Kind), stall)
 	}
 	switch r.Kind {
 	case isa.MemLoad:

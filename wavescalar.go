@@ -212,10 +212,12 @@ type SimConfig struct {
 	// FaultSeed drives every fault decision; the same (seed, spec) pair
 	// reproduces a faulty run bit-for-bit.
 	FaultSeed uint64
-	// Tracer, when non-nil, records per-cycle metrics and (if the tracer's
-	// Config enables them) a structured event stream for this run. A nil
-	// Tracer leaves the simulation bit-identical to an untraced run; a
-	// Tracer must not be shared across concurrent Simulate calls.
+	// Tracer, when non-nil, records this run's per-cycle series and (if
+	// the tracer's Config enables them) a structured event stream, and is
+	// stamped with the run's trace metrics when it completes (read them
+	// with Tracer.Metrics). A nil Tracer leaves the simulation
+	// bit-identical to an untraced run; a Tracer must not be shared across
+	// concurrent Simulate calls.
 	Tracer *trace.Tracer
 }
 
