@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci check vet fmt-check build test tier1-time bench-test race race-compile soak bench bench-ledger bench-ab bench-micro fuzz fuzz-diff corpus
+.PHONY: ci check vet fmt-check build test smoke tier1-time bench-test race race-compile soak bench bench-ledger bench-ab bench-micro fuzz fuzz-diff corpus
 
 ci: vet fmt-check build test race
 
@@ -15,8 +15,9 @@ ci: vet fmt-check build test race
 # pass — the simulator engine itself runs on one goroutine; `make race`
 # covers the harness -j fan-out and the service), plus the compile path's
 # stages and the short service soak under -race, a corpus-differential fuzz
-# smoke, and the benchmark module's own smoke tests.
-check: vet fmt-check build test bench-test race-compile soak fuzz-diff
+# smoke, the benchmark module's own smoke tests, and a run of the examples
+# and the compile / run / simulate commands.
+check: vet fmt-check build test smoke bench-test race-compile soak fuzz-diff
 
 vet:
 	$(GO) vet ./...
@@ -30,6 +31,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# smoke starts what `go test` cannot, because it has no test files: the five
+# examples, and wavec -stats, wavec -select -dot main, waverun and wavesim
+# -baseline -metrics on a small wsl program (scripts/smoke.sh). Any non-zero
+# exit fails it. Part of `make check`; not part of tier-1.
+smoke:
+	GO=$(GO) bash scripts/smoke.sh
 
 # tier1-time is the instrument for what the tier-1 suite costs, not part of
 # it: one uncached `go test -json` pass over the module with every test

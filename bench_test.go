@@ -138,7 +138,7 @@ func BenchmarkBaselineSimulation(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := prog.SimulateBaseline(DefaultBaselineConfig()); err != nil {
+		if _, err := prog.SimulateBaseline(); err != nil {
 			b.Fatal(err)
 		}
 	}

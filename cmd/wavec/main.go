@@ -2,10 +2,11 @@
 //
 // Usage:
 //
-//	wavec [-unroll N] [-O level] [-select] [-noopt] [-stats] file.wsl
+//	wavec [-unroll N] [-O level] [-select] [-dot FUNC] [-stats] file.wsl
 //
-// The assembly is written to standard output; -stats prints a per-function
-// summary (instruction counts, waves, memory ops) to standard error.
+// The assembly (or, with -dot, the named function's GraphViz graph) is
+// written to standard output; -stats prints a summary (instruction count,
+// memory chains, the memory tier's counters) to standard error.
 package main
 
 import (
@@ -20,7 +21,6 @@ import (
 func main() {
 	unroll, optLevel := cli.CompileFlags()
 	useSelect := flag.Bool("select", false, "lower small diamonds to φ SELECT instead of steers")
-	noopt := flag.Bool("noopt", false, "disable the IR optimizer")
 	showStats := flag.Bool("stats", false, "print compilation statistics to stderr")
 	dotFunc := flag.String("dot", "", "emit a GraphViz graph of the named function ('main' for the entry) instead of assembly")
 	flag.Usage = func() {
@@ -36,12 +36,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg := wavescalar.CompileConfig{
-		Unroll:    *unroll,
-		UseSelect: *useSelect,
-		Optimize:  !*noopt,
-		OptLevel:  *optLevel,
-	}
+	cfg := wavescalar.CompileConfig{Unroll: *unroll, UseSelect: *useSelect, OptLevel: *optLevel}
 	prog, err := wavescalar.Compile(string(src), cfg)
 	if err != nil {
 		fatal(err)

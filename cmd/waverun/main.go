@@ -40,7 +40,7 @@ func main() {
 	if *isAsm || strings.HasSuffix(flag.Arg(0), ".wsa") {
 		prog, err = wavescalar.ParseAssembly(string(data))
 	} else {
-		prog, err = wavescalar.Compile(string(data), wavescalar.CompileConfig{Unroll: *unroll, Optimize: true, OptLevel: *optLevel})
+		prog, err = wavescalar.Compile(string(data), wavescalar.CompileConfig{Unroll: *unroll, OptLevel: *optLevel})
 	}
 	if err != nil {
 		fatal(err)

@@ -74,7 +74,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	prog, err := wavescalar.Compile(string(src), wavescalar.CompileConfig{Unroll: *unroll, Optimize: true, OptLevel: *optLevel})
+	prog, err := wavescalar.Compile(string(src), wavescalar.CompileConfig{Unroll: *unroll, OptLevel: *optLevel})
 	if err != nil {
 		fatal(err)
 	}
@@ -131,7 +131,7 @@ func main() {
 	}
 
 	if *baseline {
-		base, err := prog.SimulateBaseline(wavescalar.DefaultBaselineConfig())
+		base, err := prog.SimulateBaseline()
 		if err != nil {
 			fatal(err)
 		}

@@ -32,7 +32,7 @@ func main() {
 
 func main() {
 	// Compile without unrolling so the graph stays readable.
-	prog, err := wavescalar.Compile(src, wavescalar.CompileConfig{Unroll: 1, Optimize: true})
+	prog, err := wavescalar.Compile(src, wavescalar.CompileConfig{Unroll: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

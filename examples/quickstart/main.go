@@ -52,7 +52,7 @@ func main() {
 	fmt.Printf("  result=%d  cycles=%d  IPC=%.2f  PEs used=%d  L1 miss rate=%.4f\n\n",
 		sim.Value, sim.Cycles, sim.IPC, sim.PEsUsed, sim.L1MissRate)
 
-	base, err := prog.SimulateBaseline(wavescalar.DefaultBaselineConfig())
+	base, err := prog.SimulateBaseline()
 	if err != nil {
 		log.Fatal(err)
 	}

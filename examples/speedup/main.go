@@ -24,7 +24,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	base, err := prog.SimulateBaseline(wavescalar.DefaultBaselineConfig())
+	base, err := prog.SimulateBaseline()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,35 +7,31 @@ import (
 	"wavescalar/internal/lang"
 )
 
-// OptNone as FromFile's optLevel leaves the IR as built: compacted, not
+// OptNone as FromSource's optLevel leaves the IR as built: compacted, not
 // optimized.
 const OptNone = -1
 
-// FromSource is the front half of a compile from source text: parse and
-// check src, then FromFile. A front-end error is labelled "frontend: ".
-func FromSource(src string, unroll, optLevel int) (p *Program, st MemOptStats, unrolled bool, err error) {
-	f, err := lang.ParseAndCheck(src)
-	if err != nil {
-		return nil, st, false, fmt.Errorf("frontend: %w", err)
-	}
-	return FromFile(f, unroll, optLevel)
-}
-
-// FromFile is the front half of every compile on a checked file, and the
-// one home of its sequence: unroll f's counted loops in place by `unroll`
-// (0 or 1 leaves f as it is), Lower (an error is labelled "build: "), then
+// FromSource is the front half of a compile from source text, spelled out
+// for the layer tests: parse and check src (an error is labelled
+// "frontend: "), unroll its counted loops in place by `unroll` (0 or 1
+// leaves it as it is), Lower (an error is labelled "build: "), then
 // OptimizeTo optLevel, whose counters are returned. unrolled reports
 // whether lang.Unroll rewrote any loop; when it did not, the IR is the one
-// unroll factor 1 yields.
+// unroll factor 1 yields. harness.CompileSource is the one pipeline that
+// builds programs; it runs the same steps on one parse for every binary it
+// lowers.
 //
 // The two halves are exported for the caller that wants the IR of both the
 // file as written and its unrolled form from one parse: Lower the file,
 // unroll it, Lower it again — only Lower reads the file — and optimize each
 // IR wherever it likes, since OptimizeTo touches nothing but its receiver.
-//
 // A caller that feeds more than one backend builds once and hands
 // wavec.Compile, which consumes its input, a Clone.
-func FromFile(f *lang.File, unroll, optLevel int) (p *Program, st MemOptStats, unrolled bool, err error) {
+func FromSource(src string, unroll, optLevel int) (p *Program, st MemOptStats, unrolled bool, err error) {
+	f, err := lang.ParseAndCheck(src)
+	if err != nil {
+		return nil, st, false, fmt.Errorf("frontend: %w", err)
+	}
 	unrolled = lang.Unroll(f, unroll) > 0
 	if p, err = Lower(f); err != nil {
 		return nil, st, false, fmt.Errorf("build: %w", err)
@@ -43,7 +39,7 @@ func FromFile(f *lang.File, unroll, optLevel int) (p *Program, st MemOptStats, u
 	return p, p.OptimizeTo(optLevel), unrolled, nil
 }
 
-// Lower is the half of FromFile that reads the file: Build, then Compact
+// Lower is the half of FromSource that reads the file: Build, then Compact
 // every function.
 func Lower(f *lang.File) (*Program, error) {
 	p, err := Build(f)
@@ -56,7 +52,7 @@ func Lower(f *lang.File) (*Program, error) {
 	return p, nil
 }
 
-// OptimizeTo is the half of FromFile that touches only the IR: Optimize
+// OptimizeTo is the half of FromSource that touches only the IR: Optimize
 // (optLevel >= 0) and OptimizeMemory (optLevel >= 1, whose counters are
 // returned; zero below that).
 func (p *Program) OptimizeTo(optLevel int) (st MemOptStats) {

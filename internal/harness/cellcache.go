@@ -105,8 +105,6 @@ const (
 // record; the index costs about 140 bytes per record. A directory that
 // does not exist is an empty cache, created with its first segment, so a
 // cache nobody puts to (waved's sweep cache, most days) costs nothing.
-// Files of the pre-segment layout (xx/<key>.json) are never read: such a
-// directory is a cold cache, and Prune removes them.
 func NewCellCache(dir string) (*CellCache, error) {
 	entries, err := os.ReadDir(dir) // sorted by name: creation order
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -188,11 +186,11 @@ func CacheKey(parts ...string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// cacheEnvelope wraps a cell payload with its own key and a checksum. The
-// old layout bound a record to its key through the file's name; a log has
-// no names, so the checksum covers the key as well as the payload — a
-// record whose key field rots into another well-formed key fails it like
-// any other damage, instead of answering for a key nobody put.
+// cacheEnvelope wraps a cell payload with its own key and a checksum. A
+// record in a log has no file name to bind it to its key, so the checksum
+// covers the key as well as the payload — a record whose key field rots
+// into another well-formed key fails it like any other damage, instead of
+// answering for a key nobody put.
 type cacheEnvelope struct {
 	Key     string          `json:"key"`
 	Sum     string          `json:"sum"`

@@ -21,9 +21,6 @@ type PruneStats struct {
 	// RemovedAge / RemovedSize count records deleted with segments older
 	// than the age bound and with segments evicted to meet the size bound.
 	RemovedAge, RemovedSize int
-	// RemovedTemp counts files of the pre-segment layout (xx/<key>.json
-	// entries and the temp files of killed writers) cleaned up.
-	RemovedTemp int
 	// KeptBytes is the total segment size remaining after the pass.
 	KeptBytes int64
 }
@@ -32,9 +29,8 @@ type PruneStats struct {
 func (p PruneStats) Removed() int { return p.RemovedAge + p.RemovedSize }
 
 func (p PruneStats) String() string {
-	return fmt.Sprintf("scanned %d, removed %d (age %d, size %d, temp %d), kept %s",
-		p.Scanned, p.Removed(), p.RemovedAge, p.RemovedSize, p.RemovedTemp,
-		FormatBytes(p.KeptBytes))
+	return fmt.Sprintf("scanned %d, removed %d (age %d, size %d), kept %s",
+		p.Scanned, p.Removed(), p.RemovedAge, p.RemovedSize, FormatBytes(p.KeptBytes))
 }
 
 // Prune bounds the cache directory for long-lived processes. It seals the
@@ -42,8 +38,8 @@ func (p PruneStats) String() string {
 // unlinks every segment last written more than maxAge ago (0 = no age
 // bound) and, oldest first, enough further segments to bring the total
 // size under maxBytes (0 = no size bound); keys that lived in a removed
-// segment leave the index. Everything the pre-segment layout left behind
-// goes too: nothing reads it any more.
+// segment leave the index. Directories are skipped: waved keeps its sweep
+// cache in one.
 //
 // Prune is safe beside Put and Get on this handle and on any other handle
 // or process sharing the directory: a pruned record simply becomes a miss
@@ -75,12 +71,8 @@ func (cc *CellCache) Prune(maxAge time.Duration, maxBytes int64) (PruneStats, er
 	}
 	now := time.Now()
 	for _, e := range entries {
-		if e.IsDir() {
-			st.RemovedTemp += removeOldLayout(filepath.Join(cc.dir, e.Name()))
-			continue
-		}
 		info, err := e.Info()
-		if err != nil || !strings.HasSuffix(e.Name(), segSuffix) {
+		if err != nil || e.IsDir() || !strings.HasSuffix(e.Name(), segSuffix) {
 			continue // pruned underneath us, or not ours
 		}
 		st.KeptBytes += info.Size()
@@ -107,25 +99,6 @@ func (cc *CellCache) Prune(maxAge time.Duration, maxBytes int64) (PruneStats, er
 	}
 	cc.stats.Segments, cc.stats.Bytes = nsegs-len(gone), st.KeptBytes // the directory, as just seen
 	return st, nil
-}
-
-// removeOldLayout deletes the files of one shard directory of the
-// pre-segment layout (two hex digits, holding <key>.json entries and
-// writers' temp files) and the directory itself, and returns how many
-// files went. Any other directory — waved keeps its sweep cache in a
-// subdirectory of its simulate cache — is left alone.
-func removeOldLayout(dir string) (removed int) {
-	if name := filepath.Base(dir); len(name) != 2 || !plainKey(name) {
-		return 0
-	}
-	files, _ := os.ReadDir(dir) // unreadable: nothing to remove
-	for _, f := range files {
-		if os.Remove(filepath.Join(dir, f.Name())) == nil {
-			removed++
-		}
-	}
-	os.Remove(dir) // fails harmlessly if anything is left
-	return removed
 }
 
 // ParsePruneSpec parses the CLI prune specification: comma-separated

@@ -104,47 +104,32 @@ func TestPruneSizeBoundEvictsOldestFirst(t *testing.T) {
 	}
 }
 
-// TestPruneRemovesStaleTempFiles: what the file-per-entry layout left in a
-// directory — entries, and the temp files of killed writers — is never
-// read again, so Prune removes and counts it; a directory that is not one
-// of that layout's (waved's sweep cache lives in one) is not touched.
-func TestPruneRemovesStaleTempFiles(t *testing.T) {
+// TestPruneLeavesNestedCacheAlone: pruning a cache never reaches into a
+// directory inside it — waved keeps its sweep cache (`corpus`) inside its
+// simulate cache — even when the outer pass removes every segment.
+func TestPruneLeavesNestedCacheAlone(t *testing.T) {
 	dir := t.TempDir()
-	key := CacheKey("old-layout")
-	old := []string{
-		filepath.Join(dir, "ab", ".deadbeef.tmp-123"),
-		filepath.Join(dir, key[:2], key+".json"),
-	}
-	for _, p := range old {
-		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(p, []byte(`{"key":"`+key+`","sum":"","payload":1}`), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var v pruneProbe
 	cc := openCache(t, dir)
-	if cc.Get(key, &v) || cc.Corrupt() != 0 {
-		t.Fatalf("an old-layout entry was read (corrupt %d)", cc.Corrupt())
-	}
-	sweep := openCache(t, filepath.Join(dir, "corpus"))
-	if err := sweep.Put(key, &pruneProbe{ID: 1}); err != nil {
+	outer, inner := CacheKey("outer"), CacheKey("inner")
+	if err := cc.Put(outer, &pruneProbe{ID: 1}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := cc.Prune(time.Hour, 0)
+	sweep := openCache(t, filepath.Join(dir, "corpus"))
+	if err := sweep.Put(inner, &pruneProbe{ID: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sweep.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := cc.Prune(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.RemovedTemp != 2 || st.Removed() != 0 {
-		t.Fatalf("prune stats %+v, want exactly the two old-layout files removed", st)
+	if st.Removed() != 1 || st.KeptBytes != 0 {
+		t.Fatalf("prune stats %+v, want the outer record removed and nothing kept", st)
 	}
-	for _, p := range old {
-		if _, err := os.Stat(filepath.Dir(p)); !os.IsNotExist(err) {
-			t.Errorf("%s survived prune", filepath.Dir(p))
-		}
-	}
-	if !openCache(t, sweep.Dir()).Get(key, &v) {
+	var v pruneProbe
+	if !openCache(t, sweep.Dir()).Get(inner, &v) || v.ID != 2 {
 		t.Error("prune of the outer cache reached into the nested one")
 	}
 }

@@ -17,9 +17,10 @@ import (
 
 // This file is the one description of a simulated run: CompileOptions says
 // which program is built, MachineOptions which WaveCache runs it. Every
-// door — CLI flags, wavescalar.SimConfig, waved's request fields, the
-// experiment cells — fills these two and shares their defaults, Validate
-// and Key. DESIGN.md "Machine configuration" tabulates the fields.
+// door — CLI flags, wavescalar.CompileConfig and SimConfig, waved's request
+// fields, the experiment cells — fills these two and shares their
+// defaults, Validate and Key, and every door compiles through
+// CompileSource. DESIGN.md "Machine configuration" tabulates the fields.
 
 // CompileOptions controls the build pipeline.
 type CompileOptions struct {

@@ -332,7 +332,7 @@ func (s *Server) StartJanitor(interval time.Duration, pruneAge time.Duration, pr
 				for _, c := range s.caches() {
 					if st, err := c.cc.Prune(pruneAge, pruneBytes); err != nil {
 						s.logf("janitor: %s cache prune: %v", c.name, err)
-					} else if st.Removed() > 0 || st.RemovedTemp > 0 {
+					} else if st.Removed() > 0 {
 						s.logf("janitor: %s cache prune: %s", c.name, st)
 					}
 				}

@@ -153,14 +153,15 @@ func directResult(t *testing.T, req SimulateRequest, maxCycles int64) SimResult 
 	}
 }
 
-// publicResult runs a request through the third door, the public API: the
-// wavescalar package's own compile pipeline and SimConfig, which name the
-// binary by how it is compiled (the rolled one is the steer one at unroll
-// 1). The fields are the ones SimResult shares with wavescalar.SimResult.
+// publicResult runs a request through the public API: wavescalar.Compile,
+// whose CompileConfig names the binary by how it is compiled (the rolled one
+// is the steer one at unroll 1), and Simulate, whose SimConfig is mapped onto
+// MachineOptions. The fields are the ones SimResult shares with
+// wavescalar.SimResult.
 func publicResult(t *testing.T, req SimulateRequest, maxCycles int64) SimResult {
 	t.Helper()
 	_, src, co, m := requestOptions(t, req, maxCycles)
-	cc := wavescalar.CompileConfig{Unroll: co.Unroll, Optimize: true, OptLevel: co.OptLevel, UseSelect: req.Binary == "select"}
+	cc := wavescalar.CompileConfig{Unroll: co.Unroll, OptLevel: co.OptLevel, UseSelect: req.Binary == "select"}
 	if req.Binary == "rolled" {
 		cc.Unroll = 1
 	}

@@ -9,7 +9,7 @@
 //	prog, err := wavescalar.Compile(src, wavescalar.DefaultCompileConfig())
 //	value, _ := prog.Interpret()               // ideal dataflow machine
 //	res, _ := prog.Simulate(wavescalar.DefaultSimConfig())   // WaveCache
-//	base, _ := prog.SimulateBaseline(wavescalar.DefaultBaselineConfig())
+//	base, _ := prog.SimulateBaseline()         // out-of-order superscalar
 //	fmt.Println(res.Cycles, base.Cycles)
 //
 // The experiment harness that regenerates the paper's evaluation lives in
@@ -27,81 +27,78 @@ import (
 	"wavescalar/internal/harness"
 	"wavescalar/internal/interp"
 	"wavescalar/internal/isa"
-	"wavescalar/internal/linear"
-	"wavescalar/internal/ooo"
 	"wavescalar/internal/placement"
 	"wavescalar/internal/trace"
 	"wavescalar/internal/wavec"
 	"wavescalar/internal/wavecache"
 )
 
-// CompileConfig controls the compilation pipeline.
+// CompileConfig selects the program Compile builds: harness.CompileOptions
+// and the one dataflow binary to keep.
 type CompileConfig struct {
 	// Unroll is the loop-unrolling factor (0 or 1 disables).
 	Unroll int
 	// UseSelect lowers small pure if/else diamonds to φ SELECT
-	// instructions instead of φ⁻¹ steers.
+	// instructions instead of φ⁻¹ steers: the "select" binary rather than
+	// the "steer" one.
 	UseSelect bool
-	// Optimize enables the IR optimizer (constant folding, CSE, DCE).
-	Optimize bool
-	// OptLevel selects the optimizer tier when Optimize is set: 0 runs
-	// only the base pipeline, 1 adds the memory tier (store-to-load
-	// forwarding, redundant-load elimination, scalar replacement,
-	// dead-store elimination) — the CLIs' -O flag.
+	// OptLevel selects the optimizer tier: 0 runs only the base pipeline
+	// (constant folding, CSE, dead code), 1 adds the memory tier
+	// (store-to-load forwarding, redundant-load elimination, scalar
+	// replacement, dead-store elimination) — the CLIs' -O flag.
 	OptLevel int
 }
 
-// DefaultCompileConfig mirrors the experiment harness pipeline: unroll by
-// 4, full optimization including the memory tier.
+// DefaultCompileConfig is the experiment harness pipeline: unroll by 4,
+// full optimization including the memory tier.
 func DefaultCompileConfig() CompileConfig {
-	return CompileConfig{Unroll: 4, Optimize: true, OptLevel: 1}
+	d := harness.DefaultCompileOptions()
+	return CompileConfig{Unroll: d.Unroll, OptLevel: d.OptLevel}
 }
 
-// Program is a compiled wsl program, carrying both the WaveScalar dataflow
-// binary and the linear baseline binary.
+// Program is a compiled wsl program: the WaveScalar dataflow binary and,
+// for a program compiled from source, everything harness.CompileSource
+// built beside it — the linear baseline binary and the checksum both
+// reference runs agreed on.
 type Program struct {
-	Source   string
+	compiled *harness.Compiled // nil for ParseAssembly
 	dataflow *isa.Program
-	linear   *linear.Program
-	memOpt   cfgir.MemOptStats
-	optLevel int
 }
 
 // OptStats reports the memory-optimization tier's per-pass counters for
 // the dataflow build (zero when compiled below opt level 1) and whether
 // the tier ran.
 func (p *Program) OptStats() (cfgir.MemOptStats, bool) {
-	return p.memOpt, p.optLevel >= 1
+	if p.compiled == nil {
+		return cfgir.MemOptStats{}, false
+	}
+	return p.compiled.MemOpt, p.compiled.Opt >= 1
 }
 
 // ChainStats summarizes the dataflow binary's wave-ordered memory chains.
 func (p *Program) ChainStats() wavec.ChainStats { return wavec.MeasureChains(p.dataflow) }
 
-// Compile runs the full pipeline: lex/parse/check, optional unrolling, IR
-// construction and optimization, then both backends.
+// Compile builds src through harness.CompileSource, the pipeline every
+// other door uses — lex/parse/check, optional unrolling, IR construction
+// and optimization, both backends, and the evaluator-against-emulator
+// checksum and memory-image check — lowering only the dataflow binary cfg
+// names. Its errors are CompileSource's, naming the source "wavescalar".
 func Compile(src string, cfg CompileConfig) (*Program, error) {
-	if err := (harness.CompileOptions{Unroll: cfg.Unroll, OptLevel: cfg.OptLevel}).Validate(); err != nil {
-		return nil, err
+	bin := "steer"
+	if cfg.UseSelect {
+		bin = "select"
 	}
-	lvl := cfgir.OptNone
-	if cfg.Optimize {
-		lvl = cfg.OptLevel
-	}
-	ir, memOpt, _, err := cfgir.FromSource(src, cfg.Unroll, lvl)
+	c, err := harness.CompileSource("wavescalar", src, harness.CompileOptions{
+		Unroll: cfg.Unroll, OptLevel: cfg.OptLevel, Binaries: []string{bin},
+	})
 	if err != nil {
 		return nil, err
 	}
-	lp, err := linear.Compile(ir)
+	wp, err := c.Binary(bin)
 	if err != nil {
 		return nil, err
 	}
-	// linear.Compile only reads the IR, so the dataflow backend, which
-	// consumes its input, can have the same one.
-	wp, err := wavec.Compile(ir, wavec.Options{IfConvert: cfg.UseSelect})
-	if err != nil {
-		return nil, err
-	}
-	return &Program{Source: src, dataflow: wp, linear: lp, memOpt: memOpt, optLevel: max(lvl, 0)}, nil
+	return &Program{compiled: c, dataflow: wp}, nil
 }
 
 // Disassemble renders the WaveScalar dataflow binary as assembly text.
@@ -190,17 +187,11 @@ type SimConfig struct {
 	Placement string
 	// Density is the number of instruction homes packed per PE.
 	Density int
-	// PEStore is the per-PE instruction store size.
-	PEStore int
 	// InputQueue is the matching-table capacity before spills.
 	InputQueue int
 	// MemoryMode is "wave-ordered" (default), "serialized", "ideal", or
 	// "spec" (speculative transactional wave-ordered memory).
 	MemoryMode string
-	// L1Words overrides the per-cluster L1 size in 64-bit words.
-	L1Words int64
-	// Fuel bounds fired instructions (0 = default).
-	Fuel int64
 	// MaxCycles bounds simulated time; exceeding it aborts with the
 	// watchdog's diagnostic dump (0 = unbounded).
 	MaxCycles int64
@@ -263,11 +254,8 @@ func (p *Program) Simulate(sc SimConfig) (SimResult, error) {
 		GridW: sc.GridW, GridH: sc.GridH,
 		Policy:     sc.Placement,
 		Density:    sc.Density,
-		PEStore:    sc.PEStore,
 		InputQueue: sc.InputQueue,
 		MemMode:    mm,
-		L1Words:    sc.L1Words,
-		Fuel:       sc.Fuel,
 		MaxCycles:  sc.MaxCycles,
 		Faults:     sc.Faults,
 		FaultSeed:  sc.FaultSeed,
@@ -307,21 +295,6 @@ func (p *Program) Simulate(sc SimConfig) (SimResult, error) {
 	return out, nil
 }
 
-// BaselineConfig parameterizes the out-of-order superscalar baseline.
-type BaselineConfig struct {
-	// Width sets fetch/issue/commit width (default 8).
-	Width int
-	// WindowSize is the ROB size (default 256).
-	WindowSize int
-	// L1Words overrides the L1 size.
-	L1Words int64
-	// Fuel bounds dynamic instructions (0 = default).
-	Fuel int64
-}
-
-// DefaultBaselineConfig is the aggressive superscalar of the evaluation.
-func DefaultBaselineConfig() BaselineConfig { return BaselineConfig{} }
-
 // BaselineResult reports a superscalar simulation.
 type BaselineResult struct {
 	Value       int64
@@ -333,23 +306,14 @@ type BaselineResult struct {
 	L1MissRate  float64
 }
 
-// SimulateBaseline runs the program on the out-of-order superscalar model.
-func (p *Program) SimulateBaseline(bc BaselineConfig) (BaselineResult, error) {
-	if p.linear == nil {
+// SimulateBaseline runs the program on the out-of-order superscalar of the
+// evaluation (harness.DefaultOoOConfig) and holds its value to the
+// checksum the compile's reference runs agreed on, as the experiments do.
+func (p *Program) SimulateBaseline() (BaselineResult, error) {
+	if p.compiled == nil {
 		return BaselineResult{}, ErrNoBaseline
 	}
-	cfg := ooo.DefaultConfig()
-	if bc.Width != 0 {
-		cfg.FetchWidth, cfg.IssueWidth, cfg.CommitWidth = bc.Width, bc.Width, bc.Width
-	}
-	if bc.WindowSize != 0 {
-		cfg.ROBSize = bc.WindowSize
-	}
-	if bc.L1Words != 0 {
-		cfg.Mem.L1.SizeWords = bc.L1Words
-	}
-	cfg.Fuel = bc.Fuel
-	res, err := ooo.Run(p.linear, cfg)
+	res, err := harness.RunOoO(p.compiled, harness.DefaultOoOConfig())
 	if err != nil {
 		return BaselineResult{}, err
 	}

@@ -1,8 +1,13 @@
 package wavescalar
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"wavescalar/internal/asm"
+	"wavescalar/internal/harness"
+	"wavescalar/internal/workloads"
 )
 
 const demoSrc = `
@@ -49,7 +54,7 @@ func TestCompileAndAllEngines(t *testing.T) {
 		t.Errorf("simulate stats look empty: %+v", sim)
 	}
 
-	base, err := prog.SimulateBaseline(DefaultBaselineConfig())
+	base, err := prog.SimulateBaseline()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +72,61 @@ func TestCompileErrors(t *testing.T) {
 	}
 	if _, err := Compile(`func f() { return 0; }`, DefaultCompileConfig()); err == nil {
 		t.Error("program without main accepted")
+	}
+}
+
+// TestCompileIsCompileSource: the public door builds the binary the other
+// doors build for the same options — the zero config included, which is
+// unroll off at -O0 — and reports CompileSource's errors.
+func TestCompileIsCompileSource(t *testing.T) {
+	for _, name := range []string{"lu", "fft", "ammp"} {
+		src := workloads.ByName(name).Src
+		for _, cc := range []CompileConfig{{}, {Unroll: 1, OptLevel: 1, UseSelect: true}} {
+			prog, err := Compile(src, cc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := harness.CompileSource(name, src, harness.CompileOptions{Unroll: cc.Unroll, OptLevel: cc.OptLevel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bin := c.Wave
+			if cc.UseSelect {
+				bin = c.WaveSel
+			}
+			if prog.Disassemble() != asm.Print(bin) {
+				t.Errorf("%s %+v: Compile's binary differs from CompileSource's", name, cc)
+			}
+		}
+	}
+	bad := `func main() { return x; }`
+	_, want := harness.CompileSource("wavescalar", bad, harness.CompileOptions{Binaries: []string{"steer"}})
+	_, err := Compile(bad, CompileConfig{})
+	if err == nil || want == nil || err.Error() != want.Error() || !strings.Contains(err.Error(), "frontend: ") {
+		t.Errorf("ill-typed source: Compile error %v, want CompileSource's %v", err, want)
+	}
+}
+
+// TestSimulateBaselineChecksum: the baseline's value is the checksum the
+// compile's reference runs agreed on; an assembled program has no baseline.
+func TestSimulateBaselineChecksum(t *testing.T) {
+	prog, err := Compile(demoSrc, CompileConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := prog.SimulateBaseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Value != prog.compiled.Checksum || base.Value != demoWant {
+		t.Errorf("baseline value %d, compile checksum %d, want %d", base.Value, prog.compiled.Checksum, demoWant)
+	}
+	back, err := ParseAssembly(prog.Disassemble())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := back.SimulateBaseline(); !errors.Is(err, ErrNoBaseline) {
+		t.Errorf("assembled program: %v, want ErrNoBaseline", err)
 	}
 }
 
@@ -90,9 +150,6 @@ func TestDisassembleRoundTrip(t *testing.T) {
 	if ir.Value != demoWant {
 		t.Fatalf("round-tripped program computes %d, want %d", ir.Value, demoWant)
 	}
-	if _, err := back.SimulateBaseline(DefaultBaselineConfig()); err != ErrNoBaseline {
-		t.Errorf("expected ErrNoBaseline, got %v", err)
-	}
 }
 
 func TestSimConfigVariants(t *testing.T) {
@@ -105,8 +162,7 @@ func TestSimConfigVariants(t *testing.T) {
 		{MemoryMode: "serialized"},
 		{MemoryMode: "ideal"},
 		{Placement: "random"},
-		{Density: 4, PEStore: 8},
-		{L1Words: 64},
+		{Density: 4},
 	} {
 		res, err := prog.Simulate(sc)
 		if err != nil {
@@ -116,19 +172,15 @@ func TestSimConfigVariants(t *testing.T) {
 			t.Errorf("%+v: value %d", sc, res.Value)
 		}
 	}
-	// What waved answers with a 400 is an error here too, not a panic
-	// (PEStore: -1 was one) and not a silently different machine.
+	// What waved answers with a 400 is an error here too, not a panic and
+	// not a silently different machine.
 	for _, sc := range []SimConfig{
 		{MemoryMode: "nope"},
 		{Placement: "nope"},
 		{GridW: 9, GridH: 9},
 		{GridW: -1},
 		{Density: -1},
-		{PEStore: -1},
 		{InputQueue: -1},
-		{L1Words: 17},
-		{L1Words: -64},
-		{Fuel: -1},
 		{MaxCycles: -5},
 		{Faults: "defect=x"},
 		{Faults: "kill=100000@5"},
@@ -138,9 +190,9 @@ func TestSimConfigVariants(t *testing.T) {
 		}
 	}
 	for _, cc := range []CompileConfig{
-		{Unroll: -1, Optimize: true},
-		{Optimize: true, OptLevel: 7},
-		{Optimize: true, OptLevel: -1},
+		{Unroll: -1},
+		{OptLevel: 7},
+		{OptLevel: -1},
 	} {
 		if _, err := Compile(demoSrc, cc); err == nil {
 			t.Errorf("%+v accepted", cc)
