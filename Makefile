@@ -133,7 +133,7 @@ bench:
 # queue, arenas and one kernel per memory mode, interpreters, what a run
 # pays each placement policy
 # (construction plus every instruction's first Assign), the placement
-# model's move loop against its reference, waved's cold / warm / replay
+# model's Evaluate on one kernel layout, waved's cold / warm / replay
 # request over loopback, the whole CompileSource — every binary, and the
 # steer binary alone as waved's cold path asks for it — and the cell cache's Put
 # and Get at an iteration count that seals several segments, so their

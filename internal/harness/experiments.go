@@ -101,8 +101,8 @@ var Experiments = []Experiment{
 	},
 	{
 		ID:    "E14",
-		Title: "Compiler memory optimization and profile-guided placement feedback",
-		Claim: "shrinking the wave-ordered memory chains at compile time improves AIPC where the tier removes operations; a profile-fed fixed layout (the SPAA'06 model's hill-climb from a depth-first-snake seed, which keeps that seed on these kernels) is set against dynamic placement, so the feedback column measures static against dynamic depth-first placement",
+		Title: "Compiler memory optimization and static placement",
+		Claim: "shrinking the wave-ordered memory chains at compile time improves AIPC where the tier removes operations; the static columns run depth-first-snake against the default dynamic-depth-first-snake, so they measure static against dynamic depth-first placement",
 		Run:   runE14,
 	},
 	{

@@ -185,7 +185,7 @@ func TestMachineOptionsPolicy(t *testing.T) {
 	for _, bad := range []MachineOptions{
 		{GridW: -1}, {GridW: 9, GridH: 9}, {GridH: 65},
 		{Density: -1}, {PEStore: -1}, {InputQueue: -1}, {Density: maxCount + 1},
-		{MaxCycles: -5}, {Fuel: -1},
+		{MaxCycles: -5},
 		{L1Words: -64}, {L1Words: 17}, {L1Words: 1 << 40},
 		{MemMode: 9}, {MemMode: -1},
 		{Faults: "defect=x"}, {Faults: "drop=2"}, {Faults: "kill=512@10", GridW: 2, GridH: 2},
@@ -252,7 +252,6 @@ func main() {
 			Policy:     str([]string{"nonsense"}, append(placement.Names(), "")...),
 			MemMode:    wavecache.MemoryMode(num(0, 1, 2, 3)),
 			L1Words:    num(0, 16, 64, 4096, 17),
-			Fuel:       num(0, 1<<40),
 			MaxCycles:  num(0, 50, 1<<40),
 			Faults: str(badSpecs, "", "", "defect=0.2", "drop=0.01,delay=0.05", "memloss=0.02,retries=3",
 				"kill=3@40", "timeout=4611686018427387904,drop=0.01"),

@@ -95,8 +95,8 @@ func (o CompileOptions) ctx() context.Context {
 
 const (
 	// placementSeed seeds the randomized placement policies (random,
-	// packed-random) and E14's feedback hill-climb: one constant for every
-	// door, so a cell's result is a function of its options alone.
+	// packed-random): one constant for every door, so a cell's result is a
+	// function of its options alone.
 	placementSeed = 12345
 	// maxCount bounds Density, PEStore and InputQueue: E6's "infinite" queue
 	// is exactly this, and no placement arithmetic on it can overflow.
@@ -126,8 +126,6 @@ type MachineOptions struct {
 	// L1Words overrides the per-cluster L1 size in 64-bit words (0 = the
 	// published hierarchy's).
 	L1Words int64
-	// Fuel bounds fired instructions (0 = the simulator's default budget).
-	Fuel int64
 	// MaxCycles bounds each WaveCache cell's simulated time (0 = no
 	// bound); corpus sweeps over generated programs set it so a
 	// pathological cell aborts with a watchdog error instead of hanging
@@ -208,8 +206,8 @@ func (m MachineOptions) check() (MachineOptions, fault.Config, error) {
 			return m, fc, fmt.Errorf("%s %d out of range (1 .. %d)", f.name, f.v, maxCount)
 		}
 	}
-	if min(m.MaxCycles, m.Fuel) < 0 {
-		return m, fc, fmt.Errorf("max cycles %d, fuel %d: a bound cannot be negative (0 = none)", m.MaxCycles, m.Fuel)
+	if m.MaxCycles < 0 {
+		return m, fc, fmt.Errorf("max cycles %d: a bound cannot be negative (0 = none)", m.MaxCycles)
 	}
 	if m.L1Words != 0 {
 		hier := mem.DefaultSystemConfig(1)
@@ -239,9 +237,9 @@ func (m MachineOptions) check() (MachineOptions, fault.Config, error) {
 // cannot change a Result and are left out.
 func (m MachineOptions) Key() string {
 	m, fc, _ := m.resolve()
-	return fmt.Sprintf("grid=%dx%d density=%d pestore=%d queue=%d policy=%q mem=%s l1words=%d fuel=%d maxcycles=%d faults=%s faultseed=%d",
+	return fmt.Sprintf("grid=%dx%d density=%d pestore=%d queue=%d policy=%q mem=%s l1words=%d maxcycles=%d faults=%s faultseed=%d",
 		m.GridW, m.GridH, m.Density, m.PEStore, m.InputQueue, m.Policy, m.MemMode,
-		m.L1Words, m.Fuel, m.MaxCycles, fc, m.FaultSeed)
+		m.L1Words, m.MaxCycles, fc, m.FaultSeed)
 }
 
 // Build validates the options and returns the simulator configuration and
@@ -270,7 +268,6 @@ func (m MachineOptions) waveConfig(fc fault.Config) wavecache.Config {
 	if m.L1Words != 0 {
 		cfg.Mem.L1.SizeWords = m.L1Words
 	}
-	cfg.Fuel = m.Fuel
 	cfg.MaxCycles = m.MaxCycles
 	cfg.Faults = fc
 	// Placement and simulator must agree on the defect map, so it is

@@ -22,7 +22,7 @@ func runM1(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	// component isolation does.
 	simCfg := MachineOptions{GridW: 2, GridH: 2, Density: 8, PEStore: 8, InputQueue: 1 << 30}.WaveConfig()
 	mach := simCfg.Machine
-	cfg := placemodel.DefaultConfig(mach, 8)
+	cfg := placemodel.Config{Machine: mach, PECapacity: 8}
 
 	type cand struct {
 		name string
@@ -93,8 +93,7 @@ func runM1(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 			}
 			return stats.Pearson(xs, ipcs)
 		}
-		combined := placemodel.Combine(comps, placemodel.PaperWeights())
-		r := placemodel.Correlation(combined, ipcs)
+		r := stats.Pearson(placemodel.Combine(comps), ipcs)
 		combAll = append(combAll, r)
 		t.AddRow(c.Name,
 			col(func(c placemodel.Components) float64 { return c.Latency }),

@@ -3,22 +3,20 @@ package harness
 import (
 	"fmt"
 
-	"wavescalar/internal/placemodel"
 	"wavescalar/internal/stats"
 	"wavescalar/internal/wavecache"
 )
 
-// runE14 measures the two feedback loops this harness closes around the
-// compiler: the memory-optimization tier (-O1 vs -O0) and the
-// profile-guided placement policy, in all four combinations. AIPC for
-// every combination is computed against the *unoptimized* binary's
+// runE14 crosses the memory-optimization tier (-O1 vs -O0) with the
+// placement: m's policy against the static depth-first-snake layout. AIPC
+// for every combination is computed against the *unoptimized* binary's
 // dynamic linear instruction count — the optimizer removes instructions,
 // so charging each binary its own count would hide exactly the work the
 // tier eliminated. Checksums are verified on every cell (RunWave), so a
 // miscompiled program fails the experiment rather than skewing it.
 func runE14(set []*Compiled, m MachineOptions) (*stats.Table, error) {
-	t := stats.NewTable("E14: AIPC by optimizer tier x placement feedback (work = O0 linear instrs)",
-		"bench", "o0-base", "o0-proffb", "o1-base", "o1-proffb", "o1/o0", "best/o0-base", "memops", "chain-slots")
+	t := stats.NewTable("E14: AIPC by optimizer tier x static placement (work = O0 linear instrs)",
+		"bench", "o0-base", "o0-static", "o1-base", "o1-static", "o1/o0", "best/o0-base", "memops", "chain-slots")
 
 	// Build both tiers of every bench up front. The incoming set may have
 	// been compiled at either level, so reuse a bench's own binary for the
@@ -56,17 +54,15 @@ func runE14(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	}
 
 	// Four simulation cells per bench: {O0, O1} x {baseline policy,
-	// profile feedback}. The feedback cells construct their own policy
-	// (profiling run + model hill-climb) per cell, as cells must.
+	// depth-first-snake}.
+	static := m
+	static.Policy = "depth-first-snake"
 	res := make([][4]wavecache.Result, len(set))
 	cells := newCellSet(m)
 	for bi, p := range pairs {
 		for ti, c := range []*Compiled{p.o0, p.o1} {
 			cells.wave(c, c.Wave, m, &res[bi][2*ti])
-			cells.add(func() (err error) {
-				res[bi][2*ti+1], err = runFeedback(c, m)
-				return err
-			})
+			cells.wave(c, c.Wave, static, &res[bi][2*ti+1])
 		}
 	}
 	if err := cells.run(); err != nil {
@@ -97,23 +93,6 @@ func runE14(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 			fmt.Sprintf("%d->%d", p.o1.MemOpt.MemBefore, p.o1.MemOpt.MemAfter),
 			fmt.Sprintf("%d->%d", p.o0.Chains.Slots, p.o1.Chains.Slots))
 	}
-	t.Note = fmt.Sprintf("geomean cycle speedup: O1 over O0 (baseline policy) %.2fx; best feedback combination over O0 baseline %.2fx", stats.GeoMean(optRatios), stats.GeoMean(bestRatios))
+	t.Note = fmt.Sprintf("geomean cycle speedup: O1 over O0 (baseline policy) %.2fx; best static combination over O0 baseline %.2fx", stats.GeoMean(optRatios), stats.GeoMean(bestRatios))
 	return t, nil
-}
-
-// runFeedback simulates c's steer binary on m's machine under the
-// profile-feedback layout, which placemodel.NewProfileFeedback builds here
-// in place of the policy m names: no placement.New name reaches it, because
-// on the harness machines it repeats depth-first-snake.
-func runFeedback(c *Compiled, m MachineOptions) (wavecache.Result, error) {
-	m, fc, err := m.check()
-	if err != nil {
-		return wavecache.Result{}, fmt.Errorf("%s: %w", c.Name, err)
-	}
-	cfg := m.waveConfig(fc)
-	pol, err := placemodel.NewProfileFeedback(cfg.Machine, c.Wave, placementSeed)
-	if err != nil {
-		return wavecache.Result{}, fmt.Errorf("%s/proffb: %w", c.Name, err)
-	}
-	return RunWave(c, c.Wave, pol, cfg)
 }

@@ -1,45 +1,24 @@
 package placemodel
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"maps"
+	"math"
+	"strings"
 	"testing"
 
 	"wavescalar/internal/cfgir"
 	"wavescalar/internal/interp"
 	"wavescalar/internal/isa"
-	"wavescalar/internal/lang"
 	"wavescalar/internal/placement"
 	"wavescalar/internal/profile"
+	"wavescalar/internal/stats"
 	"wavescalar/internal/wavec"
 	"wavescalar/internal/wavecache"
+	"wavescalar/internal/workloads"
 )
-
-func compileAndProfile(t *testing.T, src string) (*isa.Program, *profile.Profile) {
-	t.Helper()
-	f, err := lang.ParseAndCheck(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lang.Unroll(f, 4)
-	p, err := cfgir.Build(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fn := range p.Funcs {
-		fn.Compact()
-	}
-	p.Optimize()
-	wp, err := wavec.Compile(p, wavec.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := interp.New(wp, 0)
-	prof := m.CollectProfile(16)
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return wp, prof
-}
 
 const modelSrc = `
 global a[256];
@@ -59,11 +38,22 @@ func main() {
 }
 `
 
+// candidates are M1's eight layouts: the placement-policy family plus
+// extra random seeds, like the paper's eight.
+var candidates = []struct {
+	name string
+	seed uint64
+}{
+	{"dynamic-snake", 1}, {"static-snake", 1}, {"depth-first-snake", 1},
+	{"dynamic-depth-first-snake", 1},
+	{"random", 3}, {"random", 99}, {"packed-random", 3}, {"packed-random", 99},
+}
+
 func TestComponentBasics(t *testing.T) {
-	wp, prof := compileAndProfile(t, modelSrc)
+	_, prof := profileSource(t, modelSrc)
 	m := placement.DefaultMachine(2, 2)
 	m.Capacity = 8
-	cfg := DefaultConfig(m, 8)
+	cfg := Config{Machine: m, PECapacity: 8}
 
 	// A layout that packs everything on one PE: zero operand latency,
 	// maximal contention.
@@ -102,14 +92,11 @@ func TestComponentBasics(t *testing.T) {
 	if sc.Data < pc.Data {
 		t.Error("scattering reduced the coherence estimate")
 	}
-	_ = wp
 }
 
 func TestPairLatencyRegimes(t *testing.T) {
 	m := placement.DefaultMachine(2, 2)
-	cfg := DefaultConfig(m, 64)
 	perCluster := m.PEsPerCluster()
-	s := newState(cfg, profile.New(16), nil)
 	cases := []struct {
 		a, b int
 		want float64
@@ -122,8 +109,38 @@ func TestPairLatencyRegimes(t *testing.T) {
 		{0, 3 * perCluster, 9}, // diagonal cluster: 7 + 2 hops
 	}
 	for _, c := range cases {
-		if got := s.pairLatency(c.a, c.b); got != c.want {
+		if got := pairLatency(m, c.a, c.b); got != c.want {
 			t.Errorf("pairLatency(%d,%d) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// TestPairLatencyMatchesReference holds Equation 1 to a second spelling of
+// it, one that tests the regimes from the innermost out, for every PE pair
+// on a square and on a non-square grid.
+func TestPairLatencyMatchesReference(t *testing.T) {
+	ref := func(m placement.Machine, peA, peB int) float64 {
+		a, b := m.Loc(peA), m.Loc(peB)
+		switch {
+		case a.Cluster == b.Cluster && a.Domain == b.Domain && a.Pod == b.Pod:
+			return 0
+		case a.Cluster == b.Cluster && a.Domain == b.Domain:
+			return 4
+		case a.Cluster == b.Cluster:
+			return 7
+		default:
+			ax, ay := a.Cluster%m.GridW, a.Cluster/m.GridW
+			bx, by := b.Cluster%m.GridW, b.Cluster/m.GridW
+			return 7 + math.Abs(float64(ax-bx)) + math.Abs(float64(ay-by))
+		}
+	}
+	for _, m := range []placement.Machine{placement.DefaultMachine(2, 2), placement.DefaultMachine(3, 2)} {
+		for a := 0; a < m.NumPEs(); a++ {
+			for b := 0; b < m.NumPEs(); b++ {
+				if got, want := pairLatency(m, a, b), ref(m, a, b); got != want {
+					t.Fatalf("%dx%d: pairLatency(%d,%d) = %v, reference %v", m.GridW, m.GridH, a, b, got, want)
+				}
+			}
 		}
 	}
 }
@@ -133,7 +150,7 @@ func TestCombineNormalization(t *testing.T) {
 		{Latency: 0, Data: 0.5, Contention: 100},
 		{Latency: 1000, Data: 0.5, Contention: 0},
 	}
-	scores := Combine(comps, PaperWeights())
+	scores := Combine(comps)
 	// Layout 0: latency 0 (norm 0), data tied (norm 0), contention max
 	// (norm 1) -> 0.51. Layout 1: latency max -> 0.35.
 	if scores[0] != 0.51 || scores[1] != 0.35 {
@@ -145,10 +162,10 @@ func TestCombineNormalization(t *testing.T) {
 // method: across the placement-policy family, the combined model's
 // predicted badness must correlate negatively with simulated IPC.
 func TestModelCorrelation(t *testing.T) {
-	wp, prof := compileAndProfile(t, modelSrc)
+	wp, prof := profileSource(t, modelSrc)
 	m := placement.DefaultMachine(2, 2)
 	m.Capacity = 8
-	cfg := DefaultConfig(m, 8)
+	cfg := Config{Machine: m, PECapacity: 8}
 
 	simCfg := wavecache.DefaultConfig(2, 2)
 	simCfg.Machine = m
@@ -162,18 +179,7 @@ func TestModelCorrelation(t *testing.T) {
 
 	var comps []Components
 	var ipcs []float64
-	// The policy family plus extra random seeds gives 8 layouts, like the
-	// paper's eight.
-	type cand struct {
-		name string
-		seed uint64
-	}
-	cands := []cand{
-		{"dynamic-snake", 1}, {"static-snake", 1}, {"depth-first-snake", 1},
-		{"dynamic-depth-first-snake", 1},
-		{"random", 3}, {"random", 99}, {"packed-random", 3}, {"packed-random", 99},
-	}
-	for _, cd := range cands {
+	for _, cd := range candidates {
 		pol, err := placement.New(cd.name, m, wp, cd.seed)
 		if err != nil {
 			t.Fatal(err)
@@ -186,82 +192,10 @@ func TestModelCorrelation(t *testing.T) {
 		comps = append(comps, Evaluate(cfg, prof, layout))
 		ipcs = append(ipcs, res.IPC)
 	}
-	scores := Combine(comps, PaperWeights())
-	r := Correlation(scores, ipcs)
+	r := stats.Pearson(Combine(comps), ipcs)
 	t.Logf("combined-model correlation with IPC: %.3f (paper: -0.90)", r)
 	if r > -0.5 {
 		t.Errorf("correlation %.3f too weak; model should predict layout performance (expect <= -0.5)", r)
-	}
-}
-
-// TestOptimizeImprovesRealPerformance is the model's payoff (the paper's
-// Section 6 builds a better placement algorithm from the model): starting
-// from a deliberately bad (random) layout, minimizing the analytic model —
-// with no simulation in the loop — must improve actual simulated
-// performance substantially.
-func TestOptimizeImprovesRealPerformance(t *testing.T) {
-	wp, prof := compileAndProfile(t, modelSrc)
-	m := placement.DefaultMachine(2, 2)
-	m.Capacity = 8
-	cfg := DefaultConfig(m, 8)
-
-	simCfg := wavecache.DefaultConfig(2, 2)
-	simCfg.Machine = m
-	simCfg.PEStore = 8
-	simCfg.InputQueue = 1 << 30
-
-	seedPol, err := placement.NewRandom(m, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seedRes, err := wavecache.Run(wp, seedPol, simCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seedLayout := ExtractLayout(seedPol, prof)
-
-	opt := Optimize(cfg, prof, seedLayout, 4000, 11)
-	seedScore := Evaluate(cfg, prof, seedLayout)
-	optScore := Evaluate(cfg, prof, opt)
-	if optScore.Latency > seedScore.Latency && optScore.Contention > seedScore.Contention {
-		t.Fatalf("optimizer worsened both dominant components: %+v -> %+v", seedScore, optScore)
-	}
-
-	optPol, err := NewFixedPolicy("model-opt", opt, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	optRes, err := wavecache.Run(wp, optPol, simCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if optRes.Value != seedRes.Value {
-		t.Fatalf("optimization changed the program result: %d vs %d", optRes.Value, seedRes.Value)
-	}
-	gain := float64(seedRes.Cycles) / float64(optRes.Cycles)
-	t.Logf("model-guided optimization: %d -> %d cycles (%.2fx) with zero simulations in the loop",
-		seedRes.Cycles, optRes.Cycles, gain)
-	if gain < 1.15 {
-		t.Errorf("model-guided optimization gained only %.2fx over a random seed; expected > 1.15x", gain)
-	}
-}
-
-func TestFixedPolicyFallback(t *testing.T) {
-	m := placement.DefaultMachine(1, 1)
-	pol, err := NewFixedPolicy("fixed", Layout{{Func: 0, Instr: 1}: 5}, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pol.Name() != "fixed" {
-		t.Error("name wrong")
-	}
-	if pol.Assign(profile.InstrRef{Func: 0, Instr: 1}) != 5 {
-		t.Error("layout home ignored")
-	}
-	// Unknown instructions fall back deterministically and stably.
-	a := pol.Assign(profile.InstrRef{Func: 0, Instr: 99})
-	if b := pol.Assign(profile.InstrRef{Func: 0, Instr: 99}); a != b {
-		t.Error("fallback not stable")
 	}
 }
 
@@ -269,7 +203,7 @@ func TestFixedPolicyFallback(t *testing.T) {
 // hands out homes in the order ExtractLayout asks, so that order must not be
 // the profile map's.
 func TestExtractLayoutIgnoresMapOrder(t *testing.T) {
-	_, prof := compileAndProfile(t, modelSrc)
+	_, prof := profileSource(t, modelSrc)
 	m := placement.DefaultMachine(2, 2)
 	extract := func() Layout {
 		pol, err := placement.NewRandom(m, 7)
@@ -280,5 +214,99 @@ func TestExtractLayoutIgnoresMapOrder(t *testing.T) {
 	}
 	if a, b := extract(), extract(); !maps.Equal(a, b) {
 		t.Errorf("two extractions of random(seed 7) over %d instructions differ", len(prof.Fires))
+	}
+}
+
+// profileSource compiles src as the harness does by default (unroll 4, -O1)
+// and profiles it on the interpreter at the default L1's 16-word lines.
+func profileSource(tb testing.TB, src string) (*isa.Program, *profile.Profile) {
+	tb.Helper()
+	ir, _, _, err := cfgir.FromSource(src, 4, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prog, err := wavec.Compile(ir, wavec.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	im := interp.New(prog, 0)
+	prof := im.CollectProfile(16)
+	if _, err := im.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	return prog, prof
+}
+
+// evaluatePinned is one line per kernel: FNV-64a over the float64 bits of
+// Evaluate's three components for each of the eight candidate layouts, on
+// M1's 2x2 machine at capacity 8. A change meant to leave the model's
+// values alone keeps every line.
+const evaluatePinned = `adpcm 571b118016c9237e
+mpeg2 700e0698aea03fe4
+gzip 058aa6895adfa367
+mcf bcb8fd7df924d7bd
+twolf b416e330065723e4
+art 33c5e4d26f26e640
+equake ec37e4562b8f5be8
+ammp e987c5515ca0fff3
+fft 6d40bfce99d0ffb9
+lu 6e35e9fa25c522d6`
+
+// TestEvaluatePinned holds Evaluate's exact values on the ten kernels. The
+// layouts are extracted before any run, so the policies place in (Func,
+// Instr) order and no simulation is needed.
+func TestEvaluatePinned(t *testing.T) {
+	m := placement.DefaultMachine(2, 2)
+	m.Capacity = 8
+	cfg := Config{Machine: m, PECapacity: 8}
+	var lines []string
+	for _, name := range workloads.Names() {
+		prog, prof := profileSource(t, workloads.ByName(name).Src)
+		h := fnv.New64a()
+		for _, cd := range candidates {
+			pol, err := placement.New(cd.name, m, prog, cd.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := Evaluate(cfg, prof, ExtractLayout(pol, prof))
+			for _, v := range []float64{c.Latency, c.Data, c.Contention} {
+				h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+			}
+		}
+		lines = append(lines, fmt.Sprintf("%s %016x", name, h.Sum64()))
+	}
+	if got := strings.Join(lines, "\n"); got != evaluatePinned {
+		t.Errorf("Evaluate digests:\n%s\nwant:\n%s", got, evaluatePinned)
+	}
+}
+
+// A home outside the machine would index past the per-PE occupancy, and
+// Machine.Loc would place it in a cluster that does not exist, so the model
+// rejects it up front.
+func TestEvaluateHomeOutsideMachinePanics(t *testing.T) {
+	m := placement.DefaultMachine(1, 1)
+	l := Layout{{Func: 0, Instr: 0}: m.NumPEs()}
+	defer func() {
+		if recover() == nil {
+			t.Error("Evaluate of a layout homed outside the machine did not panic")
+		}
+	}()
+	Evaluate(Config{Machine: m, PECapacity: 64}, profile.New(16), l)
+}
+
+// BenchmarkEvaluate evaluates twolf's depth-first-snake layout on the 4x4
+// machine at the harness's density.
+func BenchmarkEvaluate(b *testing.B) {
+	prog, prof := profileSource(b, workloads.ByName("twolf").Src)
+	m := placement.DefaultMachine(4, 4)
+	m.Capacity = 16
+	pol, err := placement.NewDepthFirstSnake(m, prog)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, layout := Config{Machine: m, PECapacity: m.Capacity}, ExtractLayout(pol, prof)
+	b.ReportAllocs()
+	for b.Loop() {
+		Evaluate(cfg, prof, layout)
 	}
 }

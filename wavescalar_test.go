@@ -217,8 +217,8 @@ func TestUseSelectVariant(t *testing.T) {
 }
 
 // TestPlacementPolicies: the six built-in policies are the only names, so
-// profile feedback, which E14 builds for itself, is refused like any unknown
-// name — the error wavesim's -placement flag reports.
+// any other, "profile-feedback" included, is refused like an unknown name —
+// the error wavesim's -placement flag reports.
 func TestPlacementPolicies(t *testing.T) {
 	if got := PlacementPolicies(); len(got) != 6 {
 		t.Errorf("placement policies %v, want the six built-ins", got)
