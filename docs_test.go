@@ -113,19 +113,45 @@ func TestDesignHeadingsNameNoPRs(t *testing.T) {
 	}
 }
 
+// docPath matches a code span that is a path under one of the module's
+// top-level directories.
+var docPath = regexp.MustCompile("`((?:internal|cmd|scripts|docs|bench|examples)/[^`\\s]*)`")
+
 // TestDocsNameRealIdentifiers: a code span in README.md, DESIGN.md or the
 // references under docs/ that reads `pkg.Ident`, with pkg a directory under internal/, names something
 // that package declares (test files included) — a top-level declaration, or
-// a method or field; `pkg.Type.Member` names a member of that type. A name
-// a refactor removes therefore cannot survive in prose.
+// a method or field; `pkg.Type.Member` names a member of that type. A span
+// that is a path (`internal/…`, `cmd/…`, `scripts/…`, `docs/…`, `bench/…`,
+// `examples/…`) names a file or directory that exists, or reads
+// `dir.Ident` with Ident declared by the package in dir. A name or a file a
+// refactor removes therefore cannot survive in prose.
 func TestDocsNameRealIdentifiers(t *testing.T) {
+	refs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
 	loaded := map[string]*pkgNames{}
-	for _, doc := range []string{"README.md", "DESIGN.md", "docs/ISA.md", "docs/LANGUAGE.md"} {
+	for _, doc := range append([]string{"README.md", "DESIGN.md"}, refs...) {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, line := range strings.Split(string(text), "\n") {
+			for _, m := range docPath.FindAllStringSubmatch(line, -1) {
+				path := m[1]
+				if _, err := os.Stat(path); err == nil {
+					continue
+				}
+				if dot := strings.LastIndex(path, "."); dot > 0 {
+					if st, err := os.Stat(path[:dot]); err == nil && st.IsDir() {
+						p := loadPkgNames(t, path[:dot])
+						if p.top[path[dot+1:]] || p.members[""][path[dot+1:]] {
+							continue
+						}
+					}
+				}
+				t.Errorf("%s:%d: `%s`: no such file or directory", doc, i+1, path)
+			}
 			for _, m := range docIdent.FindAllStringSubmatch(line, -1) {
 				pkg, name, member := m[1], m[2], m[3]
 				dir := filepath.Join("internal", pkg)

@@ -22,7 +22,8 @@ type Interp struct {
 var ErrInterpFuel = fmt.Errorf("cfgir: interpretation exceeded instruction budget")
 
 // NewInterp prepares an interpreter. fuel bounds executed instructions
-// (0 means a default of 2G).
+// (0 means a default of 2G). It is a test reference: only tests call it, to
+// run the IR itself.
 func NewInterp(p *Program, fuel int64) *Interp {
 	if fuel == 0 {
 		fuel = 2_000_000_000

@@ -8,7 +8,7 @@ import (
 )
 
 // OptNone as FromSource's optLevel leaves the IR as built: compacted, not
-// optimized.
+// optimized. It is a test reference: only other packages' tests pass it.
 const OptNone = -1
 
 // FromSource is the front half of a compile from source text, spelled out
@@ -27,6 +27,8 @@ const OptNone = -1
 // IR wherever it likes, since OptimizeTo touches nothing but its receiver.
 // A caller that feeds more than one backend builds once and hands
 // wavec.Compile, which consumes its input, a Clone.
+//
+// FromSource is a test reference: only other packages' tests call it.
 func FromSource(src string, unroll, optLevel int) (p *Program, st MemOptStats, unrolled bool, err error) {
 	f, err := lang.ParseAndCheck(src)
 	if err != nil {

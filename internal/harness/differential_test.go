@@ -2,29 +2,8 @@ package harness
 
 import (
 	"strings"
-	"sync"
 	"testing"
 )
-
-// fullSuite caches the whole compiled benchmark suite across the
-// differential tests; compiling ten workloads through four backends is
-// the expensive part, so it runs once per test binary.
-var fullSuite struct {
-	once sync.Once
-	set  []*Compiled
-	err  error
-}
-
-func fullSet(t *testing.T) []*Compiled {
-	t.Helper()
-	fullSuite.once.Do(func() {
-		fullSuite.set, fullSuite.err = Suite(nil, DefaultCompileOptions())
-	})
-	if fullSuite.err != nil {
-		t.Fatal(fullSuite.err)
-	}
-	return fullSuite.set
-}
 
 // TestDifferentialChecksums is the cross-engine correctness suite: for
 // every workload, every engine of the shared Engines() table — the dataflow
@@ -36,7 +15,7 @@ func TestDifferentialChecksums(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite differential sweep is slow")
 	}
-	set := fullSet(t)
+	set := fenceSets(t).kernels
 	engines := Engines(quickMachine())
 	if len(engines) != 7 {
 		t.Fatalf("engine table has %d engines, want 7", len(engines))

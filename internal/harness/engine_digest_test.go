@@ -4,19 +4,14 @@ import (
 	"cmp"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"wavescalar/internal/asm"
 	"wavescalar/internal/isa"
-	"wavescalar/internal/linear"
 	"wavescalar/internal/parallel"
-	"wavescalar/internal/trace"
 	"wavescalar/internal/wavecache"
-	"wavescalar/internal/workloads"
 )
 
 // engine_digests.txt is the WaveCache engine's fence. Its cells run the steer
@@ -53,115 +48,25 @@ const engineDigestsPath = "testdata/engine_digests.txt"
 
 var memModes = []wavecache.MemoryMode{wavecache.MemOrdered, wavecache.MemSerial, wavecache.MemIdeal, wavecache.MemSpec}
 
-// emuTrace is the reference side of the commit-trace relation: the linear
-// emulator executes in program order, so folding its loads and stores as
-// they execute gives the digest a WaveCache run of the same optimized
-// program must reproduce.
-type emuTrace struct {
-	commit, stores, image uint64
-}
-
-func emulatorTrace(p *linear.Program) (emuTrace, error) {
-	var tr emuTrace
-	em := linear.NewEmulator(p, 0)
-	em.Trace = func(ev linear.TraceEvent) {
-		switch ev.Instr.Op {
-		case linear.LLoad:
-			tr.commit = wavecache.FoldCommit(tr.commit, false, ev.Addr, em.Memory()[ev.Addr])
-		case linear.LStore: // traced after the write: the word holds the stored value
-			v := em.Memory()[ev.Addr]
-			tr.commit = wavecache.FoldCommit(tr.commit, true, ev.Addr, v)
-			tr.stores = wavecache.FoldCommit(tr.stores, true, ev.Addr, v)
-		}
-	}
-	if _, err := em.Run(); err != nil {
-		return tr, err
-	}
-	tr.image = wavecache.ImageDigest(em.Memory())
-	return tr, nil
-}
-
-// fenceRun simulates prog on a fresh arena and returns its fence.
-func fenceRun(c *Compiled, prog *isa.Program, m MachineOptions) (wavecache.Result, wavecache.Fence, error) {
-	cfg, pol, err := m.Build(prog)
-	if err != nil {
-		return wavecache.Result{}, wavecache.Fence{}, err
-	}
-	a := wavecache.NewArena()
-	res, err := a.Run(prog, pol, cfg)
-	if err == nil && res.Value != c.Checksum {
-		err = fmt.Errorf("checksum %d, want %d", res.Value, c.Checksum)
-	}
-	return res, a.Fence(), err
-}
-
-// fenceCorpus compiles the generated half of the fence's programs once per
-// test binary.
-var fenceCorpus struct {
-	once sync.Once
-	set  []*Compiled
-	err  error
-}
-
-func fenceCorpusSet(t *testing.T, n int) []*Compiled {
-	t.Helper()
-	fenceCorpus.once.Do(func() {
-		names := compileCorpus(100)[len(workloads.Names()):]
-		fenceCorpus.set, fenceCorpus.err = parallel.Map(0, len(names), func(i int) (*Compiled, error) {
-			return CompileSource(names[i], workloads.ByName(names[i]).Src, DefaultCompileOptions())
-		})
-	})
-	if fenceCorpus.err != nil {
-		t.Fatal(fenceCorpus.err)
-	}
-	return fenceCorpus.set[:n]
-}
-
-// o0Options builds the -O0 steer binary alone.
-var o0Options = CompileOptions{Unroll: DefaultCompileOptions().Unroll, OptLevel: 0, Binaries: []string{"steer"}}
-
-// o0Suite compiles the ten kernels' steer binaries at -O0 once per test
-// binary: the fence's fault rows run them, and TestO1AddsNoStoragePressure
-// sets them against the -O1 ones.
-var o0Suite struct {
-	once sync.Once
-	set  []*Compiled
-	err  error
-}
-
-func o0Set(t *testing.T) []*Compiled {
-	t.Helper()
-	o0Suite.once.Do(func() {
-		o0Suite.set, o0Suite.err = Suite(nil, o0Options)
-	})
-	if o0Suite.err != nil {
-		t.Fatal(o0Suite.err)
-	}
-	return o0Suite.set
-}
-
 // fenceFaults are the fault rows' scenarios, E12's span: clean, defects,
 // operand loss, and everything at once with memory loss.
 var fenceFaults = []string{"", "defect=0.25", "drop=0.10", "defect=0.10,drop=0.02,delay=0.02,memloss=0.01"}
 
 // fenceCell is one line of the fence: a program on a machine.
 type fenceCell struct {
-	c     *Compiled
-	ref   int // index into the progs fenceCells returns
-	m     MachineOptions
-	name  string
-	fault bool // a fault row: the -O0 kernels on 2x2 under a fault scenario
+	c    *Compiled
+	m    MachineOptions
+	name string
 }
 
 // fenceCells lists every cell of engine_digests.txt in the file's order: the
 // kernels and the corpus in the four memory modes, then the fault rows.
-func fenceCells(t *testing.T) (progs []*Compiled, cells []fenceCell) {
+func fenceCells(t *testing.T) (cells []fenceCell) {
 	t.Helper()
-	add := func(set []*Compiled, ms []MachineOptions, fault bool, label func(MachineOptions) string) {
+	add := func(set []*Compiled, ms []MachineOptions, label func(MachineOptions) string) {
 		for _, c := range set {
-			progs = append(progs, c)
 			for _, m := range ms {
-				cells = append(cells, fenceCell{c, len(progs) - 1, m, c.Name + " " + label(m), fault})
+				cells = append(cells, fenceCell{c, m, c.Name + " " + label(m)})
 			}
 		}
 	}
@@ -173,8 +78,9 @@ func fenceCells(t *testing.T) (progs []*Compiled, cells []fenceCell) {
 		return ms
 	}
 	mode := func(m MachineOptions) string { return m.MemMode.String() }
-	add(fullSet(t), inModes(DefaultMachineOptions()), false, mode)
-	add(fenceCorpusSet(t, 100), inModes(DefaultCorpusMachine()), false, mode)
+	p := fenceSets(t)
+	add(p.kernels, inModes(DefaultMachineOptions()), mode)
+	add(p.corpus, inModes(DefaultCorpusMachine()), mode)
 	// The fault rows: the -O0 kernels on 2x2, wave-ordered, under E12's seed.
 	// The snapshot they came from predates the memory tier, so they keep
 	// pinning the pre-tier binaries.
@@ -184,10 +90,10 @@ func fenceCells(t *testing.T) (progs []*Compiled, cells []fenceCell) {
 		m.MaxCycles, m.Faults, m.FaultSeed = 50_000_000, spec, e12Seed
 		faulty = append(faulty, m)
 	}
-	add(o0Set(t), faulty, true, func(m MachineOptions) string {
+	add(p.o0, faulty, func(m MachineOptions) string {
 		return fmt.Sprintf("%v -O0 2x2 faults=%s", m.MemMode, cmp.Or(m.Faults, "none"))
 	})
-	return progs, cells
+	return cells
 }
 
 // isFaultRow tells a fault row's line of engine_digests.txt from the others.
@@ -215,35 +121,22 @@ func TestGoldenWaveCache(t *testing.T) {
 // each to its recorded line. Under -update-engine-digests it simulates every
 // cell and rewrites the whole file.
 func pinFence(t *testing.T, faultRows bool) {
-	progs, cells := fenceCells(t)
+	cells := fenceCells(t)
 	if !*updateEngineDigests {
-		cells = slices.DeleteFunc(cells, func(cl fenceCell) bool { return cl.fault != faultRows })
-	}
-	refs, err := parallel.Map(0, len(progs), func(i int) (emuTrace, error) { return emulatorTrace(progs[i].Linear) })
-	if err != nil {
-		t.Fatal(err)
+		cells = slices.DeleteFunc(cells, func(cl fenceCell) bool { return isFaultRow(cl.name) != faultRows })
 	}
 	got, err := parallel.Map(0, len(cells), func(i int) (string, error) {
 		cl := cells[i]
-		m := cl.m
-		m.Metrics = trace.NewAggregate()
-		res, f, err := fenceRun(cl.c, cl.c.Wave, m)
+		run, err := fenceRun(cl.c, cl.c.Wave, cl.m)
 		if err != nil {
 			return "", fmt.Errorf("%s: %w", cl.name, err)
 		}
+		res, f, w, ref := run.res, run.f, run.f.Work, run.ref
 		// The relation the digest must satisfy, whatever the file says: the
 		// steer binary commits the emulator's loads and stores, in its order.
-		if ref := refs[cl.ref]; f.Commit != ref.commit || f.Stores != ref.stores || f.Image != ref.image {
+		if f.Commit != ref.commit || f.Stores != ref.stores || f.Image != ref.image {
 			return "", fmt.Errorf("%s: commit trace %x (stores %x, image %x) is not the emulator's program-order trace %x (stores %x, image %x)",
 				cl.name, f.Commit, f.Stores, f.Image, ref.commit, ref.stores, ref.image)
-		}
-		// The books: a token takes exactly one of deliver's paths, the access
-		// helper sees every access, and (from the change that retires
-		// bindings on) every binding made has retired by the end of the run
-		// — no memory message arrived for a wave after it retired.
-		w := f.Work
-		if w.Bypassed+w.SlotMatched+w.TableMatched != res.Tokens || w.MemAccess != res.Mem.Accesses || w.Retired != 0 && w.Retired != w.Bound {
-			return "", fmt.Errorf("%s: work counters do not add up: %+v against %d tokens, %d accesses", cl.name, w, res.Tokens, res.Mem.Accesses)
 		}
 		return fmt.Sprintf("%s value=%d cycles=%d fired=%d tokens=%d commit=%016x image=%016x events=%d bypassed=%d matched=%d bound=%d access=%d send=%d submit=%d"+
 			" swaps=%d overflows=%d pes=%d messages=%d hops=%d stalls=%d drops=%d retries=%d l1miss=%d transfers=%d issued=%d waves=%d maxpending=%d metrics=%016x",
@@ -251,7 +144,7 @@ func pinFence(t *testing.T, faultRows bool) {
 			w.Events, w.Bypassed, w.SlotMatched+w.TableMatched, w.Bound, w.MemAccess, w.NocSend, w.Submits,
 			res.Swaps, res.Overflows, res.PEsUsed, res.Net.Messages, res.Net.MeshHops, res.Net.StallCycles,
 			res.Faults.Operand.Drops, res.Faults.Operand.Retries, res.Mem.L1Misses, res.Mem.Transfers,
-			res.Order.Issued, res.Order.WavesDone, res.Order.MaxPending, metricsDigest(m.Metrics)), nil
+			res.Order.Issued, res.Order.WavesDone, res.Order.MaxPending, run.metrics), nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -259,15 +152,6 @@ func pinFence(t *testing.T, faultRows bool) {
 
 	pinnedLines(t, engineDigestsPath, *updateEngineDigests, "-update-engine-digests", got,
 		func(line string) bool { return isFaultRow(line) == faultRows })
-}
-
-// metricsDigest is the FNV-64a of the rendered trace-metrics summary: every
-// row, the busiest cluster, domain and link, the queue depth, the ordering
-// stall and the placements among them.
-func metricsDigest(agg *trace.Aggregate) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(agg.Summary("").Render()))
-	return h.Sum64()
 }
 
 // o1OverflowRises are the cells where the -O1 binary does overflow the
@@ -286,7 +170,7 @@ var o1OverflowRises = map[string]bool{
 // every memory mode, the -O1 binary swaps no more than the -O0 one, and
 // overflows no more except in the cells o1OverflowRises names. A program the
 // tier leaves alone is the same binary at both levels, so only the programs
-// it rewrites are simulated.
+// it rewrites are compared; their -O1 cells are the fence's own.
 func TestO1AddsNoStoragePressure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the rewritten programs at both levels in four memory modes")
@@ -303,15 +187,9 @@ func TestO1AddsNoStoragePressure(t *testing.T) {
 			}
 		}
 	}
-	corpus := fenceCorpusSet(t, 100)
-	corpusO0, err := parallel.Map(0, len(corpus), func(i int) (*Compiled, error) {
-		return CompileSource(corpus[i].Name, corpus[i].Src, o0Options)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	add(fullSet(t), o0Set(t), DefaultMachineOptions())
-	add(corpus, corpusO0, DefaultCorpusMachine())
+	p := fenceSets(t)
+	add(p.kernels, p.o0, DefaultMachineOptions())
+	add(p.corpus, p.corpusO0, DefaultCorpusMachine())
 	if len(cells) == 0 {
 		t.Fatal("the tier rewrote none of the fence's programs")
 	}
@@ -323,11 +201,11 @@ func TestO1AddsNoStoragePressure(t *testing.T) {
 		m.MemMode = memModes[i%len(memModes)]
 		var out [2]pressure
 		for lvl, c := range []*Compiled{cl.o0, cl.o1} {
-			res, _, err := fenceRun(c, c.Wave, m)
+			run, err := fenceRun(c, c.Wave, m)
 			if err != nil {
 				return out, fmt.Errorf("%s O%d %v: %w", c.Name, lvl, m.MemMode, err)
 			}
-			out[lvl] = pressure{res.Overflows, res.Swaps}
+			out[lvl] = pressure{run.res.Overflows, run.res.Swaps}
 		}
 		return out, nil
 	})
@@ -368,7 +246,7 @@ func main() {
 // PE dying mid-run and MemSpec's squash-and-replay change when a memory
 // operation reaches its store buffer and what it costs, never the order in
 // which operations commit: the steer binary's commit trace stays the
-// emulator's in every memory mode. (TestEngineDigestsPinned holds the -O0
+// emulator's in every memory mode. (TestGoldenWaveCache holds the -O0
 // binaries to the same relation under its four fault scenarios.)
 func TestCommitTraceSurvivesFaults(t *testing.T) {
 	squash, err := CompileSource("spec-squash", specSquashSrc, DefaultCompileOptions())
@@ -377,21 +255,21 @@ func TestCommitTraceSurvivesFaults(t *testing.T) {
 	}
 	set := append(quickSet(t), squash)
 	if !testing.Short() {
-		set = append(set, fenceCorpusSet(t, 20)...)
+		set = append(set, fenceSets(t).corpus[:20]...)
 	}
 	for _, c := range set {
-		ref, err := emulatorTrace(c.Linear)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, faults := range []string{"", "drop=0.05,delay=0.02,memloss=0.02", "kill=1@150", "drop=0.02,memloss=0.02,kill=0@400"} {
 			for _, mode := range memModes {
 				m := DefaultCorpusMachine()
-				m.MemMode, m.Faults, m.FaultSeed = mode, faults, 7
-				res, f, err := fenceRun(c, c.Wave, m)
+				m.MemMode, m.Faults = mode, faults
+				if faults != "" { // a fault-free run draws nothing from the seed: it is the fence's cell
+					m.FaultSeed = 7
+				}
+				run, err := fenceRun(c, c.Wave, m)
 				if err != nil {
 					t.Fatalf("%s %v faults %q: %v", c.Name, mode, faults, err)
 				}
+				res, f, ref := run.res, run.f, run.ref
 				if f.Commit != ref.commit || f.Image != ref.image {
 					t.Errorf("%s %v faults %q: commit trace %x (image %x) is not the emulator's %x (image %x)",
 						c.Name, mode, faults, f.Commit, f.Image, ref.commit, ref.image)
@@ -417,19 +295,16 @@ func TestCommitTraceSurvivesFaults(t *testing.T) {
 func TestCommitTraceSelectAndRolled(t *testing.T) {
 	set := quickSet(t)
 	if !testing.Short() {
-		set = append(set, fenceCorpusSet(t, 100)...)
+		set = append(set, fenceSets(t).corpus...)
 	}
 	differ := 0
 	for _, c := range set {
-		ref, err := emulatorTrace(c.Linear)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for name, prog := range map[string]*isa.Program{"select": c.WaveSel, "rolled": c.WaveNoUn} {
-			_, f, err := fenceRun(c, prog, DefaultCorpusMachine())
+			run, err := fenceRun(c, prog, DefaultCorpusMachine())
 			if err != nil {
 				t.Fatalf("%s %s: %v", c.Name, name, err)
 			}
+			f, ref := run.f, run.ref
 			if f.Stores != ref.stores || f.Image != ref.image {
 				t.Errorf("%s %s: store trace %x (image %x) is not the emulator's %x (image %x)",
 					c.Name, name, f.Stores, f.Image, ref.stores, ref.image)

@@ -14,27 +14,6 @@ import (
 	"wavescalar/internal/workloads"
 )
 
-// quickSuite caches a small, fast subset of the suite, compiled once per
-// test binary.
-var quickSuite struct {
-	once sync.Once
-	set  []*Compiled
-	err  error
-}
-
-// quickSet returns lu and fft in a slice of the caller's own; the programs
-// are shared and read-only.
-func quickSet(t testing.TB) []*Compiled {
-	t.Helper()
-	quickSuite.once.Do(func() {
-		quickSuite.set, quickSuite.err = Suite([]string{"lu", "fft"}, DefaultCompileOptions())
-	})
-	if quickSuite.err != nil {
-		t.Fatal(quickSuite.err)
-	}
-	return slices.Clone(quickSuite.set)
-}
-
 // quickMachine keeps experiment runtime small for tests.
 func quickMachine() MachineOptions {
 	m := DefaultMachineOptions()

@@ -23,7 +23,7 @@ var updateOoODigests = flag.Bool("update-ooo-digests", false, "rewrite testdata/
 const oooDigestsPath = "testdata/ooo_digests.txt"
 
 func TestOoODigestsPinned(t *testing.T) {
-	set := fullSet(t)
+	set := fenceSets(t).kernels
 	rolled, err := parallel.Map(0, len(set), func(i int) (*Compiled, error) { return rolledBuild(set[i]) })
 	if err != nil {
 		t.Fatal(err)

@@ -38,7 +38,7 @@ func TestRelabellingInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates every kernel twice")
 	}
-	set := fullSet(t)
+	set := fenceSets(t).kernels
 	m := DefaultMachineOptions()
 	m.Density = 4
 	type outcome struct {

@@ -206,6 +206,6 @@ func (s *Slab[T]) Reset() {
 // Len reports the number of live (allocated, not released) records.
 func (s *Slab[T]) Len() int { return len(s.items) - len(s.free) }
 
-// Cap reports the backing array's high-water mark (for tests and sizing
-// diagnostics).
+// Cap reports the backing array's high-water mark. It is a test reference:
+// only wavecache's tests call it, to count the records a slab ever held.
 func (s *Slab[T]) Cap() int { return cap(s.items) }

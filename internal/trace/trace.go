@@ -432,14 +432,6 @@ func (t *Tracer) Events() []Event {
 	return t.events
 }
 
-// Series returns the per-cycle counter buckets and their width in cycles.
-func (t *Tracer) Series() ([]Bucket, int64) {
-	if t == nil {
-		return nil, 0
-	}
-	return t.buckets, t.cfg.SampleInterval
-}
-
 // bucket returns the sample bucket covering cycle tm, growing the series
 // as simulated time advances.
 func (t *Tracer) bucket(tm int64) *Bucket {

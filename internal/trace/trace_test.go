@@ -9,6 +9,15 @@ import (
 	"testing"
 )
 
+// Series returns the per-cycle counter buckets and their width in cycles:
+// what the JSON export writes, as these tests read it.
+func (t *Tracer) Series() ([]Bucket, int64) {
+	if t == nil {
+		return nil, 0
+	}
+	return t.buckets, t.cfg.SampleInterval
+}
+
 // TestDisabledTracerZeroAlloc: the disabled state is a nil *Tracer, and
 // every method on it must return without allocating — the zero-cost
 // contract the simulators rely on in their hot paths.
