@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci check vet fmt-check build test smoke tier1-time bench-test race race-compile soak bench bench-ledger bench-ab bench-micro fuzz fuzz-diff corpus
+.PHONY: ci check vet fmt-check build test test-short smoke tier1-time bench-test race race-compile soak bench bench-ledger bench-ab bench-micro fuzz fuzz-diff corpus
 
 ci: vet fmt-check build test race
 
@@ -15,9 +15,9 @@ ci: vet fmt-check build test race
 # pass — the simulator engine itself runs on one goroutine; `make race`
 # covers the harness -j fan-out and the service), plus the compile path's
 # stages and the short service soak under -race, a corpus-differential fuzz
-# smoke, the benchmark module's own smoke tests, and a run of the examples
-# and the compile / run / simulate commands.
-check: vet fmt-check build test smoke bench-test race-compile soak fuzz-diff
+# smoke, the benchmark module's own smoke tests, a run of the examples
+# and the compile / run / simulate commands, and the suite under -short.
+check: vet fmt-check build test test-short smoke bench-test race-compile soak fuzz-diff
 
 vet:
 	$(GO) vet ./...
@@ -31,6 +31,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# test-short runs the suite as `go test -short` does: the smaller program
+# sets several tests fall back to must still exercise what they check. Part
+# of `make check`; not part of tier-1.
+test-short:
+	$(GO) test -short ./...
 
 # smoke starts what `go test` cannot, because it has no test files: the five
 # examples, and wavec -stats, wavec -select -dot main, waverun and wavesim

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -136,7 +137,8 @@ func ParsePruneSpec(spec string) (maxAge time.Duration, maxBytes int64, err erro
 }
 
 // ParseBytes parses a byte count: a plain integer, or one with a
-// KB/MB/GB (decimal) or KiB/MiB/GiB (binary) suffix, or a bare B.
+// KB/MB/GB (decimal) or KiB/MiB/GiB (binary) suffix, or a bare B. A
+// count whose bytes do not fit an int64 is an error, not a wrapped bound.
 func ParseBytes(s string) (int64, error) {
 	t := strings.TrimSpace(s)
 	mult := int64(1)
@@ -156,6 +158,9 @@ func ParseBytes(s string) (int64, error) {
 	n, err := strconv.ParseInt(t, 10, 64)
 	if err != nil || n < 0 {
 		return 0, fmt.Errorf("cellcache: bad byte count %q", s)
+	}
+	if n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("cellcache: byte count %q overflows int64", s)
 	}
 	return n * mult, nil
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -227,7 +228,19 @@ func TestParsePruneSpec(t *testing.T) {
 			t.Fatalf("ParseBytes(%q) = %d, %v; want %d", s, got, err, want)
 		}
 	}
-	if _, err := ParseBytes("-1MB"); err == nil {
-		t.Fatal("negative byte count must be rejected")
+	for _, s := range []string{
+		"-1MB",
+		"9000000000GiB",          // wraps negative: read as "no bound"
+		"17179869185GiB",         // 2^64 + 2^30 bytes: wraps to 1 GiB
+		"9223372036854775808",    // does not parse as an int64
+		"9223372036854775807KB",  // the largest count, times 1000
+		"9223372036854775807KiB", // and times 1024
+	} {
+		if got, err := ParseBytes(s); err == nil {
+			t.Errorf("ParseBytes(%q) = %d, nil; want an error", s, got)
+		}
+	}
+	if got, err := ParseBytes("9223372036854775807B"); err != nil || got != math.MaxInt64 {
+		t.Errorf("ParseBytes(max int64 B) = %d, %v; want %d", got, err, int64(math.MaxInt64))
 	}
 }

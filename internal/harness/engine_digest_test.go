@@ -38,8 +38,9 @@ import (
 // fault rows and TestEngineDigestsPinned the others; the flag below makes
 // either test rewrite the whole file.
 // The counters a round is meant to move — heap pushes, slot against table
-// matches, bindings retired — are in wavecache.Fence and EXPERIMENTS.md, not
-// here. Regenerate only for a change meant to alter simulated behaviour:
+// matches, bindings retired — are in wavecache.Fence and, per change, in
+// docs/HOSTPERF.md, not here. Regenerate only for a change meant to alter
+// simulated behaviour:
 //
 //	go test ./internal/harness -run TestEngineDigestsPinned -update-engine-digests
 var updateEngineDigests = flag.Bool("update-engine-digests", false, "rewrite testdata/engine_digests.txt from the current engine")
@@ -285,15 +286,33 @@ func TestCommitTraceSurvivesFaults(t *testing.T) {
 	}
 }
 
+// forwardSrc reads, each iteration, the word the iteration before stored.
+// Unrolled, the second copy's load is the first copy's store and the
+// optimizer forwards it; the rolled body keeps every load.
+const forwardSrc = `global a[33];
+func main() {
+	a[0] = 1;
+	var s = 0;
+	for var i = 1; i < 33; i = i + 1 {
+		a[i] = a[i - 1] * 3 + i;
+		s = s + a[i];
+	}
+	return s;
+}`
+
 // TestCommitTraceSelectAndRolled states the relation the other two binaries
-// satisfy. They are lowered from different IR than the linear program —
-// if-conversion executes both arms' loads, and the rolled loop body is
+// satisfy. They are lowered from different IR than the linear program — the
+// select binary from an if-converted copy, and the rolled loop body
 // optimized on its own, so the optimizer may keep a load the unrolled body
 // lost — but neither transformation adds, drops or reorders a store the
 // other program executes: the store subsequence of their commit trace, and
 // the final image, are the emulator's.
 func TestCommitTraceSelectAndRolled(t *testing.T) {
-	set := quickSet(t)
+	fwd, err := CompileSource("forward", forwardSrc, DefaultCompileOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := append(quickSet(t), fwd)
 	if !testing.Short() {
 		set = append(set, fenceSets(t).corpus...)
 	}

@@ -17,7 +17,7 @@
 //     a structured cancellation fault — complementing the simulated-time
 //     MaxCycles watchdog.
 //   - Idempotency: with a cache directory configured, completed results
-//     land in the PR 6 content-addressed CellCache keyed by everything
+//     land in the content-addressed CellCache keyed by everything
 //     that determines them, so a retried request replays its result
 //     instead of re-simulating (and a torn cache entry is recomputed,
 //     never trusted). /v1/simulate and /v1/sweep store through the same
