@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci check vet fmt-check build test test-short smoke tier1-time bench-test race race-compile soak bench bench-ledger bench-ab bench-micro fuzz fuzz-diff corpus
+.PHONY: ci check vet fmt-check build test test-short smoke loc tier1-time bench-test race race-compile soak bench bench-ledger bench-ab bench-micro fuzz fuzz-diff corpus
 
 ci: vet fmt-check build test race
 
@@ -44,6 +44,13 @@ test-short:
 # exit fails it. Part of `make check`; not part of tier-1.
 smoke:
 	GO=$(GO) bash scripts/smoke.sh
+
+# loc prints the line counts of the tracked Go files outside bench/: the
+# non-test files, then the tests. The ROADMAP's state paragraph quotes
+# the first number.
+loc:
+	@git ls-files -z '*.go' ':!bench/' ':!*_test.go' | xargs -0 cat | wc -l | sed 's/^/non-test Go lines: /'
+	@git ls-files -z '*_test.go' ':!bench/' | xargs -0 cat | wc -l | sed 's/^/test Go lines:     /'
 
 # tier1-time is the instrument for what the tier-1 suite costs, not part of
 # it: one uncached `go test -json` pass over the module with every test
@@ -101,10 +108,11 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzServeRequests -fuzztime=$(FUZZTIME) ./internal/serve
 
 # fuzz-diff is the corpus-differential smoke: generated programs across
-# all workload families, each checked for agreement across all ten
-# engines (see internal/testprogs/differential_fuzz_test.go) — and then
-# arbitrary bytes as a cell-cache segment: open never fails and a Get that
-# hits is vouched for by its record (internal/harness/cellcache_test.go).
+# all workload families, each checked for agreement across the seven
+# engines of harness.Engines (see
+# internal/testprogs/differential_fuzz_test.go) — and then arbitrary bytes
+# as a cell-cache segment: open never fails and a Get that hits is vouched
+# for by its record (internal/harness/cellcache_test.go).
 DIFFFUZZTIME ?= 20s
 CACHEFUZZTIME ?= 10s
 

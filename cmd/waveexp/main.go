@@ -187,8 +187,9 @@ func runCorpus(out io.Writer, n int, seed int64, cache *harness.CellCache, shard
 	o.Compile.Workers = jobs
 	o.Machine.Workers = jobs
 	if shard != "" {
-		if _, err := fmt.Sscanf(shard, "%d/%d", &o.Shard, &o.Shards); err != nil || o.Shards < 1 || o.Shard < 1 || o.Shard > o.Shards {
-			fatal(fmt.Errorf("bad -shard %q (want k/n with 1 <= k <= n)", shard))
+		var err error
+		if o.Shard, o.Shards, err = parseShard(shard); err != nil {
+			fatal(err)
 		}
 	}
 	if (resume || shard != "") && cache == nil {
@@ -209,6 +210,16 @@ func runCorpus(out io.Writer, n int, seed int64, cache *harness.CellCache, shard
 	if run.Mismatched > 0 {
 		fatal(fmt.Errorf("%d corpus cells had cross-engine mismatches", run.Mismatched))
 	}
+}
+
+// parseShard reads a -shard value: exactly k/n in decimal, 1 <= k <= n.
+// Anything around or inside the two numbers is refused, so a typo never
+// runs some other shard.
+func parseShard(s string) (k, n int, err error) {
+	if _, err := fmt.Sscanf(s, "%d/%d", &k, &n); err != nil || fmt.Sprintf("%d/%d", k, n) != s || n < 1 || k < 1 || k > n {
+		return 0, 0, fmt.Errorf("bad -shard %q (want k/n with 1 <= k <= n)", s)
+	}
+	return k, n, nil
 }
 
 // openOut resolves the -out destination. Writes stream to stdout and —

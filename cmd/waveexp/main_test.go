@@ -30,3 +30,17 @@ func TestPickExperiments(t *testing.T) {
 		t.Errorf("E1, E99: %v", err)
 	}
 }
+
+func TestParseShard(t *testing.T) {
+	if k, n, err := parseShard("2/4"); err != nil || k != 2 || n != 4 {
+		t.Errorf("2/4: %d/%d, %v", k, n, err)
+	}
+	for _, bad := range []string{
+		"1/4junk", " 1/4", "1/4 ", "01/4", "+1/4", "1/+4", "1 / 4", "1/", "/4", "1",
+		"0/4", "5/4", "1/0", "-1/4", "1/4/2",
+	} {
+		if _, _, err := parseShard(bad); err == nil {
+			t.Errorf("-shard %q accepted", bad)
+		}
+	}
+}

@@ -76,8 +76,8 @@ func printInstr(b *strings.Builder, p *isa.Program, id isa.InstrID, in *isa.Inst
 		fmt.Fprintf(b, " target=%s:%d", p.Funcs[in.Target].Name, in.TargetPad)
 	}
 	if in.Mem.Kind != isa.MemNone {
-		fmt.Fprintf(b, " mem=%s,%s,%s,%s", memKindName(in.Mem.Kind),
-			seqText(in.Mem.Seq), seqText(in.Mem.Pred), seqText(in.Mem.Succ))
+		fmt.Fprintf(b, " mem=%s,%s,%s,%s", in.Mem.Kind,
+			isa.SeqString(in.Mem.Seq), isa.SeqString(in.Mem.Pred), isa.SeqString(in.Mem.Succ))
 	}
 	fmt.Fprintf(b, " wave=%d", in.Wave)
 	if in.Op == isa.OpSteer {
@@ -99,34 +99,6 @@ func destsText(ds []isa.Dest) string {
 	return "[" + strings.Join(parts, " ") + "]"
 }
 
-func seqText(s int32) string {
-	switch s {
-	case isa.SeqWildcard:
-		return "?"
-	case isa.SeqStart:
-		return "^"
-	case isa.SeqEnd:
-		return "$"
-	}
-	return strconv.FormatInt(int64(s), 10)
-}
-
-func memKindName(k isa.MemKind) string {
-	switch k {
-	case isa.MemLoad:
-		return "load"
-	case isa.MemStore:
-		return "store"
-	case isa.MemNop:
-		return "nop"
-	case isa.MemCall:
-		return "call"
-	case isa.MemEnd:
-		return "end"
-	}
-	return "none"
-}
-
 var opByName = func() map[string]isa.Opcode {
 	m := make(map[string]isa.Opcode)
 	for op := isa.Opcode(0); ; op++ {
@@ -139,10 +111,13 @@ var opByName = func() map[string]isa.Opcode {
 	return m
 }()
 
-var memKindByName = map[string]isa.MemKind{
-	"load": isa.MemLoad, "store": isa.MemStore, "nop": isa.MemNop,
-	"call": isa.MemCall, "end": isa.MemEnd,
-}
+var memKindByName = func() map[string]isa.MemKind {
+	m := make(map[string]isa.MemKind)
+	for k := isa.MemLoad; k <= isa.MemEnd; k++ {
+		m[k.String()] = k
+	}
+	return m
+}()
 
 // Parse reads assembly text back into a program and validates it.
 func Parse(text string) (*isa.Program, error) {
@@ -371,13 +346,10 @@ func parseInstrID(s string) (isa.InstrID, error) {
 }
 
 func parseSeq(s string) (int32, error) {
-	switch s {
-	case "?":
-		return isa.SeqWildcard, nil
-	case "^":
-		return isa.SeqStart, nil
-	case "$":
-		return isa.SeqEnd, nil
+	for _, sentinel := range []int32{isa.SeqWildcard, isa.SeqStart, isa.SeqEnd} {
+		if s == isa.SeqString(sentinel) {
+			return sentinel, nil
+		}
 	}
 	v, err := strconv.ParseInt(s, 10, 32)
 	return int32(v), err

@@ -170,11 +170,7 @@ func (p *Program) FuncByName(name string) int {
 
 // InitialMemory builds the initial data segment.
 func (p *Program) InitialMemory() []int64 {
-	m := make([]int64, p.MemWords)
-	for _, g := range p.Globals {
-		copy(m[g.Addr:g.Addr+g.Size], g.Init)
-	}
-	return m
+	return isa.FillSegment(nil, p.MemWords, p.Globals)
 }
 
 // String renders the program as readable IR text (for tests and debugging).
@@ -199,9 +195,6 @@ func (f *Func) String() string {
 	}
 	fmt.Fprintf(&sb, ") entry=b%d\n", f.Entry)
 	for _, b := range f.Blocks {
-		if b == nil {
-			continue
-		}
 		fmt.Fprintf(&sb, "b%d:\n", b.ID)
 		for i := range b.Instrs {
 			fmt.Fprintf(&sb, "  %s\n", b.Instrs[i].String())

@@ -148,14 +148,13 @@ func (p *Program) OptimizeMemory() MemOptStats {
 
 // MemTouches reports, per function, whether it touches memory directly or
 // transitively through calls. Functions that cannot touch memory are
-// transparent to the tier's memory facts.
+// transparent to the tier's memory facts, and a call to one takes no slot
+// in its wave's memory ordering chain. Recursive cycles converge because
+// the value only moves false -> true.
 func (p *Program) MemTouches() []bool {
 	touches := make([]bool, len(p.Funcs))
 	for i, f := range p.Funcs {
 		for _, b := range f.Blocks {
-			if b == nil {
-				continue
-			}
 			for j := range b.Instrs {
 				if b.Instrs[j].Kind == KLoad || b.Instrs[j].Kind == KStore {
 					touches[i] = true
@@ -170,12 +169,9 @@ func (p *Program) MemTouches() []bool {
 				continue
 			}
 			for _, b := range f.Blocks {
-				if b == nil {
-					continue
-				}
 				for j := range b.Instrs {
 					in := &b.Instrs[j]
-					if in.Kind == KCall && in.Callee >= 0 && in.Callee < len(touches) && touches[in.Callee] {
+					if in.Kind == KCall && touches[in.Callee] {
 						touches[i] = true
 						changed = true
 					}
@@ -189,9 +185,6 @@ func (p *Program) MemTouches() []bool {
 func countMemOps(f *Func) int64 {
 	n := int64(0)
 	for _, b := range f.Blocks {
-		if b == nil {
-			continue
-		}
 		for i := range b.Instrs {
 			if b.Instrs[i].Kind == KLoad || b.Instrs[i].Kind == KStore {
 				n++
@@ -204,9 +197,6 @@ func countMemOps(f *Func) int64 {
 func countInstrs(f *Func) int64 {
 	n := int64(0)
 	for _, b := range f.Blocks {
-		if b == nil {
-			continue
-		}
 		n += int64(len(b.Instrs))
 	}
 	return n
@@ -220,9 +210,6 @@ func constDefs(f *Func) map[Reg]int64 {
 	val := make(map[Reg]int64)
 	isConst := make(map[Reg]bool)
 	for _, b := range f.Blocks {
-		if b == nil {
-			continue
-		}
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if !in.HasDst() || in.Dst == NoReg {
@@ -335,7 +322,7 @@ func transferFacts(s factSet, in *Instr, touches []bool, constOf map[Reg]int64) 
 		s[k] = memFact{val: in.B, fromStore: true}
 		return
 	case KCall:
-		if in.Callee >= 0 && in.Callee < len(touches) && touches[in.Callee] {
+		if touches[in.Callee] {
 			for k := range s {
 				delete(s, k)
 			}
@@ -353,7 +340,7 @@ func forwardMemory(f *Func, touches []bool, constOf map[Reg]int64, st *MemOptSta
 	n := len(f.Blocks)
 	preds := f.Preds()
 	out := make([]factSet, n) // nil = TOP
-	rpo := blockOrder(f)
+	rpo := f.rpo()
 
 	// Fixpoint over block summaries. Termination: out sets start at TOP and
 	// only ever shrink (the meet is intersection, every transfer is
@@ -363,9 +350,6 @@ func forwardMemory(f *Func, touches []bool, constOf map[Reg]int64, st *MemOptSta
 		changed := false
 		for _, bi := range rpo {
 			b := f.Blocks[bi]
-			if b == nil {
-				continue
-			}
 			in := entryFacts(f, bi, preds[bi], out)
 			for i := range b.Instrs {
 				transferFacts(in, &b.Instrs[i], touches, constOf)
@@ -386,9 +370,6 @@ func forwardMemory(f *Func, touches []bool, constOf map[Reg]int64, st *MemOptSta
 	// promotion (scalar replacement).
 	rewrote := false
 	for bi, b := range f.Blocks {
-		if b == nil {
-			continue
-		}
 		facts := entryFacts(f, bi, preds[bi], out)
 		entry := cloneFacts(facts) // facts inherited from predecessors
 		for i := range b.Instrs {
@@ -460,9 +441,6 @@ func forwardLocal(f *Func, touches []bool, st *MemOptStats) bool {
 		off  int64
 	}
 	for _, b := range f.Blocks {
-		if b == nil {
-			continue
-		}
 		nextVN := 0
 		vn := make(map[Reg]int)     // register -> number of its current value
 		terms := make(map[int]term) // number -> linear decomposition
@@ -594,7 +572,7 @@ func forwardLocal(f *Func, touches []bool, st *MemOptStats) bool {
 				}
 				facts[av] = memFact{val: ins.B, fromStore: true}
 			case KCall:
-				if ins.Callee >= 0 && ins.Callee < len(touches) && touches[ins.Callee] {
+				if touches[ins.Callee] {
 					facts = make(map[int]memFact)
 				}
 				killVal(ins.Dst)
@@ -634,29 +612,6 @@ func entryFacts(f *Func, bi int, preds []int, out []factSet) factSet {
 	return in
 }
 
-// blockOrder returns reverse postorder over reachable blocks so the
-// fixpoint converges in few passes.
-func blockOrder(f *Func) []int {
-	seen := make([]bool, len(f.Blocks))
-	var post []int
-	var walk func(int)
-	walk = func(bi int) {
-		if bi < 0 || bi >= len(f.Blocks) || seen[bi] || f.Blocks[bi] == nil {
-			return
-		}
-		seen[bi] = true
-		for _, s := range f.Blocks[bi].Succs() {
-			walk(s)
-		}
-		post = append(post, bi)
-	}
-	walk(f.Entry)
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
-}
-
 // eliminateDeadStores deletes a store when the next memory-touching event
 // in its own block is another store through the same canonical address,
 // with only pure non-trapping instructions between. The window is
@@ -666,9 +621,6 @@ func blockOrder(f *Func) []int {
 func eliminateDeadStores(f *Func, touches []bool, constOf map[Reg]int64, st *MemOptStats) bool {
 	changed := false
 	for _, b := range f.Blocks {
-		if b == nil {
-			continue
-		}
 		keep := b.Instrs[:0]
 		for i := 0; i < len(b.Instrs); i++ {
 			in := b.Instrs[i]

@@ -81,7 +81,7 @@ func (c Config) Validate() error {
 		{"defect", c.DefectRate}, {"drop", c.DropRate},
 		{"delay", c.DelayRate}, {"memloss", c.MemLossRate},
 	} {
-		if r.v < 0 || r.v > 1 {
+		if !(r.v >= 0 && r.v <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("fault: %s rate %g outside [0,1]", r.name, r.v)
 		}
 	}

@@ -278,6 +278,7 @@ func TestParseSpec(t *testing.T) {
 	for _, bad := range []string{
 		"defect", "defect=x", "drop=1.5", "kill=3", "kill=a@b",
 		"retries=x", "timeout=x", "delaycycles=x", "warp=0.5", "defect=1.0",
+		"defect=NaN", "drop=NaN", "delay=NaN", "memloss=NaN",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("spec %q should not parse", bad)

@@ -21,7 +21,7 @@ type mirrorX struct {
 
 func (p mirrorX) Assign(ref profile.InstrRef) int {
 	pe := p.Policy.Assign(ref)
-	per := p.m.PEsPerCluster()
+	per := placement.PEsPerCluster
 	row, col := pe/per/p.m.GridW, pe/per%p.m.GridW
 	return (row*p.m.GridW+p.m.GridW-1-col)*per + pe%per
 }

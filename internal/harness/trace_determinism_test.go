@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"wavescalar/internal/placement"
 	"wavescalar/internal/trace"
 	"wavescalar/internal/wavecache"
 )
@@ -241,7 +242,7 @@ func TestDenseCountersMatchPerCallCounts(t *testing.T) {
 				DomainFires:  make([][]uint64, nc),
 			}
 			for cl := range want.DomainFires {
-				want.DomainFires[cl] = make([]uint64, mc.DomainsPerCluster)
+				want.DomainFires[cl] = make([]uint64, placement.DomainsPerCluster)
 			}
 			for _, e := range tr.Events() {
 				switch e.Kind {

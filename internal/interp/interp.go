@@ -8,8 +8,8 @@
 // It serves three roles: the differential suite's interp-steer,
 // interp-select and interp-rolled rows (every compiled binary must reproduce
 // the reference engines' checksum and memory image on it), the untimed run
-// behind `waverun`, and the profile collector feeding the placement model
-// and profile-guided placement. E1's "ideal dataflow" column is not this
+// behind `waverun`, and the profile collector feeding the placement
+// model's experiment M1. E1's "ideal dataflow" column is not this
 // machine: it is the WaveCache simulator on an idealized configuration
 // (harness.idealMachine).
 package interp

@@ -253,7 +253,9 @@ type MemOrder struct {
 	Succ int32
 }
 
-func seqString(s int32) string {
+// SeqString spells a sequence number as the paper does: the sentinels as
+// '?', '^' and '$', any other number in decimal.
+func SeqString(s int32) string {
 	switch s {
 	case SeqWildcard:
 		return "?"
@@ -261,16 +263,15 @@ func seqString(s int32) string {
 		return "^"
 	case SeqEnd:
 		return "$"
-	default:
-		return fmt.Sprintf("%d", s)
 	}
+	return fmt.Sprintf("%d", s)
 }
 
 func (m MemOrder) String() string {
 	if m.Kind == MemNone {
 		return ""
 	}
-	return fmt.Sprintf("{%s %s.%s.%s}", m.Kind, seqString(m.Pred), seqString(m.Seq), seqString(m.Succ))
+	return fmt.Sprintf("{%s %s.%s.%s}", m.Kind, SeqString(m.Pred), SeqString(m.Seq), SeqString(m.Succ))
 }
 
 // InstrID names an instruction within its Function.
@@ -399,13 +400,21 @@ func (p *Program) InitialMemory() []int64 {
 // path a reusable simulator arena takes between runs. The returned slice has
 // exactly MemWords words.
 func (p *Program) FillMemory(dst []int64) []int64 {
-	if int64(cap(dst)) >= p.MemWords {
-		dst = dst[:p.MemWords]
+	return FillSegment(dst, p.MemWords, p.Globals)
+}
+
+// FillSegment (re)initializes dst to a words-long data segment holding
+// globals, reusing dst's backing array when it is large enough. Every
+// program form (CFG IR, linear code, dataflow binary) builds its initial
+// memory here.
+func FillSegment(dst []int64, words int64, globals []Global) []int64 {
+	if int64(cap(dst)) >= words {
+		dst = dst[:words]
 		clear(dst)
 	} else {
-		dst = make([]int64, p.MemWords)
+		dst = make([]int64, words)
 	}
-	for _, g := range p.Globals {
+	for _, g := range globals {
 		copy(dst[g.Addr:g.Addr+g.Size], g.Init)
 	}
 	return dst

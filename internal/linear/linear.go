@@ -122,11 +122,7 @@ type Program struct {
 
 // InitialMemory builds the data segment.
 func (p *Program) InitialMemory() []int64 {
-	m := make([]int64, p.MemWords)
-	for _, g := range p.Globals {
-		copy(m[g.Addr:g.Addr+g.Size], g.Init)
-	}
-	return m
+	return isa.FillSegment(nil, p.MemWords, p.Globals)
 }
 
 // Compile lowers CFG IR to linear code. Blocks are laid out in their

@@ -50,21 +50,21 @@ type SystemConfig struct {
 	L1Latency  int64 // L1 hit
 	L2Latency  int64 // additional cycles for an L2 hit
 	MemLatency int64 // additional cycles for a DRAM access
-	// CoherencePenalty is the added latency when the directory must
-	// invalidate or fetch a line from a peer L1.
-	CoherencePenalty int64
 }
+
+// coherencePenalty is the added latency when the directory must invalidate
+// or fetch a line from a peer L1.
+const coherencePenalty = 8
 
 // DefaultSystemConfig returns the paper-parameter hierarchy for n L1s.
 func DefaultSystemConfig(n int) SystemConfig {
 	return SystemConfig{
-		NumL1s:           n,
-		L1:               CacheConfig{SizeWords: 4096, LineWords: 16, Ways: 4},     // 32 KB, 128 B lines
-		L2:               CacheConfig{SizeWords: 2097152, LineWords: 128, Ways: 4}, // 16 MB, 1 KB lines
-		L1Latency:        1,
-		L2Latency:        20,
-		MemLatency:       1000,
-		CoherencePenalty: 8,
+		NumL1s:     n,
+		L1:         CacheConfig{SizeWords: 4096, LineWords: 16, Ways: 4},     // 32 KB, 128 B lines
+		L2:         CacheConfig{SizeWords: 2097152, LineWords: 128, Ways: 4}, // 16 MB, 1 KB lines
+		L1Latency:  1,
+		L2Latency:  20,
+		MemLatency: 1000,
 	}
 }
 
@@ -280,7 +280,7 @@ func (s *System) Access(l1 int, addr int64, write bool) AccessResult {
 			d.owner = l1
 			d.sharers = 1 << uint(l1)
 			res.Coherence = true
-			res.Latency += s.cfg.CoherencePenalty
+			res.Latency += coherencePenalty
 		}
 		if write && d != nil {
 			d.owner = l1
@@ -296,7 +296,7 @@ func (s *System) Access(l1 int, addr int64, write bool) AccessResult {
 		// Some peer holds the line: fetch it from there (dirty transfer if
 		// exclusively owned) instead of going to L2/DRAM.
 		res.Coherence = true
-		res.Latency += s.cfg.CoherencePenalty
+		res.Latency += coherencePenalty
 		s.stats.Transfers++
 		if write {
 			s.invalidatePeers(d, l1, line)

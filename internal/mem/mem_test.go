@@ -8,13 +8,12 @@ import (
 
 func smallConfig(n int) SystemConfig {
 	return SystemConfig{
-		NumL1s:           n,
-		L1:               CacheConfig{SizeWords: 64, LineWords: 4, Ways: 2},
-		L2:               CacheConfig{SizeWords: 1024, LineWords: 16, Ways: 4},
-		L1Latency:        1,
-		L2Latency:        20,
-		MemLatency:       1000,
-		CoherencePenalty: 8,
+		NumL1s:     n,
+		L1:         CacheConfig{SizeWords: 64, LineWords: 4, Ways: 2},
+		L2:         CacheConfig{SizeWords: 1024, LineWords: 16, Ways: 4},
+		L1Latency:  1,
+		L2Latency:  20,
+		MemLatency: 1000,
 	}
 }
 

@@ -107,11 +107,11 @@ func (n *Network) AttachTracer(tr *trace.Tracer) { n.tr = tr }
 
 // New builds a network.
 func New(cfg Config) (*Network, error) {
-	if cfg.Width < 1 || cfg.Height < 1 {
-		return nil, fmt.Errorf("noc: bad mesh %dx%d", cfg.Width, cfg.Height)
+	n := &Network{}
+	if err := n.Reset(cfg); err != nil {
+		return nil, err
 	}
-	nc := cfg.Width * cfg.Height
-	return &Network{cfg: cfg, links: make([]Port, nc*4), use: make([][4]trace.LinkUse, nc)}, nil
+	return n, nil
 }
 
 // Reset returns the network to its post-New state under cfg, reusing the

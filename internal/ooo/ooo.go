@@ -27,55 +27,47 @@ import (
 	"wavescalar/internal/mem"
 )
 
-// Config parameterizes the core.
+// Config parameterizes the core: the widths and window size experiments
+// vary, and the memory hierarchy E1b's regimes swap. Everything else about
+// the modeled machine is a constant below.
 type Config struct {
 	FetchWidth  int
 	IssueWidth  int
 	CommitWidth int
 	ROBSize     int
-	LSQSize     int
-
-	DecodeDepth       int64 // front-end stages between fetch and dispatch
-	MispredictPenalty int64
-
-	GShareBits uint // log2 of predictor table size
-
-	IntLatency int64
-	MulLatency int64
-	DivLatency int64
-
-	// Functional-unit ports per cycle.
-	ALUPorts    int
-	MulDivPorts int
-	LoadPorts   int
-	StorePorts  int
 
 	Mem mem.SystemConfig
-
-	// Fuel bounds dynamic instructions (0 = 500M).
-	Fuel int64
 }
+
+// The fixed parameters of the modeled core.
+const (
+	lsqSize           = 64 // in-flight stores the LSQ holds
+	decodeDepth       = 15 // front-end stages between fetch and dispatch
+	mispredictPenalty = 15
+	gshareBits        = 14 // log2 of predictor table size
+
+	intLatency = 1
+	mulLatency = 3
+	divLatency = 20
+
+	// Functional-unit ports per cycle.
+	aluPorts    = 4
+	mulDivPorts = 1
+	loadPorts   = 2
+	storePorts  = 1
+
+	fuel = 500_000_000 // bound on dynamic instructions
+)
 
 // DefaultConfig is the aggressive superscalar of the evaluation: 8-wide,
 // 15-stage front end, 256-entry window, gshare prediction.
 func DefaultConfig() Config {
 	return Config{
-		FetchWidth:        8,
-		IssueWidth:        8,
-		CommitWidth:       8,
-		ROBSize:           256,
-		LSQSize:           64,
-		DecodeDepth:       15,
-		MispredictPenalty: 15,
-		GShareBits:        14,
-		IntLatency:        1,
-		MulLatency:        3,
-		DivLatency:        20,
-		ALUPorts:          4,
-		MulDivPorts:       1,
-		LoadPorts:         2,
-		StorePorts:        1,
-		Mem:               mem.DefaultSystemConfig(1),
+		FetchWidth:  8,
+		IssueWidth:  8,
+		CommitWidth: 8,
+		ROBSize:     256,
+		Mem:         mem.DefaultSystemConfig(1),
 	}
 }
 
@@ -278,7 +270,7 @@ type core struct {
 	base      int
 	callStack []callFrame
 
-	// The LSQ: a ring of LSQSize in-flight stores, stores[oldest] the next
+	// The LSQ: a ring of lsqSize in-flight stores, stores[oldest] the next
 	// overwritten once it is full.
 	stores []storeEntry
 	oldest int
@@ -302,12 +294,8 @@ func Run(p *linear.Program, cfg Config) (Result, error) {
 	return c.run(c.step)
 }
 
-// newCore fills cfg's defaults and builds the timing state, main's
-// activation entered.
+// newCore builds the timing state, main's activation entered.
 func newCore(p *linear.Program, cfg Config) (*core, error) {
-	if cfg.Fuel == 0 {
-		cfg.Fuel = 500_000_000
-	}
 	memsys, err := mem.NewSystem(cfg.Mem)
 	if err != nil {
 		return nil, err
@@ -318,14 +306,14 @@ func newCore(p *linear.Program, cfg Config) (*core, error) {
 		fetch:      newMonoSchedule(cfg.FetchWidth),
 		issue:      newCapSchedule(cfg.IssueWidth),
 		commit:     newMonoSchedule(cfg.CommitWidth),
-		aluPort:    newCapSchedule(cfg.ALUPorts),
-		mulPort:    newCapSchedule(cfg.MulDivPorts),
-		loadPort:   newCapSchedule(cfg.LoadPorts),
-		storePort:  newCapSchedule(cfg.StorePorts),
+		aluPort:    newCapSchedule(aluPorts),
+		mulPort:    newCapSchedule(mulDivPorts),
+		loadPort:   newCapSchedule(loadPorts),
+		storePort:  newCapSchedule(storePorts),
 		memsys:     memsys,
-		bp:         newGshare(cfg.GShareBits),
+		bp:         newGshare(gshareBits),
 		robCommits: make([]int64, cfg.ROBSize),
-		stores:     make([]storeEntry, 0, cfg.LSQSize),
+		stores:     make([]storeEntry, 0, lsqSize),
 	}
 	c.enter(p.Entry)
 	return c, nil
@@ -334,7 +322,7 @@ func newCore(p *linear.Program, cfg Config) (*core, error) {
 // run drives the program's trace through step, a model of one dynamic
 // instruction (core.step; ooo_ref_test.go passes its reference).
 func (c *core) run(step func(linear.TraceEvent)) (Result, error) {
-	em := linear.NewEmulator(c.prog, c.cfg.Fuel)
+	em := linear.NewEmulator(c.prog, fuel)
 	em.Trace = step
 	v, err := em.Run()
 	if err != nil {
@@ -377,7 +365,7 @@ func (c *core) write(r cfgir.Reg, t int64) { c.frame[r] = t }
 // instruction makes is at or after it, so no later request names a cycle
 // below it: every port schedule forgets them.
 func (c *core) dispatch(fetchT int64) int64 {
-	dispatch := max(fetchT+c.cfg.DecodeDepth, c.robCommits[c.robHead]+1)
+	dispatch := max(fetchT+decodeDepth, c.robCommits[c.robHead]+1)
 	for _, s := range [...]*capSchedule{c.issue, c.aluPort, c.mulPort, c.loadPort, c.storePort} {
 		s.prune(dispatch)
 	}
@@ -414,7 +402,7 @@ func (c *core) step(ev linear.TraceEvent) {
 	switch in.Op {
 	case linear.LConst:
 		issueT := c.issueAt(ready, c.aluPort)
-		execDone = issueT + c.cfg.IntLatency
+		execDone = issueT + intLatency
 		c.write(in.Rd, execDone)
 	case linear.LAlu:
 		up(c.ready(in.Ra))
@@ -429,7 +417,7 @@ func (c *core) step(ev linear.TraceEvent) {
 		up(c.ready(in.Rb))
 		up(c.ready(in.Rc))
 		issueT := c.issueAt(ready, c.aluPort)
-		execDone = issueT + c.cfg.IntLatency
+		execDone = issueT + intLatency
 		c.write(in.Rd, execDone)
 	case linear.LLoad:
 		c.res.Loads++
@@ -438,7 +426,7 @@ func (c *core) step(ev linear.TraceEvent) {
 		issueT := c.issueAt(adjusted, c.loadPort)
 		if forwarded {
 			c.res.Forwards++
-			execDone = issueT + c.cfg.IntLatency
+			execDone = issueT + intLatency
 		} else {
 			ar := c.memsys.Access(0, ev.Addr, false)
 			execDone = issueT + ar.Latency
@@ -461,12 +449,12 @@ func (c *core) step(ev linear.TraceEvent) {
 		c.res.Branches++
 		up(c.ready(in.Ra))
 		issueT := c.issueAt(ready, c.aluPort)
-		execDone = issueT + c.cfg.IntLatency
+		execDone = issueT + intLatency
 		pred := c.bp.predict(pcKey)
 		c.bp.update(pcKey, ev.Taken)
 		if pred != ev.Taken {
 			c.res.Mispredicts++
-			c.fetchMin = max64(c.fetchMin, execDone+c.cfg.MispredictPenalty)
+			c.fetchMin = max64(c.fetchMin, execDone+mispredictPenalty)
 		} else if ev.Taken {
 			c.fetchMin = max64(c.fetchMin, fetchT+1)
 		}
@@ -517,11 +505,11 @@ func (c *core) fuPort(in *linear.Instr) *capSchedule {
 func (c *core) aluLatency(in *linear.Instr) int64 {
 	switch in.Alu {
 	case isa.OpMul:
-		return c.cfg.MulLatency
+		return mulLatency
 	case isa.OpDiv, isa.OpRem:
-		return c.cfg.DivLatency
+		return divLatency
 	}
-	return c.cfg.IntLatency
+	return intLatency
 }
 
 // loadConstraints applies LSQ ordering to a load whose address is ready at

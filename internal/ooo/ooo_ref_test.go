@@ -57,7 +57,7 @@ func (m *mapRename) step(ev linear.TraceEvent) {
 	switch in.Op {
 	case linear.LConst:
 		issueT := c.issueAt(ready, c.aluPort)
-		execDone = issueT + c.cfg.IntLatency
+		execDone = issueT + intLatency
 		m.write(frame, in.Rd, execDone)
 	case linear.LAlu:
 		up(m.ready(frame, in.Ra))
@@ -72,7 +72,7 @@ func (m *mapRename) step(ev linear.TraceEvent) {
 		up(m.ready(frame, in.Rb))
 		up(m.ready(frame, in.Rc))
 		issueT := c.issueAt(ready, c.aluPort)
-		execDone = issueT + c.cfg.IntLatency
+		execDone = issueT + intLatency
 		m.write(frame, in.Rd, execDone)
 	case linear.LLoad:
 		c.res.Loads++
@@ -81,7 +81,7 @@ func (m *mapRename) step(ev linear.TraceEvent) {
 		issueT := c.issueAt(adjusted, c.loadPort)
 		if forwarded {
 			c.res.Forwards++
-			execDone = issueT + c.cfg.IntLatency
+			execDone = issueT + intLatency
 		} else {
 			ar := c.memsys.Access(0, ev.Addr, false)
 			execDone = issueT + ar.Latency
@@ -103,12 +103,12 @@ func (m *mapRename) step(ev linear.TraceEvent) {
 		c.res.Branches++
 		up(m.ready(frame, in.Ra))
 		issueT := c.issueAt(ready, c.aluPort)
-		execDone = issueT + c.cfg.IntLatency
+		execDone = issueT + intLatency
 		pred := c.bp.predict(pcKey)
 		c.bp.update(pcKey, ev.Taken)
 		if pred != ev.Taken {
 			c.res.Mispredicts++
-			c.fetchMin = max64(c.fetchMin, execDone+c.cfg.MispredictPenalty)
+			c.fetchMin = max64(c.fetchMin, execDone+mispredictPenalty)
 		} else if ev.Taken {
 			c.fetchMin = max64(c.fetchMin, fetchT+1)
 		}

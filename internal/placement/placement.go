@@ -19,12 +19,18 @@ import (
 	"wavescalar/internal/profile"
 )
 
-// Machine describes the PE topology placement targets.
+// The published cluster: 4 domains of 4 pods of 2 PEs.
+const (
+	DomainsPerCluster = 4
+	PodsPerDomain     = 4
+	PEsPerPod         = 2
+	PEsPerCluster     = DomainsPerCluster * PodsPerDomain * PEsPerPod
+)
+
+// Machine describes the PE topology placement targets: a grid of the
+// published clusters.
 type Machine struct {
-	GridW, GridH      int
-	DomainsPerCluster int
-	PodsPerDomain     int
-	PEsPerPod         int
+	GridW, GridH int
 	// Capacity is the number of instruction homes a policy packs per PE
 	// before moving on (normally the PE instruction-store size).
 	Capacity int
@@ -49,52 +55,39 @@ func (m Machine) UsablePEs() int {
 	return n
 }
 
-// DefaultMachine returns the published topology: 4 domains of 4 pods of 2
-// PEs per cluster, 64-instruction PE stores, on a w x h cluster grid.
+// DefaultMachine returns the published topology, 64-instruction PE stores,
+// on a w x h cluster grid.
 func DefaultMachine(w, h int) Machine {
-	return Machine{
-		GridW: w, GridH: h,
-		DomainsPerCluster: 4,
-		PodsPerDomain:     4,
-		PEsPerPod:         2,
-		Capacity:          64,
-	}
+	return Machine{GridW: w, GridH: h, Capacity: 64}
 }
 
 // NumClusters returns the cluster count.
 func (m Machine) NumClusters() int { return m.GridW * m.GridH }
 
-// PEsPerCluster returns PEs in one cluster.
-func (m Machine) PEsPerCluster() int {
-	return m.DomainsPerCluster * m.PodsPerDomain * m.PEsPerPod
-}
-
 // NumPEs returns the total PE count.
-func (m Machine) NumPEs() int { return m.NumClusters() * m.PEsPerCluster() }
+func (m Machine) NumPEs() int { return m.NumClusters() * PEsPerCluster }
 
 // Loc maps a PE index to its place in the communication hierarchy.
 func (m Machine) Loc(pe int) noc.Loc {
-	perCluster := m.PEsPerCluster()
-	cluster := pe / perCluster
-	rem := pe % perCluster
-	domain := rem / (m.PodsPerDomain * m.PEsPerPod)
-	pod := (rem % (m.PodsPerDomain * m.PEsPerPod)) / m.PEsPerPod
-	return noc.Loc{Cluster: cluster, Domain: domain, Pod: pod}
+	rem := pe % PEsPerCluster
+	return noc.Loc{
+		Cluster: pe / PEsPerCluster,
+		Domain:  rem / (PodsPerDomain * PEsPerPod),
+		Pod:     rem % (PodsPerDomain * PEsPerPod) / PEsPerPod,
+	}
 }
 
 // SnakePE returns the i-th PE along the snake path: PEs sequential within a
 // cluster, clusters visited in boustrophedon row order so consecutive
 // clusters are always mesh neighbours.
 func (m Machine) SnakePE(i int) int {
-	perCluster := m.PEsPerCluster()
-	ci := i / perCluster
-	within := i % perCluster
+	ci := i / PEsPerCluster
 	row := ci / m.GridW
 	col := ci % m.GridW
 	if row%2 == 1 {
 		col = m.GridW - 1 - col
 	}
-	return (row*m.GridW+col)*perCluster + within
+	return (row*m.GridW+col)*PEsPerCluster + i%PEsPerCluster
 }
 
 // Policy assigns a home PE to each static instruction. Assign is called
@@ -125,7 +118,7 @@ func validateMachine(m Machine) error {
 	if m.NumPEs() < 1 {
 		return &fault.FaultError{Kind: fault.KindConfig, PE: -1,
 			Detail: fmt.Sprintf("placement: machine has no PEs (%dx%d grid, %d per cluster)",
-				m.GridW, m.GridH, m.PEsPerCluster())}
+				m.GridW, m.GridH, PEsPerCluster)}
 	}
 	if m.Capacity < 1 {
 		return &fault.FaultError{Kind: fault.KindConfig, PE: -1,

@@ -43,9 +43,9 @@ func must(pol Policy, err error) Policy {
 
 func TestMachineGeometry(t *testing.T) {
 	m := DefaultMachine(4, 4)
-	if m.NumClusters() != 16 || m.PEsPerCluster() != 32 || m.NumPEs() != 512 {
+	if m.NumClusters() != 16 || PEsPerCluster != 32 || m.NumPEs() != 512 {
 		t.Fatalf("geometry: clusters=%d pes/cluster=%d pes=%d",
-			m.NumClusters(), m.PEsPerCluster(), m.NumPEs())
+			m.NumClusters(), PEsPerCluster, m.NumPEs())
 	}
 	// Loc must be a bijection onto valid coordinates.
 	seen := make(map[[3]int]bool)

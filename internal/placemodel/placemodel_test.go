@@ -96,7 +96,7 @@ func TestComponentBasics(t *testing.T) {
 
 func TestPairLatencyRegimes(t *testing.T) {
 	m := placement.DefaultMachine(2, 2)
-	perCluster := m.PEsPerCluster()
+	perCluster := placement.PEsPerCluster
 	cases := []struct {
 		a, b int
 		want float64

@@ -586,7 +586,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		co.Compile.Ctx = ctx
 		co.Machine.Ctx = ctx
-		co.Machine.Workers = s.cfg.SweepWorkers
+		co.Machine.Workers = SweepWorkers
 		co.Cache = s.corpus
 		run, err := harness.RunCorpus(co)
 		if err != nil {

@@ -64,9 +64,6 @@ type Config struct {
 	// bucket capacity.
 	TenantRate  float64
 	TenantBurst int
-	// MaxTenants bounds the tenant table; requests from new tenants
-	// beyond it are shed until the janitor prunes idle ones.
-	MaxTenants int
 
 	// MaxConcurrent bounds simultaneously running requests; MaxQueue
 	// bounds admitted requests waiting for a slot. Beyond queue+slots the
@@ -83,11 +80,8 @@ type Config struct {
 	// requests may tighten it but not exceed it.
 	MaxCycles int64
 
-	// SweepMax bounds the corpus size of one sweep request; SweepWorkers
-	// is the per-sweep worker fan-out (a sweep still occupies a single
-	// concurrency slot — keep this small).
-	SweepMax     int
-	SweepWorkers int
+	// SweepMax bounds the corpus size of one sweep request.
+	SweepMax int
 
 	// CacheDir, when non-empty, enables the idempotency cell cache (and
 	// the sweep cell cache under CacheDir/corpus).
@@ -107,19 +101,26 @@ type Config struct {
 	now func() time.Time
 }
 
+const (
+	// MaxTenants bounds the tenant table; requests from new tenants beyond
+	// it are shed until the janitor prunes idle ones.
+	MaxTenants = 4096
+	// SweepWorkers is the per-sweep worker fan-out (a sweep still occupies
+	// a single concurrency slot — keep this small).
+	SweepWorkers = 2
+)
+
 // DefaultConfig is a reasonable single-machine serving configuration.
 func DefaultConfig() Config {
 	return Config{
 		TenantRate:      50,
 		TenantBurst:     100,
-		MaxTenants:      4096,
 		MaxConcurrent:   runtime.NumCPU(),
 		MaxQueue:        4 * runtime.NumCPU(),
 		DefaultDeadline: 10 * time.Second,
 		MaxDeadline:     60 * time.Second,
 		MaxCycles:       500_000_000,
 		SweepMax:        256,
-		SweepWorkers:    2,
 		MaxCompiled:     256,
 		DrainGrace:      2 * time.Second,
 	}
@@ -167,12 +168,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxCycles <= 0 {
 		return nil, fmt.Errorf("serve: MaxCycles cap must be positive")
-	}
-	if cfg.SweepWorkers < 1 {
-		cfg.SweepWorkers = 1
-	}
-	if cfg.MaxTenants < 1 {
-		cfg.MaxTenants = 1
 	}
 	if cfg.DrainGrace <= 0 {
 		cfg.DrainGrace = 2 * time.Second
@@ -243,7 +238,7 @@ func (s *Server) tenantFor(name string) *tenant {
 	defer s.mu.Unlock()
 	tn, ok := s.tenants[name]
 	if !ok {
-		if len(s.tenants) >= s.cfg.MaxTenants {
+		if len(s.tenants) >= MaxTenants {
 			return nil
 		}
 		tn = &tenant{name: name}

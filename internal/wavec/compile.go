@@ -49,7 +49,9 @@ func Compile(p *cfgir.Program, opts Options) (*isa.Program, error) {
 	if opts.IfConvert {
 		p.IfConvert()
 	}
-	touches := computeTouches(p)
+	// Recomputed here, not taken from the memory tier: the tier may have
+	// deleted a function's last load or store.
+	touches := p.MemTouches()
 	out := &isa.Program{
 		Globals:  p.Globals,
 		MemWords: p.MemWords,
@@ -72,41 +74,6 @@ func Compile(p *cfgir.Program, opts Options) (*isa.Program, error) {
 		return nil, fmt.Errorf("wavec: emitted invalid program: %w", err)
 	}
 	return out, nil
-}
-
-// computeTouches determines, per function, whether it (transitively)
-// performs memory operations. Recursive cycles converge because the value
-// only moves false -> true.
-func computeTouches(p *cfgir.Program) []bool {
-	touches := make([]bool, len(p.Funcs))
-	for i, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			for j := range b.Instrs {
-				k := b.Instrs[j].Kind
-				if k == cfgir.KLoad || k == cfgir.KStore {
-					touches[i] = true
-				}
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for i, f := range p.Funcs {
-			if touches[i] {
-				continue
-			}
-			for _, b := range f.Blocks {
-				for j := range b.Instrs {
-					in := &b.Instrs[j]
-					if in.Kind == cfgir.KCall && touches[in.Callee] {
-						touches[i] = true
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	return touches
 }
 
 // srcRef names a concrete producer output: an instruction, and for steers

@@ -114,7 +114,7 @@ func TestInstrBoundHolds(t *testing.T) {
 	for _, name := range workloads.Names() {
 		for _, opts := range []Options{{}, {IfConvert: true}} {
 			p := mustIR(t, name)
-			touches := computeTouches(p)
+			touches := p.MemTouches()
 			var regs regTable
 			for fi, f := range p.Funcs {
 				if opts.IfConvert {

@@ -1145,7 +1145,7 @@ func (s *sim) metrics() *trace.Metrics {
 	m.ClusterFires = make([]uint64, s.cfg.Machine.NumClusters())
 	m.DomainFires = make([][]uint64, len(m.ClusterFires))
 	for c := range m.DomainFires {
-		m.DomainFires[c] = make([]uint64, s.cfg.Machine.DomainsPerCluster)
+		m.DomainFires[c] = make([]uint64, placement.DomainsPerCluster)
 	}
 	for pe := range s.pes {
 		n, l := s.pes[pe].fires, s.locs[pe]

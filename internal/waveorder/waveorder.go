@@ -74,19 +74,7 @@ type Request struct {
 
 func (r *Request) String() string {
 	return fmt.Sprintf("%s ctx%d w%d %s.%s.%s addr=%d",
-		r.Kind, r.Ctx, r.Wave, seqStr(r.Pred), seqStr(r.Seq), seqStr(r.Succ), r.Addr)
-}
-
-func seqStr(s int32) string {
-	switch s {
-	case isa.SeqWildcard:
-		return "?"
-	case isa.SeqStart:
-		return "^"
-	case isa.SeqEnd:
-		return "$"
-	}
-	return fmt.Sprintf("%d", s)
+		r.Kind, r.Ctx, r.Wave, isa.SeqString(r.Pred), isa.SeqString(r.Seq), isa.SeqString(r.Succ), r.Addr)
 }
 
 // IssueFunc receives requests in program order, exactly once each.
@@ -268,14 +256,8 @@ type Stats struct {
 // rootCtx, wave 0. Each issued request is delivered to issue exactly once,
 // in program order.
 func NewEngine(rootCtx uint32, issue IssueFunc) *Engine {
-	e := &Engine{
-		issue: issue,
-		ctxs:  make(map[uint32]*ctxState),
-	}
-	root := e.newCtxState(rootCtx)
-	e.ctxs[rootCtx] = root
-	e.top = root
-	e.root = root
+	e := &Engine{issue: issue, ctxs: make(map[uint32]*ctxState)}
+	e.Reset(rootCtx)
 	return e
 }
 
@@ -559,9 +541,9 @@ func (e *Engine) DebugState() string {
 	} else {
 		fmt.Fprintf(&b, "ctx%d w%d", e.top.id, e.top.curWave)
 		if e.top.hasLast {
-			fmt.Fprintf(&b, " last=%s(succ %s)", seqStr(e.top.lastSeq), seqStr(e.top.lastSucc))
+			fmt.Fprintf(&b, " last=%s(succ %s)", isa.SeqString(e.top.lastSeq), isa.SeqString(e.top.lastSucc))
 		} else {
-			b.WriteString(" last=^")
+			b.WriteString(" last=" + isa.SeqString(isa.SeqStart))
 		}
 	}
 	b.WriteString("\n")
