@@ -39,9 +39,10 @@ test-short:
 	$(GO) test -short ./...
 
 # smoke starts what `go test` cannot, because it has no test files: the five
-# examples, and wavec -stats, wavec -select -dot main, waverun and wavesim
-# -baseline -metrics on a small wsl program (scripts/smoke.sh). Any non-zero
-# exit fails it. Part of `make check`; not part of tier-1.
+# examples, and wavec -stats, wavec -select -dot main, waverun, wavesim
+# -baseline -metrics and wavesim -mem spec -trace -trace-chrome on a small
+# wsl program (scripts/smoke.sh). Any non-zero exit fails it. Part of
+# `make check`; not part of tier-1.
 smoke:
 	GO=$(GO) bash scripts/smoke.sh
 

@@ -8,25 +8,16 @@ import (
 	"wavescalar/internal/cfgir"
 	"wavescalar/internal/interp"
 	"wavescalar/internal/isa"
-	"wavescalar/internal/lang"
 	"wavescalar/internal/testprogs"
 	"wavescalar/internal/wavec"
 )
 
 func compileSource(t *testing.T, src string) *isa.Program {
 	t.Helper()
-	f, err := lang.ParseAndCheck(src)
+	p, _, _, err := cfgir.FromSource(src, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := cfgir.Build(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fn := range p.Funcs {
-		fn.Compact()
-	}
-	p.Optimize()
 	wp, err := wavec.Compile(p, wavec.Options{})
 	if err != nil {
 		t.Fatal(err)

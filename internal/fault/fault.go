@@ -429,7 +429,7 @@ func (in *Injector) Transit(path Path, now int64, pe int, transport func(send in
 			return arr, nil
 		}
 		ps.stats.Drops++
-		in.tr.Drop(send, pe)
+		in.tr.Event(send, trace.KindDrop, pe, 0, 0)
 		if attempt >= in.cfg.MaxRetries {
 			return 0, &FaultError{
 				Kind: KindMessageLoss, PE: pe, Cycle: now,
@@ -439,7 +439,7 @@ func (in *Injector) Transit(path Path, now int64, pe int, transport func(send in
 		wait := in.Timeout(attempt)
 		ps.stats.Retries++
 		ps.stats.RetryWait += uint64(wait)
-		in.tr.Retry(send, pe, wait)
+		in.tr.Event(send, trace.KindRetry, pe, wait, 0)
 		send += wait
 	}
 }

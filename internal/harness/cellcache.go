@@ -104,7 +104,7 @@ const (
 // already there — one sequential read of each, about a microsecond per
 // record; the index costs about 140 bytes per record. A directory that
 // does not exist is an empty cache, created with its first segment, so a
-// cache nobody puts to (waved's sweep cache, most days) costs nothing.
+// cache nobody puts to costs nothing.
 func NewCellCache(dir string) (*CellCache, error) {
 	entries, err := os.ReadDir(dir) // sorted by name: creation order
 	if err != nil && !errors.Is(err, os.ErrNotExist) {

@@ -39,8 +39,8 @@ func (p PruneStats) String() string {
 // unlinks every segment last written more than maxAge ago (0 = no age
 // bound) and, oldest first, enough further segments to bring the total
 // size under maxBytes (0 = no size bound); keys that lived in a removed
-// segment leave the index. Directories are skipped: waved keeps its sweep
-// cache in one.
+// segment leave the index. Directories are skipped: a directory is not a
+// segment.
 //
 // Prune is safe beside Put and Get on this handle and on any other handle
 // or process sharing the directory: a pruned record simply becomes a miss

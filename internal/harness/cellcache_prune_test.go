@@ -106,8 +106,8 @@ func TestPruneSizeBoundEvictsOldestFirst(t *testing.T) {
 }
 
 // TestPruneLeavesNestedCacheAlone: pruning a cache never reaches into a
-// directory inside it — waved keeps its sweep cache (`corpus`) inside its
-// simulate cache — even when the outer pass removes every segment.
+// directory inside it (a `corpus` directory an older waved left there, say),
+// even when the outer pass removes every segment.
 func TestPruneLeavesNestedCacheAlone(t *testing.T) {
 	dir := t.TempDir()
 	cc := openCache(t, dir)

@@ -34,7 +34,8 @@ var compileFence = sync.OnceValues(func() (*fencePrograms, error) {
 		if i >= n {
 			i, opts.OptLevel, opts.Binaries = i-n, 0, []string{"steer"}
 		}
-		return CompileWorkload(workloads.ByName(names[i]), opts)
+		w := workloads.ByName(names[i])
+		return CompileSource(w.Name, w.Src, opts)
 	})
 	if err != nil {
 		return nil, err

@@ -40,7 +40,6 @@ import (
 // CompileOptions.Binaries left out is nil; Binary returns one by name.
 type Compiled struct {
 	Name     string
-	Mirrors  string
 	Src      string       // the wsl source
 	Wave     *isa.Program // steer-based dataflow binary
 	WaveSel  *isa.Program // φ-select (if-converted) dataflow binary
@@ -115,16 +114,6 @@ func CompileSummary(set []*Compiled) *stats.Table {
 	t.AddRow("chain slots", slots)
 	t.AddRow("chain mem-nops", nops)
 	return t
-}
-
-// CompileWorkload builds one workload through the full pipeline.
-func CompileWorkload(w *workloads.Workload, opts CompileOptions) (*Compiled, error) {
-	c, err := CompileSource(w.Name, w.Src, opts)
-	if err != nil {
-		return nil, err
-	}
-	c.Mirrors = w.Mirrors
-	return c, nil
 }
 
 // CompileSource builds an arbitrary wsl source — a named workload or a
@@ -313,7 +302,7 @@ func Suite(names []string, opts CompileOptions) ([]*Compiled, error) {
 		picked[i] = w
 	}
 	return parallel.MapCtx(opts.ctx(), opts.Workers, len(picked), func(i int) (*Compiled, error) {
-		return CompileWorkload(picked[i], opts)
+		return CompileSource(picked[i].Name, picked[i].Src, opts)
 	})
 }
 

@@ -23,7 +23,8 @@ func quickMachine() MachineOptions {
 
 func TestCompileWorkloadChecksums(t *testing.T) {
 	for _, name := range []string{"lu", "adpcm"} {
-		c, err := CompileWorkload(workloads.ByName(name), DefaultCompileOptions())
+		w := workloads.ByName(name)
+		c, err := CompileSource(w.Name, w.Src, DefaultCompileOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

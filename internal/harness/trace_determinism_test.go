@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -274,6 +275,52 @@ func TestDenseCountersMatchPerCallCounts(t *testing.T) {
 				t.Errorf("%s: stamped %d runs, %d cycles, %d fires; the run %d cycles, %d fires", key,
 					got.Runs, got.Cycles, got.Fires, res.Cycles, res.Fired)
 			}
+		}
+	}
+}
+
+// pinnedTraceExports are FNV-1a digests of the JSONL stream, the Chrome
+// trace and the rendered metrics summary of a traced lu run on
+// quickMachine, in three memory modes and under losses plus a PE kill.
+var pinnedTraceExports = map[string][3]uint64{
+	"clean": {0xa6ec942306fb1770, 0xa9a05998030dda52, 0xdaba1459f06a9a63},
+	"spec":  {0xae09dcd9ea77706a, 0xdb93329492f8877f, 0xe823c665789ca3b4},
+	"ideal": {0x0dcb60bf9445f9fb, 0xf30c856cadca4f92, 0xc95eec261cd886b6},
+	"fault": {0xc53cda3bd35cda64, 0x2e42005f2b2df7bc, 0x78d954d39335d6d2},
+}
+
+// TestTraceExportsPinned holds both export formats and the summary, byte
+// for byte, to the digests above: a change to how events are recorded or
+// written must leave what a run exports alone.
+func TestTraceExportsPinned(t *testing.T) {
+	c := quickSet(t)[0]
+	for _, row := range []struct {
+		name string
+		mode wavecache.MemoryMode
+		spec string
+	}{
+		{"clean", wavecache.MemOrdered, ""},
+		{"spec", wavecache.MemSpec, ""},
+		{"ideal", wavecache.MemIdeal, ""},
+		{"fault", wavecache.MemOrdered, "defect=0.05,drop=0.02,memloss=0.01,kill=0@5000"},
+	} {
+		m := quickMachine()
+		m.MemMode = row.mode
+		_, tr := tracedRun(t, c, m, row.spec)
+		var got [3]uint64
+		for i, write := range []func(h io.Writer) error{
+			tr.WriteJSONL,
+			tr.WriteChromeTrace,
+			func(h io.Writer) error { _, err := io.WriteString(h, tr.Metrics().Summary("m").Render()); return err },
+		} {
+			h := fnv.New64a()
+			if err := write(h); err != nil {
+				t.Fatal(err)
+			}
+			got[i] = h.Sum64()
+		}
+		if got != pinnedTraceExports[row.name] {
+			t.Errorf("trace exports moved:\n\t%q: {%#x, %#x, %#x},", row.name, got[0], got[1], got[2])
 		}
 	}
 }

@@ -434,9 +434,9 @@ func (c *core) step(ev linear.TraceEvent) {
 		c.write(in.Rd, execDone)
 	case linear.LStore:
 		c.res.Stores++
-		addrReady := max64(dispatch, c.ready(in.Ra))
-		dataReady := max64(dispatch, c.ready(in.Rb))
-		issueT := c.issueAt(max64(addrReady, dataReady), c.storePort)
+		addrReady := max(dispatch, c.ready(in.Ra))
+		dataReady := max(dispatch, c.ready(in.Rb))
+		issueT := c.issueAt(max(addrReady, dataReady), c.storePort)
 		execDone = issueT
 		c.pushStore(storeEntry{dataReady: dataReady, addr: ev.Addr})
 		// Stats at retirement; the write buffer hides the latency.
@@ -444,7 +444,7 @@ func (c *core) step(ev linear.TraceEvent) {
 	case linear.LJump:
 		issueT := c.issueAt(ready, nil)
 		execDone = issueT
-		c.fetchMin = max64(c.fetchMin, fetchT+1) // redirect after a taken jump
+		c.fetchMin = max(c.fetchMin, fetchT+1) // redirect after a taken jump
 	case linear.LBranch:
 		c.res.Branches++
 		up(c.ready(in.Ra))
@@ -454,9 +454,9 @@ func (c *core) step(ev linear.TraceEvent) {
 		c.bp.update(pcKey, ev.Taken)
 		if pred != ev.Taken {
 			c.res.Mispredicts++
-			c.fetchMin = max64(c.fetchMin, execDone+mispredictPenalty)
+			c.fetchMin = max(c.fetchMin, execDone+mispredictPenalty)
 		} else if ev.Taken {
-			c.fetchMin = max64(c.fetchMin, fetchT+1)
+			c.fetchMin = max(c.fetchMin, fetchT+1)
 		}
 	case linear.LCall:
 		issueT := c.issueAt(ready, nil)
@@ -470,9 +470,9 @@ func (c *core) step(ev linear.TraceEvent) {
 		c.enter(in.Callee)
 		calleeParams := c.prog.Funcs[in.Callee].Params
 		for i, a := range in.Args {
-			c.write(calleeParams[i], max64(execDone, caller[a]))
+			c.write(calleeParams[i], max(execDone, caller[a]))
 		}
-		c.fetchMin = max64(c.fetchMin, fetchT+1)
+		c.fetchMin = max(c.fetchMin, fetchT+1)
 	case linear.LRet:
 		up(c.ready(in.Ra))
 		issueT := c.issueAt(ready, nil)
@@ -483,11 +483,11 @@ func (c *core) step(ev linear.TraceEvent) {
 			c.leave(cf.base)
 			c.write(cf.rd, execDone)
 		}
-		c.fetchMin = max64(c.fetchMin, fetchT+1)
+		c.fetchMin = max(c.fetchMin, fetchT+1)
 	}
 
 	// In-order retirement.
-	ct := c.commit.reserve(max64(execDone, c.lastCommit))
+	ct := c.commit.reserve(max(execDone, c.lastCommit))
 	c.lastCommit = ct
 	c.robCommits[c.robHead] = ct
 	c.robHead = (c.robHead + 1) % c.cfg.ROBSize
@@ -540,11 +540,4 @@ func (c *core) pushStore(s storeEntry) {
 		c.stores[c.oldest] = s
 		c.oldest = (c.oldest + 1) % len(c.stores)
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -89,16 +89,16 @@ func (m *mapRename) step(ev linear.TraceEvent) {
 		m.write(frame, in.Rd, execDone)
 	case linear.LStore:
 		c.res.Stores++
-		addrReady := max64(dispatch, m.ready(frame, in.Ra))
-		dataReady := max64(dispatch, m.ready(frame, in.Rb))
-		issueT := c.issueAt(max64(addrReady, dataReady), c.storePort)
+		addrReady := max(dispatch, m.ready(frame, in.Ra))
+		dataReady := max(dispatch, m.ready(frame, in.Rb))
+		issueT := c.issueAt(max(addrReady, dataReady), c.storePort)
 		execDone = issueT
 		c.pushStore(storeEntry{dataReady: dataReady, addr: ev.Addr})
 		c.memsys.Access(0, ev.Addr, true)
 	case linear.LJump:
 		issueT := c.issueAt(ready, nil)
 		execDone = issueT
-		c.fetchMin = max64(c.fetchMin, fetchT+1)
+		c.fetchMin = max(c.fetchMin, fetchT+1)
 	case linear.LBranch:
 		c.res.Branches++
 		up(m.ready(frame, in.Ra))
@@ -108,20 +108,20 @@ func (m *mapRename) step(ev linear.TraceEvent) {
 		c.bp.update(pcKey, ev.Taken)
 		if pred != ev.Taken {
 			c.res.Mispredicts++
-			c.fetchMin = max64(c.fetchMin, execDone+mispredictPenalty)
+			c.fetchMin = max(c.fetchMin, execDone+mispredictPenalty)
 		} else if ev.Taken {
-			c.fetchMin = max64(c.fetchMin, fetchT+1)
+			c.fetchMin = max(c.fetchMin, fetchT+1)
 		}
 	case linear.LCall:
 		issueT := c.issueAt(ready, nil)
 		execDone = issueT
 		calleeParams := c.prog.Funcs[in.Callee].Params
 		for i, a := range in.Args {
-			t := max64(execDone, m.ready(frame, a))
+			t := max(execDone, m.ready(frame, a))
 			m.write(ev.CalleeFrame, calleeParams[i], t)
 		}
 		m.calls = append(m.calls, frameReg{frame: frame, reg: in.Rd})
-		c.fetchMin = max64(c.fetchMin, fetchT+1)
+		c.fetchMin = max(c.fetchMin, fetchT+1)
 	case linear.LRet:
 		up(m.ready(frame, in.Ra))
 		issueT := c.issueAt(ready, nil)
@@ -131,10 +131,10 @@ func (m *mapRename) step(ev linear.TraceEvent) {
 			m.calls = m.calls[:n-1]
 			m.write(cf.frame, cf.reg, execDone)
 		}
-		c.fetchMin = max64(c.fetchMin, fetchT+1)
+		c.fetchMin = max(c.fetchMin, fetchT+1)
 	}
 
-	ct := c.commit.reserve(max64(execDone, c.lastCommit))
+	ct := c.commit.reserve(max(execDone, c.lastCommit))
 	c.lastCommit = ct
 	c.robCommits[c.robHead] = ct
 	c.robHead = (c.robHead + 1) % c.cfg.ROBSize

@@ -15,18 +15,10 @@ import (
 
 func compileSource(t testing.TB, src string) *linear.Program {
 	t.Helper()
-	f, err := lang.ParseAndCheck(src)
+	p, _, _, err := cfgir.FromSource(src, 0, 0)
 	if err != nil {
-		t.Fatalf("frontend: %v", err)
+		t.Fatal(err)
 	}
-	p, err := cfgir.Build(f)
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	for _, fn := range p.Funcs {
-		fn.Compact()
-	}
-	p.Optimize()
 	lp, err := linear.Compile(p)
 	if err != nil {
 		t.Fatalf("linear: %v", err)

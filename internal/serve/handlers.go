@@ -587,12 +587,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		co.Compile.Ctx = ctx
 		co.Machine.Ctx = ctx
 		co.Machine.Workers = SweepWorkers
-		co.Cache = s.corpus
+		co.Cache = s.cache
 		run, err := harness.RunCorpus(co)
 		if err != nil {
 			return nil, false, s.classifyRunError(ctx, err)
 		}
-		// A sweep whose cells all replayed from the corpus cache counts as
+		// A sweep whose cells all replayed from the result cache counts as
 		// a cache hit for the tenant.
 		allCached := run.Computed == 0 && run.Cached > 0
 		return &SweepResponse{
@@ -607,25 +607,26 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "json" {
-		caches := map[string]harness.CacheStats{}
-		for _, c := range s.caches() {
-			caches[c.name] = c.cc.Stats()
+		var cache *harness.CacheStats
+		if s.cache != nil {
+			st := s.cache.Stats()
+			cache = &st
 		}
 		writeJSON(w, http.StatusOK, struct {
-			Draining     bool                          `json:"draining"`
-			UptimeSec    float64                       `json:"uptime_sec"`
-			Queued       int64                         `json:"queued"`
-			CompiledWarm int                           `json:"compiled_warm"`
-			CompiledHits uint64                        `json:"compiled_hits"`
-			Cache        map[string]harness.CacheStats `json:"cache,omitempty"`
-			Tenants      []TenantSnapshot              `json:"tenants"`
+			Draining     bool                `json:"draining"`
+			UptimeSec    float64             `json:"uptime_sec"`
+			Queued       int64               `json:"queued"`
+			CompiledWarm int                 `json:"compiled_warm"`
+			CompiledHits uint64              `json:"compiled_hits"`
+			Cache        *harness.CacheStats `json:"cache,omitempty"`
+			Tenants      []TenantSnapshot    `json:"tenants"`
 		}{
 			Draining:     s.Draining(),
 			UptimeSec:    time.Since(s.start).Seconds(),
 			Queued:       s.queued.Load(),
 			CompiledWarm: s.compiled.Len(),
 			CompiledHits: s.compiled.Hits(),
-			Cache:        caches,
+			Cache:        cache,
 			Tenants:      s.Snapshot(),
 		})
 		return

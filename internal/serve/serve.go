@@ -30,7 +30,7 @@
 //     request re-simulates to the byte-identical body.
 //   - Graceful degradation: drain (SIGTERM in waved) stops admissions
 //     with 503s, lets in-flight work finish within a budget, cancels
-//     whatever remains, syncs both caches, and flushes metrics.
+//     whatever remains, syncs the result store, and flushes metrics.
 //
 // Warm paths: simulation arenas come from the harness's sync.Pool (a
 // request pays the simulator's allocations only on pool misses), and
@@ -43,7 +43,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -83,8 +82,8 @@ type Config struct {
 	// SweepMax bounds the corpus size of one sweep request.
 	SweepMax int
 
-	// CacheDir, when non-empty, enables the idempotency cell cache (and
-	// the sweep cell cache under CacheDir/corpus).
+	// CacheDir, when non-empty, enables the result store: one cell cache
+	// that holds both simulate results and sweep cells.
 	CacheDir string
 
 	// MaxCompiled bounds the warm compiled-program LRU.
@@ -144,8 +143,7 @@ type Server struct {
 	drainCancel context.CancelFunc
 
 	compiled *compileCache
-	cache    *harness.CellCache // /v1/simulate idempotency store; nil when disabled
-	corpus   *harness.CellCache // /v1/sweep cell store under CacheDir/corpus; nil with it
+	cache    *harness.CellCache // result store of /v1/simulate and /v1/sweep; nil when disabled
 	agg      *trace.Aggregate   // trace metrics of every served run, as each run's engine built them
 
 	janitorStop chan struct{}
@@ -189,29 +187,14 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.drainCtx, s.drainCancel = context.WithCancel(context.Background())
 	if cfg.CacheDir != "" {
-		// Opened once, here: an open indexes the directory.
+		// Opened once, here: an open indexes the directory. Simulate and
+		// sweep keys begin with different tags, so they share one store.
 		var err error
 		if s.cache, err = harness.NewCellCache(cfg.CacheDir); err != nil {
 			return nil, err
 		}
-		if s.corpus, err = harness.NewCellCache(filepath.Join(cfg.CacheDir, "corpus")); err != nil {
-			return nil, err
-		}
 	}
 	return s, nil
-}
-
-// caches lists the open result stores by the name /v1/stats gives them.
-func (s *Server) caches() []namedCache {
-	if s.cache == nil {
-		return nil
-	}
-	return []namedCache{{"simulate", s.cache}, {"sweep", s.corpus}}
-}
-
-type namedCache struct {
-	name string
-	cc   *harness.CellCache
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -261,7 +244,7 @@ func (s *Server) Draining() bool {
 // aborts at its next cancellation poll — and wait DrainGrace for handlers
 // to unwind. It returns nil when all in-flight work has finished; callers
 // flush metrics afterwards. Whichever way it returns, every result stored
-// by then has been synced and the caches' descriptors are released, so a
+// by then has been synced and the store's descriptor is released, so a
 // successor on the same CacheDir replays them (and a caller may remove the
 // directory). Drain is idempotent.
 func (s *Server) Drain(budget time.Duration) error {
@@ -272,7 +255,7 @@ func (s *Server) Drain(budget time.Duration) error {
 	// Deferred so it follows the handlers that were still running; one
 	// that outlives even the grace period still stores its result, in a
 	// segment of its own that nothing syncs.
-	defer s.closeCaches()
+	defer s.closeCache()
 
 	done := make(chan struct{})
 	go func() { s.inflight.Wait(); close(done) }()
@@ -296,21 +279,22 @@ func (s *Server) Drain(budget time.Duration) error {
 	}
 }
 
-// closeCaches syncs and closes both result stores and logs what that cost.
-func (s *Server) closeCaches() {
-	for _, c := range s.caches() {
-		st, t0 := c.cc.Stats(), time.Now()
-		if err := c.cc.Close(); err != nil {
-			s.logf("drain: %s cache: %v", c.name, err)
-		} else if st.UnsyncedRecords > 0 {
-			s.logf("drain: %s cache: synced %d records (%s) in %v", c.name,
-				st.UnsyncedRecords, harness.FormatBytes(st.UnsyncedBytes), time.Since(t0).Round(time.Microsecond))
-		}
+// closeCache syncs and closes the result store and logs what that cost.
+func (s *Server) closeCache() {
+	if s.cache == nil {
+		return
+	}
+	st, t0 := s.cache.Stats(), time.Now()
+	if err := s.cache.Close(); err != nil {
+		s.logf("drain: result cache: %v", err)
+	} else if st.UnsyncedRecords > 0 {
+		s.logf("drain: result cache: synced %d records (%s) in %v",
+			st.UnsyncedRecords, harness.FormatBytes(st.UnsyncedBytes), time.Since(t0).Round(time.Microsecond))
 	}
 }
 
-// StartJanitor runs the housekeeping loop: every interval it prunes both
-// result caches to the given bounds (skipped when no cache or no
+// StartJanitor runs the housekeeping loop: every interval it prunes the
+// result store to the given bounds (skipped when no store or no
 // bounds) and forgets tenants idle longer than idleTenant. Call once;
 // StopJanitor (or Drain) ends it.
 func (s *Server) StartJanitor(interval time.Duration, pruneAge time.Duration, pruneBytes int64, idleTenant time.Duration) {
@@ -323,13 +307,11 @@ func (s *Server) StartJanitor(interval time.Duration, pruneAge time.Duration, pr
 				return
 			case <-t.C:
 			}
-			if pruneAge > 0 || pruneBytes > 0 {
-				for _, c := range s.caches() {
-					if st, err := c.cc.Prune(pruneAge, pruneBytes); err != nil {
-						s.logf("janitor: %s cache prune: %v", c.name, err)
-					} else if st.Removed() > 0 {
-						s.logf("janitor: %s cache prune: %s", c.name, st)
-					}
+			if s.cache != nil && (pruneAge > 0 || pruneBytes > 0) {
+				if st, err := s.cache.Prune(pruneAge, pruneBytes); err != nil {
+					s.logf("janitor: result cache prune: %v", err)
+				} else if st.Removed() > 0 {
+					s.logf("janitor: result cache prune: %s", st)
 				}
 			}
 			if idleTenant > 0 {
@@ -412,13 +394,11 @@ func (s *Server) renderStatsText() string {
 		int64(s.cfg.MaxQueue+s.cfg.MaxConcurrent))
 	b.WriteString(s.StatsTable().Render())
 	b.WriteString("\n")
-	if cs := s.caches(); cs != nil {
-		t := stats.NewTable("waved result caches",
-			"cache", "records", "segments", "bytes", "gets", "hits", "puts", "corrupt", "unsynced-bytes")
-		for _, c := range cs {
-			st := c.cc.Stats()
-			t.AddRow(c.name, st.Records, st.Segments, st.Bytes, st.Gets, st.Hits, st.Puts, st.Corrupt, st.UnsyncedBytes)
-		}
+	if s.cache != nil {
+		t := stats.NewTable("waved result cache",
+			"records", "segments", "bytes", "gets", "hits", "puts", "corrupt", "unsynced-bytes")
+		st := s.cache.Stats()
+		t.AddRow(st.Records, st.Segments, st.Bytes, st.Gets, st.Hits, st.Puts, st.Corrupt, st.UnsyncedBytes)
 		b.WriteString(t.Render())
 		b.WriteString("\n")
 	}

@@ -178,12 +178,12 @@ func TestStatsReportsCaches(t *testing.T) {
 	cfg.CacheDir = t.TempDir()
 	cfg.Log = &log
 	s, client := newTestServer(t, cfg)
-	req := SimulateRequest{Source: fastSrc, Grid: "2x2"}
-	mustSimulate(t, client, req)
-	mustSimulate(t, client, req)
 	if _, apiErr, err := client.Sweep(context.Background(), SweepRequest{N: 2, Seed: 3}); err != nil || apiErr != nil {
 		t.Fatalf("sweep: err=%v apiErr=%+v", err, apiErr)
 	}
+	req := SimulateRequest{Source: fastSrc, Grid: "2x2"}
+	mustSimulate(t, client, req)
+	mustSimulate(t, client, req)
 
 	resp, err := client.httpClient().Get(client.BaseURL + "/v1/stats?format=json")
 	if err != nil {
@@ -191,24 +191,22 @@ func TestStatsReportsCaches(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var st struct {
-		Cache map[string]harness.CacheStats `json:"cache"`
+		Cache *harness.CacheStats `json:"cache"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	sim, sweep := st.Cache["simulate"], st.Cache["sweep"]
-	if sim.Records != 1 || sim.Segments != 1 || sim.Gets != 2 || sim.Hits != 1 || sim.Puts != 1 || sim.UnsyncedBytes != sim.Bytes || sim.Bytes == 0 {
-		t.Errorf("simulate cache reads %+v after one miss and one replay", sim)
-	}
-	// RunCorpus syncs the sweep's cells before it answers.
-	if sweep.Records != 2 || sweep.Puts != 2 || sweep.UnsyncedBytes != 0 {
-		t.Errorf("sweep cache reads %+v after a two-cell sweep", sweep)
+	// RunCorpus syncs the sweep's two cells before it answers; the simulate
+	// miss and its replay follow in the same store.
+	if c := st.Cache; c == nil || c.Records != 3 || c.Segments != 1 || c.Gets != 4 || c.Hits != 1 || c.Puts != 3 ||
+		c.UnsyncedRecords != 1 || c.UnsyncedBytes == 0 || c.UnsyncedBytes >= c.Bytes {
+		t.Errorf("result cache reads %+v after a two-cell sweep, one miss and one replay", c)
 	}
 	text, err := client.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"waved result caches", "simulate", "sweep", "unsynced-bytes"} {
+	for _, want := range []string{"waved result cache", "unsynced-bytes"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("stats page lacks %q:\n%s", want, text)
 		}
@@ -217,7 +215,40 @@ func TestStatsReportsCaches(t *testing.T) {
 	if err := s.Drain(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(log.String(), "drain: simulate cache: synced 1 records") {
+	if !strings.Contains(log.String(), "drain: result cache: synced 1 records") {
 		t.Errorf("Drain did not log its sync:\n%s", log.String())
+	}
+}
+
+// TestJanitorBoundsWholeCacheDir: simulate results and sweep cells share one
+// store, so a janitor pass bounds the whole cache directory by its size
+// bound, not each kind of result separately.
+func TestJanitorBoundsWholeCacheDir(t *testing.T) {
+	cfg := testConfig()
+	cfg.CacheDir = t.TempDir()
+	s, client := newTestServer(t, cfg)
+	mustSimulate(t, client, SimulateRequest{Source: fastSrc, Grid: "2x2"})
+	if _, apiErr, err := client.Sweep(context.Background(), SweepRequest{N: 2, Seed: 3}); err != nil || apiErr != nil {
+		t.Fatalf("sweep: err=%v apiErr=%+v", err, apiErr)
+	}
+	dirBytes := func() int64 {
+		var n int64
+		filepath.WalkDir(cfg.CacheDir, func(_ string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				if fi, err := d.Info(); err == nil {
+					n += fi.Size()
+				}
+			}
+			return nil
+		})
+		return n
+	}
+	// Either kind of result alone fits the bound; both together do not.
+	bound := dirBytes() - 1
+	s.StartJanitor(time.Millisecond, 0, bound, 0)
+	for deadline := time.Now().Add(3 * time.Second); dirBytes() > bound; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("cache directory holds %d bytes after janitor passes bounded at %d", dirBytes(), bound)
+		}
 	}
 }

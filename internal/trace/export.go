@@ -28,26 +28,6 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// fieldNames maps each kind's A/B payloads to JSON field names; empty
-// means the payload is unused and omitted.
-var fieldNames = [numKinds][2]string{
-	KindToken:        {"depth", ""},
-	KindFire:         {"cluster", "domain"},
-	KindSwap:         {"", ""},
-	KindOverflow:     {"", ""},
-	KindPlace:        {"func", "instr"},
-	KindMemSubmit:    {"pending", ""},
-	KindMemIssue:     {"op", "stall"},
-	KindWaveDone:     {"ctx", "wave"},
-	KindRetry:        {"wait", ""},
-	KindDrop:         {"", ""},
-	KindKill:         {"", ""},
-	KindSpecIssue:    {"fwd", "lat"},
-	KindSpecConflict: {"op", ""},
-	KindSpecSquash:   {"ctx", "wave"},
-	KindSpecReplay:   {"lat", ""},
-}
-
 func appendEventJSON(buf []byte, e Event) []byte {
 	buf = append(buf, `{"t":`...)
 	buf = strconv.AppendInt(buf, e.T, 10)
@@ -58,23 +38,24 @@ func appendEventJSON(buf []byte, e Event) []byte {
 		buf = append(buf, `,"pe":`...)
 		buf = strconv.AppendInt(buf, int64(e.PE), 10)
 	}
-	var names [2]string
-	if int(e.Kind) < len(fieldNames) {
-		names = fieldNames[e.Kind]
-	}
-	if names[0] != "" {
-		buf = append(buf, ',', '"')
-		buf = append(buf, names[0]...)
-		buf = append(buf, '"', ':')
-		buf = strconv.AppendInt(buf, e.A, 10)
-	}
-	if names[1] != "" {
-		buf = append(buf, ',', '"')
-		buf = append(buf, names[1]...)
-		buf = append(buf, '"', ':')
-		buf = strconv.AppendInt(buf, e.B, 10)
+	if int(e.Kind) < len(kinds) {
+		k := kinds[e.Kind]
+		buf = appendField(buf, k.a, e.A)
+		buf = appendField(buf, k.b, e.B)
 	}
 	return append(buf, '}')
+}
+
+// appendField writes one payload as ,"name":v; an unnamed payload is unused
+// and omitted.
+func appendField(buf []byte, name string, v int64) []byte {
+	if name == "" {
+		return buf
+	}
+	buf = append(buf, ',', '"')
+	buf = append(buf, name...)
+	buf = append(buf, '"', ':')
+	return strconv.AppendInt(buf, v, 10)
 }
 
 // WriteChromeTrace writes the run in the Chrome trace_event JSON format

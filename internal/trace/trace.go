@@ -34,84 +34,61 @@ import (
 	"wavescalar/internal/stats"
 )
 
-// Kind classifies one recorded event.
+// Kind classifies one recorded event. The kinds table names each kind and
+// its A and B payloads.
 type Kind uint8
 
 const (
-	// KindToken: an operand token was delivered to a PE (A = queue depth
-	// after delivery).
-	KindToken Kind = iota
-	// KindFire: an instruction fired at a PE (A = cluster, B = domain).
-	KindFire
-	// KindSwap: an instruction was demand-swapped into a PE store.
-	KindSwap
-	// KindOverflow: a PE matching table spilled (queue-overflow penalty).
-	KindOverflow
-	// KindPlace: the placement policy homed (or migrated) an instruction
-	// (A = function, B = instruction; PE = assigned home).
-	KindPlace
-	// KindMemSubmit: a memory request reached its store buffer
-	// (A = ordering-engine pending depth after arrival).
-	KindMemSubmit
-	// KindMemIssue: the ordering engine released a request to the cache
-	// (A = memory-op kind, B = ordering stall in cycles).
-	KindMemIssue
-	// KindWaveDone: a dynamic wave's memory sequence completed
-	// (A = context, B = wave number).
-	KindWaveDone
-	// KindRetry: a lost message was retransmitted (A = ack-timeout wait).
-	KindRetry
-	// KindDrop: a message attempt was lost in transit.
-	KindDrop
-	// KindKill: a PE died mid-run.
-	KindKill
-	// KindSpecIssue: a memory request issued speculatively past
-	// unresolved wave-order predecessors (A = 1 if forwarded from the
-	// versioned store buffer, B = speculative access latency).
-	KindSpecIssue
-	// KindSpecConflict: a speculative access failed commit-time
-	// validation (A = memory-op kind).
-	KindSpecConflict
-	// KindSpecSquash: an epoch was squashed after its first conflict
-	// (A = context, B = wave number).
-	KindSpecSquash
-	// KindSpecReplay: a squashed or conflicting access re-executed at
-	// its wave-order commit point (A = replay latency).
-	KindSpecReplay
+	KindToken        Kind = iota // an operand token was delivered to a PE
+	KindFire                     // an instruction fired at a PE
+	KindSwap                     // an instruction was demand-swapped into a PE store
+	KindOverflow                 // a PE matching table spilled (queue-overflow penalty)
+	KindPlace                    // the engine homed (or migrated) an instruction; PE = the home
+	KindMemSubmit                // a memory request reached its store buffer
+	KindMemIssue                 // the ordering engine released a request to the cache
+	KindWaveDone                 // a dynamic wave's memory sequence completed
+	KindRetry                    // a lost message was retransmitted
+	KindDrop                     // a message attempt was lost in transit
+	KindKill                     // a PE died mid-run
+	KindSpecIssue                // a request issued past unresolved wave-order predecessors
+	KindSpecConflict             // a speculative access failed commit-time validation
+	KindSpecSquash               // an epoch was squashed after its first conflict
+	KindSpecReplay               // a squashed or conflicting access re-executed at its commit point
 
-	// numKinds sizes the per-kind name tables below and in export.go: a
-	// kind added above without a row in each leaves an empty name, which
-	// TestEveryKindHasExportNames rejects.
+	// numKinds sizes the kinds table: a kind added above without a row
+	// there has no name, which TestEveryKindHasExportNames rejects.
 	numKinds
 )
 
-var kindNames = [numKinds]string{
-	KindToken:        "token",
-	KindFire:         "fire",
-	KindSwap:         "swap",
-	KindOverflow:     "overflow",
-	KindPlace:        "place",
-	KindMemSubmit:    "mem-submit",
-	KindMemIssue:     "mem-issue",
-	KindWaveDone:     "wave-done",
-	KindRetry:        "retry",
-	KindDrop:         "drop",
-	KindKill:         "kill",
-	KindSpecIssue:    "spec-issue",
-	KindSpecConflict: "spec-conflict",
-	KindSpecSquash:   "spec-squash",
-	KindSpecReplay:   "spec-replay",
+// kinds is each kind's one description: its name in both exports, and the
+// JSONL field names of its A and B payloads ("" = unused, omitted).
+var kinds = [numKinds]struct{ name, a, b string }{
+	KindToken:        {"token", "depth", ""},        // the PE's waiting tokens after delivery
+	KindFire:         {"fire", "cluster", "domain"}, // of the firing PE
+	KindSwap:         {"swap", "", ""},
+	KindOverflow:     {"overflow", "", ""},
+	KindPlace:        {"place", "func", "instr"},    // the instruction homed
+	KindMemSubmit:    {"mem-submit", "pending", ""}, // the ordering engine's buffered requests after arrival
+	KindMemIssue:     {"mem-issue", "op", "stall"},  // memory-op kind; cycles buffered for the ordering chain
+	KindWaveDone:     {"wave-done", "ctx", "wave"},
+	KindRetry:        {"retry", "wait", ""}, // ack-timeout cycles the sender paid
+	KindDrop:         {"drop", "", ""},
+	KindKill:         {"kill", "", ""},
+	KindSpecIssue:    {"spec-issue", "fwd", "lat"}, // 1 if forwarded from the versioned store buffer; access latency
+	KindSpecConflict: {"spec-conflict", "op", ""},  // memory-op kind
+	KindSpecSquash:   {"spec-squash", "ctx", "wave"},
+	KindSpecReplay:   {"spec-replay", "lat", ""}, // cache cycles paid again
 }
 
 func (k Kind) String() string {
-	if int(k) < len(kindNames) {
-		return kindNames[k]
+	if int(k) < len(kinds) {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
 // Event is one recorded simulation event. A and B are kind-specific
-// payloads (see the Kind constants).
+// payloads (see kinds); PE is -1 for an event of no PE.
 type Event struct {
 	T    int64
 	Kind Kind
@@ -381,10 +358,11 @@ func (m *Metrics) busiestDomain() (cluster, domain int, n uint64, ok bool) {
 // Tracer records the timeline of one simulation run: the per-cycle
 // Bucket series and, when Config.Events is set, the event stream. It
 // counts nothing else; the simulator stamps the run's Metrics on it at the
-// end of a successful run. Not safe for concurrent use: construct one per
-// run, like a placement policy. All methods are no-ops on a nil receiver —
-// a nil *Tracer is the disabled state and costs one predictable branch per
-// call site.
+// end of a successful run. It records through Event, and through Place,
+// NetMsg and LinkHop, whose arguments are not an event's. Not safe for
+// concurrent use: construct one per run, like a placement policy. All
+// methods are no-ops on a nil receiver — a nil *Tracer is the disabled
+// state and costs one predictable branch per call site.
 type Tracer struct {
 	cfg     Config
 	lastT   int64
@@ -462,48 +440,35 @@ func (t *Tracer) touch(tm int64) {
 	}
 }
 
-// Token records an operand delivery at a PE; depth is the PE's waiting
-// token count after the delivery (the operand-queue depth counter).
-func (t *Tracer) Token(tm int64, pe, depth int) {
-	if t == nil {
-		return
+// Event records one event of kind k at cycle tm on pe (-1: none), with the
+// payloads the kinds table names. Token, fire, mem-submit and mem-issue
+// events also feed the per-cycle series. Place events go through Place.
+// Event is the nil check alone, so it inlines: a disabled tracer costs its
+// callers a branch, not a call.
+func (t *Tracer) Event(tm int64, k Kind, pe int, a, b int64) {
+	if t != nil {
+		t.record(tm, k, pe, a, b)
 	}
-	t.touch(tm)
-	b := t.bucket(tm)
-	b.Tokens++
-	if int64(depth) > b.MaxQueue {
-		b.MaxQueue = int64(depth)
-	}
-	t.event(tm, KindToken, pe, int64(depth), 0)
 }
 
-// Overflow records a matching-table spill at a PE.
-func (t *Tracer) Overflow(tm int64, pe int) {
-	if t == nil {
-		return
-	}
+func (t *Tracer) record(tm int64, k Kind, pe int, a, b int64) {
 	t.touch(tm)
-	t.event(tm, KindOverflow, pe, 0, 0)
-}
-
-// Swap records a demand swap of an instruction into a PE store.
-func (t *Tracer) Swap(tm int64, pe int) {
-	if t == nil {
-		return
+	switch k {
+	case KindToken:
+		bk := t.bucket(tm)
+		bk.Tokens++
+		bk.MaxQueue = max(bk.MaxQueue, a)
+	case KindFire:
+		t.bucket(tm).Fires++
+	case KindMemSubmit:
+		bk := t.bucket(tm)
+		bk.MaxPending = max(bk.MaxPending, a)
+	case KindMemIssue:
+		bk := t.bucket(tm)
+		bk.MemIssues++
+		bk.OrderStall += b
 	}
-	t.touch(tm)
-	t.event(tm, KindSwap, pe, 0, 0)
-}
-
-// Fire records an instruction firing at a PE of the given cluster and
-// domain.
-func (t *Tracer) Fire(tm int64, pe, cluster, domain int) {
-	if t == nil {
-		return
-	}
-	t.touch(tm)
-	t.bucket(tm).Fires++
-	t.event(tm, KindFire, pe, int64(cluster), int64(domain))
+	t.event(tm, k, pe, a, b)
 }
 
 // Place records a placement decision (or a post-eviction migration). The
@@ -539,116 +504,6 @@ func (t *Tracer) LinkHop(tm int64, stall int64) {
 	}
 	t.touch(tm)
 	t.bucket(tm).LinkStall += stall
-}
-
-// MemSubmit records a memory request arriving at the ordering engine;
-// pending is the engine's buffered-request depth after arrival (the
-// store-buffer occupancy counter).
-func (t *Tracer) MemSubmit(tm int64, pending int) {
-	if t == nil {
-		return
-	}
-	t.touch(tm)
-	b := t.bucket(tm)
-	if int64(pending) > b.MaxPending {
-		b.MaxPending = int64(pending)
-	}
-	t.event(tm, KindMemSubmit, -1, int64(pending), 0)
-}
-
-// MemIssue records the ordering engine releasing a request in program
-// order; stall is the cycles the request waited, buffered, for its
-// ordering chain to resolve (the wave-ordered memory stall counter).
-func (t *Tracer) MemIssue(tm int64, memKind int, stall int64) {
-	if t == nil {
-		return
-	}
-	t.touch(tm)
-	b := t.bucket(tm)
-	b.MemIssues++
-	b.OrderStall += stall
-	t.event(tm, KindMemIssue, -1, int64(memKind), stall)
-}
-
-// WaveDone records a dynamic wave's memory sequence completing.
-func (t *Tracer) WaveDone(tm int64, ctx, wave uint32) {
-	if t == nil {
-		return
-	}
-	t.touch(tm)
-	t.event(tm, KindWaveDone, -1, int64(ctx), int64(wave))
-}
-
-// SpecIssue records a memory request issuing speculatively past
-// unresolved wave-order predecessors; forwarded marks a load satisfied
-// from the versioned store buffer, lat the speculative access latency.
-func (t *Tracer) SpecIssue(tm int64, forwarded bool, lat int64) {
-	if t == nil {
-		return
-	}
-	t.touch(tm)
-	fwd := int64(0)
-	if forwarded {
-		fwd = 1
-	}
-	t.event(tm, KindSpecIssue, -1, fwd, lat)
-}
-
-// SpecConflict records one speculative access failing its commit-time
-// validation.
-func (t *Tracer) SpecConflict(tm int64, memKind int) {
-	if t == nil {
-		return
-	}
-	t.touch(tm)
-	t.event(tm, KindSpecConflict, -1, int64(memKind), 0)
-}
-
-// SpecSquash records an epoch squashing after its first conflict.
-func (t *Tracer) SpecSquash(tm int64, ctx, wave uint32) {
-	if t == nil {
-		return
-	}
-	t.touch(tm)
-	t.event(tm, KindSpecSquash, -1, int64(ctx), int64(wave))
-}
-
-// SpecReplay records a conflicting or squashed access re-executing at
-// its wave-order commit point, paying lat cache cycles again.
-func (t *Tracer) SpecReplay(tm int64, lat int64) {
-	if t == nil {
-		return
-	}
-	t.touch(tm)
-	t.event(tm, KindSpecReplay, -1, lat, 0)
-}
-
-// Retry records a retransmit after a lost message (wait = ack-timeout
-// cycles the sender paid).
-func (t *Tracer) Retry(tm int64, pe int, wait int64) {
-	if t == nil {
-		return
-	}
-	t.touch(tm)
-	t.event(tm, KindRetry, pe, wait, 0)
-}
-
-// Drop records a message attempt lost in transit.
-func (t *Tracer) Drop(tm int64, pe int) {
-	if t == nil {
-		return
-	}
-	t.touch(tm)
-	t.event(tm, KindDrop, pe, 0, 0)
-}
-
-// Kill records a mid-run PE death.
-func (t *Tracer) Kill(tm int64, pe int) {
-	if t == nil {
-		return
-	}
-	t.touch(tm)
-	t.event(tm, KindKill, pe, 0, 0)
 }
 
 // Aggregate is a thread-safe metrics sink: experiment cells running on a

@@ -24,19 +24,19 @@ func (t *Tracer) Series() ([]Bucket, int64) {
 func TestDisabledTracerZeroAlloc(t *testing.T) {
 	var tr *Tracer
 	allocs := testing.AllocsPerRun(1000, func() {
-		tr.Token(10, 3, 2)
-		tr.Overflow(10, 3)
-		tr.Swap(11, 4)
-		tr.Fire(12, 5, 0, 1)
+		tr.Event(10, KindToken, 3, 2, 0)
+		tr.Event(10, KindOverflow, 3, 0, 0)
+		tr.Event(11, KindSwap, 4, 0, 0)
+		tr.Event(12, KindFire, 5, 0, 1)
 		tr.Place(0, 7, 5)
 		tr.NetMsg(13, true)
 		tr.LinkHop(13, 4)
-		tr.MemSubmit(14, 2)
-		tr.MemIssue(15, 1, 3)
-		tr.WaveDone(16, 0, 2)
-		tr.Retry(17, 6, 32)
-		tr.Drop(17, 6)
-		tr.Kill(18, 9)
+		tr.Event(14, KindMemSubmit, -1, 2, 0)
+		tr.Event(15, KindMemIssue, -1, 1, 3)
+		tr.Event(16, KindWaveDone, -1, 0, 2)
+		tr.Event(17, KindRetry, 6, 32, 0)
+		tr.Event(17, KindDrop, 6, 0, 0)
+		tr.Event(18, KindKill, 9, 0, 0)
 		tr.SetMetrics(&Metrics{})
 		_ = tr.EventsDropped()
 	})
@@ -50,15 +50,15 @@ func drive(tr *Tracer) {
 	rng := rand.New(rand.NewSource(99))
 	for cy := int64(0); cy < 500; cy++ {
 		pe := rng.Intn(16)
-		tr.Token(cy, pe, rng.Intn(8))
+		tr.Event(cy, KindToken, pe, int64(rng.Intn(8)), 0)
 		if cy%3 == 0 {
-			tr.Fire(cy, pe, pe/8, (pe/2)%4)
+			tr.Event(cy, KindFire, pe, int64(pe/8), int64((pe/2)%4))
 		}
 		if cy%17 == 0 {
-			tr.Swap(cy, pe)
+			tr.Event(cy, KindSwap, pe, 0, 0)
 		}
 		if cy%29 == 0 {
-			tr.Overflow(cy, pe)
+			tr.Event(cy, KindOverflow, pe, 0, 0)
 		}
 		mesh := cy%4 == 3
 		tr.NetMsg(cy, mesh)
@@ -66,18 +66,18 @@ func drive(tr *Tracer) {
 			tr.LinkHop(cy, cy%3)
 		}
 		if cy%5 == 0 {
-			tr.MemSubmit(cy, rng.Intn(6))
+			tr.Event(cy, KindMemSubmit, -1, int64(rng.Intn(6)), 0)
 		}
 		if cy%7 == 0 {
-			tr.MemIssue(cy, 1, cy%11)
+			tr.Event(cy, KindMemIssue, -1, 1, cy%11)
 		}
 		if cy%31 == 0 {
-			tr.Drop(cy, pe)
-			tr.Retry(cy, pe, 16)
+			tr.Event(cy, KindDrop, pe, 0, 0)
+			tr.Event(cy, KindRetry, pe, 16, 0)
 		}
 		if cy == 250 {
-			tr.Kill(cy, 3)
-			tr.WaveDone(cy, 0, 4)
+			tr.Event(cy, KindKill, 3, 0, 0)
+			tr.Event(cy, KindWaveDone, -1, 0, 4)
 			tr.Place(0, 12, pe)
 		}
 	}
@@ -166,20 +166,20 @@ func TestJSONLDeterministicAndValid(t *testing.T) {
 // TestEveryKindHasExportNames: every event kind has a name, and every kind
 // that carries a payload exports it under a field name — the JSONL writer
 // omits an unnamed payload silently, which is how the four speculation kinds
-// once lost theirs. A kind added without rows in kindNames and fieldNames
-// fails here (payload-free kinds are listed by hand).
+// once lost theirs. A kind added without a row in kinds fails here
+// (payload-free kinds are listed by hand).
 func TestEveryKindHasExportNames(t *testing.T) {
 	payloadFree := map[Kind]bool{KindSwap: true, KindOverflow: true, KindDrop: true, KindKill: true}
 	seen := map[string]Kind{}
 	for k := Kind(0); k < numKinds; k++ {
-		name := kindNames[k]
+		name := kinds[k].name
 		if name == "" {
 			t.Errorf("kind %d has no name", k)
 		} else if prev, dup := seen[name]; dup {
 			t.Errorf("kinds %d and %d share the name %q", prev, k, name)
 		}
 		seen[name] = k
-		if names := fieldNames[k]; payloadFree[k] != (names == [2]string{}) || (names[0] == "" && names[1] != "") {
+		if names := [2]string{kinds[k].a, kinds[k].b}; payloadFree[k] != (names == [2]string{}) || (names[0] == "" && names[1] != "") {
 			t.Errorf("kind %s: payload field names %q (payload-free: %v)", k, names, payloadFree[k])
 		}
 	}
@@ -226,7 +226,7 @@ func TestChromeTraceValidJSON(t *testing.T) {
 func TestEventCapCounted(t *testing.T) {
 	tr := New(Config{Events: true, MaxEvents: 10})
 	for i := 0; i < 50; i++ {
-		tr.Token(int64(i), 0, 1)
+		tr.Event(int64(i), KindToken, 0, 1, 0)
 	}
 	if got := len(tr.Events()); got != 10 {
 		t.Fatalf("recorded %d events, want cap 10", got)

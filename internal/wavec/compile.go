@@ -586,7 +586,7 @@ func (fc *funcCompiler) compileBlock(b *cfgir.Block, pads []isa.InstrID) {
 		if allowImm {
 			if v, ok := regs.constant(r); ok {
 				in := fc.instr(id)
-				tokenPortsLeft := in.Op.NumInputs() - popcount(in.ImmMask) - 1
+				tokenPortsLeft := in.Op.NumInputs() - bits.OnesCount8(in.ImmMask) - 1
 				if tokenPortsLeft >= 1 {
 					in.ImmMask |= 1 << p
 					in.ImmVals[p] = v
@@ -725,14 +725,6 @@ func (fc *funcCompiler) materialize(r cfgir.Reg, wave int32) valRef {
 	e := fc.regs.at(r)
 	e.hasVal, e.val = true, v
 	return v
-}
-
-func popcount(x uint8) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }
 
 // route carries a value across a CFG edge: through a chain-terminating

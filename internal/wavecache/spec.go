@@ -30,6 +30,7 @@ import (
 
 	"wavescalar/internal/isa"
 	"wavescalar/internal/tagtable"
+	"wavescalar/internal/trace"
 	"wavescalar/internal/waveorder"
 )
 
@@ -173,13 +174,13 @@ func (s *sim) specArrival(r *waveorder.Request) {
 			ck.specUID = uint32(uint64(pv) >> 32)
 			ck.specDone = s.now + s.cfg.Mem.L1Latency
 			sp.st.Forwards++
-			s.tr.SpecIssue(s.now, true, s.cfg.Mem.L1Latency)
+			s.tr.Event(s.now, trace.KindSpecIssue, -1, 1, s.cfg.Mem.L1Latency)
 		} else {
 			ar := s.access(ck, r, false)
 			ck.spec = specLoad
 			ck.specDone = s.now + ar.Latency
 			sp.st.SpecCycles += ar.Latency
-			s.tr.SpecIssue(s.now, false, ar.Latency)
+			s.tr.Event(s.now, trace.KindSpecIssue, -1, 0, ar.Latency)
 		}
 	} else {
 		sp.nextUID++
@@ -195,7 +196,7 @@ func (s *sim) specArrival(r *waveorder.Request) {
 		ck.specSnap = uint32(vi) // stores reuse the snapshot slot as the vsb index
 		ck.specDone = s.now + ar.Latency
 		sp.st.SpecCycles += ar.Latency
-		s.tr.SpecIssue(s.now, false, ar.Latency)
+		s.tr.Event(s.now, trace.KindSpecIssue, -1, 0, ar.Latency)
 	}
 }
 
@@ -228,8 +229,8 @@ func (m speculative) commitLoad(s *sim, ck *memCookie, r *waveorder.Request) int
 			sp.st.Conflicts++
 			sp.st.Squashes++
 			s.waveBuf.Put(key, b|epochSquashed)
-			s.tr.SpecConflict(s.now, int(r.Kind))
-			s.tr.SpecSquash(s.now, ck.tag.Ctx, ck.tag.Wave)
+			s.tr.Event(s.now, trace.KindSpecConflict, -1, int64(r.Kind), 0)
+			s.tr.Event(s.now, trace.KindSpecSquash, -1, int64(ck.tag.Ctx), int64(ck.tag.Wave))
 		}
 	}
 	start := s.bufIssueTime(ck.buf)
@@ -246,7 +247,7 @@ func (m speculative) commitLoad(s *sim, ck *memCookie, r *waveorder.Request) int
 	sp.st.ReplayedOps++
 	ar := s.access(ck, r, false)
 	sp.st.ReplayCycles += ar.Latency
-	s.tr.SpecReplay(s.now, ar.Latency)
+	s.tr.Event(s.now, trace.KindSpecReplay, -1, ar.Latency, 0)
 	return start + ar.Latency
 }
 
@@ -272,7 +273,7 @@ func (m speculative) commitStore(s *sim, ck *memCookie, r *waveorder.Request) {
 			sp.st.ReplayedOps++
 			ar := s.access(ck, r, true)
 			sp.st.ReplayCycles += ar.Latency
-			s.tr.SpecReplay(s.now, ar.Latency)
+			s.tr.Event(s.now, trace.KindSpecReplay, -1, ar.Latency, 0)
 		}
 	} else {
 		m.waveOrdered.commitStore(s, ck, r)

@@ -1331,12 +1331,12 @@ func (s *sim) deliver(e *event) error {
 		// Matching-table overflow spills to memory.
 		s.res.Overflows++
 		t += overflowPenalty
-		s.tr.Overflow(e.time, pe)
+		s.tr.Event(e.time, trace.KindOverflow, pe, 0, 0)
 	}
 	ps.waiting++
 	s.maxQueue = max(s.maxQueue, ps.waiting)
 	if s.tr != nil {
-		s.tr.Token(e.time, pe, ps.waiting)
+		s.tr.Event(e.time, trace.KindToken, pe, int64(ps.waiting), 0)
 	}
 
 	di := &s.code[gi]
@@ -1402,7 +1402,7 @@ func (s *sim) deliver(e *event) error {
 	} else {
 		s.res.Swaps++
 		t += s.cfg.SwapPenalty
-		s.tr.Swap(e.time, pe)
+		s.tr.Event(e.time, trace.KindSwap, pe, 0, 0)
 		if ps.nres >= s.cfg.PEStore {
 			// Evict the least recently used instruction: the list tail.
 			s.resident[ps.lru.popTail()] = -1
@@ -1482,7 +1482,7 @@ func (s *sim) killPE() error {
 	}
 	ps := &s.pes[pe]
 	s.res.Faults.PEKills++
-	s.tr.Kill(at, pe)
+	s.tr.Event(at, trace.KindKill, pe, 0, 0)
 	s.res.Faults.MigratedInstrs += uint64(ps.nres)
 	// Only the dead PE's instructions lose their homes (the Reconfigurable
 	// contract), so only its recency list has residency entries to clear.
@@ -1639,7 +1639,8 @@ func (s *sim) fire(e *event) error {
 	s.res.Fired++
 	s.fuel--
 	if s.fuel < 0 {
-		return fmt.Errorf("wavecache: execution exceeded instruction budget")
+		return &fault.FaultError{Kind: fault.KindWatchdog, PE: -1, Cycle: e.time,
+			Detail: "execution exceeded instruction budget\n" + s.diagnose()}
 	}
 	gi, tag, vals := e.gi, e.tag, e.vals
 	di := &s.code[gi]
@@ -1648,7 +1649,7 @@ func (s *sim) fire(e *event) error {
 	t := e.time
 	if s.tr != nil {
 		l := s.loc(pe)
-		s.tr.Fire(t, pe, l.Cluster, l.Domain)
+		s.tr.Event(t, trace.KindFire, pe, int64(l.Cluster), int64(l.Domain))
 	}
 
 	switch di.op {
@@ -1752,7 +1753,7 @@ func (s *sim) issueMem(r *waveorder.Request) {
 	stall := s.now - ck.arrive
 	s.orderStall += uint64(stall)
 	if s.tr != nil {
-		s.tr.MemIssue(s.now, int(r.Kind), stall)
+		s.tr.Event(s.now, trace.KindMemIssue, -1, int64(r.Kind), stall)
 	}
 	switch r.Kind {
 	case isa.MemLoad:

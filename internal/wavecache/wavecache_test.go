@@ -1,12 +1,14 @@
 package wavecache
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"wavescalar/internal/cfgir"
+	"wavescalar/internal/fault"
 	"wavescalar/internal/isa"
 	"wavescalar/internal/lang"
 	"wavescalar/internal/placement"
@@ -26,18 +28,10 @@ func mustPol(pol placement.Policy, err error) placement.Policy {
 
 func compileSource(t testing.TB, src string) *isa.Program {
 	t.Helper()
-	f, err := lang.ParseAndCheck(src)
+	p, _, _, err := cfgir.FromSource(src, 0, 0)
 	if err != nil {
-		t.Fatalf("frontend: %v", err)
+		t.Fatal(err)
 	}
-	p, err := cfgir.Build(f)
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	for _, fn := range p.Funcs {
-		fn.Compact()
-	}
-	p.Optimize()
 	wp, err := wavec.Compile(p, wavec.Options{})
 	if err != nil {
 		t.Fatalf("wavec: %v", err)
@@ -249,6 +243,11 @@ func TestFuelExhaustion(t *testing.T) {
 	_, err := Run(wp, mustPol(placement.NewDynamicSnake(cfg.Machine)), cfg)
 	if err == nil || !strings.Contains(err.Error(), "exceeded instruction budget") {
 		t.Fatalf("expected fuel exhaustion error, got %v", err)
+	}
+	// Exhausted fuel is a watchdog abort, like MaxCycles and deadlock.
+	var fe *fault.FaultError
+	if !errors.As(err, &fe) || fe.Kind != fault.KindWatchdog {
+		t.Fatalf("fuel exhaustion is not a watchdog fault: %#v", err)
 	}
 }
 

@@ -393,7 +393,7 @@ func (e *Engine) Submit(r *Request) error {
 	}
 	e.stats.Submitted++
 	if e.tr != nil {
-		e.tr.MemSubmit(e.clock(), e.pending)
+		e.tr.Event(e.clock(), trace.KindMemSubmit, -1, int64(e.pending), 0)
 	}
 	return e.drain()
 }
@@ -521,7 +521,7 @@ func (e *Engine) recycle(r *Request) {
 func (e *Engine) completeWave(c *ctxState) {
 	e.stats.WavesDone++
 	if e.tr != nil {
-		e.tr.WaveDone(e.clock(), c.id, c.curWave)
+		e.tr.Event(e.clock(), trace.KindWaveDone, -1, int64(c.id), int64(c.curWave))
 	}
 	if e.onWaveDone != nil {
 		e.onWaveDone(c.id, c.curWave)

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"wavescalar/internal/isa"
+	"wavescalar/internal/trace"
 )
 
 // chainBuilder constructs a synthetic, correctly annotated program-order
@@ -363,7 +364,7 @@ func submitMapOnly(e *Engine, r *Request) error {
 	}
 	e.stats.Submitted++
 	if e.tr != nil {
-		e.tr.MemSubmit(e.clock(), e.pending)
+		e.tr.Event(e.clock(), trace.KindMemSubmit, -1, int64(e.pending), 0)
 	}
 	return e.drain()
 }
