@@ -17,7 +17,7 @@ import (
 // engine_digests.txt is the WaveCache engine's fence. Its cells run the steer
 // binary: the ten kernels on the default 4x4 machine and
 // testprogs.CorpusSpecs(100, 1) on the corpus machine, in all four memory
-// modes, and the -O0 kernels on 2x2, wave-ordered, under four fault
+// modes, and the -O0 kernels on 2x2, wave-ordered, under six fault
 // scenarios. Per cell it pins the simulated outcome (value, cycles, fired,
 // tokens), the commit-trace digest (the order and values of every load and
 // store as they reached memory), the final memory-image digest, the work
@@ -49,9 +49,12 @@ const engineDigestsPath = "testdata/engine_digests.txt"
 
 var memModes = []wavecache.MemoryMode{wavecache.MemOrdered, wavecache.MemSerial, wavecache.MemIdeal, wavecache.MemSpec}
 
-// fenceFaults are the fault rows' scenarios, E12's span: clean, defects,
-// operand loss, and everything at once with memory loss.
-var fenceFaults = []string{"", "defect=0.25", "drop=0.10", "defect=0.10,drop=0.02,delay=0.02,memloss=0.01"}
+// fenceFaults are the fault rows' scenarios: E12's span (clean, defects,
+// operand loss, and everything at once with memory loss), then a PE death
+// mid-run, alone and beside message loss — the moment every cached home and
+// route must be forgotten (TestCommitTraceSurvivesFaults' kill specs).
+var fenceFaults = []string{"", "defect=0.25", "drop=0.10", "defect=0.10,drop=0.02,delay=0.02,memloss=0.01",
+	"kill=1@150", "drop=0.02,memloss=0.02,kill=0@400"}
 
 // fenceCell is one line of the fence: a program on a machine.
 type fenceCell struct {
@@ -113,7 +116,7 @@ func TestEngineDigestsPinned(t *testing.T) {
 // injected faults — to their lines of engine_digests.txt.
 func TestGoldenWaveCache(t *testing.T) {
 	if testing.Short() {
-		t.Skip("the fault rows simulate every kernel under four fault scenarios")
+		t.Skip("the fault rows simulate every kernel under six fault scenarios")
 	}
 	pinFence(t, true)
 }
@@ -138,6 +141,9 @@ func pinFence(t *testing.T, faultRows bool) {
 		if f.Commit != ref.commit || f.Stores != ref.stores || f.Image != ref.image {
 			return "", fmt.Errorf("%s: commit trace %x (stores %x, image %x) is not the emulator's program-order trace %x (stores %x, image %x)",
 				cl.name, f.Commit, f.Stores, f.Image, ref.commit, ref.stores, ref.image)
+		}
+		if strings.Contains(cl.m.Faults, "kill=") && res.Faults.PEKills != 1 {
+			return "", fmt.Errorf("%s: %d PE kills, want the one scheduled", cl.name, res.Faults.PEKills)
 		}
 		return fmt.Sprintf("%s value=%d cycles=%d fired=%d tokens=%d commit=%016x image=%016x events=%d bypassed=%d matched=%d bound=%d access=%d send=%d submit=%d"+
 			" swaps=%d overflows=%d pes=%d messages=%d hops=%d stalls=%d drops=%d retries=%d l1miss=%d transfers=%d issued=%d waves=%d maxpending=%d metrics=%016x",
@@ -248,7 +254,7 @@ func main() {
 // operation reaches its store buffer and what it costs, never the order in
 // which operations commit: the steer binary's commit trace stays the
 // emulator's in every memory mode. (TestGoldenWaveCache holds the -O0
-// binaries to the same relation under its four fault scenarios.)
+// binaries to the same relation under its six fault scenarios.)
 func TestCommitTraceSurvivesFaults(t *testing.T) {
 	squash, err := CompileSource("spec-squash", specSquashSrc, DefaultCompileOptions())
 	if err != nil {
