@@ -22,11 +22,11 @@ import (
 // tokens), the commit-trace digest (the order and values of every load and
 // store as they reached memory), the final memory-image digest, the work
 // counters that no host-side optimization may move (events popped, tokens
-// bypassed and matched, wave bindings made, mem.Access / noc.Send /
-// waveorder.Submit calls: wavecache.Fence), the Result's swap, PE,
-// network, cache and ordering counters, and a digest of the run's rendered
-// trace-metrics summary. The differential engines agree on a
-// return value and a memory image; this file pins what the paper is about —
+// bypassed and matched, wave bindings made, mem.Access and
+// waveorder.Submit calls, operand messages carried: wavecache.Fence), the
+// Result's swap, PE, network, cache and ordering counters, and a digest of
+// the run's rendered trace-metrics summary. The differential engines agree
+// on a return value and a memory image; this file pins what the paper is about —
 // the order in which memory operations reach memory — and how much work it
 // took.
 //

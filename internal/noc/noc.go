@@ -88,6 +88,9 @@ func (p *Port) Grant(t, width int64) int64 {
 // Network computes operand delivery times and accounts link contention.
 type Network struct {
 	cfg Config
+	// lat is each route class's fixed latency: the bus latency of the three
+	// intra-cluster classes, the cost of leaving the cluster for Mesh.
+	lat [numClasses]int64
 	// links is the per-(router, direction) FIFO state, a flat array of
 	// 4 directed links per cluster: index cluster*4+dir. A flat array
 	// instead of a map keeps the per-hop bandwidth charge allocation-free
@@ -95,13 +98,15 @@ type Network struct {
 	links []Port
 	// use counts each directed link's messages and bandwidth stalls, by
 	// [cluster][direction] (directions as in trace.Metrics.Links).
-	use   [][4]trace.LinkUse
-	stats Stats
-	tr    *trace.Tracer // nil = tracing disabled
+	use [][4]trace.LinkUse
+	// msgs counts the messages carried, by route class; Stats sums them.
+	msgs                  [numClasses]uint64
+	meshHops, stallCycles uint64
+	tr                    *trace.Tracer // nil = tracing disabled
 }
 
-// AttachTracer installs the run's timeline (nil disables it); every Send
-// reports its message, and mesh traffic and link stalls land in the
+// AttachTracer installs the run's timeline (nil disables it); every message
+// Send or Carry carries is reported, and mesh traffic and link stalls land in the
 // per-cycle series.
 func (n *Network) AttachTracer(tr *trace.Tracer) { n.tr = tr }
 
@@ -131,13 +136,21 @@ func (n *Network) Reset(cfg Config) error {
 		n.links, n.use = make([]Port, nc*4), make([][4]trace.LinkUse, nc)
 	}
 	n.cfg = cfg
-	n.stats = Stats{}
+	n.lat = [numClasses]int64{cfg.IntraPod, cfg.IntraDomain, cfg.IntraCluster, cfg.InterClusterBase}
+	n.msgs = [numClasses]uint64{}
+	n.meshHops, n.stallCycles = 0, 0
 	n.tr = nil
 	return nil
 }
 
 // Stats returns the counters.
-func (n *Network) Stats() Stats { return n.stats }
+func (n *Network) Stats() Stats {
+	return Stats{
+		Messages: n.msgs[ClassPod] + n.msgs[ClassDomain] + n.msgs[ClassCluster] + n.msgs[ClassMesh],
+		PodLocal: n.msgs[ClassPod], DomainHops: n.msgs[ClassDomain], ClusterBus: n.msgs[ClassCluster],
+		MeshMsgs: n.msgs[ClassMesh], MeshHops: n.meshHops, StallCycles: n.stallCycles,
+	}
+}
 
 // LinkUse returns each directed mesh link's message and stall counts, by
 // [cluster][direction]. The slice is the network's own: copy it to keep it
@@ -157,23 +170,54 @@ type Loc struct {
 	Pod     int
 }
 
-// Latency returns the operand latency from src to dst, ignoring contention.
-// The four regimes match the paper's Figure of communication types:
+// Class is a message's regime in the paper's figure of communication types:
 // intra-pod (A), intra-domain (B), intra-cluster (C), inter-cluster (D).
-func (n *Network) Latency(src, dst Loc) int64 {
+type Class uint8
+
+const (
+	ClassPod     Class = iota // the shared bypass between a pod's PEs
+	ClassDomain               // the domain's bus
+	ClassCluster              // the cluster's bus, between domains
+	ClassMesh                 // out of the cluster and across the mesh
+	numClasses
+)
+
+// Route is a message's path from one PE to another, resolved by
+// Network.Route: its class and, for a mesh route, its two clusters. It is a
+// pure function of the two locations and the geometry, so a caller whose
+// endpoints stay put — a dataflow edge once both ends are placed — resolves
+// it once and hands it to Carry for every message.
+type Route struct {
+	src, dst int32 // clusters; read by mesh routes only
+	class    Class
+}
+
+// Class returns the route's class.
+func (r Route) Class() Class { return r.class }
+
+// Route classifies the path from src to dst. It is the one classification:
+// Send, Carry's counters and Latency all read it.
+func (n *Network) Route(src, dst Loc) Route {
+	r := Route{src: int32(src.Cluster), dst: int32(dst.Cluster), class: ClassMesh}
 	switch {
-	case src == dst:
-		return n.cfg.IntraPod
-	case src.Cluster == dst.Cluster && src.Domain == dst.Domain:
-		if src.Pod == dst.Pod {
-			return n.cfg.IntraPod
-		}
-		return n.cfg.IntraDomain
-	case src.Cluster == dst.Cluster:
-		return n.cfg.IntraCluster
+	case src.Cluster != dst.Cluster:
+	case src.Domain != dst.Domain:
+		r.class = ClassCluster
+	case src.Pod != dst.Pod:
+		r.class = ClassDomain
 	default:
-		return n.cfg.InterClusterBase + n.cfg.LinkLatency*n.hops(src.Cluster, dst.Cluster)
+		r.class = ClassPod
 	}
+	return r
+}
+
+// Latency returns the operand latency from src to dst, ignoring contention.
+func (n *Network) Latency(src, dst Loc) int64 {
+	r := n.Route(src, dst)
+	if r.class != ClassMesh {
+		return n.lat[r.class]
+	}
+	return n.lat[ClassMesh] + n.cfg.LinkLatency*n.hops(src.Cluster, dst.Cluster)
 }
 
 // hops counts mesh links on the dimension-order route.
@@ -186,32 +230,41 @@ func (n *Network) hops(a, b int) int64 {
 // Send computes the arrival cycle of a message injected at cycle now,
 // charging bandwidth on every mesh link along the route. It also updates
 // the statistics.
-func (n *Network) Send(src, dst Loc, now int64) int64 {
-	n.stats.Messages++
-	mesh := src.Cluster != dst.Cluster
+func (n *Network) Send(src, dst Loc, now int64) int64 { return n.Carry(n.Route(src, dst), now) }
+
+// Carry is Send over a route already resolved: the arrival cycle of a
+// message injected at cycle now, booked in the statistics. A route inside
+// one cluster is its class's fixed latency and one counter, and Carry is
+// small enough to inline into the caller's loop; a mesh route, or any
+// message a tracer watches, takes carry.
+func (n *Network) Carry(r Route, now int64) int64 {
+	if r.class == ClassMesh || n.tr != nil {
+		return n.carry(r, now)
+	}
+	n.msgs[r.class]++
+	return now + n.lat[r.class]
+}
+
+// carry is Carry's full path: it reports the message to the tracer, and a
+// mesh message walks its route from source cluster to destination, X
+// first, charging bandwidth on every link.
+func (n *Network) carry(r Route, now int64) int64 {
+	mesh := r.class == ClassMesh
 	if n.tr != nil {
 		n.tr.NetMsg(now, mesh)
 	}
-	switch {
-	case src.Cluster == dst.Cluster && src.Domain == dst.Domain && src.Pod == dst.Pod:
-		n.stats.PodLocal++
-		return now + n.cfg.IntraPod
-	case src.Cluster == dst.Cluster && src.Domain == dst.Domain:
-		n.stats.DomainHops++
-		return now + n.cfg.IntraDomain
-	case !mesh:
-		n.stats.ClusterBus++
-		return now + n.cfg.IntraCluster
+	n.msgs[r.class]++
+	if !mesh {
+		return now + n.lat[r.class]
 	}
-	n.stats.MeshMsgs++
-	t := now + n.cfg.InterClusterBase
-	cur := src.Cluster
-	for cur != dst.Cluster {
-		next := n.nextDimOrder(cur, dst.Cluster)
+	t := now + n.lat[ClassMesh]
+	cur, dst := int(r.src), int(r.dst)
+	for cur != dst {
+		next := n.nextDimOrder(cur, dst)
 		dir := linkDir(cur, next, n.cfg.Width)
 		granted := n.acquireLink(cur*4+dir, t)
 		stall := uint64(granted - t)
-		n.stats.StallCycles += stall
+		n.stallCycles += stall
 		u := &n.use[cur][dir]
 		u.Msgs++
 		u.StallCycles += stall
@@ -219,7 +272,7 @@ func (n *Network) Send(src, dst Loc, now int64) int64 {
 			n.tr.LinkHop(t, granted-t)
 		}
 		t = granted + n.cfg.LinkLatency
-		n.stats.MeshHops++
+		n.meshHops++
 		cur = next
 	}
 	return t

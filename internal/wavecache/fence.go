@@ -28,7 +28,7 @@ type Work struct {
 	Retired uint64 // bindings deleted when their wave (or context) retired
 
 	MemAccess uint64 // mem.System.Access calls
-	NocSend   uint64 // noc.Network.Send calls
+	NocSend   uint64 // operand-network messages carried (noc.Stats.Messages)
 	Submits   uint64 // waveorder.Engine.Submit calls
 }
 

@@ -80,7 +80,7 @@ func deliverTableOnly(s *sim, e *event) error {
 		fireAt = ps.free
 	}
 	ps.free = fireAt + 1
-	s.pushFire(fireAt, gi, e.tag, vals)
+	s.pushFire(fireAt, gi, int32(pe), e.tag, vals)
 	return nil
 }
 

@@ -268,21 +268,25 @@ const (
 
 // event is one queue record, 64 bytes. Which fields a kind reads:
 //
-//	evToken      gi, port, tag, vals[0] (the token's value)
-//	evFire       gi, tag, vals (the operand tuple)
+//	evToken      gi, home, port, tag, vals[0] (the token's value)
+//	evFire       gi, home, tag, vals (the operand tuple)
 //	evMemArrive  req
 //	evSpecProbe  req, vals[0] (the packed (gen, cookie)); the req pointer is
 //	             only dereferenced after the cookie generation check proves
 //	             the request is still buffered in the ordering engine
 //
-// next belongs to the queue, not to a kind: the slab index of the record
-// behind this one in its wheel bucket.
+// home is gi's home PE as the pusher knew it, or -1 for "unknown": the
+// boot token, and every event queued when a PE dies (killPE). It sits in
+// what was padding, so the record stays 64 bytes. next belongs to the queue,
+// not to a kind: the slab index of the record behind this one in its wheel
+// bucket.
 type event struct {
 	time int64
 	kind evKind
 	port uint8 // destination input port
 	gi   int32 // destination instruction, global index
 	next int32
+	home int32 // gi's home PE, -1 when unknown
 	tag  isa.Tag
 	vals [3]int64
 	req  *waveorder.Request
@@ -579,10 +583,17 @@ type dinstr struct {
 	in         *isa.Instruction // the cold remainder: Mem
 }
 
-// ddest is a predecoded isa.Dest.
+// ddest is a predecoded isa.Dest and its edge's route, resolved by the first
+// send over it (home -1 until then): the destination's home PE and the
+// operand-network route to it from the sending instruction's home. Both
+// ends of an edge stay placed until a PE dies, and killPE forgets every
+// route, so a resolved one is always what homePE and Network.Route would
+// answer now.
 type ddest struct {
-	gi   int32
-	port uint8
+	gi    int32
+	home  int32
+	route noc.Route
+	port  uint8
 }
 
 // peState is one processing element. Its resident instructions are the
@@ -1026,7 +1037,7 @@ func (s *sim) predecode(p *isa.Program) {
 		list := func(ds []isa.Dest) []ddest {
 			start := len(arena)
 			for _, d := range ds {
-				arena = append(arena, ddest{gi: int32(base + int(d.Instr)), port: d.Port})
+				arena = append(arena, ddest{gi: int32(base + int(d.Instr)), home: -1, port: d.Port})
 			}
 			return arena[start:len(arena):len(arena)]
 		}
@@ -1076,7 +1087,7 @@ func (s *sim) run() (Result, error) {
 	*s.ctxSlab.At(mi) = ctxInfo{retPad: -1}
 	s.ctxTab.Put(0, int64(mi))
 	entry := s.prog.Entry
-	s.pushToken(0, int32(s.instrBase[entry]+int(s.prog.Funcs[entry].Params[0])), 0,
+	s.pushToken(0, int32(s.instrBase[entry]+int(s.prog.Funcs[entry].Params[0])), -1, 0,
 		isa.Tag{Ctx: 0, Wave: 0}, 0)
 
 	if err := s.loop(); err != nil {
@@ -1188,6 +1199,7 @@ func (s *sim) loop() error {
 			if err := s.killPE(); err != nil {
 				return err
 			}
+			e.home = -1 // the copy killPE did not see
 		}
 		if maxCycles > 0 && e.time > maxCycles {
 			return s.watchdogErr(e.time)
@@ -1244,20 +1256,20 @@ func (s *sim) watchdogErr(t int64) error {
 		Detail: fmt.Sprintf("no completion within %d cycles\n%s", s.cfg.MaxCycles, s.diagnose())}
 }
 
-func (s *sim) pushToken(t int64, gi int32, port uint8, tag isa.Tag, val int64) {
+func (s *sim) pushToken(t int64, gi, home int32, port uint8, tag isa.Tag, val int64) {
 	q := &s.q
 	i := q.alloc()
 	e := &q.slab[i]
-	e.time, e.kind, e.port, e.gi, e.tag, e.vals[0] = t, evToken, port, gi, tag, val
+	e.time, e.kind, e.port, e.gi, e.home, e.tag, e.vals[0] = t, evToken, port, gi, home, tag, val
 	q.push(i, t, s.seq)
 	s.seq++
 }
 
-func (s *sim) pushFire(t int64, gi int32, tag isa.Tag, vals [3]int64) {
+func (s *sim) pushFire(t int64, gi, home int32, tag isa.Tag, vals [3]int64) {
 	q := &s.q
 	i := q.alloc()
 	e := &q.slab[i]
-	e.time, e.kind, e.gi, e.tag, e.vals = t, evFire, gi, tag, vals
+	e.time, e.kind, e.gi, e.home, e.tag, e.vals = t, evFire, gi, home, tag, vals
 	q.push(i, t, s.seq)
 	s.seq++
 }
@@ -1300,9 +1312,19 @@ func (s *sim) homePE(gi int32) int {
 
 func (s *sim) loc(pe int) noc.Loc { return s.locs[pe] }
 
-// deliver lands a token at its destination PE, applying queue-overflow
+// eventHome is the home PE of an event's instruction: the one it carries,
+// else homePE's answer.
+func (s *sim) eventHome(e *event) int {
+	if e.home >= 0 {
+		return int(e.home)
+	}
+	return s.homePE(e.gi)
+}
+
+// deliver lands a token at its destination PE — the home the token
+// carries, looked up only when it carries none — applying queue-overflow
 // penalties, tag matching, instruction-store residency, and PE firing
-// bandwidth; a complete operand tuple schedules the firing.
+// bandwidth; a complete operand tuple schedules the firing at that home.
 //
 // Matching-table bypass: an instruction whose other inputs are all
 // immediates completes its tuple on this very token, so the table's
@@ -1322,7 +1344,7 @@ func (s *sim) loc(pe int) noc.Loc { return s.locs[pe] }
 func (s *sim) deliver(e *event) error {
 	s.res.Tokens++
 	gi := e.gi
-	pe := s.homePE(gi)
+	pe := s.eventHome(e)
 	ps := &s.pes[pe]
 	ps.used = true
 
@@ -1418,32 +1440,43 @@ func (s *sim) deliver(e *event) error {
 		fireAt = ps.free
 	}
 	ps.free = fireAt + 1
-	s.pushFire(fireAt, gi, e.tag, vals)
+	s.pushFire(fireAt, gi, int32(pe), e.tag, vals)
 	return nil
 }
 
-// send routes an output token through the operand network. Under fault
-// injection each message rides the ack/retransmit protocol; retry
-// exhaustion surfaces as a structured *fault.FaultError.
+// send routes an output token from fromPE, the sending instruction's home,
+// over each of its edges. An edge's first send resolves its destination's
+// home — through homePE, where the policy sees the reference — and its
+// route; later sends reuse both, and the token carries the home to deliver.
+// Under fault injection each message rides the ack/retransmit protocol;
+// retry exhaustion surfaces as a structured *fault.FaultError.
 func (s *sim) send(fromPE int, dests []ddest, tag isa.Tag, val int64, t int64) error {
-	for _, d := range dests {
-		arr, err := s.sendOperand(fromPE, s.homePE(d.gi), t)
+	for i := range dests {
+		d := &dests[i]
+		if d.home < 0 {
+			d.home = int32(s.homePE(d.gi))
+			d.route = s.route(fromPE, int(d.home))
+		}
+		arr, err := s.sendOperand(fromPE, d.route, t)
 		if err != nil {
 			return err
 		}
-		s.pushToken(arr, d.gi, d.port, tag, val)
+		s.pushToken(arr, d.gi, d.home, d.port, tag, val)
 	}
 	return nil
 }
 
-// sendOperand times one operand-network message, under the operand fault
-// stream's loss/retransmit protocol when faults are injected.
-func (s *sim) sendOperand(fromPE, dstPE int, t int64) (int64, error) {
-	src, dst := s.loc(fromPE), s.loc(dstPE)
+// route resolves the operand-network route between two PEs.
+func (s *sim) route(fromPE, toPE int) noc.Route { return s.net.Route(s.locs[fromPE], s.locs[toPE]) }
+
+// sendOperand times one operand-network message over a resolved route,
+// under the operand fault stream's loss/retransmit protocol when faults are
+// injected.
+func (s *sim) sendOperand(fromPE int, r noc.Route, t int64) (int64, error) {
 	if s.inj == nil {
-		return s.net.Send(src, dst, t), nil
+		return s.net.Carry(r, t), nil
 	}
-	return s.inj.Transit(fault.Operand, t, fromPE, func(send int64) int64 { return s.net.Send(src, dst, send) })
+	return s.inj.Transit(fault.Operand, t, fromPE, func(send int64) int64 { return s.net.Carry(r, send) })
 }
 
 // memHop times one store-buffer message (PE -> buffer or buffer -> PE):
@@ -1465,9 +1498,11 @@ func (s *sim) memHop(src, dst noc.Loc, t int64, pe int) (int64, error) {
 // killPE executes the scheduled mid-run PE death: the placement policy is
 // reconfigured so the dead PE is never assigned again, its resident
 // instructions migrate (their homes re-place lazily on next reference),
-// and its matching-table state is replayed against the new homes. Tokens
-// already in flight re-route automatically because every delivery looks
-// the home PE up afresh.
+// and its matching-table state is replayed against the new homes. Every
+// home a route or an event holds is forgotten — every edge's route, and
+// the home of every event in the queue (the loop clears the one it is
+// handling) — so tokens already in flight re-route: their delivery and
+// firing look the home up afresh, and so does each edge's next send.
 func (s *sim) killPE() error {
 	s.killed = true
 	pe := s.cfg.Faults.KillPE
@@ -1499,6 +1534,12 @@ func (s *sim) killPE() error {
 		if int(home) == pe {
 			s.homes[gi] = -1
 		}
+	}
+	for i := range s.destArena {
+		s.destArena[i].home = -1
+	}
+	for i := range s.q.slab { // free records too: a push stamps home afresh
+		s.q.slab[i].home = -1
 	}
 	// Record the death in the simulator's defect view (copy-on-write: the
 	// caller's map must not be mutated) so diagnostics report it.
@@ -1644,7 +1685,7 @@ func (s *sim) fire(e *event) error {
 	}
 	gi, tag, vals := e.gi, e.tag, e.vals
 	di := &s.code[gi]
-	pe := s.homePE(gi)
+	pe := s.eventHome(e)
 	s.pes[pe].fires++
 	t := e.time
 	if s.tr != nil {
@@ -1695,11 +1736,12 @@ func (s *sim) fire(e *event) error {
 		}
 		return s.send(pe, di.dests, tag, int64(ctx), t)
 	case isa.OpSendArg:
-		arr, err := s.sendOperand(pe, s.homePE(di.target), t)
+		dst := s.homePE(di.target)
+		arr, err := s.sendOperand(pe, s.route(pe, dst), t)
 		if err != nil {
 			return err
 		}
-		s.pushToken(arr, di.target, 0, isa.Tag{Ctx: uint32(vals[0]), Wave: 0}, vals[1])
+		s.pushToken(arr, di.target, int32(dst), 0, isa.Tag{Ctx: uint32(vals[0]), Wave: 0}, vals[1])
 		return nil
 	case isa.OpReturn:
 		mv, ok := s.ctxTab.Get(uint64(tag.Ctx))
@@ -1719,11 +1761,12 @@ func (s *sim) fire(e *event) error {
 			s.result = vals[0]
 			return nil
 		}
-		arr, err := s.sendOperand(pe, s.homePE(meta.retPad), t)
+		dst := s.homePE(meta.retPad)
+		arr, err := s.sendOperand(pe, s.route(pe, dst), t)
 		if err != nil {
 			return err
 		}
-		s.pushToken(arr, meta.retPad, 0, meta.callerTag, vals[0])
+		s.pushToken(arr, meta.retPad, int32(dst), 0, meta.callerTag, vals[0])
 		return nil
 	}
 	if isa.IsALU(di.op) {
@@ -1774,7 +1817,7 @@ func (s *sim) issueMem(r *waveorder.Request) {
 				}
 				return
 			}
-			s.pushToken(arr, d.gi, d.port, ck.tag, v)
+			s.pushToken(arr, d.gi, int32(dstPE), d.port, ck.tag, v)
 		}
 	case isa.MemStore:
 		s.mode.commitStore(s, ck, r)

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"wavescalar/internal/placement"
 	"wavescalar/internal/workloads"
@@ -133,6 +134,14 @@ func (p *queuePair) drain() {
 	}
 	if p.ref.Len() != 0 {
 		p.t.Fatalf("reference retains %d events after wheel drained", p.ref.Len())
+	}
+}
+
+// TestEventRecordIs64Bytes: the home a token or firing carries sits in what
+// was the record's padding, so a slab record is still one cache line.
+func TestEventRecordIs64Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 64 {
+		t.Errorf("event is %d bytes, want 64", n)
 	}
 }
 
