@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci check vet fmt-check build test test-short smoke loc tier1-time bench-test race race-compile soak bench bench-ledger bench-ab bench-micro fuzz fuzz-diff corpus
+.PHONY: ci check vet fmt-check build test test-short smoke loc tier1-time profile-sim bench-test race race-compile soak bench bench-ledger bench-ab bench-micro fuzz fuzz-diff corpus
 
 ci: vet fmt-check build test race
 
@@ -67,6 +67,19 @@ tier1-time:
 		status=$$?; \
 		python3 scripts/tier1time.py report $(T1DIR)/test.json $(T1DIR)/rusage.tsv; \
 		exit $$status
+
+# profile-sim is the instrument an engine change opens with, not part of
+# tier-1: a CPU profile of the simulator core alone —
+# BenchmarkRunKernel/wave-ordered, mcf on a warm 4x4 arena — written under
+# $(PROFDIR) beside the test binary it needs, then pprof's flat top, so the
+# change can name the profile share of what it targets.
+PROFDIR ?= .bench_build/profile
+
+profile-sim:
+	mkdir -p $(PROFDIR)
+	$(GO) test -run '^$$' -bench '^BenchmarkRunKernel$$/^wave-ordered$$' -benchtime 3s \
+		-cpuprofile $(abspath $(PROFDIR))/sim.cpu.out -o $(abspath $(PROFDIR))/wavecache.test ./internal/wavecache
+	$(GO) tool pprof -top -nodecount 40 $(PROFDIR)/wavecache.test $(PROFDIR)/sim.cpu.out
 
 # bench/ is its own module (replace wavescalar => ../), so the root
 # `go vet ./...` and `go test ./...` do not reach it: this is the fence

@@ -60,7 +60,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		t.Skip("experiment sweep is slow")
 	}
 	set := quickSet(t)
-	for _, id := range []string{"E1", "E1b", "E4", "E8", "M1", "E12"} {
+	for _, id := range []string{"E1", "E1b", "E2", "E4", "E8", "E14", "M1", "E12"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			e := ExperimentByID(id)

@@ -133,7 +133,7 @@ func runE1(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	rows := make([]row, len(set))
 	cells := newCellSet(m)
 	for i, c := range set {
-		cells.add(func() error {
+		cells.add(c, func() error {
 			var err error
 			rows[i].ores, err = RunOoO(c, DefaultOoOConfig())
 			return err
@@ -353,7 +353,7 @@ func runE11(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	for i, c := range set {
 		cells.wave(c, c.WaveNoUn, m, &rows[i].wr)
 		cells.wave(c, c.Wave, m, &rows[i].wu)
-		cells.add(func() error {
+		cells.add(c, func() error {
 			rolled, err := rolledBuild(c)
 			if err != nil {
 				return err
@@ -361,7 +361,7 @@ func runE11(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 			rows[i].or, err = RunOoO(rolled, DefaultOoOConfig())
 			return err
 		})
-		cells.add(func() error {
+		cells.add(c, func() error {
 			var err error
 			rows[i].ou, err = RunOoO(c, DefaultOoOConfig())
 			return err
@@ -416,7 +416,7 @@ func runE14(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	pairs := make([]pair, len(set))
 	comp := newCellSet(m)
 	for bi, c := range set {
-		comp.add(func() error {
+		comp.add(c, func() error {
 			p := &pairs[bi]
 			p.o0, p.o1 = c, c
 			var err error

@@ -326,7 +326,7 @@ func runWaveWith(c *Compiled, prog *isa.Program, m MachineOptions, edits ...func
 // wave declares the shape of almost every experiment cell: runWaveWith,
 // its result stored in out, a slot the cell owns.
 func (cs *cellSet) wave(c *Compiled, prog *isa.Program, m MachineOptions, out *wavecache.Result, edits ...func(*wavecache.Config)) {
-	cs.add(func() (err error) {
+	cs.add(c, func() (err error) {
 		*out, err = runWaveWith(c, prog, m, edits...)
 		return err
 	})

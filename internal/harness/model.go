@@ -46,7 +46,7 @@ func runM1(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	runs := make([]candRun, len(set)*len(cands))
 	cells := newCellSet(m)
 	for bi, c := range set {
-		cells.add(func() error {
+		cells.add(c, func() error {
 			im := interp.New(c.Wave, 0)
 			prof := im.CollectProfile(simCfg.Mem.L1.LineWords)
 			if _, err := im.Run(); err != nil {
@@ -57,7 +57,7 @@ func runM1(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 		})
 		for cdi, cd := range cands {
 			slot := bi*len(cands) + cdi
-			cells.add(func() error {
+			cells.add(c, func() error {
 				pol, err := placement.New(cd.name, mach, c.Wave, cd.seed)
 				if err != nil {
 					return err

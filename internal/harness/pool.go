@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"wavescalar/internal/parallel"
 	"wavescalar/internal/stats"
@@ -22,7 +24,14 @@ import (
 type cellSet struct {
 	workers int
 	ctx     context.Context
-	jobs    []func() error
+	cells   []cell
+}
+
+// cell is one declared job and its weight: the useful instruction count of
+// the bench it runs, which orders the pool's claims.
+type cell struct {
+	weight int64
+	job    func() error
 }
 
 // newCellSet sizes a cell set for the machine's worker pool and inherits
@@ -32,14 +41,55 @@ func newCellSet(m MachineOptions) *cellSet {
 	return &cellSet{workers: m.Workers, ctx: m.ctx()}
 }
 
-// add declares one cell.
-func (cs *cellSet) add(job func() error) { cs.jobs = append(cs.jobs, job) }
+// add declares one cell of bench c.
+func (cs *cellSet) add(c *Compiled, job func() error) {
+	cs.cells = append(cs.cells, cell{weight: c.UsefulInstrs, job: job})
+}
+
+// claimOrder is the order the pool claims the cells in: heaviest bench
+// first, so the longest cells do not start last and leave one worker
+// running alone at the end; ties keep declaration order. One worker runs
+// the cells in declaration order, the sequential baseline's.
+func (cs *cellSet) claimOrder() []int {
+	order := make([]int, len(cs.cells))
+	for i := range order {
+		order[i] = i
+	}
+	if cs.workers != 1 {
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(cs.cells[b].weight, cs.cells[a].weight) })
+	}
+	return order
+}
 
 // run executes every declared cell on the pool and returns the
-// lowest-declaration-index error, if any; a cancelled context stops the
-// pool from claiming further cells and surfaces the context's error.
+// lowest-declaration-index error, if any — the one a sequential run
+// returns; a cancelled context stops the pool from claiming further cells
+// and surfaces the context's error.
 func (cs *cellSet) run() error {
-	return parallel.ForEachCtx(cs.ctx, cs.workers, len(cs.jobs), func(i int) error { return cs.jobs[i]() })
+	order := cs.claimOrder()
+	errs := make([]error, len(cs.cells))
+	ran := make([]bool, len(cs.cells))
+	err := parallel.ForEachCtx(cs.ctx, cs.workers, len(order), func(i int) error {
+		d := order[i]
+		ran[d] = true
+		errs[d] = cs.cells[d].job()
+		return errs[d]
+	})
+	if err == nil {
+		return nil
+	}
+	// A failure stops the claims, which go heaviest first, so cells declared
+	// before the failed one may not have run: run them here, in declaration
+	// order, unless the run was cancelled.
+	for d := range cs.cells {
+		if !ran[d] && cs.ctx.Err() == nil {
+			errs[d] = cs.cells[d].job()
+		}
+		if errs[d] != nil {
+			return errs[d]
+		}
+	}
+	return err
 }
 
 // point is one value of the parameter a sensitivity experiment sweeps: the
@@ -64,7 +114,7 @@ func sweep(set []*Compiled, m MachineOptions, points []point) ([][]wavecache.Res
 	for bi, c := range set {
 		res[bi] = make([]wavecache.Result, len(points))
 		for pi, p := range points {
-			cells.add(func() error {
+			cells.add(c, func() error {
 				opt := m
 				if p.opt != nil {
 					p.opt(&opt)

@@ -45,7 +45,7 @@ func runE1b(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 		for ri, r := range regimes {
 			slot := bi*len(regimes) + ri
 			cells.wave(c, c.Wave, m, &grid[slot].wres, func(cfg *wavecache.Config) { r.apply(&cfg.Mem) })
-			cells.add(func() error {
+			cells.add(c, func() error {
 				ocfg := DefaultOoOConfig()
 				r.apply(&ocfg.Mem)
 				res, err := RunOoO(c, ocfg)

@@ -194,3 +194,44 @@ func TestSweepCancelled(t *testing.T) {
 		t.Errorf("cancelled sweep returned %v, %v", res, err)
 	}
 }
+
+// TestCellsClaimHeaviestFirst: the pool claims cells by their bench's useful
+// instruction count, heaviest first and ties in declaration order, while
+// one worker keeps declaration order; and the error returned is the
+// lowest-declared failure even when a heavier cell declared later failed
+// first and stopped the claims.
+func TestCellsClaimHeaviestFirst(t *testing.T) {
+	bench := func(w int64) *Compiled { return &Compiled{UsefulInstrs: w} }
+	cs := &cellSet{workers: 4, ctx: context.Background()}
+	for _, w := range []int64{3, 5, 5, 1, 5} {
+		cs.add(bench(w), func() error { return nil })
+	}
+	if got, want := cs.claimOrder(), []int{1, 2, 4, 0, 3}; !slices.Equal(got, want) {
+		t.Errorf("claim order %v, want %v", got, want)
+	}
+	cs.workers = 1
+	if got, want := cs.claimOrder(), []int{0, 1, 2, 3, 4}; !slices.Equal(got, want) {
+		t.Errorf("one worker claims %v, want declaration order %v", got, want)
+	}
+
+	for _, workers := range []int{1, 2} {
+		cs := &cellSet{workers: workers, ctx: context.Background()}
+		first := errors.New("first declared")
+		var ran sync.Map
+		for i, w := range []int64{1, 9, 9} {
+			cs.add(bench(w), func() error {
+				ran.Store(i, true)
+				if i == 0 {
+					return first
+				}
+				return fmt.Errorf("cell %d", i)
+			})
+		}
+		if err := cs.run(); err != first {
+			t.Errorf("workers=%d: got %v, want the first declared cell's error", workers, err)
+		}
+		if _, ok := ran.Load(0); !ok {
+			t.Errorf("workers=%d: the first declared cell never ran", workers)
+		}
+	}
+}
