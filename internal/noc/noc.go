@@ -106,7 +106,7 @@ type Network struct {
 }
 
 // AttachTracer installs the run's timeline (nil disables it); every message
-// Send or Carry carries is reported, and mesh traffic and link stalls land in the
+// carried is reported, and mesh traffic and link stalls land in the
 // per-cycle series.
 func (n *Network) AttachTracer(tr *trace.Tracer) { n.tr = tr }
 
@@ -234,21 +234,10 @@ func (n *Network) Send(src, dst Loc, now int64) int64 { return n.Carry(n.Route(s
 
 // Carry is Send over a route already resolved: the arrival cycle of a
 // message injected at cycle now, booked in the statistics. A route inside
-// one cluster is its class's fixed latency and one counter, and Carry is
-// small enough to inline into the caller's loop; a mesh route, or any
-// message a tracer watches, takes carry.
+// one cluster is its class's fixed latency and one counter; a mesh route
+// walks from its source cluster to its destination, X first, charging
+// bandwidth on every link.
 func (n *Network) Carry(r Route, now int64) int64 {
-	if r.class == ClassMesh || n.tr != nil {
-		return n.carry(r, now)
-	}
-	n.msgs[r.class]++
-	return now + n.lat[r.class]
-}
-
-// carry is Carry's full path: it reports the message to the tracer, and a
-// mesh message walks its route from source cluster to destination, X
-// first, charging bandwidth on every link.
-func (n *Network) carry(r Route, now int64) int64 {
 	mesh := r.class == ClassMesh
 	if n.tr != nil {
 		n.tr.NetMsg(now, mesh)
