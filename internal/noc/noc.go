@@ -238,6 +238,9 @@ func (n *Network) Send(src, dst Loc, now int64) int64 { return n.Carry(n.Route(s
 // walks from its source cluster to its destination, X first, charging
 // bandwidth on every link.
 func (n *Network) Carry(r Route, now int64) int64 {
+	if arr, ok := n.CarryLocal(r, now); ok {
+		return arr
+	}
 	mesh := r.class == ClassMesh
 	if n.tr != nil {
 		n.tr.NetMsg(now, mesh)
@@ -265,6 +268,19 @@ func (n *Network) Carry(r Route, now int64) int64 {
 		cur = next
 	}
 	return t
+}
+
+// CarryLocal is the part of Carry small enough to inline into a caller's
+// send loop: a message over a route inside one cluster, on a network no
+// tracer watches, is its class's fixed latency and one counter. For any
+// other message it carries nothing and reports false; the caller hands
+// that one to Carry.
+func (n *Network) CarryLocal(r Route, now int64) (int64, bool) {
+	if r.class == ClassMesh || n.tr != nil {
+		return 0, false
+	}
+	n.msgs[r.class]++
+	return now + n.lat[r.class], true
 }
 
 // nextDimOrder steps one cluster toward dst, X first.

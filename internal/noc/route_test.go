@@ -11,9 +11,10 @@ import (
 // TestRouteMatchesSend: a route resolved once and carried later is the
 // message Send would have sent. For every PE pair of the 1x1, 2x2, 4x4 and
 // 8x8 machines, under E5's operand-latency scales, each source PE's routes
-// are resolved first and then carried on one network, while Send takes the
-// same messages on another, both fresh at the start: every arrival, the
-// Stats and the link use must agree. Each route's class must be the one the
+// are resolved first and then carried on one network (by Carry, or by
+// CarryLocal where it accepts), while Send takes the same messages on
+// another, both fresh at the start: every arrival, the Stats and the link
+// use must agree. Each route's class must be the one the
 // paper's figure gives the pair, and a route inside a cluster must arrive
 // after exactly its bus latency — at x0 that latency is 0, so a cached "0
 // cycles" may never be read as a mesh route, nor a mesh route as a local one.
@@ -49,7 +50,20 @@ func TestRouteMatchesSend(t *testing.T) {
 					}
 					for b, dst := range locs {
 						r := routes[b]
-						got, ref := carried.Carry(r, now), sent.Send(src, dst, now)
+						// Every other message goes the way the simulator's send
+						// loop takes it: CarryLocal, then Carry for what it refuses.
+						var got int64
+						local := false
+						if b%2 == 0 {
+							got, local = carried.CarryLocal(r, now)
+							if local != (r.Class() != noc.ClassMesh) {
+								t.Fatalf("PE %d -> %d: CarryLocal carried=%v a class-%d route", a, b, local, r.Class())
+							}
+						}
+						if !local {
+							got = carried.Carry(r, now)
+						}
+						ref := sent.Send(src, dst, now)
 						if got != ref {
 							t.Fatalf("PE %d -> %d at %d: carried route arrives at %d, Send at %d", a, b, now, got, ref)
 						}

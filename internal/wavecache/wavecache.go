@@ -1448,8 +1448,10 @@ func (s *sim) deliver(e *event) error {
 // over each of its edges. An edge's first send resolves its destination's
 // home — through homePE, where the policy sees the reference — and its
 // route; later sends reuse both, and the token carries the home to deliver.
-// Under fault injection each message rides the ack/retransmit protocol;
-// retry exhaustion surfaces as a structured *fault.FaultError.
+// An intra-cluster route costs no call into the network (carryLocal);
+// every other message takes sendOperand. Under fault injection each
+// message rides the ack/retransmit protocol; retry exhaustion surfaces as a
+// structured *fault.FaultError.
 func (s *sim) send(fromPE int, dests []ddest, tag isa.Tag, val int64, t int64) error {
 	for i := range dests {
 		d := &dests[i]
@@ -1457,13 +1459,26 @@ func (s *sim) send(fromPE int, dests []ddest, tag isa.Tag, val int64, t int64) e
 			d.home = int32(s.homePE(d.gi))
 			d.route = s.route(fromPE, int(d.home))
 		}
-		arr, err := s.sendOperand(fromPE, d.route, t)
-		if err != nil {
-			return err
+		arr, ok := s.carryLocal(d.route, t)
+		if !ok {
+			var err error
+			if arr, err = s.sendOperand(fromPE, d.route, t); err != nil {
+				return err
+			}
 		}
 		s.pushToken(arr, d.gi, d.home, d.port, tag, val)
 	}
 	return nil
+}
+
+// carryLocal is noc.Network.CarryLocal inlined into send's loop: an
+// intra-cluster route's fixed latency and counter, taken only when no
+// fault protocol has to wrap the message.
+func (s *sim) carryLocal(r noc.Route, t int64) (int64, bool) {
+	if s.inj != nil {
+		return 0, false
+	}
+	return s.net.CarryLocal(r, t)
 }
 
 // route resolves the operand-network route between two PEs.
