@@ -26,9 +26,9 @@ import (
 // waveorder.Submit calls, operand messages carried: wavecache.Fence), the
 // Result's swap, PE, network, cache and ordering counters, and a digest of
 // the run's rendered trace-metrics summary. The differential engines agree
-// on a return value and a memory image; this file pins what the paper is about —
-// the order in which memory operations reach memory — and how much work it
-// took.
+// on a return value and a memory image; this file pins what the paper is
+// about — the order in which memory operations reach memory — and how much
+// work it took.
 //
 // The four-mode cells were recorded from the engine as it stood before its
 // third hot-path round (that round's parent plus the counters themselves); the
