@@ -125,9 +125,11 @@ type Func struct {
 	Blocks  []*Block
 	Entry   int
 
-	// converged is set when Optimize's last round on the function changed
-	// nothing — the iteration reached its fixpoint, the round bound did not
-	// cut it short — and cleared by the methods of this package that edit a
+	// converged is set when Optimize's last round on the function left
+	// every block's instructions and terminator as it found them (what the
+	// passes report does not count, only their net edit) — the iteration
+	// reached its fixpoint, the round bound did not cut it short — and
+	// cleared by the methods of this package that edit a
 	// function (NewReg, NewBlock, IfConvert). While it holds, running the
 	// base passes again is a no-op, which is what lets OptimizeMemory leave
 	// out the cleanup of a function the memory tier did not touch. A caller

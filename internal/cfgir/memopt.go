@@ -102,10 +102,11 @@ func (s *MemOptStats) Eliminated() int64 { return s.InstrsBefore - s.InstrsAfter
 // Callers run the base Optimize first; the tier assumes compacted blocks.
 //
 // The cleanup leaves out a function the tier did not touch and on which
-// Optimize had converged: the base passes are at their fixpoint there, so
-// running them would change nothing. A function Optimize gave up on at its
-// round bound gets the cleanup even when the tier left it alone — those
-// further rounds can still change it.
+// Optimize had converged: its last round left every instruction as it
+// found it, so the base passes are at their fixpoint there and one more
+// run would change nothing. That is nearly every function; a function
+// Optimize gave up on at its round bound gets the cleanup even when the
+// tier left it alone — those further rounds can still change it.
 func (p *Program) OptimizeMemory() MemOptStats {
 	var total MemOptStats
 	var s optScratch

@@ -1,6 +1,10 @@
 package cfgir
 
-import "wavescalar/internal/isa"
+import (
+	"slices"
+
+	"wavescalar/internal/isa"
+)
 
 // Optimize runs the standard pass pipeline on every function until it
 // reaches a fixpoint (bounded by a few rounds). Passes:
@@ -17,14 +21,18 @@ import "wavescalar/internal/isa"
 // up completely on straight-line code.
 //
 // A round reruns the two block-local passes only where they can still do
-// something. Both are functions of the block's instruction list alone, and
-// report a change whenever they edit it; so once both have reported none on
-// a block, rerunning them can only report none again until something else
-// edits that list — and between rounds only dead-code elimination does. A
-// block in that state is settled and later rounds skip it, which leaves out
-// exactly the runs that would have been no-ops: the rounds see the same
-// changes, stop at the same point and emit the same IR as rounds that run
-// every pass on every block (TestOptimizeMatchesRunEverythingReference).
+// something. Both are functions of the block's instruction list alone, so
+// when a block's list comes out of them exactly as it went in, rerunning
+// them can only do the same until something else edits that list — and
+// between rounds only dead-code elimination does. A block in that state is
+// settled and later rounds skip it. The passes are judged by that net
+// edit, not by what they report: folding turns `r1 = or r0, r0` with r0
+// known to be 37 into `r1 = 37` and CSE turns it straight back, so both
+// report a change on a block that never moves. A round that leaves every
+// block, branch and instruction as it was is the function's fixpoint, and
+// the iteration stops there; the rounds see the same edits, stop at the
+// same point and emit the same IR as rounds that run every pass on every
+// block (TestOptimizeMatchesRunEverythingReference).
 func (p *Program) Optimize() {
 	var s optScratch
 	for _, f := range p.Funcs {
@@ -46,14 +54,18 @@ func (s *optScratch) optimize(f *Func) {
 	}
 	clear(s.settled)
 	for round := 0; round < maxRounds; round++ {
+		s.rounds++
 		changed := false
 		for _, b := range f.Blocks {
 			if s.settled[b] {
 				continue
 			}
-			// Not `||`: localCSE runs whatever foldConstants reported.
+			s.snapshot(b)
+			// Not `||`: localCSE runs whatever foldConstants reported. A
+			// pass that reports no change edited nothing, so only a report
+			// needs the compare.
 			folded, merged := s.foldConstants(f, b), s.localCSE(f, b)
-			if folded || merged {
+			if (folded || merged) && !s.unedited(b) {
 				changed = true
 			} else {
 				s.settled[b] = true
@@ -86,10 +98,47 @@ type optScratch struct {
 	avail map[cseKey]Reg // localCSE: expression -> register holding it
 	loads []cseKey       // localCSE: load expressions since the last store or call
 	uses  []Reg          // eliminateDeadCode: one instruction's operands
-	// settled holds the blocks of the function being optimized on which
-	// both local passes last reported no change and whose instructions
+	// settled holds the blocks of the function being optimized that the
+	// local passes last left as they found them and whose instructions
 	// nothing has edited since.
 	settled map[*Block]bool
+	// snap and snapArgs are a block's instructions and, end to end, their
+	// call-argument lists (which localCSE rewrites in place) as they were
+	// before the local passes ran on it.
+	snap     []Instr
+	snapArgs []Reg
+	rounds   int // optimizer rounds run on this scratch
+}
+
+// snapshot records b's instructions for unedited.
+func (s *optScratch) snapshot(b *Block) {
+	s.snap = append(s.snap[:0], b.Instrs...)
+	s.snapArgs = s.snapArgs[:0]
+	for i := range b.Instrs {
+		s.snapArgs = append(s.snapArgs, b.Instrs[i].Args...)
+	}
+}
+
+// unedited reports whether b's instructions are field for field what the
+// last snapshot recorded.
+func (s *optScratch) unedited(b *Block) bool {
+	if len(b.Instrs) != len(s.snap) {
+		return false
+	}
+	args := s.snapArgs
+	for i := range b.Instrs {
+		in, was := &b.Instrs[i], &s.snap[i]
+		if in.Kind != was.Kind || in.Op != was.Op || in.Dst != was.Dst || in.A != was.A || in.B != was.B ||
+			in.C != was.C || in.Imm != was.Imm || in.Callee != was.Callee || len(in.Args) != len(was.Args) {
+			return false
+		}
+		n := len(in.Args)
+		if !slices.Equal(in.Args, args[:n]) {
+			return false
+		}
+		args = args[n:]
+	}
+	return true
 }
 
 // regFacts is one register's slot. foldConstants uses the constant fields
