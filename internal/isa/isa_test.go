@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -49,10 +50,10 @@ func TestEvalALUBasics(t *testing.T) {
 		{OpDiv, 7, 2, 3},
 		{OpDiv, -7, 2, -3},
 		{OpDiv, 5, 0, 0},
-		{OpDiv, minInt64, -1, minInt64},
+		{OpDiv, math.MinInt64, -1, math.MinInt64},
 		{OpRem, 7, 3, 1},
 		{OpRem, 7, 0, 0},
-		{OpRem, minInt64, -1, 0},
+		{OpRem, math.MinInt64, -1, 0},
 		{OpAnd, 0b1100, 0b1010, 0b1000},
 		{OpOr, 0b1100, 0b1010, 0b1110},
 		{OpXor, 0b1100, 0b1010, 0b0110},
