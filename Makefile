@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci check vet fmt-check build test test-short smoke loc tier1-time profile-sim bench-test race race-compile soak bench bench-ledger bench-ab bench-micro fuzz fuzz-diff corpus
+.PHONY: ci check vet fmt-check build test test-short smoke loc tier1-time profile-sim profile-compile bench-test race race-compile soak bench bench-ledger bench-ab bench-micro fuzz fuzz-diff corpus
 
 ci: vet fmt-check build test race
 
@@ -80,6 +80,16 @@ profile-sim:
 	$(GO) test -run '^$$' -bench '^BenchmarkRunKernel$$/^wave-ordered$$' -benchtime 3s \
 		-cpuprofile $(abspath $(PROFDIR))/sim.cpu.out -o $(abspath $(PROFDIR))/wavecache.test ./internal/wavecache
 	$(GO) tool pprof -top -nodecount 40 $(PROFDIR)/wavecache.test $(PROFDIR)/sim.cpu.out
+
+# profile-compile is profile-sim's twin for the compile path, not part of
+# tier-1: a CPU profile of BenchmarkCompileSource (every binary and the
+# reference runs at both optimizer tiers) and pprof's flat top, the share
+# a compile host-speed change opens with.
+profile-compile:
+	mkdir -p $(PROFDIR)
+	$(GO) test -run '^$$' -bench '^BenchmarkCompileSource$$' -benchtime 2s \
+		-cpuprofile $(abspath $(PROFDIR))/compile.cpu.out -o $(abspath $(PROFDIR))/harness.test ./internal/harness
+	$(GO) tool pprof -top -nodecount 40 $(PROFDIR)/harness.test $(PROFDIR)/compile.cpu.out
 
 # bench/ is its own module (replace wavescalar => ../), so the root
 # `go vet ./...` and `go test ./...` do not reach it: this is the fence
