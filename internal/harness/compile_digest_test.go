@@ -41,7 +41,7 @@ func linearListing(p *linear.Program) string {
 	for _, f := range p.Funcs {
 		fmt.Fprintf(&sb, "func %s params %v regs %d\n", f.Name, f.Params, f.NumRegs)
 		for i := range f.Code {
-			fmt.Fprintf(&sb, "%4d  %s\n", i, f.Code[i].String())
+			fmt.Fprintf(&sb, "%4d  %s\n", i, f.Disasm(i))
 		}
 	}
 	return sb.String()

@@ -1,8 +1,13 @@
 // Package linear defines the von Neumann baseline ISA: a linear, RISC-like
 // instruction set with a program counter, compiled from the same CFG IR as
-// the WaveScalar binaries. The out-of-order superscalar model (internal/ooo)
+// the WaveScalar steer binary (if-converted IR, whose selects have no linear
+// form, is refused). The out-of-order superscalar model (internal/ooo)
 // executes this ISA; it is the "aggressive superscalar" the MICRO 2003
 // evaluation compares the WaveCache against.
+//
+// A program has one form. Compile emits each function's Code, 24-byte
+// instructions with an opcode per ALU operation, and the argument copies of
+// its calls; the emulator, the timing model and Func.Disasm all read it.
 //
 // The machine uses per-activation virtual register frames (register
 // windows): a CALL gives the callee a fresh frame and copies argument
@@ -19,89 +24,51 @@ import (
 	"wavescalar/internal/isa"
 )
 
-// Op enumerates linear opcodes.
+// Op enumerates linear opcodes. Each ALU operation has one of its own,
+// LAdd through LGe in isa order, so the emulator's dispatch is a single
+// switch.
 type Op uint8
 
 const (
-	LConst  Op = iota // rd = imm
-	LAlu              // rd = ALU(ra, rb)
-	LSelect           // rd = ra != 0 ? rb : rc
-	LLoad             // rd = mem[ra]
-	LStore            // mem[ra] = rb
-	LJump             // pc = Target
-	LBranch           // if ra != 0 pc = Target (else fall through)
-	LCall             // rd = call Funcs[Callee](Args...)
-	LRet              // return ra
+	LConst Op = iota // rd = imm
+	LAdd             // LAdd through LGe: rd = ALU(ra, rb)
+	LSub
+	LMul
+	LDiv
+	LRem
+	LAnd
+	LOr
+	LXor
+	LShl
+	LShr
+	LNeg
+	LNot
+	LEq
+	LNe
+	LLt
+	LLe
+	LGt
+	LGe
+	LLoad   // rd = mem[ra]
+	LStore  // mem[ra] = rb
+	LJump   // pc = imm
+	LBranch // if ra != 0 pc = imm (else fall through)
+	LCall   // rd = call Funcs[imm](the caller registers of Moves[ra:rb])
+	LRet    // return ra
 )
 
-func (o Op) String() string {
-	switch o {
-	case LConst:
-		return "const"
-	case LAlu:
-		return "alu"
-	case LSelect:
-		return "select"
-	case LLoad:
-		return "load"
-	case LStore:
-		return "store"
-	case LJump:
-		return "jump"
-	case LBranch:
-		return "branch"
-	case LCall:
-		return "call"
-	case LRet:
-		return "ret"
-	}
-	return fmt.Sprintf("op(%d)", uint8(o))
-}
+// ALU returns the isa operation of an opcode from LAdd through LGe.
+func (o Op) ALU() isa.Opcode { return isa.OpAdd + isa.Opcode(o-LAdd) }
 
-// Instr is one linear instruction. Register operands index the function's
-// virtual frame.
+// Instr is one linear instruction, 24 bytes. Register operands index the
+// function's virtual frame; Imm is the constant (LConst), the instruction
+// index within the function (LJump, LBranch) or the callee (LCall). An
+// LCall's Ra and Rb are not registers but the bounds of its argument copies
+// in the function's Moves.
 type Instr struct {
-	Op     Op
-	Alu    isa.Opcode // LAlu
-	Rd     cfgir.Reg
-	Ra, Rb cfgir.Reg
-	Rc     cfgir.Reg // LSelect
-	Imm    int64
-	Target int // LJump/LBranch: instruction index within the function
-	Callee int
-	Args   []cfgir.Reg
-}
-
-// String renders an instruction.
-func (in *Instr) String() string {
-	switch in.Op {
-	case LConst:
-		return fmt.Sprintf("r%d = %d", in.Rd, in.Imm)
-	case LAlu:
-		if in.Alu.NumInputs() == 1 {
-			return fmt.Sprintf("r%d = %s r%d", in.Rd, in.Alu, in.Ra)
-		}
-		return fmt.Sprintf("r%d = %s r%d, r%d", in.Rd, in.Alu, in.Ra, in.Rb)
-	case LSelect:
-		return fmt.Sprintf("r%d = r%d ? r%d : r%d", in.Rd, in.Ra, in.Rb, in.Rc)
-	case LLoad:
-		return fmt.Sprintf("r%d = [r%d]", in.Rd, in.Ra)
-	case LStore:
-		return fmt.Sprintf("[r%d] = r%d", in.Ra, in.Rb)
-	case LJump:
-		return fmt.Sprintf("jump @%d", in.Target)
-	case LBranch:
-		return fmt.Sprintf("branch r%d @%d", in.Ra, in.Target)
-	case LCall:
-		parts := make([]string, len(in.Args))
-		for i, a := range in.Args {
-			parts[i] = fmt.Sprintf("r%d", a)
-		}
-		return fmt.Sprintf("r%d = call #%d(%s)", in.Rd, in.Callee, strings.Join(parts, ", "))
-	case LRet:
-		return fmt.Sprintf("ret r%d", in.Ra)
-	}
-	return "?"
+	Op         Op
+	Rd, Ra, Rb cfgir.Reg
+	Imm        int64
 }
 
 // Func is one linear function.
@@ -111,105 +78,40 @@ type Func struct {
 	NumRegs int
 	Code    []Instr
 
-	// dec is Code as the emulator dispatches it, one entry per instruction
-	// (see dinstr), and moves holds the argument copies of its calls. Compile
-	// builds both; emulators share them and only read them.
-	dec   []dinstr
-	moves []int32
+	// Moves holds the argument copies of the function's calls, pairs of
+	// (callee parameter, caller register) in parameter order: an LCall's are
+	// Moves[Ra:Rb].
+	Moves []cfgir.Reg
 }
 
-// dop is a decoded opcode: a linear Op, with LAlu split into one opcode
-// per ALU operation so the emulator's dispatch is a single switch.
-type dop uint8
-
-const (
-	dConst dop = iota
-	dAdd
-	dSub
-	dMul
-	dDiv
-	dRem
-	dAnd
-	dOr
-	dXor
-	dShl
-	dShr
-	dNeg
-	dNot
-	dEq
-	dNe
-	dLt
-	dLe
-	dGt
-	dGe
-	dSelect
-	dLoad
-	dStore
-	dJump
-	dBranch
-	dCall
-	dRet
-)
-
-// aluDop maps each ALU opcode to its decoded opcode.
-var aluDop = map[isa.Opcode]dop{
-	isa.OpAdd: dAdd, isa.OpSub: dSub, isa.OpMul: dMul, isa.OpDiv: dDiv, isa.OpRem: dRem,
-	isa.OpAnd: dAnd, isa.OpOr: dOr, isa.OpXor: dXor, isa.OpShl: dShl, isa.OpShr: dShr,
-	isa.OpNeg: dNeg, isa.OpNot: dNot, isa.OpEq: dEq, isa.OpNe: dNe,
-	isa.OpLt: dLt, isa.OpLe: dLe, isa.OpGt: dGt, isa.OpGe: dGe,
-}
-
-// dinstr is one decoded instruction, 32 bytes: the Instr's registers and
-// one int64 that is the constant (dConst), the target (dJump, dBranch) or
-// the callee (dCall). A call's argument copies are moves[ra:rb], pairs of
-// (callee parameter register, caller register).
-type dinstr struct {
-	op             dop
-	rd, ra, rb, rc int32
-	imm            int64
-}
-
-// decode builds f.dec and f.moves; funcs is the program's functions, whose
-// parameter lists the calls copy into.
-func (f *Func) decode(funcs []*Func) error {
-	f.dec = make([]dinstr, len(f.Code))
-	for pc := range f.Code {
-		in := &f.Code[pc]
-		d := dinstr{rd: int32(in.Rd), ra: int32(in.Ra), rb: int32(in.Rb), rc: int32(in.Rc)}
-		switch in.Op {
-		case LConst:
-			d.op, d.imm = dConst, in.Imm
-		case LAlu:
-			op, ok := aluDop[in.Alu]
-			if !ok {
-				return fmt.Errorf("linear: %s: pc %d: %s is not an ALU operation", f.Name, pc, in.Alu)
-			}
-			d.op = op
-		case LSelect:
-			d.op = dSelect
-		case LLoad:
-			d.op = dLoad
-		case LStore:
-			d.op = dStore
-		case LJump:
-			d.op, d.imm = dJump, int64(in.Target)
-		case LBranch:
-			d.op, d.imm = dBranch, int64(in.Target)
-		case LCall:
-			params := funcs[in.Callee].Params
-			d.op, d.imm, d.ra = dCall, int64(in.Callee), int32(len(f.moves))
-			for i, a := range in.Args {
-				f.moves = append(f.moves, int32(params[i]), int32(a))
-			}
-			d.rb = int32(len(f.moves))
-		case LRet:
-			d.op = dRet
-		default:
-			return fmt.Errorf("linear: %s: pc %d: unknown opcode %s", f.Name, pc, in.Op)
+// Disasm renders the instruction at pc.
+func (f *Func) Disasm(pc int) string {
+	in := &f.Code[pc]
+	switch in.Op {
+	case LConst:
+		return fmt.Sprintf("r%d = %d", in.Rd, in.Imm)
+	case LLoad:
+		return fmt.Sprintf("r%d = [r%d]", in.Rd, in.Ra)
+	case LStore:
+		return fmt.Sprintf("[r%d] = r%d", in.Ra, in.Rb)
+	case LJump:
+		return fmt.Sprintf("jump @%d", in.Imm)
+	case LBranch:
+		return fmt.Sprintf("branch r%d @%d", in.Ra, in.Imm)
+	case LCall:
+		var parts []string
+		for i := in.Ra + 1; i < in.Rb; i += 2 {
+			parts = append(parts, fmt.Sprintf("r%d", f.Moves[i]))
 		}
-		f.dec[pc] = d
+		return fmt.Sprintf("r%d = call #%d(%s)", in.Rd, in.Imm, strings.Join(parts, ", "))
+	case LRet:
+		return fmt.Sprintf("ret r%d", in.Ra)
 	}
-	return nil
+	alu := in.Op.ALU()
+	if alu.NumInputs() == 1 {
+		return fmt.Sprintf("r%d = %s r%d", in.Rd, alu, in.Ra)
+	}
+	return fmt.Sprintf("r%d = %s r%d, r%d", in.Rd, alu, in.Ra, in.Rb)
 }
 
 // Program is a compiled linear module.
@@ -227,7 +129,8 @@ func (p *Program) InitialMemory() []int64 {
 
 // Compile lowers CFG IR to linear code. Blocks are laid out in their
 // (reverse postorder) numbering; branches fall through to the else side
-// when possible.
+// when possible. The input is the IR the steer binary lowers: if-converted
+// IR, whose selects have no linear form, is an error.
 func Compile(p *cfgir.Program) (*Program, error) {
 	entry := p.FuncByName("main")
 	if entry < 0 {
@@ -235,21 +138,18 @@ func Compile(p *cfgir.Program) (*Program, error) {
 	}
 	out := &Program{Entry: entry, Globals: p.Globals, MemWords: p.MemWords}
 	for _, f := range p.Funcs {
-		lf, err := compileFunc(f)
+		lf, err := compileFunc(f, p.Funcs)
 		if err != nil {
 			return nil, err
 		}
 		out.Funcs = append(out.Funcs, lf)
 	}
-	for _, lf := range out.Funcs {
-		if err := lf.decode(out.Funcs); err != nil {
-			return nil, err
-		}
-	}
 	return out, nil
 }
 
-func compileFunc(f *cfgir.Func) (*Func, error) {
+// compileFunc lowers f; funcs is the program's functions, whose parameter
+// lists the calls copy into.
+func compileFunc(f *cfgir.Func, funcs []*cfgir.Func) (*Func, error) {
 	lf := &Func{Name: f.Name, Params: f.Params, NumRegs: f.NumRegs}
 	blockStart := make([]int, len(f.Blocks))
 	// First pass: emit with placeholder targets.
@@ -266,16 +166,22 @@ func compileFunc(f *cfgir.Func) (*Func, error) {
 			case cfgir.KConst:
 				lf.Code = append(lf.Code, Instr{Op: LConst, Rd: in.Dst, Imm: in.Imm})
 			case cfgir.KAlu:
-				lf.Code = append(lf.Code, Instr{Op: LAlu, Alu: in.Op, Rd: in.Dst, Ra: in.A, Rb: in.B})
+				if !isa.IsALU(in.Op) {
+					return nil, fmt.Errorf("linear: %s: %s is not an ALU operation", f.Name, in.Op)
+				}
+				lf.Code = append(lf.Code, Instr{Op: LAdd + Op(in.Op-isa.OpAdd), Rd: in.Dst, Ra: in.A, Rb: in.B})
 			case cfgir.KSelect:
-				lf.Code = append(lf.Code, Instr{Op: LSelect, Rd: in.Dst, Ra: in.A, Rb: in.B, Rc: in.C})
+				return nil, fmt.Errorf("linear: %s: a select in if-converted IR, which has no linear form", f.Name)
 			case cfgir.KLoad:
 				lf.Code = append(lf.Code, Instr{Op: LLoad, Rd: in.Dst, Ra: in.A})
 			case cfgir.KStore:
 				lf.Code = append(lf.Code, Instr{Op: LStore, Ra: in.A, Rb: in.B})
 			case cfgir.KCall:
-				lf.Code = append(lf.Code, Instr{Op: LCall, Rd: in.Dst, Callee: in.Callee,
-					Args: append([]cfgir.Reg(nil), in.Args...)})
+				from := cfgir.Reg(len(lf.Moves))
+				for j, a := range in.Args {
+					lf.Moves = append(lf.Moves, funcs[in.Callee].Params[j], a)
+				}
+				lf.Code = append(lf.Code, Instr{Op: LCall, Rd: in.Dst, Ra: from, Rb: cfgir.Reg(len(lf.Moves)), Imm: int64(in.Callee)})
 			default:
 				return nil, fmt.Errorf("linear: unknown IR instruction kind %d", in.Kind)
 			}
@@ -298,7 +204,7 @@ func compileFunc(f *cfgir.Func) (*Func, error) {
 		}
 	}
 	for _, pt := range patches {
-		lf.Code[pt.at].Target = blockStart[pt.block]
+		lf.Code[pt.at].Imm = int64(blockStart[pt.block])
 	}
 	return lf, nil
 }
@@ -338,18 +244,18 @@ type Emulator struct {
 	Stop *atomic.Bool
 }
 
-// TraceEvent describes one dynamic instruction for the timing model.
+// TraceEvent describes one dynamic instruction for the timing model: the
+// function and pc it ran at, and what the instruction did that the program
+// text does not say. Activations are not numbered: a consumer that needs to
+// tell them apart follows the LCall and LRet events.
 type TraceEvent struct {
 	Func  int
 	PC    int
-	Frame int64 // activation number (register window id)
-	Instr *Instr
+	Instr *Instr // &Code[PC] of Funcs[Func]
 	// Taken reports a conditional branch's outcome.
 	Taken bool
 	// Addr is the effective address of loads and stores.
 	Addr int64
-	// CalleeFrame is the frame id created by an LCall.
-	CalleeFrame int64
 }
 
 // NewEmulator prepares an emulator. fuel bounds dynamic instructions
@@ -366,9 +272,8 @@ func (e *Emulator) Memory() []int64 { return e.mem }
 
 // Run executes main.
 func (e *Emulator) Run() (int64, error) {
-	frames := int64(0)
 	e.slab = e.slab[:0]
-	return e.call(e.prog.Entry, e.frame(e.prog.Entry), &frames)
+	return e.call(e.prog.Entry, e.frame(e.prog.Entry))
 }
 
 // frame takes a zeroed register frame for function fi from the end of the
@@ -389,19 +294,16 @@ func (e *Emulator) frame(fi int) []int64 {
 }
 
 // call runs function fi on regs, a frame the caller took and put the
-// arguments in. It dispatches the decoded program and builds a TraceEvent
-// only when Trace is set.
-func (e *Emulator) call(fi int, regs []int64, frames *int64) (int64, error) {
+// arguments in. It builds a TraceEvent only when Trace is set.
+func (e *Emulator) call(fi int, regs []int64) (int64, error) {
 	f := e.prog.Funcs[fi]
-	code := f.dec
-	frame := *frames
-	*frames++
+	code := f.Code
 	pc := 0
 	for {
 		if uint(pc) >= uint(len(code)) {
 			return 0, fmt.Errorf("linear: %s: pc %d out of range", f.Name, pc)
 		}
-		d := &code[pc]
+		in := &code[pc]
 		e.Instrs++
 		e.fuel--
 		if e.fuel < 0 {
@@ -411,95 +313,89 @@ func (e *Emulator) call(fi int, regs []int64, frames *int64) (int64, error) {
 			return 0, ErrStopped
 		}
 		next := pc + 1
-		switch d.op {
-		case dConst:
-			regs[d.rd] = d.imm
-		case dAdd:
-			regs[d.rd] = regs[d.ra] + regs[d.rb]
-		case dSub:
-			regs[d.rd] = regs[d.ra] - regs[d.rb]
-		case dMul:
-			regs[d.rd] = regs[d.ra] * regs[d.rb]
-		case dDiv:
-			regs[d.rd] = isa.Div(regs[d.ra], regs[d.rb])
-		case dRem:
-			regs[d.rd] = isa.Rem(regs[d.ra], regs[d.rb])
-		case dAnd:
-			regs[d.rd] = regs[d.ra] & regs[d.rb]
-		case dOr:
-			regs[d.rd] = regs[d.ra] | regs[d.rb]
-		case dXor:
-			regs[d.rd] = regs[d.ra] ^ regs[d.rb]
-		case dShl:
-			regs[d.rd] = isa.Shl(regs[d.ra], regs[d.rb])
-		case dShr:
-			regs[d.rd] = isa.Shr(regs[d.ra], regs[d.rb])
-		case dNeg:
-			regs[d.rd] = -regs[d.ra]
-		case dNot:
-			regs[d.rd] = ^regs[d.ra]
-		case dEq:
-			regs[d.rd] = isa.Bool(regs[d.ra] == regs[d.rb])
-		case dNe:
-			regs[d.rd] = isa.Bool(regs[d.ra] != regs[d.rb])
-		case dLt:
-			regs[d.rd] = isa.Bool(regs[d.ra] < regs[d.rb])
-		case dLe:
-			regs[d.rd] = isa.Bool(regs[d.ra] <= regs[d.rb])
-		case dGt:
-			regs[d.rd] = isa.Bool(regs[d.ra] > regs[d.rb])
-		case dGe:
-			regs[d.rd] = isa.Bool(regs[d.ra] >= regs[d.rb])
-		case dSelect:
-			if regs[d.ra] != 0 {
-				regs[d.rd] = regs[d.rb]
-			} else {
-				regs[d.rd] = regs[d.rc]
-			}
-		case dLoad:
-			addr := regs[d.ra]
+		switch in.Op {
+		case LConst:
+			regs[in.Rd] = in.Imm
+		case LAdd:
+			regs[in.Rd] = regs[in.Ra] + regs[in.Rb]
+		case LSub:
+			regs[in.Rd] = regs[in.Ra] - regs[in.Rb]
+		case LMul:
+			regs[in.Rd] = regs[in.Ra] * regs[in.Rb]
+		case LDiv:
+			regs[in.Rd] = isa.Div(regs[in.Ra], regs[in.Rb])
+		case LRem:
+			regs[in.Rd] = isa.Rem(regs[in.Ra], regs[in.Rb])
+		case LAnd:
+			regs[in.Rd] = regs[in.Ra] & regs[in.Rb]
+		case LOr:
+			regs[in.Rd] = regs[in.Ra] | regs[in.Rb]
+		case LXor:
+			regs[in.Rd] = regs[in.Ra] ^ regs[in.Rb]
+		case LShl:
+			regs[in.Rd] = isa.Shl(regs[in.Ra], regs[in.Rb])
+		case LShr:
+			regs[in.Rd] = isa.Shr(regs[in.Ra], regs[in.Rb])
+		case LNeg:
+			regs[in.Rd] = -regs[in.Ra]
+		case LNot:
+			regs[in.Rd] = ^regs[in.Ra]
+		case LEq:
+			regs[in.Rd] = isa.Bool(regs[in.Ra] == regs[in.Rb])
+		case LNe:
+			regs[in.Rd] = isa.Bool(regs[in.Ra] != regs[in.Rb])
+		case LLt:
+			regs[in.Rd] = isa.Bool(regs[in.Ra] < regs[in.Rb])
+		case LLe:
+			regs[in.Rd] = isa.Bool(regs[in.Ra] <= regs[in.Rb])
+		case LGt:
+			regs[in.Rd] = isa.Bool(regs[in.Ra] > regs[in.Rb])
+		case LGe:
+			regs[in.Rd] = isa.Bool(regs[in.Ra] >= regs[in.Rb])
+		case LLoad:
+			addr := regs[in.Ra]
 			if uint64(addr) >= uint64(len(e.mem)) {
 				return 0, fmt.Errorf("linear: %s: load address %d out of range", f.Name, addr)
 			}
-			regs[d.rd] = e.mem[addr]
+			regs[in.Rd] = e.mem[addr]
 			if e.Trace != nil {
-				e.Trace(TraceEvent{Func: fi, PC: pc, Frame: frame, Instr: &f.Code[pc], Addr: addr})
+				e.Trace(TraceEvent{Func: fi, PC: pc, Instr: in, Addr: addr})
 			}
 			pc = next
 			continue
-		case dStore:
-			addr := regs[d.ra]
+		case LStore:
+			addr := regs[in.Ra]
 			if uint64(addr) >= uint64(len(e.mem)) {
 				return 0, fmt.Errorf("linear: %s: store address %d out of range", f.Name, addr)
 			}
-			e.mem[addr] = regs[d.rb]
+			e.mem[addr] = regs[in.Rb]
 			if e.Trace != nil {
-				e.Trace(TraceEvent{Func: fi, PC: pc, Frame: frame, Instr: &f.Code[pc], Addr: addr})
+				e.Trace(TraceEvent{Func: fi, PC: pc, Instr: in, Addr: addr})
 			}
 			pc = next
 			continue
-		case dJump:
-			next = int(d.imm)
-		case dBranch:
-			if regs[d.ra] != 0 {
+		case LJump:
+			next = int(in.Imm)
+		case LBranch:
+			if regs[in.Ra] != 0 {
 				if e.Trace != nil {
-					e.Trace(TraceEvent{Func: fi, PC: pc, Frame: frame, Instr: &f.Code[pc], Taken: true})
+					e.Trace(TraceEvent{Func: fi, PC: pc, Instr: in, Taken: true})
 				}
-				pc = int(d.imm)
+				pc = int(in.Imm)
 				continue
 			}
-		case dCall:
-			callee := int(d.imm)
+		case LCall:
+			callee := int(in.Imm)
 			if e.Trace != nil {
-				e.Trace(TraceEvent{Func: fi, PC: pc, Frame: frame, Instr: &f.Code[pc], CalleeFrame: *frames})
+				e.Trace(TraceEvent{Func: fi, PC: pc, Instr: in})
 			}
 			args := e.frame(callee)
 			slab, mark := cap(e.slab), len(e.slab)-len(args)
-			moves := f.moves[d.ra:d.rb]
+			moves := f.Moves[in.Ra:in.Rb]
 			for i := 0; i+1 < len(moves); i += 2 {
 				args[moves[i]] = regs[moves[i+1]]
 			}
-			v, err := e.call(callee, args, frames)
+			v, err := e.call(callee, args)
 			if err != nil {
 				return 0, err
 			}
@@ -510,17 +406,17 @@ func (e *Emulator) call(fi int, regs []int64, frames *int64) (int64, error) {
 			if cap(e.slab) == slab {
 				e.slab = e.slab[:mark]
 			}
-			regs[d.rd] = v
+			regs[in.Rd] = v
 			pc = next
 			continue
-		case dRet:
+		case LRet:
 			if e.Trace != nil {
-				e.Trace(TraceEvent{Func: fi, PC: pc, Frame: frame, Instr: &f.Code[pc]})
+				e.Trace(TraceEvent{Func: fi, PC: pc, Instr: in})
 			}
-			return regs[d.ra], nil
+			return regs[in.Ra], nil
 		}
 		if e.Trace != nil {
-			e.Trace(TraceEvent{Func: fi, PC: pc, Frame: frame, Instr: &f.Code[pc]})
+			e.Trace(TraceEvent{Func: fi, PC: pc, Instr: in})
 		}
 		pc = next
 	}

@@ -3,9 +3,12 @@ package linear
 import (
 	"fmt"
 	"math"
+	"regexp"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"wavescalar/internal/cfgir"
 	"wavescalar/internal/isa"
@@ -74,9 +77,6 @@ func TestTraceCoversAllInstructions(t *testing.T) {
 		switch ev.Instr.Op {
 		case LCall:
 			calls++
-			if ev.CalleeFrame == ev.Frame {
-				t.Error("callee frame equals caller frame")
-			}
 		case LRet:
 			rets++
 		case LBranch:
@@ -153,13 +153,45 @@ func TestEmulatorStopRequest(t *testing.T) {
 }
 
 func TestInstrStrings(t *testing.T) {
-	lp := compileSource(t, "global a[4];\nfunc main() { a[1] = 2; return a[1]; }")
+	lp := compileSource(t, "global a[4];\nfunc f(x, y) { return x - y; }\nfunc main() { a[1] = 2; return f(a[1], 3); }")
+	call := regexp.MustCompile(`^r\d+ = call #0\(r\d+, r\d+\)$`)
+	calls := 0
 	for _, f := range lp.Funcs {
 		for i := range f.Code {
-			if s := f.Code[i].String(); s == "?" || s == "" {
-				t.Errorf("instruction %d renders %q", i, s)
+			s := f.Disasm(i)
+			if s == "" || strings.Contains(s, "opcode(") {
+				t.Errorf("%s: instruction %d renders %q", f.Name, i, s)
+			}
+			if call.MatchString(s) {
+				calls++
 			}
 		}
+	}
+	if calls != 1 {
+		t.Errorf("%d instructions render as a two-argument call of f, want 1", calls)
+	}
+}
+
+// TestInstrIs24Bytes: the emulator and the timing model dispatch Code as
+// it is, so an instruction stays small.
+func TestInstrIs24Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Instr{}); n != 24 {
+		t.Errorf("Instr is %d bytes, want 24", n)
+	}
+}
+
+// TestCompileRejectsIfConverted: a select has no linear form, so Compile
+// refuses IR that went through if-conversion and says so.
+func TestCompileRejectsIfConverted(t *testing.T) {
+	p, _, _, err := cfgir.FromSource(`func main() { var x = 1; var y = 0; if x { y = 2; } else { y = 3; } return y; }`, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := p.IfConvert(); n == 0 {
+		t.Fatal("the diamond was not if-converted")
+	}
+	if _, err := Compile(p); err == nil || !strings.Contains(err.Error(), "if-converted") {
+		t.Errorf("Compile of if-converted IR: %v, want an error naming if-converted IR", err)
 	}
 }
 
@@ -193,10 +225,8 @@ type emulatorRef struct {
 	trace  func(TraceEvent)
 }
 
-func (e *emulatorRef) call(fi int, args []int64, frames *int64) (int64, error) {
+func (e *emulatorRef) call(fi int, args []int64) (int64, error) {
 	f := e.prog.Funcs[fi]
-	frame := *frames
-	*frames++
 	regs := make([]int64, f.NumRegs)
 	for i, pr := range f.Params {
 		regs[pr] = args[i]
@@ -212,23 +242,11 @@ func (e *emulatorRef) call(fi int, args []int64, frames *int64) (int64, error) {
 		if e.fuel&(stopPoll-1) == 0 && e.stop {
 			return 0, ErrStopped
 		}
-		ev := TraceEvent{Func: fi, PC: pc, Frame: frame, Instr: in}
+		ev := TraceEvent{Func: fi, PC: pc, Instr: in}
 		next := pc + 1
 		switch in.Op {
 		case LConst:
 			regs[in.Rd] = in.Imm
-		case LAlu:
-			var b int64
-			if in.Alu.NumInputs() == 2 {
-				b = regs[in.Rb]
-			}
-			regs[in.Rd] = isa.EvalALU(in.Alu, regs[in.Ra], b)
-		case LSelect:
-			if regs[in.Ra] != 0 {
-				regs[in.Rd] = regs[in.Rb]
-			} else {
-				regs[in.Rd] = regs[in.Rc]
-			}
 		case LLoad:
 			addr := regs[in.Ra]
 			ev.Addr = addr
@@ -244,20 +262,19 @@ func (e *emulatorRef) call(fi int, args []int64, frames *int64) (int64, error) {
 			}
 			e.mem[addr] = regs[in.Rb]
 		case LJump:
-			next = in.Target
+			next = int(in.Imm)
 		case LBranch:
 			if regs[in.Ra] != 0 {
-				next = in.Target
+				next = int(in.Imm)
 				ev.Taken = true
 			}
 		case LCall:
-			callArgs := make([]int64, len(in.Args))
-			for i, a := range in.Args {
-				callArgs[i] = regs[a]
+			var callArgs []int64 // the caller registers, in parameter order
+			for i := in.Ra + 1; i < in.Rb; i += 2 {
+				callArgs = append(callArgs, regs[f.Moves[i]])
 			}
-			ev.CalleeFrame = *frames
 			e.trace(ev)
-			v, err := e.call(in.Callee, callArgs, frames)
+			v, err := e.call(int(in.Imm), callArgs)
 			if err != nil {
 				return 0, err
 			}
@@ -267,6 +284,12 @@ func (e *emulatorRef) call(fi int, args []int64, frames *int64) (int64, error) {
 		case LRet:
 			e.trace(ev)
 			return regs[in.Ra], nil
+		default: // LAdd through LGe
+			var b int64
+			if in.Op.ALU().NumInputs() == 2 {
+				b = regs[in.Rb]
+			}
+			regs[in.Rd] = isa.EvalALU(in.Op.ALU(), regs[in.Ra], b)
 		}
 		e.trace(ev)
 		pc = next
@@ -282,8 +305,7 @@ func (e *emulatorRef) run(fuel int64, stop bool) (int64, error, traceDigest) {
 	}
 	e.mem, e.instrs, e.fuel, e.stop = e.prog.InitialMemory(), 0, fuel, stop
 	e.trace = func(ev TraceEvent) { d.add(e.prog, ev) }
-	frames := int64(0)
-	v, err := e.call(e.prog.Entry, nil, &frames)
+	v, err := e.call(e.prog.Entry, nil)
 	return v, err, d
 }
 
@@ -309,7 +331,7 @@ func (d *traceDigest) add(p *Program, ev TraceEvent) {
 	if ev.Taken {
 		taken = 1
 	}
-	for _, w := range [...]int64{int64(ev.Func), int64(ev.PC), ev.Frame, taken, ev.Addr, ev.CalleeFrame} {
+	for _, w := range [...]int64{int64(ev.Func), int64(ev.PC), taken, ev.Addr} {
 		d.hash = (d.hash ^ uint64(w)) * 1099511628211
 	}
 	d.events++

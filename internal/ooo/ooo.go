@@ -22,9 +22,9 @@ import (
 	"slices"
 
 	"wavescalar/internal/cfgir"
-	"wavescalar/internal/isa"
 	"wavescalar/internal/linear"
 	"wavescalar/internal/mem"
+	"wavescalar/internal/noc"
 )
 
 // Config parameterizes the core: the widths and window size experiments
@@ -166,34 +166,6 @@ func (c *capSchedule) prune(w int64) {
 	c.base = max(c.base, w)
 }
 
-// monoSchedule is the capSchedule specialization for monotone
-// non-decreasing request streams — fetch (requests at fetchMin, which
-// only moves forward) and commit (requests at the retirement frontier).
-// Under a monotone stream every cycle below the last grant is either full
-// or unreachable, so the frontier cycle and its count are the entire
-// state; behaviour is observably identical to capSchedule.
-type monoSchedule struct {
-	width int32
-	count int32
-	cur   int64
-}
-
-func newMonoSchedule(width int) *monoSchedule {
-	return &monoSchedule{width: int32(width), cur: -1}
-}
-
-func (m *monoSchedule) reserve(t int64) int64 {
-	if t > m.cur {
-		m.cur, m.count = t, 0
-	}
-	if m.count >= m.width {
-		m.cur++
-		m.count = 0
-	}
-	m.count++
-	return m.cur
-}
-
 // gshare is a global-history branch predictor with 2-bit counters.
 type gshare struct {
 	table []uint8
@@ -245,9 +217,9 @@ type callFrame struct {
 type core struct {
 	cfg       Config
 	prog      *linear.Program
-	fetch     *monoSchedule
+	fetch     noc.Port // requests at fetchMin, which only moves forward
 	issue     *capSchedule
-	commit    *monoSchedule
+	commit    noc.Port // requests at the retirement frontier
 	aluPort   *capSchedule
 	mulPort   *capSchedule
 	loadPort  *capSchedule
@@ -298,14 +270,12 @@ func Run(p *linear.Program, cfg Config) (Result, error) {
 func newCore(p *linear.Program, cfg Config) (*core, error) {
 	memsys, err := mem.NewSystem(cfg.Mem)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ooo: %w", err)
 	}
 	c := &core{
 		cfg:        cfg,
 		prog:       p,
-		fetch:      newMonoSchedule(cfg.FetchWidth),
 		issue:      newCapSchedule(cfg.IssueWidth),
-		commit:     newMonoSchedule(cfg.CommitWidth),
 		aluPort:    newCapSchedule(aluPorts),
 		mulPort:    newCapSchedule(mulDivPorts),
 		loadPort:   newCapSchedule(loadPorts),
@@ -387,7 +357,7 @@ func (c *core) step(ev linear.TraceEvent) {
 	in := ev.Instr
 
 	// Fetch: front-end bandwidth plus sequential ordering.
-	fetchT := c.fetch.reserve(c.fetchMin)
+	fetchT := c.fetch.Grant(c.fetchMin, int64(c.cfg.FetchWidth))
 	dispatch := c.dispatch(fetchT)
 
 	ready := dispatch
@@ -401,21 +371,6 @@ func (c *core) step(ev linear.TraceEvent) {
 
 	switch in.Op {
 	case linear.LConst:
-		issueT := c.issueAt(ready, c.aluPort)
-		execDone = issueT + intLatency
-		c.write(in.Rd, execDone)
-	case linear.LAlu:
-		up(c.ready(in.Ra))
-		if in.Alu.NumInputs() == 2 {
-			up(c.ready(in.Rb))
-		}
-		issueT := c.issueAt(ready, c.fuPort(in))
-		execDone = issueT + c.aluLatency(in)
-		c.write(in.Rd, execDone)
-	case linear.LSelect:
-		up(c.ready(in.Ra))
-		up(c.ready(in.Rb))
-		up(c.ready(in.Rc))
 		issueT := c.issueAt(ready, c.aluPort)
 		execDone = issueT + intLatency
 		c.write(in.Rd, execDone)
@@ -467,10 +422,10 @@ func (c *core) step(ev linear.TraceEvent) {
 		// copies it, and only the callee's frame is written here.
 		caller := c.frame
 		c.callStack = append(c.callStack, callFrame{base: c.base, rd: in.Rd})
-		c.enter(in.Callee)
-		calleeParams := c.prog.Funcs[in.Callee].Params
-		for i, a := range in.Args {
-			c.write(calleeParams[i], max(execDone, caller[a]))
+		c.enter(int(in.Imm))
+		moves := c.prog.Funcs[ev.Func].Moves[in.Ra:in.Rb]
+		for i := 0; i+1 < len(moves); i += 2 {
+			c.write(moves[i], max(execDone, caller[moves[i+1]]))
 		}
 		c.fetchMin = max(c.fetchMin, fetchT+1)
 	case linear.LRet:
@@ -484,29 +439,37 @@ func (c *core) step(ev linear.TraceEvent) {
 			c.write(cf.rd, execDone)
 		}
 		c.fetchMin = max(c.fetchMin, fetchT+1)
+	default: // LAdd through LGe
+		up(c.ready(in.Ra))
+		if in.Op.ALU().NumInputs() == 2 {
+			up(c.ready(in.Rb))
+		}
+		issueT := c.issueAt(ready, c.fuPort(in.Op))
+		execDone = issueT + aluLatency(in.Op)
+		c.write(in.Rd, execDone)
 	}
 
 	// In-order retirement.
-	ct := c.commit.reserve(max(execDone, c.lastCommit))
+	ct := c.commit.Grant(max(execDone, c.lastCommit), int64(c.cfg.CommitWidth))
 	c.lastCommit = ct
 	c.robCommits[c.robHead] = ct
 	c.robHead = (c.robHead + 1) % c.cfg.ROBSize
 }
 
-// fuPort selects the functional-unit port pool for an ALU instruction.
-func (c *core) fuPort(in *linear.Instr) *capSchedule {
-	switch in.Alu {
-	case isa.OpMul, isa.OpDiv, isa.OpRem:
+// fuPort selects the functional-unit port pool for an ALU operation.
+func (c *core) fuPort(op linear.Op) *capSchedule {
+	switch op {
+	case linear.LMul, linear.LDiv, linear.LRem:
 		return c.mulPort
 	}
 	return c.aluPort
 }
 
-func (c *core) aluLatency(in *linear.Instr) int64 {
-	switch in.Alu {
-	case isa.OpMul:
+func aluLatency(op linear.Op) int64 {
+	switch op {
+	case linear.LMul:
 		return mulLatency
-	case isa.OpDiv, isa.OpRem:
+	case linear.LDiv, linear.LRem:
 		return divLatency
 	}
 	return intLatency

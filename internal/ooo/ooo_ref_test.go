@@ -11,8 +11,8 @@ import (
 	"wavescalar/internal/workloads"
 )
 
-// frameReg renames an architectural register within its activation frame: the
-// emulator's activation number, not a position on a stack.
+// frameReg renames an architectural register within its activation frame:
+// an activation number, not a position on a stack.
 type frameReg struct {
 	frame int64
 	reg   cfgir.Reg
@@ -24,9 +24,13 @@ type frameReg struct {
 // kept here as the reference the stack of frames is compared against (as
 // match_ref_test.go keeps the table-only deliver), and it is the whole of
 // the old path: nothing in it reads core.regs, core.frame or core.callStack.
+// It numbers activations itself, in the order the trace's calls make them:
+// main's is 0.
 type mapRename struct {
 	*core
 	byFrame map[frameReg]int64
+	frame   int64      // the running activation
+	frames  int64      // activations made so far
 	calls   []frameReg // the caller's frame and destination, per live call
 }
 
@@ -41,9 +45,9 @@ func (m *mapRename) write(frame int64, r cfgir.Reg, t int64) {
 func (m *mapRename) step(ev linear.TraceEvent) {
 	c := m.core
 	in := ev.Instr
-	frame := ev.Frame
+	frame := m.frame
 
-	fetchT := c.fetch.reserve(c.fetchMin)
+	fetchT := c.fetch.Grant(c.fetchMin, int64(c.cfg.FetchWidth))
 	dispatch := c.dispatch(fetchT)
 	ready := dispatch
 	up := func(t int64) {
@@ -56,21 +60,6 @@ func (m *mapRename) step(ev linear.TraceEvent) {
 
 	switch in.Op {
 	case linear.LConst:
-		issueT := c.issueAt(ready, c.aluPort)
-		execDone = issueT + intLatency
-		m.write(frame, in.Rd, execDone)
-	case linear.LAlu:
-		up(m.ready(frame, in.Ra))
-		if in.Alu.NumInputs() == 2 {
-			up(m.ready(frame, in.Rb))
-		}
-		issueT := c.issueAt(ready, c.fuPort(in))
-		execDone = issueT + c.aluLatency(in)
-		m.write(frame, in.Rd, execDone)
-	case linear.LSelect:
-		up(m.ready(frame, in.Ra))
-		up(m.ready(frame, in.Rb))
-		up(m.ready(frame, in.Rc))
 		issueT := c.issueAt(ready, c.aluPort)
 		execDone = issueT + intLatency
 		m.write(frame, in.Rd, execDone)
@@ -115,12 +104,16 @@ func (m *mapRename) step(ev linear.TraceEvent) {
 	case linear.LCall:
 		issueT := c.issueAt(ready, nil)
 		execDone = issueT
-		calleeParams := c.prog.Funcs[in.Callee].Params
-		for i, a := range in.Args {
-			t := max(execDone, m.ready(frame, a))
-			m.write(ev.CalleeFrame, calleeParams[i], t)
+		m.frames++
+		callee := m.frames
+		calleeParams := c.prog.Funcs[in.Imm].Params
+		moves := c.prog.Funcs[ev.Func].Moves[in.Ra:in.Rb]
+		for i := 1; i < len(moves); i += 2 {
+			t := max(execDone, m.ready(frame, moves[i]))
+			m.write(callee, calleeParams[i/2], t)
 		}
 		m.calls = append(m.calls, frameReg{frame: frame, reg: in.Rd})
+		m.frame = callee
 		c.fetchMin = max(c.fetchMin, fetchT+1)
 	case linear.LRet:
 		up(m.ready(frame, in.Ra))
@@ -130,11 +123,20 @@ func (m *mapRename) step(ev linear.TraceEvent) {
 			cf := m.calls[n-1]
 			m.calls = m.calls[:n-1]
 			m.write(cf.frame, cf.reg, execDone)
+			m.frame = cf.frame
 		}
 		c.fetchMin = max(c.fetchMin, fetchT+1)
+	default: // LAdd through LGe
+		up(m.ready(frame, in.Ra))
+		if in.Op.ALU().NumInputs() == 2 {
+			up(m.ready(frame, in.Rb))
+		}
+		issueT := c.issueAt(ready, c.fuPort(in.Op))
+		execDone = issueT + aluLatency(in.Op)
+		m.write(frame, in.Rd, execDone)
 	}
 
-	ct := c.commit.reserve(max(execDone, c.lastCommit))
+	ct := c.commit.Grant(max(execDone, c.lastCommit), int64(c.cfg.CommitWidth))
 	c.lastCommit = ct
 	c.robCommits[c.robHead] = ct
 	c.robHead = (c.robHead + 1) % c.cfg.ROBSize

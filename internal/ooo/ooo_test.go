@@ -10,6 +10,7 @@ import (
 	"wavescalar/internal/cfgir"
 	"wavescalar/internal/lang"
 	"wavescalar/internal/linear"
+	"wavescalar/internal/noc"
 	"wavescalar/internal/testprogs"
 )
 
@@ -180,9 +181,9 @@ func TestCapSchedule(t *testing.T) {
 // points, requests at or above the last pruned watermark — mostly near it,
 // some hundreds of cycles ahead, as loads behind DRAM misses are. The
 // window must stay as long as the farthest grant is ahead of the pruned
-// watermark, give or take its power-of-two rounding. monoSchedule is pinned
-// against capSchedule on monotone streams (the only streams monoSchedule is
-// specified for: fetch and commit).
+// watermark, give or take its power-of-two rounding. noc.Port, the core's
+// fetch and commit grant, is pinned against capSchedule on monotone streams
+// (the only streams it is specified for).
 func TestCapScheduleDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
@@ -216,14 +217,14 @@ func TestCapScheduleDifferential(t *testing.T) {
 	}
 	for trial := 0; trial < 20; trial++ {
 		width := 1 + rng.Intn(4)
-		m := newMonoSchedule(width)
+		var p noc.Port
 		s := newCapSchedule(width)
 		req := int64(0)
 		for i := 0; i < 5000; i++ {
 			req += int64(rng.Intn(3)) // monotone non-decreasing
-			got, want := m.reserve(req), s.reserve(req)
+			got, want := p.Grant(req, int64(width)), s.reserve(req)
 			if got != want {
-				t.Fatalf("trial %d req %d: monoSchedule granted %d, capSchedule %d", trial, req, got, want)
+				t.Fatalf("trial %d req %d: noc.Port granted %d, capSchedule %d", trial, req, got, want)
 			}
 		}
 	}
