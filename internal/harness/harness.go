@@ -368,7 +368,7 @@ func DefaultOoOConfig() ooo.Config { return ooo.DefaultConfig() }
 func RunOoO(c *Compiled, cfg ooo.Config) (ooo.Result, error) {
 	res, err := ooo.Run(c.Linear, cfg)
 	if err != nil {
-		return res, err
+		return res, fmt.Errorf("%s: %w", c.Name, err)
 	}
 	if res.Value != c.Checksum {
 		return res, fmt.Errorf("%s: ooo checksum %d != %d", c.Name, res.Value, c.Checksum)

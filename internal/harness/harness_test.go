@@ -264,3 +264,14 @@ func main() {
 		t.Errorf("of 400 random machines %d were accepted and %d ran to the end; the generator no longer exercises Build's yes", accepted, finished)
 	}
 }
+
+// TestRunOoONamesItsProgram: a superscalar run that fails says which program
+// it ran, as RunWave's errors do.
+func TestRunOoONamesItsProgram(t *testing.T) {
+	c := quickSet(t)[0]
+	cfg := DefaultOoOConfig()
+	cfg.Mem.L1.SizeWords = 3
+	if _, err := RunOoO(c, cfg); err == nil || !strings.HasPrefix(err.Error(), c.Name+": ooo: ") {
+		t.Errorf("RunOoO with a 3-word L1: %v, want an error that starts %q", err, c.Name+": ooo: ")
+	}
+}
