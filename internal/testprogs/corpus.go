@@ -320,11 +320,9 @@ const mixedStepBudget = 300_000
 // back to a pointer-chase program if none does (never observed, but the
 // family must be total).
 func genMixed(r *rand.Rand, size int) string {
-	cfg := DefaultGenConfig()
-	cfg.MaxStmts = 3 + size
 	base := r.Int63()
 	for attempt := int64(0); attempt < 16; attempt++ {
-		src := GenerateWith(mixSeed(base, attempt), cfg)
+		src := GenerateWith(mixSeed(base, attempt), 3+size)
 		if TerminatesWithin(src, mixedStepBudget) {
 			return src
 		}

@@ -50,23 +50,3 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatal("distinct seeds produced identical programs")
 	}
 }
-
-func TestGenerateWithBounds(t *testing.T) {
-	cfg := DefaultGenConfig()
-	cfg.MaxFuncs = 0
-	src := GenerateWith(7, cfg)
-	if want := "func main"; !contains(src, want) {
-		t.Fatalf("generated program missing %q:\n%s", want, src)
-	}
-}
-
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && (func() bool {
-		for i := 0; i+len(sub) <= len(s); i++ {
-			if s[i:i+len(sub)] == sub {
-				return true
-			}
-		}
-		return false
-	})()
-}

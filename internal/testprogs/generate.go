@@ -8,27 +8,17 @@ import (
 	"wavescalar/internal/lang"
 )
 
-// GenConfig bounds the random program generator.
-type GenConfig struct {
-	MaxFuncs     int // besides main
-	MaxGlobals   int
-	MaxArraySize int64
-	MaxStmts     int // per block
-	MaxDepth     int // statement nesting
-	MaxExprDepth int
-}
-
-// DefaultGenConfig produces small but structurally rich programs.
-func DefaultGenConfig() GenConfig {
-	return GenConfig{
-		MaxFuncs:     3,
-		MaxGlobals:   3,
-		MaxArraySize: 16,
-		MaxStmts:     4,
-		MaxDepth:     2,
-		MaxExprDepth: 3,
-	}
-}
+// The random program generator's bounds: small but structurally rich
+// programs. GenerateWith takes the one a caller varies, the statements per
+// block.
+const (
+	genMaxFuncs     = 3 // besides main
+	genMaxGlobals   = 3
+	genMaxArraySize = 16
+	genMaxStmts     = 4 // per block, in Generate
+	genMaxDepth     = 2 // statement nesting
+	genMaxExprDepth = 3
+)
 
 // Generate produces a random, well-formed wsl program. Programs always
 // terminate: every loop is a bounded counted loop, and recursion is
@@ -39,19 +29,19 @@ func DefaultGenConfig() GenConfig {
 // generated program must produce identical results on the AST evaluator,
 // the linear emulator and every engine of the harness's differential table.
 func Generate(seed int64) string {
-	return GenerateWith(seed, DefaultGenConfig())
+	return GenerateWith(seed, genMaxStmts)
 }
 
-// GenerateWith generates with explicit bounds.
-func GenerateWith(seed int64, cfg GenConfig) string {
-	g := &gen{rng: rand.New(rand.NewSource(seed)), cfg: cfg}
+// GenerateWith generates with at most maxStmts statements per block.
+func GenerateWith(seed int64, maxStmts int) string {
+	g := &gen{rng: rand.New(rand.NewSource(seed)), maxStmts: maxStmts}
 	return g.program()
 }
 
 type gen struct {
-	rng *rand.Rand
-	cfg GenConfig
-	b   strings.Builder
+	rng      *rand.Rand
+	maxStmts int
+	b        strings.Builder
 
 	globals []genGlobal // name + size
 	funcs   []genFunc
@@ -76,11 +66,11 @@ type genFunc struct {
 }
 
 func (g *gen) program() string {
-	nGlobals := 1 + g.rng.Intn(g.cfg.MaxGlobals)
+	nGlobals := 1 + g.rng.Intn(genMaxGlobals)
 	for i := 0; i < nGlobals; i++ {
 		size := int64(1)
 		if g.rng.Intn(2) == 0 {
-			size = 2 + g.rng.Int63n(g.cfg.MaxArraySize-1)
+			size = 2 + g.rng.Int63n(genMaxArraySize-1)
 		}
 		gl := genGlobal{name: fmt.Sprintf("g%d", i), size: size}
 		g.globals = append(g.globals, gl)
@@ -91,7 +81,7 @@ func (g *gen) program() string {
 		}
 	}
 
-	nFuncs := g.rng.Intn(g.cfg.MaxFuncs + 1)
+	nFuncs := g.rng.Intn(genMaxFuncs + 1)
 	for i := 0; i < nFuncs; i++ {
 		g.fn(fmt.Sprintf("f%d", i), 1+g.rng.Intn(3))
 	}
@@ -111,8 +101,8 @@ func (g *gen) fn(name string, params int) {
 	}
 	fmt.Fprintf(&g.b, "func %s(%s) {\n", name, strings.Join(ps, ", "))
 	g.indent = 1
-	g.block(g.cfg.MaxDepth)
-	g.line("return %s;", g.expr(g.cfg.MaxExprDepth))
+	g.block(genMaxDepth)
+	g.line("return %s;", g.expr(genMaxExprDepth))
 	g.b.WriteString("}\n")
 	g.popScope()
 	g.funcs = append(g.funcs, genFunc{name: name, params: params})
@@ -157,7 +147,7 @@ func (g *gen) line(format string, args ...any) {
 }
 
 func (g *gen) block(depth int) {
-	n := 1 + g.rng.Intn(g.cfg.MaxStmts)
+	n := 1 + g.rng.Intn(g.maxStmts)
 	for i := 0; i < n; i++ {
 		g.stmt(depth)
 	}
@@ -171,7 +161,7 @@ func (g *gen) stmt(depth int) {
 	switch g.rng.Intn(choices) {
 	case 0: // var decl
 		v := g.freshVar()
-		g.line("var %s = %s;", v, g.expr(g.cfg.MaxExprDepth))
+		g.line("var %s = %s;", v, g.expr(genMaxExprDepth))
 		g.declare(v)
 	case 1: // assignment (var or scalar global or array store)
 		g.assignStmt()
@@ -244,14 +234,14 @@ func (g *gen) assignStmt() {
 	switch {
 	case len(arrays) > 0 && g.rng.Intn(3) == 0:
 		a := arrays[g.rng.Intn(len(arrays))]
-		g.line("%s[%s] = %s;", a.name, g.index(a), g.expr(g.cfg.MaxExprDepth))
+		g.line("%s[%s] = %s;", a.name, g.index(a), g.expr(genMaxExprDepth))
 	case len(vars) > 0 && g.rng.Intn(4) != 0:
 		v := vars[g.rng.Intn(len(vars))]
-		g.line("%s = %s;", v, g.expr(g.cfg.MaxExprDepth))
+		g.line("%s = %s;", v, g.expr(genMaxExprDepth))
 	default:
 		if sc := g.scalars(); len(sc) > 0 {
 			s := sc[g.rng.Intn(len(sc))]
-			g.line("%s = %s;", s.name, g.expr(g.cfg.MaxExprDepth))
+			g.line("%s = %s;", s.name, g.expr(genMaxExprDepth))
 			return
 		}
 		v := g.freshVar()
