@@ -47,11 +47,16 @@ smoke:
 	GO=$(GO) bash scripts/smoke.sh
 
 # loc prints the line counts of the tracked Go files outside bench/: the
-# non-test files, then the tests. The ROADMAP's state paragraph quotes
-# the first number.
+# non-test files, then the tests, then the non-test lines of each package
+# (directory), largest first. The ROADMAP's state paragraph quotes the first
+# number; a simplicity change's before and after is one run on each commit.
 loc:
 	@git ls-files -z '*.go' ':!bench/' ':!*_test.go' | xargs -0 cat | wc -l | sed 's/^/non-test Go lines: /'
 	@git ls-files -z '*_test.go' ':!bench/' | xargs -0 cat | wc -l | sed 's/^/test Go lines:     /'
+	@echo 'non-test Go lines by package:'
+	@git ls-files -z '*.go' ':!bench/' ':!*_test.go' | xargs -0 wc -l | \
+		awk '$$2 != "total" { d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1 } END { for (d in n) printf "%7d  %s\n", n[d], d }' | \
+		sort -k1,1nr -k2,2
 
 # tier1-time is the instrument for what the tier-1 suite costs, not part of
 # it: one uncached `go test -json` pass over the module with every test
