@@ -178,14 +178,16 @@ bench:
 # (construction plus every instruction's first Assign), the placement
 # model's Evaluate on one kernel layout, waved's cold / warm / replay
 # request over loopback, the whole CompileSource — every binary, and the
-# steer binary alone as waved's cold path asks for it — and the cell cache's Put
+# steer binary alone as waved's cold path asks for it — the live heap 200
+# compiled steer binaries retain, as waved's compile cache keeps them, and
+# the cell cache's Put
 # and Get at an iteration count that seals several segments, so their
 # fsyncs are in the number) — one command for "each stage has its own
 # benchmark". For -count, -benchtime or
 # -cpuprofile run `go test` on the package directly.
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/lang ./internal/cfgir ./internal/wavec ./internal/linear ./internal/tagtable ./internal/waveorder ./internal/noc ./internal/mem ./internal/wavecache ./internal/interp ./internal/ooo ./internal/placement ./internal/placemodel ./internal/serve
-	$(GO) test -run '^$$' -bench 'BenchmarkCompileSource$$' -benchmem ./internal/harness
+	$(GO) test -run '^$$' -bench 'BenchmarkCompileSource$$|BenchmarkCompiledFootprint$$' -benchmem ./internal/harness
 	$(GO) test -run '^$$' -bench 'BenchmarkCellCache' -benchtime 20000x -benchmem ./internal/harness
 
 # bench-ledger runs the repository benchmark (BENCHMARK.json, bench/) end

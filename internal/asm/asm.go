@@ -56,13 +56,15 @@ func Print(p *isa.Program) string {
 		}
 		b.WriteByte('\n')
 		for ii := range f.Instrs {
-			printInstr(&b, p, isa.InstrID(ii), &f.Instrs[ii])
+			printInstr(&b, p, f, isa.InstrID(ii))
 		}
 	}
 	return b.String()
 }
 
-func printInstr(b *strings.Builder, p *isa.Program, id isa.InstrID, in *isa.Instruction) {
+func printInstr(b *strings.Builder, p *isa.Program, f *isa.Function, id isa.InstrID) {
+	in := &f.Instrs[id]
+	dests, destsFalse := f.Out(in)
 	fmt.Fprintf(b, "  i%d: %s", id, in.Op)
 	if in.Op == isa.OpConst {
 		fmt.Fprintf(b, " imm=%d", in.Imm)
@@ -81,12 +83,12 @@ func printInstr(b *strings.Builder, p *isa.Program, id isa.InstrID, in *isa.Inst
 	}
 	fmt.Fprintf(b, " wave=%d", in.Wave)
 	if in.Op == isa.OpSteer {
-		fmt.Fprintf(b, " T%s F%s", destsText(in.Dests), destsText(in.DestsFalse))
-	} else if len(in.Dests) > 0 {
-		fmt.Fprintf(b, " D%s", destsText(in.Dests))
+		fmt.Fprintf(b, " T%s F%s", destsText(dests), destsText(destsFalse))
+	} else if len(dests) > 0 {
+		fmt.Fprintf(b, " D%s", destsText(dests))
 	}
-	if in.Comment != "" {
-		fmt.Fprintf(b, " ; %s", in.Comment)
+	if note := f.Comment(id); note != "" {
+		fmt.Fprintf(b, " ; %s", note)
 	}
 	b.WriteByte('\n')
 }
@@ -297,14 +299,14 @@ func Parse(text string) (*isa.Program, error) {
 					return nil, fail("unknown attribute %q", f)
 				}
 			}
+			out, outFalse := dests["D"], []isa.Dest(nil)
 			if op == isa.OpSteer {
-				in.Dests = dests["T"]
-				in.DestsFalse = dests["F"]
-			} else {
-				in.Dests = dests["D"]
+				out, outFalse = dests["T"], dests["F"]
 			}
-			in.Comment = comment
-			cur.Instrs = append(cur.Instrs, in)
+			if len(out) > isa.MaxFanout || len(outFalse) > isa.MaxFanout {
+				return nil, fail("more than %d destinations in one list", isa.MaxFanout)
+			}
+			cur.Add(in, out, outFalse, comment)
 		}
 	}
 	for _, fx := range fixups {

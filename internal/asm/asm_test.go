@@ -100,9 +100,9 @@ func main entry numwaves=1
 	if _, err := interp.New(p, 0).Run(); err != nil {
 		t.Fatal(err)
 	}
-	in := &p.Funcs[0].Instrs[3]
-	if len(in.Dests) != 1 || len(in.DestsFalse) != 1 {
-		t.Fatalf("steer dest lists wrong: %v / %v", in.Dests, in.DestsFalse)
+	dests, destsFalse := p.Funcs[0].Out(&p.Funcs[0].Instrs[3])
+	if len(dests) != 1 || len(destsFalse) != 1 {
+		t.Fatalf("steer dest lists wrong: %v / %v", dests, destsFalse)
 	}
 }
 

@@ -61,11 +61,11 @@ func Dot(p *isa.Program, fn isa.FuncID) string {
 	}
 
 	for ii := range f.Instrs {
-		in := &f.Instrs[ii]
-		for _, d := range in.Dests {
+		dests, destsFalse := f.Out(&f.Instrs[ii])
+		for _, d := range dests {
 			fmt.Fprintf(&b, "  i%d -> i%d [headlabel=\"%d\"];\n", ii, d.Instr, d.Port)
 		}
-		for _, d := range in.DestsFalse {
+		for _, d := range destsFalse {
 			fmt.Fprintf(&b, "  i%d -> i%d [style=dashed, headlabel=\"%d\"];\n", ii, d.Instr, d.Port)
 		}
 	}

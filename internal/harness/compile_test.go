@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -451,4 +452,35 @@ func BenchmarkCompileSource(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkCompiledFootprint is what waved's warm compile cache holds: the
+// steer binaries of testprogs.CorpusSpecs(200, 1), compiled as a simulate
+// request compiles them and all kept alive. It reports the live heap they
+// retain after a collection, per program, as live-B/prog.
+func BenchmarkCompiledFootprint(b *testing.B) {
+	specs := testprogs.CorpusSpecs(200, 1)
+	opts := DefaultCompileOptions()
+	opts.Binaries = []string{"steer"}
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var perProg float64
+	for b.Loop() {
+		kept := make([]*Compiled, 0, len(specs))
+		before := live()
+		for _, spec := range specs {
+			c, err := CompileSource(spec.Name(), workloads.ByName(spec.Name()).Src, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			kept = append(kept, c)
+		}
+		perProg = float64(int64(live())-int64(before)) / float64(len(kept))
+		runtime.KeepAlive(kept)
+	}
+	b.ReportMetric(perProg, "live-B/prog")
 }

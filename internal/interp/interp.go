@@ -241,29 +241,30 @@ func (m *Machine) fire(fn isa.FuncID, id isa.InstrID, in *isa.Instruction, tag i
 		m.profile.AddFire(profile.InstrRef{Func: fn, Instr: id})
 	}
 
+	dests, destsFalse := m.prog.Funcs[fn].Out(in)
 	switch {
 	case in.Op == isa.OpNop:
-		m.send(fn, id, in.Dests, tag, vals[0])
+		m.send(fn, id, dests, tag, vals[0])
 	case in.Op == isa.OpConst:
-		m.send(fn, id, in.Dests, tag, in.Imm)
+		m.send(fn, id, dests, tag, in.Imm)
 	case isa.IsALU(in.Op):
-		m.send(fn, id, in.Dests, tag, isa.EvalALU(in.Op, vals[0], vals[1]))
+		m.send(fn, id, dests, tag, isa.EvalALU(in.Op, vals[0], vals[1]))
 	case in.Op == isa.OpSteer:
 		m.stats.Steers++
 		if vals[0] != 0 {
-			m.send(fn, id, in.Dests, tag, vals[1])
+			m.send(fn, id, dests, tag, vals[1])
 		} else {
-			m.send(fn, id, in.DestsFalse, tag, vals[1])
+			m.send(fn, id, destsFalse, tag, vals[1])
 		}
 	case in.Op == isa.OpSelect:
 		v := vals[2]
 		if vals[0] != 0 {
 			v = vals[1]
 		}
-		m.send(fn, id, in.Dests, tag, v)
+		m.send(fn, id, dests, tag, v)
 	case in.Op == isa.OpWaveAdvance:
 		m.stats.WaveAdvance++
-		m.send(fn, id, in.Dests, tag.Advance(), vals[0])
+		m.send(fn, id, dests, tag.Advance(), vals[0])
 	case in.Op == isa.OpLoad:
 		m.stats.Loads++
 		if m.profile != nil {
@@ -280,13 +281,13 @@ func (m *Machine) fire(fn isa.FuncID, id isa.InstrID, in *isa.Instruction, tag i
 		}
 		// The stored value forwards immediately; ordering is the store
 		// buffer's concern, not the dataflow graph's.
-		m.send(fn, id, in.Dests, tag, vals[1])
+		m.send(fn, id, dests, tag, vals[1])
 	case in.Op == isa.OpMemNop:
 		// Pure ordering message; the trigger forwards immediately.
 		if err := m.submitMem(fn, id, in, tag, 0, 0); err != nil {
 			return err
 		}
-		m.send(fn, id, in.Dests, tag, vals[0])
+		m.send(fn, id, dests, tag, vals[0])
 	case in.Op == isa.OpNewCtx:
 		m.stats.Calls++
 		ctx := m.nextCtx
@@ -304,7 +305,7 @@ func (m *Machine) fire(fn isa.FuncID, id isa.InstrID, in *isa.Instruction, tag i
 				return err
 			}
 		}
-		m.send(fn, id, in.Dests, tag, int64(ctx))
+		m.send(fn, id, dests, tag, int64(ctx))
 	case in.Op == isa.OpSendArg:
 		callee := in.Target
 		ctx := uint32(vals[0])
@@ -383,8 +384,9 @@ func (m *Machine) issueMem(r *waveorder.Request) {
 		if r.Addr >= 0 && r.Addr < int64(len(m.mem)) {
 			v = m.mem[r.Addr]
 		}
-		in := &m.prog.Funcs[ck.fn].Instrs[ck.id]
-		m.send(ck.fn, ck.id, in.Dests, ck.tag, v)
+		f := &m.prog.Funcs[ck.fn]
+		dests, _ := f.Out(&f.Instrs[ck.id])
+		m.send(ck.fn, ck.id, dests, ck.tag, v)
 	case isa.MemStore:
 		if r.Addr >= 0 && r.Addr < int64(len(m.mem)) {
 			m.mem[r.Addr] = r.Value

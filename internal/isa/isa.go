@@ -9,7 +9,12 @@
 // input ports hold a token with the same tag (the dataflow firing rule).
 package isa
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+)
 
 // Opcode enumerates the WaveScalar instruction repertoire.
 type Opcode uint8
@@ -50,8 +55,9 @@ const (
 
 	// OpSteer is the φ⁻¹ control instruction. Port 0 is the predicate,
 	// port 1 the value. If the predicate is nonzero the value is forwarded
-	// to DestsTrue, otherwise to DestsFalse. Nothing is sent on the
-	// untaken side, which is how control flow prunes the dataflow graph.
+	// to the primary destination list, otherwise to the false-path list.
+	// Nothing is sent on the untaken side, which is how control flow
+	// prunes the dataflow graph.
 	OpSteer
 
 	// OpSelect is the φ instruction. Port 0 is the predicate, port 1 the
@@ -287,22 +293,19 @@ type Dest struct {
 	Port  uint8
 }
 
-// Instruction is a single node of the dataflow graph.
+// Instruction is a single node of the dataflow graph: a fixed-size record
+// holding no pointer, so a function's instruction array is memory the
+// garbage collector never scans. Its destinations are a run of its
+// Function's Dests, read through Function.Out.
 type Instruction struct {
-	Op  Opcode
 	Imm int64 // OpConst immediate
 
-	// ImmMask marks input ports whose operand is a static immediate
-	// encoded in the instruction (bit p = port p); such ports never await
-	// tokens. ImmVals holds the values. At least one port must remain a
-	// token port — the arriving token supplies the tag.
-	ImmMask uint8
+	// ImmVals holds the static immediates of the ports ImmMask marks.
 	ImmVals [3]int64
 
-	// Dests receives the primary output. For OpSteer it is the true-path
-	// destination list and DestsFalse the false-path list.
-	Dests      []Dest
-	DestsFalse []Dest
+	// Mem is the wave-ordered memory annotation; Mem.Kind is MemNone for
+	// non-memory instructions.
+	Mem MemOrder
 
 	// Target names the callee function (OpSendArg, OpNewCtx). TargetPad is
 	// the callee parameter pad index for OpSendArg, and the caller's
@@ -310,17 +313,30 @@ type Instruction struct {
 	Target    FuncID
 	TargetPad int32
 
-	// Mem is the wave-ordered memory annotation; Mem.Kind is MemNone for
-	// non-memory instructions.
-	Mem MemOrder
-
 	// Wave is the static wave (acyclic CFG region) this instruction was
 	// compiled into; informational and used by validation and placement.
 	Wave int32
 
-	// Comment is an optional compiler note surfaced by the disassembler.
-	Comment string
+	// DestLo is where the instruction's run starts in Function.Dests:
+	// NDests primary destinations (for OpSteer, the true path), then
+	// NFalse false-path destinations (OpSteer only).
+	DestLo int32
+
+	Op Opcode
+
+	// ImmMask marks input ports whose operand is a static immediate
+	// encoded in the instruction (bit p = port p); such ports never await
+	// tokens. At least one port must remain a token port — the arriving
+	// token supplies the tag.
+	ImmMask uint8
+
+	NDests uint16
+	NFalse uint16
 }
+
+// MaxFanout is the most destinations one side of an instruction can name:
+// the range of its count fields.
+const MaxFanout = math.MaxUint16
 
 // FuncID names a function within a Program.
 type FuncID int32
@@ -332,6 +348,15 @@ const NoFunc FuncID = -1
 type Function struct {
 	Name   string
 	Instrs []Instruction
+
+	// Dests holds every instruction's destinations in instruction order,
+	// each instruction's run at its DestLo: the primary list, then a
+	// steer's false-path list.
+	Dests []Dest
+
+	// Comments holds the compiler's notes the disassembler prints, sorted
+	// by instruction; most instructions have none.
+	Comments []Note
 
 	// Params[i] is the landing-pad instruction that receives argument i.
 	// Params[0] is the implicit activation trigger; source-level arguments
@@ -345,6 +370,48 @@ type Function struct {
 	// any memory operation; callers only allocate a memory-call slot for
 	// callees that do.
 	TouchesMemory bool
+}
+
+// Note is one instruction's compiler note.
+type Note struct {
+	Instr InstrID
+	Text  string
+}
+
+// Out returns the destination lists of in, an instruction of f: the
+// primary list (a steer's true path) and a steer's false-path list.
+func (f *Function) Out(in *Instruction) (dests, destsFalse []Dest) {
+	lo := int(in.DestLo)
+	mid := lo + int(in.NDests)
+	hi := mid + int(in.NFalse)
+	return f.Dests[lo:mid:mid], f.Dests[mid:hi:hi]
+}
+
+// Add appends in to f with its destination lists (destsFalse only for a
+// steer) and, when note is not empty, its compiler note, and returns its
+// id. Each list must hold at most MaxFanout destinations.
+func (f *Function) Add(in Instruction, dests, destsFalse []Dest, note string) InstrID {
+	if len(dests) > MaxFanout || len(destsFalse) > MaxFanout {
+		panic("isa: a destination list exceeds MaxFanout")
+	}
+	id := InstrID(len(f.Instrs))
+	in.DestLo = int32(len(f.Dests))
+	in.NDests, in.NFalse = uint16(len(dests)), uint16(len(destsFalse))
+	f.Dests = append(append(f.Dests, dests...), destsFalse...)
+	f.Instrs = append(f.Instrs, in)
+	if note != "" {
+		f.Comments = append(f.Comments, Note{Instr: id, Text: note})
+	}
+	return id
+}
+
+// Comment returns the compiler note of instruction id, or "".
+func (f *Function) Comment(id InstrID) string {
+	i, ok := slices.BinarySearchFunc(f.Comments, id, func(n Note, id InstrID) int { return cmp.Compare(n.Instr, id) })
+	if !ok {
+		return ""
+	}
+	return f.Comments[i].Text
 }
 
 // Program is a complete WaveScalar binary.

@@ -2,8 +2,10 @@ package isa
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestOpcodeStrings(t *testing.T) {
@@ -127,18 +129,68 @@ func TestComparisonsAreBoolean(t *testing.T) {
 
 func validProgram() *Program {
 	// main: trigger -> const 42 -> return
-	f := Function{
-		Name: "main",
-		Instrs: []Instruction{
-			{Op: OpNop, Dests: []Dest{{Instr: 1, Port: 0}}}, // trigger pad
-			{Op: OpConst, Imm: 42, Dests: []Dest{{Instr: 2, Port: 0}}},
-			{Op: OpReturn},
-		},
-		Params:   []InstrID{0},
-		NumWaves: 1,
-	}
+	f := Function{Name: "main", Params: []InstrID{0}, NumWaves: 1}
+	f.Add(Instruction{Op: OpNop}, []Dest{{Instr: 1, Port: 0}}, nil, "pad 0") // trigger pad
+	f.Add(Instruction{Op: OpConst, Imm: 42}, []Dest{{Instr: 2, Port: 0}}, nil, "")
+	f.Add(Instruction{Op: OpReturn}, nil, nil, "")
 	return &Program{Funcs: []Function{f}, Entry: 0, MemWords: 16,
 		Globals: []Global{{Name: "g", Addr: 0, Size: 16}}}
+}
+
+// TestInstructionIsFlat: an instruction is a fixed record of at most 72
+// bytes holding no pointer, so an instruction array is never scanned by
+// the garbage collector.
+func TestInstructionIsFlat(t *testing.T) {
+	if n := unsafe.Sizeof(Instruction{}); n > 72 {
+		t.Errorf("isa.Instruction is %d bytes, want at most 72", n)
+	}
+	var pointerFree func(reflect.Type) bool
+	pointerFree = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if !pointerFree(ty.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		case reflect.Array:
+			return pointerFree(ty.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+			return true
+		}
+		return false
+	}
+	ty := reflect.TypeOf(Instruction{})
+	for i := 0; i < ty.NumField(); i++ {
+		if f := ty.Field(i); !pointerFree(f.Type) {
+			t.Errorf("isa.Instruction.%s is a %s: it holds a pointer", f.Name, f.Type)
+		}
+	}
+}
+
+// TestOutReadsTheRun: Add lays each instruction's lists into the function's
+// one edge array, true side first, and Out and Comment read them back.
+func TestOutReadsTheRun(t *testing.T) {
+	f := Function{Name: "f"}
+	f.Add(Instruction{Op: OpNop}, []Dest{{Instr: 1, Port: 0}}, nil, "pad 0")
+	f.Add(Instruction{Op: OpSteer}, []Dest{{Instr: 2, Port: 0}, {Instr: 0, Port: 0}}, []Dest{{Instr: 3, Port: 1}}, "")
+	f.Add(Instruction{Op: OpReturn}, nil, nil, "wave exit")
+	if len(f.Dests) != 4 || f.Instrs[1].DestLo != 1 || f.Instrs[2].DestLo != 4 {
+		t.Fatalf("edge array %v, runs at %d and %d", f.Dests, f.Instrs[1].DestLo, f.Instrs[2].DestLo)
+	}
+	d, df := f.Out(&f.Instrs[1])
+	if len(d) != 2 || d[1].Instr != 0 || len(df) != 1 || df[0].Port != 1 {
+		t.Errorf("steer lists %v / %v", d, df)
+	}
+	if d, df := f.Out(&f.Instrs[2]); len(d)+len(df) != 0 {
+		t.Errorf("return lists %v / %v", d, df)
+	}
+	if f.Comment(0) != "pad 0" || f.Comment(1) != "" || f.Comment(2) != "wave exit" {
+		t.Errorf("notes %v", f.Comments)
+	}
 }
 
 func TestValidateAcceptsWellFormed(t *testing.T) {
@@ -154,16 +206,21 @@ func TestValidateRejections(t *testing.T) {
 	}{
 		{"no functions", func(p *Program) { p.Funcs = nil }},
 		{"bad entry", func(p *Program) { p.Entry = 5 }},
-		{"dest out of range", func(p *Program) { p.Funcs[0].Instrs[0].Dests[0].Instr = 99 }},
-		{"port out of range", func(p *Program) { p.Funcs[0].Instrs[0].Dests[0].Port = 3 }},
+		{"dest out of range", func(p *Program) { p.Funcs[0].Dests[0].Instr = 99 }},
+		{"port out of range", func(p *Program) { p.Funcs[0].Dests[0].Port = 3 }},
+		{"run past the edge array", func(p *Program) { p.Funcs[0].Instrs[1].NDests = 2 }},
+		{"run before the edge array", func(p *Program) { p.Funcs[0].Instrs[1].DestLo = -1 }},
+		{"run starts past the edge array", func(p *Program) { p.Funcs[0].Instrs[2].DestLo = 3 }},
+		{"note out of range", func(p *Program) { p.Funcs[0].Comments[0].Instr = 3 }},
+		{"notes out of order", func(p *Program) {
+			p.Funcs[0].Comments = append(p.Funcs[0].Comments, Note{Instr: 0, Text: "again"})
+		}},
 		{"no params", func(p *Program) { p.Funcs[0].Params = nil }},
 		{"param pad not nop", func(p *Program) { p.Funcs[0].Params[0] = 1 }},
 		{"false dests on non-steer", func(p *Program) {
-			p.Funcs[0].Instrs[1].DestsFalse = []Dest{{Instr: 2, Port: 0}}
+			p.Funcs[0].Instrs[0].NDests, p.Funcs[0].Instrs[0].NFalse = 0, 1
 		}},
-		{"load without annotation", func(p *Program) {
-			p.Funcs[0].Instrs[1] = Instruction{Op: OpLoad, Dests: []Dest{{Instr: 2, Port: 0}}}
-		}},
+		{"load without annotation", func(p *Program) { p.Funcs[0].Instrs[1].Op = OpLoad }},
 		{"annotation on pure op", func(p *Program) {
 			p.Funcs[0].Instrs[1].Mem = MemOrder{Kind: MemNop, Seq: 0, Pred: SeqStart, Succ: SeqEnd}
 		}},
@@ -176,9 +233,8 @@ func TestValidateRejections(t *testing.T) {
 		{"wave out of range", func(p *Program) { p.Funcs[0].Instrs[2].Wave = 7 }},
 		{"duplicate memory seq", func(p *Program) {
 			p.Funcs[0].TouchesMemory = true
-			p.Funcs[0].Instrs[1] = Instruction{Op: OpMemNop,
-				Mem:   MemOrder{Kind: MemNop, Seq: 0, Pred: SeqStart, Succ: 0},
-				Dests: []Dest{{Instr: 2, Port: 0}}}
+			p.Funcs[0].Instrs[1].Op = OpMemNop
+			p.Funcs[0].Instrs[1].Mem = MemOrder{Kind: MemNop, Seq: 0, Pred: SeqStart, Succ: 0}
 			p.Funcs[0].Instrs[2].Mem = MemOrder{Kind: MemEnd, Seq: 0, Pred: 0, Succ: SeqEnd}
 		}},
 	}

@@ -2,8 +2,8 @@ package isa
 
 import "fmt"
 
-// Validate checks the structural integrity of a program: destination and
-// port ranges, call targets, parameter pads, memory annotations, and the
+// Validate checks the structural integrity of a program: destination runs
+// and port ranges, call targets, parameter pads, memory annotations, and the
 // data-segment layout. The compiler runs it on every binary it emits, and
 // the execution engines rely on its guarantees.
 func (p *Program) Validate() error {
@@ -81,22 +81,24 @@ func (p *Program) validateFunc(fid FuncID) error {
 		if in.ImmMask == (uint8(1)<<ni)-1 {
 			return fail(id, "all %d inputs immediate: no token port to supply a tag", ni)
 		}
-		if in.Op != OpSteer && len(in.DestsFalse) != 0 {
+		if in.Op != OpSteer && in.NFalse != 0 {
 			return fail(id, "%s has a false-path destination list", in.Op)
 		}
-		for _, lst := range [][]Dest{in.Dests, in.DestsFalse} {
-			for _, d := range lst {
-				if d.Instr < 0 || int(d.Instr) >= len(f.Instrs) {
-					return fail(id, "destination instruction %d out of range", d.Instr)
-				}
-				dni := f.Instrs[d.Instr].Op.NumInputs()
-				if int(d.Port) >= dni {
-					return fail(id, "destination i%d port %d out of range (%s has %d inputs)",
-						d.Instr, d.Port, f.Instrs[d.Instr].Op, dni)
-				}
-				if f.Instrs[d.Instr].ImmMask&(1<<d.Port) != 0 {
-					return fail(id, "destination i%d port %d is an immediate port", d.Instr, d.Port)
-				}
+		end := int64(in.DestLo) + int64(in.NDests) + int64(in.NFalse)
+		if in.DestLo < 0 || end > int64(len(f.Dests)) {
+			return fail(id, "destinations [%d,%d) outside the function's %d", in.DestLo, end, len(f.Dests))
+		}
+		for _, d := range f.Dests[in.DestLo:end] { // both lists: they are adjacent
+			if d.Instr < 0 || int(d.Instr) >= len(f.Instrs) {
+				return fail(id, "destination instruction %d out of range", d.Instr)
+			}
+			dni := f.Instrs[d.Instr].Op.NumInputs()
+			if int(d.Port) >= dni {
+				return fail(id, "destination i%d port %d out of range (%s has %d inputs)",
+					d.Instr, d.Port, f.Instrs[d.Instr].Op, dni)
+			}
+			if f.Instrs[d.Instr].ImmMask&(1<<d.Port) != 0 {
+				return fail(id, "destination i%d port %d is an immediate port", d.Instr, d.Port)
 			}
 		}
 
@@ -172,6 +174,12 @@ func (p *Program) validateFunc(fid FuncID) error {
 
 		if in.Wave < 0 || (f.NumWaves > 0 && in.Wave >= f.NumWaves) {
 			return fail(id, "wave %d out of range [0,%d)", in.Wave, f.NumWaves)
+		}
+	}
+
+	for i, n := range f.Comments {
+		if n.Instr < 0 || int(n.Instr) >= len(f.Instrs) || i > 0 && n.Instr <= f.Comments[i-1].Instr {
+			return fmt.Errorf("isa: %s: note %d on i%d out of range or out of order", f.Name, i, n.Instr)
 		}
 	}
 

@@ -29,7 +29,7 @@ func compileWSL(t testing.TB, src string) *isa.Program {
 
 // handBuilt is a two-function dataflow graph written out by hand: a steer
 // with a false path, a join, and in the second function two roots feeding
-// one chain. Policies read nothing of a program but its Dests lists.
+// one chain. Policies read nothing of a program but its destination lists.
 func handBuilt() *isa.Program {
 	d := func(ids ...isa.InstrID) []isa.Dest {
 		var out []isa.Dest
@@ -38,22 +38,19 @@ func handBuilt() *isa.Program {
 		}
 		return out
 	}
-	return &isa.Program{Funcs: []isa.Function{
-		{Name: "main", Instrs: []isa.Instruction{
-			{Dests: d(1, 2)},
-			{Dests: d(3)},
-			{Dests: d(3)},
-			{Op: isa.OpSteer, Dests: d(5), DestsFalse: d(4)},
-			{Dests: d(5)},
-			{},
-		}},
-		{Name: "leaf", Instrs: []isa.Instruction{
-			{Dests: d(2)},
-			{Dests: d(2)},
-			{Dests: d(3)},
-			{},
-		}},
-	}}
+	main := isa.Function{Name: "main"}
+	main.Add(isa.Instruction{}, d(1, 2), nil, "")
+	main.Add(isa.Instruction{}, d(3), nil, "")
+	main.Add(isa.Instruction{}, d(3), nil, "")
+	main.Add(isa.Instruction{Op: isa.OpSteer}, d(5), d(4), "")
+	main.Add(isa.Instruction{}, d(5), nil, "")
+	main.Add(isa.Instruction{}, nil, nil, "")
+	leaf := isa.Function{Name: "leaf"}
+	leaf.Add(isa.Instruction{}, d(2), nil, "")
+	leaf.Add(isa.Instruction{}, d(2), nil, "")
+	leaf.Add(isa.Instruction{}, d(3), nil, "")
+	leaf.Add(isa.Instruction{}, nil, nil, "")
+	return &isa.Program{Funcs: []isa.Function{main, leaf}}
 }
 
 // pinnedAssignments are FNV-1a digests of the (func, instr, PE) sequence

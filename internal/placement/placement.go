@@ -238,10 +238,10 @@ func dfsChains(f *isa.Function) (order []isa.InstrID, span [][2]int32) {
 		for id := isa.InstrID(ii); id != isa.NoInstr; {
 			visited[id] = true
 			order = append(order, id)
-			in := &f.Instrs[id]
+			dests, destsFalse := f.Out(&f.Instrs[id])
 			id = isa.NoInstr
 		consumers:
-			for _, lst := range [2][]isa.Dest{in.Dests, in.DestsFalse} {
+			for _, lst := range [2][]isa.Dest{dests, destsFalse} {
 				for _, d := range lst {
 					if !visited[d.Instr] {
 						id = d.Instr

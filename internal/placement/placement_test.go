@@ -153,7 +153,8 @@ func TestDepthFirstKeepsChainsTogether(t *testing.T) {
 		f := &wp.Funcs[fi]
 		for ii := range f.Instrs {
 			src := pol.Assign(profile.InstrRef{Func: isa.FuncID(fi), Instr: isa.InstrID(ii)})
-			for _, d := range f.Instrs[ii].Dests {
+			dests, _ := f.Out(&f.Instrs[ii])
+			for _, d := range dests {
 				dst := pol.Assign(profile.InstrRef{Func: isa.FuncID(fi), Instr: d.Instr})
 				total++
 				if src == dst {
@@ -177,7 +178,8 @@ func TestDepthFirstKeepsChainsTogether(t *testing.T) {
 		f := &wp.Funcs[fi]
 		for ii := range f.Instrs {
 			src := rnd.Assign(profile.InstrRef{Func: isa.FuncID(fi), Instr: isa.InstrID(ii)})
-			for _, d := range f.Instrs[ii].Dests {
+			dests, _ := f.Out(&f.Instrs[ii])
+			for _, d := range dests {
 				if src == rnd.Assign(profile.InstrRef{Func: isa.FuncID(fi), Instr: d.Instr}) {
 					rintra++
 				}

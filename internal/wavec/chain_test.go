@@ -37,16 +37,18 @@ func readChains(prog *isa.Program, f *isa.Function, ir *cfgir.Func) (*chainFunc,
 		return nil, fmt.Errorf("%d waves emitted, the partition has %d", f.NumWaves, fc.out.NumWaves)
 	}
 	var mems []*isa.Instruction
+	var exitNop []bool
 	for i := range f.Instrs {
 		if f.Instrs[i].Mem.Kind != isa.MemNone {
 			mems = append(mems, &f.Instrs[i])
+			exitNop = append(exitNop, f.Comment(isa.InstrID(i)) == "wave exit")
 		}
 	}
 	cf := &chainFunc{ir: ir, fc: fc,
 		slots: make([][]isa.Instruction, len(ir.Blocks)), exits: make([][2]*isa.Instruction, len(ir.Blocks))}
 	next := 0
 	take := func(want isa.MemKind, exit bool) *isa.Instruction {
-		if next < len(mems) && mems[next].Mem.Kind == want && (mems[next].Comment == "wave exit") == exit {
+		if next < len(mems) && mems[next].Mem.Kind == want && exitNop[next] == exit {
 			next++
 			return mems[next-1]
 		}

@@ -25,6 +25,7 @@ package wavec
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"wavescalar/internal/cfgir"
 	"wavescalar/internal/isa"
@@ -60,10 +61,13 @@ func Compile(p *cfgir.Program, opts Options) (*isa.Program, error) {
 	if out.Entry < 0 {
 		return nil, fmt.Errorf("wavec: program has no main function")
 	}
+	out.Funcs = make([]isa.Function, 0, len(p.Funcs))
 	var regs regTable
+	buf := emitBufs.Get().(*emitBuf)
+	defer emitBufs.Put(buf)
 	for fi, f := range p.Funcs {
 		f.SplitCriticalEdges()
-		fc := &funcCompiler{prog: p, ir: f, touches: touches, self: fi, regs: &regs}
+		fc := &funcCompiler{prog: p, ir: f, touches: touches, self: fi, regs: &regs, buf: buf}
 		isaFunc, err := fc.compile()
 		if err != nil {
 			return nil, fmt.Errorf("wavec: %s: %w", f.Name, err)
@@ -140,6 +144,78 @@ type funcCompiler struct {
 	netArr  []*net
 
 	regs *regTable
+	buf  *emitBuf
+}
+
+// emitBuf is what compile emits a function into, reused by every function
+// of one Compile and, through emitBufs, by later Compiles: the
+// instructions, their destinations as (producer side, destination) pairs in
+// routing order, and their notes. layout copies the function out at its
+// exact size, so no binary keeps a buffer's spare capacity.
+type emitBuf struct {
+	instrs []isa.Instruction
+	edges  []edge
+	notes  []isa.Note
+	start  []int32 // layout's counting pass
+}
+
+var emitBufs = sync.Pool{New: func() any { return new(emitBuf) }}
+
+// edge is one destination of one side of a producer: key is twice the
+// producer's id, plus one for a steer's false side.
+type edge struct {
+	key int32
+	d   isa.Dest
+}
+
+// padNotes spells the parameter pads' notes without formatting each one.
+var padNotes = [...]string{"pad 0", "pad 1", "pad 2", "pad 3", "pad 4", "pad 5", "pad 6", "pad 7"}
+
+func padNote(i int) string {
+	if i < len(padNotes) {
+		return padNotes[i]
+	}
+	return fmt.Sprintf("pad %d", i)
+}
+
+// layout stores the buffered function into f: the instructions and notes
+// at their exact size, and the edges laid out by one counting pass into
+// f.Dests, each instruction's true side then its false side, in
+// instruction order. The pass is stable, so each list keeps its routing
+// order. A side with more than isa.MaxFanout destinations is an error.
+func (b *emitBuf) layout(f *isa.Function) error {
+	n := 2 * len(b.instrs)
+	if cap(b.start) < n+1 {
+		b.start = make([]int32, n+1)
+	}
+	start := b.start[:n+1]
+	clear(start)
+	for _, e := range b.edges {
+		start[e.key+1]++
+	}
+	for k := 1; k <= n; k++ {
+		if start[k] > isa.MaxFanout {
+			return fmt.Errorf("i%d has %d destinations on one side, more than %d", (k-1)/2, start[k], isa.MaxFanout)
+		}
+		start[k] += start[k-1]
+	}
+	f.Instrs = make([]isa.Instruction, len(b.instrs))
+	for i, in := range b.instrs {
+		in.DestLo = start[2*i]
+		in.NDests = uint16(start[2*i+1] - start[2*i])
+		in.NFalse = uint16(start[2*i+2] - start[2*i+1])
+		f.Instrs[i] = in
+	}
+	f.Dests = make([]isa.Dest, len(b.edges))
+	for _, e := range b.edges {
+		f.Dests[start[e.key]] = e.d
+		start[e.key]++
+	}
+	if len(b.notes) > 0 {
+		f.Comments = make([]isa.Note, len(b.notes))
+		copy(f.Comments, b.notes)
+	}
+	return nil
 }
 
 // regTable is what compileBlock knows about each register in the block it
@@ -230,13 +306,13 @@ func (fc *funcCompiler) compile() (*isa.Function, error) {
 		fc.planMemory()
 	}
 
-	fc.out.Instrs = make([]isa.Instruction, 0, fc.instrBound())
+	buf := fc.buf
+	buf.instrs, buf.edges, buf.notes = buf.instrs[:0], buf.edges[:0], buf.notes[:0]
 
 	// Parameter pads: pad 0 is the activation trigger.
 	pads := make([]isa.InstrID, 0, len(f.Params)+1)
 	for i := 0; i <= len(f.Params); i++ {
-		pads = append(pads, fc.emit(isa.Instruction{Op: isa.OpNop, Wave: 0,
-			Comment: fmt.Sprintf("pad %d", i)}))
+		pads = append(pads, fc.emitNote(isa.Instruction{Op: isa.OpNop, Wave: 0}, padNote(i)))
 	}
 	fc.out.Params = pads
 
@@ -252,45 +328,26 @@ func (fc *funcCompiler) compile() (*isa.Function, error) {
 		fc.compileBlock(b, pads)
 	}
 	fc.resolveNets()
+	if err := fc.buf.layout(fc.out); err != nil {
+		return nil, err
+	}
 	return fc.out, nil
 }
 
-// instrBound is an upper bound on the instructions compile emits, so that
-// emit never regrows the function's instruction slice. It is exact but for
-// the block-local constants no consumer needs as a token, which are counted
-// and not emitted.
-func (fc *funcCompiler) instrBound() int {
-	f := fc.ir
-	n := len(f.Params) + 1 // pads
-	for id, b := range f.Blocks {
-		n += len(b.Instrs) + 1 // and the block's memory nop or its return
-		for i := range b.Instrs {
-			if in := &b.Instrs[i]; in.Kind == cfgir.KCall {
-				n += 2 + len(in.Args) // landing pad, context, trigger and argument sends
-			}
-		}
-		if b.Term.Kind == cfgir.TBranch { // a steer per routed register and the trigger
-			n++
-			for w, bits1 := range fc.liveIn[b.Term.Then] {
-				n += bits.OnesCount64(bits1 | fc.liveIn[b.Term.Else][w])
-			}
-		}
-		for _, v := range b.Succs() {
-			if fc.crossing(id, v) { // a wave advance per value, and the trigger's wave-exit nop
-				n += fc.liveIn[v].Count() + 2
-			}
-		}
-	}
-	return n
-}
-
 func (fc *funcCompiler) emit(in isa.Instruction) isa.InstrID {
-	id := isa.InstrID(len(fc.out.Instrs))
-	fc.out.Instrs = append(fc.out.Instrs, in)
+	id := isa.InstrID(len(fc.buf.instrs))
+	fc.buf.instrs = append(fc.buf.instrs, in)
 	return id
 }
 
-func (fc *funcCompiler) instr(id isa.InstrID) *isa.Instruction { return &fc.out.Instrs[id] }
+// emitNote emits in with a note for the disassembler.
+func (fc *funcCompiler) emitNote(in isa.Instruction, note string) isa.InstrID {
+	id := fc.emit(in)
+	fc.buf.notes = append(fc.buf.notes, isa.Note{Instr: id, Text: note})
+	return id
+}
+
+func (fc *funcCompiler) instr(id isa.InstrID) *isa.Instruction { return &fc.buf.instrs[id] }
 
 // assignWaves partitions blocks (already in reverse postorder) into waves.
 func (fc *funcCompiler) assignWaves() {
@@ -468,12 +525,11 @@ func (fc *funcCompiler) subscribe(v valRef, d isa.Dest) {
 }
 
 func (fc *funcCompiler) addDest(s srcRef, d isa.Dest) {
-	in := fc.instr(s.id)
+	key := 2 * int32(s.id)
 	if s.falseSide {
-		in.DestsFalse = append(in.DestsFalse, d)
-	} else {
-		in.Dests = append(in.Dests, d)
+		key++
 	}
+	fc.buf.edges = append(fc.buf.edges, edge{key: key, d: d})
 }
 
 // connectEdge feeds a value into a successor block's net.
@@ -680,8 +736,7 @@ func (fc *funcCompiler) trigger() valRef {
 // and the return landing pad.
 func (fc *funcCompiler) compileCall(b *cfgir.Block, i int, in *cfgir.Instr, wave int32) {
 	callee := isa.FuncID(in.Callee)
-	pad := fc.emit(isa.Instruction{Op: isa.OpNop, Wave: wave,
-		Comment: fmt.Sprintf("ret from %s", fc.prog.Funcs[in.Callee].Name)})
+	pad := fc.emitNote(isa.Instruction{Op: isa.OpNop, Wave: wave}, "ret from "+fc.prog.Funcs[in.Callee].Name)
 	var mem isa.MemOrder
 	if fc.touches[in.Callee] {
 		mem = fc.annotation(isa.MemCall, slotKey{block: b.ID, index: i})
@@ -734,7 +789,7 @@ func (fc *funcCompiler) route(v valRef, u, w int, r cfgir.Reg) {
 	if fc.crossing(u, w) {
 		if r == triggerReg && fc.out.TouchesMemory {
 			seq := fc.edgeSeq[cfgir.Edge{From: u, To: w}]
-			nop := fc.emit(isa.Instruction{
+			nop := fc.emitNote(isa.Instruction{
 				Op: isa.OpMemNop,
 				Mem: isa.MemOrder{
 					Kind: isa.MemNop,
@@ -742,9 +797,8 @@ func (fc *funcCompiler) route(v valRef, u, w int, r cfgir.Reg) {
 					Pred: fc.slotSeq[fc.lastSlot[u]],
 					Succ: isa.SeqEnd,
 				},
-				Wave:    fc.waveOf[u],
-				Comment: "wave exit",
-			})
+				Wave: fc.waveOf[u],
+			}, "wave exit")
 			fc.subscribe(v, isa.Dest{Instr: nop, Port: 0})
 			v = srcVal(nop)
 		}

@@ -2,6 +2,7 @@ package wavec
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"wavescalar/internal/cfgir"
@@ -105,37 +106,44 @@ func TestNetForNumbersNetsInRequestOrder(t *testing.T) {
 	}
 }
 
-// TestInstrBoundHolds: a function's instruction slice is sized once, from a
-// bound computed before anything is emitted, and never regrown — on the
-// kernels in both control modes the bound holds and is within half again of
-// what is emitted.
-func TestInstrBoundHolds(t *testing.T) {
-	emitted, bound := 0, 0
+// TestEmittedArraysExact: a function is emitted into a buffer reused across
+// one Compile and copied out at its exact size — on the kernels in both
+// control modes no instruction, edge or note array has spare capacity.
+func TestEmittedArraysExact(t *testing.T) {
 	for _, name := range workloads.Names() {
 		for _, opts := range []Options{{}, {IfConvert: true}} {
-			p := mustIR(t, name)
-			touches := p.MemTouches()
-			var regs regTable
-			for fi, f := range p.Funcs {
-				if opts.IfConvert {
-					f.IfConvert()
+			wp, err := Compile(mustIR(t, name), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for fi := range wp.Funcs {
+				f := &wp.Funcs[fi]
+				if cap(f.Instrs) != len(f.Instrs) || cap(f.Dests) != len(f.Dests) || cap(f.Comments) != len(f.Comments) {
+					t.Errorf("%s %+v: %s: instructions %d of %d, edges %d of %d, notes %d of %d", name, opts, f.Name,
+						len(f.Instrs), cap(f.Instrs), len(f.Dests), cap(f.Dests), len(f.Comments), cap(f.Comments))
 				}
-				f.SplitCriticalEdges()
-				fc := &funcCompiler{prog: p, ir: f, touches: touches, self: fi, regs: &regs}
-				out, err := fc.compile()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n, b := len(out.Instrs), fc.instrBound(); n > b || cap(out.Instrs) != b {
-					t.Errorf("%s: %s: emitted %d instructions into a slice of capacity %d, bound %d", name, f.Name, n, cap(out.Instrs), b)
-				}
-				emitted += len(out.Instrs)
-				bound += fc.instrBound()
 			}
 		}
 	}
-	if 2*bound > 3*emitted {
-		t.Errorf("bound %d for %d emitted instructions: more than half again", bound, emitted)
+}
+
+// TestFanoutOverflowIsAnError: a side with more destinations than its count
+// field holds fails the function rather than wrapping.
+func TestFanoutOverflowIsAnError(t *testing.T) {
+	b := &emitBuf{instrs: make([]isa.Instruction, 2)}
+	for range isa.MaxFanout {
+		b.edges = append(b.edges, edge{key: 1, d: isa.Dest{Instr: 1}})
 	}
-	t.Logf("emitted %d instructions, bound %d", emitted, bound)
+	var f isa.Function
+	if err := b.layout(&f); err != nil {
+		t.Fatalf("%d false-side destinations: %v", isa.MaxFanout, err)
+	}
+	if d, df := f.Out(&f.Instrs[0]); len(d) != 0 || len(df) != isa.MaxFanout {
+		t.Fatalf("laid out %d / %d destinations", len(d), len(df))
+	}
+	b.edges = append(b.edges, edge{key: 1, d: isa.Dest{Instr: 1}})
+	err := b.layout(&f)
+	if err == nil || !strings.Contains(err.Error(), "i0 has 65536 destinations on one side") {
+		t.Fatalf("%d false-side destinations: got %v", isa.MaxFanout+1, err)
+	}
 }

@@ -216,19 +216,10 @@ func TestWatchdogMaxCycles(t *testing.T) {
 // must be a structured watchdog-kind fault carrying the dump, and two
 // identical deadlocks must render byte-identical diagnostics.
 func TestDeadlockDumpDeterministic(t *testing.T) {
-	prog := &isa.Program{
-		Entry: 0,
-		Funcs: []isa.Function{{
-			Name: "main",
-			Instrs: []isa.Instruction{
-				{Op: isa.OpNop, Dests: []isa.Dest{{Instr: 1, Port: 0}}},
-				{Op: isa.OpAdd}, // port 1 never receives a token
-			},
-			Params:   []isa.InstrID{0},
-			NumWaves: 1,
-		}},
-		MemWords: 64,
-	}
+	main := isa.Function{Name: "main", Params: []isa.InstrID{0}, NumWaves: 1}
+	main.Add(isa.Instruction{Op: isa.OpNop}, []isa.Dest{{Instr: 1, Port: 0}}, nil, "")
+	main.Add(isa.Instruction{Op: isa.OpAdd}, nil, nil, "") // port 1 never receives a token
+	prog := &isa.Program{Entry: 0, Funcs: []isa.Function{main}, MemWords: 64}
 	deadlockDump := func() string {
 		cfg := DefaultConfig(2, 2)
 		_, err := Run(prog, mustPol(placement.NewDynamicSnake(cfg.Machine)), cfg)

@@ -62,8 +62,9 @@ func TestPredecodeMatchesProgram(t *testing.T) {
 					int(di.full) != 1<<need-1 || int(di.tokens) != need-bits.OnesCount8(in.ImmMask) {
 					t.Fatalf("%s %s/i%d: dinstr %+v does not match %+v", c.Name, f.Name, id, *di, *in)
 				}
-				checkDests("dests", id, di.dests, in.Dests)
-				checkDests("destsFalse", id, di.destsFalse, in.DestsFalse)
+				dests, destsFalse := f.Out(in)
+				checkDests("dests", id, di.dests, dests)
+				checkDests("destsFalse", id, di.destsFalse, destsFalse)
 				wantTarget := int32(-1)
 				switch in.Op {
 				case isa.OpSendArg:
@@ -92,7 +93,7 @@ func TestPredecodeMatchesProgram(t *testing.T) {
 // two immediate ports and takes its one token on port tokenPort, and the
 // pad's token is aimed at port aimPort.
 func bypassProgram(tokenPort, aimPort uint8) *isa.Program {
-	sel := isa.Instruction{Op: isa.OpSelect, Dests: []isa.Dest{{Instr: 2, Port: 0}}}
+	sel := isa.Instruction{Op: isa.OpSelect}
 	imm := [3]int64{1, 70, 80} // predicate true, true value, false value
 	for port := uint8(0); port < 3; port++ {
 		if port != tokenPort {
@@ -100,20 +101,11 @@ func bypassProgram(tokenPort, aimPort uint8) *isa.Program {
 			sel.ImmVals[port] = imm[port]
 		}
 	}
-	return &isa.Program{
-		Entry: 0,
-		Funcs: []isa.Function{{
-			Name: "main",
-			Instrs: []isa.Instruction{
-				{Op: isa.OpNop, Dests: []isa.Dest{{Instr: 1, Port: aimPort}}},
-				sel,
-				{Op: isa.OpReturn},
-			},
-			Params:   []isa.InstrID{0},
-			NumWaves: 1,
-		}},
-		MemWords: 64,
-	}
+	main := isa.Function{Name: "main", Params: []isa.InstrID{0}, NumWaves: 1}
+	main.Add(isa.Instruction{Op: isa.OpNop}, []isa.Dest{{Instr: 1, Port: aimPort}}, nil, "")
+	main.Add(sel, []isa.Dest{{Instr: 2, Port: 0}}, nil, "")
+	main.Add(isa.Instruction{Op: isa.OpReturn}, nil, nil, "")
+	return &isa.Program{Entry: 0, Funcs: []isa.Function{main}, MemWords: 64}
 }
 
 // TestSingleInputBypass: an instruction with two immediates and one token

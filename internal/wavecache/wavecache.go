@@ -1024,32 +1024,31 @@ func (s *sim) predecode(p *isa.Program) {
 	for fi := range p.Funcs {
 		s.instrBase = append(s.instrBase, total)
 		total += len(p.Funcs[fi].Instrs)
-		for ii := range p.Funcs[fi].Instrs {
-			in := &p.Funcs[fi].Instrs[ii]
-			ndests += len(in.Dests) + len(in.DestsFalse)
-		}
+		ndests += len(p.Funcs[fi].Dests)
 	}
 	s.code = resize(s.code, total)
 	// Sized before any list is cut from it: the dinstrs hold slices of it.
-	arena := resize(s.destArena, ndests)[:0]
+	arena := resize(s.destArena, ndests)
+	lo := 0
 	for fi := range p.Funcs {
+		f := &p.Funcs[fi]
 		base := s.instrBase[fi]
-		list := func(ds []isa.Dest) []ddest {
-			start := len(arena)
-			for _, d := range ds {
-				arena = append(arena, ddest{gi: int32(base + int(d.Instr)), home: -1, port: d.Port})
-			}
-			return arena[start:len(arena):len(arena)]
+		fd := arena[lo : lo+len(f.Dests)]
+		for i, d := range f.Dests {
+			fd[i] = ddest{gi: int32(base + int(d.Instr)), home: -1, port: d.Port}
 		}
-		for ii := range p.Funcs[fi].Instrs {
-			in := &p.Funcs[fi].Instrs[ii]
+		lo += len(f.Dests)
+		for ii := range f.Instrs {
+			in := &f.Instrs[ii]
 			need := in.Op.NumInputs()
+			mid := int(in.DestLo) + int(in.NDests)
+			hi := mid + int(in.NFalse)
 			di := dinstr{
 				op: in.Op, immMask: in.ImmMask, full: uint8(1)<<need - 1,
 				tokens: int8(need - bits.OnesCount8(in.ImmMask)),
 				fn:     isa.FuncID(fi), id: isa.InstrID(ii), target: -1,
 				imm: in.Imm, immVals: in.ImmVals,
-				dests: list(in.Dests), destsFalse: list(in.DestsFalse),
+				dests: fd[in.DestLo:mid:mid], destsFalse: fd[mid:hi:hi],
 				in: in,
 			}
 			// An out-of-range target is left at -1 and faults when (if) the
