@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
 	"wavescalar/internal/testprogs"
@@ -83,4 +85,43 @@ func BenchmarkSimulateReplay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchSimulate(b, client, req, true)
 	}
+}
+
+// BenchmarkCompiledFootprint is what waved's warm compile cache holds: the
+// steer binaries of testprogs.CorpusSpecs(200, 1), each built through
+// compileCache.compile as a simulate request naming the workload builds it,
+// and all resident at once. It reports the live heap the cache retains
+// after a collection, per program, as live-B/prog.
+func BenchmarkCompiledFootprint(b *testing.B) {
+	specs := testprogs.CorpusSpecs(200, 1)
+	co, apiErr := compileOptions(0, nil, "steer")
+	if apiErr != nil {
+		b.Fatal(apiErr.Error)
+	}
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var perProg float64
+	for b.Loop() {
+		before := live()
+		cc := newCompileCache(len(specs))
+		for _, spec := range specs {
+			name, src, apiErr := resolveSource(spec.Name(), "")
+			if apiErr != nil {
+				b.Fatal(apiErr.Error)
+			}
+			if _, _, err := cc.compile(context.Background(), name, src, co, "steer"); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if cc.Len() != len(specs) {
+			b.Fatalf("%d entries resident, want %d", cc.Len(), len(specs))
+		}
+		perProg = float64(int64(live())-int64(before)) / float64(len(specs))
+		runtime.KeepAlive(cc)
+	}
+	b.ReportMetric(perProg, "live-B/prog")
 }

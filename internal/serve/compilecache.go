@@ -14,11 +14,13 @@ import (
 // compileCache is the warm compiled-program cache: an LRU keyed by the
 // program hash (compileKey: source + unroll factor + optimization level)
 // and the dataflow binaries the entry was built with — all three, or the
-// one a simulate request named — with singleflight semantics: N concurrent
-// requests for the same uncompiled program trigger one compile, and the
-// rest wait on it. Entries may be evicted while still being waited on;
-// waiters hold the entry pointer, so eviction only forgets the key, never
-// invalidates a result in use.
+// one a simulate request named. An entry keeps those binaries and what the
+// handlers read beside them, but no linear program and no source text (see
+// compile). The cache has singleflight semantics: N concurrent requests for
+// the same uncompiled program trigger one compile, and the rest wait on it.
+// Entries may be evicted while still being waited on; waiters hold the
+// entry pointer, so eviction only forgets the key, never invalidates a
+// result in use.
 type compileCache struct {
 	max  int
 	hits atomic.Uint64
@@ -129,6 +131,30 @@ func (cc *compileCache) get(ctx context.Context, key, binary string, build func(
 		cc.hits.Add(1)
 	}
 	return e.c, ok, nil
+}
+
+// compileKey addresses a program in the warm compiled-program cache: the
+// IR every binary is lowered from depends only on source, unroll factor,
+// and optimization level. get completes it with the binaries an entry
+// holds.
+func compileKey(src string, co harness.CompileOptions) string {
+	return harness.CacheKey("serve-compile", src, co.Key())
+}
+
+// compile returns the program src compiles to under co, through get (binary
+// as there): the one build both /v1/simulate and /v1/compile go through.
+// CompileSource runs its reference cross-checks on the linear program; the
+// entry then keeps what the handlers read — the binaries, Name, Checksum,
+// Image, UsefulInstrs, Opt, MemOpt and Chains — and drops the linear program
+// and the source text, since a WaveCache runs the dataflow binary alone.
+func (cc *compileCache) compile(ctx context.Context, name, src string, co harness.CompileOptions, binary string) (*harness.Compiled, bool, error) {
+	return cc.get(ctx, compileKey(src, co), binary, func() (*harness.Compiled, error) {
+		c, err := harness.CompileSource(name, src, co)
+		if c != nil {
+			c.Linear, c.Src = nil, ""
+		}
+		return c, err
+	})
 }
 
 // Hits reports how many requests were satisfied by a warm entry.

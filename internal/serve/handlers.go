@@ -397,14 +397,6 @@ func (j *simJob) cacheKey() string {
 		j.src, j.binary, j.co.Key(), j.m.Key())
 }
 
-// compileKey addresses a program in the warm compiled-program cache: the
-// IR every binary is lowered from depends only on source, unroll factor,
-// and optimization level. compileCache.get completes it with the binaries
-// an entry holds.
-func compileKey(src string, co harness.CompileOptions) string {
-	return harness.CacheKey("serve-compile", src, co.Key())
-}
-
 // millis renders a duration the way the API reports one: milliseconds
 // with microsecond resolution.
 func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
@@ -462,9 +454,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // cancellation poll.
 func (s *Server) simulate(ctx context.Context, j *simJob, wantMetrics bool) (*SimulateResponse, *ErrorResponse) {
 	tc := time.Now()
-	c, _, err := s.compiled.get(ctx, compileKey(j.src, j.co), j.binary, func() (*harness.Compiled, error) {
-		return harness.CompileSource(j.name, j.src, j.co)
-	})
+	c, _, err := s.compiled.compile(ctx, j.name, j.src, j.co, j.binary)
 	ts := time.Now()
 	if err != nil {
 		return nil, s.compileError(ctx, err)
@@ -540,9 +530,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		if apiErr != nil {
 			return nil, false, apiErr
 		}
-		c, warm, err := s.compiled.get(ctx, compileKey(src, co), "", func() (*harness.Compiled, error) {
-			return harness.CompileSource(name, src, co)
-		})
+		c, warm, err := s.compiled.compile(ctx, name, src, co, "")
 		if err != nil {
 			return nil, false, s.compileError(ctx, err)
 		}

@@ -339,6 +339,31 @@ func TestSimulateCompilesTheNamedBinary(t *testing.T) {
 	}
 	wg.Wait()
 	cacheState("concurrent binaries", 7, 10) // one compile per binary, the twin of each waits on it
+	checkEntriesLean(t, s.compiled)
+}
+
+// checkEntriesLean: every compile-cache entry, built for a simulate request
+// or a compile, holds its binaries but no linear program and no source text.
+func checkEntriesLean(t *testing.T, cc *compileCache) {
+	t.Helper()
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if len(cc.entries) == 0 {
+		t.Fatal("compile cache is empty")
+	}
+	for key, e := range cc.entries {
+		select {
+		case <-e.done:
+		default:
+			t.Errorf("entry %s: still building", key)
+			continue
+		}
+		if e.c == nil {
+			t.Errorf("entry %s: no program", key)
+		} else if e.c.Linear != nil || e.c.Src != "" {
+			t.Errorf("entry %s keeps a linear program (%v) or %d bytes of source; want neither", key, e.c.Linear != nil, len(e.c.Src))
+		}
+	}
 }
 
 func TestSimulateIdempotentReplay(t *testing.T) {
@@ -551,25 +576,41 @@ func TestCompileEndpoint(t *testing.T) {
 	if err != nil || apiErr != nil {
 		t.Fatalf("err=%v apiErr=%+v", err, apiErr)
 	}
-	c, cerr := harness.Suite([]string{"fft"}, harness.DefaultCompileOptions())
+	cs, cerr := harness.Suite([]string{"fft"}, harness.DefaultCompileOptions())
 	if cerr != nil {
 		t.Fatal(cerr)
 	}
-	if resp.Checksum != c[0].Checksum || resp.UsefulInstrs != c[0].UsefulInstrs {
-		t.Errorf("compile response %+v disagrees with direct compile (checksum %d, useful %d)",
-			resp, c[0].Checksum, c[0].UsefulInstrs)
+	c := cs[0]
+	want := CompileResponse{
+		Workload:         "fft",
+		Checksum:         c.Checksum,
+		UsefulInstrs:     c.UsefulInstrs,
+		SteerInstrs:      c.Wave.NumInstrs(),
+		SelectInstrs:     c.WaveSel.NumInstrs(),
+		RolledInstrs:     c.WaveNoUn.NumInstrs(),
+		Opt:              c.Opt,
+		StoresForwarded:  c.MemOpt.StoresForwarded,
+		LoadsEliminated:  c.MemOpt.LoadsReused + c.MemOpt.LoadsPromoted,
+		DeadStores:       c.MemOpt.DeadStores,
+		MemOpsEliminated: c.MemOpt.MemBefore - c.MemOpt.MemAfter,
+	}
+	if got, want := mustJSON(t, resp), mustJSON(t, want); got != want {
+		t.Errorf("compile response diverged from direct compile\n got: %s\nwant: %s", got, want)
 	}
 	if resp.SteerInstrs <= 0 || resp.SelectInstrs <= 0 || resp.RolledInstrs <= 0 {
 		t.Errorf("instruction counts missing: %+v", resp)
 	}
-	// Second compile hits the warm LRU.
+	// Second compile hits the warm LRU, whose entry kept what the response
+	// reads and nothing else.
 	resp2, apiErr, err := client.Compile(context.Background(), CompileRequest{Workload: "fft"})
 	if err != nil || apiErr != nil {
 		t.Fatalf("err=%v apiErr=%+v", err, apiErr)
 	}
-	if !resp2.Cached {
-		t.Error("second compile of the same workload missed the warm cache")
+	want.Cached = true
+	if got, want := mustJSON(t, resp2), mustJSON(t, want); got != want {
+		t.Errorf("warm compile response diverged from direct compile\n got: %s\nwant: %s", got, want)
 	}
+	checkEntriesLean(t, s.compiled)
 
 	_, apiErr, err = client.Compile(context.Background(), CompileRequest{Workload: "no-such-workload"})
 	if err != nil {
