@@ -123,9 +123,10 @@ var cellRuns memo[cellKey, cellRun]
 // fenceRun returns what prog, one of c's binaries, computes on m, and the
 // emulator's trace of c. The first call simulates it on a fresh arena and
 // checks the value against c's checksum and the books: a token takes exactly one of deliver's paths, the
-// access helper sees every access, and (from the change that retires
-// bindings on) every binding made has retired by the end of the run — no
-// memory message arrived for a wave after it retired.
+// access helper sees every access, every request submitted to the ordering
+// engine issues exactly once, and (from the change that retires bindings
+// on) every binding made has retired by the end of the run — no memory
+// message arrived for a wave after it retired.
 func fenceRun(c *Compiled, prog *isa.Program, m MachineOptions) (cellRun, error) {
 	return cellRuns.get(cellKey{prog, m.Key()}, func() (cellRun, error) {
 		m.Metrics = trace.NewAggregate()
@@ -144,6 +145,9 @@ func fenceRun(c *Compiled, prog *isa.Program, m MachineOptions) (cellRun, error)
 		f := a.Fence()
 		if w := f.Work; w.Bypassed+w.SlotMatched+w.TableMatched != res.Tokens || w.MemAccess != res.Mem.Accesses || w.Retired != 0 && w.Retired != w.Bound {
 			return cellRun{}, fmt.Errorf("work counters do not add up: %+v against %d tokens, %d accesses", w, res.Tokens, res.Mem.Accesses)
+		}
+		if o := res.Order; o.Issued != o.Submitted {
+			return cellRun{}, fmt.Errorf("ordering engine issued %d of %d submitted requests", o.Issued, o.Submitted)
 		}
 		ref, err := emulatorTrace(c.Linear)
 		return cellRun{res, f, metricsDigest(m.Metrics), ref}, err

@@ -1,6 +1,9 @@
 package wavecache
 
-import "wavescalar/internal/waveorder"
+import (
+	"wavescalar/internal/isa"
+	"wavescalar/internal/waveorder"
+)
 
 // memOrdering is a memory-ordering mode. All four modes commit every
 // request through the same waveorder.Engine in program order — values never
@@ -14,11 +17,10 @@ type memOrdering interface {
 	// arrive hands a request that has just reached its store buffer to the
 	// ordering engine.
 	arrive(s *sim, r *waveorder.Request) error
-	// commitLoad charges a load the engine has released and returns the
-	// cycle its reply leaves the store buffer.
-	commitLoad(s *sim, ck *memCookie, r *waveorder.Request) int64
-	// commitStore charges a released store.
-	commitStore(s *sim, ck *memCookie, r *waveorder.Request)
+	// commit charges a load or store the engine has released, which issueMem
+	// has granted the store-buffer slot at cycle granted, and returns the
+	// cycle it is done: a load's reply leaves the store buffer then.
+	commit(s *sim, ck *memCookie, r *waveorder.Request, granted int64) (done int64)
 }
 
 // waveOrdered is MemOrdered, the paper's wave-ordered memory: a request
@@ -29,14 +31,8 @@ type waveOrdered struct{}
 
 func (waveOrdered) arrive(s *sim, r *waveorder.Request) error { return s.engine.Submit(r) }
 
-func (waveOrdered) commitLoad(s *sim, ck *memCookie, r *waveorder.Request) int64 {
-	start := s.bufIssueTime(ck.buf)
-	return start + s.access(ck, r, false).Latency
-}
-
-func (waveOrdered) commitStore(s *sim, ck *memCookie, r *waveorder.Request) {
-	s.bufIssueTime(ck.buf)
-	s.access(ck, r, true)
+func (waveOrdered) commit(s *sim, ck *memCookie, r *waveorder.Request, granted int64) int64 {
+	return granted + s.access(ck, r).Latency
 }
 
 // ideal is MemIdeal's oracle ordering: a load is timed as if its request
@@ -44,9 +40,11 @@ func (waveOrdered) commitStore(s *sim, ck *memCookie, r *waveorder.Request) {
 // have passed — the reply is back-dated). It still takes its issue slot.
 type ideal struct{ waveOrdered }
 
-func (ideal) commitLoad(s *sim, ck *memCookie, r *waveorder.Request) int64 {
-	s.bufIssueTime(ck.buf)
-	return ck.fireAt + s.access(ck, r, false).Latency
+func (m ideal) commit(s *sim, ck *memCookie, r *waveorder.Request, granted int64) int64 {
+	if r.Kind == isa.MemStore {
+		return m.waveOrdered.commit(s, ck, r, granted)
+	}
+	return ck.fired + s.access(ck, r).Latency
 }
 
 // serialized is MemSerial: one memory operation in flight at a time. end is
@@ -58,19 +56,8 @@ type serialized struct {
 	end int64
 }
 
-func (m *serialized) commitLoad(s *sim, ck *memCookie, r *waveorder.Request) int64 {
-	return m.issue(s, ck, r, false)
-}
-
-func (m *serialized) commitStore(s *sim, ck *memCookie, r *waveorder.Request) {
-	m.issue(s, ck, r, true)
-}
-
-// issue times one access behind the operation in flight and returns its
-// completion.
-func (m *serialized) issue(s *sim, ck *memCookie, r *waveorder.Request, write bool) int64 {
-	start := max(s.bufIssueTime(ck.buf), m.end)
-	done := start + s.access(ck, r, write).Latency
+func (m *serialized) commit(s *sim, ck *memCookie, r *waveorder.Request, granted int64) int64 {
+	done := m.waveOrdered.commit(s, ck, r, max(granted, m.end))
 	m.end = done + 2*s.cfg.Net.IntraCluster
 	return done
 }

@@ -158,11 +158,10 @@ func (s *sim) specArrival(r *waveorder.Request) {
 	}
 	key := uint64(r.Addr)
 	sp.st.Issued++
-	// Speculative accesses ride idle store-buffer ports — they never
-	// consume a bufIssueTime slot; the commit point pays the slot exactly
-	// like in-order issue does, so a valid speculation's reply,
-	// max(commit slot, specDone), is never later than the in-order reply
-	// would have been.
+	// Speculative accesses ride idle store-buffer ports — they never take
+	// an issue slot; issueMem grants the commit point its slot exactly like
+	// in-order issue, so a valid speculation's reply, max(slot, early done),
+	// is never later than the in-order reply would have been.
 	if r.Kind == isa.MemLoad {
 		ck.specSnap = sp.commitSeq
 		if pv, ok := sp.fwdTab.Get(key); ok {
@@ -172,13 +171,13 @@ func (s *sim) specArrival(r *waveorder.Request) {
 			// when the load commits.
 			ck.spec = specFwd
 			ck.specUID = uint32(uint64(pv) >> 32)
-			ck.specDone = s.now + s.cfg.Mem.L1Latency
+			ck.done = s.now + s.cfg.Mem.L1Latency
 			sp.st.Forwards++
 			s.tr.Event(s.now, trace.KindSpecIssue, -1, 1, s.cfg.Mem.L1Latency)
 		} else {
-			ar := s.access(ck, r, false)
+			ar := s.access(ck, r)
 			ck.spec = specLoad
-			ck.specDone = s.now + ar.Latency
+			ck.done = s.now + ar.Latency
 			sp.st.SpecCycles += ar.Latency
 			s.tr.Event(s.now, trace.KindSpecIssue, -1, 0, ar.Latency)
 		}
@@ -190,96 +189,87 @@ func (s *sim) specArrival(r *waveorder.Request) {
 		sp.fwdTab.Put(key, int64(uint64(uid)<<32|uint64(uint32(vi))))
 		// The speculative store drains its cache access (fetch-for-write,
 		// coherence) early; its commit point pays only the issue slot.
-		ar := s.access(ck, r, true)
+		ar := s.access(ck, r)
 		ck.spec = specStore
 		ck.specUID = uid
 		ck.specSnap = uint32(vi) // stores reuse the snapshot slot as the vsb index
-		ck.specDone = s.now + ar.Latency
+		ck.done = s.now + ar.Latency
 		sp.st.SpecCycles += ar.Latency
 		s.tr.Event(s.now, trace.KindSpecIssue, -1, 0, ar.Latency)
 	}
 }
 
-// commitLoad validates a speculated load at its wave-order commit point
-// and returns the cycle its reply leaves the store buffer. A valid
-// speculation completes at its speculative time (never earlier than now —
-// MemSpec does not back-date); a conflicting or squashed one re-executes
-// here, in order, charging the replayed access.
-func (m speculative) commitLoad(s *sim, ck *memCookie, r *waveorder.Request) int64 {
-	if ck.spec == specNone {
-		return m.waveOrdered.commitLoad(s, ck, r)
-	}
+// commit is MemSpec's commit point. A request that never speculated is
+// charged exactly as under waveOrdered. A speculated request that must
+// replay (specSettle) re-executes here, in order, charging the replayed
+// access. Otherwise a speculated load is done at its early done, raised to
+// its slot and then to the reply grid (MemSpec does not back-date), and a
+// speculated store at its slot, its access drained early. A store advances
+// the committed-store sequence later loads validate against (uid 0 for one
+// that never speculated); the caller writes the memory image.
+func (m speculative) commit(s *sim, ck *memCookie, r *waveorder.Request, granted int64) int64 {
 	sp := &s.spec
-	key := tagKey(ck.tag)
-	b, _ := s.waveBuf.Get(key)
-	valid := b&epochSquashed == 0
-	if valid {
-		lv, okLast := sp.lastStore.Get(uint64(r.Addr))
-		if ck.spec == specFwd {
-			valid = okLast && uint32(uint64(lv)) == ck.specUID
-		} else if okLast {
-			valid = uint32(uint64(lv)>>32) <= ck.specSnap
-		}
-		if !valid {
-			// The first conflict squashes the wave's epoch: the loads of a
-			// squashed wave replay without validating, so it squashes once.
-			// Ops that already committed out of it were individually
-			// validated, so only its still-speculative remainder replays,
-			// each at its own commit point.
-			sp.st.Conflicts++
-			sp.st.Squashes++
-			s.waveBuf.Put(key, b|epochSquashed)
-			s.tr.Event(s.now, trace.KindSpecConflict, -1, int64(r.Kind), 0)
-			s.tr.Event(s.now, trace.KindSpecSquash, -1, int64(ck.tag.Ctx), int64(ck.tag.Wave))
+	done := granted
+	if ck.spec == specNone {
+		done = m.waveOrdered.commit(s, ck, r, granted)
+	} else if s.specSettle(ck, r) {
+		sp.st.ReplayedOps++
+		ar := s.access(ck, r)
+		sp.st.ReplayCycles += ar.Latency
+		s.tr.Event(s.now, trace.KindSpecReplay, -1, ar.Latency, 0)
+		done = granted + ar.Latency
+	} else if ck.spec != specStore {
+		done = max(ck.done, granted)
+		if odd := done % specReplyAlign; odd != 1 {
+			done += 1 - odd // round up to the reply grid (next odd cycle)
 		}
 	}
-	start := s.bufIssueTime(ck.buf)
-	if valid {
-		done := ck.specDone
-		if done < start {
-			done = start
-		}
-		if r := done % specReplyAlign; r != 1 {
-			done += 1 - r // round up to the reply grid (next odd cycle)
-		}
-		return done
+	if r.Kind == isa.MemStore {
+		sp.commitSeq++
+		sp.lastStore.Put(uint64(r.Addr), int64(uint64(sp.commitSeq)<<32|uint64(ck.specUID)))
 	}
-	sp.st.ReplayedOps++
-	ar := s.access(ck, r, false)
-	sp.st.ReplayCycles += ar.Latency
-	s.tr.Event(s.now, trace.KindSpecReplay, -1, ar.Latency, 0)
-	return start + ar.Latency
+	return done
 }
 
-// commitStore commits a store in MemSpec mode: a speculated store retires
-// its versioned-store-buffer entry (replaying its access first if the epoch
-// squashed); a store that issued synchronously performs its ordinary
-// in-order access. Either way the committed-store sequence advances, which
-// is what later loads validate against. The caller writes the memory image.
-func (m speculative) commitStore(s *sim, ck *memCookie, r *waveorder.Request) {
+// specSettle closes a speculated request's speculation at its commit point
+// and reports whether it must replay: whether its epoch is squashed. A
+// store retires its versioned-store-buffer entry. A load is validated: no
+// store may have committed to its address after its snapshot, and a
+// forwarded load's forwarding store must still be the last committer.
+func (s *sim) specSettle(ck *memCookie, r *waveorder.Request) (replay bool) {
 	sp := &s.spec
-	key := uint64(r.Addr)
-	var uid uint32
+	wk := tagKey(ck.tag)
+	b, _ := s.waveBuf.Get(wk)
 	if ck.spec == specStore {
-		s.bufIssueTime(ck.buf)
-		uid = ck.specUID
-		vi := int32(ck.specSnap)
+		key, vi := uint64(r.Addr), int32(ck.specSnap)
 		sp.vsb.At(vi).used = false
-		if pv, ok := sp.fwdTab.Get(key); ok && uint32(uint64(pv)>>32) == uid {
+		if pv, ok := sp.fwdTab.Get(key); ok && uint32(uint64(pv)>>32) == ck.specUID {
 			sp.fwdTab.Delete(key)
 		}
 		sp.vsb.Release(vi)
-		if b, _ := s.waveBuf.Get(tagKey(ck.tag)); b&epochSquashed != 0 {
-			sp.st.ReplayedOps++
-			ar := s.access(ck, r, true)
-			sp.st.ReplayCycles += ar.Latency
-			s.tr.Event(s.now, trace.KindSpecReplay, -1, ar.Latency, 0)
-		}
-	} else {
-		m.waveOrdered.commitStore(s, ck, r)
+		return b&epochSquashed != 0
 	}
-	sp.commitSeq++
-	sp.lastStore.Put(key, int64(uint64(sp.commitSeq)<<32|uint64(uid)))
+	if b&epochSquashed != 0 {
+		return true
+	}
+	lv, okLast := sp.lastStore.Get(uint64(r.Addr))
+	if ck.spec == specFwd {
+		if okLast && uint32(uint64(lv)) == ck.specUID {
+			return false
+		}
+	} else if !okLast || uint32(uint64(lv)>>32) <= ck.specSnap {
+		return false
+	}
+	// The first conflict squashes the wave's epoch: the loads of a squashed
+	// wave replay without validating, so it squashes once. Ops that already
+	// committed out of it were individually validated, so only its
+	// still-speculative remainder replays, each at its own commit point.
+	sp.st.Conflicts++
+	sp.st.Squashes++
+	s.waveBuf.Put(wk, b|epochSquashed)
+	s.tr.Event(s.now, trace.KindSpecConflict, -1, int64(r.Kind), 0)
+	s.tr.Event(s.now, trace.KindSpecSquash, -1, int64(ck.tag.Ctx), int64(ck.tag.Wave))
+	return true
 }
 
 // specDebugState renders the speculation subsystem for the watchdog

@@ -692,25 +692,28 @@ type ctxInfo struct {
 }
 
 // memCookie carries reply routing and timing through the ordering engine.
+// Its stamps are the request's timeline: fired at its PE, arrived at its
+// store buffer, and done (MemSpec's early completion, which the commit
+// only raises). issueMem holds the other two points, eligible and granted.
 type memCookie struct {
-	gi     int32 // the requesting instruction
-	tag    isa.Tag
-	fireAt int64
-	arrive int64 // cycle the request reached its store buffer
-	buf    int   // store-buffer cluster bound at submit time
+	gi      int32 // the requesting instruction
+	tag     isa.Tag
+	fired   int64
+	arrived int64
+	buf     int // store-buffer cluster bound at submit time
 
 	// Speculation state (MemSpec only; zero otherwise). spec classifies
-	// how the request executed ahead of its commit point, specDone is the
-	// speculative completion time, specSnap the conflict-detector
-	// snapshot a load validates against, specUID the forwarding store's
-	// uid (loads) or the request's own versioned-store-buffer entry
-	// (stores). The enclosing epoch is the wave's binding, found by tag.
-	// gen is the cookie's liveness stamp: a deferred-speculation probe only
-	// acts when the generation it captured at arrival still matches
-	// (issueMem zeroes it), so a probe can never touch a recycled cookie.
+	// how the request executed ahead of its commit point, specSnap the
+	// conflict-detector snapshot a load validates against, specUID the
+	// forwarding store's uid (loads) or the request's own
+	// versioned-store-buffer entry (stores). The enclosing epoch is the
+	// wave's binding, found by tag. gen is the cookie's liveness stamp: a
+	// deferred-speculation probe only acts when the generation it captured
+	// at arrival still matches (issueMem zeroes it), so a probe can never
+	// touch a recycled cookie.
 	spec     uint8
 	gen      uint32
-	specDone int64
+	done     int64
 	specSnap uint32
 	specUID  uint32
 }
@@ -820,7 +823,7 @@ type sim struct {
 	// The counts trace.Metrics holds beyond Result (metrics builds it);
 	// fires per PE are peState.fires and link use is the network's.
 	maxQueue   int    // deepest operand queue a delivery left behind
-	orderStall uint64 // cycles requests sat buffered before issueMem
+	orderStall uint64 // Σ eligible − arrived: cycles requests sat buffered
 	placements uint64 // homes the placement policy resolved (homePE misses)
 
 	// res accumulates the run's result; its Fired/Tokens/Swaps/Overflows
@@ -1677,7 +1680,7 @@ func (s *sim) submitMem(pe int, gi int32, in *isa.Instruction, tag isa.Tag, addr
 	}
 	ci := s.ckSlab.Alloc()
 	s.ckGen++
-	*s.ckSlab.At(ci) = memCookie{gi: gi, tag: tag, fireAt: t, arrive: arr, buf: buf, gen: s.ckGen}
+	*s.ckSlab.At(ci) = memCookie{gi: gi, tag: tag, fired: t, arrived: arr, buf: buf, gen: s.ckGen}
 	req := s.allocReq()
 	*req = waveorder.Request{
 		Ctx: tag.Ctx, Wave: tag.Wave,
@@ -1804,17 +1807,21 @@ func (s *sim) issueMem(r *waveorder.Request) {
 	// Dead-stamp the cookie so any pending deferred-speculation probe for
 	// this request sees it gone (generations start at 1).
 	ck.gen = 0
-	// The ordering stall is how long the request sat buffered waiting for
-	// its wave chain to resolve: issue happens at the current event time,
-	// arrival was stamped at submit.
-	stall := s.now - ck.arrive
+	// The request is eligible now, its wave chain resolved; the ordering
+	// stall is how long it sat buffered since it arrived. Every request,
+	// ordering-only ones (nop, call, end) included, then takes the first
+	// store-buffer issue slot at or after eligible, BufferWidth per cycle
+	// per cluster, FIFO.
+	eligible := s.now
+	stall := eligible - ck.arrived
 	s.orderStall += uint64(stall)
 	if s.tr != nil {
 		s.tr.Event(s.now, trace.KindMemIssue, -1, int64(r.Kind), stall)
 	}
+	granted := s.bufBusy[ck.buf].Grant(eligible, max(s.cfg.BufferWidth, 1))
 	switch r.Kind {
 	case isa.MemLoad:
-		done := s.mode.commitLoad(s, ck, r)
+		done := s.mode.commit(s, ck, r, granted)
 		var v int64
 		if r.Addr >= 0 && r.Addr < int64(len(s.memImage)) {
 			v = s.memImage[r.Addr]
@@ -1834,29 +1841,20 @@ func (s *sim) issueMem(r *waveorder.Request) {
 			s.pushToken(arr, d.gi, int32(dstPE), d.port, ck.tag, v)
 		}
 	case isa.MemStore:
-		s.mode.commitStore(s, ck, r)
+		s.mode.commit(s, ck, r, granted)
 		if r.Addr >= 0 && r.Addr < int64(len(s.memImage)) {
 			s.memImage[r.Addr] = r.Value
 		}
 		s.commit = FoldCommit(s.commit, true, r.Addr, r.Value)
 		s.commitStores = FoldCommit(s.commitStores, true, r.Addr, r.Value)
-	default:
-		// Ordering-only messages (nop, call, end) consume a buffer slot.
-		s.bufIssueTime(ck.buf)
 	}
-}
-
-// bufIssueTime grants a store-buffer issue slot at or after the current
-// simulation time, BufferWidth per cycle per cluster, FIFO.
-func (s *sim) bufIssueTime(cluster int) int64 {
-	return s.bufBusy[cluster].Grant(s.now, max(s.cfg.BufferWidth, 1))
 }
 
 // access is the one spelling of a cache access: request r's address, clamped
 // into the memory image, through the L1 of the cluster its wave is bound to.
-func (s *sim) access(ck *memCookie, r *waveorder.Request, write bool) mem.AccessResult {
+func (s *sim) access(ck *memCookie, r *waveorder.Request) mem.AccessResult {
 	s.work.MemAccess++
-	return s.memsys.Access(ck.buf, clampAddr(r.Addr, len(s.memImage)), write)
+	return s.memsys.Access(ck.buf, clampAddr(r.Addr, len(s.memImage)), r.Kind == isa.MemStore)
 }
 
 func clampAddr(a int64, n int) int64 {

@@ -137,11 +137,16 @@ func (p *queuePair) drain() {
 	}
 }
 
-// TestEventRecordIs64Bytes: the home a token or firing carries sits in what
-// was the record's padding, so a slab record is still one cache line.
-func TestEventRecordIs64Bytes(t *testing.T) {
+// TestSlabRecordsAre64Bytes: the two hot slabs hold one cache line a
+// record. The home a token or firing carries sits in what was the event's
+// padding; a memory cookie's timeline is its three stamps, fired, arrived
+// and done, with eligible and granted kept as issueMem's locals.
+func TestSlabRecordsAre64Bytes(t *testing.T) {
 	if n := unsafe.Sizeof(event{}); n != 64 {
 		t.Errorf("event is %d bytes, want 64", n)
+	}
+	if n := unsafe.Sizeof(memCookie{}); n != 64 {
+		t.Errorf("memCookie is %d bytes, want 64", n)
 	}
 }
 
