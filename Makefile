@@ -41,8 +41,9 @@ test-short:
 # smoke starts what `go test` cannot, because it has no test files: the five
 # examples, and wavec -stats, wavec -select -dot main, waverun, wavesim
 # -baseline -metrics and wavesim -mem spec -trace -trace-chrome on a small
-# wsl program (scripts/smoke.sh). Any non-zero exit fails it. Part of
-# `make check`; not part of tier-1.
+# wsl program, then waverun on its binary printed by wavec -unroll 1
+# (scripts/smoke.sh). Any non-zero exit fails it. Part of `make check`; not
+# part of tier-1.
 smoke:
 	GO=$(GO) bash scripts/smoke.sh
 
@@ -129,12 +130,15 @@ soak:
 
 # fuzz runs the native fuzz targets for a short burst — a smoke pass, not
 # a soak; crashes land in testdata/fuzz/ as usual. FuzzServeRequests sends
-# arbitrary bodies to waved's three POST endpoints.
+# arbitrary bodies to waved's three POST endpoints; FuzzLoadAndRun runs
+# whatever assembly the loader accepts on the interpreter and in the four
+# WaveCache memory modes, each under a small bound.
 FUZZTIME ?= 10s
 
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/asm
 	$(GO) test -run='^$$' -fuzz=FuzzServeRequests -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzLoadAndRun -fuzztime=$(FUZZTIME) .
 
 # fuzz-diff is the corpus-differential smoke: generated programs across
 # all workload families, each checked for agreement across the seven

@@ -259,6 +259,19 @@ type MemOrder struct {
 	Succ int32
 }
 
+// WaveStart is the chain position before a wave's first memory operation:
+// the operation that links to it is the one whose Pred is SeqStart.
+var WaveStart = MemOrder{Seq: SeqStart, Succ: SeqWildcard}
+
+// Links is the wave-ordering rule, the one place it is spelled: b may
+// follow a in its wave's chain when a's Succ names b or b's Pred names a.
+// The store buffer issues whichever waiting operation links to the last
+// one it issued (WaveStart at a wave's start), and Validate holds every
+// binary's waves to the same rule.
+func (a MemOrder) Links(b MemOrder) bool {
+	return (a.Succ >= 0 && b.Seq == a.Succ) || b.Pred == a.Seq
+}
+
 // SeqString spells a sequence number as the paper does: the sentinels as
 // '?', '^' and '$', any other number in decimal.
 func SeqString(s int32) string {
@@ -425,9 +438,16 @@ type Program struct {
 	// [Addr, Addr+Size) words of the flat address space.
 	Globals []Global
 
-	// MemWords is the total size of the address space in 64-bit words.
+	// MemWords is the total size of the address space in 64-bit words, at
+	// most MaxMemWords.
 	MemWords int64
 }
+
+// MaxMemWords bounds the address space a program may declare: 16M words
+// (128 MiB), far above any workload's. Every engine allocates the whole
+// space per run, so an unbounded size in a hand-written binary would be an
+// unbounded allocation.
+const MaxMemWords = 1 << 24
 
 // Global is one statically allocated array (or scalar, Size==1).
 type Global struct {

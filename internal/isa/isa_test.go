@@ -3,6 +3,7 @@ package isa
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -229,6 +230,7 @@ func TestValidateRejections(t *testing.T) {
 			p.MemWords = 64
 		}},
 		{"global too big", func(p *Program) { p.Globals[0].Size = 64 }},
+		{"memory too big", func(p *Program) { p.MemWords = MaxMemWords + 1 }},
 		{"too many initializers", func(p *Program) { p.Globals[0].Init = make([]int64, 20) }},
 		{"wave out of range", func(p *Program) { p.Funcs[0].Instrs[2].Wave = 7 }},
 		{"duplicate memory seq", func(p *Program) {
@@ -243,6 +245,68 @@ func TestValidateRejections(t *testing.T) {
 		c.mutate(p)
 		if err := p.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted a malformed program", c.name)
+		}
+	}
+}
+
+func TestLinks(t *testing.T) {
+	const W, S, E = SeqWildcard, SeqStart, SeqEnd
+	m := func(pred, seq, succ int32) MemOrder { return MemOrder{Kind: MemNop, Seq: seq, Pred: pred, Succ: succ} }
+	for _, c := range []struct {
+		a, b MemOrder
+		want bool
+	}{
+		{WaveStart, m(S, 4, W), true},  // the wave's first operation
+		{WaveStart, m(W, 4, E), false}, // a ? is never a start
+		{m(S, 1, 4), m(W, 4, E), true}, // a's Succ names b
+		{m(S, 1, W), m(1, 4, E), true}, // b's Pred names a
+		{m(S, 1, W), m(W, 4, E), false},
+		{m(S, 1, E), m(W, 4, E), false},
+		{m(S, 1, 5), m(W, 4, E), false},
+	} {
+		if got := c.a.Links(c.b); got != c.want {
+			t.Errorf("%v.Links(%v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// chainProgram is main with one MEMORY-NOP per annotation, all in wave 0.
+func chainProgram(ms ...MemOrder) *Program {
+	f := Function{Name: "main", Params: []InstrID{0}, NumWaves: 1}
+	f.Add(Instruction{Op: OpNop}, nil, nil, "pad 0")
+	for _, m := range ms {
+		m.Kind = MemNop
+		f.Add(Instruction{Op: OpMemNop, Mem: m}, nil, nil, "")
+	}
+	f.Add(Instruction{Op: OpReturn}, nil, nil, "")
+	return &Program{Funcs: []Function{f}}
+}
+
+// TestValidateChains: Validate accepts a two-path wave whose branch and
+// join name each other only from one side (? on both), and refuses a
+// wave that breaks any one of its five chain rules, naming the function,
+// the wave and the annotations involved.
+func TestValidateChains(t *testing.T) {
+	const W, S, E = SeqWildcard, SeqStart, SeqEnd
+	m := func(pred, seq, succ int32) MemOrder { return MemOrder{Seq: seq, Pred: pred, Succ: succ} }
+	diamond := []MemOrder{m(S, 0, W), m(0, 1, 3), m(0, 2, 3), m(W, 3, E)}
+	if err := chainProgram(diamond...).Validate(); err != nil {
+		t.Fatalf("two-path wave refused: %v", err)
+	}
+	for _, c := range []struct {
+		rule string
+		ms   []MemOrder
+		want string
+	}{
+		{"unique", []MemOrder{m(S, 0, 1), m(0, 1, E), m(0, 1, E)}, "main wave 0: {nop 0.1.$} and {nop 0.1.$} share sequence number 1"},
+		{"names an operation", []MemOrder{m(S, 0, W), m(0, 1, 9), m(0, 2, 3), m(W, 3, E)}, "main wave 0: {nop 0.1.9} succ names nothing"},
+		{"ends agree", []MemOrder{m(S, 0, W), m(0, 1, 3), m(0, 2, 3), m(2, 3, E)}, "main wave 0: {nop 0.1.3} -> {nop 2.3.$} disagree"},
+		{"no ? meets ?", []MemOrder{m(S, 0, W), m(W, 1, E)}, "main wave 0: {nop ^.0.?} lies on no path from ^ to $"},
+		{"on a ^ to $ path", []MemOrder{m(S, 0, E), m(2, 1, 2), m(1, 2, 1)}, "main wave 0: {nop 2.1.2} lies on no path from ^ to $"},
+	} {
+		err := chainProgram(c.ms...).Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate = %v, want %q", c.rule, err, c.want)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package isa
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Validate checks the structural integrity of a program: destination runs
 // and port ranges, call targets, parameter pads, memory annotations, and the
@@ -25,8 +29,8 @@ func (p *Program) Validate() error {
 }
 
 func (p *Program) validateGlobals() error {
-	if p.MemWords < 0 {
-		return fmt.Errorf("isa: negative memory size %d", p.MemWords)
+	if p.MemWords < 0 || p.MemWords > MaxMemWords {
+		return fmt.Errorf("isa: memory size %d outside [0, %d]", p.MemWords, MaxMemWords)
 	}
 	for i, g := range p.Globals {
 		if g.Size <= 0 {
@@ -183,18 +187,100 @@ func (p *Program) validateFunc(fid FuncID) error {
 		}
 	}
 
-	// Memory sequence numbers must be unique within a static wave.
-	seen := make(map[[2]int32]InstrID)
-	for ii := range f.Instrs {
-		in := &f.Instrs[ii]
-		if in.Mem.Kind == MemNone {
-			continue
+	return f.validateChains()
+}
+
+// validateChains holds each wave of f to the link rule, MemOrder.Links,
+// statically. Per wave: (1) sequence numbers are unique; (2) every concrete
+// Pred and Succ names an operation; (3) both ends of a link agree; (4) a ?
+// Pred is named by some Succ and a ? Succ by some Pred, so no ? meets a ?;
+// (5) every operation lies on a Links path from WaveStart to a SeqEnd. (5)
+// implies (4): an unnamed ? Pred leaves its operation no incoming link, an
+// unnamed ? Succ none outgoing. It is a necessary condition only: for
+// compiler output, wavec's path checker is the proof that every path
+// resolves to one chain.
+func (f *Function) validateChains() error {
+	var ops []*Instruction
+	for i := range f.Instrs {
+		if f.Instrs[i].Mem.Kind != MemNone {
+			ops = append(ops, &f.Instrs[i])
 		}
-		key := [2]int32{in.Wave, in.Mem.Seq}
-		if prev, dup := seen[key]; dup {
-			return fail(InstrID(ii), "duplicate memory sequence %d in wave %d (also i%d)", in.Mem.Seq, in.Wave, prev)
+	}
+	slices.SortFunc(ops, func(a, b *Instruction) int {
+		return cmp.Or(cmp.Compare(a.Wave, b.Wave), cmp.Compare(a.Mem.Seq, b.Mem.Seq))
+	})
+	for lo, hi := 0, 0; lo < len(ops); lo = hi {
+		for hi = lo + 1; hi < len(ops) && ops[hi].Wave == ops[lo].Wave; hi++ {
 		}
-		seen[key] = InstrID(ii)
+		if err := checkWave(ops[lo:hi]); err != nil {
+			return fmt.Errorf("isa: %s wave %d: %v", f.Name, ops[lo].Wave, err)
+		}
+	}
+	return nil
+}
+
+// checkWave applies validateChains' rules to one wave's memory operations,
+// sorted by sequence number.
+func checkWave(ops []*Instruction) error {
+	const fromStart, toEnd = 1, 2
+	flags := make([]uint8, len(ops))
+	bySeq := func(in *Instruction, s int32) int { return cmp.Compare(in.Mem.Seq, s) }
+	at := func(s int32) int { // the operation s names, or -1
+		if i, ok := slices.BinarySearchFunc(ops, s, bySeq); ok {
+			return i
+		}
+		return -1
+	}
+	for i, in := range ops {
+		a := in.Mem
+		if i > 0 && ops[i-1].Mem.Seq == a.Seq {
+			return fmt.Errorf("%v and %v share sequence number %d", ops[i-1].Mem, a, a.Seq)
+		}
+		if a.Succ >= 0 {
+			j := at(a.Succ)
+			if j < 0 {
+				return fmt.Errorf("%v succ names nothing", a)
+			}
+			if b := ops[j].Mem; b.Pred != SeqWildcard && at(b.Pred) != i {
+				return fmt.Errorf("%v -> %v disagree", a, b)
+			}
+		}
+		if a.Pred >= 0 {
+			j := at(a.Pred)
+			if j < 0 {
+				return fmt.Errorf("%v pred names nothing", a)
+			}
+			if b := ops[j].Mem; b.Succ != SeqWildcard && at(b.Succ) != i {
+				return fmt.Errorf("%v -> %v disagree", b, a)
+			}
+		}
+	}
+	// spread marks with flag what edge reaches from the operations seed picks.
+	spread := func(flag uint8, seed func(MemOrder) bool, edge func(from, to MemOrder) bool) {
+		var stack []int
+		for i, in := range ops {
+			if seed(in.Mem) {
+				flags[i] |= flag
+				stack = append(stack, i)
+			}
+		}
+		for len(stack) > 0 {
+			from := ops[stack[len(stack)-1]].Mem
+			stack = stack[:len(stack)-1]
+			for i, in := range ops {
+				if flags[i]&flag == 0 && edge(from, in.Mem) {
+					flags[i] |= flag
+					stack = append(stack, i)
+				}
+			}
+		}
+	}
+	spread(fromStart, WaveStart.Links, MemOrder.Links)
+	spread(toEnd, func(a MemOrder) bool { return a.Succ == SeqEnd }, func(from, to MemOrder) bool { return to.Links(from) })
+	for i, in := range ops {
+		if flags[i] != fromStart|toEnd {
+			return fmt.Errorf("%v lies on no path from ^ to $", in.Mem)
+		}
 	}
 	return nil
 }

@@ -168,28 +168,22 @@ func (cf *chainFunc) wave(w int32) (*waveGraph, error) {
 	return g, nil
 }
 
-// links reports whether b links to a, the last issued operation, by the
-// store buffer's rule: b's Seq is a's Succ, or b's Pred is a's Seq.
-func links(a, b isa.MemOrder) bool {
-	return (a.Succ >= 0 && b.Seq == a.Succ) || (a.Seq >= 0 && b.Pred == a.Seq)
-}
-
 // resolveChain assembles the annotations one path announces exactly as a
-// store buffer does (waveorder.Engine.drain): the operation whose Pred is
-// SeqStart first, then repeatedly the one that links to the last issued. It
+// store buffer does (waveorder.Engine.drain): from isa.WaveStart, repeatedly
+// the operation that links to the last issued (isa.MemOrder.Links). It
 // requires one complete chain: at every step exactly one candidate, and it
 // is the next operation in program order; the last operation's Succ is
 // SeqEnd; nothing is left over.
 func resolveChain(seqs []isa.MemOrder) error {
 	used := make([]bool, len(seqs))
-	var last *isa.MemOrder
+	last := isa.WaveStart
 	for k := range seqs {
-		if last != nil && last.Succ == isa.SeqEnd {
+		if last.Succ == isa.SeqEnd {
 			return fmt.Errorf("chain %v ends after %d of %d operations", seqs, k, len(seqs))
 		}
 		found := -1
 		for i := range seqs {
-			if used[i] || (last == nil && seqs[i].Pred != isa.SeqStart) || (last != nil && !links(*last, seqs[i])) {
+			if used[i] || !last.Links(seqs[i]) {
 				continue
 			}
 			if found >= 0 {
@@ -204,9 +198,9 @@ func resolveChain(seqs []isa.MemOrder) error {
 			return fmt.Errorf("chain %v resolves %v out of program order (position %d of %d)", seqs, seqs[found], k, len(seqs))
 		}
 		used[found] = true
-		last = &seqs[found]
+		last = seqs[found]
 	}
-	if last == nil || last.Succ != isa.SeqEnd {
+	if last.Succ != isa.SeqEnd {
 		return fmt.Errorf("chain %v never reaches SeqEnd", seqs)
 	}
 	return nil
@@ -268,7 +262,7 @@ func (g *waveGraph) checkAllPaths() error {
 	}
 	for i, a := range g.ops {
 		switch {
-		case (i == g.entry) != (a.Pred == isa.SeqStart):
+		case (i == g.entry) != isa.WaveStart.Links(a):
 			return fmt.Errorf("%s %v: only the wave's first operation may name SeqStart, and it must", g.where[i], a)
 		case len(g.succ[i]) == 0 && a.Succ != isa.SeqEnd:
 			return fmt.Errorf("%s %v: a path ends here without reaching SeqEnd", g.where[i], a)
@@ -276,12 +270,12 @@ func (g *waveGraph) checkAllPaths() error {
 			return fmt.Errorf("%s %v: names SeqEnd before its path ends", g.where[i], a)
 		}
 		for _, s := range g.succ[i] {
-			if !links(a, g.ops[s]) {
+			if !a.Links(g.ops[s]) {
 				return fmt.Errorf("%s %v: %s %v can follow it but does not link to it", g.where[i], a, g.where[s], g.ops[s])
 			}
 			for w, word := range beyond[s] {
 				for ; word != 0; word &= word - 1 {
-					if c := w*64 + bits.TrailingZeros64(word); links(a, g.ops[c]) {
+					if c := w*64 + bits.TrailingZeros64(word); a.Links(g.ops[c]) {
 						return fmt.Errorf("%s %v: %s %v links to it past %s", g.where[i], a, g.where[c], g.ops[c], g.where[s])
 					}
 				}

@@ -2,9 +2,9 @@ package wavecache
 
 // Speculative transactional wave-ordered memory (MemSpec): the
 // Transactional WaveCache's implicit-transaction protocol grafted onto
-// the wave-ordered store buffers. A memory request that has sat buffered
-// behind unresolved wave-order predecessors for specDelay cycles does not
-// keep idling — it accesses the cache hierarchy speculatively (stores
+// the wave-ordered store buffers. A memory request that arrives at its
+// store buffer behind unresolved wave-order predecessors does not keep
+// idling — it accesses the cache hierarchy speculatively (stores
 // buffering their value in a versioned store buffer, loads forwarding
 // from it when an in-flight speculative store covers their address), on
 // spare store-buffer ports, riding bandwidth in-order issue would have
@@ -53,17 +53,6 @@ const (
 	specFwd         // load forwarded from an in-flight speculative store
 	specStore       // store buffered its value speculatively
 )
-
-// Deferred speculation: a buffered request speculates via a probe event
-// scheduled specDelay cycles after it arrives, and only if it is still
-// waiting when the probe fires — requests whose predecessor chain
-// resolves within the delay never touch the cache speculatively. Zero
-// probes on the arrival cycle itself (a request that issues
-// synchronously kills its probe before it fires). Measured across the
-// suite, any positive delay forfeits more than it protects: the bulk of
-// the win on memory-bound kernels comes from compressing stalls only a
-// few cycles long, which a delay filters out first.
-const specDelay = 0
 
 // Speculative replies leave the store buffer on a two-cycle grid: a
 // valid speculation's reply cycle rounds up to the next odd cycle.
@@ -125,25 +114,27 @@ type speculative struct{ waveOrdered }
 // arrive submits the request. It either issues synchronously inside Submit
 // (its ordering chain was already resolved — issueMem zeroes the cookie's
 // generation, and a slot reused since carries a newer one) or buffers behind
-// unresolved predecessors, in which case a deferred-speculation probe is
-// scheduled: the request speculates only if it is still waiting specDelay
-// cycles from now.
+// unresolved predecessors, in which case a speculation probe is scheduled
+// on the arrival cycle: the request speculates only if it is still waiting
+// when the probe fires, after the events already queued for this cycle.
 func (speculative) arrive(s *sim, r *waveorder.Request) error {
 	gen := s.ckSlab.At(int32(r.Cookie)).gen
 	if err := s.engine.Submit(r); err != nil {
 		return err
 	}
 	if s.ckSlab.At(int32(r.Cookie)).gen == gen {
-		s.pushSpecProbe(s.now+specDelay, r)
+		// Probe now, not later: measured across the suite, any positive
+		// delay forfeits more than it protects, because most of the win
+		// on memory-bound kernels comes from stalls only a few cycles long.
+		s.pushSpecProbe(r)
 	}
 	return nil
 }
 
-// specArrival speculates on a request that has been buffered behind
-// unresolved wave-order predecessors for specDelay cycles (its probe
-// event just fired and found it still waiting): the access runs against
-// the cache now, and the cookie records what the commit point must
-// validate.
+// specArrival speculates on a request buffered behind unresolved
+// wave-order predecessors (its probe event just fired and found it still
+// waiting): the access runs against the cache now, and the cookie records
+// what the commit point must validate.
 func (s *sim) specArrival(r *waveorder.Request) {
 	if r.Kind != isa.MemLoad && r.Kind != isa.MemStore {
 		return

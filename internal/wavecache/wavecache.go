@@ -1286,8 +1286,10 @@ func (s *sim) pushMem(t int64, req *waveorder.Request) {
 }
 
 // pushSpecProbe schedules a deferred-speculation probe for a buffered
-// request (MemSpec only); the packed (generation, cookie) rides vals[0].
-func (s *sim) pushSpecProbe(t int64, req *waveorder.Request) {
+// request on the current cycle (MemSpec only); the packed (generation,
+// cookie) rides vals[0].
+func (s *sim) pushSpecProbe(req *waveorder.Request) {
+	t := s.now
 	ci := int32(req.Cookie)
 	pv := int64(uint64(s.ckSlab.At(ci).gen)<<32 | uint64(uint32(ci)))
 	q := &s.q

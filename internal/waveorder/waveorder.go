@@ -14,7 +14,7 @@
 // The hardware (a store buffer) assembles arriving annotations into the
 // unique chain for the dynamically executed path and issues the operations
 // to the memory system in exactly that order: an operation issues when it
-// links to the previously issued operation through either side (its Pred
+// links to the previously issued operation (isa.MemOrder.Links: its Pred
 // names the previous operation, or the previous operation's Succ names it).
 // Waves issue in wave-number order; dynamic wave numbers within a context
 // are consecutive by construction (WAVE-ADVANCE on every wave crossing), so
@@ -72,6 +72,11 @@ type Request struct {
 	Cookie int64
 }
 
+// order is the request's wave-ordering annotation.
+func (r *Request) order() isa.MemOrder {
+	return isa.MemOrder{Kind: r.Kind, Seq: r.Seq, Pred: r.Pred, Succ: r.Succ}
+}
+
 func (r *Request) String() string {
 	return fmt.Sprintf("%s ctx%d w%d %s.%s.%s addr=%d",
 		r.Kind, r.Ctx, r.Wave, isa.SeqString(r.Pred), isa.SeqString(r.Seq), isa.SeqString(r.Succ), r.Addr)
@@ -82,52 +87,31 @@ type IssueFunc func(*Request)
 
 // waveState buffers the not-yet-issued requests of one dynamic wave: a
 // small insertion-ordered slice, scanned backwards so that a duplicate
-// annotation shadows an earlier one exactly as it did in the map-based
-// representation. Waves buffer few requests at a time (the store buffer's
-// occupancy), so linear scans beat hashing and allocate nothing.
+// annotation shadows an earlier one. Waves buffer few requests at a time
+// (the store buffer's occupancy), so linear scans beat hashing and
+// allocate nothing.
 type waveState struct {
 	reqs []*Request
 }
 
 func (w *waveState) add(r *Request) { w.reqs = append(w.reqs, r) }
 
-// bySeq finds the latest-added buffered request with the given sequence
-// number.
-func (w *waveState) bySeq(seq int32) *Request {
+// take removes and returns the latest-added request that links to last
+// (isa.MemOrder.Links), preserving insertion order; nil if none does.
+func (w *waveState) take(last isa.MemOrder) *Request {
 	for i := len(w.reqs) - 1; i >= 0; i-- {
-		if w.reqs[i].Seq == seq {
-			return w.reqs[i]
-		}
-	}
-	return nil
-}
-
-// byPred finds the latest-added buffered request whose predecessor
-// annotation names pred. Callers only pass real sequence numbers or
-// SeqStart, never SeqWildcard, so wildcard predecessors are never matched.
-func (w *waveState) byPred(pred int32) *Request {
-	for i := len(w.reqs) - 1; i >= 0; i-- {
-		if w.reqs[i].Pred == pred {
-			return w.reqs[i]
-		}
-	}
-	return nil
-}
-
-// remove deletes the exact request r, preserving insertion order.
-func (w *waveState) remove(r *Request) {
-	for i := range w.reqs {
-		if w.reqs[i] == r {
+		if r := w.reqs[i]; last.Links(r.order()) {
 			w.reqs = append(w.reqs[:i], w.reqs[i+1:]...)
-			return
+			return r
 		}
 	}
+	return nil
 }
 
 func (w *waveState) empty() bool { return len(w.reqs) == 0 }
 
 // ctxState is the ordering state of one function activation. The chain
-// position is carried as scalars (lastSeq/lastSucc) rather than a retained
+// position is carried as an annotation (last) rather than a retained
 // *Request so issued requests can be recycled immediately.
 type ctxState struct {
 	id uint32
@@ -140,18 +124,15 @@ type ctxState struct {
 	waveBase uint32
 	curWave  uint32
 
-	// hasLast/lastSeq/lastSucc describe the last issued request of
-	// curWave; hasLast is false at a wave start.
-	hasLast  bool
-	lastSeq  int32
-	lastSucc int32
+	// last is the annotation of curWave's last issued request,
+	// isa.WaveStart at a wave start.
+	last isa.MemOrder
 
 	parent *ctxState
 	// spliced records that a MemCall has bound this context into its
-	// parent's chain; callSeq/callSucc are that call slot's annotations.
-	spliced  bool
-	callSeq  int32
-	callSucc int32
+	// parent's chain; call is that call slot's annotation.
+	spliced bool
+	call    isa.MemOrder
 
 	ended bool
 }
@@ -310,6 +291,7 @@ func (e *Engine) newCtxState(id uint32) *ctxState {
 		c = &ctxState{}
 	}
 	c.id = id
+	c.last = isa.WaveStart
 	return c
 }
 
@@ -411,23 +393,10 @@ func (e *Engine) drain() error {
 		if w == nil {
 			return nil
 		}
-		var next *Request
-		if !c.hasLast {
-			// Wave start: the entry operation names SeqStart as its
-			// predecessor.
-			next = w.byPred(isa.SeqStart)
-		} else {
-			if c.lastSucc != isa.SeqWildcard && c.lastSucc != isa.SeqEnd {
-				next = w.bySeq(c.lastSucc)
-			}
-			if next == nil {
-				next = w.byPred(c.lastSeq)
-			}
-		}
+		next := w.take(c.last)
 		if next == nil {
 			return nil
 		}
-		w.remove(next)
 		if w.empty() {
 			c.clearWave(c.curWave)
 			e.releaseWave(w)
@@ -471,8 +440,7 @@ func (e *Engine) issueOne(c *ctxState, r *Request) error {
 		}
 		child.parent = c
 		child.spliced = true
-		child.callSeq = r.Seq
-		child.callSucc = r.Succ
+		child.call = r.order()
 		e.top = child
 		e.recycle(r)
 	case isa.MemEnd:
@@ -482,10 +450,8 @@ func (e *Engine) issueOne(c *ctxState, r *Request) error {
 			e.top = c.parent
 			// The call slot is now the parent's last issued operation; if
 			// it closed the parent's wave, advance it.
-			e.top.hasLast = true
-			e.top.lastSeq = c.callSeq
-			e.top.lastSucc = c.callSucc
-			if c.callSucc == isa.SeqEnd {
+			e.top.last = c.call
+			if c.call.Succ == isa.SeqEnd {
 				e.completeWave(e.top)
 			}
 		} else {
@@ -498,9 +464,7 @@ func (e *Engine) issueOne(c *ctxState, r *Request) error {
 		e.recycle(r)
 		return nil
 	default:
-		c.hasLast = true
-		c.lastSeq = r.Seq
-		c.lastSucc = r.Succ
+		c.last = r.order()
 		if r.Succ == isa.SeqEnd {
 			e.completeWave(c)
 		}
@@ -511,7 +475,7 @@ func (e *Engine) issueOne(c *ctxState, r *Request) error {
 
 // recycle hands a dead request back to the hosting pool, if one is
 // installed. At this point the engine holds no reference to r: the chain
-// position lives on as scalars in its context.
+// position lives on as an annotation in its context.
 func (e *Engine) recycle(r *Request) {
 	if e.release != nil {
 		e.release(r)
@@ -527,7 +491,7 @@ func (e *Engine) completeWave(c *ctxState) {
 		e.onWaveDone(c.id, c.curWave)
 	}
 	c.curWave++
-	c.hasLast = false
+	c.last = isa.WaveStart
 }
 
 // DebugState renders the engine's buffered requests; used in tests and by
@@ -540,10 +504,10 @@ func (e *Engine) DebugState() string {
 		b.WriteString("<none>")
 	} else {
 		fmt.Fprintf(&b, "ctx%d w%d", e.top.id, e.top.curWave)
-		if e.top.hasLast {
-			fmt.Fprintf(&b, " last=%s(succ %s)", isa.SeqString(e.top.lastSeq), isa.SeqString(e.top.lastSucc))
-		} else {
+		if last := e.top.last; last == isa.WaveStart {
 			b.WriteString(" last=" + isa.SeqString(isa.SeqStart))
+		} else {
+			fmt.Fprintf(&b, " last=%s(succ %s)", isa.SeqString(last.Seq), isa.SeqString(last.Succ))
 		}
 	}
 	b.WriteString("\n")

@@ -452,3 +452,19 @@ func TestSubmitOffTopMatchesMapLookup(t *testing.T) {
 	}
 	t.Logf("random streams: %d caller-later and %d child-early requests off the issue point", callerLater, childEarly)
 }
+
+// TestDebugStateNamesChainPosition pins the chain position the deadlock and
+// watchdog dumps print: "^" at a wave start, then the last issued
+// operation and its successor.
+func TestDebugStateNamesChainPosition(t *testing.T) {
+	e := NewEngine(0, func(*Request) {})
+	if got, want := e.DebugState(), "pending=0 top=ctx0 w0 last=^\n"; got != want {
+		t.Errorf("at a wave start DebugState = %q, want %q", got, want)
+	}
+	e.Submit(&Request{Kind: isa.MemStore, Seq: 3, Pred: isa.SeqStart, Succ: 9, Addr: 4})
+	e.Submit(&Request{Kind: isa.MemLoad, Seq: 5, Pred: isa.SeqWildcard, Succ: isa.SeqEnd, Addr: 6})
+	want := "pending=1 top=ctx0 w0 last=3(succ 9)\n  ctx0 w0: load ctx0 w0 ?.5.$ addr=6\n"
+	if got := e.DebugState(); got != want {
+		t.Errorf("mid-wave DebugState = %q, want %q", got, want)
+	}
+}

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Smoke-runs what `go test` never starts, because it has no test files: the
 # five examples, and wavec, waverun and wavesim (its -metrics table and both
-# trace exports) on a small wsl program. Any non-zero exit fails the script,
+# trace exports) on a small wsl program, whose printed binary waverun then
+# loads back, so the loader's checks run on real printed assembly. Any non-zero exit fails the script,
 # which then prints the failing command's output. Run it from the repository
 # root (`make smoke`).
 set -euo pipefail
@@ -53,6 +54,8 @@ EOF
 run wavec-stats "$dir/bin/wavec" -stats "$dir/smoke.wsl"
 run wavec-select-dot "$dir/bin/wavec" -select -dot main "$dir/smoke.wsl"
 run waverun "$dir/bin/waverun" "$dir/smoke.wsl"
+run wavec-asm bash -c "'$dir/bin/wavec' -unroll 1 '$dir/smoke.wsl' > '$dir/smoke.wsa'"
+run waverun-asm "$dir/bin/waverun" "$dir/smoke.wsa"
 run wavesim-baseline-metrics "$dir/bin/wavesim" -baseline -metrics "$dir/smoke.wsl"
 run wavesim-spec-trace "$dir/bin/wavesim" -mem spec -trace "$dir/smoke.jsonl" -trace-chrome "$dir/smoke.chrome.json" "$dir/smoke.wsl"
 run trace-files test -s "$dir/smoke.jsonl" -a -s "$dir/smoke.chrome.json"
