@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci check vet fmt-check build test test-short smoke loc tier1-time profile-sim profile-compile bench-test race race-compile soak bench bench-ledger bench-ab bench-micro fuzz fuzz-diff corpus
+.PHONY: ci check vet fmt-check build test test-short memopt-wide smoke loc tier1-time profile-sim profile-compile bench-test race race-compile soak bench bench-ledger bench-ab bench-micro fuzz fuzz-diff corpus
 
 ci: vet fmt-check build test race
 
@@ -16,8 +16,9 @@ ci: vet fmt-check build test race
 # covers the harness -j fan-out and the service), plus the compile path's
 # stages and the short service soak under -race, a corpus-differential fuzz
 # smoke, the benchmark module's own smoke tests, a run of the examples
-# and the compile / run / simulate commands, and the suite under -short.
-check: vet fmt-check build test test-short smoke bench-test race-compile soak fuzz-diff
+# and the compile / run / simulate commands, the suite under -short, and
+# the memory tier against its reference on the wide corpus.
+check: vet fmt-check build test test-short memopt-wide smoke bench-test race-compile soak fuzz-diff
 
 vet:
 	$(GO) vet ./...
@@ -37,6 +38,15 @@ test:
 # of `make check`; not part of tier-1.
 test-short:
 	$(GO) test -short ./...
+
+# memopt-wide holds the memory tier to its map-based reference (the passes
+# as first written, kept in internal/cfgir/reference_test.go) on 1,022
+# builds: CorpusSpecs(300, 1), CorpusSpecs(200, 7), the kernels and a wide
+# block, each at unroll 1 and 4 — IR text and every MemOptStats counter.
+# Tier-1 runs the same test on the kernels and CorpusSpecs(100, 1). Part of
+# `make check`.
+memopt-wide:
+	$(GO) test -count=1 -run '^TestOptimizeMemoryMatchesMapReference$$' ./internal/cfgir -memopt-wide
 
 # smoke starts what `go test` cannot, because it has no test files: the five
 # examples, and wavec -stats, wavec -select -dot main, waverun, wavesim
@@ -132,13 +142,16 @@ soak:
 # a soak; crashes land in testdata/fuzz/ as usual. FuzzServeRequests sends
 # arbitrary bodies to waved's three POST endpoints; FuzzLoadAndRun runs
 # whatever assembly the loader accepts on the interpreter and in the four
-# WaveCache memory modes, each under a small bound.
+# WaveCache memory modes, each under a small bound. FUZZMIN bounds the
+# minimization of each new interesting input, which at Go's default of 60s
+# can spend the whole burst on a handful of inputs.
 FUZZTIME ?= 10s
+FUZZMIN ?= 2s
 
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/asm
-	$(GO) test -run='^$$' -fuzz=FuzzServeRequests -fuzztime=$(FUZZTIME) ./internal/serve
-	$(GO) test -run='^$$' -fuzz=FuzzLoadAndRun -fuzztime=$(FUZZTIME) .
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN) ./internal/asm
+	$(GO) test -run='^$$' -fuzz=FuzzServeRequests -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN) ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzLoadAndRun -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN) .
 
 # fuzz-diff is the corpus-differential smoke: generated programs across
 # all workload families, each checked for agreement across the seven

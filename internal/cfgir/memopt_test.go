@@ -282,7 +282,8 @@ func TestMemOptIdempotent(t *testing.T) {
 func memOps(p *Program) int {
 	n := 0
 	for _, f := range p.Funcs {
-		n += int(countMemOps(f))
+		loads, stores := countMemOps(f)
+		n += int(loads + stores)
 	}
 	return n
 }

@@ -1,6 +1,8 @@
 package cfgir
 
 import (
+	"flag"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -286,27 +288,32 @@ func optimizeRef(p *Program) {
 	}
 }
 
-// optimizeMemoryRef is OptimizeMemory as first written: the tier on every
-// function, then the whole base pipeline on every function.
+// optimizeMemoryRef is OptimizeMemory as first written: the map-based
+// passes below on every function, every round recomputing constDefsRef,
+// then the whole base pipeline on every function.
 func optimizeMemoryRef(p *Program) MemOptStats {
 	var total MemOptStats
 	touches := p.MemTouches()
+	memOps := func(f *Func) int64 {
+		loads, stores := countMemOps(f)
+		return loads + stores
+	}
 	for _, f := range p.Funcs {
-		st := MemOptStats{MemBefore: countMemOps(f), InstrsBefore: countInstrs(f)}
+		st := MemOptStats{MemBefore: memOps(f), InstrsBefore: countInstrs(f)}
 		for round := 0; round < 4; round++ {
-			changed := forwardLocal(f, touches, &st)
-			constOf := constDefs(f)
-			if forwardMemory(f, touches, constOf, &st) {
+			changed := forwardLocalRef(f, touches, &st)
+			constOf := constDefsRef(f)
+			if forwardMemoryRef(f, touches, constOf, &st) {
 				changed = true
 			}
-			if eliminateDeadStores(f, touches, constOf, &st) {
+			if eliminateDeadStoresRef(f, touches, constOf, &st) {
 				changed = true
 			}
 			if !changed {
 				break
 			}
 		}
-		st.MemAfter = countMemOps(f)
+		st.MemAfter = memOps(f)
 		total.Add(st)
 	}
 	optimizeRef(p)
@@ -315,6 +322,508 @@ func optimizeMemoryRef(p *Program) MemOptStats {
 		total.InstrsAfter += countInstrs(f)
 	}
 	return total
+}
+
+// The memory tier as first written. Its facts are maps: every definition
+// scans every live fact for the register (killReg, forwardLocalRef's
+// killVal), every store scans them all for aliases, and each block of each
+// fixpoint iteration clones its entry map. OptimizeMemory's tables must
+// rewrite the same loads and delete the same stores.
+
+// constDefsRef maps every register defined exactly once, by a KConst, to its
+// constant value. Such a register holds that value at every use, so it can
+// serve as a canonical address key that survives block boundaries.
+func constDefsRef(f *Func) map[Reg]int64 {
+	defs := make(map[Reg]int)
+	val := make(map[Reg]int64)
+	isConst := make(map[Reg]bool)
+	for _, b := range f.Blocks {
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			if !in.HasDst() || in.Dst == NoReg {
+				continue
+			}
+			defs[in.Dst]++
+			if in.Kind == KConst {
+				val[in.Dst] = in.Imm
+				isConst[in.Dst] = true
+			}
+		}
+	}
+	out := make(map[Reg]int64)
+	for r, n := range defs {
+		if n == 1 && isConst[r] {
+			out[r] = val[r]
+		}
+	}
+	return out
+}
+
+// addrKey is a canonical memory address: the constant value for
+// single-definition constant registers, the register itself otherwise.
+type addrKey struct {
+	r       Reg
+	c       int64
+	isConst bool
+}
+
+func canonAddr(r Reg, constOf map[Reg]int64) addrKey {
+	if c, ok := constOf[r]; ok {
+		return addrKey{c: c, isConst: true}
+	}
+	return addrKey{r: r}
+}
+
+// factSet is the per-point fact map. nil means TOP (not yet computed —
+// every fact holds), used only as the optimistic dataflow initializer;
+// reachable program points always hold a concrete (possibly empty) map.
+type factSet map[addrKey]memFact
+
+func cloneFacts(s factSet) factSet {
+	out := make(factSet, len(s))
+	for k, v := range s {
+		out[k] = v
+	}
+	return out
+}
+
+// meetFacts intersects b into a (both non-TOP): facts must agree exactly.
+func meetFacts(a, b factSet) factSet {
+	for k, v := range a {
+		if bv, ok := b[k]; !ok || bv != v {
+			delete(a, k)
+		}
+	}
+	return a
+}
+
+func factsEqual(a, b factSet) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, v := range a {
+		if bv, ok := b[k]; !ok || bv != v {
+			return false
+		}
+	}
+	return true
+}
+
+// killReg drops every fact that mentions r as a register address or as the
+// value. Constant-keyed addresses are immune to register redefinition.
+func killReg(s factSet, r Reg) {
+	for k, v := range s {
+		if (!k.isConst && k.r == r) || v.val == r {
+			delete(s, k)
+		}
+	}
+}
+
+// transferFacts applies one instruction to the fact set without rewriting.
+func transferFacts(s factSet, in *Instr, touches []bool, constOf map[Reg]int64) {
+	switch in.Kind {
+	case KLoad:
+		killReg(s, in.Dst)
+		k := canonAddr(in.A, constOf)
+		// A load through its own destination register destroys the address
+		// (never constant-keyed: such a register has two definitions).
+		if _, ok := s[k]; !ok && in.A != in.Dst {
+			s[k] = memFact{val: in.Dst}
+		}
+		return
+	case KStore:
+		// A store kills every fact it may alias. Two constant addresses
+		// alias only when equal; every other pairing must be assumed to.
+		k := canonAddr(in.A, constOf)
+		for fk := range s {
+			if !(fk.isConst && k.isConst && fk.c != k.c) {
+				delete(s, fk)
+			}
+		}
+		s[k] = memFact{val: in.B, fromStore: true}
+		return
+	case KCall:
+		if touches[in.Callee] {
+			for k := range s {
+				delete(s, k)
+			}
+		}
+	}
+	if in.HasDst() {
+		killReg(s, in.Dst)
+	}
+}
+
+// forwardMemoryRef is the availability dataflow plus rewriting: loads whose
+// address has a known memory fact become register moves. Returns whether
+// anything was rewritten.
+func forwardMemoryRef(f *Func, touches []bool, constOf map[Reg]int64, st *MemOptStats) bool {
+	n := len(f.Blocks)
+	preds := f.Preds()
+	out := make([]factSet, n) // nil = TOP
+	rpo := f.rpo()
+
+	// Fixpoint over block summaries. Termination: out sets start at TOP and
+	// only ever shrink (the meet is intersection, every transfer is
+	// monotone), so the loop must run until stable — stopping early would
+	// leave sets too large, which is the unsound direction.
+	for {
+		changed := false
+		for _, bi := range rpo {
+			b := f.Blocks[bi]
+			in := entryFacts(f, bi, preds[bi], out)
+			for i := range b.Instrs {
+				transferFacts(in, &b.Instrs[i], touches, constOf)
+			}
+			if out[bi] == nil || !factsEqual(out[bi], in) {
+				out[bi] = in
+				changed = true
+			}
+		}
+		if !changed {
+			break
+		}
+	}
+
+	// Rewrite pass: replay each block from its (now stable) entry facts,
+	// replacing loads the facts cover with or-moves. The fact's provenance
+	// picks the counter; crossing a block boundary upgrades reuse to
+	// promotion (scalar replacement).
+	rewrote := false
+	for bi, b := range f.Blocks {
+		facts := entryFacts(f, bi, preds[bi], out)
+		entry := cloneFacts(facts) // facts inherited from predecessors
+		for i := range b.Instrs {
+			ins := &b.Instrs[i]
+			if ins.Kind == KLoad {
+				k := canonAddr(ins.A, constOf)
+				if fact, ok := facts[k]; ok && fact.val != ins.Dst {
+					fromEntry := false
+					if ef, ok := entry[k]; ok && ef == fact {
+						fromEntry = true
+					}
+					switch {
+					case fact.fromStore:
+						st.StoresForwarded++
+					case fromEntry:
+						st.LoadsPromoted++
+					default:
+						st.LoadsReused++
+					}
+					*ins = Instr{Kind: KAlu, Op: isa.OpOr, Dst: ins.Dst, A: fact.val, B: fact.val}
+					rewrote = true
+					// The move redefines Dst exactly as the load did; fall
+					// through to the normal transfer below.
+				}
+			}
+			transferFacts(facts, ins, touches, constOf)
+			// Entry-provenance facts die the same way live facts do.
+			for k, v := range entry {
+				if fv, ok := facts[k]; !ok || fv != v {
+					delete(entry, k)
+				}
+			}
+		}
+	}
+	return rewrote
+}
+
+// forwardLocalRef is the block-local, value-numbered companion to
+// forwardMemoryRef. Where the dataflow pass keys facts by canonical address
+// (and so only sees single-definition constant registers across blocks),
+// this pass proves two *computed* addresses equal within a block: every
+// register value gets a number — constants by value, ALU results by
+// (op, operand numbers), everything else (block inputs, loads, calls) a
+// fresh opaque number — and memory facts key on the address's number.
+// Numbers name values, not registers, so redefining an address register
+// does not invalidate a fact; facts still die when their value register
+// is redefined, on stores to addresses not provably distinct (only two
+// distinct constants are provably distinct), and on calls into memory-
+// touching callees. Soundness of the rewrite is the usual same-block
+// argument: the covering access executes earlier in the same block
+// through a provably equal address, so the load's value and its trap
+// (if the address is bad, the earlier access faulted first) are both
+// preserved.
+func forwardLocalRef(f *Func, touches []bool, st *MemOptStats) bool {
+	rewrote := false
+	type aluKey struct {
+		op   isa.Opcode
+		a, b int
+	}
+	// Every value number carries a linear term (root number + constant
+	// offset): constants are {root 0, c}; adding or subtracting a constant
+	// shifts the offset; everything else roots at itself with offset 0.
+	// Two addresses with the same root and different offsets are provably
+	// distinct — int64 addition is injective in its constant addend — which
+	// is what disambiguates posX[i] from posY[i] (same index root, two
+	// array bases) and a[i] from a[i+1] across unrolled loop bodies.
+	type term struct {
+		root int
+		off  int64
+	}
+	for _, b := range f.Blocks {
+		nextVN := 0
+		vn := make(map[Reg]int)     // register -> number of its current value
+		terms := make(map[int]term) // number -> linear decomposition
+		termVN := make(map[term]int)
+		aluVN := make(map[aluKey]int)
+		// pairVN canonicalizes a sum or difference of two non-constant
+		// values as a synthetic root, so `(r*20 + c) + 1` and `r*20 + (c+1)`
+		// normalize to the same root with offsets 0 and 1 (substituted
+		// induction variables in unrolled bodies keep the builder's
+		// left-associated shape, so pairing one level deep is enough).
+		pairVN := make(map[aluKey]int)
+		facts := make(map[int]memFact) // address number -> known content
+		fresh := func() int {
+			nextVN++
+			terms[nextVN] = term{root: nextVN}
+			termVN[term{root: nextVN}] = nextVN
+			return nextVN
+		}
+		vnFor := func(t term) int {
+			if v, ok := termVN[t]; ok {
+				return v
+			}
+			nextVN++
+			terms[nextVN] = t
+			termVN[t] = nextVN
+			return nextVN
+		}
+		getVN := func(r Reg) int {
+			if v, ok := vn[r]; ok {
+				return v
+			}
+			v := fresh() // block input: opaque but stable value
+			vn[r] = v
+			return v
+		}
+		killVal := func(r Reg) {
+			for k, v := range facts {
+				if v.val == r {
+					delete(facts, k)
+				}
+			}
+		}
+		for i := range b.Instrs {
+			ins := &b.Instrs[i]
+			switch ins.Kind {
+			case KConst:
+				killVal(ins.Dst)
+				vn[ins.Dst] = vnFor(term{root: 0, off: ins.Imm})
+			case KAlu:
+				av := getVN(ins.A)
+				bv := av
+				if ins.Op.NumInputs() == 2 {
+					bv = getVN(ins.B)
+				}
+				ta, tb := terms[av], terms[bv]
+				if ins.Op.NumInputs() == 1 {
+					tb = term{root: 0} // unary ops ignore B; EvalALU takes 0
+				}
+				var v int
+				switch {
+				case ta.root == 0 && tb.root == 0:
+					// All operands constant: the value is too.
+					v = vnFor(term{root: 0, off: isa.EvalALU(ins.Op, ta.off, tb.off)})
+				case ins.Op == isa.OpAdd && ta.root == 0:
+					v = vnFor(term{root: tb.root, off: tb.off + ta.off})
+				case ins.Op == isa.OpAdd && tb.root == 0:
+					v = vnFor(term{root: ta.root, off: ta.off + tb.off})
+				case ins.Op == isa.OpSub && tb.root == 0:
+					v = vnFor(term{root: ta.root, off: ta.off - tb.off})
+				case ins.Op == isa.OpAdd:
+					// Sum of two non-constants: root on the canonical
+					// (commutative) pair of roots, offsets add.
+					ra, rb := ta.root, tb.root
+					if ra > rb {
+						ra, rb = rb, ra
+					}
+					p, ok := pairVN[aluKey{isa.OpAdd, ra, rb}]
+					if !ok {
+						p = fresh()
+						pairVN[aluKey{isa.OpAdd, ra, rb}] = p
+					}
+					v = vnFor(term{root: p, off: ta.off + tb.off})
+				case ins.Op == isa.OpSub:
+					p, ok := pairVN[aluKey{isa.OpSub, ta.root, tb.root}]
+					if !ok {
+						p = fresh()
+						pairVN[aluKey{isa.OpSub, ta.root, tb.root}] = p
+					}
+					v = vnFor(term{root: p, off: ta.off - tb.off})
+				default:
+					k := aluKey{ins.Op, av, bv}
+					var ok bool
+					if v, ok = aluVN[k]; !ok {
+						v = fresh()
+						aluVN[k] = v
+					}
+				}
+				killVal(ins.Dst)
+				vn[ins.Dst] = v
+			case KLoad:
+				av := getVN(ins.A)
+				if fact, ok := facts[av]; ok && fact.val != ins.Dst {
+					if fact.fromStore {
+						st.StoresForwarded++
+					} else {
+						st.LoadsReused++
+					}
+					src := fact.val
+					*ins = Instr{Kind: KAlu, Op: isa.OpOr, Dst: ins.Dst, A: src, B: src}
+					rewrote = true
+					killVal(ins.Dst)
+					vn[ins.Dst] = getVN(src) // the move copies src's value
+					continue
+				}
+				killVal(ins.Dst)
+				vn[ins.Dst] = fresh()
+				facts[av] = memFact{val: ins.Dst}
+			case KStore:
+				av := getVN(ins.A)
+				ta := terms[av]
+				for k := range facts {
+					if k == av {
+						continue // overwritten just below
+					}
+					if tk := terms[k]; tk.root == ta.root && tk.off != ta.off {
+						continue // same root, different offset: cannot alias
+					}
+					delete(facts, k)
+				}
+				facts[av] = memFact{val: ins.B, fromStore: true}
+			case KCall:
+				if touches[ins.Callee] {
+					facts = make(map[int]memFact)
+				}
+				killVal(ins.Dst)
+				vn[ins.Dst] = fresh()
+			default:
+				if ins.HasDst() {
+					killVal(ins.Dst)
+					vn[ins.Dst] = fresh()
+				}
+			}
+		}
+	}
+	return rewrote
+}
+
+// entryFacts computes a block's entry fact set: the meet over predecessor
+// outs (TOP preds are skipped — optimistic initialization), empty for the
+// entry block and for blocks whose predecessors are all TOP.
+func entryFacts(f *Func, bi int, preds []int, out []factSet) factSet {
+	if bi == f.Entry || len(preds) == 0 {
+		return factSet{}
+	}
+	var in factSet
+	for _, p := range preds {
+		if out[p] == nil {
+			continue // TOP: identity of the meet
+		}
+		if in == nil {
+			in = cloneFacts(out[p])
+		} else {
+			in = meetFacts(in, out[p])
+		}
+	}
+	if in == nil {
+		return factSet{}
+	}
+	return in
+}
+
+// eliminateDeadStoresRef deletes a store when the next memory-touching event
+// in its own block is another store through the same canonical address,
+// with only pure non-trapping instructions between. The window is
+// deliberately local: the overwriting store always executes once the dead
+// one has (same block, no intervening trap source), so deletion preserves
+// the final memory image, the trap schedule, and every load's value.
+func eliminateDeadStoresRef(f *Func, touches []bool, constOf map[Reg]int64, st *MemOptStats) bool {
+	changed := false
+	for _, b := range f.Blocks {
+		keep := b.Instrs[:0]
+		for i := 0; i < len(b.Instrs); i++ {
+			in := b.Instrs[i]
+			if in.Kind == KStore && storeIsDeadRef(b, i, constOf) {
+				st.DeadStores++
+				changed = true
+				continue
+			}
+			keep = append(keep, in)
+		}
+		b.Instrs = keep
+	}
+	return changed
+}
+
+// storeIsDeadRef reports whether the store at b.Instrs[i] is overwritten
+// before any possible observer.
+func storeIsDeadRef(b *Block, i int, constOf map[Reg]int64) bool {
+	key := canonAddr(b.Instrs[i].A, constOf)
+	for j := i + 1; j < len(b.Instrs); j++ {
+		in := &b.Instrs[j]
+		switch in.Kind {
+		case KStore:
+			return canonAddr(in.A, constOf) == key
+		case KLoad:
+			return false
+		case KCall:
+			return false
+		}
+		if in.HasDst() && !key.isConst && in.Dst == key.r {
+			return false
+		}
+	}
+	return false
+}
+
+var memoptWide = flag.Bool("memopt-wide", false,
+	"hold the memory tier to its map-based reference on CorpusSpecs(300, 1) and CorpusSpecs(200, 7) too (make memopt-wide)")
+
+// TestOptimizeMemoryMatchesMapReference: the tier's tables rewrite the same
+// loads and delete the same stores as the map-based passes they replaced —
+// the IR text and every MemOptStats counter are equal on the kernels,
+// CorpusSpecs(100, 1) and the benchmark's wide block at unroll 1 and 4;
+// with -memopt-wide, on CorpusSpecs(300, 1) and CorpusSpecs(200, 7) in
+// place of the 100.
+func TestOptimizeMemoryMatchesMapReference(t *testing.T) {
+	specs := testprogs.CorpusSpecs(100, 1)
+	if *memoptWide {
+		specs = append(testprogs.CorpusSpecs(300, 1), testprogs.CorpusSpecs(200, 7)...)
+	}
+	type subject struct{ name, src string }
+	subjects := []subject{{"wide block", wideBlockSrc(150)}}
+	for _, s := range workloads.Names() {
+		subjects = append(subjects, subject{s, workloads.ByName(s).Src})
+	}
+	for _, spec := range specs {
+		subjects = append(subjects, subject{spec.Name(), workloads.ByName(spec.Name()).Src})
+	}
+	var total MemOptStats
+	builds := 0
+	for _, s := range subjects {
+		for _, unroll := range []int{1, 4} {
+			got, _, _, err := FromSource(s.src, unroll, 0)
+			if err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			want := got.Clone()
+			gotSt, wantSt := got.OptimizeMemory(), optimizeMemoryRef(want)
+			if gotSt != wantSt {
+				t.Fatalf("%s unroll %d: counters %+v, map reference %+v", s.name, unroll, gotSt, wantSt)
+			}
+			if g, w := got.String(), want.String(); g != w {
+				t.Fatalf("%s unroll %d: IR differs from the map reference\n got:\n%s\n want:\n%s", s.name, unroll, g, w)
+			}
+			total.Add(gotSt)
+			builds++
+		}
+	}
+	if total.MemBefore == total.MemAfter {
+		t.Fatal("the tier removed no memory operation; the comparison shows nothing")
+	}
+	t.Logf("%d builds equal; %d memory operations removed", builds, total.MemBefore-total.MemAfter)
 }
 
 // roundBoundSrc needs more than four rounds of the base pipeline: each
@@ -666,31 +1175,68 @@ func largestFunc(p *Program) (fi, instrs int) {
 	return fi, instrs
 }
 
-// benchPass times pass on a fresh copy of the IR at optLevel per iteration
-// (the passes rewrite their input; cloning is outside the timer). It counts
-// to b.N itself: go1.24's b.Loop never finishes at the default -benchtime
-// when the body stops and restarts the timer.
+// benchPass times pass on a fresh copy of each subject's IR at optLevel.
 func benchPass(b *testing.B, optLevel int, pass func(*Program)) {
 	for _, s := range benchSubjects {
-		p := mustFromSource(b, s, 4, optLevel)
-		b.Run(s, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				c := p.Clone()
-				b.StartTimer()
-				pass(c)
-			}
-		})
+		benchOn(b, s, mustFromSource(b, s, 4, optLevel), pass)
 	}
+}
+
+// benchOn times pass on a fresh copy of p per iteration (the passes rewrite
+// their input; cloning is outside the timer). It counts to b.N itself:
+// go1.24's b.Loop never finishes at the default -benchtime when the body
+// stops and restarts the timer.
+func benchOn(b *testing.B, name string, p *Program, pass func(*Program)) {
+	b.Run(name, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			c := p.Clone()
+			b.StartTimer()
+			pass(c)
+		}
+	})
 }
 
 func BenchmarkOptimize(b *testing.B) {
 	benchPass(b, OptNone, func(p *Program) { p.Optimize() })
 }
 
+// BenchmarkOptimizeMemory adds a third subject, wideBlockSrc: one block
+// that holds hundreds of memory facts at once, where a tier that rescans
+// its facts on every definition or store is quadratic.
 func BenchmarkOptimizeMemory(b *testing.B) {
-	benchPass(b, 0, func(p *Program) { p.OptimizeMemory() })
+	pass := func(p *Program) { p.OptimizeMemory() }
+	benchPass(b, 0, pass)
+	p, _, _, err := FromSource(wideBlockSrc(150), 4, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchOn(b, "wide-block", p, pass)
+}
+
+// wideBlockSrc is a main of one straight-line block: n stores to constant
+// addresses of a and a reload of each, then n stores through one computed
+// base into b and a reload of each, every store of a value of its own. At
+// n = 150 the block is 1,953 instructions at -O0, and each reload
+// meets up to n live facts.
+func wideBlockSrc(n int) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "global a[%d];\nglobal b[%d];\nfunc main() {\n\tvar x = a[0];\n\tvar s = 0;\n", n, 2*n)
+	for k := 0; k < n; k++ {
+		fmt.Fprintf(&sb, "\ta[%d] = x * 3 + %d;\n", k, k)
+	}
+	for k := n - 1; k >= 0; k-- {
+		fmt.Fprintf(&sb, "\ts = s + a[%d];\n", k)
+	}
+	for k := 0; k < n; k++ {
+		fmt.Fprintf(&sb, "\tb[x + %d] = x + %d;\n", k, 2*k)
+	}
+	for k := n - 1; k >= 0; k-- {
+		fmt.Fprintf(&sb, "\ts = s + b[x + %d];\n", k)
+	}
+	sb.WriteString("\treturn s;\n}\n")
+	return sb.String()
 }
 
 // BenchmarkLocalCSE runs the pass over every block of the largest

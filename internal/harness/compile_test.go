@@ -239,6 +239,9 @@ func TestCompileSourceErrorsNameProgramAndStage(t *testing.T) {
 	}{
 		{"syntax", "func main() { return 1 }", "syntax: frontend: "},
 		{"undeclared", "func main() { return y; }", "undeclared: frontend: "},
+		// A data segment past isa.MaxMemWords is refused, with its
+		// position, before any engine allocates it.
+		{"huge", "global a[999999999999999];\nfunc main() { a[0] = 1; return a[0]; }", "huge: frontend: 1:1: "},
 		// Past the end of memory: the linear emulator traps first.
 		{"trap", "global a[4];\nfunc main() { var i = 2; a[i + 5] = 1; return a[0]; }", "trap: linear emulator: "},
 		// b[-1] is a valid word of a, so the emulator's flat-memory check

@@ -1,6 +1,10 @@
 package lang
 
-import "fmt"
+import (
+	"fmt"
+
+	"wavescalar/internal/isa"
+)
 
 // Layout assigns every global an address in the flat 64-bit-word address
 // space. It is shared by the evaluator and by both compiler backends so all
@@ -47,6 +51,17 @@ func Check(f *File) error {
 			continue
 		}
 		c.globals[g.Name] = g
+	}
+	// BuildLayout places every global, so every one counts. The sum stays
+	// within [0, isa.MaxMemWords] while it is compared, so it cannot
+	// overflow whatever a size is.
+	words := int64(0)
+	for _, g := range f.Globals {
+		if g.Size > isa.MaxMemWords-words {
+			c.errorf(g.Pos, "global %q (%d words) puts the data segment over %d words", g.Name, g.Size, isa.MaxMemWords)
+			break
+		}
+		words += g.Size
 	}
 	for _, fn := range f.Funcs {
 		if _, dup := c.funcs[fn.Name]; dup {

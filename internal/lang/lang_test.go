@@ -1,8 +1,11 @@
 package lang
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"wavescalar/internal/isa"
 )
 
 func TestLexBasics(t *testing.T) {
@@ -136,6 +139,28 @@ func TestCheckErrors(t *testing.T) {
 	for name, src := range bad {
 		if _, err := ParseAndCheck(src); err == nil {
 			t.Errorf("%s: checker accepted %q", name, src)
+		}
+	}
+}
+
+// TestCheckBoundsDataSegment: the globals together may fill the address
+// space an engine allocates, isa.MaxMemWords words, and no more; the error
+// names the global that crosses the bound, at its position, for any size an
+// int64 literal can spell, and Check allocates nothing of that size.
+func TestCheckBoundsDataSegment(t *testing.T) {
+	full := fmt.Sprintf("global a[%d];\nglobal b[%d];\nfunc main() { return 0; }", isa.MaxMemWords-1, 1)
+	if _, err := ParseAndCheck(full); err != nil {
+		t.Errorf("a data segment of exactly %d words: %v", isa.MaxMemWords, err)
+	}
+	for _, tc := range []struct{ src, want string }{
+		{fmt.Sprintf("global a[%d];\nglobal b[%d];\nfunc main() { return 0; }", isa.MaxMemWords, 1), `2:1: global "b"`},
+		{"global a[999999999999999];\nfunc main() { a[0] = 1; return a[0]; }", `1:1: global "a"`},
+		{"global a[9223372036854775807];\nglobal b[9223372036854775807];\nfunc main() { return 0; }", `1:1: global "a"`},
+		{"global a[4];\nglobal b[9223372036854775807];\nfunc main() { return 0; }", `2:1: global "b"`},
+	} {
+		_, err := ParseAndCheck(tc.src)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) || !strings.Contains(err.Error(), "data segment") {
+			t.Errorf("%q: error %v, want one starting %q about the data segment", tc.src, err, tc.want)
 		}
 	}
 }

@@ -621,6 +621,22 @@ func TestCompileEndpoint(t *testing.T) {
 	}
 }
 
+// TestCompileRefusesOversizedDataSegment: a program whose globals exceed
+// the address space is the request's fault, a 400 from the checker, not a
+// compiler panic reported as CodeInternal.
+func TestCompileRefusesOversizedDataSegment(t *testing.T) {
+	s, client := newTestServer(t, testConfig())
+	defer s.StopJanitor()
+	_, apiErr, err := client.Compile(context.Background(), CompileRequest{
+		Source: "global a[999999999999999];\nfunc main() { a[0] = 1; return a[0]; }"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if apiErr == nil || apiErr.Code != CodeInvalid || apiErr.Status != 400 || !strings.Contains(apiErr.Error, "data segment") {
+		t.Fatalf("expected 400 invalid naming the data segment, got %+v", apiErr)
+	}
+}
+
 func TestSweepEndpointMatchesDirectCorpus(t *testing.T) {
 	cfg := testConfig()
 	cfg.CacheDir = t.TempDir()
