@@ -98,14 +98,17 @@ profile-sim:
 	$(GO) tool pprof -top -nodecount 40 $(PROFDIR)/wavecache.test $(PROFDIR)/sim.cpu.out
 
 # profile-compile is profile-sim's twin for the compile path, not part of
-# tier-1: a CPU profile of BenchmarkCompileSource (every binary and the
-# reference runs at both optimizer tiers) and pprof's flat top, the share
-# a compile host-speed change opens with.
+# tier-1: CPU and allocation profiles of BenchmarkCompileSource (every
+# binary and the reference runs at both optimizer tiers), then pprof's flat
+# top of each — the CPU and byte shares a compile host-speed change opens
+# with.
 profile-compile:
 	mkdir -p $(PROFDIR)
-	$(GO) test -run '^$$' -bench '^BenchmarkCompileSource$$' -benchtime 2s \
-		-cpuprofile $(abspath $(PROFDIR))/compile.cpu.out -o $(abspath $(PROFDIR))/harness.test ./internal/harness
+	$(GO) test -run '^$$' -bench '^BenchmarkCompileSource$$' -benchtime 2s -benchmem \
+		-cpuprofile $(abspath $(PROFDIR))/compile.cpu.out -memprofile $(abspath $(PROFDIR))/compile.mem.out \
+		-o $(abspath $(PROFDIR))/harness.test ./internal/harness
 	$(GO) tool pprof -top -nodecount 40 $(PROFDIR)/harness.test $(PROFDIR)/compile.cpu.out
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 25 $(PROFDIR)/harness.test $(PROFDIR)/compile.mem.out
 
 # bench/ is its own module (replace wavescalar => ../), so the root
 # `go vet ./...` and `go test ./...` do not reach it: this is the fence
@@ -122,8 +125,8 @@ race:
 # race-compile is the part of the race pass that belongs in the pre-commit
 # gate: one CompileSource runs its stages — evaluator, emulator, the
 # lowerings — on goroutines of their own, so the tests that drive it, the
-# passes it overlaps and waved's compile cache run under the detector on
-# every check (well under a minute; the full harness pass above is ten).
+# passes it overlaps, the scratch pools they share and waved's compile
+# cache run under the detector on every check (about a minute; the full harness pass above is ten).
 race-compile:
 	$(GO) test -race -run 'TestCompileSource|TestIfConvert|TestEvaluatorsShareAFile|TestCompileCache' ./internal/harness ./internal/cfgir ./internal/lang ./internal/serve
 

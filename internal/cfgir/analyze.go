@@ -1,6 +1,9 @@
 package cfgir
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // RegSet is a bitset over virtual registers.
 type RegSet []uint64
@@ -49,14 +52,16 @@ func (s RegSet) UnionWith(o RegSet) bool {
 func (s RegSet) Clone() RegSet { return append(RegSet(nil), s...) }
 
 // Members lists the registers in ascending order.
-func (s RegSet) Members() []Reg {
-	var out []Reg
+func (s RegSet) Members() []Reg { return s.AppendMembers(nil) }
+
+// AppendMembers appends the registers to buf in ascending order.
+func (s RegSet) AppendMembers(buf []Reg) []Reg {
 	for wi, w := range s {
 		for ; w != 0; w &= w - 1 {
-			out = append(out, Reg(wi*64+bits.TrailingZeros64(w)))
+			buf = append(buf, Reg(wi*64+bits.TrailingZeros64(w)))
 		}
 	}
-	return out
+	return buf
 }
 
 // Count returns the cardinality.
@@ -166,28 +171,49 @@ func (f *Func) LoopHeaders() map[int]bool {
 }
 
 // Liveness computes per-block live-in and live-out register sets with the
-// standard backward iterative dataflow. The function must be compacted.
+// standard backward iterative dataflow, into sets of their own. The
+// function must be compacted.
 func (f *Func) Liveness() (liveIn, liveOut []RegSet) {
+	var l LiveSets
+	l.Compute(f)
+	return l.In, l.Out
+}
+
+// LiveSets is liveness storage that Compute refills: the per-block live-in
+// and live-out sets of the function last computed. A pass that recomputes
+// liveness keeps one and pays for its storage once; the sets of one
+// Compute are overwritten by the next.
+type LiveSets struct {
+	In, Out []RegSet
+	sets    []RegSet // In, Out, then each block's definitions
+	slab    []uint64 // the sets' words
+	buf     []Reg
+}
+
+// Compute fills l with f's liveness. The function must be compacted.
+func (l *LiveSets) Compute(f *Func) {
 	n := len(f.Blocks)
 	words := (f.NumRegs + 63) / 64
-	slab := make([]uint64, 4*n*words)
-	sets := func() []RegSet {
-		out := make([]RegSet, n)
-		for i := range out {
-			out[i], slab = slab[:words:words], slab[words:]
-		}
-		return out
+	slab := slices.Grow(l.slab[:0], 3*n*words)[:3*n*words]
+	clear(slab)
+	l.slab = slab
+	sets := slices.Grow(l.sets[:0], 3*n)[:3*n]
+	l.sets = sets
+	for i := range sets {
+		sets[i], slab = slab[:words:words], slab[words:]
 	}
-	liveIn, liveOut = sets(), sets()
-	use, def := sets(), sets()
-	var buf []Reg
+	liveIn, liveOut, def := sets[:n:n], sets[n:2*n:2*n], sets[2*n:]
+	l.In, l.Out = liveIn, liveOut
+	// A block's live-in set starts as the registers it reads before it
+	// writes them.
 	for i, b := range f.Blocks {
+		use := liveIn[i]
 		for j := range b.Instrs {
 			in := &b.Instrs[j]
-			buf = in.Uses(buf[:0])
-			for _, r := range buf {
+			l.buf = in.Uses(l.buf[:0])
+			for _, r := range l.buf {
 				if !def[i].Has(r) {
-					use[i].Add(r)
+					use.Add(r)
 				}
 			}
 			if in.HasDst() {
@@ -197,16 +223,18 @@ func (f *Func) Liveness() (liveIn, liveOut []RegSet) {
 		switch b.Term.Kind {
 		case TBranch:
 			if !def[i].Has(b.Term.Cond) {
-				use[i].Add(b.Term.Cond)
+				use.Add(b.Term.Cond)
 			}
 		case TRet:
 			if !def[i].Has(b.Term.Val) {
-				use[i].Add(b.Term.Val)
+				use.Add(b.Term.Val)
 			}
 		}
 	}
 	// Iterate to fixpoint (postorder gives fast convergence; simple loop
-	// over all blocks is fine at our sizes).
+	// over all blocks is fine at our sizes). Live-in sets only grow and
+	// hold their uses from the start, so in ∪= out − def reaches the
+	// fixpoint of in = use ∪ (out − def).
 	for changed := true; changed; {
 		changed = false
 		for i := n - 1; i >= 0; i-- {
@@ -216,14 +244,12 @@ func (f *Func) Liveness() (liveIn, liveOut []RegSet) {
 					changed = true
 				}
 			}
-			// in = use ∪ (out − def), a word at a time.
 			for w := range in {
-				if v := in[w] | use[i][w] | out[w]&^def[i][w]; v != in[w] {
+				if v := in[w] | out[w]&^def[i][w]; v != in[w] {
 					in[w] = v
 					changed = true
 				}
 			}
 		}
 	}
-	return liveIn, liveOut
 }

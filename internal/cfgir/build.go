@@ -2,6 +2,8 @@ package cfgir
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"wavescalar/internal/isa"
 	"wavescalar/internal/lang"
@@ -25,8 +27,10 @@ func Build(file *lang.File) (*Program, error) {
 	for i, fn := range file.Funcs {
 		p.FuncIndex[fn.Name] = i
 	}
+	buf := buildBufs.Get().(*buildBuf)
+	defer buildBufs.Put(buf)
 	for _, fn := range file.Funcs {
-		b := &builder{prog: p, layout: layout, file: file}
+		b := &builder{prog: p, layout: layout, file: file, buf: buf}
 		irf, err := b.buildFunc(fn)
 		if err != nil {
 			return nil, err
@@ -43,7 +47,8 @@ type builder struct {
 	file   *lang.File
 
 	fn  *Func
-	cur *Block
+	cur *Block // the block being emitted into; enter moves on from it
+	buf *buildBuf
 
 	// vars maps source variable names to their dedicated registers, as a
 	// scope stack mirroring the checker's.
@@ -84,7 +89,54 @@ func (b *builder) lookup(name string) (Reg, bool) {
 	return NoReg, false
 }
 
-func (b *builder) emit(in Instr) { b.cur.Instrs = append(b.cur.Instrs, in) }
+// buildBuf is what a builder stages a function's instructions in, reused
+// by every function of a Build and, through buildBufs, by later Builds.
+// The builder only moves forward — it never enters a block it has left —
+// so each block's instructions are one run of instrs, and seal copies the
+// function out at its exact size. Between functions it holds nothing of
+// the program.
+type buildBuf struct {
+	instrs []Instr
+	runs   []run
+	open   int // where the current block's run starts
+}
+
+// run is one block's instructions, instrs[lo:hi].
+type run struct {
+	block  *Block
+	lo, hi int
+}
+
+var buildBufs = sync.Pool{New: func() any { return new(buildBuf) }}
+
+func (b *builder) emit(in Instr) { b.buf.instrs = append(b.buf.instrs, in) }
+
+// enter ends the current block's run and makes blk (nil for unreachable
+// code) the block emitted into.
+func (b *builder) enter(blk *Block) {
+	buf := b.buf
+	if b.cur != nil && len(buf.instrs) > buf.open {
+		buf.runs = append(buf.runs, run{block: b.cur, lo: buf.open, hi: len(buf.instrs)})
+	}
+	b.cur, buf.open = blk, len(buf.instrs)
+}
+
+// seal ends the last run and gives every block its instructions: one array
+// for the function, each block a run of it whose capacity is its length.
+func (b *builder) seal() {
+	b.enter(nil)
+	buf := b.buf
+	slab := slices.Clone(buf.instrs)
+	for _, r := range buf.runs {
+		if r.block.Instrs != nil {
+			panic("cfgir: builder re-entered a block it had left")
+		}
+		r.block.Instrs = slab[r.lo:r.hi:r.hi]
+	}
+	clear(buf.instrs) // the call-argument lists are the program's
+	clear(buf.runs)
+	buf.instrs, buf.runs, buf.open = buf.instrs[:0], buf.runs[:0], 0
+}
 
 func (b *builder) emitConst(v int64) Reg {
 	r := b.fn.NewReg()
@@ -113,7 +165,7 @@ func (b *builder) buildFunc(fn *lang.FuncDecl) (*Func, error) {
 	b.fn = &Func{Name: fn.Name}
 	entry := b.fn.NewBlock()
 	b.fn.Entry = entry.ID
-	b.cur = entry
+	b.enter(entry)
 	b.pushScope()
 	for _, pname := range fn.Params {
 		b.fn.Params = append(b.fn.Params, b.declare(pname))
@@ -124,6 +176,7 @@ func (b *builder) buildFunc(fn *lang.FuncDecl) (*Func, error) {
 		zero := b.emitConst(0)
 		b.setTerm(Term{Kind: TRet, Val: zero})
 	}
+	b.seal()
 	b.popScope()
 	if b.err != nil {
 		return nil, b.err
@@ -181,35 +234,35 @@ func (b *builder) buildStmt(s lang.Stmt) {
 			elseTarget = elseB.ID
 		}
 		b.setTerm(Term{Kind: TBranch, Cond: cond, Then: thenB.ID, Else: elseTarget})
-		b.cur = thenB
+		b.enter(thenB)
 		b.buildBlockStmt(s.Then)
 		if b.cur != nil {
 			b.setTerm(Term{Kind: TJump, Then: joinB.ID})
 		}
 		if s.Else != nil {
-			b.cur = elseB
+			b.enter(elseB)
 			b.buildStmt(s.Else)
 			if b.cur != nil {
 				b.setTerm(Term{Kind: TJump, Then: joinB.ID})
 			}
 		}
-		b.cur = joinB
+		b.enter(joinB)
 	case *lang.WhileStmt:
 		headB := b.fn.NewBlock()
 		bodyB := b.fn.NewBlock()
 		exitB := b.fn.NewBlock()
 		b.setTerm(Term{Kind: TJump, Then: headB.ID})
-		b.cur = headB
+		b.enter(headB)
 		cond := b.buildExpr(s.Cond)
 		b.setTerm(Term{Kind: TBranch, Cond: cond, Then: bodyB.ID, Else: exitB.ID})
 		b.loops = append(b.loops, loopCtx{breakTo: exitB.ID, continueTo: headB.ID})
-		b.cur = bodyB
+		b.enter(bodyB)
 		b.buildBlockStmt(s.Body)
 		if b.cur != nil {
 			b.setTerm(Term{Kind: TJump, Then: headB.ID})
 		}
 		b.loops = b.loops[:len(b.loops)-1]
-		b.cur = exitB
+		b.enter(exitB)
 	case *lang.ForStmt:
 		b.pushScope()
 		defer b.popScope()
@@ -221,7 +274,7 @@ func (b *builder) buildStmt(s lang.Stmt) {
 		postB := b.fn.NewBlock()
 		exitB := b.fn.NewBlock()
 		b.setTerm(Term{Kind: TJump, Then: headB.ID})
-		b.cur = headB
+		b.enter(headB)
 		if s.Cond != nil {
 			cond := b.buildExpr(s.Cond)
 			b.setTerm(Term{Kind: TBranch, Cond: cond, Then: bodyB.ID, Else: exitB.ID})
@@ -229,18 +282,18 @@ func (b *builder) buildStmt(s lang.Stmt) {
 			b.setTerm(Term{Kind: TJump, Then: bodyB.ID})
 		}
 		b.loops = append(b.loops, loopCtx{breakTo: exitB.ID, continueTo: postB.ID})
-		b.cur = bodyB
+		b.enter(bodyB)
 		b.buildBlockStmt(s.Body)
 		if b.cur != nil {
 			b.setTerm(Term{Kind: TJump, Then: postB.ID})
 		}
 		b.loops = b.loops[:len(b.loops)-1]
-		b.cur = postB
+		b.enter(postB)
 		if s.Post != nil {
 			b.buildStmt(s.Post)
 		}
 		b.setTerm(Term{Kind: TJump, Then: headB.ID})
-		b.cur = exitB
+		b.enter(exitB)
 	case *lang.ReturnStmt:
 		var v Reg
 		if s.Val != nil {
@@ -249,15 +302,15 @@ func (b *builder) buildStmt(s lang.Stmt) {
 			v = b.emitConst(0)
 		}
 		b.setTerm(Term{Kind: TRet, Val: v})
-		b.cur = nil
+		b.enter(nil)
 	case *lang.BreakStmt:
 		lc := b.loops[len(b.loops)-1]
 		b.setTerm(Term{Kind: TJump, Then: lc.breakTo})
-		b.cur = nil
+		b.enter(nil)
 	case *lang.ContinueStmt:
 		lc := b.loops[len(b.loops)-1]
 		b.setTerm(Term{Kind: TJump, Then: lc.continueTo})
-		b.cur = nil
+		b.enter(nil)
 	case *lang.ExprStmt:
 		b.buildExpr(s.X)
 	default:
@@ -345,12 +398,12 @@ func (b *builder) buildShortCircuit(e *lang.BinaryExpr) Reg {
 	} else {
 		b.setTerm(Term{Kind: TBranch, Cond: lbool, Then: joinB.ID, Else: rhsB.ID})
 	}
-	b.cur = rhsB
+	b.enter(rhsB)
 	r := b.buildExpr(e.R)
 	zero2 := b.emitConst(0)
 	rbool := b.emitAlu(isa.OpNe, r, zero2)
 	b.copyTo(result, rbool)
 	b.setTerm(Term{Kind: TJump, Then: joinB.ID})
-	b.cur = joinB
+	b.enter(joinB)
 	return result
 }

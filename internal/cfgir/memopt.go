@@ -110,9 +110,15 @@ func (s *MemOptStats) Eliminated() int64 { return s.InstrsBefore - s.InstrsAfter
 // Optimize gave up on at its round bound gets the cleanup even when the
 // tier left it alone — those further rounds can still change it.
 func (p *Program) OptimizeMemory() MemOptStats {
+	s := getScratch()
+	defer putScratch(s)
+	return s.optimizeMemory(p)
+}
+
+// optimizeMemory is OptimizeMemory on s.
+func (sc *scratch) optimizeMemory(p *Program) MemOptStats {
 	var total MemOptStats
-	var s optScratch
-	var m memScratch
+	s, m := &sc.opt, &sc.mem
 	touches := p.MemTouches()
 	for _, f := range p.Funcs {
 		loads, stores := countMemOps(f)
@@ -227,11 +233,11 @@ type memFact struct {
 	fromStore bool
 }
 
-// memScratch is the memory tier's working state, made once per
-// OptimizeMemory call and reused by every function, round and block, as
-// optScratch is by the base passes: what a pass knows about a register or a
-// value number lives in a table slot stamped with the function or block
-// pass that last wrote it, so starting one clears nothing.
+// memScratch is the memory tier's working state, reused by every function,
+// round and block and, through scratches, by later calls, as optScratch is
+// by the base passes: what a pass knows about a register or a value number
+// lives in a table slot stamped with the function or block pass that last
+// wrote it, so starting one clears nothing.
 type memScratch struct {
 	// constDefs, per function: each register's definition count and, for
 	// a single-definition constant, its address key.

@@ -34,7 +34,13 @@ import (
 // same point and emit the same IR as rounds that run every pass on every
 // block (TestOptimizeMatchesRunEverythingReference).
 func (p *Program) Optimize() {
-	var s optScratch
+	s := getScratch()
+	defer putScratch(s)
+	s.opt.optimizeAll(p)
+}
+
+// optimizeAll is Optimize on s.
+func (s *optScratch) optimizeAll(p *Program) {
 	for _, f := range p.Funcs {
 		s.optimize(f)
 	}
@@ -85,29 +91,35 @@ func (s *optScratch) optimize(f *Func) {
 	}
 }
 
-// optScratch is the working state of the two block-local passes, made once
-// per Optimize call and reused by every block of every function and round.
+// optScratch is the working state of the base passes, reused by every
+// block of every function and round and, through scratches, by later
+// calls.
 // What a pass knows about a register lives in a table indexed by Reg, each
 // slot stamped with the block pass that last wrote it: a slot with another
 // stamp is empty, so starting a block pass is one increment and clears
-// nothing, and the slices inside a slot keep their capacity from block to
-// block.
+// nothing. localCSE's expressions and per-register lists live in arrays
+// the block pass starts empty, so a slot is 32 bytes with no pointer.
 type optScratch struct {
-	epoch uint32 // the current block pass; never 0, a fresh slot's stamp
-	regs  []regFacts
-	avail map[cseKey]Reg // localCSE: expression -> register holding it
-	loads []cseKey       // localCSE: load expressions since the last store or call
-	uses  []Reg          // eliminateDeadCode: one instruction's operands
+	epoch   uint32 // the current block pass; never 0, a fresh slot's stamp
+	regs    []regFacts
+	exprs   []cseKey       // localCSE: the expressions recorded in avail, in order
+	readers []link         // localCSE: the reader chains, newest first; a key indexes exprs
+	copies  []link         // localCSE: the copy chains, newest first; a key is a register
+	avail   map[cseKey]Reg // localCSE: expression -> register holding it
+	loads   []cseKey       // localCSE: load expressions since the last store or call
+	uses    []Reg          // eliminateDeadCode: one instruction's operands
+	live    LiveSets       // eliminateDeadCode: the function's liveness
 	// settled holds the blocks of the function being optimized that the
 	// local passes last left as they found them and whose instructions
 	// nothing has edited since.
 	settled map[*Block]bool
-	// snap and snapArgs are a block's instructions and, end to end, their
-	// call-argument lists (which localCSE rewrites in place) as they were
-	// before the local passes ran on it.
+	// snap is a block's instructions as they were before the local passes
+	// ran on it, their call-argument lists (which localCSE rewrites in
+	// place) copied end to end into snapArgs, so the snapshot shares no
+	// storage with the IR.
 	snap     []Instr
 	snapArgs []Reg
-	rounds   int // optimizer rounds run on this scratch
+	rounds   int // optimizer rounds run on this scratch since getScratch
 }
 
 // snapshot records b's instructions for unedited.
@@ -117,6 +129,11 @@ func (s *optScratch) snapshot(b *Block) {
 	for i := range b.Instrs {
 		s.snapArgs = append(s.snapArgs, b.Instrs[i].Args...)
 	}
+	args := s.snapArgs
+	for i := range s.snap {
+		n := len(s.snap[i].Args)
+		s.snap[i].Args, args = args[:n:n], args[n:]
+	}
 }
 
 // unedited reports whether b's instructions are field for field what the
@@ -125,18 +142,12 @@ func (s *optScratch) unedited(b *Block) bool {
 	if len(b.Instrs) != len(s.snap) {
 		return false
 	}
-	args := s.snapArgs
 	for i := range b.Instrs {
 		in, was := &b.Instrs[i], &s.snap[i]
 		if in.Kind != was.Kind || in.Op != was.Op || in.Dst != was.Dst || in.A != was.A || in.B != was.B ||
-			in.C != was.C || in.Imm != was.Imm || in.Callee != was.Callee || len(in.Args) != len(was.Args) {
+			in.C != was.C || in.Imm != was.Imm || in.Callee != was.Callee || !slices.Equal(in.Args, was.Args) {
 			return false
 		}
-		n := len(in.Args)
-		if !slices.Equal(in.Args, args[:n]) {
-			return false
-		}
-		args = args[n:]
 	}
 	return true
 }
@@ -146,13 +157,13 @@ func (s *optScratch) unedited(b *Block) bool {
 type regFacts struct {
 	stamp    uint32
 	isConst  bool // the register holds constVal
-	isHeld   bool // the register holds the value of expression held
+	isHeld   bool // the register holds the value of expression exprs[held]
 	isCopy   bool // the register is a copy of copyOf
 	copyOf   Reg
+	held     int32
+	readers  int32 // head of the chain of expressions that read the register; -1 ends a chain
+	copiedTo int32 // head of the chain of registers made copies of it
 	constVal int64
-	held     cseKey
-	readers  []cseKey // expressions that read the register
-	copiedTo []Reg    // registers that were made copies of it
 }
 
 // cseKey is an expression localCSE can reuse: the operation and its operand
@@ -170,6 +181,7 @@ type cseKey struct {
 // each pass sizes the table for itself).
 func (s *optScratch) begin(f *Func) {
 	s.epoch++
+	s.exprs, s.readers, s.copies = s.exprs[:0], s.readers[:0], s.copies[:0]
 	if n := f.NumRegs - len(s.regs); n > 0 {
 		s.regs = append(s.regs, make([]regFacts, n)...)
 	}
@@ -181,7 +193,7 @@ func (s *optScratch) at(r Reg) *regFacts {
 	if e.stamp != s.epoch {
 		e.stamp = s.epoch
 		e.isConst, e.isHeld, e.isCopy = false, false, false
-		e.readers, e.copiedTo = e.readers[:0], e.copiedTo[:0]
+		e.readers, e.copiedTo = -1, -1
 	}
 	return e
 }
@@ -290,38 +302,41 @@ func (s *optScratch) resolve(r Reg) Reg {
 func (s *optScratch) invalidate(r Reg) {
 	e := s.at(r)
 	// Expressions that read r are stale.
-	for _, k := range e.readers {
-		delete(s.avail, k)
+	for l := e.readers; l >= 0; l = s.readers[l].next {
+		delete(s.avail, s.exprs[s.readers[l].key])
 	}
-	e.readers = e.readers[:0]
+	e.readers = -1
 	// The expression whose cached value lives in r is stale too (variable
 	// registers are multiply assigned).
 	if e.isHeld {
-		if v, ok := s.avail[e.held]; ok && v == r {
-			delete(s.avail, e.held)
+		if k := s.exprs[e.held]; s.avail[k] == r {
+			delete(s.avail, k) // a no-op when k was dropped some other way
 		}
 		e.isHeld = false
 	}
 	e.isCopy = false
 	// Any copy that resolves through r is stale.
-	for _, d := range e.copiedTo {
-		if de := s.peek(d); de != nil && de.isCopy && de.copyOf == r {
+	for l := e.copiedTo; l >= 0; l = s.copies[l].next {
+		if de := s.peek(Reg(s.copies[l].key)); de != nil && de.isCopy && de.copyOf == r {
 			de.isCopy = false
 		}
 	}
-	e.copiedTo = e.copiedTo[:0]
+	e.copiedTo = -1
 }
 
 func (s *optScratch) copyFrom(dst, src Reg) {
 	e := s.at(dst)
 	e.isCopy, e.copyOf = true, src
 	se := s.at(src)
-	se.copiedTo = append(se.copiedTo, dst)
+	s.copies = append(s.copies, link{key: int32(dst), next: se.copiedTo})
+	se.copiedTo = int32(len(s.copies) - 1)
 }
 
-func (s *optScratch) addReader(r Reg, k cseKey) {
+// addReader records that expression exprs[x] reads r.
+func (s *optScratch) addReader(r Reg, x int32) {
 	e := s.at(r)
-	e.readers = append(e.readers, k)
+	s.readers = append(s.readers, link{key: x, next: e.readers})
+	e.readers = int32(len(s.readers) - 1)
 }
 
 // localCSE merges repeated pure computations within a block. The value
@@ -424,19 +439,21 @@ func (s *optScratch) localCSE(f *Func, b *Block) bool {
 				continue
 			}
 			s.avail[k] = in.Dst
+			x := int32(len(s.exprs))
+			s.exprs = append(s.exprs, k)
 			e := s.at(in.Dst)
-			e.isHeld, e.held = true, k
+			e.isHeld, e.held = true, x
 			if in.Kind == KLoad {
 				s.loads = append(s.loads, k)
 			}
 			if k.a != NoReg && in.Kind != KConst {
-				s.addReader(k.a, k)
+				s.addReader(k.a, x)
 			}
 			if k.b != NoReg && (in.Kind == KAlu || in.Kind == KSelect) {
-				s.addReader(k.b, k)
+				s.addReader(k.b, x)
 			}
 			if k.c != NoReg && in.Kind == KSelect {
-				s.addReader(k.c, k)
+				s.addReader(k.c, x)
 			}
 			// `or dst, src, zero` moves feed copy propagation when the
 			// source is stable within the block.
@@ -488,11 +505,12 @@ func foldBranches(f *Func) bool {
 }
 
 // eliminateDeadCode removes pure instructions whose results are never used,
-// compacting each block in place. Liveness hands back sets of its own, so a
+// compacting each block in place. The live sets are the scratch's own, so a
 // block's live-out set is walked backwards through the block as it is. A
 // block that loses an instruction is no longer settled.
 func (s *optScratch) eliminateDeadCode(f *Func) bool {
-	_, liveOut := f.Liveness()
+	s.live.Compute(f)
+	liveOut := s.live.Out
 	changed := false
 	for bi, b := range f.Blocks {
 		live := liveOut[bi]

@@ -2,7 +2,9 @@ package cfgir
 
 import (
 	"fmt"
+	"math"
 	"slices"
+	"sync"
 
 	"wavescalar/internal/lang"
 )
@@ -58,13 +60,52 @@ func Lower(f *lang.File) (*Program, error) {
 // (optLevel >= 0) and OptimizeMemory (optLevel >= 1, whose counters are
 // returned; zero below that).
 func (p *Program) OptimizeTo(optLevel int) (st MemOptStats) {
+	s := getScratch()
+	defer putScratch(s)
 	if optLevel >= 0 {
-		p.Optimize()
+		s.opt.optimizeAll(p)
 	}
 	if optLevel >= 1 {
-		st = p.OptimizeMemory()
+		st = s.optimizeMemory(p)
 	}
 	return st
+}
+
+// scratch is the optimizer's working state, both tiers' tables. Optimize,
+// OptimizeMemory, OptimizeTo and IfConvert each take one from scratches
+// and give it back, so the tables grow to the largest function a scratch
+// has seen and later calls reuse them: a pool holds at most one per
+// concurrent call. A scratch holds register numbers, expressions, value
+// numbers and stamps, never a program's blocks or instructions, so nothing
+// a call returns or leaves in its program shares storage with it.
+type scratch struct {
+	opt optScratch
+	mem memScratch
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// getScratch takes a scratch from the pool. A table slot counts as empty
+// when its stamp is not the current one, so the stamp counters only grow; a
+// scratch whose counter has passed half its range starts over empty, long
+// before any call could wrap one round to a stale slot's stamp.
+func getScratch() *scratch {
+	s := scratches.Get().(*scratch)
+	if max(s.opt.epoch, s.mem.cepoch, s.mem.vepoch, s.mem.facts.epoch, s.mem.facts.mark) > math.MaxUint32/2 {
+		*s = scratch{}
+	}
+	s.opt.rounds = 0
+	return s
+}
+
+// putScratch gives s back to the pool without its maps. A map keeps the
+// capacity of its largest use and clearing it costs that capacity, so a
+// call grows its own, as it always did; only the tables and lists, which
+// a block pass starts with one increment or truncation, are kept.
+func putScratch(s *scratch) {
+	s.opt.avail, s.opt.settled = nil, nil
+	s.mem.cids, s.mem.termVN, s.mem.exprVN = nil, nil, nil
+	scratches.Put(s)
 }
 
 // Clone returns a deep copy of the program: functions, blocks,

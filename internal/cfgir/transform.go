@@ -41,7 +41,14 @@ func (f *Func) SplitCriticalEdges() {
 // returns how many diamonds and triangles it rewrote; 0 means f is
 // untouched.
 func (f *Func) IfConvert() (converted int) {
-	for f.ifConvertOnce() {
+	s := getScratch()
+	defer putScratch(s)
+	return f.ifConvert(&s.opt.live)
+}
+
+// ifConvert is IfConvert with its liveness storage.
+func (f *Func) ifConvert(live *LiveSets) (converted int) {
+	for f.ifConvertOnce(live) {
 		converted++
 		f.Compact()
 	}
@@ -55,15 +62,18 @@ const maxArm = 8
 // from 0 that the clone is still the program it copied, so whatever it
 // would lower from it is what the original lowers to.
 func (p *Program) IfConvert() (converted int) {
+	s := getScratch()
+	defer putScratch(s)
 	for _, f := range p.Funcs {
-		converted += f.IfConvert()
+		converted += f.ifConvert(&s.opt.live)
 	}
 	return converted
 }
 
-func (f *Func) ifConvertOnce() bool {
+func (f *Func) ifConvertOnce(live *LiveSets) bool {
 	preds := f.Preds()
-	liveIn, _ := f.Liveness()
+	live.Compute(f)
+	liveIn := live.In
 
 	pureArm := func(id int) bool {
 		b := f.Blocks[id]

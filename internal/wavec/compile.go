@@ -24,7 +24,9 @@ package wavec
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"wavescalar/internal/cfgir"
@@ -62,12 +64,11 @@ func Compile(p *cfgir.Program, opts Options) (*isa.Program, error) {
 		return nil, fmt.Errorf("wavec: program has no main function")
 	}
 	out.Funcs = make([]isa.Function, 0, len(p.Funcs))
-	var regs regTable
 	buf := emitBufs.Get().(*emitBuf)
 	defer emitBufs.Put(buf)
 	for fi, f := range p.Funcs {
 		f.SplitCriticalEdges()
-		fc := &funcCompiler{prog: p, ir: f, touches: touches, self: fi, regs: &regs, buf: buf}
+		fc := &funcCompiler{prog: p, ir: f, touches: touches, self: fi, regs: &buf.regs, buf: buf}
 		isaFunc, err := fc.compile()
 		if err != nil {
 			return nil, fmt.Errorf("wavec: %s: %w", f.Name, err)
@@ -138,25 +139,36 @@ type funcCompiler struct {
 	// nets sit in netID[netBase[block]:netBase[block+1]], a register's at
 	// its rank in the block's live-in set and the trigger's last. -1 until
 	// netFor makes the net, so nets are still numbered in the order they are
-	// first asked for.
+	// first asked for. The three slices are buf's.
 	netBase []int
 	netID   []int32
-	netArr  []*net
+	nets    []net
 
 	regs *regTable
 	buf  *emitBuf
 }
 
-// emitBuf is what compile emits a function into, reused by every function
-// of one Compile and, through emitBufs, by later Compiles: the
-// instructions, their destinations as (producer side, destination) pairs in
-// routing order, and their notes. layout copies the function out at its
-// exact size, so no binary keeps a buffer's spare capacity.
+// emitBuf is what compile emits a function into and the tables it keeps
+// while it does, reused by every function of one Compile and, through
+// emitBufs, by later Compiles: the instructions, their destinations as
+// (producer side, destination) pairs in routing order, and their notes;
+// the function's liveness, nets and register table. layout copies the
+// function out at its exact size, so no binary keeps a buffer's spare
+// capacity or shares its storage.
 type emitBuf struct {
 	instrs []isa.Instruction
 	edges  []edge
 	notes  []isa.Note
 	start  []int32 // layout's counting pass
+
+	live     cfgir.LiveSets
+	regs     regTable
+	nets     []net // each keeps its slices' capacity for the next function's
+	netBase  []int
+	netID    []int32
+	edgeRegs []cfgir.Reg // edgeRegs' result
+	seen     cfgir.RegSet
+	members  []cfgir.Reg // compileBlock's live-in registers
 }
 
 var emitBufs = sync.Pool{New: func() any { return new(emitBuf) }}
@@ -222,7 +234,7 @@ func (b *emitBuf) layout(f *isa.Function) error {
 // is compiling: the token source that currently carries its value, and the
 // constant it holds when it is a block-local constant (a register may have
 // both, once a constant has been materialized). It is one table indexed by
-// register for the whole Compile, each slot stamped with the block pass that
+// register, kept on the emitBuf, each slot stamped with the block pass that
 // last wrote it; a slot with another stamp is empty, so starting a block is
 // one increment and clears nothing.
 type regTable struct {
@@ -239,8 +251,12 @@ type regSlot struct {
 }
 
 // begin starts a block pass over a block of f: every slot becomes empty.
+// A stamp counter that has passed half its range starts over with an empty
+// table, long before any Compile could wrap it round to a stale slot's.
 func (t *regTable) begin(f *cfgir.Func) {
-	t.epoch++
+	if t.epoch++; t.epoch > math.MaxUint32/2 {
+		*t = regTable{epoch: 1}
+	}
 	if n := f.NumRegs + regBias - len(t.slots); n > 0 {
 		t.slots = append(t.slots, make([]regSlot, n)...)
 	}
@@ -298,7 +314,8 @@ func (fc *funcCompiler) compile() (*isa.Function, error) {
 		TouchesMemory: fc.touches[fc.self],
 	}
 	fc.preds = f.Preds()
-	fc.liveIn, _ = f.Liveness()
+	fc.buf.live.Compute(f)
+	fc.liveIn = fc.buf.live.In
 	fc.back = f.BackEdges()
 
 	fc.assignWaves()
@@ -316,18 +333,20 @@ func (fc *funcCompiler) compile() (*isa.Function, error) {
 	}
 	fc.out.Params = pads
 
-	fc.netBase = make([]int, len(f.Blocks)+1)
+	fc.netBase = append(buf.netBase[:0], 0)
 	for id := range f.Blocks {
-		fc.netBase[id+1] = fc.netBase[id] + fc.liveIn[id].Count() + 1
+		fc.netBase = append(fc.netBase, fc.netBase[id]+fc.liveIn[id].Count()+1)
 	}
-	fc.netID = make([]int32, fc.netBase[len(f.Blocks)])
+	fc.netID = slices.Grow(buf.netID[:0], fc.netBase[len(f.Blocks)])[:fc.netBase[len(f.Blocks)]]
 	for i := range fc.netID {
 		fc.netID[i] = -1
 	}
+	fc.nets = buf.nets[:0]
 	for _, b := range f.Blocks {
 		fc.compileBlock(b, pads)
 	}
 	fc.resolveNets()
+	buf.netBase, buf.netID, buf.nets = fc.netBase, fc.netID, fc.nets
 	if err := fc.buf.layout(fc.out); err != nil {
 		return nil, err
 	}
@@ -508,8 +527,15 @@ func (fc *funcCompiler) netFor(block int, r cfgir.Reg) int {
 		}
 	}
 	if fc.netID[i] < 0 {
-		fc.netID[i] = int32(len(fc.netArr))
-		fc.netArr = append(fc.netArr, &net{})
+		fc.netID[i] = int32(len(fc.nets))
+		if n := len(fc.nets); n < cap(fc.nets) {
+			// A net an earlier function used: empty it, keeping its slices.
+			fc.nets = fc.nets[:n+1]
+			e := &fc.nets[n]
+			*e = net{ports: e.ports[:0], outs: e.outs[:0], sources: e.sources[:0], closure: e.closure[:0]}
+		} else {
+			fc.nets = append(fc.nets, net{})
+		}
 	}
 	return int(fc.netID[i])
 }
@@ -517,7 +543,7 @@ func (fc *funcCompiler) netFor(block int, r cfgir.Reg) int {
 // subscribe routes a value to one instruction input port.
 func (fc *funcCompiler) subscribe(v valRef, d isa.Dest) {
 	if v.isNet {
-		n := fc.netArr[v.net]
+		n := &fc.nets[v.net]
 		n.ports = append(n.ports, d)
 		return
 	}
@@ -535,10 +561,10 @@ func (fc *funcCompiler) addDest(s srcRef, d isa.Dest) {
 // connectEdge feeds a value into a successor block's net.
 func (fc *funcCompiler) connectEdge(v valRef, targetNet int) {
 	if v.isNet {
-		fc.netArr[v.net].outs = append(fc.netArr[v.net].outs, targetNet)
+		fc.nets[v.net].outs = append(fc.nets[v.net].outs, targetNet)
 		return
 	}
-	fc.netArr[targetNet].sources = append(fc.netArr[targetNet].sources, v.src)
+	fc.nets[targetNet].sources = append(fc.nets[targetNet].sources, v.src)
 }
 
 // resolveNets computes each net's transitive port set and attaches it to
@@ -546,7 +572,7 @@ func (fc *funcCompiler) connectEdge(v valRef, targetNet int) {
 func (fc *funcCompiler) resolveNets() {
 	var close func(i int) []isa.Dest
 	close = func(i int) []isa.Dest {
-		n := fc.netArr[i]
+		n := &fc.nets[i]
 		if n.closed {
 			return n.closure
 		}
@@ -557,7 +583,8 @@ func (fc *funcCompiler) resolveNets() {
 		}
 		return n.closure
 	}
-	for i, n := range fc.netArr {
+	for i := range fc.nets {
+		n := &fc.nets[i]
 		ports := close(i)
 		for _, s := range n.sources {
 			for _, d := range ports {
@@ -576,19 +603,27 @@ func (fc *funcCompiler) liveOnEdge(v int, r cfgir.Reg) bool {
 	return fc.liveIn[v].Has(r)
 }
 
-// edgeRegs lists the registers to route out of block u: the union of the
-// successors' live-ins, plus the trigger.
+// edgeRegs lists the registers to route out of block u: the trigger, then
+// the union of the successors' live-ins. The list is buf's, good until the
+// next call.
 func (fc *funcCompiler) edgeRegs(b *cfgir.Block) []cfgir.Reg {
-	regs := []cfgir.Reg{triggerReg}
-	seen := cfgir.NewRegSet(fc.ir.NumRegs)
+	buf := fc.buf
+	regs := append(buf.edgeRegs[:0], triggerReg)
+	seen := slices.Grow(buf.seen[:0], len(fc.liveIn[b.ID]))[:len(fc.liveIn[b.ID])]
+	clear(seen)
 	for _, s := range b.Succs() {
-		for _, r := range fc.liveIn[s].Members() {
+		first := len(regs)
+		regs = fc.liveIn[s].AppendMembers(regs)
+		kept := regs[:first]
+		for _, r := range regs[first:] {
 			if !seen.Has(r) {
 				seen.Add(r)
-				regs = append(regs, r)
+				kept = append(kept, r)
 			}
 		}
+		regs = kept
 	}
+	buf.edgeRegs, buf.seen = regs, seen
 	return regs
 }
 
@@ -613,14 +648,16 @@ func (fc *funcCompiler) compileBlock(b *cfgir.Block, pads []isa.InstrID) {
 		// Any other live-in at entry corresponds to a path where the value
 		// is defined before use; give it an unfed net so the graph stays
 		// well formed.
-		for _, r := range fc.liveIn[b.ID].Members() {
+		fc.buf.members = fc.liveIn[b.ID].AppendMembers(fc.buf.members[:0])
+		for _, r := range fc.buf.members {
 			if _, ok := regs.val(r); !ok {
 				regs.define(r, valRef{isNet: true, net: fc.netFor(b.ID, r)})
 			}
 		}
 	} else {
 		regs.define(triggerReg, valRef{isNet: true, net: fc.netFor(b.ID, triggerReg)})
-		for _, r := range fc.liveIn[b.ID].Members() {
+		fc.buf.members = fc.liveIn[b.ID].AppendMembers(fc.buf.members[:0])
+		for _, r := range fc.buf.members {
 			regs.define(r, valRef{isNet: true, net: fc.netFor(b.ID, r)})
 		}
 	}

@@ -64,7 +64,8 @@ func TestRegTableMatchesMaps(t *testing.T) {
 // TestNetForNumbersNetsInRequestOrder: the dense net index finds the same
 // net as the (block, register) map it replaced and numbers nets in the order
 // they are first asked for, which is the order resolveNets attaches their
-// ports in.
+// ports in. The nets an earlier function left in the buffer come back
+// empty.
 func TestNetForNumbersNetsInRequestOrder(t *testing.T) {
 	type netKey struct {
 		block int
@@ -89,6 +90,8 @@ func TestNetForNumbersNetsInRequestOrder(t *testing.T) {
 	for i := range fc.netID {
 		fc.netID[i] = -1
 	}
+	used := net{ports: []isa.Dest{{Instr: 7}}, outs: []int{3}, sources: []srcRef{{id: 2}}, closed: true, closure: []isa.Dest{{Instr: 7}}}
+	fc.nets = []net{used, used, used}[:0]
 	ref := make(map[netKey]int)
 	for i := 0; i < 4*len(keys); i++ {
 		k := keys[rng.Intn(len(keys))]
@@ -101,8 +104,13 @@ func TestNetForNumbersNetsInRequestOrder(t *testing.T) {
 			t.Fatalf("netFor(b%d, r%d) = %d, the map numbers it %d", k.block, k.reg, got, want)
 		}
 	}
-	if len(fc.netArr) != len(ref) {
-		t.Errorf("%d nets made, %d distinct keys asked for", len(fc.netArr), len(ref))
+	if len(fc.nets) != len(ref) {
+		t.Errorf("%d nets made, %d distinct keys asked for", len(fc.nets), len(ref))
+	}
+	for i, n := range fc.nets {
+		if len(n.ports)+len(n.outs)+len(n.sources)+len(n.closure) > 0 || n.closed {
+			t.Fatalf("net %d starts as %+v", i, n)
+		}
 	}
 }
 
