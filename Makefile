@@ -145,7 +145,9 @@ soak:
 # a soak; crashes land in testdata/fuzz/ as usual. FuzzServeRequests sends
 # arbitrary bodies to waved's three POST endpoints; FuzzLoadAndRun runs
 # whatever assembly the loader accepts on the interpreter and in the four
-# WaveCache memory modes, each under a small bound. FUZZMIN bounds the
+# WaveCache memory modes, each under a small bound; FuzzEvaluatorMatchesByName
+# runs any program the checker accepts on the bound evaluator and the
+# by-name reference and compares result, Steps, error and memory. FUZZMIN bounds the
 # minimization of each new interesting input, which at Go's default of 60s
 # can spend the whole burst on a handful of inputs.
 FUZZTIME ?= 10s
@@ -155,6 +157,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN) ./internal/asm
 	$(GO) test -run='^$$' -fuzz=FuzzServeRequests -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN) ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzLoadAndRun -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN) .
+	$(GO) test -run='^$$' -fuzz=FuzzEvaluatorMatchesByName -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMIN) ./internal/lang
 
 # fuzz-diff is the corpus-differential smoke: generated programs across
 # all workload families, each checked for agreement across the seven
