@@ -222,14 +222,8 @@ func compileSource(name, src string, opts CompileOptions, evalFuel, emuFuel int6
 			}
 		}
 		c.MemOpt = ir.OptimizeTo(opts.OptLevel)
-		if c.Linear, err = linear.Compile(ir); err != nil {
-			irErr = stage("linear", err)
-			return
-		}
-		em = linear.NewEmulator(c.Linear, emuFuel)
-		em.Stop = &evalDry
-		g.Go(func() { c.Checksum, emuErr = em.Run() })
-
+		// The if-converted build starts first: it is the longest of the
+		// stages left. Its copy and linear.Compile only read ir.
 		lowerSteer := steer || rolledIsSteer
 		if sel {
 			selIR := ir.Clone()
@@ -241,6 +235,14 @@ func compileSource(name, src string, opts CompileOptions, evalFuel, emuFuel int6
 				c.WaveSel, selErr = wavec.Compile(selIR, wavec.Options{}) // if-converted above
 			})
 		}
+		if c.Linear, err = linear.Compile(ir); err != nil {
+			irErr = stage("linear", err)
+			return
+		}
+		em = linear.NewEmulator(c.Linear, emuFuel)
+		em.Stop = &evalDry
+		g.Go(func() { c.Checksum, emuErr = em.Run() })
+
 		if !lowerSteer {
 			return
 		}
