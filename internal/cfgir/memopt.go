@@ -265,6 +265,7 @@ type memScratch struct {
 	outFacts []factEntry
 
 	facts factTable
+	dfs   dfs // forwardMemory's block order
 }
 
 type constSlot struct {
@@ -409,7 +410,7 @@ func (s *memScratch) preds(f *Func) {
 func (s *memScratch) forwardMemory(f *Func, touches []bool, st *MemOptStats) bool {
 	n := len(f.Blocks)
 	s.preds(f)
-	rpo := f.rpo()
+	rpo := s.dfs.rpo(f)
 	t := &s.facts
 	t.size(int(s.nconst)+f.NumRegs, 1+f.NumRegs, f.NumRegs)
 	out := append(s.out[:0], make([]blockOut, n)...)

@@ -53,7 +53,7 @@ const maxRounds = 4
 // whether the last round changed nothing, as opposed to the round bound
 // cutting the iteration short.
 func (s *optScratch) optimize(f *Func) {
-	f.Compact()
+	f.compact(&s.dfs)
 	f.converged = false
 	if s.settled == nil {
 		s.settled = make(map[*Block]bool)
@@ -83,7 +83,7 @@ func (s *optScratch) optimize(f *Func) {
 		if s.eliminateDeadCode(f) {
 			changed = true
 		}
-		f.Compact()
+		f.compact(&s.dfs)
 		if !changed {
 			f.converged = true
 			break
@@ -109,6 +109,7 @@ type optScratch struct {
 	loads   []cseKey       // localCSE: load expressions since the last store or call
 	uses    []Reg          // eliminateDeadCode: one instruction's operands
 	live    LiveSets       // eliminateDeadCode: the function's liveness
+	dfs     dfs            // Compact's walk and renumbering
 	// settled holds the blocks of the function being optimized that the
 	// local passes last left as they found them and whose instructions
 	// nothing has edited since.

@@ -47,12 +47,13 @@ func TestLiveSetsReuseMatchesLiveness(t *testing.T) {
 
 // TestOptimizeToSteadyStateAllocs: once the pooled scratch has grown to a
 // program, optimizing another copy of it at -O1 allocates only what the
-// passes leave in the IR, the call's own maps (the CSE and value-numbering
-// tables, which a scratch does not keep) and Compact's renumbering — not a
-// register table, a reader list or a live set. Before the scratch outlived
-// a call, ammp took 1,560 allocations and the wide block 4,360, most of
-// them each register's reader list in localCSE's index; they now take
-// about 120 and 112. The budgets are tripwires with room for a collection
+// passes leave in the IR and the call's own maps (the CSE and
+// value-numbering tables, which a scratch does not keep) — not a register
+// table, a reader list, a live set or Compact's walk and renumbering.
+// Before the scratch outlived a call, ammp took 1,560 allocations and the
+// wide block 4,360, most of them each register's reader list in localCSE's
+// index; with Compact still allocating they took 120 and 112, and now
+// about 44 and 84. The budgets are tripwires with room for a collection
 // that empties the pool mid-measurement, not tuning targets.
 func TestOptimizeToSteadyStateAllocs(t *testing.T) {
 	if raceBuild {
@@ -67,8 +68,8 @@ func TestOptimizeToSteadyStateAllocs(t *testing.T) {
 		p      *Program
 		budget float64
 	}{
-		{"ammp", mustFromSource(t, "ammp", 4, OptNone), 200},
-		{"wide-block", wide, 200},
+		{"ammp", mustFromSource(t, "ammp", 4, OptNone), 80},
+		{"wide-block", wide, 100},
 	} {
 		// One copy warms the pool, one is AllocsPerRun's own warm-up run,
 		// and each measured run optimizes a fresh copy.

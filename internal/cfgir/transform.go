@@ -43,14 +43,14 @@ func (f *Func) SplitCriticalEdges() {
 func (f *Func) IfConvert() (converted int) {
 	s := getScratch()
 	defer putScratch(s)
-	return f.ifConvert(&s.opt.live)
+	return f.ifConvert(&s.opt)
 }
 
-// ifConvert is IfConvert with its liveness storage.
-func (f *Func) ifConvert(live *LiveSets) (converted int) {
-	for f.ifConvertOnce(live) {
+// ifConvert is IfConvert with s's liveness and Compact storage.
+func (f *Func) ifConvert(s *optScratch) (converted int) {
+	for f.ifConvertOnce(&s.live) {
 		converted++
-		f.Compact()
+		f.compact(&s.dfs)
 	}
 	return converted
 }
@@ -65,7 +65,7 @@ func (p *Program) IfConvert() (converted int) {
 	s := getScratch()
 	defer putScratch(s)
 	for _, f := range p.Funcs {
-		converted += f.ifConvert(&s.opt.live)
+		converted += f.ifConvert(&s.opt)
 	}
 	return converted
 }
