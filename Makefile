@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci check vet fmt-check build test test-short memopt-wide smoke loc tier1-time profile-sim profile-compile bench-test race race-compile soak bench bench-ledger bench-ab bench-micro fuzz fuzz-diff corpus
+.PHONY: ci check vet fmt-check build test test-short memopt-wide smoke loc tables tier1-time profile-sim profile-compile bench-test race race-compile soak bench bench-ledger bench-ab bench-micro fuzz fuzz-diff corpus
 
 ci: vet fmt-check build test race
 
@@ -68,6 +68,23 @@ loc:
 	@git ls-files -z '*.go' ':!bench/' ':!*_test.go' | xargs -0 wc -l | \
 		awk '$$2 != "total" { d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d] += $$1 } END { for (d in n) printf "%7d  %s\n", n[d], d }' | \
 		sort -k1,1nr -k2,2
+
+# tables is the fence of a change that must move no experiment table, not
+# part of tier-1 or check: the full waveexp (every experiment, every
+# kernel) at -j 1 and at -j 2, its timing lines stripped, written to
+# $(TABLESDIR)/j1.txt and j2.txt; it fails if the two differ. Run it on the
+# parent and on the change and diff the two j1.txt files. It takes minutes.
+TABLESDIR ?= .bench_build/tables
+TIMING = ^(compiling [0-9]+ workloads|compiled in |total time: |\((E[0-9]+b?|M1) in )
+
+tables:
+	rm -rf $(TABLESDIR) && mkdir -p $(TABLESDIR)
+	$(GO) build -o $(TABLESDIR)/waveexp ./cmd/waveexp
+	for j in 1 2; do \
+		$(TABLESDIR)/waveexp -j $$j -out $(TABLESDIR)/raw-j$$j.txt > /dev/null || exit 1; \
+		grep -vE '$(TIMING)' $(TABLESDIR)/raw-j$$j.txt > $(TABLESDIR)/j$$j.txt; \
+	done
+	cmp $(TABLESDIR)/j1.txt $(TABLESDIR)/j2.txt && echo "tables: -j 1 and -j 2 agree ($(TABLESDIR)/j1.txt)"
 
 # tier1-time is the instrument for what the tier-1 suite costs, not part of
 # it: one uncached `go test -json` pass over the module with every test
