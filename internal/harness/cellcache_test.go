@@ -133,7 +133,7 @@ func TestCacheKeySensitivity(t *testing.T) {
 			case reflect.Uint64:
 				f.SetUint(f.Uint() + 1)
 			case reflect.String:
-				f.SetString(map[string]string{"Faults": "drop=0.02", "Policy": "random"}[v.Type().Field(i).Name])
+				f.SetString(map[string]string{"Faults": "drop=0.02", "Policy": "random", "Regime": "ideal"}[v.Type().Field(i).Name])
 			case reflect.Slice:
 				f.Set(reflect.ValueOf([]string{"steer"}))
 			case reflect.Pointer:
@@ -154,6 +154,8 @@ func TestCacheKeySensitivity(t *testing.T) {
 	// do not.
 	same := [][2]MachineOptions{
 		{{}, DefaultMachineOptions()},
+		{{}, {NetScale: 1, SwapPenalty: 32}},
+		{{Regime: "ideal"}, {Regime: "ideal", NetScale: 1, SwapPenalty: 32}},
 		{{Faults: "drop=0.01,defect=0.05"}, {Faults: " defect=0.05, drop=0.010"}},
 		{{Faults: "drop=0.01"}, {Faults: "drop=0.01,retries=8,timeout=64,delaycycles=16"}},
 	}
@@ -164,6 +166,17 @@ func TestCacheKeySensitivity(t *testing.T) {
 	}
 	if a, b := (MachineOptions{Faults: "drop=0.01"}), (MachineOptions{Faults: "drop=0.01,retries=2"}); a.Key() == b.Key() {
 		t.Errorf("retries=2 keys like the default: %s", a.Key())
+	}
+	for _, z := range []MachineOptions{{NetScale: zeroed}, {SwapPenalty: zeroed}} {
+		if z.Key() == DefaultMachineOptions().Key() {
+			t.Errorf("%+v, a zero latency, keys like the published machine: %s", z, z.Key())
+		}
+	}
+	// waved's result cache and the corpus -resume directories are keyed by
+	// it: the published machine keeps the key it had before Regime,
+	// NetScale and SwapPenalty were fields.
+	if got, want := DefaultMachineOptions().Key(), `grid=4x4 density=16 pestore=64 queue=64 policy="dynamic-depth-first-snake" mem=wave-ordered l1words=0 maxcycles=0 faults= faultseed=0`; got != want {
+		t.Errorf("the published machine's key is %s, was %s", got, want)
 	}
 	if a, b := (CompileOptions{Unroll: 0}), (CompileOptions{Unroll: 1}); a.Key() != b.Key() {
 		t.Errorf("unroll 0 and 1 both mean off but key apart: %s, %s", a.Key(), b.Key())

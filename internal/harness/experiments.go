@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 
@@ -133,13 +134,12 @@ func runE1(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	rows := make([]row, len(set))
 	cells := newCellSet(m)
 	for i, c := range set {
-		cells.add(c, func() error {
-			var err error
+		cells.add(c, func() (err error) {
 			rows[i].ores, err = RunOoO(c, DefaultOoOConfig())
 			return err
 		})
 		cells.wave(c, c.Wave, m, &rows[i].wres)
-		cells.wave(c, c.Wave, idealMachine, &rows[i].ires, idealize)
+		cells.wave(c, c.Wave, idealMachine, &rows[i].ires)
 	}
 	if err := cells.run(); err != nil {
 		return nil, err
@@ -163,10 +163,10 @@ func runE1(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 func runE2(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	var points []point
 	for _, capacity := range []int{4, 8, 16, 32, 64} {
-		points = append(points, point{label: strconv.Itoa(capacity), opt: func(o *MachineOptions) {
-			o.GridW, o.GridH = 1, 1
-			o.Density, o.PEStore = capacity, capacity
-		}})
+		o := m
+		o.GridW, o.GridH = 1, 1
+		o.Density, o.PEStore = capacity, capacity
+		points = append(points, point{strconv.Itoa(capacity), o})
 	}
 	return sweepTable("E2: AIPC and swaps vs. PE instruction-store capacity (1x1 grid)",
 		columns(points, "aipc@", "swaps@"), set, m, points,
@@ -182,8 +182,9 @@ func runE2(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 func runE3(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	var points []point
 	for _, g := range [][2]int{{1, 1}, {2, 2}, {4, 4}, {8, 8}} {
-		points = append(points, point{label: fmt.Sprintf("%dx%d", g[0], g[1]),
-			opt: func(o *MachineOptions) { o.GridW, o.GridH = g[0], g[1] }})
+		o := m
+		o.GridW, o.GridH = g[0], g[1]
+		points = append(points, point{fmt.Sprintf("%dx%d", g[0], g[1]), o})
 	}
 	return sweepTable("E3: AIPC vs. cluster grid size", columns(points, "aipc@"), set, m, points, aipcs)
 }
@@ -191,7 +192,9 @@ func runE3(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 func runE4(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	var points []point
 	for _, mode := range []wavecache.MemoryMode{wavecache.MemSerial, wavecache.MemOrdered, wavecache.MemSpec, wavecache.MemIdeal} {
-		points = append(points, point{label: mode.String(), opt: func(o *MachineOptions) { o.MemMode = mode }})
+		o := m
+		o.MemMode = mode
+		points = append(points, point{mode.String(), o})
 	}
 	var ordSer, specOrd []float64
 	t, err := sweepTable("E4: AIPC by memory ordering strategy",
@@ -215,13 +218,9 @@ func runE4(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 func runE5(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	var points []point
 	for _, s := range []int64{0, 1, 2, 4} {
-		points = append(points, point{label: fmt.Sprintf("x%d", s), edit: func(cfg *wavecache.Config) {
-			cfg.Net.IntraPod *= s
-			cfg.Net.IntraDomain *= s
-			cfg.Net.IntraCluster *= s
-			cfg.Net.InterClusterBase *= s
-			cfg.Net.LinkLatency *= s
-		}})
+		o := m
+		o.NetScale = cmp.Or(s, zeroed)
+		points = append(points, point{fmt.Sprintf("x%d", s), o})
 	}
 	return sweepTable("E5: AIPC vs. operand-network latency scale", columns(points, "aipc@"), set, m, points, aipcs)
 }
@@ -233,7 +232,9 @@ func runE6(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 		if q == maxCount {
 			label = "inf"
 		}
-		points = append(points, point{label: label, opt: func(o *MachineOptions) { o.InputQueue = q }})
+		o := m
+		o.InputQueue = q
+		points = append(points, point{label, o})
 	}
 	const spillsAt = 1 // the 16-entry queue's point
 	return sweepTable("E6: AIPC vs. PE input-queue capacity",
@@ -246,8 +247,9 @@ func runE6(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 func runE7(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	var points []point
 	for _, words := range []int64{64, 256, 1024, 4096} {
-		points = append(points, point{label: fmt.Sprintf("%dKB", words*8/1024),
-			opt: func(o *MachineOptions) { o.L1Words = words }})
+		o := m
+		o.L1Words = words
+		points = append(points, point{fmt.Sprintf("%dKB", words*8/1024), o})
 	}
 	const trafficAt = 1 // the 256-word (2 KB) point
 	at := points[trafficAt].label
@@ -271,7 +273,9 @@ func runE7(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 func runE8(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	var points []point
 	for _, name := range placement.Names() {
-		points = append(points, point{label: name, opt: func(o *MachineOptions) { o.Policy = name }})
+		o := m
+		o.Policy = name
+		points = append(points, point{name, o})
 	}
 	perPolicy := make([][]float64, len(points))
 	t, err := sweepTable("E8: AIPC by placement algorithm", columns(points, ""), set, m, points,
@@ -327,11 +331,11 @@ func runE9(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 func runE10(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	var points []point
 	for _, cost := range []int64{0, 8, 32, 128} {
-		points = append(points, point{label: strconv.FormatInt(cost, 10),
-			// Only the stores shrink: placement still packs m.Density homes
-			// per PE, which is what makes them swap.
-			opt:  func(o *MachineOptions) { o.PEStore = 8 },
-			edit: func(cfg *wavecache.Config) { cfg.SwapPenalty = cost }})
+		// Only the stores shrink: placement still packs m.Density homes per
+		// PE, which is what makes them swap.
+		o := m
+		o.PEStore, o.SwapPenalty = 8, cmp.Or(cost, zeroed)
+		points = append(points, point{strconv.FormatInt(cost, 10), o})
 	}
 	t, err := sweepTable("E10: AIPC vs. instruction swap penalty (8-per-PE stores)", columns(points, "aipc@"), set, m, points, aipcs)
 	if err != nil {
@@ -361,8 +365,7 @@ func runE11(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 			rows[i].or, err = RunOoO(rolled, DefaultOoOConfig())
 			return err
 		})
-		cells.add(c, func() error {
-			var err error
+		cells.add(c, func() (err error) {
 			rows[i].ou, err = RunOoO(c, DefaultOoOConfig())
 			return err
 		})
@@ -460,21 +463,11 @@ func runE14(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 		r := &res[bi]
 		cy := [4]int64{r[0].Cycles, r[1].Cycles, r[2].Cycles, r[3].Cycles}
 		opt := float64(cy[0]) / float64(cy[2])
-		best := cy[1]
-		if cy[3] < best {
-			best = cy[3]
-		}
-		bestGain := float64(cy[0]) / float64(best)
+		bestGain := float64(cy[0]) / float64(min(cy[1], cy[3]))
 		optRatios = append(optRatios, opt)
 		bestRatios = append(bestRatios, bestGain)
-		t.AddRow(c.Name,
-			AIPC(useful, cy[0]),
-			AIPC(useful, cy[1]),
-			AIPC(useful, cy[2]),
-			AIPC(useful, cy[3]),
-			opt,
-			bestGain,
-			fmt.Sprintf("%d->%d", p.o1.MemOpt.MemBefore, p.o1.MemOpt.MemAfter),
+		t.AddRow(c.Name, AIPC(useful, cy[0]), AIPC(useful, cy[1]), AIPC(useful, cy[2]), AIPC(useful, cy[3]),
+			opt, bestGain, fmt.Sprintf("%d->%d", p.o1.MemOpt.MemBefore, p.o1.MemOpt.MemAfter),
 			fmt.Sprintf("%d->%d", p.o0.Chains.Slots, p.o1.Chains.Slots))
 	}
 	t.Note = fmt.Sprintf("geomean cycle speedup: O1 over O0 (baseline policy) %.2fx; best static combination over O0 baseline %.2fx", stats.GeoMean(optRatios), stats.GeoMean(bestRatios))

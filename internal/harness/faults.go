@@ -30,11 +30,11 @@ var e12Scenarios = []struct {
 func runE12(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	var points []point
 	for _, sc := range e12Scenarios {
-		points = append(points, point{label: sc.name, opt: func(o *MachineOptions) {
-			o.Faults, o.FaultSeed = sc.spec, e12Seed
-			// Watchdog backstop: a faulty run must terminate, never hang.
-			o.MaxCycles = 50_000_000
-		}})
+		o := m
+		o.Faults, o.FaultSeed = sc.spec, e12Seed
+		// Watchdog backstop: a faulty run must terminate, never hang.
+		o.MaxCycles = 50_000_000
+		points = append(points, point{sc.name, o})
 	}
 	res, err := sweep(set, m, points)
 	if err != nil {

@@ -308,28 +308,22 @@ func Suite(names []string, opts CompileOptions) ([]*Compiled, error) {
 	})
 }
 
-// runWaveWith builds m for prog, lets edits (nil ones skipped) adjust the
-// wavecache-level parameters MachineOptions does not carry (network
-// latencies, swap penalty, cache hierarchy), and runs RunWave. A caller
-// that turns a MachineOptions knob assigns it on its own copy of m first.
-func runWaveWith(c *Compiled, prog *isa.Program, m MachineOptions, edits ...func(*wavecache.Config)) (wavecache.Result, error) {
+// runWaveWith builds m for prog and runs RunWave: every WaveCache cell of
+// the experiments is a binary and a MachineOptions. A caller that turns a
+// knob assigns it on its own copy of m first.
+func runWaveWith(c *Compiled, prog *isa.Program, m MachineOptions) (wavecache.Result, error) {
 	cfg, pol, err := m.Build(prog)
 	if err != nil {
 		return wavecache.Result{}, fmt.Errorf("%s: %w", c.Name, err)
-	}
-	for _, edit := range edits {
-		if edit != nil {
-			edit(&cfg)
-		}
 	}
 	return RunWave(c, prog, pol, cfg)
 }
 
 // wave declares the shape of almost every experiment cell: runWaveWith,
 // its result stored in out, a slot the cell owns.
-func (cs *cellSet) wave(c *Compiled, prog *isa.Program, m MachineOptions, out *wavecache.Result, edits ...func(*wavecache.Config)) {
+func (cs *cellSet) wave(c *Compiled, prog *isa.Program, m MachineOptions, out *wavecache.Result) {
 	cs.add(c, func() (err error) {
-		*out, err = runWaveWith(c, prog, m, edits...)
+		*out, err = runWaveWith(c, prog, m)
 		return err
 	})
 }
@@ -436,23 +430,7 @@ func WriteMetrics(id string, m MachineOptions, w io.Writer) {
 
 // idealMachine is the unbounded-resource dataflow machine used as the
 // "ideal dataflow" column of E1: infinite queues and stores, instructions
-// spread one to a PE so none contend, oracle memory ordering — and, in
-// idealize, what MachineOptions does not carry: a free network and
-// single-cycle caches.
-var idealMachine = MachineOptions{GridW: 8, GridH: 8, Density: 1, PEStore: 1 << 20, InputQueue: 1 << 30,
-	Policy: "dynamic-snake", MemMode: wavecache.MemIdeal}
-
-func idealize(cfg *wavecache.Config) {
-	cfg.SwapPenalty = 0
-	cfg.BufferWidth = 1 << 20
-	cfg.MemMsgLatency = 0
-	cfg.Net.IntraPod = 1
-	cfg.Net.IntraDomain = 1
-	cfg.Net.IntraCluster = 1
-	cfg.Net.InterClusterBase = 1
-	cfg.Net.LinkLatency = 0
-	cfg.Net.LinkBandwidth = 0
-	cfg.Mem.L1Latency = 1
-	cfg.Mem.L2Latency = 0
-	cfg.Mem.MemLatency = 0
-}
+// spread one to a PE so none contend, oracle memory ordering, free swaps,
+// and the "ideal" regime's free network and single-cycle caches.
+var idealMachine = MachineOptions{GridW: 8, GridH: 8, Density: 1, PEStore: 1 << 20, InputQueue: maxCount,
+	Policy: "dynamic-snake", MemMode: wavecache.MemIdeal, Regime: "ideal", SwapPenalty: zeroed}

@@ -10,6 +10,7 @@ import (
 	"wavescalar/internal/fault"
 	"wavescalar/internal/isa"
 	"wavescalar/internal/mem"
+	"wavescalar/internal/noc"
 	"wavescalar/internal/placement"
 	"wavescalar/internal/trace"
 	"wavescalar/internal/wavecache"
@@ -98,14 +99,21 @@ const (
 	// packed-random): one constant for every door, so a cell's result is a
 	// function of its options alone.
 	placementSeed = 12345
-	// maxCount bounds Density, PEStore and InputQueue: E6's "infinite" queue
-	// is exactly this, and no placement arithmetic on it can overflow.
+	// maxCount bounds Density, PEStore, InputQueue, NetScale and
+	// SwapPenalty: E6's "infinite" queue is exactly this, and no placement
+	// or latency arithmetic on it can overflow.
 	maxCount = 1 << 30
+	// zeroed is how NetScale and SwapPenalty, whose zero value selects the
+	// default, ask for zero itself: E5's x0 and E10's free swap.
+	zeroed = -1
 )
 
+// regimeNames are the values of MachineOptions.Regime besides "".
+var regimeNames = []string{"dram-heavy", "ideal"}
+
 // MachineOptions is the simulated-hardware configuration of one WaveCache
-// run. A zero GridW, GridH, Density, PEStore, InputQueue or Policy selects
-// DefaultMachineOptions' value (see Validate).
+// run. A zero GridW, GridH, Density, PEStore, InputQueue, Policy, NetScale or
+// SwapPenalty selects DefaultMachineOptions' value (see Validate).
 type MachineOptions struct {
 	GridW, GridH int
 	// Density is the placement packing density (instruction homes per PE).
@@ -126,6 +134,15 @@ type MachineOptions struct {
 	// L1Words overrides the per-cluster L1 size in 64-bit words (0 = the
 	// published hierarchy's).
 	L1Words int64
+	// Regime names a departure from the published latencies and sizes
+	// ("" = none): "dram-heavy" is E1b's 4 KB L2 before a 300-cycle DRAM
+	// (the L1 must fit in it), "ideal" E1's free operand network, unbounded
+	// store-buffer issue and single-cycle memory.
+	Regime string
+	// NetScale multiplies every operand-network latency (zeroed = x0).
+	NetScale int64
+	// SwapPenalty is the cycles a swap into a PE store costs (zeroed = 0).
+	SwapPenalty int64
 	// MaxCycles bounds each WaveCache cell's simulated time (0 = no
 	// bound); corpus sweeps over generated programs set it so a
 	// pathological cell aborts with a watchdog error instead of hanging
@@ -165,7 +182,7 @@ type MachineOptions struct {
 // one home of the machine defaults.
 func DefaultMachineOptions() MachineOptions {
 	return MachineOptions{GridW: 4, GridH: 4, Density: 16, PEStore: 64, InputQueue: 64,
-		Policy: "dynamic-depth-first-snake"}
+		Policy: "dynamic-depth-first-snake", NetScale: 1, SwapPenalty: 32}
 }
 
 // Validate reports the first field no WaveCache can be built from, after
@@ -184,6 +201,8 @@ func (m MachineOptions) resolve() (MachineOptions, fault.Config, error) {
 	m.PEStore = cmp.Or(m.PEStore, d.PEStore)
 	m.InputQueue = cmp.Or(m.InputQueue, d.InputQueue)
 	m.Policy = cmp.Or(m.Policy, d.Policy)
+	m.NetScale = cmp.Or(m.NetScale, d.NetScale)
+	m.SwapPenalty = cmp.Or(m.SwapPenalty, d.SwapPenalty)
 	fc, err := fault.ParseSpec(m.Faults)
 	fc.Seed = m.FaultSeed
 	return m, fc, err
@@ -199,25 +218,26 @@ func (m MachineOptions) check() (MachineOptions, fault.Config, error) {
 		return m, fc, err
 	}
 	for _, f := range []struct {
-		name string
-		v    int
-	}{{"density", m.Density}, {"PE store", m.PEStore}, {"input queue", m.InputQueue}} {
-		if f.v < 1 || f.v > maxCount {
-			return m, fc, fmt.Errorf("%s %d out of range (1 .. %d)", f.name, f.v, maxCount)
+		name     string
+		v, least int64
+	}{{"density", int64(m.Density), 1}, {"PE store", int64(m.PEStore), 1}, {"input queue", int64(m.InputQueue), 1},
+		{"network latency scale", m.NetScale, zeroed}, {"swap penalty", m.SwapPenalty, zeroed}} {
+		if f.v < f.least || f.v > maxCount {
+			return m, fc, fmt.Errorf("%s %d out of range (%d .. %d)", f.name, f.v, f.least, maxCount)
 		}
 	}
 	if m.MaxCycles < 0 {
 		return m, fc, fmt.Errorf("max cycles %d: a bound cannot be negative (0 = none)", m.MaxCycles)
 	}
-	if m.L1Words != 0 {
-		hier := mem.DefaultSystemConfig(1)
-		hier.L1.SizeWords = m.L1Words
-		if err := hier.L1.Validate(); err != nil {
-			return m, fc, err
-		}
-		if m.L1Words > hier.L2.SizeWords {
-			return m, fc, fmt.Errorf("L1 of %d words is larger than the %d-word L2", m.L1Words, hier.L2.SizeWords)
-		}
+	if m.Regime != "" && !slices.Contains(regimeNames, m.Regime) {
+		return m, fc, fmt.Errorf("unknown regime %q (%s)", m.Regime, strings.Join(regimeNames, ", "))
+	}
+	hier := m.hierarchy(1)
+	if err := hier.L1.Validate(); err != nil {
+		return m, fc, err
+	}
+	if hier.L1.SizeWords > hier.L2.SizeWords {
+		return m, fc, fmt.Errorf("L1 of %d words is larger than the %d-word L2", hier.L1.SizeWords, hier.L2.SizeWords)
 	}
 	if !slices.Contains(placement.Names(), m.Policy) {
 		return m, fc, fmt.Errorf("unknown placement policy %q (%s)", m.Policy, strings.Join(placement.Names(), ", "))
@@ -234,12 +254,17 @@ func (m MachineOptions) check() (MachineOptions, fault.Config, error) {
 // Key canonically encodes every field that can change a wavecache.Result,
 // with the defaults applied and the fault spec in its parsed form, so two
 // spellings of one machine share a key. Tracer, Workers, Metrics and Ctx
-// cannot change a Result and are left out.
+// cannot change a Result and are left out. Regime, NetScale and SwapPenalty
+// are keyed off their defaults: the published machine keeps its old key.
 func (m MachineOptions) Key() string {
 	m, fc, _ := m.resolve()
-	return fmt.Sprintf("grid=%dx%d density=%d pestore=%d queue=%d policy=%q mem=%s l1words=%d maxcycles=%d faults=%s faultseed=%d",
+	k := fmt.Sprintf("grid=%dx%d density=%d pestore=%d queue=%d policy=%q mem=%s l1words=%d maxcycles=%d faults=%s faultseed=%d",
 		m.GridW, m.GridH, m.Density, m.PEStore, m.InputQueue, m.Policy, m.MemMode,
 		m.L1Words, m.MaxCycles, fc, m.FaultSeed)
+	if d := DefaultMachineOptions(); m.Regime != "" || m.NetScale != d.NetScale || m.SwapPenalty != d.SwapPenalty {
+		k += fmt.Sprintf(" regime=%q netscale=%d swap=%d", m.Regime, m.NetScale, m.SwapPenalty)
+	}
+	return k
 }
 
 // Build validates the options and returns the simulator configuration and
@@ -258,6 +283,24 @@ func (m MachineOptions) Build(prog *isa.Program) (wavecache.Config, placement.Po
 	return cfg, pol, nil
 }
 
+// hierarchy lowers the options to the memory hierarchy of a machine
+// with n L1s: the published one, changed by the regime, then by L1Words.
+// Build, Validate and E1b's superscalar cells all take it from here.
+func (m MachineOptions) hierarchy(n int) mem.SystemConfig {
+	h := mem.DefaultSystemConfig(n)
+	switch m.Regime {
+	case "dram-heavy":
+		h.L2 = mem.CacheConfig{SizeWords: 512, LineWords: 16, Ways: 4} // 4 KB
+		h.MemLatency = 300
+	case "ideal":
+		h.L1Latency, h.L2Latency, h.MemLatency = 1, 0, 0
+	}
+	if m.L1Words != 0 {
+		h.L1.SizeWords = m.L1Words
+	}
+	return h
+}
+
 // waveConfig lowers resolved options and their parsed fault spec.
 func (m MachineOptions) waveConfig(fc fault.Config) wavecache.Config {
 	cfg := wavecache.DefaultConfig(m.GridW, m.GridH)
@@ -265,9 +308,15 @@ func (m MachineOptions) waveConfig(fc fault.Config) wavecache.Config {
 	cfg.PEStore = m.PEStore
 	cfg.InputQueue = m.InputQueue
 	cfg.MemMode = m.MemMode
-	if m.L1Words != 0 {
-		cfg.Mem.L1.SizeWords = m.L1Words
+	cfg.Mem = m.hierarchy(cfg.Machine.NumClusters())
+	if m.Regime == "ideal" {
+		cfg.BufferWidth, cfg.MemMsgLatency = 1<<20, 0
+		cfg.Net = noc.Config{Width: m.GridW, Height: m.GridH, IntraPod: 1, IntraDomain: 1, IntraCluster: 1, InterClusterBase: 1}
 	}
+	n, s := &cfg.Net, max(m.NetScale, 0) // zeroed is x0
+	n.IntraPod, n.IntraDomain, n.IntraCluster = n.IntraPod*s, n.IntraDomain*s, n.IntraCluster*s
+	n.InterClusterBase, n.LinkLatency = n.InterClusterBase*s, n.LinkLatency*s
+	cfg.SwapPenalty = max(m.SwapPenalty, 0)
 	cfg.MaxCycles = m.MaxCycles
 	cfg.Faults = fc
 	// Placement and simulator must agree on the defect map, so it is
@@ -281,10 +330,10 @@ func (m MachineOptions) waveConfig(fc fault.Config) wavecache.Config {
 	return cfg
 }
 
-// WaveConfig is Build's configuration alone, for a caller that sets
-// parameters MachineOptions does not carry (network latencies, swap
-// penalty, cache hierarchy) and builds its policy with NewPolicy. Options
-// that do not validate are reported there, not here.
+// WaveConfig is Build's configuration alone, for a caller that holds its
+// policy apart from the configuration (the benchmark's simulator
+// workloads) or builds its own (M1's seeded layouts). Options that do not
+// validate are reported by NewPolicy or Build, not here.
 func (m MachineOptions) WaveConfig() wavecache.Config {
 	m, fc, _ := m.resolve()
 	return m.waveConfig(fc)

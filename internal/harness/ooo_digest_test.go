@@ -31,12 +31,12 @@ func TestOoODigestsPinned(t *testing.T) {
 	type cell struct {
 		c      *Compiled
 		build  string
-		regime memoryRegime
+		regime point
 	}
 	var cells []cell
 	for i, c := range set {
 		for _, b := range []cell{{c: c, build: "unrolled"}, {c: rolled[i], build: "rolled"}} {
-			for ri, r := range regimes {
+			for ri, r := range memoryRegimes(DefaultMachineOptions()) {
 				if ri > 0 && (c.Name == "twolf" || c.Name == "gzip") {
 					continue
 				}
@@ -48,12 +48,12 @@ func TestOoODigestsPinned(t *testing.T) {
 	got, err := parallel.Map(0, len(cells), func(i int) (string, error) {
 		cl := cells[i]
 		cfg := DefaultOoOConfig()
-		cl.regime.apply(&cfg.Mem)
+		cfg.Mem = cl.regime.m.hierarchy(1)
 		res, err := RunOoO(cl.c, cfg)
 		if err != nil {
-			return "", fmt.Errorf("%s %s %s: %w", cl.c.Name, cl.build, cl.regime.name, err)
+			return "", fmt.Errorf("%s %s %s: %w", cl.c.Name, cl.build, cl.regime.label, err)
 		}
-		return fmt.Sprintf("%s %s %s %+v", cl.c.Name, cl.build, cl.regime.name, res), nil
+		return fmt.Sprintf("%s %s %s %+v", cl.c.Name, cl.build, cl.regime.label, res), nil
 	})
 	if err != nil {
 		t.Fatal(err)

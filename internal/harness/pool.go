@@ -93,15 +93,12 @@ func (cs *cellSet) run() error {
 }
 
 // point is one value of the parameter a sensitivity experiment sweeps: the
-// label its columns (and its cells' errors) carry, and how its cells differ
-// from the experiment's machine. opt turns MachineOptions knobs on the
-// cell's own copy; edit adjusts the wavecache-level parameters
-// MachineOptions does not carry (network latencies, swap penalty); either
-// may be nil. Every cell runs the steer binary.
+// label its columns (and its cells' errors) carry, and the machine its
+// cells run, the experiment's with that parameter set. Every cell runs the
+// steer binary.
 type point struct {
 	label string
-	opt   func(*MachineOptions)
-	edit  func(*wavecache.Config)
+	m     MachineOptions
 }
 
 // sweep runs every bench of set at every point on m's worker pool and
@@ -114,16 +111,11 @@ func sweep(set []*Compiled, m MachineOptions, points []point) ([][]wavecache.Res
 	for bi, c := range set {
 		res[bi] = make([]wavecache.Result, len(points))
 		for pi, p := range points {
-			cells.add(c, func() error {
-				opt := m
-				if p.opt != nil {
-					p.opt(&opt)
+			cells.add(c, func() (err error) {
+				if res[bi][pi], err = runWaveWith(c, c.Wave, p.m); err != nil {
+					err = fmt.Errorf("%s/%s: %w", c.Name, p.label, err)
 				}
-				var err error
-				if res[bi][pi], err = runWaveWith(c, c.Wave, opt, p.edit); err != nil {
-					return fmt.Errorf("%s/%s: %w", c.Name, p.label, err)
-				}
-				return nil
+				return err
 			})
 		}
 	}

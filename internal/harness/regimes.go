@@ -3,38 +3,26 @@ package harness
 import (
 	"fmt"
 
-	"wavescalar/internal/mem"
 	"wavescalar/internal/ooo"
 	"wavescalar/internal/stats"
 	"wavescalar/internal/wavecache"
 )
 
-// memoryRegime scales the cache hierarchy to emulate increasing pressure:
-// the kernels are ~100x smaller than SPEC, so the caches shrink in
-// proportion (documented in EXPERIMENTS.md's scaling caveats).
-type memoryRegime struct {
-	name  string
-	apply func(*mem.SystemConfig)
-}
-
-var regimes = []memoryRegime{
-	{"cache-resident", func(c *mem.SystemConfig) {}},
-	{"L1-starved", func(c *mem.SystemConfig) {
-		c.L1.SizeWords = 256 // 2 KB
-	}},
-	{"DRAM-heavy", func(c *mem.SystemConfig) {
-		c.L1.SizeWords = 256
-		c.L2 = mem.CacheConfig{SizeWords: 512, LineWords: 16, Ways: 4} // 4 KB
-		c.MemLatency = 300
-	}},
+// memoryRegimes are E1b's points: caches that shrink, as the kernels are
+// ~100x smaller than SPEC, to emulate increasing memory pressure
+// (EXPERIMENTS.md's scaling caveats).
+func memoryRegimes(m MachineOptions) []point {
+	starved := m
+	starved.L1Words = 256 // 2 KB
+	heavy := starved
+	heavy.Regime = "dram-heavy"
+	return []point{{"cache-resident", m}, {"L1-starved", starved}, {"DRAM-heavy", heavy}}
 }
 
 func runE1b(set []*Compiled, m MachineOptions) (*stats.Table, error) {
-	headers := []string{"bench"}
-	for _, r := range regimes {
-		headers = append(headers, "speedup@"+r.name)
-	}
-	t := stats.NewTable("E1b: WaveCache speedup over superscalar, by memory regime", headers...)
+	regimes := memoryRegimes(m)
+	t := stats.NewTable("E1b: WaveCache speedup over superscalar, by memory regime",
+		append([]string{"bench"}, columns(regimes, "speedup@")...)...)
 	type cell struct {
 		wres wavecache.Result
 		ores ooo.Result
@@ -44,16 +32,12 @@ func runE1b(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 	for bi, c := range set {
 		for ri, r := range regimes {
 			slot := bi*len(regimes) + ri
-			cells.wave(c, c.Wave, m, &grid[slot].wres, func(cfg *wavecache.Config) { r.apply(&cfg.Mem) })
-			cells.add(c, func() error {
+			cells.wave(c, c.Wave, r.m, &grid[slot].wres)
+			cells.add(c, func() (err error) {
 				ocfg := DefaultOoOConfig()
-				r.apply(&ocfg.Mem)
-				res, err := RunOoO(c, ocfg)
-				if err != nil {
-					return err
-				}
-				grid[slot].ores = res
-				return nil
+				ocfg.Mem = r.m.hierarchy(1)
+				grid[slot].ores, err = RunOoO(c, ocfg)
+				return err
 			})
 		}
 	}
@@ -76,6 +60,7 @@ func runE1b(set []*Compiled, m MachineOptions) (*stats.Table, error) {
 		grow = append(grow, stats.GeoMean(geo[ri]))
 	}
 	t.AddRow(grow...)
-	t.Note = fmt.Sprintf("regimes shrink the hierarchy in proportion to the kernels' scaled-down working sets (see EXPERIMENTS.md); DRAM-heavy uses a %d-cycle memory", 300)
+	t.Note = fmt.Sprintf("regimes shrink the hierarchy in proportion to the kernels' scaled-down working sets (see EXPERIMENTS.md); DRAM-heavy uses a %d-cycle memory",
+		regimes[2].m.hierarchy(1).MemLatency)
 	return t, nil
 }

@@ -13,8 +13,9 @@ import (
 // (RunWave), so a speculation bug fails the experiment rather than skewing
 // it.
 func runE15(set []*Compiled, m MachineOptions) (*stats.Table, error) {
-	points := []point{{label: "ordered"},
-		{label: "spec", opt: func(o *MachineOptions) { o.MemMode = wavecache.MemSpec }}}
+	spec := m
+	spec.MemMode = wavecache.MemSpec
+	points := []point{{"ordered", m}, {"spec", spec}}
 	t, err := sweepTable("E15: MemSpec against wave-ordered issue",
 		[]string{"ordered", "spec", "sq%", "fwd", "replayed"}, set, m, points,
 		func(c *Compiled, res []wavecache.Result) []any {

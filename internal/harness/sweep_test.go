@@ -11,7 +11,6 @@ import (
 
 	"wavescalar/internal/fault"
 	"wavescalar/internal/stats"
-	"wavescalar/internal/wavecache"
 )
 
 // sweepSet is two small programs with a memory loop each, so that grid
@@ -50,53 +49,32 @@ func main() {
 	return set
 }
 
-// sweepPoints builds three points in a loop, the way the experiments do:
-// each has its own grid (opt) and swap penalty (edit). ran receives the
-// configuration each cell ran with.
-func sweepPoints(ran func(label string, cfg wavecache.Config)) []point {
+// sweepPoints builds three points on m in a loop, the way the experiments
+// do: each has its own grid and swap penalty.
+func sweepPoints(m MachineOptions) []point {
 	var points []point
 	for i, label := range []string{"p0", "p1", "p2"} {
-		points = append(points, point{label: label,
-			opt: func(o *MachineOptions) { o.GridW, o.GridH, o.PEStore = i+1, 1, 4 },
-			edit: func(cfg *wavecache.Config) {
-				cfg.SwapPenalty = int64(10 * (i + 1))
-				ran(label, *cfg)
-			}})
+		o := m
+		o.GridW, o.GridH, o.PEStore = i+1, 1, 4
+		o.SwapPenalty = int64(10 * (i + 1))
+		points = append(points, point{label, o})
 	}
 	return points
 }
 
 // TestSweepCellsLandAtBenchPoint: res[bench][point] is the run of that
-// bench's binary on the machine that point's opt and edit — and no other
-// point's — describe.
+// bench's binary on the machine that point — and no other — describes.
 func TestSweepCellsLandAtBenchPoint(t *testing.T) {
 	set := sweepSet(t)
-	var mu sync.Mutex
-	ran := map[string][]wavecache.Config{}
-	points := sweepPoints(func(label string, cfg wavecache.Config) {
-		mu.Lock()
-		defer mu.Unlock()
-		ran[label] = append(ran[label], cfg)
-	})
 	m := DefaultMachineOptions()
 	m.Workers = 3
+	points := sweepPoints(m)
 	res, err := sweep(set, m, points)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != len(set) {
 		t.Fatalf("%d result rows for %d benches", len(res), len(set))
-	}
-	for pi, p := range points {
-		if len(ran[p.label]) != len(set) {
-			t.Errorf("%s: edit ran %d times, want once per bench", p.label, len(ran[p.label]))
-		}
-		for _, cfg := range ran[p.label] {
-			if cfg.Machine.GridW != pi+1 || cfg.SwapPenalty != int64(10*(pi+1)) {
-				t.Errorf("%s ran on a %d-wide grid with swap penalty %d: another point's opt or edit reached it",
-					p.label, cfg.Machine.GridW, cfg.SwapPenalty)
-			}
-		}
 	}
 	for bi, c := range set {
 		if len(res[bi]) != len(points) {
@@ -106,7 +84,8 @@ func TestSweepCellsLandAtBenchPoint(t *testing.T) {
 		for pi, p := range points {
 			opt := m
 			opt.GridW, opt.GridH, opt.PEStore = pi+1, 1, 4
-			want, err := runWaveWith(c, c.Wave, opt, func(cfg *wavecache.Config) { cfg.SwapPenalty = int64(10 * (pi + 1)) })
+			opt.SwapPenalty = int64(10 * (pi + 1))
+			want, err := runWaveWith(c, c.Wave, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,12 +147,11 @@ func TestSweepReturnsBenchMajorError(t *testing.T) {
 	wrong := *set[1]
 	wrong.Checksum++
 	set[1] = &wrong
-	points := sweepPoints(func(string, wavecache.Config) {})
-	trip := points[2].opt
-	points[2].opt = func(o *MachineOptions) { trip(o); o.MaxCycles = 1 }
 	for _, workers := range []int{1, 4} {
 		m := DefaultMachineOptions()
 		m.Workers = workers
+		points := sweepPoints(m)
+		points[2].m.MaxCycles = 1
 		_, err := sweep(set, m, points)
 		var fe *fault.FaultError
 		if !errors.As(err, &fe) || fe.Kind != fault.KindWatchdog || !strings.HasPrefix(err.Error(), "sum/p2: ") {
@@ -189,7 +167,7 @@ func TestSweepCancelled(t *testing.T) {
 	cancel()
 	m := DefaultMachineOptions()
 	m.Ctx = ctx
-	res, err := sweep(sweepSet(t), m, sweepPoints(func(string, wavecache.Config) {}))
+	res, err := sweep(sweepSet(t), m, sweepPoints(m))
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Errorf("cancelled sweep returned %v, %v", res, err)
 	}

@@ -10,8 +10,8 @@
 // the reference engines' checksum and memory image on it), the untimed run
 // behind `waverun`, and the profile collector feeding the placement
 // model's experiment M1. E1's "ideal dataflow" column is not this
-// machine: it is the WaveCache simulator on an idealized configuration
-// (harness.idealMachine).
+// machine: it is the WaveCache simulator under harness.idealMachine, a
+// MachineOptions whose "ideal" regime frees the network and the memory.
 package interp
 
 import (
